@@ -1,32 +1,19 @@
-"""Window-envelope benchmarks: mapping throughput and the transport the
-grids ride.
+"""Window-envelope benchmark: mapping throughput.
 
-Envelope grids are larger than ordinary sweeps (they add a window axis
-on top of scenario x jitter x seed), so they are exactly the workload
-the shared-memory result ring exists for.  Two measurements:
-
-* the real per-cell cost of mapping a small envelope (simulation +
-  headroom capture, replay checks off);
-* ring vs. per-future transport wall clock on an envelope-shaped grid
-  with stubbed (free) cells -- isolating the result path, same
-  methodology as the sweep transport bench -- plus the bit-for-bit
-  equivalence of the two transports' headroom payloads.
+The real per-cell cost of mapping a small envelope (simulation +
+headroom capture, replay checks off).  That pooled envelope grids carry
+the same headroom payload as serial ones is pinned by
+``tests/test_envelope.py`` (serial vs ``workers=2`` mapping).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-
 import pytest
 
-from _bench import FULL, emit
+from _bench import emit
 
-import repro.sweep as sweep_mod
 from repro.analysis.report import render_table
-from repro.core.history import WindowHeadroomStats
 from repro.envelope import EnvelopeRunner
-from repro.sweep import CellResult
 
 #: Mapping cells exhaust their windows on purpose.
 pytestmark = pytest.mark.filterwarnings(
@@ -34,15 +21,13 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 
-def _small_runner(**overrides) -> EnvelopeRunner:
-    kwargs = dict(
+def _small_runner() -> EnvelopeRunner:
+    return EnvelopeRunner(
         scenarios=["latency-jitter"],
         jitters_us=(0, 300_000),
         windows_us=(100_000, 1_000_000),
         seeds=(1,),
     )
-    kwargs.update(overrides)
-    return EnvelopeRunner(**kwargs)
 
 
 def test_envelope_mapping_throughput(benchmark):
@@ -69,79 +54,3 @@ def test_envelope_mapping_throughput(benchmark):
     # the undersized-window x heavy-jitter corner must actually measure
     # something, or the bench is timing an empty envelope
     assert late > 0
-
-
-def _fast_envelope_cell(cell) -> CellResult:
-    """Transport-bench stub: free cells with a synthetic headroom payload
-    so the ring carries the full record, not a degenerate one."""
-    deficit = max(0, 500_000 - (cell.window_us or 0)) if cell.jitter_us else 0
-    return CellResult(
-        scenario=cell.scenario, seed=cell.seed, mode=cell.mode,
-        repeat=cell.repeat, jitter_seed=cell.jitter_seed,
-        window_us=cell.window_us, jitter_us=cell.jitter_us,
-        fingerprint=f"fp|{cell.scenario}|{cell.seed}|{cell.window_us}",
-        deliveries=100,
-        headroom=WindowHeadroomStats(
-            window_us=cell.window_us or 0,
-            late_count=1 if deficit else 0,
-            max_deficit_us=deficit,
-            p50_deficit_us=deficit,
-            p90_deficit_us=deficit,
-            p99_deficit_us=deficit,
-        ),
-        wall_seconds=0.0,
-    )
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="transport bench stubs run_cell via fork inheritance",
-)
-def test_envelope_grid_ring_vs_futures_transport(monkeypatch):
-    """Ring vs. per-future result transport on an envelope-shaped grid:
-    identical cell payloads (headroom included), comparable wall clock.
-    """
-    monkeypatch.setattr(sweep_mod, "run_cell", _fast_envelope_cell)
-    seeds = tuple(range(125 if not FULL else 250))
-    runner_kwargs = dict(
-        scenarios=["flap-storm"],
-        jitters_us=(0, 300_000),
-        windows_us=(250_000, 500_000),
-        seeds=seeds,
-        workers=2,
-    )
-
-    def one_pass(transport):
-        runner = _small_runner(transport=transport, **runner_kwargs)
-        start = time.perf_counter()
-        cells = runner.map()
-        return cells, time.perf_counter() - start
-
-    shm_cells, shm_wall = one_pass("shm")
-    fut_cells, fut_wall = one_pass("futures")
-    grid_cells = len(seeds) * 4
-    assert len(shm_cells) == len(fut_cells) == grid_cells
-
-    def payload(cells):
-        return [
-            (c.scenario, c.seed, c.window_us, c.jitter_us, c.fingerprint,
-             c.headroom)
-            for c in cells
-        ]
-
-    assert payload(shm_cells) == payload(fut_cells), (
-        "transports must be interchangeable, headroom payload included"
-    )
-    emit(render_table(
-        "envelope transport: ring vs futures",
-        ["metric", "value"],
-        [
-            ["grid cells", grid_cells],
-            ["shm ring wall (s)", shm_wall],
-            ["per-future wall (s)", fut_wall],
-            ["ratio (futures/shm)", fut_wall / max(shm_wall, 1e-9)],
-        ],
-    ))
-    # both transports move free cells; neither may be pathologically
-    # slower than the other on a grid this size
-    assert shm_wall < 30 and fut_wall < 30

@@ -13,17 +13,14 @@ to the full builtin catalogue x 5 seeds.
 
 from __future__ import annotations
 
-import gc
-import multiprocessing
 import os
-import tracemalloc
 
 import pytest
 
 from _bench import FULL, emit
 
 from repro.analysis.report import render_table
-from repro.sweep import CellResult, SweepRunner
+from repro.sweep import SweepRunner
 
 SEEDS = (1, 2, 3, 4, 5) if FULL else (1, 2)
 SCENARIOS = None if FULL else [
@@ -116,107 +113,6 @@ def test_fuzz_grid_throughput(benchmark):
             ["cells per second", len(report.cells) / max(report.wall_seconds, 1e-9)],
         ],
     ))
-
-
-def _fast_cell(cell) -> CellResult:
-    """Transport-bench stub: the memory comparison measures the *result
-    path*, not the simulations, so cells must be free."""
-    return CellResult(
-        scenario=cell.scenario, seed=cell.seed, mode=cell.mode,
-        repeat=cell.repeat, jitter_seed=cell.jitter_seed,
-        fingerprint=f"fp|{cell.scenario}|{cell.seed}|{cell.mode}",
-        replay_fingerprint=(
-            f"fp|{cell.scenario}|{cell.seed}|{cell.mode}"
-            if cell.mode == "defined" else None
-        ),
-        invariant_ok=cell.mode == "defined" or None,
-        deliveries=100, wall_seconds=0.0,
-    )
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="transport bench stubs run_cell via fork inheritance",
-)
-def test_streaming_vs_futures_parent_memory(monkeypatch):
-    """Parent-side result-transport peak on a 500+ cell grid.
-
-    The per-future path accumulates one pickled ``CellResult`` +
-    ``Future`` + executor work item per cell in the parent; the
-    shared-memory path streams fixed-width records through a bounded
-    ring that the parent folds on the fly.  "Peak memory" here is the
-    parent's Python-heap peak (``tracemalloc``) across the result path
-    and aggregation -- the process-RSS equivalent is not measurable
-    in-process without the allocator noise of the simulator itself, so
-    this is the documented proxy.  Acceptance: the streamed path's peak
-    is >= 1.5x lower.
-    """
-    import repro.sweep as sweep_mod
-
-    monkeypatch.setattr(sweep_mod, "run_cell", _fast_cell)
-    seeds = tuple(range(250 if not FULL else 500))
-    kwargs = dict(
-        scenarios=["flap-storm"], seeds=seeds,
-        modes=("vanilla", "defined"), workers=2,
-    )
-    grid_cells = len(SweepRunner(**kwargs).grid())
-    assert grid_cells >= 500
-
-    def measure(fn):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            value = fn()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return value, peak
-
-    def futures_pass():
-        # the pre-streaming consumption model: run and retain the report
-        report = SweepRunner(transport="futures", **kwargs).run()
-        assert len(report.cells) == grid_cells
-        return report.ok()
-
-    def streamed_pass():
-        # the streaming consumption model: fold, never retain
-        count, fingerprints = 0, set()
-        for result in SweepRunner(transport="shm", **kwargs).stream():
-            count += 1
-            fingerprints.add(result.fingerprint)
-            assert result.error is None
-        assert count == grid_cells
-        return len(fingerprints)
-
-    _, futures_peak = measure(futures_pass)
-    _, streamed_peak = measure(streamed_pass)
-    ratio = futures_peak / max(streamed_peak, 1)
-    emit(render_table(
-        "result transport: parent peak memory (tracemalloc)",
-        ["metric", "value"],
-        [
-            ["grid cells", grid_cells],
-            ["per-future peak (bytes)", futures_peak],
-            ["shm-streamed peak (bytes)", streamed_peak],
-            ["improvement (x)", ratio],
-        ],
-    ))
-    assert ratio >= 1.5, (
-        f"streamed transport peak {streamed_peak} not >= 1.5x below "
-        f"per-future peak {futures_peak}"
-    )
-
-
-def test_streaming_transport_equivalent_on_real_grid(serial_report):
-    """The streamed transport must be a pure transport change: identical
-    fingerprints, verdicts and cell sets as the serial baseline on a
-    real (simulated) grid."""
-    streamed = SweepRunner(
-        scenarios=SCENARIOS, seeds=SEEDS, workers=PARALLEL_WORKERS,
-        transport="shm",
-    ).run()
-    assert streamed.ok(), streamed.render()
-    assert streamed.fingerprint_index() == serial_report.fingerprint_index()
 
 
 def test_sweep_theorem1_holds_across_grid(serial_report):

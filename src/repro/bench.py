@@ -1,8 +1,8 @@
-"""Machine-readable performance baselines (``repro bench``).
+"""Machine-readable performance numbers (``repro bench``).
 
-Measures the three throughput numbers the perf trajectory tracks and
-emits them as JSON, so every PR from here on can be compared against a
-committed baseline (``BENCH_5.json``) instead of anecdotes:
+Measures the throughput numbers the perf trajectory tracks and emits
+them as JSON (CI uploads the report on every PR).  Regression gating
+is ``perf/run.py`` + ``BENCHMARK.json``'s job, not this module's:
 
 * **checkpoint**: per-op cost of ``DefinedShim._take_checkpoint`` on a
   settled flap-storm@40 network, under both snapshot mechanisms.  This
@@ -21,9 +21,8 @@ committed baseline (``BENCH_5.json``) instead of anecdotes:
   metric; end-to-end wall is dominated by SPF and the checkpoint write
   barrier, so the **run** number moves only a few percent.
 
-Wall-clock numbers are host-dependent: the committed baseline records
-the machine that produced it, and the CI comparison *warns* (rather than
-fails) beyond the tolerance, because runner hardware drifts.
+Wall-clock numbers are host-dependent; the report records the machine
+that produced it.
 """
 
 from __future__ import annotations
@@ -265,59 +264,7 @@ def collect(quick: bool = False) -> Dict[str, Any]:
     return report
 
 
-#: (json-path, human name) of the numbers the regression gate watches.
-#: Higher-is-better metrics are marked so the comparison signs flip.
-WATCHED = (
-    (("checkpoint", "cow", "median_us"), "checkpoint cow median_us", False),
-    (("checkpoint", "speedup"), "checkpoint speedup", True),
-    (("run", "cow", "wall_s"), "cow run wall_s", False),
-    (("sweep", "cells_per_s"), "sweep cells_per_s", True),
-    # absent from baselines older than bench_format 1 + PR 8;
-    # compare() skips watched metrics the baseline does not carry.
-    (("fingerprint", "cached", "fingerprint_us"),
-     "fingerprint cached per-delivery us", False),
-    (("fingerprint", "speedup"), "fingerprint tag-cache speedup", True),
-)
-
-
-def _dig(doc: Dict[str, Any], path) -> Optional[float]:
-    node: Any = doc
-    for part in path:
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return float(node) if isinstance(node, (int, float)) else None
-
-
-def compare(current: Dict[str, Any], baseline: Dict[str, Any],
-            tolerance: float = 0.25) -> List[str]:
-    """Regressions of watched metrics beyond ``tolerance``, as messages.
-
-    Lower-is-better metrics regress when current > baseline * (1 + tol);
-    higher-is-better ones when current < baseline * (1 - tol).
-    """
-    problems: List[str] = []
-    for path, label, higher_is_better in WATCHED:
-        base = _dig(baseline, path)
-        cur = _dig(current, path)
-        if base is None or cur is None or base == 0:
-            continue
-        if higher_is_better:
-            if cur < base * (1 - tolerance):
-                problems.append(
-                    f"{label} regressed: {cur} vs baseline {base} "
-                    f"(-{(1 - cur / base) * 100:.0f}%)"
-                )
-        elif cur > base * (1 + tolerance):
-            problems.append(
-                f"{label} regressed: {cur} vs baseline {base} "
-                f"(+{(cur / base - 1) * 100:.0f}%)"
-            )
-    return problems
-
-
-def main_bench(json_out: Optional[str], baseline_path: Optional[str],
-               tolerance: float, quick: bool) -> int:
+def main_bench(json_out: Optional[str], quick: bool) -> int:
     """CLI body for ``repro bench`` (kept here so it is importable)."""
     report = collect(quick=quick)
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -326,16 +273,4 @@ def main_bench(json_out: Optional[str], baseline_path: Optional[str],
         with open(json_out, "w") as fh:
             fh.write(text + "\n")
         print(f"\nbench report written to {json_out}", file=sys.stderr)
-    if baseline_path:
-        with open(baseline_path) as fh:
-            baseline = json.load(fh)
-        problems = compare(report, baseline, tolerance=tolerance)
-        for problem in problems:
-            # "::warning::" renders as an annotation on GitHub runners and
-            # is harmless noise elsewhere; bench hosts vary, so regressions
-            # warn rather than fail.
-            print(f"::warning::bench regression vs {baseline_path}: {problem}")
-        if not problems:
-            print(f"bench within {tolerance:.0%} of {baseline_path}",
-                  file=sys.stderr)
     return 0

@@ -17,8 +17,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli envelope --scenarios flap-storm@20 \
         --jitters 0,50,300 --windows auto --suggest
     python -m repro.cli scale --sizes 20,40 --events 4
-    python -m repro.cli bench --json BENCH_5.json
-    python -m repro.cli bench --baseline BENCH_5.json --tolerance 0.25
+    python -m repro.cli bench --json bench-report.json
     python -m repro.cli casestudy bgp
     python -m repro.cli casestudy rip
 
@@ -247,7 +246,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             modes=args.modes.split(",") if args.modes else None,
             workers=args.workers,
             repeats=args.repeats,
-            transport=args.transport,
             snapshots=args.snapshots,
             artifact_dir=args.artifact_out,
             cell_timeout_s=args.cell_timeout,
@@ -378,12 +376,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import main_bench
 
-    return main_bench(
-        json_out=args.json,
-        baseline_path=args.baseline,
-        tolerance=args.tolerance,
-        quick=args.quick,
-    )
+    return main_bench(json_out=args.json, quick=args.quick)
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
@@ -469,6 +462,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos.cli import cmd_chaos as chaos_main
 
     return chaos_main(args)
+
+
+def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
+    """The per-cell executor policy flags ``sweep`` and ``envelope`` share."""
+    parser.add_argument("--cell-timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="per-cell wall-clock deadline; hung workers are "
+                             "reaped and the cell surfaces as timed_out "
+                             "(default: no deadline)")
+    parser.add_argument("--retries", type=int, default=None, metavar="N",
+                        help="retry budget for transient infra failures "
+                             "(worker crash, ring stall, OOM kill); a cell "
+                             "failing transiently more than N times in a row "
+                             "is quarantined (default 2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,24 +570,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed-invariance probe: run each cell under N "
                             "jitter seeds; deterministic modes must "
                             "collapse to one fingerprint per cell")
-    sweep.add_argument("--transport", default="shm",
-                       choices=["shm", "futures"],
-                       help="parallel result path: shared-memory streaming "
-                            "(default) or one pickled future per cell")
     sweep.add_argument("--snapshots", default=None,
                        choices=["cow", "deepcopy"],
                        help="checkpoint mechanism for every cell's DEFINED "
                             "stacks (default: harness default, cow)")
-    sweep.add_argument("--cell-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-cell wall-clock deadline; hung workers are "
-                            "reaped and the cell surfaces as timed_out "
-                            "(enables supervised execution)")
-    sweep.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="retry budget for transient infra failures "
-                            "(worker crash, ring stall, OOM kill); a cell "
-                            "failing transiently more than N times in a row "
-                            "is quarantined (enables supervised execution)")
+    _add_supervision_arguments(sweep)
     sweep.add_argument("--journal", default=None, metavar="DIR",
                        help="append each finished cell to a durable journal "
                             "in DIR (crash-safe; resumable via --resume)")
@@ -661,13 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="safety margin on top of the measured reach "
                           "(default 0.25)")
     env.add_argument("--workers", type=int, default=1)
-    env.add_argument("--cell-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="per-cell wall-clock deadline (supervised "
-                          "execution; see 'repro sweep --cell-timeout')")
-    env.add_argument("--retries", type=int, default=None, metavar="N",
-                     help="transient-failure retry budget (supervised "
-                          "execution; see 'repro sweep --retries')")
+    _add_supervision_arguments(env)
     env.add_argument("--report-out", default=None, metavar="PATH",
                      help="write the JSON envelope report here")
     env.add_argument("--artifact-out", default=None, metavar="DIR",
@@ -679,17 +667,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="machine-readable perf baselines (checkpoint/rollback/sweep "
-             "throughput) as JSON, with optional baseline comparison",
+        help="machine-readable perf numbers (checkpoint/rollback/sweep "
+             "throughput) as JSON",
     )
     bench.add_argument("--json", default=None, metavar="PATH",
                        help="write the JSON bench report here")
-    bench.add_argument("--baseline", default=None, metavar="PATH",
-                       help="compare against a committed bench JSON and "
-                            "emit ::warning:: annotations on regressions")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="relative regression tolerance vs the baseline "
-                            "(default 0.25)")
     bench.add_argument("--quick", action="store_true",
                        help="smaller workloads (flap-storm@20, fewer "
                             "iterations) for smoke runs")

@@ -366,7 +366,6 @@ class EnvelopeRunner:
         seeds: Sequence[int] = (1,),
         mode: str = "defined",
         workers: int = 1,
-        transport: str = "shm",
         sizes: Optional[Sequence[int]] = None,
         boundary_jitter_us: Optional[int] = None,
         target_quantile: float = 0.99,
@@ -417,7 +416,7 @@ class EnvelopeRunner:
         # must see the names this envelope will actually ship to workers
         self._sweep = SweepRunner(
             scenarios=list(self.scenarios), seeds=self.seeds,
-            workers=workers, transport=transport,
+            workers=workers,
             cell_timeout_s=cell_timeout_s, retries=retries,
         )
         if isinstance(windows_us, str):

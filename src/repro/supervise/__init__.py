@@ -18,10 +18,12 @@ with crash-loop quarantine (:mod:`.classify`, :mod:`.executor`), and a
 durable append-only cell journal keyed by content fingerprint that makes
 ``repro sweep --resume`` skip completed cells (:mod:`.journal`).
 
-The package is deliberately *policy*, layered on top of the existing
-transports: :class:`~repro.sweep.SweepRunner` activates it when a
-deadline or retry budget is configured and stays byte-for-byte on the
-legacy paths otherwise.
+The package is the grid's one executor:
+:class:`~repro.sweep.SweepRunner` runs every cell list through it under
+a :class:`SupervisionPolicy`.  No deadline and the default retry budget
+is the degenerate policy, not a separate code path -- a healthy pooled
+grid pays a heartbeat stamp per cell and reports exactly what it
+computed.
 """
 
 from repro.supervise.classify import (

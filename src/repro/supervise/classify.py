@@ -37,23 +37,19 @@ DETERMINISTIC = "deterministic"
 #:
 #: * ``MemoryError`` -- in-worker allocation failure under memory
 #:   pressure (the python-level cousin of an OOM kill);
-#: * ``worker process died`` / ``BrokenProcessPool`` / ``pool broken`` --
-#:   the worker was killed out from under the cell (OOM killer, operator
-#:   SIGKILL, pool teardown);
+#: * ``BrokenProcessPool`` / ``pool broken`` -- the worker was killed
+#:   out from under the cell (OOM killer, operator SIGKILL, pool
+#:   teardown);
 #: * ``result ring full`` / ``result ring closed`` -- the shared-memory
 #:   transport stalled or was abandoned; the cell may well have computed
 #:   its answer (see :class:`repro.sweep_stream.ResultPushError`, which
-#:   carries it);
-#: * ``cell failed to report its result`` -- the legacy streamed path's
-#:   synthesized wrapper around a per-cell transport failure.
+#:   carries it).
 TRANSIENT_MARKERS = (
     "MemoryError",
-    "worker process died",
     "BrokenProcessPool",
     "pool broken",
     "result ring full",
     "result ring closed",
-    "cell failed to report its result",
 )
 
 

@@ -1,9 +1,9 @@
 """The supervised executor: deadlines, classified retries, quarantine.
 
-This is the policy layer over the shared-memory streamed transport.  It
-keeps the transport's shape -- a :class:`~repro.sweep_stream.ResultRing`
-for payloads, windowed future submission for scheduling -- and adds a
-supervision loop the legacy path lacks:
+This is how :class:`~repro.sweep.SweepRunner` executes every grid: a
+:class:`~repro.sweep_stream.ResultRing` carries result payloads,
+windowed future submission does the scheduling, and a supervision loop
+runs over both:
 
 * **watchdog**: workers stamp each cell's start on a
   :class:`~repro.supervise.heartbeat.HeartbeatBoard`; the parent polls
@@ -54,9 +54,8 @@ from repro.supervise.classify import TRANSIENT, classify_error
 from repro.supervise.heartbeat import HeartbeatBoard
 from repro.supervise.journal import archive_quarantine, cell_fingerprint
 
-#: Default retry budget when supervision is enabled without an explicit
-#: ``retries``: a cell may be re-executed this many times after
-#: transient failures before quarantine.
+#: Default retry budget: a cell may be re-executed this many times
+#: after transient failures before quarantine.
 DEFAULT_RETRIES = 2
 #: Backoff ladder: base * 2^(failure-1), capped, then jittered into
 #: [0.5x, 1.5x) by a fingerprint-seeded stream.
@@ -72,8 +71,7 @@ class SupervisionPolicy:
 
     ``cell_timeout_s=None`` disables the watchdog (retries still apply);
     ``retries=0`` disables re-execution (the first transient failure
-    quarantines).  Either knob being set is what activates supervision
-    in :class:`~repro.sweep.SweepRunner`.
+    quarantines).
     """
 
     cell_timeout_s: Optional[float] = None
@@ -188,22 +186,6 @@ class _CellState:
     errors: List[str] = field(default_factory=list)
 
 
-def _error_result(cell, error: str):
-    from repro.sweep import CellResult
-
-    return CellResult(
-        scenario=cell.scenario,
-        seed=cell.seed,
-        mode=cell.mode,
-        repeat=cell.repeat,
-        jitter_seed=cell.jitter_seed,
-        window_us=cell.window_us,
-        jitter_us=cell.jitter_us,
-        snapshots=cell.snapshots,
-        error=error,
-    )
-
-
 def inline_supervised_iter(
     cells: Sequence,
     policy: SupervisionPolicy,
@@ -212,16 +194,15 @@ def inline_supervised_iter(
 ):
     """Single-process supervision: classified retries without a pool.
 
-    Serves ``workers=1`` grids with a retry budget but no deadline (a
-    deadline needs a separate process to reap, so the runner promotes
-    those to a pool of one).  Semantics match the pooled loop: transient
-    in-cell failures retry with backoff, exhaustion quarantines,
-    deterministic outcomes are final on first execution.
+    Serves ``workers=1`` grids without a deadline (a deadline needs a
+    separate process to reap, so the runner promotes those to a pool of
+    one).  Semantics match the pooled loop: transient in-cell failures
+    retry with backoff, exhaustion quarantines, deterministic outcomes
+    are final on first execution.
     """
-    from repro.sweep import run_cell
+    from repro.sweep import CellResult, run_cell
 
     for index, cell in enumerate(cells):
-        fingerprint = cell_fingerprint(cell)
         attempts = 0
         errors: List[str] = []
         while True:
@@ -236,16 +217,17 @@ def inline_supervised_iter(
                     archive_quarantine(
                         artifact_dir or cell.artifact_dir, cell, errors
                     )
-                    result = _error_result(
+                    result = CellResult.for_cell(
                         cell,
-                        f"quarantined after {len(errors)} consecutive "
+                        error=f"quarantined after {len(errors)} consecutive "
                         f"transient failures; last: {result.error}",
-                    )
-                    result = replace(
-                        result, attempts=attempts, outcome="quarantined"
+                        attempts=attempts,
+                        outcome="quarantined",
                     )
                     break
-                time.sleep(backoff_delay(policy, fingerprint, len(errors)))
+                time.sleep(
+                    backoff_delay(policy, cell_fingerprint(cell), len(errors))
+                )
                 continue
             result = replace(result, attempts=attempts, outcome="completed")
             break
@@ -274,14 +256,13 @@ def supervised_iter(
     from concurrent.futures import ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    from repro.sweep import _merge_streamed
+    from repro.sweep import CellResult
     from repro.sweep_stream import ResultPushError, ResultRing, decode_record
 
     cells = list(cells)
     if not cells:
         return
     states = [_CellState() for _ in cells]
-    fingerprints = [cell_fingerprint(cell) for cell in cells]
     done = [False] * len(cells)
     waiting: Set[int] = set()
     outbox: List = []
@@ -322,16 +303,16 @@ def supervised_iter(
             )
             deliver(
                 index,
-                _error_result(
+                CellResult.for_cell(
                     cells[index],
-                    f"quarantined after {state.failures} consecutive "
+                    error=f"quarantined after {state.failures} consecutive "
                     f"transient failures; last: {error}",
                 ),
                 outcome="quarantined",
             )
         else:
             state.retry_at = time.monotonic() + backoff_delay(
-                policy, fingerprints[index], state.failures
+                policy, cell_fingerprint(cells[index]), state.failures
             )
             waiting.add(index)
 
@@ -349,7 +330,9 @@ def supervised_iter(
             rindex, payload = decode_record(raw)
             if done[rindex]:
                 continue
-            settle_reported(rindex, _merge_streamed(cells[rindex], payload))
+            settle_reported(
+                rindex, CellResult.for_cell(cells[rindex], **payload)
+            )
 
     #: Consecutive generations that broke without advancing any cell's
     #: state: a pool that cannot even start (initializer crash, fork
@@ -458,14 +441,19 @@ def supervised_iter(
                                 if not done[index]:
                                     settle_reported(
                                         index,
-                                        _merge_streamed(cells[index], payload),
+                                        CellResult.for_cell(
+                                            cells[index], **payload
+                                        ),
                                     )
                             continue
                         text = f"{type(exc).__name__}: {exc}"
                         if classify_error(text) == TRANSIENT:
                             transient_failure(index, text)
                         else:
-                            deliver(index, _error_result(cells[index], text))
+                            deliver(
+                                index,
+                                CellResult.for_cell(cells[index], error=text),
+                            )
                     drain()
                     yield from flush()
                     if policy.cell_timeout_s is not None and broken is None:
@@ -514,10 +502,11 @@ def supervised_iter(
                 if pid is not None:
                     deliver(
                         index,
-                        _error_result(
+                        CellResult.for_cell(
                             cells[index],
-                            f"cell exceeded the {policy.cell_timeout_s:g}s "
-                            f"wall-clock deadline (worker pid {pid} reaped)",
+                            error=f"cell exceeded the "
+                            f"{policy.cell_timeout_s:g}s wall-clock "
+                            f"deadline (worker pid {pid} reaped)",
                         ),
                         outcome="timed_out",
                     )
@@ -538,11 +527,11 @@ def supervised_iter(
                         if not done[index]:
                             deliver(
                                 index,
-                                _error_result(
+                                CellResult.for_cell(
                                     cells[index],
-                                    "supervised worker pool failed to start "
-                                    f"after {barren_generations} attempts: "
-                                    f"{broken}",
+                                    error="supervised worker pool failed to "
+                                    f"start after {barren_generations} "
+                                    f"attempts: {broken}",
                                 ),
                             )
             else:

@@ -124,15 +124,8 @@ def payload_to_result(cell: "SweepCell", payload: Dict) -> "CellResult":
     fields["attempts"] = int(fields.get("attempts") or 1)
     headroom = payload.get("headroom")
     node_headroom = payload.get("node_headroom")
-    return CellResult(
-        scenario=cell.scenario,
-        seed=cell.seed,
-        mode=cell.mode,
-        repeat=cell.repeat,
-        jitter_seed=cell.jitter_seed,
-        window_us=cell.window_us,
-        jitter_us=cell.jitter_us,
-        snapshots=cell.snapshots,
+    return CellResult.for_cell(
+        cell,
         headroom=WindowHeadroomStats(**headroom) if headroom else None,
         node_headroom=(
             {node: WindowHeadroomStats(**hr) for node, hr in node_headroom.items()}

@@ -17,7 +17,7 @@ whole *grid*:
   link-latency jitter and DDoS-overload variants (the last built on the
   stop-and-wait :mod:`repro.baselines.ddos` stack);
 * :class:`SweepRunner` shards the scenario x seed x mode grid across
-  cores with :class:`concurrent.futures.ProcessPoolExecutor` -- each
+  cores on the supervised worker pool (:mod:`repro.supervise`) -- each
   worker builds its own :class:`~repro.simnet.engine.Simulator`, so
   per-run determinism is untouched -- and aggregates a
   divergence/determinism report, verifying the Theorem-1 invariant
@@ -53,10 +53,13 @@ Two scale-out mechanisms round the grid machinery out:
   first-class divergence (:meth:`SweepReport.invariance_splits`).
 * with ``workers > 1`` results stream back through a bounded
   :mod:`multiprocessing.shared_memory` ring
-  (:mod:`repro.sweep_stream`) instead of one pickled future hop per
-  cell, so 1000+-cell grids report progress live and the parent's
-  result-transport memory stays flat; ``transport="futures"`` keeps the
-  legacy path for comparison.
+  (:mod:`repro.sweep_stream`), so 1000+-cell grids report progress live
+  and the parent's result-transport memory stays flat.
+
+Every grid executes under one :class:`~repro.supervise.SupervisionPolicy`
+(no deadline and the default retry budget unless the caller says
+otherwise): a worker that dies costs its one cell a retry -- and, past
+the budget, quarantine -- never the rest of the grid.
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ import random
 import re
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -1254,6 +1256,26 @@ class CellResult:
     #: ``resumed`` -- replayed from a journal instead of executed.
     outcome: str = "completed"
 
+    @classmethod
+    def for_cell(cls, cell: SweepCell, **fields) -> "CellResult":
+        """A result echoing ``cell``'s identity; ``fields`` supply the rest.
+
+        Results travel without their identity (the fixed-width ring
+        record and the journal payload both omit it -- the parent
+        already holds the grid), so every producer re-attaches it here.
+        """
+        return cls(
+            scenario=cell.scenario,
+            seed=cell.seed,
+            mode=cell.mode,
+            repeat=cell.repeat,
+            jitter_seed=cell.jitter_seed,
+            window_us=cell.window_us,
+            jitter_us=cell.jitter_us,
+            snapshots=cell.snapshots,
+            **fields,
+        )
+
     @property
     def key(self) -> Tuple[str, int, str]:
         return (self.scenario, self.seed, self.mode)
@@ -1367,15 +1389,8 @@ def run_cell(cell: SweepCell) -> CellResult:
                 if invariant is False and cell.artifact_dir:
                     _archive_divergence(cell, result, replay)
         expected = scenario.expect(result) if scenario.expect else None
-        return CellResult(
-            scenario=cell.scenario,
-            seed=cell.seed,
-            mode=cell.mode,
-            repeat=cell.repeat,
-            jitter_seed=cell.jitter_seed,
-            window_us=cell.window_us,
-            jitter_us=cell.jitter_us,
-            snapshots=cell.snapshots,
+        return CellResult.for_cell(
+            cell,
             fingerprint=result.fingerprint,
             replay_fingerprint=replay_fp,
             invariant_ok=invariant,
@@ -1389,37 +1404,11 @@ def run_cell(cell: SweepCell) -> CellResult:
             wall_seconds=time.perf_counter() - start,
         )
     except Exception as exc:  # pragma: no cover - exercised via error cells
-        return CellResult(
-            scenario=cell.scenario,
-            seed=cell.seed,
-            mode=cell.mode,
-            repeat=cell.repeat,
-            jitter_seed=cell.jitter_seed,
-            window_us=cell.window_us,
-            jitter_us=cell.jitter_us,
-            snapshots=cell.snapshots,
+        return CellResult.for_cell(
+            cell,
             wall_seconds=time.perf_counter() - start,
             error=f"{type(exc).__name__}: {exc}",
         )
-
-
-def _merge_streamed(cell: SweepCell, payload: Dict) -> CellResult:
-    """Rebuild a :class:`CellResult` from a streamed record's payload.
-
-    The fixed-width record intentionally omits the cell identity (the
-    parent already holds the grid); this re-attaches it.
-    """
-    return CellResult(
-        scenario=cell.scenario,
-        seed=cell.seed,
-        mode=cell.mode,
-        repeat=cell.repeat,
-        jitter_seed=cell.jitter_seed,
-        window_us=cell.window_us,
-        jitter_us=cell.jitter_us,
-        snapshots=cell.snapshots,
-        **payload,
-    )
 
 
 def _spawn_portable(name: str) -> bool:
@@ -1510,9 +1499,6 @@ class SweepReport:
             if prior != c.fingerprint and c.key not in bad:
                 bad.append(c.key)
         return bad
-
-    # backwards-compatible alias (pre-probe name)
-    repeat_mismatches = invariance_splits
 
     # -- coverage accounting -------------------------------------------
     def timed_out(self) -> List[CellResult]:
@@ -1789,18 +1775,25 @@ class SweepRunner:
     """Shard a scenario x seed x mode grid across worker processes.
 
     ``workers=1`` runs everything inline (same process, deterministic
-    order); ``workers>1`` fans cells out to a process pool.  Either way
-    :meth:`run` returns results ordered by the grid, so two runs of the
-    same grid are comparable cell by cell.
+    order); ``workers>1`` fans cells out to the supervised worker pool
+    (:mod:`repro.supervise`).  Either way :meth:`run` returns results
+    ordered by the grid, so two runs of the same grid are comparable
+    cell by cell.
 
-    With ``workers > 1`` and ``transport="shm"`` (the default), workers
-    append fixed-width result records to a bounded
+    Pool workers append fixed-width result records to a bounded
     :mod:`multiprocessing.shared_memory` ring that the parent consumes
     incrementally (:mod:`repro.sweep_stream`): progress callbacks fire
     in *completion* order as cells finish, and the parent never holds
     more than the ring's worth of in-flight transport state.
-    ``transport="futures"`` keeps the one-pickled-future-per-cell path
-    (the pre-streaming behavior, retained for comparison benchmarks).
+
+    Every grid runs under :attr:`policy`.  ``cell_timeout_s`` arms the
+    watchdog (hung workers are reaped, the cell surfaces ``timed_out``;
+    a deadline needs a process to reap, so it moves even ``workers=1``
+    onto a pool of one); ``retries`` is the per-cell budget for
+    *transient* failures -- a worker killed under the cell, a stalled
+    ring -- after which the cell is ``quarantined`` and the rest of the
+    grid still completes.  Deterministic outcomes (divergences, in-cell
+    exceptions) are never re-executed.
 
     ``repeats=K`` arms the **seed-invariance probe**: every
     (scenario, seed, mode) cell runs under ``K`` jitter seeds (repeat 0
@@ -1816,7 +1809,6 @@ class SweepRunner:
         modes: Optional[Sequence[str]] = None,
         workers: int = 1,
         repeats: int = 1,
-        transport: str = "shm",
         snapshots: Optional[str] = None,
         artifact_dir: Optional[str] = None,
         cell_timeout_s: Optional[float] = None,
@@ -1828,26 +1820,15 @@ class SweepRunner:
             raise ValueError("workers must be >= 1")
         if repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if transport not in ("shm", "futures"):
-            raise ValueError(f"unknown transport {transport!r}")
-        #: Supervision policy (see :mod:`repro.supervise`): armed when a
-        #: per-cell deadline or a retry budget is configured, inert
-        #: otherwise -- the legacy execution paths are untouched unless
-        #: the caller opts in.
-        self.policy = None
-        if cell_timeout_s is not None or retries is not None:
-            from repro.supervise import SupervisionPolicy
-            from repro.supervise.executor import DEFAULT_RETRIES
+        from repro.supervise.executor import DEFAULT_RETRIES, SupervisionPolicy
 
-            if transport == "futures":
-                raise ValueError(
-                    "supervised execution (cell_timeout_s/retries) requires "
-                    "the shm transport"
-                )
-            self.policy = SupervisionPolicy(
-                cell_timeout_s=cell_timeout_s,
-                retries=retries if retries is not None else DEFAULT_RETRIES,
-            )
+        #: What the executor enforces on every cell (see
+        #: :mod:`repro.supervise`); no deadline and the default retry
+        #: budget unless the caller configures them.
+        self.policy = SupervisionPolicy(
+            cell_timeout_s=cell_timeout_s,
+            retries=DEFAULT_RETRIES if retries is None else retries,
+        )
         #: Cell-journal directory (append-only, crash-safe): every
         #: finished cell is durably recorded so an interrupted grid can
         #: be resumed.  ``resume_dir`` replays completed cells from an
@@ -1874,7 +1855,6 @@ class SweepRunner:
         self.modes = tuple(modes) if modes is not None else None
         self.workers = workers
         self.repeats = repeats
-        self.transport = transport
         self.snapshots = snapshots
         #: Directory Theorem-1 divergences are archived into as run
         #: bundles (None: no archiving); see :attr:`SweepCell.artifact_dir`.
@@ -1935,9 +1915,9 @@ class SweepRunner:
     def run(self, progress: Optional[Callable[[CellResult], None]] = None) -> SweepReport:
         """Run the whole grid and aggregate a :class:`SweepReport`.
 
-        ``progress`` fires once per finished cell -- in grid order for
-        serial/futures execution, in completion order for the streamed
-        transport.  The report's cell list is always grid-ordered.
+        ``progress`` fires once per finished cell -- in grid order
+        inline, in completion order on the pool.  The report's cell
+        list is always grid-ordered.
         """
         cells = self.grid()
         start = time.perf_counter()
@@ -1954,7 +1934,7 @@ class SweepRunner:
         cells: Sequence[SweepCell],
         progress: Optional[Callable[[CellResult], None]] = None,
     ) -> List[CellResult]:
-        """Execute an explicit cell list (same transports as :meth:`run`),
+        """Execute an explicit cell list (same executor as :meth:`run`),
         returning results in the given cell order.
 
         This is the execution surface for callers that build their own
@@ -1977,16 +1957,15 @@ class SweepRunner:
         for _index, result in self._iter_results(self.grid(), progress):
             yield result
 
-    # -- execution strategies ------------------------------------------
+    # -- execution -----------------------------------------------------
     def _iter_results(
         self,
         cells: Sequence[SweepCell],
         progress: Optional[Callable[[CellResult], None]],
     ):
-        """Dispatch + the journal/resume wrapper around every transport.
+        """The journal/resume wrapper around :meth:`_execute`.
 
-        Without a journal or resume directory this is a pass-through to
-        :meth:`_execute` (the legacy paths, byte-identical behavior).
+        Without a journal or resume directory this is a pass-through.
         With one, completed cells from the resume journal are yielded
         first (outcome ``resumed``, no execution), and every newly
         executed cell is durably journaled before it is yielded -- so a
@@ -2034,38 +2013,30 @@ class SweepRunner:
         cells: Sequence[SweepCell],
         progress: Optional[Callable[[CellResult], None]],
     ):
-        if self.policy is not None and cells:
-            yield from self._iter_supervised(cells, progress)
-        elif self.workers == 1 or not cells:
-            for index, cell in enumerate(cells):
-                result = run_cell(cell)
-                if progress is not None:
-                    progress(result)
-                yield index, result
-        elif self.transport == "futures":
-            yield from self._iter_futures(cells, progress)
-        else:
-            yield from self._iter_streamed(cells, progress)
+        """Run ``cells`` under :attr:`policy`, yielding ``(index, result)``.
 
-    def _iter_supervised(self, cells, progress):
-        """Supervised execution: deadlines, classified retries, quarantine.
-
-        ``workers=1`` without a deadline retries inline (no pool); any
-        configured deadline needs a separate process to reap, so those
-        grids run on a supervised pool even single-worker.
+        One worker without a deadline runs in this process; everything
+        else runs on the supervised pool (a deadline needs a separate
+        process to reap, even single-worker).  A host with no usable
+        shared memory degrades to the in-process loop.
         """
+        if not cells:
+            return
         from repro.supervise.executor import (
             inline_supervised_iter,
             supervised_iter,
         )
 
-        if self.workers == 1 and self.policy.cell_timeout_s is None:
-            yield from inline_supervised_iter(
+        def inline():
+            return inline_supervised_iter(
                 cells,
                 self.policy,
                 artifact_dir=self.artifact_dir,
                 progress=progress,
             )
+
+        if self.workers == 1 and self.policy.cell_timeout_s is None:
+            yield from inline()
             return
 
         import multiprocessing
@@ -2103,183 +2074,7 @@ class SweepRunner:
                 RuntimeWarning,
                 stacklevel=3,
             )
-            yield from inline_supervised_iter(
-                cells,
-                self.policy,
-                artifact_dir=self.artifact_dir,
-                progress=progress,
-            )
-
-    def _iter_futures(self, cells, progress):
-        """Legacy transport: one pickled result future per grid cell."""
-        with ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=self._worker_context()
-        ) as pool:
-            for index, result in enumerate(pool.map(run_cell, cells)):
-                if progress is not None:
-                    progress(result)
-                yield index, result
-
-    def _iter_streamed(self, cells, progress):
-        """Shared-memory transport: workers append fixed-width records
-        to a bounded ring; the parent consumes incrementally.
-
-        A worker that dies without reporting (hard crash, OOM kill)
-        surfaces as a failed cell -- the pool breaks, the ring is
-        drained, and every unreported cell yields a synthesized error
-        result instead of hanging the sweep.
-        """
-        import multiprocessing
-        from concurrent.futures import wait
-
-        from repro.sweep_stream import (
-            ResultRing,
-            adaptive_ring_capacity,
-            decode_record,
-        )
-
-        ctx = self._worker_context() or multiprocessing.get_context()
-        capacity = (
-            adaptive_ring_capacity(len(cells))
-            if STREAM_RING_CAPACITY is None
-            else max(2, min(len(cells), STREAM_RING_CAPACITY))
-        )
-        try:
-            ring = ResultRing.create(capacity=capacity, lock=ctx.Lock())
-        except OSError as exc:  # pragma: no cover - no usable shared memory
-            import warnings
-
-            warnings.warn(
-                f"shared-memory result ring unavailable ({exc}); falling "
-                "back to the per-future transport",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            yield from self._iter_futures(cells, progress)
-            return
-
-        from repro.sweep_stream import stream_worker_init, run_streamed_cell
-
-        seen: set = set()
-
-        def drain():
-            for raw in ring.pop_all():
-                index, payload = decode_record(raw)
-                seen.add(index)
-                result = _merge_streamed(cells[index], payload)
-                if progress is not None:
-                    progress(result)
-                yield index, result
-
-        from concurrent.futures.process import BrokenProcessPool
-
-        #: pool-wide breakage (worker hard death): stop submitting.
-        fatal: Optional[BaseException] = None
-        #: per-cell transport failures (e.g. a ring push timeout): the
-        #: pool is healthy, so the rest of the grid keeps running.
-        cell_failures: Dict[int, BaseException] = {}
-        try:
-            with ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=ctx,
-                initializer=stream_worker_init,
-                initargs=(ring.name, ring.lock, ring.capacity),
-            ) as pool:
-                # Windowed submission: per-cell futures are exactly the
-                # parent-side overhead the ring exists to avoid, so only
-                # a scheduling window's worth are ever in flight --
-                # enough queue depth to keep every worker busy, O(window)
-                # instead of O(grid) parent state.
-                window = max(4 * self.workers, 16)
-                backlog = iter(enumerate(cells))
-                pending: Dict = {}  # future -> cell index
-
-                def top_up() -> None:
-                    nonlocal fatal
-                    while fatal is None and len(pending) < window:
-                        try:
-                            index, cell = next(backlog)
-                        except StopIteration:
-                            return
-                        try:
-                            future = pool.submit(run_streamed_cell, index, cell)
-                        except Exception as exc:  # pool broke mid-grid
-                            fatal = exc
-                            return
-                        pending[future] = index
-
-                from repro.sweep_stream import ResultPushError
-
-                try:
-                    top_up()
-                    while pending:
-                        done, _ = wait(list(pending), timeout=0.05)
-                        for future in done:
-                            index = pending.pop(future)
-                            exc = future.exception()
-                            if exc is None:
-                                continue
-                            if isinstance(exc, BrokenProcessPool):
-                                if fatal is None:
-                                    fatal = exc
-                            elif isinstance(exc, ResultPushError):
-                                # the cell finished; its encoded record
-                                # rode the exception -- recover it instead
-                                # of reporting an opaque transport failure
-                                try:
-                                    _idx, payload = decode_record(exc.record)
-                                except Exception:
-                                    cell_failures[index] = exc
-                                else:
-                                    seen.add(index)
-                                    result = _merge_streamed(
-                                        cells[index], payload
-                                    )
-                                    if progress is not None:
-                                        progress(result)
-                                    yield index, result
-                            else:
-                                cell_failures[index] = exc
-                        if fatal is None:
-                            top_up()
-                        yield from drain()
-                except GeneratorExit:
-                    # consumer abandoned the stream: stop writers fast so
-                    # pool shutdown doesn't wait out blocked pushes
-                    ring.close_for_writers()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
-            yield from drain()
-            for index, cell in enumerate(cells):
-                if index in seen:
-                    continue
-                failure = cell_failures.get(index)
-                if failure is not None:
-                    error = (
-                        "cell failed to report its result: "
-                        f"{type(failure).__name__}: {failure}"
-                    )
-                else:
-                    error = (
-                        "worker process died before reporting this cell"
-                        + (f": {fatal}" if fatal is not None else "")
-                    )
-                result = CellResult(
-                    scenario=cell.scenario,
-                    seed=cell.seed,
-                    mode=cell.mode,
-                    repeat=cell.repeat,
-                    jitter_seed=cell.jitter_seed,
-                    window_us=cell.window_us,
-                    jitter_us=cell.jitter_us,
-                    snapshots=cell.snapshots,
-                    error=error,
-                )
-                if progress is not None:
-                    progress(result)
-                yield index, result
-        finally:
-            ring.destroy()
+            yield from inline()
 
 
 # ----------------------------------------------------------------------

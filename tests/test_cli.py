@@ -193,6 +193,29 @@ class TestCommands:
             main(["sweep", "--compose", "latency-jitter+heat-death",
                   "--seeds", "1"])
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--transport", "futures", "--seeds", "1"],
+        ["bench", "--baseline", "BENCH_5.json"],
+        ["bench", "--tolerance", "0.25"],
+    ])
+    def test_retired_flags_are_errors_not_ignored(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_and_envelope_share_the_supervision_flags(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for command in (["sweep"], ["envelope", "--scenarios", "flap-storm"]):
+            args = parser.parse_args(command)
+            assert (args.cell_timeout, args.retries) == (None, None)
+            args = parser.parse_args(
+                command + ["--cell-timeout", "2.5", "--retries", "0"]
+            )
+            assert (args.cell_timeout, args.retries) == (2.5, 0)
+
     def test_fuzz_small_grid_writes_report(self, tmp_path, capsys):
         report_path = tmp_path / "fuzz.json"
         rc = main([

@@ -132,12 +132,10 @@ class TestClassifier:
 
     @pytest.mark.parametrize("error", [
         "MemoryError: out of memory",
-        "worker process died while the cell was running",
         "BrokenProcessPool: A child process terminated abruptly",
         "worker pool broken while the cell was executing",
         "result ring full and consumer not draining (capacity 4)",
         "RingClosedError: result ring closed by consumer",
-        "cell failed to report its result: ValueError",
     ])
     def test_infra_failures_are_transient(self, error):
         assert classify_error(error) == TRANSIENT
@@ -197,13 +195,35 @@ class TestHeartbeatBoard:
             active = board.active()
             assert [(e[0], e[1], e[2]) for e in active] == [(0, 4242, 7)]
             assert board.overdue(3600.0) == []
-            # a reading stamped an hour in the past is overdue on a 1s deadline
-            stale = active[0][3] - 3_600 * 1_000_000_000
-            peer._write(0, 4242, 8, stale)
-            assert [e[2] for e in board.overdue(1.0)] == [7]
+            # the same stamp, read an hour later, is overdue on a 1s deadline
+            # (slots are unsigned: never back-date a stamp to fake age)
+            an_hour_on = active[0][3] + 3_600 * 1_000_000_000
+            assert [e[2] for e in board.overdue(1.0, now_ns=an_hour_on)] == [7]
+            assert board.overdue(3600.0, now_ns=an_hour_on) == []
             peer.clear(0, pid=4242)
             assert board.active() == []
             peer.destroy()
+        finally:
+            board.destroy()
+
+    def test_deadlines_work_on_a_freshly_booted_host(self, monkeypatch):
+        """CLOCK_MONOTONIC counts from boot: with 5 s of uptime every
+        stamp is tiny, and nothing the board computes may go below
+        zero on its way into an unsigned slot."""
+        uptime_ns = 5_000_000_000
+        monkeypatch.setattr(time, "monotonic_ns", lambda: uptime_ns)
+        board = HeartbeatBoard.create(1)
+        try:
+            board.claim(0, pid=4242)
+            board.begin(0, pid=4242, cell_index=0)
+            assert board.read(0) == (4242, 1, uptime_ns)
+            # a deadline far longer than the host has been up: not overdue
+            assert board.overdue(3600.0) == []
+            assert board.overdue(1.0) == []
+            assert [e[2] for e in board.overdue(
+                1.0, now_ns=uptime_ns + 1_000_000_001)] == [0]
+            board.clear(0, pid=4242)
+            assert board.active() == []
         finally:
             board.destroy()
 
@@ -366,16 +386,20 @@ class TestSupervisedPool:
         assert healed.error is None
         assert healed.attempts == 2
 
-    def test_deterministic_failure_is_never_retried(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("knobs", [{"retries": 3}, {}])
+    def test_deterministic_failure_is_never_retried(
+        self, monkeypatch, tmp_path, knobs
+    ):
         """The ISSUE's execution-count pin: a divergence-shaped error is
-        final on first delivery even with a generous retry budget."""
+        final on first delivery, under a generous retry budget and
+        under the default one alike."""
         log = tmp_path / "exec.log"
         log.touch()
         monkeypatch.setenv("REPRO_TEST_EXEC_LOG", str(log))
         monkeypatch.setattr(sweep_mod, "run_cell", _deterministic_error_run_cell)
         runner = SweepRunner(
             scenarios=["flap-storm"], seeds=(1, _MARKED_SEED),
-            modes=("vanilla",), workers=2, retries=3,
+            modes=("vanilla",), workers=2, **knobs,
         )
         report = runner.run()
         diverged = [c for c in report.cells if c.seed == _MARKED_SEED][0]
@@ -402,13 +426,6 @@ class TestSupervisedPool:
         assert report.coverage()["completed"] == 4
         assert all(c.attempts == 1 for c in report.cells)
         assert all(c.fingerprint.startswith("fp|") for c in report.cells)
-
-    def test_supervision_requires_the_shm_transport(self):
-        with pytest.raises(ValueError, match="shm transport"):
-            SweepRunner(
-                scenarios=["flap-storm"], seeds=(1,), workers=2,
-                transport="futures", retries=2,
-            )
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the scenario-sweep subsystem (:mod:`repro.sweep`)."""
 
+import os
+
 import pytest
 
 from _fixtures import square_graph
@@ -20,6 +22,10 @@ from repro.sweep import (
     run_cell,
     scenario_names,
     unregister,
+)
+
+GOLDEN_DEFAULT_GRID = os.path.join(
+    os.path.dirname(__file__), "golden", "default-grid-seed1.digest"
 )
 
 
@@ -192,17 +198,26 @@ class TestSweepRunner:
         # the repeats axis varies the *jitter* seed; deterministic modes
         # must still collapse to one fingerprint per (scenario, seed)
         assert report.invariance_splits() == []
-        assert report.repeat_mismatches() == []  # legacy alias
         assert len(report.cells) == 4  # 2 modes x 2 repeats
         defined = [c for c in report.cells if c.mode == "defined"]
         assert {c.network_seed_label for c in defined} != {1}
         assert len({c.fingerprint for c in defined}) == 1
 
-    def test_every_builtin_scenario_upholds_theorem1(self):
-        report = SweepRunner(seeds=(1,)).run()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_builtin_scenario_upholds_theorem1(self, workers):
+        """The default grid, in process and on the pool, against the
+        stored golden digest: how a grid is executed must not show in
+        what it computed.  The digest was recorded from the runner that
+        still had the per-future and unsupervised-ring executors (all
+        three agreed); adding or changing a builtin scenario moves it --
+        regenerate with ``SweepRunner(seeds=(1,)).run().semantic_digest()``.
+        """
+        report = SweepRunner(seeds=(1,), workers=workers).run()
         assert report.ok(), report.render()
         defined = [c for c in report.cells if c.mode == "defined"]
         assert defined and all(c.invariant_ok for c in defined)
+        with open(GOLDEN_DEFAULT_GRID, encoding="ascii") as fh:
+            assert report.semantic_digest() == fh.read().strip()
 
     def test_render_mentions_verdict(self):
         report = SweepRunner(scenarios=["xorp-bgp-med"], seeds=(1,)).run()
@@ -210,23 +225,23 @@ class TestSweepRunner:
         assert "verdict: OK" in text
         assert "xorp-bgp-med" in text
 
+    def test_every_runner_carries_a_policy(self):
+        """"No deadline, default retries" is a policy, not the absence
+        of one: there is no unsupervised runner to fall back to."""
+        from repro.supervise.executor import DEFAULT_RETRIES
+
+        policy = SweepRunner(scenarios=["latency-jitter"]).policy
+        assert (policy.cell_timeout_s, policy.retries) == (None, DEFAULT_RETRIES)
+        policy = SweepRunner(
+            scenarios=["latency-jitter"], cell_timeout_s=5, retries=0
+        ).policy
+        assert (policy.cell_timeout_s, policy.retries) == (5, 0)
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             SweepRunner(workers=0)
         with pytest.raises(ValueError):
             SweepRunner(repeats=0)
-        with pytest.raises(ValueError):
-            SweepRunner(transport="carrier-pigeon")
-
-    def test_result_transports_agree(self):
-        """The shared-memory streaming transport and the legacy
-        per-future transport are interchangeable, cell for cell."""
-        kwargs = dict(scenarios=["latency-jitter"], seeds=(1,), repeats=2)
-        shm = SweepRunner(workers=2, transport="shm", **kwargs).run()
-        futures = SweepRunner(workers=2, transport="futures", **kwargs).run()
-        assert shm.ok(), shm.render()
-        assert futures.ok(), futures.render()
-        assert shm.fingerprint_index() == futures.fingerprint_index()
 
 
 class TestCrashRestartDeterminism:

@@ -1,10 +1,10 @@
 """Tests for the shared-memory result streaming path
-(:mod:`repro.sweep_stream` + ``SweepRunner(transport="shm")``).
+(:mod:`repro.sweep_stream` + ``SweepRunner(workers>1)``).
 
 Covers the record codec, the bounded ring's ordering/backpressure
 semantics, and -- as a marked-``slow`` soak -- a 1000-cell grid that
 must stream to completion with flat parent memory, plus a worker crash
-that must surface as failed cells rather than a hang.
+that must cost the grid exactly the one guilty cell, never a hang.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 
 import repro.sweep as sweep_mod
 from repro.core.history import WindowHeadroomStats
+from repro.supervise.executor import DEFAULT_RETRIES
 from repro.sweep import CellResult, SweepRunner
 from repro.sweep_stream import (
     RECORD_SIZE,
@@ -333,7 +334,10 @@ class TestStreamedGridSoak:
 
 @needs_fork
 class TestWorkerCrash:
-    def test_worker_crash_surfaces_as_failed_cell_not_hang(self, monkeypatch):
+    def test_worker_crash_quarantines_the_one_guilty_cell(self, monkeypatch):
+        """An un-flagged pooled sweep whose worker dies retries that one
+        cell, quarantines it past the default budget, and completes the
+        rest of the grid -- no knob has to be set to get this."""
         monkeypatch.setattr(sweep_mod, "run_cell", _crashing_run_cell)
         runner = SweepRunner(
             scenarios=["flap-storm"], seeds=tuple(range(20)),
@@ -343,19 +347,23 @@ class TestWorkerCrash:
         report = runner.run()
         assert time.monotonic() - start < 60, "crash handling must not hang"
         assert len(report.cells) == 20
-        dead = [c for c in report.cells if c.error is not None]
-        assert dead, "the crashed cell must surface as an error"
-        assert any("worker process died" in c.error for c in dead)
-        # cells finished before the crash still made it through the ring
-        assert any(c.error is None for c in report.cells)
+        dead = [c for c in report.cells if c.outcome != "completed"]
+        assert [(c.seed, c.outcome) for c in dead] == [(13, "quarantined")]
+        assert dead[0].attempts == DEFAULT_RETRIES + 1
+        # the failure history rides the error text
+        assert f"quarantined after {DEFAULT_RETRIES + 1} consecutive " \
+            "transient failures" in dead[0].error
+        assert "pool broken" in dead[0].error
+        # all other 19 cells complete, on the replacement pools
+        assert sum(1 for c in report.cells if c.ok) == 19
         assert not report.ok()
 
     def test_single_cell_transport_failure_does_not_abandon_grid(
         self, monkeypatch
     ):
         """A per-cell reporting failure (here: an unencodable record) is
-        not pool breakage: the failing cell surfaces with its own error
-        and every other cell still runs to completion."""
+        not pool breakage and not transient: the failing cell surfaces
+        once with its own error, every other cell runs to completion."""
         monkeypatch.setattr(sweep_mod, "run_cell", _unencodable_run_cell)
         runner = SweepRunner(
             scenarios=["flap-storm"], seeds=tuple(range(30)),
@@ -365,7 +373,7 @@ class TestWorkerCrash:
         assert len(report.cells) == 30
         dead = [c for c in report.cells if c.error is not None]
         assert len(dead) == 1 and dead[0].seed == 7
-        assert "failed to report its result" in dead[0].error
-        assert "ValueError" in dead[0].error
+        assert dead[0].error.startswith("ValueError: ")
+        assert (dead[0].outcome, dead[0].attempts) == ("completed", 1)
         # the healthy 29 cells all completed despite the one failure
         assert sum(1 for c in report.cells if c.error is None) == 29
