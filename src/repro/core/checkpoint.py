@@ -63,12 +63,10 @@ def baseline_processing_model(rng: random.Random) -> int:
 
 @dataclass
 class Checkpoint:
-    """One checkpoint: exact state plus bookkeeping for the cost models."""
+    """One checkpoint: the exact daemon state and the shim's counters."""
 
     app_state: Any
     shim_state: Any
-    state_bytes: int
-    taken_at_us: int
 
 
 class CheckpointStrategy:

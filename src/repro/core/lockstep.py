@@ -344,17 +344,10 @@ class LockstepStack(Stack):
             return Checkpoint(
                 app_state=self._store.snapshot(),
                 shim_state=(self._origin_seq, self._sub_seq, None),
-                state_bytes=0,
-                taken_at_us=self.sim.now,
             )
         app_state = self.daemon.snapshot() if self.daemon is not None else None
         shim_state = (self._origin_seq, self._sub_seq, self.timers.snapshot())
-        return Checkpoint(
-            app_state=app_state,
-            shim_state=shim_state,
-            state_bytes=0,
-            taken_at_us=self.sim.now,
-        )
+        return Checkpoint(app_state=app_state, shim_state=shim_state)
 
     def rebase_checkpoint(self) -> None:
         """Re-anchor the group checkpoint at the *current* state.

@@ -721,20 +721,10 @@ class DefinedShim(Stack):
             return Checkpoint(
                 app_state=store.snapshot(),
                 shim_state=(self._origin_seq, self._sub_seq, None),
-                state_bytes=store.live_bytes(),
-                taken_at_us=self.sim.now,
             )
         app_state = self.daemon.snapshot() if self.daemon is not None else None
         shim_state = (self._origin_seq, self._sub_seq, self.timers.snapshot())
-        state_bytes = (
-            self.daemon.state_size_bytes() if self.daemon is not None else 256
-        )
-        return Checkpoint(
-            app_state=app_state,
-            shim_state=shim_state,
-            state_bytes=state_bytes,
-            taken_at_us=self.sim.now,
-        )
+        return Checkpoint(app_state=app_state, shim_state=shim_state)
 
     def _deliver(
         self, entry: HistoryEntry, checkpoint: Checkpoint, extra_delay_us: int
@@ -956,18 +946,19 @@ class DefinedShim(Stack):
             # real shared-vs-private accounting: the live state is shared
             # with every checkpoint; the store's undo journals (or, under
             # the deepcopy fallback, its materialized snapshots) are the
-            # private bytes the checkpoints actually instantiated
-            state_bytes = self._store.live_bytes()
-            private: Optional[int] = self._store.private_bytes()
+            # private bytes the checkpoints actually instantiated.  With
+            # those measured the model never reads the live size.
+            virtual, physical = self.strategy.memory_bytes(
+                0, len(self.history), self.process_bytes,
+                private_bytes=self._store.private_bytes(),
+            )
         else:
             state_bytes = (
                 self.daemon.state_size_bytes() if self.daemon is not None else 256
             )
-            private = None
-        virtual, physical = self.strategy.memory_bytes(
-            state_bytes, len(self.history), self.process_bytes,
-            private_bytes=private,
-        )
+            virtual, physical = self.strategy.memory_bytes(
+                state_bytes, len(self.history), self.process_bytes
+            )
         self.node.stats.record_memory(virtual, physical)
 
     def _costs(self) -> random.Random:

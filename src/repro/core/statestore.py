@@ -37,12 +37,16 @@ off raw dict order would diverge between the COW and deepcopy paths.
 Sorted iteration makes the two strategies bit-identical by construction
 -- which the differential sweep tests assert fingerprint-for-fingerprint.
 
-**Memory accounting.**  The store tracks a byte estimate of the live
-state (:meth:`StateStore.live_bytes`, incrementally maintained by the
-barrier) and of the retained private copies
-(:meth:`StateStore.private_bytes`: undo-log entries under COW, full
-materialized snapshots under DEEPCOPY).  The Figure-7c shared-vs-private
-accounting reads these real counts instead of a modelled fraction.
+**Memory accounting.**  The store keeps a running byte estimate of the
+retained private copies (:meth:`StateStore.private_bytes`: undo-log
+entries under COW, full materialized snapshots under DEEPCOPY), which
+the Figure-7c shared-vs-private accounting samples at every beacon
+instead of a modelled fraction.  Sizing is off the write barrier: an
+undo entry is sized once, when the journal actually records it (key
+plus the value it displaced), so a write that journals nothing -- every
+write of an uninstrumented run -- sizes nothing.  The size of the live
+state (:meth:`StateStore.live_bytes`, :meth:`Namespace.byte_size`) has
+no per-delivery reader and is computed on demand.
 
 :class:`SnapshotStrategy.DEEPCOPY` keeps the old full-deepcopy behaviour
 behind the same API, selectable per run, so every grid can be run
@@ -468,7 +472,7 @@ class Namespace:
     """
 
     __slots__ = (
-        "name", "_store", "_data", "_sorted", "_bytes", "_sizes",
+        "name", "_store", "_data", "_sorted",
         "_undo", "_undo_gen", "_listeners", "_dirty_total",
         "_sanitize", "_digests",
     )
@@ -478,12 +482,6 @@ class Namespace:
         self._store = store
         self._data: Dict[Any, Any] = {}
         self._sorted: List[Any] = []
-        self._bytes = 0
-        #: Per-key ``(key_size, value_size)`` byte-estimate cache: sizes
-        #: are computed once per write and reused by the journal barrier,
-        #: deletes and overwrites instead of re-estimating (sound because
-        #: values are immutable by contract -- the sanitizer enforces it).
-        self._sizes: Dict[Any, Tuple[int, int]] = {}
         self._undo: Optional[Dict[Any, Any]] = None
         self._undo_gen = -1
         #: Cumulative count of keys journalled into undo logs (first
@@ -502,7 +500,7 @@ class Namespace:
     # ------------------------------------------------------------------
     # write barrier
     # ------------------------------------------------------------------
-    def _journal(self, key: Any, old: Any, cost: int) -> None:
+    def _journal(self, key: Any, old: Any) -> None:
         store = self._store
         if store is None or not store._journaling:
             return
@@ -515,6 +513,12 @@ class Namespace:
         if key not in undo:
             undo[key] = old
             self._dirty_total += 1
+            # the entry's private bytes: the key, plus the displaced value
+            # (sized here, at journal time, not on every write -- sound
+            # because values are immutable by contract)
+            cost = estimate_bytes(key)
+            if old is not _MISSING:
+                cost += estimate_bytes(old)
             store._top.bytes += cost
             store._private_bytes += cost
 
@@ -531,23 +535,14 @@ class Namespace:
         data = self._data
         old = data.get(key, _MISSING)
         if old is _MISSING:
-            ksize = estimate_bytes(key)
-            self._journal(key, old, ksize)
             insort(self._sorted, key)
-            self._sizes[key] = (ksize, vsize := estimate_bytes(value))
-            self._bytes += ksize + vsize
-        else:
-            if old is value or old == value:
-                # values are immutable by contract, so an equal rewrite is
-                # a no-op: journaling it would bloat every snapshot's undo
-                # log with clean keys (wholesale replace() callers like
-                # the OSPF SPF recompute would otherwise re-journal whole
-                # tables per delivery, defeating O(dirty))
-                return
-            ksize, old_vsize = self._sizes[key]
-            self._journal(key, old, ksize + old_vsize)
-            self._sizes[key] = (ksize, vsize := estimate_bytes(value))
-            self._bytes += vsize - old_vsize
+        elif old is value or old == value:
+            # values are immutable by contract, so an equal rewrite is a
+            # no-op: journaling it would bloat every snapshot's undo log
+            # with clean keys (wholesale replace()/load_state() callers
+            # would otherwise re-journal whole tables, defeating O(dirty))
+            return
+        self._journal(key, old)
         data[key] = value
 
     set = __setitem__
@@ -556,12 +551,9 @@ class Namespace:
         data = self._data
         if key not in data:
             raise KeyError(key)
-        old = data[key]
-        ksize, vsize = self._sizes.pop(key)
-        self._journal(key, old, ksize + vsize)
+        self._journal(key, data[key])
         del data[key]
         del self._sorted[bisect_left(self._sorted, key)]
-        self._bytes -= ksize + vsize
         if self._sanitize:
             self._digests.pop(key, None)
 
@@ -652,7 +644,10 @@ class Namespace:
         return {k: data[k] for k in self._sorted}
 
     def byte_size(self) -> int:
-        return self._bytes
+        """Byte estimate of the live contents, computed on demand."""
+        return sum(
+            estimate_bytes(k) + estimate_bytes(v) for k, v in self._data.items()
+        )
 
     def dirty_keys_total(self) -> int:
         """Cumulative COW journal traffic: keys journalled into undo
@@ -683,27 +678,17 @@ class Namespace:
     # store-internal (no journaling -- used by undo application)
     # ------------------------------------------------------------------
     def _raw_set(self, key: Any, value: Any) -> None:
-        old = self._data.get(key, _MISSING)
-        vsize = estimate_bytes(value)
-        if old is _MISSING:
+        if key not in self._data:
             insort(self._sorted, key)
-            ksize = estimate_bytes(key)
-            self._bytes += ksize + vsize
-        else:
-            ksize, old_vsize = self._sizes[key]
-            self._bytes += vsize - old_vsize
-        self._sizes[key] = (ksize, vsize)
         self._data[key] = value
         if self._sanitize:
             self._track_sanitized(key, value)
 
     def _raw_delete(self, key: Any) -> None:
-        old = self._data.pop(key, _MISSING)
-        if old is _MISSING:
+        if key not in self._data:
             return
-        ksize, vsize = self._sizes.pop(key)
+        del self._data[key]
         del self._sorted[bisect_left(self._sorted, key)]
-        self._bytes -= ksize + vsize
         if self._sanitize:
             self._digests.pop(key, None)
 
@@ -711,11 +696,6 @@ class Namespace:
         """Wholesale reload (deepcopy restore path): no journaling."""
         self._data = dict(data)
         self._sorted = sorted(self._data)
-        self._sizes = {
-            k: (estimate_bytes(k), estimate_bytes(v))
-            for k, v in self._data.items()
-        }
-        self._bytes = sum(ks + vs for ks, vs in self._sizes.values())
         if self._sanitize:
             self._digests = {}
             for k, v in self._data.items():
@@ -724,8 +704,6 @@ class Namespace:
     def _wipe(self) -> None:
         self._data = {}
         self._sorted = []
-        self._sizes = {}
-        self._bytes = 0
         self._digests = {}
 
     def _notify(self) -> None:
@@ -923,8 +901,8 @@ class StateStore:
     # memory accounting
     # ------------------------------------------------------------------
     def live_bytes(self) -> int:
-        """Byte estimate of the live (shared) state."""
-        return sum(ns._bytes for ns in self._namespaces.values())
+        """Byte estimate of the live (shared) state, computed on demand."""
+        return sum(ns.byte_size() for ns in self._namespaces.values())
 
     def dirty_key_counts(self) -> Dict[str, int]:
         """Per-namespace cumulative COW journal traffic (keys journalled

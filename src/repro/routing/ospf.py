@@ -17,7 +17,15 @@ Implements the parts of OSPF the paper's evaluation exercises:
   to make DEFINED's overhead visible in Figure 6b; we default to the
   removed-delay configuration for the same reason);
 * **SPF**: two-way-checked adjacency from the LSDB, Dijkstra with
-  deterministic tie-breaks, hop-count metric.
+  deterministic tie-breaks, hop-count metric.  The routing table is a
+  *derived view* of the LSDB: computed on first read
+  (:meth:`OspfDaemon.routing_distances`, :meth:`OspfDaemon.state`),
+  dropped whenever the LSDB can have changed (LSA install, which every
+  boot begins with; ``load_state``; any store rewind) and never
+  checkpointed -- a rollback restores the LSDB and the table follows.  Flooding decides on
+  LSA sequence numbers and interface state alone and never reads the
+  table, so deliveries that nobody probes run no Dijkstra at all (real
+  OSPF holds SPF behind a delay timer for the same reason).
 
 Causal marking: LSAs flooded onward pass the incoming LSA as ``parent``;
 LSAs originated by interface events or retransmit timers are new causal
@@ -28,6 +36,8 @@ Checkpointing happens on *every* delivery (Section 3), so this daemon is
 ``self.store`` (immutable values, sorted iteration, write-barrier
 mutation), and the shim checkpoints it copy-on-write by store version --
 O(dirty keys) per delivery instead of a deepcopy of the whole LSDB.
+Reading the routing table never writes to the store, so probing between
+deliveries cannot move journals, memory samples or fingerprints.
 """
 
 from __future__ import annotations
@@ -78,11 +88,13 @@ class OspfDaemon(Daemon):
         self.lsdb = self.store.namespace("lsdb")
         self.pending_acks = self.store.namespace("pending_acks")
         self.delayed_floods = self.store.namespace("delayed_floods")
-        self.distances = self.store.namespace("distances")
-        self.first_hops = self.store.namespace("first_hops")
         self._meta = self.store.namespace("meta")
         self._meta["my_seq"] = 0
         self._meta["hello_count"] = 0
+        #: ``(distances, first_hops)`` over the current LSDB, or ``None``
+        #: when the LSDB may have changed since they were computed.
+        self._spf: Optional[Tuple[Dict[str, int], Dict[str, Optional[str]]]] = None
+        self.lsdb.add_listener(self._drop_spf)  # the store rewound the LSDB
 
     # ------------------------------------------------------------------
     # scalar counters (namespace-backed so checkpoints cover them)
@@ -107,25 +119,25 @@ class OspfDaemon(Daemon):
     # state plumbing
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, Any]:
+        distances, first_hops = self._spf_tables()
         return {
             "live_interfaces": self.live_interfaces.as_dict(),
             "lsdb": self.lsdb.as_dict(),
             "my_seq": self.my_seq,
             "pending_acks": self.pending_acks.as_dict(),
             "delayed_floods": self.delayed_floods.as_dict(),
-            "distances": self.distances.as_dict(),
-            "first_hops": self.first_hops.as_dict(),
+            "distances": dict(distances),
+            "first_hops": dict(first_hops),
             "hello_count": self.hello_count,
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
         self.live_interfaces.replace(state["live_interfaces"])
         self.lsdb.replace(state["lsdb"])
+        self._drop_spf()  # the routing table follows from the loaded LSDB
         self.my_seq = state["my_seq"]
         self.pending_acks.replace(state["pending_acks"])
         self.delayed_floods.replace(state["delayed_floods"])
-        self.distances.replace(state["distances"])
-        self.first_hops.replace(state["first_hops"])
         self.hello_count = state["hello_count"]
 
     # All values are immutable (tuples/ints/strings), so the materialized
@@ -183,22 +195,30 @@ class OspfDaemon(Daemon):
         if current is not None and current[0] >= seq:
             return False
         self.lsdb[router] = (seq, tuple(sorted(links)))
-        self._run_spf()
+        self._drop_spf()
         return True
 
-    def _run_spf(self) -> None:
-        adjacency: Dict[str, Dict[str, int]] = {}
-        lsdb = {router: entry for router, entry in self.lsdb.items()}
-        for router, (_seq, links) in lsdb.items():
-            adjacency.setdefault(router, {})
-            for other in links:
-                other_entry = lsdb.get(other)
-                # two-way check: both ends must claim the adjacency
-                if other_entry is not None and router in other_entry[1]:
-                    adjacency[router][other] = 1
-        distances, first_hops = dijkstra(adjacency, self.node_id)
-        self.distances.replace(distances)
-        self.first_hops.replace(first_hops)
+    def _drop_spf(self) -> None:
+        self._spf = None
+
+    def _spf_tables(self) -> Tuple[Dict[str, int], Dict[str, Optional[str]]]:
+        """``(distances, first_hops)`` over the current LSDB, keys sorted;
+        computed on the first read after the LSDB may have changed."""
+        if self._spf is None:
+            lsdb = self.lsdb.as_dict()
+            # two-way check: both ends must claim the adjacency
+            adjacency = {
+                router: {
+                    other: 1 for other in links
+                    if other in lsdb and router in lsdb[other][1]
+                }
+                for router, (_seq, links) in lsdb.items()
+            }
+            distances, first_hops = dijkstra(adjacency, self.node_id)
+            self._spf = (
+                dict(sorted(distances.items())), dict(sorted(first_hops.items()))
+            )
+        return self._spf
 
     # ------------------------------------------------------------------
     # message handling
@@ -303,4 +323,4 @@ class OspfDaemon(Daemon):
     def routing_distances(self) -> Dict[str, int]:
         """Hop distances this router currently believes (the convergence
         harness compares these to ground truth)."""
-        return self.distances.as_dict()
+        return dict(self._spf_tables()[0])

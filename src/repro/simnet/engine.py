@@ -15,7 +15,7 @@ bit-for-bit reproducible executions.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 #: One millisecond expressed in engine time units (microseconds).
 MS = 1_000
@@ -67,9 +67,6 @@ class EventHandle:
         if sim is not None:
             sim._note_cancelled()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time_us, self.seq) < (other.time_us, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time_us}us seq={self.seq} {state} {self.label!r}>"
@@ -100,7 +97,9 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._queue: List[EventHandle] = []
+        #: ``(time_us, seq, handle)``: ``seq`` is unique, so the heap
+        #: orders on two ints in C and never compares handles.
+        self._queue: List[Tuple[int, int, EventHandle]] = []
         self._cancelled_in_queue = 0
         self._compactions = 0
         self._events_executed = 0
@@ -142,7 +141,7 @@ class Simulator:
 
     def _compact(self) -> None:
         """Rebuild the heap without the lazily-cancelled entries."""
-        self._queue = [h for h in self._queue if not h.cancelled]
+        self._queue = [item for item in self._queue if not item[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_in_queue = 0
         self._compactions += 1
@@ -161,11 +160,10 @@ class Simulator:
         """
         if delay_us < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_us})")
-        handle = EventHandle(
-            self._now + delay_us, self._seq, callback, args, label, sim=self
-        )
-        self._seq += 1
-        heapq.heappush(self._queue, handle)
+        time_us, seq = self._now + delay_us, self._seq
+        handle = EventHandle(time_us, seq, callback, args, label, sim=self)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time_us, seq, handle))
         return handle
 
     def schedule_at(
@@ -188,13 +186,13 @@ class Simulator:
         Returns ``True`` if an event ran, ``False`` if the queue was empty.
         """
         while self._queue:
-            handle = heapq.heappop(self._queue)
+            time_us, _seq, handle = heapq.heappop(self._queue)
             if handle.cancelled:
                 self._cancelled_in_queue -= 1
                 continue
-            if handle.time_us < self._now:
+            if time_us < self._now:
                 raise SimulationError("event queue corrupted: time went backwards")
-            self._now = handle.time_us
+            self._now = time_us
             callback, args = handle.callback, handle.args
             handle.callback, handle.args = None, ()
             handle._sim = None  # fired: a later cancel() must not count
@@ -223,12 +221,12 @@ class Simulator:
         executed = 0
         try:
             while self._queue:
-                head = self._queue[0]
+                head_us, _seq, head = self._queue[0]
                 if head.cancelled:
                     heapq.heappop(self._queue)
                     self._cancelled_in_queue -= 1
                     continue
-                if until_us is not None and head.time_us > until_us:
+                if until_us is not None and head_us > until_us:
                     break
                 if max_events is not None and executed >= max_events:
                     break

@@ -121,3 +121,40 @@ def scenario_resolution_digest(names: List[str], seed: int = 1) -> Dict[str, Tup
             hashlib.sha256(events.encode()).hexdigest(),
         )
     return out
+
+
+def run_scenario_cell(name: str, mode: str, network_seed: int = 1, seed: int = 1):
+    """One production run of scenario ``name`` as a sweep cell runs it:
+    workload ``seed``, ``measure_convergence=False`` -- nothing in the
+    run reads a routing table."""
+    from repro.harness import run_production
+    from repro.sweep import get_scenario
+
+    scenario = get_scenario(name)
+    graph = scenario.topology(seed)
+    return run_production(
+        graph,
+        scenario.schedule(graph, seed),
+        mode=mode,
+        seed=network_seed,
+        jitter_us=scenario.jitter_us,
+        ordering=scenario.ordering,
+        daemon_factory=scenario.daemon(graph) if scenario.daemon else None,
+        measure_convergence=False,
+        settle_us=scenario.settle_us,
+        tail_us=scenario.tail_us,
+        tuning=scenario.tuning(graph, seed) if scenario.tuning else None,
+    )
+
+
+def spf_oracle(daemon) -> Tuple[Dict[str, int], Dict[str, Optional[str]]]:
+    """From-scratch SPF over ``daemon``'s current LSDB -- what any read
+    of its routing table must equal, however the LSDB got there."""
+    from repro.routing.spf import dijkstra
+
+    lsdb = daemon.lsdb.as_dict()
+    adjacency = {
+        router: {o: 1 for o in links if o in lsdb and router in lsdb[o][1]}
+        for router, (_seq, links) in lsdb.items()
+    }
+    return dijkstra(adjacency, daemon.node_id)

@@ -1,11 +1,20 @@
 """Unit tests for the OSPF daemon (link-state protocol)."""
 
-from _fixtures import FakeStack, line_graph, square_graph
+import pytest
 
-from repro.harness import ospf_daemon_factory, run_production
+from _fixtures import (
+    FakeStack,
+    line_graph,
+    run_scenario_cell,
+    spf_oracle,
+    square_graph,
+)
+
+from repro.harness import SLICE_US, ospf_daemon_factory, run_production
 from repro.routing.ospf import PROTO_ACK, PROTO_HELLO, PROTO_LSA, OspfDaemon
 from repro.simnet.events import EventSchedule, ExternalEvent
 from repro.simnet.messages import Message
+from repro.simnet.network import Network
 
 
 def make_daemon(neighbors=("b", "c"), **kw):
@@ -167,6 +176,111 @@ class TestSpfIntegration:
         assert "c" not in daemon.routing_distances()
         daemon.on_message(lsa("b", 1, ["a", "c"], src="b"))
         assert daemon.routing_distances() == {"a": 0, "b": 1, "c": 2}
+
+
+def assert_table_follows_lsdb(daemon):
+    distances, first_hops = spf_oracle(daemon)
+    state = daemon.state()
+    assert daemon.routing_distances() == state["distances"] == distances
+    assert state["first_hops"] == first_hops
+    # sorted key order, as the debugger prints it
+    assert list(state["distances"]) == sorted(distances)
+    assert list(state["first_hops"]) == sorted(first_hops)
+
+
+class TestDerivedRoutingTable:
+    """The routing table is a view of the LSDB computed on read: whenever
+    it is read it equals a from-scratch Dijkstra over the *current* LSDB,
+    whichever way the LSDB got there."""
+
+    def three_router_daemon(self):
+        daemon, _ = make_daemon(neighbors=("b",))
+        daemon.on_message(lsa("b", 1, ["a", "c"]))
+        daemon.on_message(lsa("c", 1, ["b"]))
+        assert daemon.routing_distances() == {"a": 0, "b": 1, "c": 2}
+        return daemon
+
+    @pytest.mark.parametrize("strategy", ["cow", "deepcopy"])
+    def test_store_rewind_drops_the_table(self, strategy):
+        daemon = self.three_router_daemon()
+        daemon.store.strategy = strategy
+        before = daemon.state()
+        token = daemon.store.snapshot()
+        daemon.on_message(lsa("c", 2, []))  # c withdraws its adjacency
+        assert daemon.routing_distances() == {"a": 0, "b": 1}
+        daemon.store.restore(token)
+        assert daemon.state() == before
+        assert_table_follows_lsdb(daemon)
+
+    def test_reads_do_not_write_to_the_store(self):
+        daemon = self.three_router_daemon()
+        daemon.store.snapshot()
+        daemon.on_message(lsa("c", 2, []))
+        private = daemon.store.private_bytes()
+        dirty = daemon.store.dirty_key_counts()
+        assert_table_follows_lsdb(daemon)
+        assert daemon.store.private_bytes() == private
+        assert daemon.store.dirty_key_counts() == dirty
+        assert daemon.store.namespaces() == (
+            "delayed_floods", "live_interfaces", "lsdb", "meta", "pending_acks",
+        )
+
+    def test_reboot_yields_the_table_of_the_new_lsdb(self):
+        daemon = self.three_router_daemon()
+        daemon.on_start()
+        assert daemon.routing_distances() == {"a": 0}
+        assert_table_follows_lsdb(daemon)
+
+    def test_load_state_yields_the_table_of_the_loaded_lsdb(self):
+        daemon, _ = make_daemon(neighbors=("b",))
+        daemon.on_message(lsa("b", 1, ["a", "c"]))
+        older = daemon.snapshot()
+        daemon.on_message(lsa("c", 1, ["b"]))
+        assert daemon.routing_distances() == {"a": 0, "b": 1, "c": 2}
+        daemon.load_state(older)
+        assert daemon.routing_distances() == {"a": 0, "b": 1}
+        assert daemon.state() == older
+        assert_table_follows_lsdb(daemon)
+
+    def test_returned_tables_are_copies(self):
+        daemon = self.three_router_daemon()
+        daemon.routing_distances().clear()
+        daemon.state()["first_hops"].clear()
+        assert_table_follows_lsdb(daemon)
+
+    @pytest.mark.parametrize("name", ["flap-storm@20", "crash-restart"])
+    def test_probing_a_rollback_run_sees_dijkstra_and_moves_nothing(
+        self, name, monkeypatch
+    ):
+        unprobed = run_scenario_cell(name, "defined")
+        real_run = Network.run
+        probes = []
+
+        def probe(net):
+            for node in net.nodes.values():
+                if node.up and node.daemon is not None:
+                    assert_table_follows_lsdb(node.daemon)
+                    probes.append(node.node_id)
+
+        def run_in_probed_slices(net, until_us=None, max_events=None):
+            executed = 0
+            while until_us is not None and net.sim.now + SLICE_US < until_us:
+                executed += real_run(net, until_us=net.sim.now + SLICE_US)
+                probe(net)
+            executed += real_run(net, until_us=until_us, max_events=max_events)
+            probe(net)
+            return executed
+
+        monkeypatch.setattr(Network, "run", run_in_probed_slices)
+        probed = run_scenario_cell(name, "defined")
+        assert len(probes) > 1_000 and unprobed.rollbacks > 0
+        # reads are pure: same execution, same journals
+        assert probed.fingerprint == unprobed.fingerprint
+        for node_id in probed.network.node_ids():
+            assert (
+                probed.network.run_stats.node(node_id).physical_memory_samples
+                == unprobed.network.run_stats.node(node_id).physical_memory_samples
+            )
 
 
 class TestCheckpointing:

@@ -3,10 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _fixtures import run_scenario_cell
+
 from repro.core.statestore import (
     Namespace,
     SnapshotStrategy,
     StateStore,
+    estimate_bytes,
 )
 
 
@@ -250,6 +253,7 @@ _ops = st.lists(
         st.tuples(st.just("del"), st.sampled_from("abcd"), st.integers(0, 5)),
         st.tuples(st.just("snap")),
         st.tuples(st.just("restore"), st.integers(0, 7)),
+        st.tuples(st.just("release"), st.integers(0, 7)),
     ),
     min_size=1,
     max_size=60,
@@ -265,26 +269,77 @@ def test_property_store_matches_deepcopy_model(ops, strategy):
     namespaces = {name: store.namespace(name) for name in "abcd"}
     model = {name: {} for name in "abcd"}
     tokens = []        # (token, model_state) stack mirroring the store's
+    # The private bytes each retained snapshot holds, by what it holds
+    # them for.  COW: one undo entry per first write per key per snapshot
+    # interval -- the key, plus the value it displaced unless the key was
+    # absent.  DEEPCOPY: one full copy of the state at snapshot time.
+    journal = []
+
+    def live_model_bytes():
+        return sum(
+            estimate_bytes(k) + estimate_bytes(v)
+            for table in model.values() for k, v in table.items()
+        )
+
+    def journal_write(ns, key):
+        if strategy == "cow" and journal and (ns, key) not in journal[-1]:
+            journal[-1][ns, key] = estimate_bytes(key) + (
+                estimate_bytes(model[ns][key]) if key in model[ns] else 0
+            )
+
     for op in ops:
         if op[0] == "set":
             _kind, ns, key, value = op
+            if model[ns].get(key) != value:  # an equal rewrite is clean
+                journal_write(ns, key)
             namespaces[ns][key] = value
             model[ns][key] = value
         elif op[0] == "del":
             _kind, ns, key = op
+            if key in model[ns]:
+                journal_write(ns, key)
             namespaces[ns].pop(key, None)
             model[ns].pop(key, None)
         elif op[0] == "snap":
             tokens.append((store.snapshot(), copy.deepcopy(model)))
-        else:
-            if not tokens:
-                continue
+            journal.append({} if strategy == "cow" else {"copy": live_model_bytes()})
+        elif not tokens:
+            continue
+        elif op[0] == "restore":
             index = op[1] % len(tokens)
             token, saved = tokens[index]
             store.restore(token)
             del tokens[index + 1:]  # stack discipline
+            del journal[index + 1:]
+            if strategy == "cow":
+                journal[index] = {}  # undone, and open again
             model = copy.deepcopy(saved)
+        else:
+            index = op[1] % len(tokens)
+            assert store.release_before(tokens[index][0]) == index
+            del tokens[:index]
+            del journal[:index]
         current = {name: ns.as_dict() for name, ns in namespaces.items()}
         assert current == model
         for name, ns in namespaces.items():
             assert list(ns) == sorted(model[name])
+        assert store.live_bytes() == live_model_bytes() == sum(
+            estimate_bytes(k) + estimate_bytes(v)
+            for table in store.materialize().values() for k, v in table.items()
+        )
+        assert store.private_bytes() == sum(sum(r.values()) for r in journal)
+
+
+def test_figure_7c_memory_samples_are_pinned():
+    """One ``defined`` flap-storm@20 cell (workload seed 1, network seed
+    1).  Virtual memory counts live checkpoints and did not move when the
+    routing table left the store; physical memory counts journalled undo
+    bytes and fell by what the two tables no longer journal (with them in
+    the store: sum 180_359_992_918, max 104_891_260)."""
+    result = run_scenario_cell("flap-storm@20", "defined")
+    stats = [result.network.run_stats.node(n) for n in result.network.node_ids()]
+    virtual = [v for s in stats for v in s.virtual_memory_samples]
+    physical = [p for s in stats for p in s.physical_memory_samples]
+    assert len(virtual) == len(physical) == 1720
+    assert sum(virtual) == 1_752_589_926_400
+    assert (sum(physical), max(physical)) == (180_358_690_990, 104_889_284)
