@@ -118,12 +118,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
     print(f"replaying {len(recording.events)} recorded events "
           f"({recording.horizon_group + 1} groups) on {graph.name}")
     result = run_ls_replay(graph, recording, seed=args.seed)
+    committed = sum(len(log) for log in result.logs.values())
     print(render_table(
         "lockstep replay",
         ["metric", "value"],
         [
             ["fingerprint", result.fingerprint[:24] + "..."],
             ["lockstep cycles", result.cycles],
+            ["deliveries executed / committed",
+             f"{result.executed_deliveries} / {committed}"],
+            ["engine events per committed delivery",
+             result.network.sim.events_executed / max(1, committed)],
             ["mean step response (s)", mean(result.step_times_us) / 1e6],
             ["max step response (s)", max(result.step_times_us) / 1e6],
             ["wall time (s)", result.wall_seconds],

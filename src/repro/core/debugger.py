@@ -48,7 +48,14 @@ class Breakpoint:
 
 @dataclass
 class StepReport:
-    """What one debugger step did (shown to the troubleshooter)."""
+    """What one debugger step did (shown to the troubleshooter).
+
+    ``processed`` counts the deliveries *executed in that step* (plus
+    traffic left queued for the next transmission): a node whose inputs
+    changed re-executes only from the first affected delivery on, not
+    its whole input set, so the figure is the step's work, not the
+    group's size.
+    """
 
     group: int
     cycle: int
@@ -189,10 +196,11 @@ class Debugger:
     def modify(self, node: str, mutate: Callable[[Any], None]) -> None:
         """Apply ``mutate(daemon)`` to a node's control-plane state.
 
-        The modification is folded into the group baseline (the group
-        checkpoint is rebased) so subsequent re-executions within the
-        group keep it -- this is the "manipulate state" workflow used to
-        validate patches in the case studies.
+        The modified state becomes the group's baseline (the node's
+        history and the checkpoints before the edit are dropped) so
+        subsequent re-executions within the group keep it -- this is the
+        "manipulate state" workflow used to validate patches in the case
+        studies.
         """
         daemon = self.coordinator.network.nodes[node].daemon
         if daemon is None:

@@ -170,7 +170,11 @@ class HistoryEntry:
     #: arrive *after* the group's beacon-aligned traffic (which it does).
     origin_offset_us: int = 0
     checkpoint: Optional[Checkpoint] = None
-    outputs: List[Tuple[int, str]] = field(default_factory=list)
+    #: What processing the entry emitted, in emission order: ``(uid,
+    #: dst)`` under DEFINED-RB (what a rollback unsends), ``(output
+    #: identity, message)`` under DEFINED-LS (what the group's
+    #: differential retransmission compares).
+    outputs: List[tuple] = field(default_factory=list)
     delivered_at_us: int = -1
     log_index: int = -1
     #: Cached identity tag.  The fields a tag encodes are fixed at
@@ -266,6 +270,12 @@ class DeliveredHistory:
     def __iter__(self):
         return iter(self.entries)
 
+    def lower_bound(self, key: OrderKey) -> int:
+        """Index of the first entry whose key is ``>= key`` (``len(self)``
+        if there is none): everything before it is unaffected by an input
+        with that key appearing, changing or disappearing."""
+        return bisect.bisect_left(self._keys, key)
+
     def insertion_index(self, key: OrderKey) -> int:
         """Where ``key`` would slot into the current window.
 
@@ -273,7 +283,7 @@ class DeliveredHistory:
         to deliver speculatively); anything smaller means a rollback to
         that index is required.
         """
-        i = bisect.bisect_left(self._keys, key)
+        i = self.lower_bound(key)
         if i < len(self._keys) and self._keys[i] == key:
             raise ValueError(f"duplicate ordering key {key}")
         return i
@@ -285,7 +295,7 @@ class DeliveredHistory:
         a receiver *before* the unsend for the original copy; it carries
         the same deterministic key and must *replace* the original.
         """
-        i = bisect.bisect_left(self._keys, key)
+        i = self.lower_bound(key)
         if i < len(self._keys) and self._keys[i] == key:
             return i
         return None

@@ -21,16 +21,35 @@ arrivals as it lands.  Within a group, however, a later wave can carry a
 message whose ordering key is *smaller* than one already processed (three
 fast hops can beat two slow ones in ``d_i``), and a wave-at-a-time replay
 would then diverge from DEFINED-RB's (key-sorted) production order.  We
-therefore process each group *optimistically with group-local re-
-execution*: every node checkpoints at group start, processes its known
-inputs in key order, and -- should a later wave violate that order --
-restores the group checkpoint, retracts the outputs that are no longer
-produced (anti-messages over the reliable transport), and re-processes
-the full input set.  Output retraction is differential: logically
-identical re-emissions keep their uid and are not resent, so the group
-reaches a fixpoint in at most diameter-many cycles.  The final per-node
-order is the key-sorted full input set -- precisely DEFINED-RB's final
-order -- making Theorem 1 hold mechanically (and testably).
+therefore process each group *optimistically with suffix re-execution*,
+under the history discipline DEFINED-RB keeps per window
+(:class:`~repro.core.rollback.ReplayStack`): a node processes its known
+inputs in key order, recording each in a per-group
+:class:`~repro.core.history.DeliveredHistory` with the checkpoint taken
+just before it, and remembers the smallest key a later wave adds,
+replaces or retracts.  The next processing phase rewinds to the first
+processed entry at or after that key -- restoring *its* checkpoint and
+cutting the delivery log and the collected outputs there -- and
+processes only the inputs from that point on; when nothing processed
+sorts at or after the key, nothing is restored.  Outputs no longer
+produced are retracted (anti-messages over the reliable transport).
+Output retraction is differential, over the group's complete output
+list: logically identical re-emissions keep their uid and are not
+resent, so the group reaches a fixpoint in at most diameter-many cycles.
+
+Re-executing only the suffix is sound because the processed sequence,
+timers included, is strictly increasing by key (``DeliveredHistory.
+append`` asserts it): each step delivers the smaller of the earliest due
+timer and the first pending input, so a step whose key is below the
+smallest changed key saw the same state, the same due timer and the same
+head of the pending queue as it would in a from-scratch run over the new
+input set, hence is identical to it and need not be repeated.  After
+every processing phase a node's history, state, log and outputs
+therefore equal those of a from-scratch key-sorted run over the group's
+current inputs (``tests/test_lockstep.py`` checks exactly that, cycle by
+cycle, against a full re-execution), and the final per-node order is the
+key-sorted full input set -- precisely DEFINED-RB's final order --
+making Theorem 1 hold mechanically (and testably).
 
 Losses cannot perturb this: all traffic rides the reliable transport of
 :mod:`repro.simnet.transport` ("The nodes use TCP ... which is necessary
@@ -41,19 +60,17 @@ for determinism").  Messages the production network could not deliver
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.checkpoint import Checkpoint
-from repro.core.history import HistoryEntry
+from repro.core.history import DeliveredHistory, HistoryEntry
 from repro.core.ordering import OptimizedOrdering, OrderingFunction, OrderKey
 from repro.core.recorder import RecordedEvent, Recording
-from repro.core.statestore import SnapshotStrategy, StateStore
-from repro.core.virtual_time import TimerTable
+from repro.core.rollback import ReplayStack
+from repro.core.statestore import SnapshotStrategy
 from repro.simnet.events import ExternalEvent, LINK_DOWN, LINK_UP, NODE_DOWN, NODE_UP
 from repro.simnet.messages import Annotation, Message, Unsend
 from repro.simnet.network import Network
-from repro.simnet.node import Node, Stack
+from repro.simnet.node import Node
 from repro.simnet.transport import ReliableTransport
 
 #: Synthetic "node id" under which network-level topology events are
@@ -66,7 +83,7 @@ NET_EVENTS_NODE = "__net__"
 OutputId = Tuple[str, int, int, int, str, str, str]
 
 
-class LockstepStack(Stack):
+class LockstepStack(ReplayStack):
     """DEFINED-LS stack for one debugging-network node."""
 
     def __init__(
@@ -79,17 +96,10 @@ class LockstepStack(Stack):
         poll_us: int = 2_000,
         snapshots: "SnapshotStrategy | str" = SnapshotStrategy.COW,
     ) -> None:
-        super().__init__(node)
-        self.ordering = ordering
+        super().__init__(node, ordering, snapshots)
         self.drops = recording.drops
         self.chain_bound = chain_bound
         self.poll_us = poll_us
-        #: Group checkpoints go through a store-backed daemon's state
-        #: store (one version per group, restored per re-execution cycle);
-        #: must match the production shims for differential runs, though
-        #: either mechanism replays identically.
-        self.snapshot_strategy = SnapshotStrategy.of(snapshots)
-        self._store: Optional[StateStore] = None
         #: Must equal the production shims' values: annotations (hence
         #: ordering keys and drop identities) are recomputed here and have
         #: to match bit for bit.  Delay estimates come from the recording
@@ -108,13 +118,7 @@ class LockstepStack(Stack):
         self.active = True
         self.logical_down_links: Set[frozenset] = set()
 
-        self.vt = 0
-        self.timers = TimerTable()
-        self._origin_seq = 0
-        self._sub_seq = 0
-
-        # --- current-group state -------------------------------------
-        self._group_checkpoint: Optional[Checkpoint] = None
+        # --- current-group state (``history`` holds what was processed)
         self._group_log_index = 0
         self._inputs: Dict[OrderKey, HistoryEntry] = {}
         self._uid_to_key: Dict[int, OrderKey] = {}
@@ -123,11 +127,11 @@ class LockstepStack(Stack):
         self._emitted: Dict[OutputId, int] = {}
         self._send_buffer: List[Message] = []
         self._unsend_buffer: Dict[str, List[int]] = {}
-        self._new_outputs: List[Tuple[OutputId, Message]] = []
-        self._collecting = False
-        self._current_entry: Optional[HistoryEntry] = None
-        self._dirty = True
-        self._processed_once = False
+        #: Smallest ordering key added, replaced or retracted since the
+        #: last processing phase; ``None`` when the inputs are unchanged.
+        #: A group opens with ``()``, which sorts below every key: its
+        #: due timers fire even if it never receives an input.
+        self._changed_from: Optional[tuple] = ()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -138,20 +142,12 @@ class LockstepStack(Stack):
             if self.coordinator is not None and self.coordinator.current_group >= 0
             else 0
         )
-        store = getattr(self.daemon, "store", None) if self.daemon is not None else None
-        if store is not None:
-            store.reset()
-            store.strategy = self.snapshot_strategy
-        self._store = store
-        self.timers = TimerTable(store=store)
-        self._origin_seq = 0
-        self._sub_seq = 0
+        self._boot()
         self._inputs.clear()
         self._uid_to_key.clear()
         self._emitted = {}
         self._unsend_buffer = {}
-        self._dirty = True
-        self._processed_once = False
+        self._changed_from = ()
         if self.daemon is not None:
             self.daemon.on_start()
 
@@ -221,7 +217,7 @@ class LockstepStack(Stack):
         # origination freezes the payload (store contract); the interned
         # repr is shared by the output id below and every delivery tag
         msg.canonical_payload_repr()
-        if self._collecting:
+        if self._current_entry is not None:
             # The differential-retransmission identity must cover every
             # annotation field that shapes downstream ordering keys: a
             # later re-execution can re-emit the "same" logical message
@@ -233,7 +229,7 @@ class LockstepStack(Stack):
                 annotation.chain,
                 msg.canonical_payload_repr(),
             )
-            self._new_outputs.append((out_id, msg))
+            self._current_entry.outputs.append((out_id, msg))
         else:
             # boot-time traffic: emitted once, never retracted
             msg.uid = self.node.network.next_uid()
@@ -281,25 +277,22 @@ class LockstepStack(Stack):
         kind = payload["type"]
         if kind == "group":
             self._begin_group(payload["group"], payload["events"])
-            self._marker(payload, count=0)
+            self._marker(0)
         elif kind == "transmit":
-            self._do_transmission(payload)
+            self._do_transmission()
         elif kind == "process":
-            count = self._do_processing()
-            self._marker(payload, count=count)
+            self._marker(self._do_processing())
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown coordinator message {kind!r}")
 
-    def _marker(self, payload: Dict[str, Any], count: int) -> None:
+    def _marker(self, count: int) -> None:
+        """Account one marker packet and tell the coordinator when it lands."""
         assert self.coordinator is not None
         self.node.stats.control_packets_sent += 1
-        self.sim.schedule(
-            self.coordinator.delay_to(self.node.node_id),
-            self.coordinator.on_marker,
+        self.coordinator.on_marker(
             self.node.node_id,
-            payload["type"],
             count,
-            label=f"marker:{self.node.node_id}",
+            self.sim.now + self.coordinator.delay_to(self.node.node_id),
         )
 
     # ------------------------------------------------------------------
@@ -330,42 +323,29 @@ class LockstepStack(Stack):
                 origin_offset_us=rev.offset_us,
             )
             self._inputs[entry.key] = entry
-        self._group_checkpoint = self._take_checkpoint()
-        if self._store is not None:
-            # the previous group's checkpoint can never be restored again
-            self._store.release_before(self._group_checkpoint.app_state)
-        self._group_log_index = len(self.delivery_log)
-        self._emitted = {}
-        self._processed_once = False
-        self._dirty = True
-
-    def _take_checkpoint(self) -> Checkpoint:
-        if self._store is not None:
-            return Checkpoint(
-                app_state=self._store.snapshot(),
-                shim_state=(self._origin_seq, self._sub_seq, None),
-            )
-        app_state = self.daemon.snapshot() if self.daemon is not None else None
-        shim_state = (self._origin_seq, self._sub_seq, self.timers.snapshot())
-        return Checkpoint(app_state=app_state, shim_state=shim_state)
+        self.rebase_checkpoint()
+        self._changed_from = ()
 
     def rebase_checkpoint(self) -> None:
-        """Re-anchor the group checkpoint at the *current* state.
+        """Make the *current* state the baseline no re-execution goes below.
 
-        Used by the interactive debugger after a state modification: the
+        Every group starts this way: nothing the previous group processed
+        can be rewound to again, so the history and the per-delivery
+        checkpoints behind it are dropped.  The interactive debugger calls
+        it after a state modification for the same reason: the
         troubleshooter's edit becomes part of the baseline instead of
-        being wiped by the next re-execution.
+        being wiped by a rewind to a checkpoint taken before it.
         """
-        self._group_checkpoint = self._take_checkpoint()
+        self.history = DeliveredHistory()
         if self._store is not None:
-            self._store.release_before(self._group_checkpoint.app_state)
+            self._store.reset()
         self._group_log_index = len(self.delivery_log)
         self._emitted = {}
 
     # ------------------------------------------------------------------
     # transmission phase
     # ------------------------------------------------------------------
-    def _do_transmission(self, payload: Dict[str, Any]) -> None:
+    def _do_transmission(self) -> None:
         count = 0
         for dst in sorted(self._unsend_buffer):
             uids = sorted(self._unsend_buffer[dst])
@@ -385,19 +365,18 @@ class LockstepStack(Stack):
             self.transport.send_message(msg)
             count += 1
         self._send_buffer = []
-        self._await_idle(payload, count)
+        self._await_idle(count)
 
-    def _await_idle(self, payload: Dict[str, Any], count: int) -> None:
+    def _await_idle(self, count: int) -> None:
         """Send the marker once every frame has been acknowledged
         (Section 2.3: "a node sends a marker packet when it has no
         further messages to send")."""
         if self.transport.idle():
-            self._marker(payload, count=count)
+            self._marker(count)
         else:
             self.sim.schedule(
                 self.poll_us,
                 self._await_idle,
-                payload,
                 count,
                 label=f"idlepoll:{self.node.node_id}",
             )
@@ -408,88 +387,46 @@ class LockstepStack(Stack):
     def _do_processing(self) -> int:
         if not self.active:
             return 0
-        if self._processed_once and not self._dirty:
-            # nothing re-executed, but traffic queued earlier (e.g. boot
-            # sends) still keeps the group open until flushed
-            return len(self._send_buffer) + len(self._unsend_buffer)
-        count = self._reprocess_group()
-        self._processed_once = True
-        self._dirty = False
+        count = 0
+        if self._changed_from is not None:
+            count = self._reexecute_from(self._changed_from)
+            self._changed_from = None
         # The marker must count queued outgoing traffic, not just
         # deliveries: a node whose inputs were ALL retracted re-executes
         # zero events yet still owes unsends -- if the coordinator closed
         # the group on a (sent=0, processed=0) cycle with those queued,
         # they would never be flushed and the replay would keep messages
-        # the production execution retracted.
+        # the production execution retracted.  Traffic queued earlier
+        # (e.g. boot sends) keeps the group open the same way.
         return count + len(self._send_buffer) + len(self._unsend_buffer)
 
-    def _reprocess_group(self) -> int:
-        assert self._group_checkpoint is not None
-        if self._store is not None:
-            self._store.restore(self._group_checkpoint.app_state)
-            self._origin_seq, self._sub_seq, _ = self._group_checkpoint.shim_state
-        else:
-            if self.daemon is not None:
-                self.daemon.restore(self._group_checkpoint.app_state)
-            self._origin_seq, self._sub_seq, timer_snap = self._group_checkpoint.shim_state
-            self.timers.restore(timer_snap)
-        del self.delivery_log[self._group_log_index:]
-
-        self._new_outputs = []
-        self._collecting = True
+    def _reexecute_from(self, key: tuple) -> int:
+        """Rewind to the first processed entry at or after ``key`` and
+        process everything from there on.  Returns the deliveries made."""
+        history = self.history
+        index = history.lower_bound(key)
+        if index < len(history):
+            self._rewind(index)
+        last = history[-1].key if len(history) else ()
+        pending = sorted(
+            (e for e in self._inputs.values() if e.key > last), key=lambda e: e.key
+        )
         count = 0
-        pending = deque(sorted(self._inputs.values(), key=lambda e: e.key))
-        try:
-            while True:
-                due = self.timers.next_due(self.vt)
-                timer_entry = None
-                if due is not None:
-                    expiry, seq, timer_key = due
-                    timer_entry = HistoryEntry(
-                        kind="timer",
-                        key=self.ordering.timer_key(expiry, self.node.node_id, seq),
-                        group=expiry,
-                        seq=seq,
-                        timer_key=timer_key,
-                    )
-                next_input = pending[0] if pending else None
-                if timer_entry is not None and (
-                    next_input is None or timer_entry.key < next_input.key
-                ):
-                    chosen = timer_entry
-                else:
-                    if next_input is None:
-                        break
-                    chosen = pending.popleft()
-                self._deliver(chosen)
-                count += 1
-        finally:
-            self._collecting = False
+        for entry in self._replay_order(pending):
+            entry.outputs = []
+            self._execute(entry, self._take_checkpoint())
+            count += 1
         self._diff_outputs()
         return count
 
-    def _deliver(self, entry: HistoryEntry) -> None:
-        self.log_delivery(entry.tag())
-        self.node.stats.deliveries += 1
-        if entry.kind == "timer":
-            self.timers.pop(entry.timer_key)
-        self._current_entry = entry
-        try:
-            if self.daemon is not None:
-                if entry.kind == "msg":
-                    self.daemon.on_message(entry.msg)
-                elif entry.kind == "ext":
-                    self.daemon.on_external(entry.event)
-                else:
-                    self.daemon.on_timer(entry.timer_key)
-        finally:
-            self._current_entry = None
-
     def _diff_outputs(self) -> None:
         """Differential retransmission: unsend what is no longer produced,
-        send what is new, keep logically-identical outputs untouched."""
+        send what is new, keep logically-identical outputs untouched.
+        Diffs the group's *complete* output list (surviving prefix plus
+        re-executed suffix) against what is on the wire."""
+        outputs = [out for entry in self.history for out in entry.outputs]
         new_map: Dict[OutputId, Message] = {}
-        for out_id, msg in self._new_outputs:
+        for out_id, msg in outputs:
             if out_id in new_map:
                 raise RuntimeError(f"duplicate output identity {out_id}")
             new_map[out_id] = msg
@@ -500,7 +437,7 @@ class LockstepStack(Stack):
                 self._unsend_buffer.setdefault(dst, []).append(uid)
         # walk the emission-ordered list, not new_map: uid allocation
         # order must follow the daemon's deterministic output order
-        for out_id, msg in self._new_outputs:
+        for out_id, msg in outputs:
             if out_id in self._emitted:
                 result[out_id] = self._emitted[out_id]
             else:
@@ -508,7 +445,6 @@ class LockstepStack(Stack):
                 self._send_buffer.append(msg)
                 result[out_id] = msg.uid
         self._emitted = result
-        self._new_outputs = []
 
     # ------------------------------------------------------------------
     # receive path (from the reliable transport)
@@ -543,7 +479,7 @@ class LockstepStack(Stack):
             entry = self._inputs.get(key)
             if entry is not None and entry.msg is not None and entry.msg.uid == uid:
                 del self._inputs[key]
-                self._dirty = True
+                self._inputs_changed(key)
                 return
         for i, msg in enumerate(self._future):
             if msg.uid == uid:
@@ -565,7 +501,11 @@ class LockstepStack(Stack):
         entry = HistoryEntry(kind="msg", key=key, msg=msg, group=msg.annotation.group)
         self._inputs[key] = entry
         self._uid_to_key[msg.uid] = key
-        self._dirty = True
+        self._inputs_changed(key)
+
+    def _inputs_changed(self, key: OrderKey) -> None:
+        if self._changed_from is None or key < self._changed_from:
+            self._changed_from = key
 
     # ------------------------------------------------------------------
     # debugger introspection
@@ -585,7 +525,12 @@ class LockstepCoordinator:
     Drives a debugging network through group replay.  All coordination
     travels with realistic latency (shortest-path delay from the
     coordinator node) and is counted as control traffic, which is what
-    the step response time of Figures 6c/8c measures.
+    the step response time of Figures 6c/8c measures.  Phase-begin
+    messages are engine events, one per node (their delivery order fixes
+    the order nodes process in, hence uid allocation); the markers coming
+    back are accounted -- counted as control packets, their arrival times
+    computed -- and a phase costs one completion event at the latest
+    marker's arrival instead of one event per marker.
     """
 
     def __init__(
@@ -612,8 +557,9 @@ class LockstepCoordinator:
         self.cycle = 0
         self.finished = False
         self.steps_executed = 0
-        self._expected: Set[str] = set()
+        self._expected = 0
         self._counts: Dict[str, int] = {}
+        self._last_marker_us = 0
         self._phase_done = False
         #: Callables ``coordinator -> bool`` evaluated after every cycle;
         #: any True pauses execution (see :mod:`repro.core.debugger`).
@@ -647,9 +593,10 @@ class LockstepCoordinator:
     # barrier machinery
     # ------------------------------------------------------------------
     def _broadcast(self, payloads: Dict[str, Dict[str, Any]]) -> None:
-        self._expected = set(payloads)
+        self._expected = len(payloads)
         self._counts = {}
-        self._phase_done = not self._expected
+        self._last_marker_us = 0
+        self._phase_done = not payloads
         for node_id, payload in sorted(payloads.items()):
             self.network.sim.schedule(
                 self.delay_to(node_id),
@@ -663,10 +610,24 @@ class LockstepCoordinator:
         self.network.nodes[node_id].stats.control_packets_received += 1
         self.stacks[node_id]._on_coordinator(payload)
 
-    def on_marker(self, node_id: str, phase: str, count: int) -> None:
+    def on_marker(self, node_id: str, count: int, arrives_us: int) -> None:
+        """A node's marker, reaching the coordinator at ``arrives_us``.
+
+        Markers carry a count and nothing else, so they are accounted
+        here rather than simulated one event each: when the last expected
+        node has reported, a single ``barrier:done`` event at the latest
+        arrival ends the phase -- the instant the last marker would have
+        been delivered."""
         self._counts[node_id] = count
-        if set(self._counts) >= self._expected:
-            self._phase_done = True
+        self._last_marker_us = max(self._last_marker_us, arrives_us)
+        if len(self._counts) == self._expected:
+            sim = self.network.sim
+            sim.schedule(
+                self._last_marker_us - sim.now, self._end_phase, label="barrier:done"
+            )
+
+    def _end_phase(self) -> None:
+        self._phase_done = True
 
     def _run_until_phase_done(self) -> None:
         guard = 0

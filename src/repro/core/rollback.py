@@ -1,20 +1,28 @@
-"""Rollback planning: the pure logic under DEFINED-RB's rollback engine.
+"""Rollback and ordered replay: what DEFINED-RB and DEFINED-LS share.
 
-Separated from the shim so the invariants can be property-tested in
-isolation: divergence detection (where must we roll back to?), anti-message
-collection (what must we unsend, to whom?), and replay planning (which
-inputs are re-delivered, in what order?).
+The pure logic is separated out so the invariants can be property-tested
+in isolation: divergence detection (where must we roll back to?),
+anti-message collection (what must we unsend, to whom?), replay planning
+(which inputs are re-delivered?) and the replay order itself
+(:func:`ordered_replay`: the next due timer against the next input).
 
-The shim (:mod:`repro.core.shim`) owns the stateful parts -- restoring
-checkpoints, transmitting unsends, and re-driving the daemon.
+:class:`ReplayStack` is the one copy of the stateful half -- checkpoint,
+rewind to a history index, hand an entry to the daemon -- under both the
+shim (:mod:`repro.core.shim`, which adds speculation, unsends and cost
+accounting) and the lockstep node (:mod:`repro.core.lockstep`, which adds
+the barrier protocol and differential retransmission).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.history import HistoryEntry
-from repro.core.ordering import OrderKey
+from repro.core.checkpoint import Checkpoint
+from repro.core.history import DeliveredHistory, HistoryEntry
+from repro.core.ordering import OrderingFunction, OrderKey
+from repro.core.statestore import SnapshotStrategy, StateStore
+from repro.core.virtual_time import TimerTable
+from repro.simnet.node import Node, Stack
 
 
 def find_rollback_index(keys: Sequence[OrderKey], new_key: OrderKey) -> int:
@@ -102,3 +110,153 @@ def affected_indices(
         for i, entry in enumerate(entries)
         if entry.kind == "msg" and entry.msg is not None and entry.msg.uid in uids
     )
+
+
+def ordered_replay(
+    timers: TimerTable,
+    vt: int,
+    ordering: OrderingFunction,
+    node_id: str,
+    inputs: Iterable[HistoryEntry],
+) -> Iterator[HistoryEntry]:
+    """The entries to deliver next, one at a time, in ordering-function order.
+
+    ``inputs`` is key-sorted.  Before every step the timer table is asked
+    again for its earliest due timer -- the delivery the caller just made
+    may have armed, cancelled or popped one -- and that timer is yielded
+    as a fresh ``"timer"`` entry if its key sorts before the next input;
+    otherwise the input is.  Ends when neither is left; with no inputs it
+    yields every due timer.  The caller must deliver (or otherwise pop)
+    each timer entry before asking for the next.
+    """
+    pending = iter(inputs)
+    next_input = next(pending, None)
+    while True:
+        due = timers.next_due(vt)
+        if due is not None:
+            expiry, seq, timer_key = due
+            key = ordering.timer_key(expiry, node_id, seq)
+            if next_input is None or key < next_input.key:
+                yield HistoryEntry(
+                    kind="timer", key=key, group=expiry, seq=seq, timer_key=timer_key
+                )
+                continue
+        if next_input is None:
+            return
+        yield next_input
+        next_input = next(pending, None)
+
+
+class ReplayStack(Stack):
+    """A stack that delivers in ordering-function order and can go back.
+
+    Every delivery is appended to :attr:`history` with the checkpoint
+    taken just before it; :meth:`_rewind` truncates the history at an
+    index and puts daemon, timers, counters and the delivery log back to
+    that entry's checkpoint, after which the caller re-delivers whatever
+    :meth:`_replay_order` yields.
+    """
+
+    def __init__(
+        self, node: Node, ordering: OrderingFunction, snapshots: "SnapshotStrategy | str"
+    ) -> None:
+        super().__init__(node)
+        self.ordering = ordering
+        #: How checkpoints are *taken* (``cow``: store-version snapshots,
+        #: O(dirty); ``deepcopy``: the old full-copy fallback).  Only
+        #: effective for store-backed daemons; others use the legacy
+        #: daemon-deepcopy path.  Production shims and the replay's
+        #: stacks should agree for differential runs, though either
+        #: mechanism replays identically.
+        self.snapshot_strategy = SnapshotStrategy.of(snapshots)
+        self._store: Optional[StateStore] = None
+        self.vt = 0
+        self.history = DeliveredHistory()
+        self.timers = TimerTable()
+        self._origin_seq = 0
+        self._sub_seq = 0
+        self._current_entry: Optional[HistoryEntry] = None
+
+    def _boot(self) -> None:
+        """Fresh history, timer table and counters for a (re)boot.
+
+        A store-backed daemon's state store becomes the node's unified
+        checkpoint store: daemon namespaces + timer table are then
+        captured by a single store version per delivery.  Reboots drop
+        the old run's snapshots along with the history.
+        """
+        self.history = DeliveredHistory()
+        store = getattr(self.daemon, "store", None) if self.daemon is not None else None
+        if store is not None:
+            store.reset()
+            store.strategy = self.snapshot_strategy
+        self._store = store
+        self.timers = TimerTable(store=store)
+        self._origin_seq = 0
+        self._sub_seq = 0
+        self._current_entry = None
+
+    def _take_checkpoint(self) -> Checkpoint:
+        store = self._store
+        if store is not None:
+            # one store version covers daemon state + timers; the two
+            # counters ride alongside (plain ints, no copying needed)
+            return Checkpoint(
+                app_state=store.snapshot(),
+                shim_state=(self._origin_seq, self._sub_seq, None),
+            )
+        app_state = self.daemon.snapshot() if self.daemon is not None else None
+        shim_state = (self._origin_seq, self._sub_seq, self.timers.snapshot())
+        return Checkpoint(app_state=app_state, shim_state=shim_state)
+
+    def _rewind(self, index: int) -> List[HistoryEntry]:
+        """Undo ``history[index:]``: state and delivery log go back to
+        just before that entry.  Returns the removed entries."""
+        rolled = self.history.truncate_from(index)
+        base = rolled[0]
+        checkpoint = base.checkpoint
+        assert checkpoint is not None
+        if self._store is not None:
+            self._store.restore(checkpoint.app_state)
+            self._origin_seq, self._sub_seq, _ = checkpoint.shim_state
+        else:
+            if self.daemon is not None:
+                self.daemon.restore(checkpoint.app_state)
+            self._origin_seq, self._sub_seq, timer_snap = checkpoint.shim_state
+            self.timers.restore(timer_snap)
+        if base.log_index >= 0:
+            del self.delivery_log[base.log_index:]
+        return rolled
+
+    def _replay_order(self, inputs: Iterable[HistoryEntry]) -> Iterator[HistoryEntry]:
+        return ordered_replay(
+            self.timers, self.vt, self.ordering, self.node.node_id, inputs
+        )
+
+    def _execute(self, entry: HistoryEntry, checkpoint: Checkpoint) -> None:
+        """Deliver ``entry`` as the next element of the ordered history."""
+        entry.checkpoint = checkpoint
+        entry.delivered_at_us = self.sim.now
+        entry.log_index = len(self.delivery_log)
+        self.history.append(entry)
+        self._invoke(entry, entry.tag())
+
+    def _invoke(self, entry: HistoryEntry, tag: str) -> None:
+        """Log ``tag`` and hand ``entry`` to the daemon."""
+        self.log_delivery(tag)
+        self.node.stats.deliveries += 1
+        if entry.kind == "timer":
+            # Popped *after* the checkpoint so a rewind past this firing
+            # re-arms it and the replay order re-fires it deterministically.
+            self.timers.pop(entry.timer_key)
+        self._current_entry = entry
+        try:
+            if self.daemon is not None:
+                if entry.kind == "msg":
+                    self.daemon.on_message(entry.msg)
+                elif entry.kind == "ext":
+                    self.daemon.on_external(entry.event)
+                else:
+                    self.daemon.on_timer(entry.timer_key)
+        finally:
+            self._current_entry = None

@@ -31,7 +31,6 @@ from __future__ import annotations
 import bisect
 import random
 import warnings
-from collections import deque
 from typing import Optional, Set
 
 from repro.core.checkpoint import (
@@ -40,19 +39,14 @@ from repro.core.checkpoint import (
     MemoryIntercept,
     baseline_processing_model,
 )
-from repro.core.history import (
-    DeliveredHistory,
-    HistoryEntry,
-    WindowHeadroomStats,
-)
+from repro.core.history import HistoryEntry, WindowHeadroomStats
 from repro.core.ordering import OptimizedOrdering, OrderingFunction
 from repro.core.recorder import Recorder
-from repro.core.rollback import collect_unsends, find_rollback_index, plan_replay
-from repro.core.statestore import SnapshotStrategy, StateStore
-from repro.core.virtual_time import TimerTable
+from repro.core.rollback import ReplayStack, collect_unsends, plan_replay
+from repro.core.statestore import SnapshotStrategy
 from repro.simnet.events import ExternalEvent
 from repro.simnet.messages import Annotation, Message, Unsend
-from repro.simnet.node import Node, Stack
+from repro.simnet.node import Node
 
 #: Default bound on causal chain length within one group (Section 2.2:
 #: "We further bound the length of each causal chain within a timestep").
@@ -113,7 +107,7 @@ class HistoryWindowWarning(UserWarning):
         )
 
 
-class DefinedShim(Stack):
+class DefinedShim(ReplayStack):
     """DEFINED-RB stack for one production-network node."""
 
     def __init__(
@@ -128,18 +122,15 @@ class DefinedShim(Stack):
         hop_cost_us: Optional[int] = None,
         snapshots: "SnapshotStrategy | str" = SnapshotStrategy.COW,
     ) -> None:
-        super().__init__(node)
-        self.ordering = ordering if ordering is not None else OptimizedOrdering()
+        super().__init__(
+            node, ordering if ordering is not None else OptimizedOrdering(), snapshots
+        )
+        #: What checkpoints *cost* (the paper's fork variants), as opposed
+        #: to ``snapshot_strategy``, which is how they are *taken*.
         self.strategy = strategy if strategy is not None else MemoryIntercept()
         self.recorder = recorder
         self.chain_bound = chain_bound
         self.process_bytes = process_bytes
-        #: How checkpoints are *taken* (``cow``: store-version snapshots,
-        #: O(dirty); ``deepcopy``: the old full-copy fallback), as opposed
-        #: to ``strategy``, which models what they *cost*.  Only effective
-        #: for store-backed daemons; others use the legacy deepcopy path.
-        self.snapshot_strategy = SnapshotStrategy.of(snapshots)
-        self._store: Optional[StateStore] = None
         self._window_us_override = window_us
         #: Deterministic per-hop estimate folded into d_i on top of the
         #: measured average link delay.  The paper measures link delays
@@ -161,11 +152,6 @@ class DefinedShim(Stack):
         #: with zero slack deficits (the PR-4 Theorem-1 hole).
         self.spill_bound_us = node.network.time_unit_us
 
-        self.vt = 0
-        self.history = DeliveredHistory()
-        self.timers = TimerTable()
-        self._origin_seq = 0
-        self._sub_seq = 0
         self._ext_seq = 0
         self._annihilate_pending: Set[int] = set()
         #: Messages tagged with a group our beacon has not opened yet.
@@ -175,7 +161,6 @@ class DefinedShim(Stack):
         #: arrival order when the beacon lands.  This is what keeps the
         #: optimized ordering's rollback count at the paper's "rare" level.
         self._future_buffer: list = []
-        self._current_entry: Optional[HistoryEntry] = None
         self._send_delay_us = 0
         self._replaying = False
         self._group_open_us = 0
@@ -259,22 +244,9 @@ class DefinedShim(Stack):
         reboot = self._booted_once
         self._booted_once = True
         self.vt = 0
-        self.history = DeliveredHistory()
-        # Adopt a store-backed daemon's state store as the node's unified
-        # checkpoint store: daemon namespaces + timer table + counters are
-        # then captured by a single store version per delivery.  Reboots
-        # drop the old run's snapshots (the history window is reset too).
-        store = getattr(self.daemon, "store", None) if self.daemon is not None else None
-        if store is not None:
-            store.reset()
-            store.strategy = self.snapshot_strategy
-        self._store = store
-        self.timers = TimerTable(store=store)
-        self._origin_seq = 0
-        self._sub_seq = 0
+        self._boot()
         self._annihilate_pending.clear()
         self._future_buffer = []
-        self._current_entry = None
         self._send_delay_us = 0
         self._replaying = False
         self._beacon_seen_at = {}
@@ -347,20 +319,7 @@ class DefinedShim(Stack):
         base = rolled[0]
         if base.log_index >= 0:
             del self.delivery_log[base.log_index:]
-        plan = collect_unsends(rolled)
-        network = self.node.network
-        for dst in sorted(plan):
-            self.node.stats.unsends_sent += 1
-            network.transmit_deterministic(
-                Message(
-                    src=self.node.node_id,
-                    dst=dst,
-                    protocol="_unsend",
-                    payload=Unsend(uids=tuple(plan[dst])),
-                    size_bytes=16 + 8 * len(plan[dst]),
-                ),
-                network.avg_link_delay_us(self.node.node_id, dst),
-            )
+        self._unsend_outputs(rolled)
         # no restore, no replay: the daemon is dead; only the observable
         # side effects needed retracting
 
@@ -557,18 +516,7 @@ class DefinedShim(Stack):
             self._admit_data(msg)
 
     def _fire_due_timers(self) -> None:
-        while True:
-            due = self.timers.next_due(self.vt)
-            if due is None:
-                return
-            expiry, seq, timer_key = due
-            entry = HistoryEntry(
-                kind="timer",
-                key=self.ordering.timer_key(expiry, self.node.node_id, seq),
-                group=expiry,
-                seq=seq,
-                timer_key=timer_key,
-            )
+        for entry in self._replay_order(()):
             self._admit(entry)
 
     # ------------------------------------------------------------------
@@ -692,67 +640,22 @@ class DefinedShim(Stack):
         group, not the arrival's long-pruned one (see
         :meth:`_timer_base_vt`).
         """
-        self.log_delivery("late:" + entry.tag())
-        self.node.stats.deliveries += 1
-        if entry.kind == "timer":
-            self.timers.pop(entry.timer_key)
-        self._current_entry = entry
         self._unordered_floor = self.vt
         try:
-            if self.daemon is not None:
-                if entry.kind == "msg":
-                    self.daemon.on_message(entry.msg)
-                elif entry.kind == "ext":
-                    self.daemon.on_external(entry.event)
-                else:
-                    self.daemon.on_timer(entry.timer_key)
+            self._invoke(entry, "late:" + entry.tag())
         finally:
-            self._current_entry = None
             self._unordered_floor = None
 
     # ------------------------------------------------------------------
     # delivery
     # ------------------------------------------------------------------
-    def _take_checkpoint(self) -> Checkpoint:
-        store = self._store
-        if store is not None:
-            # one store version covers daemon state + timers; the shim's
-            # two counters ride alongside (plain ints, no copying needed)
-            return Checkpoint(
-                app_state=store.snapshot(),
-                shim_state=(self._origin_seq, self._sub_seq, None),
-            )
-        app_state = self.daemon.snapshot() if self.daemon is not None else None
-        shim_state = (self._origin_seq, self._sub_seq, self.timers.snapshot())
-        return Checkpoint(app_state=app_state, shim_state=shim_state)
-
     def _deliver(
         self, entry: HistoryEntry, checkpoint: Checkpoint, extra_delay_us: int
     ) -> None:
-        entry.checkpoint = checkpoint
-        entry.delivered_at_us = self.sim.now
-        entry.log_index = len(self.delivery_log)
-        self.history.append(entry)
-        self.log_delivery(entry.tag())
-        self.node.stats.deliveries += 1
-
-        if entry.kind == "timer":
-            # Popped *after* the checkpoint so a rollback past this firing
-            # re-arms it and the replay loop re-fires it deterministically.
-            self.timers.pop(entry.timer_key)
-
-        self._current_entry = entry
         self._send_delay_us = extra_delay_us
         try:
-            if self.daemon is not None:
-                if entry.kind == "msg":
-                    self.daemon.on_message(entry.msg)
-                elif entry.kind == "ext":
-                    self.daemon.on_external(entry.event)
-                else:
-                    self.daemon.on_timer(entry.timer_key)
+            self._execute(entry, checkpoint)
         finally:
-            self._current_entry = None
             self._send_delay_us = 0
 
     # ------------------------------------------------------------------
@@ -823,31 +726,7 @@ class DefinedShim(Stack):
             u: (_shifted(idx), at) for u, (idx, at) in self._pruned_uid_log.items()
         }
 
-    def _rollback(self, index, new_entries, removed_uids: Set[int]) -> None:
-        if self._replaying:
-            raise RuntimeError(
-                "rollback triggered during replay; replay must be in-order"
-            )
-        rolled = self.history.truncate_from(index)
-        depth = len(rolled)
-        base = rolled[0]
-        assert base.checkpoint is not None
-
-        # 1. restore daemon + shim state from the divergence point
-        if self._store is not None:
-            self._store.restore(base.checkpoint.app_state)
-            self._origin_seq, self._sub_seq, _ = base.checkpoint.shim_state
-        else:
-            if self.daemon is not None:
-                self.daemon.restore(base.checkpoint.app_state)
-            self._origin_seq, self._sub_seq, timer_snap = base.checkpoint.shim_state
-            self.timers.restore(timer_snap)
-
-        # 2. retract the rolled-back deliveries from the execution log
-        if base.log_index >= 0:
-            del self.delivery_log[base.log_index:]
-
-        # 3. anti-messages: unsend everything those deliveries emitted
+    def _unsend_outputs(self, rolled) -> None:
         plan = collect_unsends(rolled)
         network = self.node.network
         for dst in sorted(plan):
@@ -865,34 +744,28 @@ class DefinedShim(Stack):
                 unsend_msg, network.avg_link_delay_us(self.node.node_id, dst)
             )
 
+    def _rollback(self, index, new_entries, removed_uids: Set[int]) -> None:
+        if self._replaying:
+            raise RuntimeError(
+                "rollback triggered during replay; replay must be in-order"
+            )
+        # 1.-2. restore daemon + shim state from the divergence point and
+        # retract the rolled-back deliveries from the execution log
+        rolled = self._rewind(index)
+        depth = len(rolled)
+
+        # 3. anti-messages: unsend everything those deliveries emitted
+        self._unsend_outputs(rolled)
+
         # 4. replay inputs in the correct order, interleaving due timers
         rng = self._costs()
         total_cost = self.strategy.restore_cost_us(rng)
         self.node.stats.restore_cost_us += total_cost
-        inputs = deque(plan_replay(rolled, new_entries, removed_uids))
         self._replaying = True
         try:
-            while True:
-                due = self.timers.next_due(self.vt)
-                timer_entry = None
-                if due is not None:
-                    expiry, seq, timer_key = due
-                    timer_entry = HistoryEntry(
-                        kind="timer",
-                        key=self.ordering.timer_key(expiry, self.node.node_id, seq),
-                        group=expiry,
-                        seq=seq,
-                        timer_key=timer_key,
-                    )
-                next_input = inputs[0] if inputs else None
-                if timer_entry is not None and (
-                    next_input is None or timer_entry.key < next_input.key
-                ):
-                    chosen = timer_entry
-                else:
-                    if next_input is None:
-                        break
-                    chosen = inputs.popleft()
+            for chosen in self._replay_order(
+                plan_replay(rolled, new_entries, removed_uids)
+            ):
                 step_cost = self.strategy.replay_cost_us(rng)
                 total_cost += step_cost
                 self.node.stats.replay_cost_us += step_cost

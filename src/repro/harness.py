@@ -372,6 +372,10 @@ class ReplayResult:
     logs: Dict[str, Tuple[str, ...]]
     step_times_us: List[int]
     cycles: int
+    #: Daemon invocations the replay made, re-executed suffixes included;
+    #: against the committed deliveries in ``logs`` it is the LS
+    #: counterpart of DEFINED-RB's useful-delivery ratio.
+    executed_deliveries: int = 0
     wall_seconds: float = 0.0
 
 
@@ -402,6 +406,9 @@ def run_ls_replay(
         logs=logs,
         step_times_us=list(net.run_stats.step_times_us),
         cycles=cycles,
+        executed_deliveries=sum(
+            stats.deliveries for stats in net.run_stats.per_node.values()
+        ),
         wall_seconds=time.perf_counter() - wall_start,
     )
 

@@ -8,7 +8,9 @@ the same API the console does.
 
 Commands::
 
-    step [n]             advance n lockstep cycles (default 1)
+    step [n]             advance n lockstep cycles (default 1); each line's
+                         processed= is the deliveries executed in that
+                         cycle (re-executed suffixes), not the group's size
     group                advance to the end of the current group
     run                  run until a breakpoint or end of recording
     break <substr>       break when a delivery tag contains <substr>

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import load_topology, main
@@ -46,6 +48,12 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "lockstep replay" in out
+        # replay work is attributable from the CLI: executed >= committed
+        executed, committed = re.search(
+            r"deliveries executed / committed\s+(\d+) / (\d+)", out
+        ).groups()
+        assert int(executed) >= int(committed) > 0
+        assert "engine events per committed delivery" in out
 
     def test_recording_out_requires_defined(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -124,6 +124,55 @@ class TestInspection:
         debugger.step_group()
         assert debugger.coordinator.network.nodes["a"].daemon.hello_count >= 4_242
 
+    def test_modification_survives_an_insertion_before_processed_inputs(
+        self, production
+    ):
+        """A later wave that sorts *before* inputs the node processed
+        ahead of the edit rewinds onto the rebased baseline, never onto a
+        per-delivery checkpoint taken before the edit."""
+        # dry run: the first step after which some node's deliveries in
+        # the group are no longer an extension of what it had -- a later
+        # wave landed in the middle of its processed inputs
+        scout = make_debugger(production).coordinator
+        before, target = {}, None
+        while target is None and not scout.finished:
+            scout.advance_cycle()
+            after = scout.group_deliveries()
+            for node, had in before.items():
+                if scout.cycle > 1 and had and after[node][: len(had)] != had:
+                    target = (scout.steps_executed - 1, node)
+                    break
+            before = after
+        assert target is not None, "the recording has no mid-history insertion"
+        steps, node = target
+
+        debugger = make_debugger(production)
+        for _ in range(steps):
+            debugger.step()
+        stack = debugger.coordinator.stacks[node]
+        processed_before_edit = stack.group_deliveries()
+        assert len(processed_before_edit) > 1 and stack._store.retained_snapshots() > 1
+
+        def patch(daemon):
+            daemon.hello_count = 4_242
+
+        debugger.modify(node, patch)
+        # every pre-edit per-delivery version is gone: nothing to land on
+        assert stack._store.retained_snapshots() == 0
+        assert len(stack.history) == 0
+
+        debugger.step()  # the inserting wave
+        daemon = debugger.coordinator.network.nodes[node].daemon
+        assert daemon.hello_count >= 4_242
+        # it re-ran the inputs processed before the edit, in key order,
+        # with the late arrival in the middle rather than at the end
+        rerun = stack.group_deliveries()
+        assert rerun == [e.tag() for e in stack.pending_inputs()]
+        assert set(processed_before_edit) < set(rerun)
+        assert rerun[: len(processed_before_edit)] != processed_before_edit
+        debugger.step_group()
+        assert daemon.hello_count >= 4_242
+
     def test_modify_unknown_daemon_rejected(self, production):
         debugger = make_debugger(production)
         debugger.coordinator.network.nodes["a"].daemon = None

@@ -2,11 +2,16 @@
 
 import pytest
 
-from _fixtures import flap_schedule, square_graph
+from _fixtures import flap_schedule, run_scenario_cell, square_graph
 
 from repro.core.lockstep import LockstepCoordinator
 from repro.core.ordering import make_ordering
+from repro.core.recorder import Recording
 from repro.harness import ospf_daemon_factory, run_production
+from repro.routing.base import Daemon
+from repro.simnet.messages import Annotation, Message
+from repro.simnet.network import build_network
+from repro.sweep import get_scenario
 from repro.topology import to_network
 
 
@@ -144,3 +149,186 @@ class TestErrorHandling:
             coordinator.stacks["a"].on_external(
                 ExternalEvent(time_us=0, kind="link_down", target=("a", "b"))
             )
+
+
+# ----------------------------------------------------------------------
+# suffix re-execution against the full re-execution it replaced
+# ----------------------------------------------------------------------
+def scenario_coordinator(name, recording, snapshots="cow", loss=0.0):
+    """A debugging network for a sweep scenario's seed-1 workload, built
+    the way ``run_ls_replay`` builds it, left un-run for stepping."""
+    scenario = get_scenario(name)
+    graph = scenario.topology(1)
+    net = to_network(graph, seed=1_000, jitter_us=200, loss=loss)
+    coordinator = LockstepCoordinator(
+        net, recording, ordering=make_ordering(scenario.ordering)
+    )
+    coordinator.attach(
+        scenario.daemon(graph) if scenario.daemon else ospf_daemon_factory(graph),
+        snapshots=snapshots,
+    )
+    coordinator.start()
+    return coordinator
+
+
+def force_full_reexecution(coordinator):
+    """Turn a coordinator's stacks into the oracle: whenever a node's
+    inputs changed, rewind to the group's first delivery and re-run the
+    whole input set (``()`` sorts below every key, so the truncation
+    index is always 0)."""
+    for stack in coordinator.stacks.values():
+        stack._reexecute_from = (
+            lambda key, suffix=stack._reexecute_from: suffix(())
+        )
+
+
+def observable_state(coordinator):
+    """Everything a processing phase may change, per node."""
+    out = {}
+    for node_id, stack in sorted(coordinator.stacks.items()):
+        out[node_id] = (
+            stack.group_deliveries(),
+            stack.daemon.state(),
+            stack.timers.snapshot(),
+            stack._emitted,  # output identity -> uid: allocation order too
+            [msg.uid for msg in stack._send_buffer],
+            stack._unsend_buffer,
+        )
+    return out
+
+
+class TestSuffixReexecutionOracle:
+    """After every cycle a suffix-re-executing replay is indistinguishable
+    from one that re-runs each dirty node's whole input set."""
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("flap-storm@20", {}),
+            ("partition", {}),
+            ("crash-restart", {}),  # reboots through start()
+            ("flap-storm", {"loss": 0.05}),  # retransmissions in flight
+            ("flap-storm", {"snapshots": "deepcopy"}),
+        ],
+    )
+    def test_every_cycle_equals_full_reexecution(self, name, kwargs):
+        prod = run_scenario_cell(name, "defined", network_seed=1001)
+        shipped = scenario_coordinator(name, prod.recording, **kwargs)
+        oracle = scenario_coordinator(name, prod.recording, **kwargs)
+        force_full_reexecution(oracle)
+        while not oracle.finished:
+            sent, processed = shipped.advance_cycle()
+            oracle_sent, oracle_processed = oracle.advance_cycle()
+            assert (sent > 0, processed > 0) == (oracle_sent > 0, oracle_processed > 0)
+            assert observable_state(shipped) == observable_state(oracle)
+        assert shipped.finished
+        for coordinator in (shipped, oracle):
+            assert coordinator.network.execution_fingerprint() == prod.fingerprint
+        assert (
+            shipped.network.run_stats.step_times_us
+            == oracle.network.run_stats.step_times_us
+        )
+        # the oracle really is the full re-run: it invokes the daemons more
+        suffix_calls, full_calls = (
+            sum(s.deliveries for s in c.network.run_stats.per_node.values())
+            for c in (shipped, oracle)
+        )
+        assert suffix_calls < full_calls
+        if kwargs.get("loss"):
+            assert any(s.transport.retransmissions for s in shipped.stacks.values())
+
+
+class CountingDaemon(Daemon):
+    """Forwards every message to ``forward_to``; ``calls`` is deliberately
+    not part of its checkpointed state, so it counts invocations across
+    rewinds."""
+
+    def __init__(self, node_id, stack, forward_to=None):
+        super().__init__(node_id, stack)
+        self.forward_to = forward_to
+        self.seen = []
+        self.calls = []
+
+    def on_start(self):
+        self.seen = []
+
+    def on_message(self, msg):
+        self.calls.append(msg.payload)
+        self.seen.append(msg.payload)
+        if self.forward_to:
+            self.send(self.forward_to, "fwd", msg.payload, parent=msg)
+
+    def on_timer(self, key):  # pragma: no cover - no timers armed
+        pass
+
+    def state(self):
+        return {"seen": self.seen}
+
+    def load_state(self, state):
+        self.seen = state["seen"]
+
+
+class TestSuffixReexecutionUnit:
+    """A hand-built line a - b - c; ``b`` is driven directly, wave by wave."""
+
+    @pytest.fixture
+    def b(self):
+        net = build_network([("a", "b", 2_000), ("b", "c", 2_000)], jitter_us=0)
+        coordinator = LockstepCoordinator(net, Recording())
+        coordinator.attach(
+            lambda node_id, stack: CountingDaemon(
+                node_id, stack, forward_to="c" if node_id == "b" else None
+            )
+        )
+        coordinator.start()
+        stack = coordinator.stacks["b"]
+        stack._begin_group(0, [])
+        return stack
+
+    @staticmethod
+    def arrive(stack, payload, delay_us):
+        """``payload`` from ``a``; its ordering key grows with ``delay_us``."""
+        msg = Message(
+            src="a", dst="b", protocol="ping", payload=payload,
+            annotation=Annotation(
+                origin="a", seq=delay_us, delay_us=delay_us, group=0,
+                chain=0, sub=0, sender="a",
+            ),
+        )
+        msg.uid = stack.node.network.next_uid()
+        stack._on_logical(msg)
+        return msg
+
+    def test_a_later_wave_with_a_smaller_key_reruns_only_the_suffix(self, b):
+        for payload, delay_us in (("m1", 2_000), ("m2", 4_000), ("m3", 6_000)):
+            self.arrive(b, payload, delay_us)
+        assert b._do_processing() == 3 + 3  # three deliveries, three forwards queued
+        assert b.daemon.calls == ["m1", "m2", "m3"]
+        first_wave_uids = dict(b._emitted)
+
+        self.arrive(b, "m0", 3_000)  # sorts between m1 and m2
+        b._do_processing()
+        # m1 sits before the insertion point: not invoked again
+        assert b.daemon.calls == ["m1", "m2", "m3", "m0", "m2", "m3"]
+        assert b.daemon.seen == ["m1", "m0", "m2", "m3"]
+        assert b.group_deliveries() == [e.tag() for e in b.pending_inputs()]
+        keys = b.history.keys()
+        assert list(keys) == sorted(keys) and len(keys) == 4
+        # m1's forward kept its uid; nothing before the insertion point moved
+        kept = [oid for oid in first_wave_uids if oid in b._emitted]
+        assert len(kept) == 1
+        assert b._emitted[kept[0]] == first_wave_uids[kept[0]]
+
+    def test_retracting_the_last_processed_input_executes_nothing(self, b):
+        self.arrive(b, "m1", 2_000)
+        last = self.arrive(b, "m2", 4_000)
+        b._do_processing()
+        b._send_buffer.clear()  # as a transmission phase would
+        forwarded_uid = max(b._emitted.values())
+
+        b._remove_uid(last.uid)
+        assert b._do_processing() == 0 + 1  # nothing executed, one unsend owed
+        assert b.daemon.calls == ["m1", "m2"]
+        assert b.daemon.seen == ["m1"]
+        assert b.group_deliveries() == [e.tag() for e in b.pending_inputs()]
+        assert b._unsend_buffer == {"c": [forwarded_uid]}
