@@ -73,11 +73,17 @@ def cmd_production(args: argparse.Namespace) -> int:
         ordering=args.ordering, strategy=args.strategy,
         snapshots=args.snapshots,
     )
+    per_node = result.network.run_stats.per_node.values()
     rows = [
         ["fingerprint", result.fingerprint[:24] + "..."],
         ["events converged", len(result.convergence_times_us)],
         ["mean convergence (s)", mean(result.convergence_times_us) / 1e6],
         ["rollbacks", result.rollbacks],
+        ["deliveries executed / committed",
+         f"{result.executed_deliveries} / {sum(len(log) for log in result.logs.values())}"],
+        ["rolled-back outputs kept / retracted",
+         f"{sum(s.outputs_kept for s in per_node)} / "
+         f"{sum(s.outputs_retracted for s in per_node)}"],
         ["late deliveries", result.late_deliveries],
         ["wall time (s)", result.wall_seconds],
     ]

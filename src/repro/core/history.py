@@ -4,9 +4,9 @@ Each DEFINED-RB node keeps the events it has delivered to its daemon since
 (roughly) the last couple of group intervals, *in delivered order* -- which
 the rollback machinery keeps equal to ordering-function order at all
 times.  Every entry carries the checkpoint taken just before it was
-delivered and the uids of the messages its processing emitted, which is
-exactly what a rollback needs: restore the checkpoint, unsend the outputs,
-replay the inputs.
+delivered and the messages its processing emitted, which is exactly what
+a rollback needs: restore the checkpoint, replay the inputs, unsend the
+outputs the replay did not reproduce.
 
 Entries become prunable once no message that could sort before them can
 still arrive; the paper bounds this by twice the maximum propagation time
@@ -170,11 +170,12 @@ class HistoryEntry:
     #: arrive *after* the group's beacon-aligned traffic (which it does).
     origin_offset_us: int = 0
     checkpoint: Optional[Checkpoint] = None
-    #: What processing the entry emitted, in emission order: ``(uid,
-    #: dst)`` under DEFINED-RB (what a rollback unsends), ``(output
-    #: identity, message)`` under DEFINED-LS (what the group's
-    #: differential retransmission compares).
-    outputs: List[tuple] = field(default_factory=list)
+    #: The messages processing the entry put on the wire, in emission
+    #: order, under both stacks: each carries the uid an unsend names.
+    #: A re-execution that re-emits one byte for byte adopts the *old*
+    #: message here instead of sending (lazy cancellation); its identity
+    #: (:func:`repro.core.rollback.output_id`) is derived only then.
+    outputs: List[Message] = field(default_factory=list)
     delivered_at_us: int = -1
     log_index: int = -1
     #: Cached identity tag.  The fields a tag encodes are fixed at
@@ -251,6 +252,9 @@ class DeliveredHistory:
     def __init__(self) -> None:
         self.entries: List[HistoryEntry] = []
         self._keys: List[OrderKey] = []
+        #: uid -> key of every delivered message in the window, so an
+        #: unsend finds its target by bisection instead of scanning.
+        self._uid_key: Dict[int, OrderKey] = {}
         #: Largest key ever pruned; a later arrival sorting below this is
         #: a "late message" the window could not protect (counted, not
         #: crashed on -- see shim docs).
@@ -300,6 +304,11 @@ class DeliveredHistory:
             return i
         return None
 
+    def index_of_uid(self, uid: int) -> Optional[int]:
+        """Index of the delivered message with this uid, or None."""
+        key = self._uid_key.get(uid)
+        return None if key is None else self.lower_bound(key)
+
     def append(self, entry: HistoryEntry) -> None:
         if self._keys and entry.key <= self._keys[-1]:
             raise ValueError(
@@ -307,13 +316,21 @@ class DeliveredHistory:
             )
         self.entries.append(entry)
         self._keys.append(entry.key)
+        if entry.msg is not None:
+            self._uid_key[entry.msg.uid] = entry.key
 
     def truncate_from(self, index: int) -> List[HistoryEntry]:
         """Remove and return ``entries[index:]`` (the rollback victims)."""
         rolled = self.entries[index:]
         del self.entries[index:]
         del self._keys[index:]
+        self._forget_uids(rolled)
         return rolled
+
+    def _forget_uids(self, removed: Sequence[HistoryEntry]) -> None:
+        for entry in removed:
+            if entry.msg is not None:
+                self._uid_key.pop(entry.msg.uid, None)
 
     def prune_before_time(
         self,
@@ -337,8 +354,10 @@ class DeliveredHistory:
         if n > 0:
             self.last_pruned_key = self._keys[n - 1]
             self.last_pruned_at_us = self.entries[n - 1].delivered_at_us
+            pruned = self.entries[:n]
             if collect is not None:
-                collect.extend(self.entries[:n])
+                collect.extend(pruned)
+            self._forget_uids(pruned)
             del self.entries[:n]
             del self._keys[:n]
             self.total_pruned += n

@@ -31,11 +31,13 @@ replaces or retracts.  The next processing phase rewinds to the first
 processed entry at or after that key -- restoring *its* checkpoint and
 cutting the delivery log and the collected outputs there -- and
 processes only the inputs from that point on; when nothing processed
-sorts at or after the key, nothing is restored.  Outputs no longer
-produced are retracted (anti-messages over the reliable transport).
-Output retraction is differential, over the group's complete output
-list: logically identical re-emissions keep their uid and are not
-resent, so the group reaches a fixpoint in at most diameter-many cycles.
+sorts at or after the key, nothing is restored.  Output retraction is
+lazy cancellation, the discipline DEFINED-RB rolls back under
+(:mod:`repro.core.rollback`): the rewound suffix's outputs are kept, a
+logically identical re-emission adopts the kept message's uid and is not
+resent, and only what the re-execution no longer produces is retracted
+(anti-messages over the reliable transport), so the group reaches a
+fixpoint in at most diameter-many cycles.
 
 Re-executing only the suffix is sound because the processed sequence,
 timers included, is strictly increasing by key (``DeliveredHistory.
@@ -65,10 +67,10 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.core.history import DeliveredHistory, HistoryEntry
 from repro.core.ordering import OptimizedOrdering, OrderingFunction, OrderKey
 from repro.core.recorder import RecordedEvent, Recording
-from repro.core.rollback import ReplayStack
+from repro.core.rollback import ReplayStack, collect_unsends, send_identity
 from repro.core.statestore import SnapshotStrategy
 from repro.simnet.events import ExternalEvent, LINK_DOWN, LINK_UP, NODE_DOWN, NODE_UP
-from repro.simnet.messages import Annotation, Message, Unsend
+from repro.simnet.messages import Message, Unsend
 from repro.simnet.network import Network
 from repro.simnet.node import Node
 from repro.simnet.transport import ReliableTransport
@@ -77,10 +79,6 @@ from repro.simnet.transport import ReliableTransport
 #: recorded (they have no observing daemon; the coordinator applies them
 #: to the debugging network's logical topology at group start).
 NET_EVENTS_NODE = "__net__"
-
-#: Output identity used for differential retransmission: logically equal
-#: re-emissions are recognized and keep their uid.
-OutputId = Tuple[str, int, int, int, str, str, str]
 
 
 class LockstepStack(ReplayStack):
@@ -124,7 +122,6 @@ class LockstepStack(ReplayStack):
         self._uid_to_key: Dict[int, OrderKey] = {}
         self._future: List[Message] = []
         self._annihilate: Set[int] = set()
-        self._emitted: Dict[OutputId, int] = {}
         self._send_buffer: List[Message] = []
         self._unsend_buffer: Dict[str, List[int]] = {}
         #: Smallest ordering key added, replaced or retracted since the
@@ -145,7 +142,6 @@ class LockstepStack(ReplayStack):
         self._boot()
         self._inputs.clear()
         self._uid_to_key.clear()
-        self._emitted = {}
         self._unsend_buffer = {}
         self._changed_from = ()
         if self.daemon is not None:
@@ -165,89 +161,20 @@ class LockstepStack(ReplayStack):
         link_estimate = self._delay_estimates.get(f"{self.node.node_id}>{dst}")
         if link_estimate is None:
             link_estimate = self.node.network.avg_link_delay_us(self.node.node_id, dst)
-        hop_estimate = link_estimate + self.hop_cost_us
-        if parent is not None and parent.annotation is not None:
-            pa = parent.annotation
-            self._sub_seq += 1
-            annotation = pa.extended(
-                link_delay_us=hop_estimate,
-                sub=self._sub_seq,
-                over_chain_bound=pa.chain + 1 > self.chain_bound,
-                sender=self.node.node_id,
-                spill_bound_us=self.spill_bound_us,
-            )
-        else:
-            self._origin_seq += 1
-            group = (
-                self._current_entry.group if self._current_entry is not None else self.vt
-            )
-            offset = (
-                self._current_entry.origin_offset_us
-                if self._current_entry is not None
-                else 0
-            )
-            annotation = Annotation(
-                origin=self.node.node_id,
-                seq=self._origin_seq,
-                delay_us=offset + hop_estimate,
-                group=group,
-                chain=0,
-                sub=0,
-                sender=self.node.node_id,
-            )
-        identity = (
-            annotation.sender,
-            annotation.origin,
-            annotation.seq,
-            annotation.sub,
-            annotation.group,
-            dst,
-            protocol,
-        )
-        if identity in self.drops:
+        msg = self._outgoing(dst, protocol, payload, parent, size_bytes, link_estimate)
+        if send_identity(msg) in self.drops:
             return  # the production network never delivered this message
-        msg = Message(
-            src=self.node.node_id,
-            dst=dst,
-            protocol=protocol,
-            payload=payload,
-            annotation=annotation,
-            size_bytes=size_bytes,
-        )
-        # origination freezes the payload (store contract); the interned
-        # repr is shared by the output id below and every delivery tag
-        msg.canonical_payload_repr()
-        if self._current_entry is not None:
-            # The differential-retransmission identity must cover every
-            # annotation field that shapes downstream ordering keys: a
-            # later re-execution can re-emit the "same" logical message
-            # with a corrected delay estimate (its causal parent changed),
-            # and treating that as unchanged would leave receivers holding
-            # the stale annotation -- diverging from production.
-            out_id = identity + (
-                annotation.delay_us,
-                annotation.chain,
-                msg.canonical_payload_repr(),
-            )
-            self._current_entry.outputs.append((out_id, msg))
-        else:
-            # boot-time traffic: emitted once, never retracted
-            msg.uid = self.node.network.next_uid()
-            self._send_buffer.append(msg)
-
-    def set_timer(self, delay_units: int, key: str) -> None:
-        # same rule as the production shim: expiries are based on the
-        # group of the event being processed, never on wall-clock accident
-        base = (
-            self._current_entry.group if self._current_entry is not None else self.vt
-        )
-        self.timers.set(key, base, delay_units)
-
-    def cancel_timer(self, key: str) -> None:
-        self.timers.cancel(key)
-
-    def time_units(self) -> int:
-        return self.vt
+        entry = self._current_entry
+        if entry is not None:
+            kept = self._adopt(msg)
+            if kept is not None:
+                entry.outputs.append(kept)  # already on the wire: same uid
+                return
+            entry.outputs.append(msg)
+        # else boot-time traffic: emitted once, never retracted.  Uids
+        # are allocated here, in the daemon's deterministic output order
+        msg.uid = self.node.network.next_uid()
+        self._send_buffer.append(msg)
 
     def neighbors(self) -> List[str]:
         """Adjacency under the *replayed* (logical) topology state."""
@@ -340,7 +267,6 @@ class LockstepStack(ReplayStack):
         if self._store is not None:
             self._store.reset()
         self._group_log_index = len(self.delivery_log)
-        self._emitted = {}
 
     # ------------------------------------------------------------------
     # transmission phase
@@ -416,35 +342,9 @@ class LockstepStack(ReplayStack):
             entry.outputs = []
             self._execute(entry, self._take_checkpoint())
             count += 1
-        self._diff_outputs()
+        for dst, uids in sorted(collect_unsends(self._end_replay()).items()):
+            self._unsend_buffer.setdefault(dst, []).extend(uids)
         return count
-
-    def _diff_outputs(self) -> None:
-        """Differential retransmission: unsend what is no longer produced,
-        send what is new, keep logically-identical outputs untouched.
-        Diffs the group's *complete* output list (surviving prefix plus
-        re-executed suffix) against what is on the wire."""
-        outputs = [out for entry in self.history for out in entry.outputs]
-        new_map: Dict[OutputId, Message] = {}
-        for out_id, msg in outputs:
-            if out_id in new_map:
-                raise RuntimeError(f"duplicate output identity {out_id}")
-            new_map[out_id] = msg
-        result: Dict[OutputId, int] = {}
-        for out_id, uid in sorted(self._emitted.items()):
-            if out_id not in new_map:
-                dst = out_id[5]  # (sender, origin, seq, sub, group, dst, ...)
-                self._unsend_buffer.setdefault(dst, []).append(uid)
-        # walk the emission-ordered list, not new_map: uid allocation
-        # order must follow the daemon's deterministic output order
-        for out_id, msg in outputs:
-            if out_id in self._emitted:
-                result[out_id] = self._emitted[out_id]
-            else:
-                msg.uid = self.node.network.next_uid()
-                self._send_buffer.append(msg)
-                result[out_id] = msg.uid
-        self._emitted = result
 
     # ------------------------------------------------------------------
     # receive path (from the reliable transport)

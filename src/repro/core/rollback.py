@@ -1,16 +1,30 @@
 """Rollback and ordered replay: what DEFINED-RB and DEFINED-LS share.
 
 The pure logic is separated out so the invariants can be property-tested
-in isolation: divergence detection (where must we roll back to?),
-anti-message collection (what must we unsend, to whom?), replay planning
-(which inputs are re-delivered?) and the replay order itself
-(:func:`ordered_replay`: the next due timer against the next input).
+in isolation: divergence detection (where must we roll back to?), output
+identity (:func:`output_id`: is this re-emission the message already on
+the wire?), anti-message collection (:func:`collect_unsends`: what must
+we unsend, to whom?), replay planning (which inputs are re-delivered?)
+and the replay order itself (:func:`ordered_replay`: the next due timer
+against the next input).
 
-:class:`ReplayStack` is the one copy of the stateful half -- checkpoint,
-rewind to a history index, hand an entry to the daemon -- under both the
-shim (:mod:`repro.core.shim`, which adds speculation, unsends and cost
-accounting) and the lockstep node (:mod:`repro.core.lockstep`, which adds
-the barrier protocol and differential retransmission).
+:class:`ReplayStack` is the one copy of the stateful half -- annotate an
+outgoing message, checkpoint, rewind to a history index, hand an entry to
+the daemon -- under both the shim (:mod:`repro.core.shim`, which adds
+speculation, the anti-message transport and cost accounting) and the
+lockstep node (:mod:`repro.core.lockstep`, which adds the barrier
+protocol).
+
+**Lazy cancellation** (Jefferson, *Virtual Time*, 1985) is the third step
+of every rewind under both stacks: *keep, re-execute, then unsend the
+remainder*.  :meth:`ReplayStack._rewind` keeps the rewound suffix's
+outputs as a map identity -> message; a re-executed ``send()`` whose
+identity is in the map adopts the old message (same uid, nothing
+transmitted); whatever is left when the replay ends
+(:meth:`ReplayStack._end_replay`) is what the re-execution no longer
+produces, and only that is unsent.  Retracting every output first and
+re-sending identical copies under fresh uids would cost each neighbour up
+to two rollbacks for a message whose content never changed.
 """
 
 from __future__ import annotations
@@ -20,9 +34,32 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.core.checkpoint import Checkpoint
 from repro.core.history import DeliveredHistory, HistoryEntry
 from repro.core.ordering import OrderingFunction, OrderKey
+from repro.core.recorder import SendIdentity
 from repro.core.statestore import SnapshotStrategy, StateStore
 from repro.core.virtual_time import TimerTable
+from repro.simnet.messages import Annotation, Message
 from repro.simnet.node import Node, Stack
+
+#: What lazy cancellation compares: a :data:`SendIdentity` plus
+#: ``(delay_us, chain, canonical payload repr)``.  It must cover every
+#: annotation field that shapes downstream ordering keys: a re-execution
+#: can re-emit the "same" logical message with a corrected delay estimate
+#: (its causal parent changed), and keeping the old copy would leave the
+#: receiver holding the stale annotation.
+OutputId = Tuple[str, str, int, int, int, str, str, int, int, str]
+
+
+def send_identity(msg: Message) -> SendIdentity:
+    """The recording's name for ``msg`` (what a drop record carries)."""
+    a = msg.annotation
+    assert a is not None
+    return (a.sender, a.origin, a.seq, a.sub, a.group, msg.dst, msg.protocol)
+
+
+def output_id(msg: Message) -> OutputId:
+    a = msg.annotation
+    assert a is not None
+    return send_identity(msg) + (a.delay_us, a.chain, msg.canonical_payload_repr())
 
 
 def find_rollback_index(keys: Sequence[OrderKey], new_key: OrderKey) -> int:
@@ -44,12 +81,14 @@ def find_rollback_index(keys: Sequence[OrderKey], new_key: OrderKey) -> int:
     return lo
 
 
-def collect_unsends(rolled: Iterable[HistoryEntry]) -> Dict[str, List[int]]:
+def collect_unsends(retracted: Iterable[Message]) -> Dict[str, List[int]]:
     """Anti-message plan: per-neighbor lists of message uids to unsend.
 
-    Every message emitted while processing a rolled-back entry is invalid
-    (it was produced from state that no longer exists) and must be rolled
-    back at its receiver -- the cascading process of Figure 3.
+    ``retracted`` are emitted messages the final execution does not
+    contain -- the outputs of a rewound suffix that its re-execution did
+    not reproduce, or everything a crashed node's open groups emitted --
+    which must be rolled back at their receivers: the cascading process
+    of Figure 3.  The one place either stack turns outputs into unsends.
 
     The per-neighbor lists come back **canonical** (sorted; uids are
     globally unique so duplicates cannot occur), satisfying
@@ -57,9 +96,8 @@ def collect_unsends(rolled: Iterable[HistoryEntry]) -> Dict[str, List[int]]:
     another canonicalization pass on the rollback hot path.
     """
     plan: Dict[str, List[int]] = {}
-    for entry in rolled:
-        for uid, dst in entry.outputs:
-            plan.setdefault(dst, []).append(uid)
+    for msg in retracted:
+        plan.setdefault(msg.dst, []).append(msg.uid)
     for uids in plan.values():
         uids.sort()
     return plan
@@ -152,10 +190,19 @@ class ReplayStack(Stack):
 
     Every delivery is appended to :attr:`history` with the checkpoint
     taken just before it; :meth:`_rewind` truncates the history at an
-    index and puts daemon, timers, counters and the delivery log back to
-    that entry's checkpoint, after which the caller re-delivers whatever
-    :meth:`_replay_order` yields.
+    index, puts daemon, timers, counters and the delivery log back to
+    that entry's checkpoint and keeps the removed entries' outputs, after
+    which the caller re-delivers whatever :meth:`_replay_order` yields
+    and retracts what :meth:`_end_replay` hands back.
+
+    Subclasses set ``chain_bound``, ``hop_cost_us`` and ``spill_bound_us``
+    (the shim from its deployment, the lockstep node from the recording:
+    annotations must agree bit for bit).
     """
+
+    chain_bound: int
+    hop_cost_us: int
+    spill_bound_us: int
 
     def __init__(
         self, node: Node, ordering: OrderingFunction, snapshots: "SnapshotStrategy | str"
@@ -176,6 +223,84 @@ class ReplayStack(Stack):
         self._origin_seq = 0
         self._sub_seq = 0
         self._current_entry: Optional[HistoryEntry] = None
+        #: Between :meth:`_rewind` and :meth:`_end_replay`: the rewound
+        #: outputs no re-executed ``send()`` has adopted yet, by identity.
+        #: ``None`` whenever no rewound suffix is being replayed.
+        self._kept: Optional[Dict[OutputId, Message]] = None
+
+    # ------------------------------------------------------------------
+    # app-facing API shared by both stacks
+    # ------------------------------------------------------------------
+    def set_timer(self, delay_units: int, key: str) -> None:
+        self.timers.set(key, self._event_group(), delay_units)
+
+    def cancel_timer(self, key: str) -> None:
+        self.timers.cancel(key)
+
+    def time_units(self) -> int:
+        return self.vt
+
+    def _event_group(self) -> int:
+        """Group that timers armed, and messages originated, right now
+        belong to: that of the event being processed, not the beacon
+        count at the instant the processing physically ran.  A group-g
+        event can be delivered after beacon g+1 (late crossing, or during
+        a replay); basing its timers on the live count would make
+        expiries depend on wall-clock accidents and break determinism.
+        Outside any event (boot traffic) it is the current virtual time.
+        """
+        entry = self._current_entry
+        return entry.group if entry is not None else self.vt
+
+    def _outgoing(
+        self,
+        dst: str,
+        protocol: str,
+        payload,
+        parent: Optional[Message],
+        size_bytes: int,
+        link_estimate_us: int,
+    ) -> Message:
+        """The annotated message a daemon's ``send()`` stands for: a child
+        of ``parent``'s causal chain, or a new origination."""
+        node_id = self.node.node_id
+        hop_estimate = link_estimate_us + self.hop_cost_us
+        if parent is not None and parent.annotation is not None:
+            pa = parent.annotation
+            self._sub_seq += 1
+            annotation = pa.extended(
+                link_delay_us=hop_estimate,
+                sub=self._sub_seq,
+                over_chain_bound=pa.chain + 1 > self.chain_bound,
+                sender=node_id,
+                spill_bound_us=self.spill_bound_us,
+            )
+        else:
+            self._origin_seq += 1
+            entry = self._current_entry
+            annotation = Annotation(
+                origin=node_id,
+                seq=self._origin_seq,
+                delay_us=(entry.origin_offset_us if entry is not None else 0)
+                + hop_estimate,
+                group=self._event_group(),
+                chain=0,
+                sub=0,
+                sender=node_id,
+            )
+        msg = Message(
+            src=node_id,
+            dst=dst,
+            protocol=protocol,
+            payload=payload,
+            annotation=annotation,
+            size_bytes=size_bytes,
+        )
+        # origination freezes the payload (store contract): render and
+        # intern its canonical repr now, so every later identity use --
+        # delivery tags, output ids, replay -- reuses one string
+        msg.canonical_payload_repr()
+        return msg
 
     def _boot(self) -> None:
         """Fresh history, timer table and counters for a (re)boot.
@@ -195,6 +320,7 @@ class ReplayStack(Stack):
         self._origin_seq = 0
         self._sub_seq = 0
         self._current_entry = None
+        self._kept = None
 
     def _take_checkpoint(self) -> Checkpoint:
         store = self._store
@@ -211,8 +337,10 @@ class ReplayStack(Stack):
 
     def _rewind(self, index: int) -> List[HistoryEntry]:
         """Undo ``history[index:]``: state and delivery log go back to
-        just before that entry.  Returns the removed entries."""
+        just before that entry.  Returns the removed entries; what they
+        emitted stays on the wire, kept for the replay to adopt."""
         rolled = self.history.truncate_from(index)
+        self._kept = {output_id(msg): msg for entry in rolled for msg in entry.outputs}
         base = rolled[0]
         checkpoint = base.checkpoint
         assert checkpoint is not None
@@ -227,6 +355,20 @@ class ReplayStack(Stack):
         if base.log_index >= 0:
             del self.delivery_log[base.log_index:]
         return rolled
+
+    def _adopt(self, msg: Message) -> Optional[Message]:
+        """The kept output that ``msg`` reproduces byte for byte, taken
+        out of the map; ``None`` if there is none.  The caller records it
+        as the current entry's output and sends nothing."""
+        return self._kept.pop(output_id(msg), None) if self._kept else None
+
+    def _end_replay(self) -> List[Message]:
+        """Close the replay (a :meth:`_rewind`, if there was anything to
+        rewind).  Returns the kept outputs nothing re-emitted, for the
+        caller to unsend."""
+        retracted = list(self._kept.values()) if self._kept else []
+        self._kept = None
+        return retracted
 
     def _replay_order(self, inputs: Iterable[HistoryEntry]) -> Iterator[HistoryEntry]:
         return ordered_replay(

@@ -10,9 +10,23 @@ the node's execution deterministic with an *optimistic* protocol:
    function over the sliding history window;
 3. if the arrival should have been delivered *earlier* than something
    already delivered, the node rolls back: restore the checkpoint from
-   the divergence point, "unsend" the messages emitted since (anti-
-   messages, which cascade at the receivers), and replay the inputs in
-   the correct order.
+   the divergence point, *keep* the messages emitted since, replay the
+   inputs in the correct order, then "unsend" the kept messages the
+   replay did not emit again (anti-messages, which cascade at the
+   receivers).
+
+Step 3 is Time Warp's *lazy cancellation* (see :mod:`repro.core.rollback`):
+a re-executed ``send()`` that reproduces a kept message byte for byte
+adopts its uid and transmits nothing, so a rollback that changes no
+output costs the neighbours nothing.  A kept message is adopted only if
+it is **deliverable now** (link and both endpoints up, the test every
+send makes): when a rollback straddles a link flap, the final execution
+must record the re-emission as dropped and retract the copy sent while
+the link was up, exactly as retract-everything would -- and a kept
+message keeps the recorded outcome of the transmission that actually
+happened, so :meth:`Recorder.record_send`'s last-outcome-wins stays
+truthful without re-recording it.  :meth:`DefinedShim.on_crash` still
+retracts everything: the daemon is dead, nothing re-executes.
 
 Timers are virtualized: the daemon's timers live in a checkpointed
 :class:`~repro.core.virtual_time.TimerTable` keyed to beacon-driven
@@ -42,10 +56,15 @@ from repro.core.checkpoint import (
 from repro.core.history import HistoryEntry, WindowHeadroomStats
 from repro.core.ordering import OptimizedOrdering, OrderingFunction
 from repro.core.recorder import Recorder
-from repro.core.rollback import ReplayStack, collect_unsends, plan_replay
+from repro.core.rollback import (
+    ReplayStack,
+    collect_unsends,
+    plan_replay,
+    send_identity,
+)
 from repro.core.statestore import SnapshotStrategy
 from repro.simnet.events import ExternalEvent
-from repro.simnet.messages import Annotation, Message, Unsend
+from repro.simnet.messages import Message, Unsend
 from repro.simnet.node import Node
 
 #: Default bound on causal chain length within one group (Section 2.2:
@@ -162,7 +181,6 @@ class DefinedShim(ReplayStack):
         #: optimized ordering's rollback count at the paper's "rare" level.
         self._future_buffer: list = []
         self._send_delay_us = 0
-        self._replaying = False
         self._group_open_us = 0
         self._started = False
         #: Arrivals before the daemon booted (staggered cold start): a
@@ -248,7 +266,6 @@ class DefinedShim(ReplayStack):
         self._annihilate_pending.clear()
         self._future_buffer = []
         self._send_delay_us = 0
-        self._replaying = False
         self._beacon_seen_at = {}
         self._pruned_uid_log = {}
         if reboot:
@@ -319,9 +336,9 @@ class DefinedShim(ReplayStack):
         base = rolled[0]
         if base.log_index >= 0:
             del self.delivery_log[base.log_index:]
-        self._unsend_outputs(rolled)
-        # no restore, no replay: the daemon is dead; only the observable
-        # side effects needed retracting
+        # no restore, no replay: the daemon is dead, so nothing will
+        # re-emit these and every one of them is retracted
+        self._unsend_outputs(msg for entry in rolled for msg in entry.outputs)
 
     # ------------------------------------------------------------------
     # app-facing API
@@ -338,111 +355,42 @@ class DefinedShim(ReplayStack):
         link = network.link_between(self.node.node_id, dst)
         if link is None:
             raise ValueError(f"{self.node.node_id} has no link to {dst}")
-        hop_estimate = link.avg_delay_us(self.node.node_id) + self.hop_cost_us
-
-        if parent is not None and parent.annotation is not None:
-            pa = parent.annotation
-            self._sub_seq += 1
-            annotation = pa.extended(
-                link_delay_us=hop_estimate,
-                sub=self._sub_seq,
-                over_chain_bound=pa.chain + 1 > self.chain_bound,
-                sender=self.node.node_id,
-                spill_bound_us=self.spill_bound_us,
-            )
-        else:
-            self._origin_seq += 1
-            offset = (
-                self._current_entry.origin_offset_us
-                if self._current_entry is not None
-                else 0
-            )
-            annotation = Annotation(
-                origin=self.node.node_id,
-                seq=self._origin_seq,
-                delay_us=offset + hop_estimate,
-                group=self._origination_group(),
-                chain=0,
-                sub=0,
-                sender=self.node.node_id,
-            )
-
-        msg = Message(
-            src=self.node.node_id,
-            dst=dst,
-            protocol=protocol,
-            payload=payload,
-            annotation=annotation,
-            size_bytes=size_bytes,
+        msg = self._outgoing(
+            dst, protocol, payload, parent, size_bytes,
+            link.avg_delay_us(self.node.node_id),
         )
-        # origination freezes the payload (store contract): render and
-        # intern its canonical repr now, so every later identity use --
-        # delivery tags, rollback re-tags, replay -- reuses one string
-        msg.canonical_payload_repr()
-
         deliverable = link.up and self.node.up and network.nodes[dst].up
+        entry = self._current_entry
+        kept = self._adopt(msg) if deliverable else None
+        if kept is not None:
+            # the copy on the wire is this message: same uid, nothing
+            # sent, and its recorded outcome (delivered) stands
+            entry.outputs.append(kept)
+            return
         if self.recorder is not None:
             # every send's outcome is recorded, not just drops: the same
             # identity re-emitted by a rollback re-execution can flip
             # between deliverable and not when the rollback straddles a
             # link flap, and the replay must honor the *final* outcome
-            self.recorder.record_send(
-                (annotation.sender, annotation.origin, annotation.seq,
-                 annotation.sub, annotation.group, dst, protocol),
-                deliverable,
-            )
+            self.recorder.record_send(send_identity(msg), deliverable)
         network.transmit(msg, extra_delay_us=self._send_delay_us)
-        if deliverable and self._current_entry is not None:
-            self._current_entry.outputs.append((msg.uid, dst))
+        if deliverable and entry is not None:
+            entry.outputs.append(msg)
 
-    def set_timer(self, delay_units: int, key: str) -> None:
-        self.timers.set(key, self._timer_base_vt(), delay_units)
-
-    def cancel_timer(self, key: str) -> None:
-        self.timers.cancel(key)
-
-    def _timer_base_vt(self) -> int:
-        """Virtual-time base for arming timers.
-
-        Timers armed while processing an event are based on that event's
-        *group*, not on the beacon count at the instant the processing
-        physically ran.  A group-g message can be delivered after beacon
-        g+1 (late crossing, or during a rollback replay); basing its
-        timers on the live beacon count would make expiries depend on
-        wall-clock accidents and break determinism.
-
-        Exception: *unordered* (late) deliveries.  Their group already
-        fell off the history window, so a timer based on it would expire
-        into long-delivered groups and crash the ordered machinery; such
-        timers are floored to the current group instead (determinism for
-        that arrival is forfeit either way -- it is counted late).
+    def _event_group(self) -> int:
+        """As :meth:`ReplayStack._event_group`, except under an
+        *unordered* (late) delivery.  Its group already fell off the
+        history window: a timer based on it would expire into
+        long-delivered groups and crash the ordered machinery, and an
+        origination tagged with it would be unorderably late at every
+        receiver, cascading one window miss across the network.  Both
+        are floored to the current group instead (determinism for that
+        arrival is forfeit either way -- it is counted late).
         """
-        if self._current_entry is not None:
-            group = self._current_entry.group
-            if self._unordered_floor is not None:
-                group = max(group, self._unordered_floor)
-            return group
-        return self.vt
-
-    def time_units(self) -> int:
-        return self.vt
-
-    def _origination_group(self) -> int:
-        """Group number for a message with no causal parent.
-
-        Messages triggered while processing an external event or a timer
-        inherit that entry's group (they are part of its timestep);
-        anything else (boot traffic) uses the current virtual time.
-        Originations from an unordered (late) delivery are floored to the
-        current group -- a stale tag would make them unorderably late at
-        every receiver, cascading one window miss across the network.
-        """
-        if self._current_entry is not None:
-            group = self._current_entry.group
-            if self._unordered_floor is not None:
-                group = max(group, self._unordered_floor)
-            return group
-        return self.vt
+        group = super()._event_group()
+        if self._unordered_floor is not None:
+            group = max(group, self._unordered_floor)
+        return group
 
     # ------------------------------------------------------------------
     # node-facing API
@@ -638,7 +586,7 @@ class DefinedShim(ReplayStack):
         The floor keeps the damage contained to this one delivery: timers
         and originations triggered by it are tagged with the *current*
         group, not the arrival's long-pruned one (see
-        :meth:`_timer_base_vt`).
+        :meth:`_event_group`).
         """
         self._unordered_floor = self.vt
         try:
@@ -665,30 +613,32 @@ class DefinedShim(ReplayStack):
         self.node.stats.unsends_received += 1
         unsend: Unsend = msg.payload
         uids = set(unsend.uids)
-        # messages still held in the future buffer are simply forgotten
-        held = {m.uid for m in self._future_buffer if m.uid in uids}
-        if held:
-            self._future_buffer = [
-                m for m in self._future_buffer if m.uid not in held
-            ]
-            self.node.stats.annihilated += len(held)
-            uids -= held
+        if self._future_buffer:
+            # messages still held in the future buffer are simply forgotten
+            still_held = []
+            for held in self._future_buffer:
+                if held.uid in uids:
+                    uids.discard(held.uid)
+                    self.node.stats.annihilated += 1
+                else:
+                    still_held.append(held)
+            self._future_buffer = still_held
         pruned_hits = sorted(u for u in uids if u in self._pruned_uid_log)
         if pruned_hits:
             self._retract_pruned(pruned_hits)
             uids -= set(pruned_hits)
-        hit_indices = [
-            i
-            for i, entry in enumerate(self.history.entries)
-            if entry.kind == "msg" and entry.msg is not None and entry.msg.uid in uids
-        ]
-        delivered_uids = {
-            self.history[i].msg.uid for i in hit_indices  # type: ignore[union-attr]
-        }
-        # anything not yet arrived will be annihilated on arrival
-        self._annihilate_pending.update(uids - delivered_uids)
-        if hit_indices:
-            self._rollback(min(hit_indices), [], removed_uids=uids)
+        history = self.history
+        index = len(history)
+        for uid in unsend.uids:
+            if uid in uids:
+                hit = history.index_of_uid(uid)
+                if hit is None:
+                    # not yet arrived: annihilated on arrival
+                    self._annihilate_pending.add(uid)
+                elif hit < index:
+                    index = hit
+        if index < len(history):
+            self._rollback(index, [], removed_uids=uids)
 
     def _retract_pruned(self, uids: list) -> None:
         """An unsend reached back *past* the pruned history window.
@@ -726,8 +676,8 @@ class DefinedShim(ReplayStack):
             u: (_shifted(idx), at) for u, (idx, at) in self._pruned_uid_log.items()
         }
 
-    def _unsend_outputs(self, rolled) -> None:
-        plan = collect_unsends(rolled)
+    def _unsend_outputs(self, retracted) -> None:
+        plan = collect_unsends(retracted)
         network = self.node.network
         for dst in sorted(plan):
             self.node.stats.unsends_sent += 1
@@ -745,23 +695,20 @@ class DefinedShim(ReplayStack):
             )
 
     def _rollback(self, index, new_entries, removed_uids: Set[int]) -> None:
-        if self._replaying:
+        if self._kept is not None:
             raise RuntimeError(
                 "rollback triggered during replay; replay must be in-order"
             )
-        # 1.-2. restore daemon + shim state from the divergence point and
-        # retract the rolled-back deliveries from the execution log
+        # 1.-3. restore daemon + shim state from the divergence point,
+        # retract the rolled-back deliveries from the execution log and
+        # keep what they emitted for the replay to adopt
         rolled = self._rewind(index)
-        depth = len(rolled)
-
-        # 3. anti-messages: unsend everything those deliveries emitted
-        self._unsend_outputs(rolled)
+        emitted = len(self._kept)
 
         # 4. replay inputs in the correct order, interleaving due timers
         rng = self._costs()
         total_cost = self.strategy.restore_cost_us(rng)
         self.node.stats.restore_cost_us += total_cost
-        self._replaying = True
         try:
             for chosen in self._replay_order(
                 plan_replay(rolled, new_entries, removed_uids)
@@ -771,8 +718,17 @@ class DefinedShim(ReplayStack):
                 self.node.stats.replay_cost_us += step_cost
                 self._deliver(chosen, self._take_checkpoint(), extra_delay_us=total_cost)
         finally:
-            self._replaying = False
-        self.node.stats.record_rollback(total_cost, depth)
+            retracted = self._end_replay()
+
+        # 5. anti-messages, in this same engine event: unsend only what
+        # the replay did not emit again
+        self._unsend_outputs(retracted)
+        self.node.stats.record_rollback(
+            total_cost,
+            len(rolled),
+            outputs_kept=emitted - len(retracted),
+            outputs_retracted=len(retracted),
+        )
 
     # ------------------------------------------------------------------
     # window pruning + memory accounting

@@ -65,6 +65,10 @@ class ProductionResult:
     packets_per_node_per_event: List[int] = field(default_factory=list)
     late_deliveries: int = 0
     rollbacks: int = 0
+    #: Daemon invocations the run made, rolled-back and re-executed ones
+    #: included; against the committed deliveries in ``logs`` it is the
+    #: useful-delivery ratio (``ReplayResult`` has the LS twin).
+    executed_deliveries: int = 0
     #: Slack-deficit distribution pooled across every DEFINED-RB node
     #: (``defined`` mode only): the measured history-window headroom.
     headroom: Optional[WindowHeadroomStats] = None
@@ -355,6 +359,7 @@ def run_production(
         packets_per_node_per_event=packet_deltas,
         late_deliveries=late,
         rollbacks=rollbacks,
+        executed_deliveries=net.run_stats.total_deliveries(),
         headroom=headroom,
         node_headroom=node_headroom,
         comprehensive_log=comp_log,
@@ -406,9 +411,7 @@ def run_ls_replay(
         logs=logs,
         step_times_us=list(net.run_stats.step_times_us),
         cycles=cycles,
-        executed_deliveries=sum(
-            stats.deliveries for stats in net.run_stats.per_node.values()
-        ),
+        executed_deliveries=net.run_stats.total_deliveries(),
         wall_seconds=time.perf_counter() - wall_start,
     )
 

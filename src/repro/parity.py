@@ -14,6 +14,14 @@ where the chain-delay model earns its keep) and emits one
 python version and diffs the outputs; any split is a determinism
 regression with a named cell attached.
 
+A change to the rollback protocol (lazy cancellation was one) moves both
+``flap-storm@20`` lines and must leave the ``crash-restart`` and
+``partition`` lines alone.  A production bundle carries its rollback
+count; and in the 300 ms super-beacon regime the fingerprint itself is a
+function of the timing seed (network seeds 1 / 2 / 3 / 1001 give four
+fingerprints, each equal to its own LS replay), because which
+re-emission meets a downed link depends on which rollbacks happen.
+
 Usage: ``python -m repro.parity [--out hashes.txt]``.
 """
 

@@ -31,6 +31,11 @@ class NodeStats:
     deliveries: int = 0
     rollbacks: int = 0
     messages_rolled_back: int = 0
+    #: Of the outputs rolled-back deliveries had emitted: re-emitted
+    #: identically by the replay and left on the wire (lazy cancellation)
+    #: vs. unsent because the replay no longer produced them.
+    outputs_kept: int = 0
+    outputs_retracted: int = 0
     unsends_sent: int = 0
     unsends_received: int = 0
     annihilated: int = 0
@@ -56,9 +61,13 @@ class NodeStats:
     def record_processing(self, cost_us: int) -> None:
         self.processing_samples_us.append(cost_us)
 
-    def record_rollback(self, cost_us: int, depth: int) -> None:
+    def record_rollback(
+        self, cost_us: int, depth: int, outputs_kept: int = 0, outputs_retracted: int = 0
+    ) -> None:
         self.rollbacks += 1
         self.messages_rolled_back += depth
+        self.outputs_kept += outputs_kept
+        self.outputs_retracted += outputs_retracted
         self.rollback_samples_us.append(cost_us)
 
     def record_memory(self, virtual_bytes: int, physical_bytes: int) -> None:
@@ -89,6 +98,10 @@ class RunStats:
 
     def total_rollbacks(self) -> int:
         return sum(s.rollbacks for s in self.per_node.values())
+
+    def total_deliveries(self) -> int:
+        """Daemon invocations, rolled-back and re-executed ones included."""
+        return sum(s.deliveries for s in self.per_node.values())
 
     def total_control_packets(self) -> int:
         return sum(

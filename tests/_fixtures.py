@@ -123,7 +123,9 @@ def scenario_resolution_digest(names: List[str], seed: int = 1) -> Dict[str, Tup
     return out
 
 
-def run_scenario_cell(name: str, mode: str, network_seed: int = 1, seed: int = 1):
+def run_scenario_cell(
+    name: str, mode: str, network_seed: int = 1, seed: int = 1, snapshots: str = "cow"
+):
     """One production run of scenario ``name`` as a sweep cell runs it:
     workload ``seed``, ``measure_convergence=False`` -- nothing in the
     run reads a routing table."""
@@ -144,6 +146,7 @@ def run_scenario_cell(name: str, mode: str, network_seed: int = 1, seed: int = 1
         settle_us=scenario.settle_us,
         tail_us=scenario.tail_us,
         tuning=scenario.tuning(graph, seed) if scenario.tuning else None,
+        snapshots=snapshots,
     )
 
 

@@ -144,7 +144,7 @@ class TestTags:
 
     def test_reset_for_replay_clears_delivery_state(self):
         e = entry(key(0, 1))
-        e.outputs.append((7, "d"))
+        e.outputs.append(Message(src="s", dst="d", protocol="p", payload=0, uid=7))
         e.log_index = 3
         e.reset_for_replay()
         assert e.outputs == [] and e.checkpoint is None and e.log_index == -1

@@ -7,6 +7,7 @@ from _fixtures import flap_schedule, run_scenario_cell, square_graph
 from repro.core.lockstep import LockstepCoordinator
 from repro.core.ordering import make_ordering
 from repro.core.recorder import Recording
+from repro.core.rollback import output_id
 from repro.harness import ospf_daemon_factory, run_production
 from repro.routing.base import Daemon
 from repro.simnet.messages import Annotation, Message
@@ -182,6 +183,11 @@ def force_full_reexecution(coordinator):
         )
 
 
+def emitted(stack):
+    """Output identity -> uid of everything the current group has on the wire."""
+    return {output_id(m): m.uid for entry in stack.history for m in entry.outputs}
+
+
 def observable_state(coordinator):
     """Everything a processing phase may change, per node."""
     out = {}
@@ -190,7 +196,7 @@ def observable_state(coordinator):
             stack.group_deliveries(),
             stack.daemon.state(),
             stack.timers.snapshot(),
-            stack._emitted,  # output identity -> uid: allocation order too
+            emitted(stack),  # output identity -> uid: allocation order too
             [msg.uid for msg in stack._send_buffer],
             stack._unsend_buffer,
         )
@@ -304,7 +310,7 @@ class TestSuffixReexecutionUnit:
             self.arrive(b, payload, delay_us)
         assert b._do_processing() == 3 + 3  # three deliveries, three forwards queued
         assert b.daemon.calls == ["m1", "m2", "m3"]
-        first_wave_uids = dict(b._emitted)
+        first_wave_uids = emitted(b)
 
         self.arrive(b, "m0", 3_000)  # sorts between m1 and m2
         b._do_processing()
@@ -315,16 +321,17 @@ class TestSuffixReexecutionUnit:
         keys = b.history.keys()
         assert list(keys) == sorted(keys) and len(keys) == 4
         # m1's forward kept its uid; nothing before the insertion point moved
-        kept = [oid for oid in first_wave_uids if oid in b._emitted]
+        now = emitted(b)
+        kept = [oid for oid in first_wave_uids if oid in now]
         assert len(kept) == 1
-        assert b._emitted[kept[0]] == first_wave_uids[kept[0]]
+        assert now[kept[0]] == first_wave_uids[kept[0]]
 
     def test_retracting_the_last_processed_input_executes_nothing(self, b):
         self.arrive(b, "m1", 2_000)
         last = self.arrive(b, "m2", 4_000)
         b._do_processing()
         b._send_buffer.clear()  # as a transmission phase would
-        forwarded_uid = max(b._emitted.values())
+        forwarded_uid = max(emitted(b).values())
 
         b._remove_uid(last.uid)
         assert b._do_processing() == 0 + 1  # nothing executed, one unsend owed

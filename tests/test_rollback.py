@@ -61,17 +61,21 @@ class TestFindRollbackIndex:
         assert find_rollback_index([mb, md, mc], ma) == 1
 
 
+def output(uid, dst):
+    return Message(src="n", dst=dst, protocol="p", payload=uid, uid=uid)
+
+
 class TestCollectUnsends:
     def test_groups_outputs_by_destination(self):
         entries = [
-            msg_entry(1, uid=1, outputs=[(10, "v"), (11, "u")]),
-            msg_entry(2, uid=2, outputs=[(12, "v")]),
+            msg_entry(1, uid=1, outputs=[output(12, "v"), output(11, "u")]),
+            msg_entry(2, uid=2, outputs=[output(10, "v")]),
         ]
-        plan = collect_unsends(entries)
-        assert plan == {"v": [10, 12], "u": [11]}
+        plan = collect_unsends(m for e in entries for m in e.outputs)
+        assert plan == {"v": [10, 12], "u": [11]}  # canonical: sorted per neighbour
 
     def test_empty_outputs_empty_plan(self):
-        assert collect_unsends([msg_entry(1)]) == {}
+        assert collect_unsends(msg_entry(1).outputs) == {}
 
 
 class TestPlanReplay:
@@ -104,7 +108,7 @@ class TestPlanReplay:
         assert [e.kind for e in plan] == ["ext"]
 
     def test_entries_are_reset(self):
-        rolled = [msg_entry(3, uid=3, outputs=[(1, "v")])]
+        rolled = [msg_entry(3, uid=3, outputs=[output(1, "v")])]
         plan = plan_replay(rolled, [], removed_uids=set())
         assert plan[0].outputs == []
 

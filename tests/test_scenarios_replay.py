@@ -147,8 +147,8 @@ class TestMessageConservation:
         sent = {}
         for nid, node in prod.network.nodes.items():
             for entry in node.stack.history.entries:
-                for uid, dst in entry.outputs:
-                    sent[uid] = dst
+                for msg in entry.outputs:
+                    sent[msg.uid] = msg.dst
         boot_uid_cap = 0
         delivered = {}
         for nid, node in prod.network.nodes.items():

@@ -7,7 +7,9 @@ what the eager code did (SPF plus two whole-table rewrites per accepted
 LSA: 12.0 barrier writes per delivery in ``defined``, 7.8 in ``vanilla``)
 and what the lazy code does (2.1 / 0.76).  The lockstep replay is held to the
 same kind of bound: daemon invocations and engine events per committed
-delivery, with its simulated-time results pinned exactly.
+delivery, with its simulated-time results pinned exactly.  So is the
+rollback regime: rollbacks and daemon invocations per committed delivery,
+between what retract-everything cost and what lazy cancellation costs.
 """
 
 import pytest
@@ -52,12 +54,49 @@ def test_a_sweep_cell_pays_for_nothing_it_does_not_read(
         assert calls["estimate_bytes"] > 0  # the journal sizes what it records
 
 
-def test_ls_replay_costs_less_daemon_work_than_the_run_it_verifies():
+@pytest.mark.parametrize(
+    "size, rollbacks_per_committed, executed_per_committed",
+    [
+        # retract-everything: 0.175 / 1.41; lazy cancellation: 0.058 / 1.18
+        (20, 0.10, 1.30),
+        # 0.334 / 2.32 -> 0.090 / 1.46
+        (40, 0.20, 1.90),
+        # 0.623 / 3.45 -> 0.316 / 2.19
+        pytest.param(60, 0.45, 2.80, marks=pytest.mark.slow),
+    ],
+)
+def test_a_rollback_unsends_only_what_its_replay_did_not_reproduce(
+    size, rollbacks_per_committed, executed_per_committed
+):
+    """Lazy cancellation, as counts: a rollback whose re-execution
+    re-emits an output byte for byte leaves it on the wire, so the
+    neighbours are not rolled back by an unsend and then again by the
+    identical copy.  Each bound sits between the cascade the
+    retract-everything protocol produced and what is measured now."""
+    prod = run_scenario_cell(f"flap-storm@{size}", "defined", network_seed=1001)
+    stats = prod.network.run_stats.per_node.values()
+    committed = sum(len(log) for log in prod.logs.values())
+    assert prod.rollbacks <= rollbacks_per_committed * committed
+    assert prod.executed_deliveries <= executed_per_committed * committed
+    kept = sum(s.outputs_kept for s in stats)
+    retracted = sum(s.outputs_retracted for s in stats)
+    assert kept > retracted > 0
+    if size == 40:
+        # 1.85 unsent uids per rollback when everything was retracted; 0.57
+        assert retracted <= prod.rollbacks
+
+
+def test_ls_replay_and_the_run_it_verifies_stay_near_the_committed_work():
     """DEFINED-LS re-executes a suffix, not a node's whole input set, and
-    spends one engine event per phase on markers, not one per node.  The
-    four exact figures were recorded before either change (full
-    re-execution, one ``marker:`` event per node per phase): folding the
-    markers moved no simulated time and dropped no control packet."""
+    spends one engine event per phase on markers, not one per node;
+    DEFINED-RB keeps the outputs a rollback reproduces, so its neighbours
+    re-execute less.  Both are held to an absolute multiple of the
+    committed deliveries (the replay used to be compared with the
+    production run, which now does *less* daemon work than it: 4 277
+    against 4 574 invocations).  The four exact figures were recorded
+    before any of this (full re-execution, one ``marker:`` event per
+    node per phase): neither folding the markers nor lazy cancellation
+    moved simulated time or a control packet of the replay."""
     from repro.harness import run_ls_replay
     from repro.sweep import get_scenario
 
@@ -68,14 +107,12 @@ def test_ls_replay_costs_less_daemon_work_than_the_run_it_verifies():
     )
     assert replay.fingerprint == prod.fingerprint
     committed = sum(len(log) for log in replay.logs.values())
-    production_executed = sum(
-        stats.deliveries for stats in prod.network.run_stats.per_node.values()
-    )
     # 8 875 (2.44 per committed delivery) when every late wave re-ran the
-    # node's whole input set; the production run itself needs 5 112
+    # node's whole input set; the production run needed 5 112 (1.41) when
+    # every rollback retracted all its outputs
     assert committed == 3_634
     assert replay.executed_deliveries <= 1.5 * committed
-    assert replay.executed_deliveries <= production_executed
+    assert prod.executed_deliveries <= 1.25 * committed
     assert replay.network.sim.events_executed <= 9 * committed  # was 12.46
 
     assert replay.cycles == 359
