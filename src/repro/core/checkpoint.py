@@ -47,18 +47,13 @@ from typing import Any, Optional, Tuple
 DEFAULT_PROCESS_BYTES = 100 * 1024 * 1024
 
 
-def _gauss_us(rng: random.Random, mu: float, sigma: float, floor: float) -> int:
-    """A truncated-Gaussian cost draw in microseconds."""
-    return int(max(floor, rng.gauss(mu, sigma)))
-
-
 def baseline_processing_model(rng: random.Random) -> int:
     """Per-message processing cost of the *unmodified* daemon.
 
     This is the "XORP" line in Figure 7b: most packets take well under
-    0.2 ms to process.
+    0.2 ms to process: N(80, 40) us, floored at 10 us.
     """
-    return _gauss_us(rng, mu=80.0, sigma=40.0, floor=10.0)
+    return int(max(10.0, rng.gauss(80.0, 40.0)))
 
 
 @dataclass
@@ -96,14 +91,18 @@ class CheckpointStrategy:
     #: reports <2% inflation over an entire run).
     physical_share: float = 0.02
 
+    # every draw is a truncated Gaussian in microseconds: max(floor, N(mu, sigma))
     def delivery_cost_us(self, rng: random.Random) -> int:
-        return _gauss_us(rng, self.delivery_mu, self.delivery_sigma, self.delivery_floor)
+        draw = rng.gauss(self.delivery_mu, self.delivery_sigma)
+        return int(max(self.delivery_floor, draw))
 
     def restore_cost_us(self, rng: random.Random) -> int:
-        return _gauss_us(rng, self.restore_mu, self.restore_sigma, self.restore_floor)
+        draw = rng.gauss(self.restore_mu, self.restore_sigma)
+        return int(max(self.restore_floor, draw))
 
     def replay_cost_us(self, rng: random.Random) -> int:
-        return _gauss_us(rng, self.replay_mu, self.replay_sigma, self.replay_floor)
+        draw = rng.gauss(self.replay_mu, self.replay_sigma)
+        return int(max(self.replay_floor, draw))
 
     def memory_bytes(
         self,

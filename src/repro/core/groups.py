@@ -23,6 +23,14 @@ load-bearing -- group tagging of external events must not depend on the
 jitter seed, or DEFINED-RB's execution would not be reproducible.
 Footnote 2 of the paper discusses exactly this sensitivity (and the
 subnetwork remedy for very large diameters).
+
+A tick's beacons cost one engine event per *arrival instant*, not one
+per node (:meth:`~repro.simnet.network.Network.fan_out_deterministic`):
+every node hears the beacon at the same depth, so without clock skew a
+tick is one event, and each distinct skew adds one.  The order within an
+instant is unchanged -- node-id order -- because one event per node,
+scheduled back to back in node-id order, held consecutive sequence
+numbers at the same time: nothing could run between them.
 """
 
 from __future__ import annotations
@@ -93,9 +101,10 @@ class BeaconService:
             delays = self.network.delay_matrix()[leader]
             depth = max(delays.values()) if delays else 0
             skews = self.network.clock_skew_us
-            for node_id in self.network.node_ids():
-                if node_id not in delays:
-                    continue  # partitioned from the leader (footnote 2)
+            sends = []
+            # nodes missing from ``delays`` are partitioned from the
+            # leader (footnote 2) and receive nothing
+            for node_id in sorted(delays):
                 beacon = Message(
                     src=leader,
                     dst=node_id,
@@ -110,8 +119,9 @@ class BeaconService:
                 # skew is configuration, not a jitter draw -- and replay
                 # is unaffected because recordings carry group numbers.
                 delay = depth + skews.get(node_id, 0) if skews else depth
-                self.network.transmit_deterministic(beacon, max(0, delay))
-                self.beacons_sent += 1
+                sends.append((beacon, max(0, delay)))
+            self.network.fan_out_deterministic(sends)
+            self.beacons_sent += len(sends)
         self._handle = self.network.sim.schedule(
             self.interval_us, self._tick, label="beacon-tick"
         )

@@ -280,6 +280,13 @@ class DeliveredHistory:
         with that key appearing, changing or disappearing."""
         return bisect.bisect_left(self._keys, key)
 
+    def locate(self, key: OrderKey) -> Tuple[int, bool]:
+        """:meth:`lower_bound` of ``key``, and whether the entry there
+        has exactly ``key`` -- one bisection for callers that need both."""
+        keys = self._keys
+        i = bisect.bisect_left(keys, key)
+        return i, i < len(keys) and keys[i] == key
+
     def insertion_index(self, key: OrderKey) -> int:
         """Where ``key`` would slot into the current window.
 
@@ -287,8 +294,8 @@ class DeliveredHistory:
         to deliver speculatively); anything smaller means a rollback to
         that index is required.
         """
-        i = self.lower_bound(key)
-        if i < len(self._keys) and self._keys[i] == key:
+        i, exact = self.locate(key)
+        if exact:
             raise ValueError(f"duplicate ordering key {key}")
         return i
 
@@ -299,10 +306,8 @@ class DeliveredHistory:
         a receiver *before* the unsend for the original copy; it carries
         the same deterministic key and must *replace* the original.
         """
-        i = self.lower_bound(key)
-        if i < len(self._keys) and self._keys[i] == key:
-            return i
-        return None
+        i, exact = self.locate(key)
+        return i if exact else None
 
     def index_of_uid(self, uid: int) -> Optional[int]:
         """Index of the delivered message with this uid, or None."""

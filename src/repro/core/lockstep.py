@@ -104,7 +104,15 @@ class LockstepStack(ReplayStack):
         #: (they are production-measured configuration); the debugging
         #: network's own link characteristics are irrelevant to them.
         self.hop_cost_us = recording.hop_cost_us
-        self._delay_estimates = recording.delay_estimates
+        #: The link term of d_i per neighbour, bound once: the recorded
+        #: estimate, else (a recording that carries none) this network's.
+        me, network = node.node_id, node.network
+        self._link_estimates: Dict[str, int] = {}
+        for dst in network.all_neighbors(me):
+            estimate = recording.delay_estimates.get(f"{me}>{dst}")
+            self._link_estimates[dst] = (
+                estimate if estimate is not None else network.avg_link_delay_us(me, dst)
+            )
         #: Chain-delay spill bound: the *production* beacon interval, from
         #: the recording (the debugging network's own interval is
         #: irrelevant -- annotations must match production bit for bit).
@@ -158,10 +166,9 @@ class LockstepStack(ReplayStack):
         parent: Optional[Message] = None,
         size_bytes: int = 64,
     ) -> None:
-        link_estimate = self._delay_estimates.get(f"{self.node.node_id}>{dst}")
-        if link_estimate is None:
-            link_estimate = self.node.network.avg_link_delay_us(self.node.node_id, dst)
-        msg = self._outgoing(dst, protocol, payload, parent, size_bytes, link_estimate)
+        msg = self._outgoing(
+            dst, protocol, payload, parent, size_bytes, self._link_estimates[dst]
+        )
         if send_identity(msg) in self.drops:
             return  # the production network never delivered this message
         entry = self._current_entry
@@ -300,12 +307,7 @@ class LockstepStack(ReplayStack):
         if self.transport.idle():
             self._marker(count)
         else:
-            self.sim.schedule(
-                self.poll_us,
-                self._await_idle,
-                count,
-                label=f"idlepoll:{self.node.node_id}",
-            )
+            self.sim.schedule(self.poll_us, self._await_idle, count)
 
     # ------------------------------------------------------------------
     # processing phase
@@ -499,11 +501,7 @@ class LockstepCoordinator:
         self._phase_done = not payloads
         for node_id, payload in sorted(payloads.items()):
             self.network.sim.schedule(
-                self.delay_to(node_id),
-                self._deliver_ctrl,
-                node_id,
-                payload,
-                label=f"barrier:{node_id}",
+                self.delay_to(node_id), self._deliver_ctrl, node_id, payload
             )
 
     def _deliver_ctrl(self, node_id: str, payload: Dict[str, Any]) -> None:
@@ -522,9 +520,7 @@ class LockstepCoordinator:
         self._last_marker_us = max(self._last_marker_us, arrives_us)
         if len(self._counts) == self._expected:
             sim = self.network.sim
-            sim.schedule(
-                self._last_marker_us - sim.now, self._end_phase, label="barrier:done"
-            )
+            sim.schedule(self._last_marker_us - sim.now, self._end_phase)
 
     def _end_phase(self) -> None:
         self._phase_done = True

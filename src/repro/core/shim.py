@@ -352,14 +352,11 @@ class DefinedShim(ReplayStack):
         size_bytes: int = 64,
     ) -> None:
         network = self.node.network
-        link = network.link_between(self.node.node_id, dst)
-        if link is None:
-            raise ValueError(f"{self.node.node_id} has no link to {dst}")
-        msg = self._outgoing(
-            dst, protocol, payload, parent, size_bytes,
-            link.avg_delay_us(self.node.node_id),
+        link, src_node, dst_node, model, _jitter, _fifo = network.route(
+            self.node.node_id, dst
         )
-        deliverable = link.up and self.node.up and network.nodes[dst].up
+        msg = self._outgoing(dst, protocol, payload, parent, size_bytes, model.avg_us)
+        deliverable = link.up and src_node.up and dst_node.up
         entry = self._current_entry
         kept = self._adopt(msg) if deliverable else None
         if kept is not None:
@@ -464,6 +461,8 @@ class DefinedShim(ReplayStack):
             self._admit_data(msg)
 
     def _fire_due_timers(self) -> None:
+        if self.timers.next_due(self.vt) is None:
+            return
         for entry in self._replay_order(()):
             self._admit(entry)
 
@@ -496,25 +495,28 @@ class DefinedShim(ReplayStack):
             msg=msg,
             group=msg.annotation.group,
         )
-        existing = self.history.find_exact(entry.key)
-        if existing is not None:
+        index, exact = self.history.locate(entry.key)
+        if exact:
             # Anti-message race: the upstream node rolled back and re-sent
             # this logical message, and the copies arrived out of send
             # order relative to the unsend.  Uids are globally increasing,
             # so the higher uid is the live version: replace a stale
             # delivery, or drop a stale arrival.
-            held = self.history[existing]
+            held = self.history[index]
             assert held.kind == "msg" and held.msg is not None
             if msg.uid > held.msg.uid:
-                self._rollback(existing, [entry], removed_uids={held.msg.uid})
+                self._rollback(index, [entry], removed_uids={held.msg.uid})
             else:
                 # stale original outrun by its replacement: drop it here;
                 # its unsend (still in flight) will find nothing to do
                 self.node.stats.annihilated += 1
             return
-        self._admit(entry)
+        self._admit(entry, index)
 
-    def _admit(self, entry: HistoryEntry) -> None:
+    def _admit(self, entry: HistoryEntry, index: Optional[int] = None) -> None:
+        """Deliver ``entry`` speculatively, or roll back to make room for
+        it.  ``index`` is its insertion point, when the caller already
+        located it."""
         if self.history.is_late(entry.key):
             # The window failed to cover this arrival; determinism is no
             # longer guaranteed for it.  Count it, surface the slack
@@ -533,7 +535,8 @@ class DefinedShim(ReplayStack):
             self._record_window_deficit(deficit)
             self._deliver_unordered(entry)
             return
-        index = self.history.insertion_index(entry.key)
+        if index is None:
+            index = self.history.insertion_index(entry.key)
         if index == len(self.history):
             self._speculative_deliver(entry)
         else:
@@ -753,20 +756,21 @@ class DefinedShim(ReplayStack):
 
     def _prune_window(self) -> None:
         cutoff = self.sim.now - self.window_us()
-        if cutoff <= 0:
-            return
+        history = self.history
+        if cutoff <= 0 or not history or history[0].delivered_at_us >= cutoff:
+            return  # the oldest entry has not aged out: nothing to prune
         dropped: list = []
-        pruned = self.history.prune_before_time(cutoff, collect=dropped)
+        pruned = history.prune_before_time(cutoff, collect=dropped)
         for entry in dropped:
             if entry.kind == "msg" and entry.msg is not None and entry.log_index >= 0:
                 self._pruned_uid_log[entry.msg.uid] = (
                     entry.log_index,
                     entry.delivered_at_us,
                 )
-        if pruned and self._store is not None and len(self.history):
+        if pruned and self._store is not None and history:
             # entries older than the window can never be rolled back to
             # again (Lemma 2): release their private copies in the store
-            oldest = self.history[0].checkpoint
+            oldest = history[0].checkpoint
             if oldest is not None:
                 self._store.release_before(oldest.app_state)
 

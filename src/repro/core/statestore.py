@@ -380,9 +380,25 @@ def _unwrap_sanitized(value: Any) -> Any:
 
 def estimate_bytes(value: Any, depth: int = 0) -> int:
     """Cheap recursive size estimate (not sys.getsizeof exactness; the
-    cost models only need a stable, monotone proxy)."""
+    cost models only need a stable, monotone proxy).
+
+    Exact ``str``, ``int``, ``None`` and ``tuple`` -- what journal keys
+    and values almost always are -- are sized before the ``isinstance``
+    chain; subclasses (``bool``, enums, named tuples) fall through to it
+    and size as their base type.
+    """
     if depth > 6:
         return 8
+    kind = type(value)
+    if kind is str:
+        return 48 + len(value)
+    if kind is int or value is None:
+        return 16
+    if kind is tuple:
+        total = 24
+        for item in value:
+            total += estimate_bytes(item, depth + 1)
+        return total
     if isinstance(value, dict):
         return 32 + sum(
             estimate_bytes(k, depth + 1) + estimate_bytes(v, depth + 1)
@@ -727,6 +743,9 @@ class StateStore:
         #: sweeps can opt in without threading a flag everywhere.
         self._sanitize = _env_sanitize() if sanitize is None else bool(sanitize)
         self._namespaces: Dict[str, Namespace] = {}
+        #: ``tuple(self._namespaces)``, rebuilt only when one is added:
+        #: every snapshot records it.
+        self._known: Tuple[str, ...] = ()
         self._version = 0
         self._snapshots: List[_SnapshotRecord] = []
         self._private_bytes = 0
@@ -763,6 +782,7 @@ class StateStore:
         if ns is None:
             ns = Namespace(name, store=self)
             self._namespaces[name] = ns
+            self._known = tuple(self._namespaces)
         return ns
 
     def namespaces(self) -> Tuple[str, ...]:
@@ -786,14 +806,14 @@ class StateStore:
                 name: copy.deepcopy(ns._data)
                 for name, ns in self._namespaces.items()
             }
-            record = _SnapshotRecord(self._version, tuple(self._namespaces))
+            record = _SnapshotRecord(self._version, self._known)
             record.bytes = self.live_bytes()
             self._snapshots.append(record)
             self._private_bytes += record.bytes
             self._top = record
             self._gen += 1
             return StoreVersion(self._version, payload)
-        record = _SnapshotRecord(self._version, tuple(self._namespaces))
+        record = _SnapshotRecord(self._version, self._known)
         self._snapshots.append(record)
         self._top = record
         self._gen += 1

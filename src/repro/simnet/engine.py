@@ -157,6 +157,9 @@ class Simulator:
 
         ``delay_us`` must be non-negative; a zero delay runs the callback
         after all events already scheduled for the current instant.
+        ``label`` exists only for :meth:`EventHandle.__repr__`; hot paths
+        (packets, frames, barriers, polls) pass none rather than format
+        a string nobody reads.
         """
         if delay_us < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_us})")

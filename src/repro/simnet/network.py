@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.simnet.engine import Simulator
 from repro.simnet.events import (
@@ -37,6 +37,20 @@ DEFAULT_TIME_UNIT_US = 250_000
 
 StackFactory = Callable[[Node], Stack]
 DaemonFactory = Callable[[str, Stack], object]
+
+
+class Route(NamedTuple):
+    """What a packet from ``src`` to an adjacent ``dst`` needs, bound once
+    per directed pair by :meth:`Network.route`."""
+
+    link: Link
+    src: Node
+    dst: Node
+    model: DelayModel
+    #: The direction's jitter/loss stream, ``jitter|<link id>|<src>``.
+    jitter: random.Random
+    #: ``(link id, src)``: the direction's key in the FIFO clamp.
+    fifo_key: Tuple[str, str]
 
 
 class Network:
@@ -69,6 +83,8 @@ class Network:
         #: i.i.d. per-packet jitter would shuffle back-to-back bursts
         #: (e.g. a database exchange), which no real wire does.
         self._fifo_front: Dict[Tuple[str, str], int] = {}
+        #: ``(src, dst) -> Route``, filled by :meth:`route` on first use.
+        self._routes: Dict[Tuple[str, str], Route] = {}
         #: Messages annihilated in flight by an anti-message; checked at
         #: delivery time.  Maintained by the DEFINED-RB shims via
         #: :meth:`annihilate`.
@@ -173,11 +189,7 @@ class Network:
             if stagger_us <= 0:
                 self.nodes[node_id].start()
             else:
-                self.sim.schedule(
-                    index * stagger_us,
-                    self.nodes[node_id].start,
-                    label=f"boot:{node_id}",
-                )
+                self.sim.schedule(index * stagger_us, self.nodes[node_id].start)
 
     # ------------------------------------------------------------------
     # topology queries
@@ -188,6 +200,29 @@ class Network:
 
     def link_between(self, a: str, b: str) -> Optional[Link]:
         return self.links.get(self._link_key(a, b))
+
+    def route(self, src: str, dst: str) -> Route:
+        """The :class:`Route` from ``src`` to ``dst``, bound on first use.
+
+        Links, their delay models and the named streams are fixed once
+        the topology is built, so every later packet on the pair reuses
+        them instead of re-deriving them.  Raises ``ValueError`` when the
+        two nodes are not adjacent.
+        """
+        route = self._routes.get((src, dst))
+        if route is None:
+            link = self.link_between(src, dst)
+            if link is None:
+                raise ValueError(f"no link for {src}->{dst}")
+            route = self._routes[src, dst] = Route(
+                link,
+                self.nodes[src],
+                self.nodes[dst],
+                link.model_for(src),
+                self.rng_stream(f"jitter|{link.link_id}|{src}"),
+                (link.link_id, src),
+            )
+        return route
 
     def live_neighbors(self, node_id: str) -> List[str]:
         """Neighbors reachable over up links to up nodes, sorted."""
@@ -209,10 +244,7 @@ class Network:
     # deterministic delay estimates (the paper's measured average delays)
     # ------------------------------------------------------------------
     def avg_link_delay_us(self, src: str, dst: str) -> int:
-        link = self.link_between(src, dst)
-        if link is None:
-            raise ValueError(f"no link {src}-{dst}")
-        return link.avg_delay_us(src)
+        return self.route(src, dst).model.avg_us
 
     def delay_matrix(self) -> Dict[str, Dict[str, int]]:
         """All-pairs shortest path delays over average link delays.
@@ -345,12 +377,7 @@ class Network:
                         else 0
                     )
                     self.fault_stats["reordered"] += 1
-                    self.sim.schedule(
-                        delay + extra,
-                        self._deliver,
-                        msg,
-                        label=f"deliver:{msg.uid}",
-                    )
+                    self.sim.schedule(delay + extra, self._deliver, msg)
                     return True
             elif fault.kind == "duplicate":
                 if frng.random() < fault.probability:
@@ -362,12 +389,7 @@ class Network:
                     self.fault_stats["duplicated"] += 1
                     self._dup_pending.add(msg.uid)
                     copy_delay = model.sample_us(frng) + extra_delay_us
-                    self.sim.schedule(
-                        copy_delay,
-                        self._deliver,
-                        msg,
-                        label=f"deliver-dup:{msg.uid}",
-                    )
+                    self.sim.schedule(copy_delay, self._deliver, msg)
         return False
 
     # ------------------------------------------------------------------
@@ -386,7 +408,11 @@ class Network:
         self._uid += 1
         return self._uid
 
-    def _count_sent(self, msg: Message) -> None:
+    def _stamp(self, msg: Message) -> None:
+        """Per-message send accounting: uid, send time, sender counters."""
+        if msg.uid < 0:
+            msg.uid = self.next_uid()
+        msg.sent_at_us = self.sim.now
         stats = self.nodes[msg.src].stats
         if msg.protocol == "_beacon":
             pass  # beacons are constant background, tracked at receivers
@@ -406,19 +432,10 @@ class Network:
         The packet is dropped (silently, as in a real network) when the
         link is down, an endpoint is down, or the loss model fires.
         """
-        if msg.uid < 0:
-            msg.uid = self.next_uid()
-        msg.sent_at_us = self.sim.now
-        src_node = self.nodes[msg.src]
-        self._count_sent(msg)
-
-        link = self.link_between(msg.src, msg.dst)
-        if link is None:
-            raise ValueError(f"no link for {msg.src}->{msg.dst}")
-        if not link.up or not src_node.up or not self.nodes[msg.dst].up:
+        self._stamp(msg)
+        link, src_node, dst_node, model, rng, fifo_key = self.route(msg.src, msg.dst)
+        if not link.up or not src_node.up or not dst_node.up:
             return msg.uid
-        model = link.model_for(msg.src)
-        rng = self.rng_stream(f"jitter|{link.link_id}|{msg.src}")
         if model.sample_loss(rng):
             return msg.uid
         delay = model.sample_us(rng) + extra_delay_us
@@ -426,29 +443,44 @@ class Network:
             link, msg, model, delay, extra_delay_us
         ):
             return msg.uid
-        fifo_key = (link.link_id, msg.src)
-        arrival = max(
-            self.sim.now + delay, self._fifo_front.get(fifo_key, 0) + 1
-        )
+        now = self.sim.now
+        arrival = max(now + delay, self._fifo_front.get(fifo_key, 0) + 1)
         self._fifo_front[fifo_key] = arrival
-        self.sim.schedule(
-            arrival - self.sim.now, self._deliver, msg, label=f"deliver:{msg.uid}"
-        )
+        self.sim.schedule(arrival - now, self._deliver, msg)
         return msg.uid
 
     def transmit_deterministic(self, msg: Message, delay_us: int) -> int:
-        """Transmit with an exact delay and no loss (beacons, LS barriers).
+        """Transmit with an exact delay and no loss (anti-messages).
 
         Bypasses link lookup: used for traffic whose propagation must be
-        reproducible (beacon distribution trees, coordinator barriers),
-        with delays taken from the deterministic :meth:`delay_matrix`.
+        reproducible, with delays taken from the deterministic average
+        link delays or :meth:`delay_matrix`.
         """
-        if msg.uid < 0:
-            msg.uid = self.next_uid()
-        msg.sent_at_us = self.sim.now
-        self._count_sent(msg)
-        self.sim.schedule(delay_us, self._deliver, msg, label=f"deliver:{msg.uid}")
+        self._stamp(msg)
+        self.sim.schedule(delay_us, self._deliver, msg)
         return msg.uid
+
+    def fan_out_deterministic(self, sends: Iterable[Tuple[Message, int]]) -> None:
+        """:meth:`transmit_deterministic` for ``(msg, delay_us)`` pairs
+        sent at one instant (a beacon tick): one engine event per distinct
+        delay, which hands that arrival instant's messages to
+        :meth:`_deliver` in ``sends`` order.
+
+        Same execution as one event per message: those events would have
+        been scheduled back to back, so each arrival instant's share held
+        consecutive sequence numbers -- nothing else could run between
+        them, and they ran in ``sends`` order.
+        """
+        instants: Dict[int, List[Message]] = {}
+        for msg, delay_us in sends:
+            self._stamp(msg)
+            instants.setdefault(delay_us, []).append(msg)
+        for delay_us in sorted(instants):
+            self.sim.schedule(delay_us, self._deliver_each, instants[delay_us])
+
+    def _deliver_each(self, msgs: List[Message]) -> None:
+        for msg in msgs:
+            self._deliver(msg)
 
     def _deliver(self, msg: Message) -> None:
         if msg.uid in self._dup_suppress:
@@ -485,9 +517,7 @@ class Network:
     # ------------------------------------------------------------------
     def schedule_events(self, schedule: EventSchedule) -> None:
         for event in schedule:
-            self.sim.schedule_at(
-                event.time_us, self.apply_event, event, label=f"ext:{event.kind}"
-            )
+            self.sim.schedule_at(event.time_us, self.apply_event, event)
 
     def apply_event(self, event: ExternalEvent) -> None:
         """Apply an external event *now* and notify observing nodes."""

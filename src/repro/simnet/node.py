@@ -47,6 +47,8 @@ class Stack(abc.ABC):
 
     def __init__(self, node: "Node") -> None:
         self.node = node
+        #: The network's engine (a network keeps one for its lifetime).
+        self.sim = node.network.sim
         #: Ordered log of events delivered to the daemon, as stable string
         #: tags.  The set of per-node logs is the run's *fingerprint*:
         #: two runs with equal fingerprints are the same execution in the
@@ -129,10 +131,6 @@ class Stack(abc.ABC):
     def daemon(self):
         return self.node.daemon
 
-    @property
-    def sim(self):
-        return self.node.network.sim
-
 
 class Node:
     """A host: daemon + stack + liveness state."""
@@ -143,10 +141,8 @@ class Node:
         self.up = True
         self.stack: Optional[Stack] = None
         self.daemon = None
-
-    @property
-    def stats(self):
-        return self.network.run_stats.node(self.node_id)
+        #: This node's counters in the network's :class:`RunStats`.
+        self.stats = network.run_stats.node(node_id)
 
     def start(self) -> None:
         if self.stack is None:
@@ -243,10 +239,7 @@ class VanillaStack(Stack):
                 -self.timer_jitter_us, self.timer_jitter_us
             )
         handle = self.sim.schedule(
-            max(0, delay_units * unit_us + jitter),
-            self._fire_timer,
-            key,
-            label=f"timer:{self.node.node_id}:{key}",
+            max(0, delay_units * unit_us + jitter), self._fire_timer, key
         )
         self._timers[key] = handle
 

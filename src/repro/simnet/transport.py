@@ -121,13 +121,7 @@ class ReliableTransport:
         if attempt > 0:
             self.retransmissions += 1
         handle = self.network.sim.schedule(
-            self.rto_us,
-            self._on_timeout,
-            dst,
-            seq,
-            msg,
-            attempt,
-            label=f"rto:{self.node_id}->{dst}:{seq}",
+            self.rto_us, self._on_timeout, dst, seq, msg, attempt
         )
         self._outstanding[(dst, seq)] = (msg, handle, attempt)
 

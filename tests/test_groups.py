@@ -3,7 +3,7 @@
 from repro.core.groups import BeaconService
 from repro.core.recorder import Recorder
 from repro.simnet.network import build_network
-from repro.simnet.node import VanillaStack
+from repro.simnet.node import Node, VanillaStack
 
 
 def beacon_net():
@@ -71,6 +71,76 @@ class TestBeaconing:
         service.start()
         net.run(until_us=750_000)
         assert recorder.recording().horizon_group == 3
+
+
+class TestBeaconInstants:
+    """A tick's beacons travel as one engine event per arrival instant;
+    what every node observes must be what one event per beacon gave."""
+
+    INTERVAL = 250_000
+    DEPTH = 4_500  # a -> d over the line's average delays
+    SKEWS = {"b": 5_000, "c": 5_000, "d": -2_000}  # e is partitioned
+
+    def skewed_line(self, monkeypatch):
+        net = build_network(
+            [("a", "b", 1_000), ("b", "c", 2_000), ("c", "d", 1_500)],
+            jitter_us=0,
+            time_unit_us=self.INTERVAL,
+        )
+        net.add_node("e")  # no links: unreachable from the leader
+        net.clock_skew_us.update(self.SKEWS)
+        net.attach(lambda node: VanillaStack(node, timer_jitter_us=0))
+        arrivals = []
+        deliver = Node.deliver
+
+        def spy(node, msg):
+            if msg.protocol == "_beacon":
+                arrivals.append((net.sim.now, node.node_id, msg.payload, msg.uid))
+            deliver(node, msg)
+
+        monkeypatch.setattr(Node, "deliver", spy)
+        return net, arrivals
+
+    def expected(self, group):
+        """One event per beacon, as the per-node formula puts them:
+        ``depth + skew`` after the tick, node-id order within an instant."""
+        tick = group * self.INTERVAL
+        return sorted(
+            (tick + max(0, self.DEPTH + self.SKEWS.get(node_id, 0)), node_id)
+            for node_id in "abcd"
+        )
+
+    def test_arrivals_match_one_event_per_beacon(self, monkeypatch):
+        net, arrivals = self.skewed_line(monkeypatch)
+        service = BeaconService(net)
+        service.start()
+        instants = len({self.DEPTH + self.SKEWS.get(n, 0) for n in "abcd"})
+        assert instants == 3
+        for group in range(1, 5):
+            tick = group * self.INTERVAL
+            net.run(until_us=tick - 1)
+            before = net.sim.events_executed
+            net.run(until_us=tick + 20_000)
+            assert net.sim.events_executed - before == 1 + instants
+            got = [(t, n) for t, n, g, _uid in arrivals if g == group]
+            assert got == self.expected(group)
+            uids = [uid for _t, n, _g, uid in sorted(
+                (a for a in arrivals if a[2] == group), key=lambda a: a[1]
+            )]
+            assert uids == list(range(uids[0], uids[0] + 4))
+        stats = net.run_stats
+        assert service.beacons_sent == 16
+        assert stats.node("a").bytes_sent == 16 * 16
+        assert [stats.node(n).beacons_received for n in "abcde"] == [4, 4, 4, 4, 0]
+
+    def test_node_down_before_its_beacon_lands_receives_nothing(self, monkeypatch):
+        net, _arrivals = self.skewed_line(monkeypatch)
+        BeaconService(net).start()
+        net.run(until_us=self.INTERVAL + 1)  # the tick fired; b's beacon is out
+        net.nodes["b"].set_up(False)
+        net.run(until_us=self.INTERVAL + 20_000)
+        assert net.run_stats.node("b").beacons_received == 0
+        assert net.run_stats.node("c").beacons_received == 1  # same instant
 
 
 class TestLeaderElection:

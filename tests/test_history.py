@@ -62,6 +62,10 @@ class TestInsertion:
         history.append(entry(key(0, 3)))
         assert history.find_exact(key(0, 3)) == 1
         assert history.find_exact(key(0, 2)) is None
+        # one bisection answers both questions the shim's admission asks
+        assert history.locate(key(0, 3)) == (1, True)
+        assert history.locate(key(0, 2)) == (1, False)
+        assert history.locate(key(0, 4)) == (2, False)
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=60, unique=True))
     def test_property_insertion_index_equals_sorted_position(self, majors):

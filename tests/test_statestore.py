@@ -1,5 +1,8 @@
 """Unit and property tests for the copy-on-write snapshot store."""
 
+import enum
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -328,6 +331,83 @@ def test_property_store_matches_deepcopy_model(ops, strategy):
             for table in store.materialize().values() for k, v in table.items()
         )
         assert store.private_bytes() == sum(sum(r.values()) for r in journal)
+
+
+def _estimate_bytes_reference(value, depth=0):
+    """The plain ``isinstance`` chain ``estimate_bytes`` must agree with."""
+    if depth > 6:
+        return 8
+    if isinstance(value, dict):
+        return 32 + sum(
+            _estimate_bytes_reference(k, depth + 1)
+            + _estimate_bytes_reference(v, depth + 1)
+            for k, v in value.items()
+        )
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return 24 + sum(_estimate_bytes_reference(v, depth + 1) for v in value)
+    if isinstance(value, str):
+        return 48 + len(value)
+    if isinstance(value, (int, float, bool)) or value is None:
+        return 16
+    return 64
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    GREEN = 2
+
+
+class _Name(str):
+    pass
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+_leaves = st.one_of(
+    st.text(max_size=6),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(list(_Colour)),
+    st.text(max_size=4).map(_Name),
+)
+_sized = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.builds(_Pair, inner, inner),
+        st.dictionaries(_leaves, inner, max_size=4),
+        st.sets(_leaves, max_size=4),
+        st.frozensets(_leaves, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _nested(value, layers, wrap):
+    for _ in range(layers):
+        value = wrap(value)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=_sized,
+    layers=st.integers(0, 10),
+    wrap=st.sampled_from([lambda v: (v,), lambda v: [v], lambda v: {"k": v},
+                          lambda v: _Pair(v, None)]),
+)
+def test_estimate_bytes_agrees_with_the_isinstance_chain(value, layers, wrap):
+    """Dispatching on the exact type first changes no size: subclasses
+    (``bool``, ``IntEnum``, ``str`` subclasses, named tuples) and values
+    nested past the depth cut-off size as the plain chain sizes them."""
+    deep = _nested(value, layers, wrap)
+    assert estimate_bytes(deep) == _estimate_bytes_reference(deep)
 
 
 def test_figure_7c_memory_samples_are_pinned():

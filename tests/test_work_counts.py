@@ -10,6 +10,8 @@ same kind of bound: daemon invocations and engine events per committed
 delivery, with its simulated-time results pinned exactly.  So is the
 rollback regime: rollbacks and daemon invocations per committed delivery,
 between what retract-everything cost and what lazy cancellation costs.
+So is the quiet path: engine events per beacon tick and link lookups per
+packet.
 """
 
 import pytest
@@ -84,6 +86,47 @@ def test_a_rollback_unsends_only_what_its_replay_did_not_reproduce(
     if size == 40:
         # 1.85 unsent uids per rollback when everything was retracted; 0.57
         assert retracted <= prod.rollbacks
+
+
+def test_the_quiet_path_pays_once_per_beacon_instant_and_per_route(monkeypatch):
+    """One engine event per beacon arrival instant instead of one per
+    beacon, and one link lookup per directed pair instead of one per
+    packet.  5 170 events and 5 084 ``Node.deliver`` calls were recorded
+    when every beacon was its own event and every packet looked its link
+    up; no delivery may move, only the per-beacon events may go."""
+    import sys
+
+    from repro.simnet.network import Network
+    from repro.simnet.node import Node
+
+    delivered = {"calls": 0}
+    beacon_instants = set()
+    lookups = []
+    deliver, link_between = Node.deliver, Network.link_between
+
+    def counting_deliver(self, msg):
+        delivered["calls"] += 1
+        if msg.protocol == "_beacon":
+            beacon_instants.add(self.network.sim.now)
+        return deliver(self, msg)
+
+    def counting_link_between(self, a, b):
+        lookups.append((sys._getframe(1).f_code.co_name, a, b))
+        return link_between(self, a, b)
+
+    monkeypatch.setattr(Node, "deliver", counting_deliver)
+    monkeypatch.setattr(Network, "link_between", counting_link_between)
+    prod = run_scenario_cell("flap-storm@20", "defined", network_seed=1001)
+    net = prod.network
+    beacons = sum(s.beacons_received for s in net.run_stats.per_node.values())
+    assert beacons == 1_720 and len(beacon_instants) == 86
+    assert net.sim.events_executed == 5_170 - (beacons - len(beacon_instants))
+    assert delivered["calls"] == 5_084
+    # the send / transmit path binds a route per directed pair; the only
+    # other reader is the link-event handler
+    assert {caller for caller, _a, _b in lookups} == {"route", "apply_event"}
+    pairs = [(a, b) for caller, a, b in lookups if caller == "route"]
+    assert len(pairs) == len(set(pairs)) <= 2 * len(net.links)
 
 
 def test_ls_replay_and_the_run_it_verifies_stay_near_the_committed_work():
