@@ -29,3 +29,30 @@ EVENT_GAP_US = 8 * SECOND
 def emit(text: str) -> None:
     """Print a figure block with spacing that survives pytest capture."""
     print("\n" + text + "\n")
+
+
+def settled_defined_network(scenario_name: str, seed: int = 1, warm_events: int = 2):
+    """A DEFINED-RB network with populated daemon state: booted, beaconed,
+    and driven through the scenario's first ``warm_events`` external
+    events.  Returns ``(network, beacons)``; the caller stops the beacons."""
+    from repro.harness import build_ospf_network
+    from repro.sweep import get_scenario
+
+    scenario = get_scenario(scenario_name)
+    graph = scenario.topology(seed)
+    schedule = scenario.schedule(graph, seed)
+    net, _recorder, beacons, _ = build_ospf_network(
+        graph,
+        mode="defined",
+        seed=seed,
+        jitter_us=scenario.jitter_us,
+        ordering=scenario.ordering,
+        daemon_factory=scenario.daemon(graph) if scenario.daemon else None,
+    )
+    beacons.start()
+    net.start()
+    for event in schedule.sorted()[:warm_events]:
+        net.run(until_us=event.time_us)
+        net.apply_event(event)
+    net.run(until_us=net.sim.now + SECOND)
+    return net, beacons

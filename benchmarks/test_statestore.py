@@ -1,25 +1,23 @@
-"""Checkpoint-mechanism benchmarks: COW store vs deepcopy fallback.
+"""Checkpoint-mechanism benchmarks: COW store vs the deepcopy oracle.
 
 The tentpole claim of the snapshot store is that ``_take_checkpoint`` on
 the per-delivery hot path costs O(dirty-since-last-snapshot) instead of
 a full state copy.  These benches measure it where it matters -- a
 settled flap-storm@40 DEFINED-RB network with populated LSDBs, pending
 acks and timer tables -- and pin the acceptance bar: the COW path must
-be at least 5x faster than the deepcopy path (in practice it is 30-100x;
-the bar leaves room for slow CI hosts).
-
-``repro bench --json`` records the same numbers machine-readably
-(BENCH_5.json is the committed baseline).
+be at least 5x faster than a store that deep-copies the whole state per
+checkpoint (the test oracle ``_oracles.DeepcopyStore``; in practice the
+gap is 30-100x, and the bar leaves room for slow CI hosts).
 """
 
 import statistics
 import time
+from contextlib import nullcontext
 
 import pytest
 
-from _bench import emit
-
-from repro.bench import _settled_defined_network
+from _bench import emit, settled_defined_network
+from _oracles import deepcopy_stores
 
 
 def _busiest_shim(net):
@@ -31,11 +29,11 @@ def _busiest_shim(net):
 
 @pytest.fixture(scope="module")
 def settled_networks():
-    """One settled flap-storm@40 network per snapshot mechanism."""
+    """One settled flap-storm@40 network per checkpoint store."""
     nets = {}
-    for snapshots in ("cow", "deepcopy"):
-        net, beacons = _settled_defined_network("flap-storm@40", 1, snapshots)
-        nets[snapshots] = (net, beacons)
+    for label, stores in (("cow", nullcontext), ("deepcopy", deepcopy_stores)):
+        with stores():
+            nets[label] = settled_defined_network("flap-storm@40", 1)
     yield nets
     for net, beacons in nets.values():
         beacons.stop()
@@ -55,14 +53,14 @@ def test_checkpoint_speedup_at_least_5x(settled_networks):
     """The acceptance bar: >=5x on flap-storm@40, measured back to back
     in one process so host speed cancels out."""
     medians = {}
-    for snapshots in ("cow", "deepcopy"):
-        shim = _busiest_shim(settled_networks[snapshots][0])
+    for label in ("cow", "deepcopy"):
+        shim = _busiest_shim(settled_networks[label][0])
         samples = []
         for _ in range(300):
             t0 = time.perf_counter_ns()
             shim._take_checkpoint()
             samples.append(time.perf_counter_ns() - t0)
-        medians[snapshots] = statistics.median(samples)
+        medians[label] = statistics.median(samples)
     speedup = medians["deepcopy"] / medians["cow"]
     emit(
         f"_take_checkpoint on flap-storm@40: "
@@ -73,19 +71,3 @@ def test_checkpoint_speedup_at_least_5x(settled_networks):
     assert speedup >= 5.0, (
         f"COW checkpoint only {speedup:.1f}x faster than deepcopy"
     )
-
-
-def test_rollback_restore_faster_under_cow():
-    """End-to-end: a rollback-heavy production cell gets measurably
-    faster wall-clock when checkpoints stop deep-copying."""
-    from repro.bench import run_bench
-
-    result = run_bench(scenario="flap-storm", seed=1)
-    emit(
-        f"flap-storm end-to-end: cow {result['cow']['wall_s']}s vs "
-        f"deepcopy {result['deepcopy']['wall_s']}s "
-        f"({result['speedup']}x), {result['cow']['rollbacks']} rollbacks"
-    )
-    assert result["fingerprints_match"]
-    assert result["cow"]["rollbacks"] > 0, "workload produced no rollbacks"
-    assert result["cow"]["wall_s"] < result["deepcopy"]["wall_s"]

@@ -17,7 +17,6 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli envelope --scenarios flap-storm@20 \
         --jitters 0,50,300 --windows auto --suggest
     python -m repro.cli scale --sizes 20,40 --events 4
-    python -m repro.cli bench --json bench-report.json
     python -m repro.cli casestudy bgp
     python -m repro.cli casestudy rip
 
@@ -71,7 +70,6 @@ def cmd_production(args: argparse.Namespace) -> int:
     result = run_production(
         graph, trace, mode=args.mode, seed=args.seed,
         ordering=args.ordering, strategy=args.strategy,
-        snapshots=args.snapshots,
     )
     per_node = result.network.run_stats.per_node.values()
     rows = [
@@ -257,7 +255,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             modes=args.modes.split(",") if args.modes else None,
             workers=args.workers,
             repeats=args.repeats,
-            snapshots=args.snapshots,
             artifact_dir=args.artifact_out,
             cell_timeout_s=args.cell_timeout,
             retries=args.retries,
@@ -384,12 +381,6 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     return 0 if report.ok() else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import main_bench
-
-    return main_bench(json_out=args.json, quick=args.quick)
-
-
 def cmd_scale(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     packets = {"XORP": [], "DEFINED-RB(OO)": []}
@@ -508,11 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     prod.add_argument("--ordering", default="OO", choices=["OO", "RO"])
     prod.add_argument("--strategy", default="MI",
                       choices=["MI", "FK", "TF", "PF", "TM"])
-    prod.add_argument("--snapshots", default="cow",
-                      choices=["cow", "deepcopy"],
-                      help="checkpoint mechanism: copy-on-write store "
-                           "versions (default) or the full-deepcopy "
-                           "fallback (differential testing)")
     prod.add_argument("--seed", type=int, default=1)
     prod.add_argument("--recording-out", default=None)
     prod.add_argument("--bundle-out", default=None, metavar="PATH",
@@ -581,10 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed-invariance probe: run each cell under N "
                             "jitter seeds; deterministic modes must "
                             "collapse to one fingerprint per cell")
-    sweep.add_argument("--snapshots", default=None,
-                       choices=["cow", "deepcopy"],
-                       help="checkpoint mechanism for every cell's DEFINED "
-                            "stacks (default: harness default, cow)")
     _add_supervision_arguments(sweep)
     sweep.add_argument("--journal", default=None, metavar="DIR",
                        help="append each finished cell to a durable journal "
@@ -675,18 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     env.add_argument("--verbose", action="store_true",
                      help="print each cell as it completes")
     env.set_defaults(func=cmd_envelope)
-
-    bench = sub.add_parser(
-        "bench",
-        help="machine-readable perf numbers (checkpoint/rollback/sweep "
-             "throughput) as JSON",
-    )
-    bench.add_argument("--json", default=None, metavar="PATH",
-                       help="write the JSON bench report here")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller workloads (flap-storm@20, fewer "
-                            "iterations) for smoke runs")
-    bench.set_defaults(func=cmd_bench)
 
     scale = sub.add_parser("scale", help="size scalability sweep (Fig 8)")
     scale.add_argument("--sizes", default="20,40")

@@ -22,25 +22,24 @@ rollback engine, which supplies the workload-dependent variance (rollback
 depth, state size).
 
 The checkpointed *content* is exact regardless of strategy: a versioned
-snapshot of the daemon state plus the shim's counters and timer table.
+snapshot of the daemon state and timer table plus the shim's counters.
 Cost-model strategies only differ in what the checkpoint is *charged*.
 
-Orthogonally to the cost model, the checkpoint *mechanism* is selectable
-per run (:class:`~repro.core.statestore.SnapshotStrategy`): store-backed
-daemons checkpoint through a copy-on-write
-:class:`~repro.core.statestore.StateStore` whose real cost is
-O(dirty-bytes) -- the MI scheme's scaling, for real -- with the classic
-full-deepcopy path kept as a fallback for differential testing.  When
-the store is in play, :meth:`CheckpointStrategy.memory_bytes` receives
-the *measured* private byte count (undo journals / materialized
-snapshots) instead of modelling it as a fraction.
+The checkpoint *mechanism* is one for every run: the node's copy-on-write
+:class:`~repro.core.statestore.StateStore`, whose real cost is
+O(dirty-bytes) -- the MI scheme's scaling, for real.
+:meth:`CheckpointStrategy.memory_bytes` receives the *measured* private
+byte count (the store's undo journals) instead of modelling it as a
+fraction.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Tuple
+
+from repro.core.statestore import StoreVersion
 
 #: Default resident size of a router daemon process (Figure 7c's x-axis
 #: starts around 100 MB for unmodified XORP).
@@ -58,10 +57,11 @@ def baseline_processing_model(rng: random.Random) -> int:
 
 @dataclass
 class Checkpoint:
-    """One checkpoint: the exact daemon state and the shim's counters."""
+    """One checkpoint: the node's store version (daemon state and timer
+    table) and the shim's origination counters."""
 
-    app_state: Any
-    shim_state: Any
+    version: StoreVersion
+    counters: Tuple[int, int]
 
 
 class CheckpointStrategy:
@@ -86,10 +86,6 @@ class CheckpointStrategy:
     replay_mu: float = 0.0
     replay_sigma: float = 0.0
     replay_floor: float = 0.0
-    #: Fraction of the process image each live checkpoint instantiates
-    #: physically (copy-on-write sharing keeps this small; Section 5.2
-    #: reports <2% inflation over an entire run).
-    physical_share: float = 0.02
 
     # every draw is a truncated Gaussian in microseconds: max(floor, N(mu, sigma))
     def delivery_cost_us(self, rng: random.Random) -> int:
@@ -106,27 +102,21 @@ class CheckpointStrategy:
 
     def memory_bytes(
         self,
-        state_bytes: int,
         live_checkpoints: int,
+        private_bytes: int,
         process_bytes: int = DEFAULT_PROCESS_BYTES,
-        private_bytes: Optional[int] = None,
     ) -> Tuple[int, int]:
         """(virtual, physical) memory footprint with ``live_checkpoints``
         outstanding.
 
         Virtual memory grows linearly with the number of forked processes
         (each maps the whole image); physical memory only pays the pages
-        actually written since the fork.  When ``private_bytes`` is given
-        (a store-backed run's *measured* private copies), it replaces the
-        modelled per-checkpoint share.
+        actually written since the fork: ``private_bytes``, the store's
+        *measured* private copies (Section 5.2 reports <2% inflation over
+        an entire run).
         """
         virtual = process_bytes * (1 + live_checkpoints)
-        if private_bytes is not None:
-            return virtual, process_bytes + private_bytes
-        physical = process_bytes + int(
-            live_checkpoints * max(state_bytes, self.physical_share * state_bytes)
-        )
-        return virtual, physical
+        return virtual, process_bytes + private_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CheckpointStrategy {self.name}>"
@@ -176,7 +166,6 @@ class MemoryIntercept(CheckpointStrategy):
     delivery_mu, delivery_sigma, delivery_floor = 60.0, 20.0, 15.0
     restore_mu, restore_sigma, restore_floor = 450.0, 150.0, 200.0
     replay_mu, replay_sigma, replay_floor = 70.0, 30.0, 20.0
-    physical_share = 0.005
 
 
 _STRATEGIES = {

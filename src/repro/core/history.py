@@ -123,32 +123,6 @@ class WindowHeadroomStats:
         }
 
 
-class _TagCacheSwitch:
-    """Process-wide switch for the identity-tag fast path.
-
-    On (the default), tags are rendered once per entry with the interned
-    payload repr and cached.  Off, every ``tag()`` call re-renders from
-    the live payload -- the pre-interning behaviour.  The differential
-    grid runs the same cells under both settings and requires
-    bit-identical fingerprints (tests/test_fingerprint_differential.py).
-    """
-
-    __slots__ = ("enabled",)
-
-    def __init__(self) -> None:
-        self.enabled = True
-
-
-_TAG_CACHE = _TagCacheSwitch()
-
-
-def set_tag_cache(enabled: bool) -> bool:
-    """Toggle the tag cache (differential tests only); returns the old value."""
-    old = _TAG_CACHE.enabled
-    _TAG_CACHE.enabled = bool(enabled)
-    return old
-
-
 @dataclass
 class HistoryEntry:
     """One event delivered (or to be delivered) to the daemon.
@@ -190,35 +164,22 @@ class HistoryEntry:
         Contains no timestamps, uids or other run-varying data -- only the
         deterministic identity of the event -- so DEFINED-RB runs under
         different seeds and DEFINED-LS replays produce comparable logs.
-        Rendered once and cached; :meth:`render_tag` is the uncached
-        reference path the differential tests pin against.
+        Rendered once, with the interned payload repr, and cached.
         """
-        if not _TAG_CACHE.enabled:
-            return self.render_tag()
         tag = self.cached_tag
         if tag is None:
-            tag = self.render_tag(intern=True)
+            tag = self.render_tag()
             self.cached_tag = tag
         return tag
 
-    def render_tag(self, intern: bool = False) -> str:
-        """Render the tag from the entry's fields (no cache).
-
-        With ``intern=False`` the payload repr is rebuilt from the live
-        payload object -- byte-for-byte the pre-interning behaviour, kept
-        as the reference the differential grid compares fingerprints
-        against.
-        """
+    def render_tag(self) -> str:
+        """Render the tag from the entry's fields (no cache)."""
         if self.kind == "msg":
             assert self.msg is not None and self.msg.annotation is not None
             a = self.msg.annotation
-            payload_repr = (
-                self.msg.canonical_payload_repr() if intern
-                else repr(self.msg.payload)
-            )
             return (
                 f"m|{self.msg.protocol}|{self.msg.src}|{a.origin}|{a.seq}|"
-                f"{a.sub}|{a.group}|{a.delay_us}|{payload_repr}"
+                f"{a.sub}|{a.group}|{a.delay_us}|{self.msg.canonical_payload_repr()}"
             )
         if self.kind == "ext":
             assert self.event is not None
@@ -298,16 +259,6 @@ class DeliveredHistory:
         if exact:
             raise ValueError(f"duplicate ordering key {key}")
         return i
-
-    def find_exact(self, key: OrderKey) -> Optional[int]:
-        """Index of the entry with exactly ``key``, or None.
-
-        Used for the anti-message race: a post-rollback re-send can reach
-        a receiver *before* the unsend for the original copy; it carries
-        the same deterministic key and must *replace* the original.
-        """
-        i, exact = self.locate(key)
-        return i if exact else None
 
     def index_of_uid(self, uid: int) -> Optional[int]:
         """Index of the delivered message with this uid, or None."""

@@ -68,7 +68,6 @@ from repro.core.history import DeliveredHistory, HistoryEntry
 from repro.core.ordering import OptimizedOrdering, OrderingFunction, OrderKey
 from repro.core.recorder import RecordedEvent, Recording
 from repro.core.rollback import ReplayStack, collect_unsends, send_identity
-from repro.core.statestore import SnapshotStrategy
 from repro.simnet.events import ExternalEvent, LINK_DOWN, LINK_UP, NODE_DOWN, NODE_UP
 from repro.simnet.messages import Message, Unsend
 from repro.simnet.network import Network
@@ -92,9 +91,8 @@ class LockstepStack(ReplayStack):
         chain_bound: int = 64,
         rto_us: int = 50_000,
         poll_us: int = 2_000,
-        snapshots: "SnapshotStrategy | str" = SnapshotStrategy.COW,
     ) -> None:
-        super().__init__(node, ordering, snapshots)
+        super().__init__(node, ordering)
         self.drops = recording.drops
         self.chain_bound = chain_bound
         self.poll_us = poll_us
@@ -271,8 +269,7 @@ class LockstepStack(ReplayStack):
         being wiped by a rewind to a checkpoint taken before it.
         """
         self.history = DeliveredHistory()
-        if self._store is not None:
-            self._store.reset()
+        self._store.reset()
         self._group_log_index = len(self.delivery_log)
 
     # ------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Rollback and ordered replay: what DEFINED-RB and DEFINED-LS share.
 
 The pure logic is separated out so the invariants can be property-tested
-in isolation: divergence detection (where must we roll back to?), output
-identity (:func:`output_id`: is this re-emission the message already on
-the wire?), anti-message collection (:func:`collect_unsends`: what must
-we unsend, to whom?), replay planning (which inputs are re-delivered?)
-and the replay order itself (:func:`ordered_replay`: the next due timer
+in isolation: output identity (:func:`output_id`: is this re-emission
+the message already on the wire?), anti-message collection
+(:func:`collect_unsends`: what must we unsend, to whom?), replay
+planning (which inputs are re-delivered?) and the replay order itself (:func:`ordered_replay`: the next due timer
 against the next input).
 
 :class:`ReplayStack` is the one copy of the stateful half -- annotate an
@@ -33,9 +32,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.core.checkpoint import Checkpoint
 from repro.core.history import DeliveredHistory, HistoryEntry
-from repro.core.ordering import OrderingFunction, OrderKey
+from repro.core.ordering import OrderingFunction
 from repro.core.recorder import SendIdentity
-from repro.core.statestore import SnapshotStrategy, StateStore
+from repro.core.statestore import StateStore
 from repro.core.virtual_time import TimerTable
 from repro.simnet.messages import Annotation, Message
 from repro.simnet.node import Node, Stack
@@ -60,25 +59,6 @@ def output_id(msg: Message) -> OutputId:
     a = msg.annotation
     assert a is not None
     return send_identity(msg) + (a.delay_us, a.chain, msg.canonical_payload_repr())
-
-
-def find_rollback_index(keys: Sequence[OrderKey], new_key: OrderKey) -> int:
-    """Index of the first delivered entry that must be rolled back.
-
-    ``keys`` is the delivered window in (sorted) delivery order.  If the
-    new key sorts after everything delivered, the speculation holds and
-    ``len(keys)`` is returned (nothing to roll back).  Otherwise the node
-    must roll back to the point just before the first entry ordered after
-    the new arrival -- the paper's Figure 2 example.
-    """
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < new_key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def collect_unsends(retracted: Iterable[Message]) -> Dict[str, List[int]]:
@@ -139,17 +119,6 @@ def plan_replay(
     return inputs
 
 
-def affected_indices(
-    entries: Sequence[HistoryEntry], uids: Set[int]
-) -> Tuple[int, ...]:
-    """Indices of delivered entries whose message uid is being unsent."""
-    return tuple(
-        i
-        for i, entry in enumerate(entries)
-        if entry.kind == "msg" and entry.msg is not None and entry.msg.uid in uids
-    )
-
-
 def ordered_replay(
     timers: TimerTable,
     vt: int,
@@ -203,20 +172,12 @@ class ReplayStack(Stack):
     chain_bound: int
     hop_cost_us: int
     spill_bound_us: int
+    #: The node's checkpoint store, bound by :meth:`_boot`.
+    _store: StateStore
 
-    def __init__(
-        self, node: Node, ordering: OrderingFunction, snapshots: "SnapshotStrategy | str"
-    ) -> None:
+    def __init__(self, node: Node, ordering: OrderingFunction) -> None:
         super().__init__(node)
         self.ordering = ordering
-        #: How checkpoints are *taken* (``cow``: store-version snapshots,
-        #: O(dirty); ``deepcopy``: the old full-copy fallback).  Only
-        #: effective for store-backed daemons; others use the legacy
-        #: daemon-deepcopy path.  Production shims and the replay's
-        #: stacks should agree for differential runs, though either
-        #: mechanism replays identically.
-        self.snapshot_strategy = SnapshotStrategy.of(snapshots)
-        self._store: Optional[StateStore] = None
         self.vt = 0
         self.history = DeliveredHistory()
         self.timers = TimerTable()
@@ -305,16 +266,15 @@ class ReplayStack(Stack):
     def _boot(self) -> None:
         """Fresh history, timer table and counters for a (re)boot.
 
-        A store-backed daemon's state store becomes the node's unified
-        checkpoint store: daemon namespaces + timer table are then
-        captured by a single store version per delivery.  Reboots drop
-        the old run's snapshots along with the history.
+        The daemon's state store becomes the node's one checkpoint store:
+        daemon namespaces + timer table are then captured by a single
+        store version per delivery (a stack with no daemon gets an empty
+        store of its own).  Reboots drop the old run's snapshots along
+        with the history.
         """
         self.history = DeliveredHistory()
-        store = getattr(self.daemon, "store", None) if self.daemon is not None else None
-        if store is not None:
-            store.reset()
-            store.strategy = self.snapshot_strategy
+        store = self.daemon.store if self.daemon is not None else StateStore()
+        store.reset()
         self._store = store
         self.timers = TimerTable(store=store)
         self._origin_seq = 0
@@ -323,17 +283,9 @@ class ReplayStack(Stack):
         self._kept = None
 
     def _take_checkpoint(self) -> Checkpoint:
-        store = self._store
-        if store is not None:
-            # one store version covers daemon state + timers; the two
-            # counters ride alongside (plain ints, no copying needed)
-            return Checkpoint(
-                app_state=store.snapshot(),
-                shim_state=(self._origin_seq, self._sub_seq, None),
-            )
-        app_state = self.daemon.snapshot() if self.daemon is not None else None
-        shim_state = (self._origin_seq, self._sub_seq, self.timers.snapshot())
-        return Checkpoint(app_state=app_state, shim_state=shim_state)
+        # one store version covers daemon state + timers; the two
+        # counters ride alongside (plain ints, no copying needed)
+        return Checkpoint(self._store.snapshot(), (self._origin_seq, self._sub_seq))
 
     def _rewind(self, index: int) -> List[HistoryEntry]:
         """Undo ``history[index:]``: state and delivery log go back to
@@ -344,14 +296,8 @@ class ReplayStack(Stack):
         base = rolled[0]
         checkpoint = base.checkpoint
         assert checkpoint is not None
-        if self._store is not None:
-            self._store.restore(checkpoint.app_state)
-            self._origin_seq, self._sub_seq, _ = checkpoint.shim_state
-        else:
-            if self.daemon is not None:
-                self.daemon.restore(checkpoint.app_state)
-            self._origin_seq, self._sub_seq, timer_snap = checkpoint.shim_state
-            self.timers.restore(timer_snap)
+        self._store.restore(checkpoint.version)
+        self._origin_seq, self._sub_seq = checkpoint.counters
         if base.log_index >= 0:
             del self.delivery_log[base.log_index:]
         return rolled

@@ -62,7 +62,6 @@ from repro.core.rollback import (
     plan_replay,
     send_identity,
 )
-from repro.core.statestore import SnapshotStrategy
 from repro.simnet.events import ExternalEvent
 from repro.simnet.messages import Message, Unsend
 from repro.simnet.node import Node
@@ -139,13 +138,10 @@ class DefinedShim(ReplayStack):
         window_us: Optional[int] = None,
         process_bytes: int = 100 * 1024 * 1024,
         hop_cost_us: Optional[int] = None,
-        snapshots: "SnapshotStrategy | str" = SnapshotStrategy.COW,
     ) -> None:
-        super().__init__(
-            node, ordering if ordering is not None else OptimizedOrdering(), snapshots
-        )
-        #: What checkpoints *cost* (the paper's fork variants), as opposed
-        #: to ``snapshot_strategy``, which is how they are *taken*.
+        super().__init__(node, ordering if ordering is not None else OptimizedOrdering())
+        #: What checkpoints *cost* (the paper's fork variants); they are
+        #: always *taken* as versions of the node's store.
         self.strategy = strategy if strategy is not None else MemoryIntercept()
         self.recorder = recorder
         self.chain_bound = chain_bound
@@ -767,31 +763,20 @@ class DefinedShim(ReplayStack):
                     entry.log_index,
                     entry.delivered_at_us,
                 )
-        if pruned and self._store is not None and history:
+        if pruned and history:
             # entries older than the window can never be rolled back to
             # again (Lemma 2): release their private copies in the store
             oldest = history[0].checkpoint
             if oldest is not None:
-                self._store.release_before(oldest.app_state)
+                self._store.release_before(oldest.version)
 
     def _sample_memory(self) -> None:
-        if self._store is not None:
-            # real shared-vs-private accounting: the live state is shared
-            # with every checkpoint; the store's undo journals (or, under
-            # the deepcopy fallback, its materialized snapshots) are the
-            # private bytes the checkpoints actually instantiated.  With
-            # those measured the model never reads the live size.
-            virtual, physical = self.strategy.memory_bytes(
-                0, len(self.history), self.process_bytes,
-                private_bytes=self._store.private_bytes(),
-            )
-        else:
-            state_bytes = (
-                self.daemon.state_size_bytes() if self.daemon is not None else 256
-            )
-            virtual, physical = self.strategy.memory_bytes(
-                state_bytes, len(self.history), self.process_bytes
-            )
+        # real shared-vs-private accounting: the live state is shared
+        # with every checkpoint; the store's undo journals are the
+        # private bytes the checkpoints actually instantiated
+        virtual, physical = self.strategy.memory_bytes(
+            len(self.history), self._store.private_bytes(), self.process_bytes
+        )
         self.node.stats.record_memory(virtual, physical)
 
     def _costs(self) -> random.Random:

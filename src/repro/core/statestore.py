@@ -33,24 +33,21 @@ a group from its group checkpoint.
 incrementally maintained sorted view, never in dict insertion order.
 Insertion order is not restored by undo application (a key deleted and
 re-added lands at the end of the dict), so any daemon behaviour hanging
-off raw dict order would diverge between the COW and deepcopy paths.
-Sorted iteration makes the two strategies bit-identical by construction
--- which the differential sweep tests assert fingerprint-for-fingerprint.
+off raw dict order would diverge from a store that restores by copying
+the whole state back.  Sorted iteration makes the two bit-identical by
+construction -- which the differential tests assert, fingerprint for
+fingerprint, against a full-deepcopy store kept under ``tests/``.
 
 **Memory accounting.**  The store keeps a running byte estimate of the
-retained private copies (:meth:`StateStore.private_bytes`: undo-log
-entries under COW, full materialized snapshots under DEEPCOPY), which
-the Figure-7c shared-vs-private accounting samples at every beacon
-instead of a modelled fraction.  Sizing is off the write barrier: an
-undo entry is sized once, when the journal actually records it (key
-plus the value it displaced), so a write that journals nothing -- every
-write of an uninstrumented run -- sizes nothing.  The size of the live
-state (:meth:`StateStore.live_bytes`, :meth:`Namespace.byte_size`) has
-no per-delivery reader and is computed on demand.
-
-:class:`SnapshotStrategy.DEEPCOPY` keeps the old full-deepcopy behaviour
-behind the same API, selectable per run, so every grid can be run
-differentially against the trusted-simple path.
+retained private copies (:meth:`StateStore.private_bytes`: the undo-log
+entries), which the Figure-7c shared-vs-private accounting samples at
+every beacon instead of a modelled fraction.  Sizing is off the write
+barrier: an undo entry is sized once, when the journal actually records
+it (key plus the value it displaced), so a write that journals nothing
+-- every write of an uninstrumented run -- sizes nothing.  The size of
+the live state (:meth:`StateStore.live_bytes`,
+:meth:`Namespace.byte_size`) has no per-delivery reader and is computed
+on demand.
 
 **Sanitizer.**  The write-barrier contract (values are immutable; every
 mutation is a replacement through the namespace API) is what the whole
@@ -70,7 +67,6 @@ half of the same contract lives in :mod:`repro.lint`.
 from __future__ import annotations
 
 import copy
-import enum
 import os
 from bisect import bisect_left, insort
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -413,48 +409,20 @@ def estimate_bytes(value: Any, depth: int = 0) -> int:
     return 64
 
 
-class SnapshotStrategy(enum.Enum):
-    """How :meth:`StateStore.snapshot` captures state.
-
-    ``COW`` journals dirty keys per version (structural sharing);
-    ``DEEPCOPY`` materializes a full deep copy per snapshot -- the
-    trusted-simple fallback the COW path is differentially tested
-    against, and the baseline the checkpoint benchmarks compare to.
-    """
-
-    COW = "cow"
-    DEEPCOPY = "deepcopy"
-
-    @classmethod
-    def of(cls, value: "SnapshotStrategy | str") -> "SnapshotStrategy":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown snapshot strategy {value!r}; expected one of "
-                f"{[s.value for s in cls]}"
-            ) from None
-
-
 class StoreVersion:
     """Opaque checkpoint token returned by :meth:`StateStore.snapshot`.
 
-    Under COW it names a version in the store's snapshot stack; under
-    DEEPCOPY it additionally carries the materialized state.  Tokens are
+    It names a version in the store's snapshot stack.  Tokens are
     value-less handles: all restore logic lives in the store.
     """
 
-    __slots__ = ("version", "payload")
+    __slots__ = ("version",)
 
-    def __init__(self, version: int, payload: Optional[Dict[str, Dict]] = None):
+    def __init__(self, version: int):
         self.version = version
-        self.payload = payload
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = "deepcopy" if self.payload is not None else "cow"
-        return f"<StoreVersion {self.version} ({kind})>"
+        return f"<StoreVersion {self.version}>"
 
 
 class _SnapshotRecord:
@@ -708,15 +676,6 @@ class Namespace:
         if self._sanitize:
             self._digests.pop(key, None)
 
-    def _load(self, data: Dict[Any, Any]) -> None:
-        """Wholesale reload (deepcopy restore path): no journaling."""
-        self._data = dict(data)
-        self._sorted = sorted(self._data)
-        if self._sanitize:
-            self._digests = {}
-            for k, v in self._data.items():
-                self._track_sanitized(k, v)
-
     def _wipe(self) -> None:
         self._data = {}
         self._sorted = []
@@ -733,12 +692,7 @@ class Namespace:
 class StateStore:
     """A node's versioned, structurally-sharing checkpointable state."""
 
-    def __init__(
-        self,
-        strategy: "SnapshotStrategy | str" = SnapshotStrategy.COW,
-        sanitize: Optional[bool] = None,
-    ):
-        self._strategy = SnapshotStrategy.of(strategy)
+    def __init__(self, sanitize: Optional[bool] = None):
         #: Sanitize mode: default from ``REPRO_SANITIZE`` so whole
         #: sweeps can opt in without threading a flag everywhere.
         self._sanitize = _env_sanitize() if sanitize is None else bool(sanitize)
@@ -762,20 +716,6 @@ class StateStore:
     def sanitize(self) -> bool:
         return self._sanitize
 
-    @property
-    def strategy(self) -> SnapshotStrategy:
-        return self._strategy
-
-    @strategy.setter
-    def strategy(self, value: "SnapshotStrategy | str") -> None:
-        value = SnapshotStrategy.of(value)
-        if value is not self._strategy and self._snapshots:
-            raise RuntimeError(
-                "cannot switch snapshot strategy with snapshots retained; "
-                "call reset() first"
-            )
-        self._strategy = value
-
     def namespace(self, name: str) -> Namespace:
         """Create (or return the existing) namespace ``name``."""
         ns = self._namespaces.get(name)
@@ -794,25 +734,12 @@ class StateStore:
     def snapshot(self) -> StoreVersion:
         """Capture the current state; returns an opaque token.
 
-        COW: O(1) -- seal the open undo journals and open fresh (lazy)
-        ones.  DEEPCOPY: a full deep copy, the old per-delivery cost.
+        O(1): seal the open undo journals and open fresh (lazy) ones.
         """
         if self._sanitize:
             for ns in self._namespaces.values():
                 ns._verify_digests()
         self._version += 1
-        if self._strategy is SnapshotStrategy.DEEPCOPY:
-            payload = {
-                name: copy.deepcopy(ns._data)
-                for name, ns in self._namespaces.items()
-            }
-            record = _SnapshotRecord(self._version, self._known)
-            record.bytes = self.live_bytes()
-            self._snapshots.append(record)
-            self._private_bytes += record.bytes
-            self._top = record
-            self._gen += 1
-            return StoreVersion(self._version, payload)
         record = _SnapshotRecord(self._version, self._known)
         self._snapshots.append(record)
         self._top = record
@@ -827,25 +754,6 @@ class StateStore:
         restored version itself stays retained and pristine, so it can
         be restored from again.
         """
-        if token.payload is not None:
-            self._restore_deepcopy(token)
-        else:
-            self._restore_cow(token)
-        for ns in self._namespaces.values():
-            ns._notify()
-
-    def _check_retained(self, token: StoreVersion) -> None:
-        """Validate BEFORE unwinding: a bad token must not destroy the
-        retained stack on its way to the error.  Records are sorted by
-        version, so this is a bisect, not a scan."""
-        snapshots = self._snapshots
-        i = bisect_left(snapshots, token.version, key=lambda r: r.version)
-        if i == len(snapshots) or snapshots[i].version != token.version:
-            raise ValueError(
-                f"store version {token.version} is unknown or was released"
-            )
-
-    def _restore_cow(self, token: StoreVersion) -> None:
         self._check_retained(token)
         snapshots = self._snapshots
         while snapshots[-1].version > token.version:
@@ -861,18 +769,19 @@ class StateStore:
         # re-open journaling against the restored top
         self._top = record
         self._gen += 1
+        for ns in self._namespaces.values():
+            ns._notify()
 
-    def _restore_deepcopy(self, token: StoreVersion) -> None:
-        self._check_retained(token)
-        while self._snapshots[-1].version > token.version:
-            record = self._snapshots.pop()
-            self._private_bytes -= record.bytes
-        assert token.payload is not None
-        for name, data in token.payload.items():
-            self.namespace(name)._load(copy.deepcopy(data))
-        self._wipe_unknown(self._snapshots[-1])
-        self._top = self._snapshots[-1]
-        self._gen += 1
+    def _check_retained(self, token: StoreVersion) -> None:
+        """Validate BEFORE unwinding: a bad token must not destroy the
+        retained stack on its way to the error.  Records are sorted by
+        version, so this is a bisect, not a scan."""
+        snapshots = self._snapshots
+        i = bisect_left(snapshots, token.version, key=lambda r: r.version)
+        if i == len(snapshots) or snapshots[i].version != token.version:
+            raise ValueError(
+                f"store version {token.version} is unknown or was released"
+            )
 
     def _apply_undo(self, record: _SnapshotRecord) -> None:
         for name, undo in record.undos.items():
@@ -933,8 +842,8 @@ class StateStore:
         }
 
     def private_bytes(self) -> int:
-        """Byte estimate of the retained private copies: undo-journal
-        entries under COW, full materialized snapshots under DEEPCOPY."""
+        """Byte estimate of the retained private copies: the undo-journal
+        entries."""
         return self._private_bytes
 
     # ------------------------------------------------------------------
@@ -949,6 +858,6 @@ class StateStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<StateStore {self._strategy.value} v{self._version} "
+            f"<StateStore v{self._version} "
             f"{len(self._namespaces)} ns, {len(self._snapshots)} snaps>"
         )

@@ -17,13 +17,11 @@ within a group is by creation sequence, which is deterministic because the
 daemons themselves execute deterministically under DEFINED.
 
 The table's backing state lives in :class:`~repro.core.statestore.Namespace`
-sub-stores, so a store-backed shim checkpoints timers through the same
-copy-on-write versioning as the daemon state -- no per-snapshot
-``tuple(sorted(...))`` materialization.  The due-order view (sorted by
-``(expiry, seq, key)``) is maintained incrementally by ``set``/``cancel``/
-``pop`` and rebuilt lazily after a store-level restore rewinds the
-namespace underneath it.  Standalone tables (no store) keep the classic
-``snapshot()``/``restore()`` tuple API for tests and legacy daemons.
+sub-stores, so the shim checkpoints timers through the same copy-on-write
+versioning as the daemon state -- no per-snapshot ``tuple(sorted(...))``
+materialization.  The due-order view (sorted by ``(expiry, seq, key)``)
+is maintained incrementally by ``set``/``cancel``/``pop`` and rebuilt
+lazily after a store-level restore rewinds the namespace underneath it.
 """
 
 from __future__ import annotations
@@ -33,15 +31,15 @@ from typing import Optional, Tuple
 
 from repro.core.statestore import Namespace, StateStore
 
-TimerSnapshot = Tuple[Tuple[Tuple[str, Tuple[int, int]], ...], int]
-
 
 class TimerTable:
-    """Named virtual-time timers with snapshot/restore support.
+    """Named virtual-time timers, checkpointed by their store.
 
     ``store`` binds the table's state into a :class:`StateStore` (the
     shim's unified checkpoint store); construction wipes any previous
     contents of the backing namespaces (a fresh table on each boot).
+    Without one (a stack before its first boot, unit tests) the
+    namespaces are private to the table and nothing checkpoints them.
     """
 
     def __init__(self, store: Optional[StateStore] = None, name: str = "_timers"):
@@ -135,17 +133,9 @@ class TimerTable:
     def __len__(self) -> int:
         return len(self._timers)
 
-    # ------------------------------------------------------------------
-    # checkpoint support (standalone / legacy path; store-backed tables
-    # are versioned wholesale by their StateStore)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> TimerSnapshot:
-        """An immutable snapshot of the table (cheap: the namespace's
-        sorted view is already maintained, nothing is re-sorted)."""
+    def snapshot(self) -> Tuple[Tuple[Tuple[str, Tuple[int, int]], ...], int]:
+        """A read-only view of the table for inspection: the armed
+        timers as ``(key, (expiry, seq))`` in key order, and the next
+        creation sequence number (cheap: the namespace's sorted view is
+        already maintained, nothing is re-sorted)."""
         return (tuple(self._timers.items()), self._meta["seq"])
-
-    def restore(self, snap: TimerSnapshot) -> None:
-        items, seq = snap
-        self._timers.replace(dict(items))
-        self._meta["seq"] = seq
-        self._due_dirty = True

@@ -117,17 +117,14 @@ def build_ospf_network(
     strategy: str = "MI",
     daemon_factory: Optional[Callable] = None,
     window_us: Optional[int] = None,
-    snapshots: str = "cow",
     tuning=None,
 ) -> Tuple[Network, Optional[Recorder], Optional[BeaconService], Optional[ComprehensiveLog]]:
     """Instantiate a production network in one of the four modes.
 
     Modes: ``vanilla`` (uninstrumented baseline), ``defined``
     (DEFINED-RB), ``ddos`` (stop-and-wait baseline), ``logging``
-    (vanilla + comprehensive recording).  ``snapshots`` selects the
-    checkpoint *mechanism* for DEFINED-RB shims (``cow``: store-version
-    snapshots; ``deepcopy``: the full-copy fallback); ``strategy``
-    selects the checkpoint *cost model* (MI/TF/PF/TM).  ``tuning`` is an
+    (vanilla + comprehensive recording).  ``strategy`` selects the
+    checkpoint *cost model* (MI/TF/PF/TM).  ``tuning`` is an
     optional :class:`repro.simnet.faults.NetworkTuning` (chaos DSL clock
     skew / link faults), installed before the mode-specific lossless
     checks so gray-failure windows are rejected for instrumented modes.
@@ -166,7 +163,6 @@ def build_ospf_network(
                 strategy=strategy_by_name(strategy),
                 recorder=recorder,
                 window_us=window_us,
-                snapshots=snapshots,
             )
 
         del order_fn, strat  # factories build per-node instances
@@ -236,7 +232,6 @@ def run_production(
     settle_us: int = 3 * SECOND,
     tail_us: int = 2 * SECOND,
     window_us: Optional[int] = None,
-    snapshots: str = "cow",
     tuning=None,
 ) -> ProductionResult:
     """Drive one workload through one production network.
@@ -256,7 +251,6 @@ def run_production(
         strategy=strategy,
         daemon_factory=daemon_factory,
         window_us=window_us,
-        snapshots=snapshots,
         tuning=tuning,
     )
     if beacons is not None:
@@ -392,15 +386,12 @@ def run_ls_replay(
     jitter_us: int = 200,
     daemon_factory: Optional[Callable] = None,
     max_cycles: int = 10_000_000,
-    snapshots: str = "cow",
 ) -> ReplayResult:
     """Replay a partial recording in a lockstep debugging network."""
     wall_start = time.perf_counter()
     net = to_network(graph, seed=seed, jitter_us=jitter_us)
     coordinator = LockstepCoordinator(net, recording, ordering=make_ordering(ordering))
-    coordinator.attach(
-        daemon_factory or ospf_daemon_factory(graph), snapshots=snapshots
-    )
+    coordinator.attach(daemon_factory or ospf_daemon_factory(graph))
     coordinator.start()
     cycles = coordinator.run_all(max_cycles=max_cycles)
     logs = net.delivery_logs()

@@ -6,8 +6,8 @@ routing protocol implementations that run *unmodified* on any
 DEFINED-RB shim, or the DEFINED-LS lockstep stack.  Per the paper's
 instrumentation contract (Section 3) they mark immediate causal
 relationships by passing the message being processed as ``parent`` when
-sending, and they expose ``snapshot``/``restore`` so the shim can
-checkpoint them (the stand-in for ``fork()``).
+sending, and they keep their state in a copy-on-write store so the shim
+can checkpoint them (the stand-in for ``fork()``).
 
 * :mod:`repro.routing.ospf` -- link-state routing with reliable flooding
   (hello + LSA + ack + retransmit timers), the protocol of the paper's

@@ -11,26 +11,25 @@ A daemon is event-driven, deterministic, and checkpointable:
   nondeterminism such as thread scheduling is removed separately; our
   daemons are single-threaded by construction, like the instrumented
   XORP/Quagga of Section 4.)
-* **checkpointable** -- ``snapshot``/``restore`` round-trip the complete
-  protocol state.  This is the reproduction's stand-in for the paper's
-  ``fork()``-based checkpointing.
+* **checkpointable** -- the complete mutable protocol state lives in
+  namespaced sub-stores of ``self.store`` (a
+  :class:`~repro.core.statestore.StateStore`).  This is the
+  reproduction's stand-in for the paper's ``fork()``-based
+  checkpointing.
 
 The causal-marking contract of Section 3 applies: when a send is caused
 by the message currently being processed, daemons pass it as ``parent``;
 timer- and external-event-triggered sends pass ``parent=None`` and become
 *originations* (new causal chains).
 
-**Store-backed daemons.**  Daemons that keep their mutable protocol
-state in namespaced sub-stores of ``self.store`` (a
-:class:`~repro.core.statestore.StateStore`) set the class flag
-``store_backed = True``.  The write-barrier contract applies: every
-mutation goes through the namespace API (``ns[key] = value`` /
-``del ns[key]``), values are immutable (tuples, ints, strings, frozen
-dataclasses), and iteration is in sorted key order.  In exchange, the
-DEFINED shims checkpoint the daemon by store *version* -- O(dirty keys)
-instead of a full deepcopy per delivered message (the MI scheme's cost,
-for real).  Non-store-backed daemons (``store is None``) keep the
-classic deepcopy ``snapshot()``/``restore()`` path.
+**The store contract.**  Every mutation goes through the namespace API
+(``ns[key] = value`` / ``del ns[key]``), values are immutable (tuples,
+ints, strings, frozen dataclasses), and iteration is in sorted key
+order.  In exchange, the DEFINED shims checkpoint the daemon by store
+*version* -- O(dirty keys) instead of a full deepcopy per delivered
+message (the MI scheme's cost, for real).  ``snapshot``/``restore``
+round-trip :meth:`Daemon.state` as plain dicts, for inspection (the
+debugger) and tests; no shim checkpoints through them.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import abc
 import copy
 from typing import Any, Dict, Optional
 
-from repro.core.statestore import StateStore, estimate_bytes
+from repro.core.statestore import StateStore
 from repro.simnet.events import ExternalEvent
 from repro.simnet.messages import Message
 from repro.simnet.node import Stack
@@ -48,15 +47,10 @@ from repro.simnet.node import Stack
 class Daemon(abc.ABC):
     """Base class for routing daemons."""
 
-    #: Subclasses that keep their mutable state in ``self.store``
-    #: namespaces (write-barrier contract) set this to True; the DEFINED
-    #: shims then checkpoint by store version instead of deepcopy.
-    store_backed = False
-
     def __init__(self, node_id: str, stack: Stack) -> None:
         self.node_id = node_id
         self.stack = stack
-        self.store: Optional[StateStore] = StateStore() if self.store_backed else None
+        self.store = StateStore()
 
     # ------------------------------------------------------------------
     # callbacks (driven by the stack)
@@ -78,40 +72,25 @@ class Daemon(abc.ABC):
         observed at this node.  Default: ignore."""
 
     # ------------------------------------------------------------------
-    # checkpointing
+    # inspection
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def state(self) -> Dict[str, Any]:
-        """The complete mutable protocol state, as a dict of fields.
-
-        Non-store-backed subclasses return references to their real
-        containers (``snapshot`` deep-copies them); store-backed
-        subclasses return a materialized plain-dict view.
-        """
+        """The complete mutable protocol state, as a materialized
+        plain-dict view of the store's namespaces."""
 
     @abc.abstractmethod
     def load_state(self, state: Dict[str, Any]) -> None:
         """Install a state dict previously produced by :meth:`state`."""
 
     def snapshot(self) -> Dict[str, Any]:
-        """A deep, independent copy of the protocol state.
-
-        This is the *inspection/roundtrip* API (debugger, tests).  The
-        shims' per-delivery checkpoints of store-backed daemons go
-        through ``self.store`` versions instead and never call this.
-        """
+        """A deep, independent copy of the protocol state."""
         return copy.deepcopy(self.state())
 
     def restore(self, snap: Dict[str, Any]) -> None:
         """Restore from a snapshot (the snapshot itself stays pristine so
         it can be restored from again)."""
         self.load_state(copy.deepcopy(snap))
-
-    def state_size_bytes(self) -> int:
-        """Rough state footprint used by the memory cost models."""
-        if self.store is not None:
-            return self.store.live_bytes()
-        return _estimate_bytes(self.state())
 
     # ------------------------------------------------------------------
     # helpers
@@ -125,8 +104,3 @@ class Daemon(abc.ABC):
         size_bytes: int = 64,
     ) -> None:
         self.stack.send(dst, protocol, payload, parent=parent, size_bytes=size_bytes)
-
-
-#: Kept under its old name for existing imports; the implementation
-#: lives with the store's byte accounting now.
-_estimate_bytes = estimate_bytes

@@ -129,14 +129,12 @@ def pairwise_prefer(challenger: BgpPath, incumbent: BgpPath) -> bool:
 class BgpDaemon(Daemon):
     """Path-vector daemon; subclasses choose the decision process.
 
-    Store-backed: ``adj_rib_in`` (keyed ``(prefix, path_id)``) and
+    State: ``adj_rib_in`` (keyed ``(prefix, path_id)``) and
     ``best`` (keyed ``prefix``) are checkpoint-store namespaces holding
     wire docs in canonical immutable form (``tuple(sorted(doc.items()))``)
     -- the write-barrier contract forbids storing the mutable dicts
     themselves.  Reads materialize dicts at the boundary.
     """
-
-    store_backed = True
 
     #: Set by subclasses: "correct" or "buggy-xorp-0.4".
     decision_name = "abstract"
@@ -144,7 +142,6 @@ class BgpDaemon(Daemon):
     def __init__(self, node_id: str, stack: Stack, peers: List[str]) -> None:
         super().__init__(node_id, stack)
         self.peers = sorted(peers)
-        assert self.store is not None
         self.adj_rib_in = self.store.namespace("adj_rib_in")
         self.best = self.store.namespace("best")
 

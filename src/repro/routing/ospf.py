@@ -31,8 +31,8 @@ Causal marking: LSAs flooded onward pass the incoming LSA as ``parent``;
 LSAs originated by interface events or retransmit timers are new causal
 chains (``parent=None``), exactly the Section 3 contract.
 
-Checkpointing happens on *every* delivery (Section 3), so this daemon is
-**store-backed**: all mutable protocol state lives in namespaces of
+Checkpointing happens on *every* delivery (Section 3), so all mutable
+protocol state lives in namespaces of
 ``self.store`` (immutable values, sorted iteration, write-barrier
 mutation), and the shim checkpoints it copy-on-write by store version --
 O(dirty keys) per delivery instead of a deepcopy of the whole LSDB.
@@ -63,8 +63,6 @@ LsaPayload = Tuple[str, str, int, Tuple[str, ...]]
 class OspfDaemon(Daemon):
     """Link-state routing daemon."""
 
-    store_backed = True
-
     def __init__(
         self,
         node_id: str,
@@ -83,7 +81,6 @@ class OspfDaemon(Daemon):
         self.refresh_interval_units = refresh_interval_units
 
         # mutable protocol state: namespaced sub-stores, all checkpointed
-        assert self.store is not None
         self.live_interfaces = self.store.namespace("live_interfaces")
         self.lsdb = self.store.namespace("lsdb")
         self.pending_acks = self.store.namespace("pending_acks")

@@ -41,15 +41,13 @@ class RipDaemon(Daemon):
     """Distance-vector daemon; subclasses choose the announcement-matching
     rule (the locus of the Quagga bug).
 
-    Store-backed: the RIB rows live behind the checkpoint store's write
+    State: the RIB rows live behind the checkpoint store's write
     barrier (:class:`~repro.routing.rib.Rib` stores immutable tuples),
     so route updates -- including the timer refreshes at the heart of
     the bug -- are journalled per checkpoint version.  Looked-up entries
     are read-side copies; every mutation goes through ``rib.install`` /
     ``rib.update`` / ``rib.withdraw``.
     """
-
-    store_backed = True
 
     #: Set by subclasses.
     matching_name = "abstract"

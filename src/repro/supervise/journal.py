@@ -7,7 +7,7 @@ leaves either a complete segment or no segment, never a torn one.  One
 record is one canonical-JSON line keyed by the cell's **content
 fingerprint**: a sha256 over exactly the identity fields that determine
 the cell's outcome (scenario, seed, mode, repeat, jitter seed, window
-and jitter overrides, invariant-check flag, snapshot strategy).  The
+and jitter overrides, invariant-check flag).  The
 artifact directory is deliberately excluded -- where divergence bundles
 land does not change what the cell computes, and a resumed run may
 archive elsewhere.
@@ -53,7 +53,6 @@ IDENTITY_FIELDS = (
     "window_us",
     "jitter_us",
     "check_invariant",
-    "snapshots",
 )
 
 #: Journal outcomes a resume may skip: the cell produced its final

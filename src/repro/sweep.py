@@ -1188,11 +1188,6 @@ class SweepCell:
     window_us: Optional[int] = None
     jitter_us: Optional[int] = None
     check_invariant: bool = True
-    #: Checkpoint mechanism override for the DEFINED stacks ("cow" /
-    #: "deepcopy"; None = the harness default).  The differential
-    #: snapshot tests sweep the same grid under both values and demand
-    #: bit-identical fingerprints.
-    snapshots: Optional[str] = None
     #: When set, a ``defined`` cell whose Theorem-1 check fails archives
     #: both executions as content-addressed run bundles in this
     #: directory (the production bundle embeds the recording, so the
@@ -1222,8 +1217,6 @@ class CellResult:
     #: envelope grids can group results by their (window, jitter) axes.
     window_us: Optional[int] = None
     jitter_us: Optional[int] = None
-    #: Checkpoint mechanism the cell ran under (None: harness default).
-    snapshots: Optional[str] = None
     fingerprint: str = ""
     replay_fingerprint: Optional[str] = None
     #: Theorem-1 check (``defined`` cells only): replay == production.
@@ -1272,7 +1265,6 @@ class CellResult:
             jitter_seed=cell.jitter_seed,
             window_us=cell.window_us,
             jitter_us=cell.jitter_us,
-            snapshots=cell.snapshots,
             **fields,
         )
 
@@ -1308,7 +1300,6 @@ def _archive_divergence(cell: SweepCell, production, replay) -> None:
         "jitter_seed": cell.jitter_seed,
         "window_us": cell.window_us,
         "jitter_us": cell.jitter_us,
-        "snapshots": cell.snapshots,
     }
     try:
         os.makedirs(cell.artifact_dir, exist_ok=True)
@@ -1346,7 +1337,6 @@ def run_cell(cell: SweepCell) -> CellResult:
         graph = scenario.topology(cell.seed)
         schedule = scenario.schedule(graph, cell.seed)
         daemon_factory = scenario.daemon(graph) if scenario.daemon else None
-        snapshots = cell.snapshots if cell.snapshots is not None else "cow"
         # like the schedule, the tuning is workload: same cell.seed under
         # a different jitter seed must perturb the same nodes/links
         tuning = (
@@ -1367,7 +1357,6 @@ def run_cell(cell: SweepCell) -> CellResult:
             settle_us=scenario.settle_us,
             tail_us=scenario.tail_us,
             window_us=cell.window_us,
-            snapshots=snapshots,
             tuning=tuning,
         )
         replay_fp: Optional[str] = None
@@ -1382,7 +1371,6 @@ def run_cell(cell: SweepCell) -> CellResult:
                     result.recording,
                     ordering=scenario.ordering,
                     daemon_factory=daemon_factory,
-                    snapshots=snapshots,
                 )
                 replay_fp = replay.fingerprint
                 invariant = replay_fp == result.fingerprint
@@ -1550,7 +1538,6 @@ class SweepReport:
                 "jitter_seed": c.jitter_seed,
                 "window_us": c.window_us,
                 "jitter_us": c.jitter_us,
-                "snapshots": c.snapshots,
                 "fingerprint": c.fingerprint,
                 "replay_fingerprint": c.replay_fingerprint,
                 "invariant_ok": c.invariant_ok,
@@ -1713,7 +1700,6 @@ class SweepReport:
                 "invariant_ok": c.invariant_ok,
                 "expected_ok": c.expected_ok,
                 "late_deliveries": c.late_deliveries,
-                "snapshots": c.snapshots,
                 "fingerprint": c.fingerprint,
                 "replay_fingerprint": c.replay_fingerprint,
                 "headroom": (
@@ -1809,7 +1795,6 @@ class SweepRunner:
         modes: Optional[Sequence[str]] = None,
         workers: int = 1,
         repeats: int = 1,
-        snapshots: Optional[str] = None,
         artifact_dir: Optional[str] = None,
         cell_timeout_s: Optional[float] = None,
         retries: Optional[int] = None,
@@ -1837,10 +1822,6 @@ class SweepRunner:
         #: grid keeps one linear history.
         self.journal_dir = journal_dir
         self.resume_dir = resume_dir
-        if snapshots is not None:
-            from repro.core.statestore import SnapshotStrategy
-
-            snapshots = SnapshotStrategy.of(snapshots).value  # fail fast
         # the default grid: every registered scenario except the @N size
         # variants, which opt in by name (an 80-node cell takes minutes;
         # pulling it into every smoke sweep would be a footgun)
@@ -1855,7 +1836,6 @@ class SweepRunner:
         self.modes = tuple(modes) if modes is not None else None
         self.workers = workers
         self.repeats = repeats
-        self.snapshots = snapshots
         #: Directory Theorem-1 divergences are archived into as run
         #: bundles (None: no archiving); see :attr:`SweepCell.artifact_dir`.
         self.artifact_dir = artifact_dir
@@ -1906,7 +1886,6 @@ class SweepRunner:
                         cells.append(
                             SweepCell(
                                 name, seed, mode, repeat, jitter_seed,
-                                snapshots=self.snapshots,
                                 artifact_dir=self.artifact_dir,
                             )
                         )

@@ -123,9 +123,7 @@ def scenario_resolution_digest(names: List[str], seed: int = 1) -> Dict[str, Tup
     return out
 
 
-def run_scenario_cell(
-    name: str, mode: str, network_seed: int = 1, seed: int = 1, snapshots: str = "cow"
-):
+def run_scenario_cell(name: str, mode: str, network_seed: int = 1, seed: int = 1):
     """One production run of scenario ``name`` as a sweep cell runs it:
     workload ``seed``, ``measure_convergence=False`` -- nothing in the
     run reads a routing table."""
@@ -146,7 +144,6 @@ def run_scenario_cell(
         settle_us=scenario.settle_us,
         tail_us=scenario.tail_us,
         tuning=scenario.tuning(graph, seed) if scenario.tuning else None,
-        snapshots=snapshots,
     )
 
 

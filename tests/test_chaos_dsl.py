@@ -1,7 +1,8 @@
 """Tests for the chaos scenario DSL: schema validation with file:line
 pointers, compilation to first-class ``Scenario`` objects, grammar
 integration (``@N`` / ``~jNus`` / ``a+b`` over file components), the
-example corpus' determinism under both snapshot strategies, the
+example corpus' determinism under the COW store and the deepcopy
+oracle, the
 generated schema doc's freshness, and the CLI surface
 (``repro chaos validate|schema``, ``repro sweep --scenario-file``).
 """
@@ -11,6 +12,8 @@ import os
 from pathlib import Path
 
 import pytest
+
+from _oracles import deepcopy_stores
 
 from repro.chaos import (
     SCHEMA_ID,
@@ -61,8 +64,9 @@ class TestExampleCorpus:
     def test_runs_identically_under_both_snapshot_strategies(self, path):
         scenario = load_scenario_file(path)
         mode = "defined" if "defined" in scenario.modes else scenario.modes[0]
-        cow = run_cell(SweepCell(path, 1, mode, snapshots="cow"))
-        deep = run_cell(SweepCell(path, 1, mode, snapshots="deepcopy"))
+        cow = run_cell(SweepCell(path, 1, mode))
+        with deepcopy_stores():
+            deep = run_cell(SweepCell(path, 1, mode))
         assert cow.error is None, cow.error
         assert deep.error is None, deep.error
         assert cow.fingerprint == deep.fingerprint

@@ -95,15 +95,17 @@ class TestCostOrdering:
 class TestMemoryModel:
     def test_virtual_grows_linearly_with_checkpoints(self):
         strategy = ForkOnReceive()
-        v1, _ = strategy.memory_bytes(1000, live_checkpoints=1)
-        v5, _ = strategy.memory_bytes(1000, live_checkpoints=5)
+        v1, _ = strategy.memory_bytes(live_checkpoints=1, private_bytes=1000)
+        v5, _ = strategy.memory_bytes(live_checkpoints=5, private_bytes=1000)
         assert v5 - v1 == 4 * DEFAULT_PROCESS_BYTES
 
     def test_physical_inflation_is_small(self):
-        """Section 5.2: physical memory inflation under 2% for the run."""
-        strategy = ForkOnReceive()
-        state = 200 * 1024  # 200 KB of router state
-        _, physical = strategy.memory_bytes(state, live_checkpoints=8)
+        """Section 5.2: physical memory inflation under 2% for the run --
+        physical pays the measured private bytes only, however many
+        checkpoints are live."""
+        private = 8 * 200 * 1024  # eight checkpoints' worth of dirty state
+        _, physical = ForkOnReceive().memory_bytes(8, private_bytes=private)
+        assert physical == DEFAULT_PROCESS_BYTES + private
         assert physical < DEFAULT_PROCESS_BYTES * 1.02
 
     def test_physical_at_least_process_size(self):
@@ -112,5 +114,5 @@ class TestMemoryModel:
 
     def test_vm_exceeds_pm(self):
         strategy = PreFork()
-        virtual, physical = strategy.memory_bytes(10_000, live_checkpoints=3)
+        virtual, physical = strategy.memory_bytes(3, private_bytes=10_000)
         assert virtual > physical

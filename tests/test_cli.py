@@ -201,16 +201,18 @@ class TestCommands:
             main(["sweep", "--compose", "latency-jitter+heat-death",
                   "--seeds", "1"])
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--transport", "futures", "--seeds", "1"],
-        ["bench", "--baseline", "BENCH_5.json"],
-        ["bench", "--tolerance", "0.25"],
+    @pytest.mark.parametrize("argv, error", [
+        (["sweep", "--transport", "futures", "--seeds", "1"], "unrecognized arguments"),
+        (["production", "--snapshots", "deepcopy"], "unrecognized arguments"),
+        (["sweep", "--snapshots", "cow"], "unrecognized arguments"),
+        (["bench"], "invalid choice"),
+        (["bench", "--baseline", "BENCH_5.json"], "invalid choice"),
     ])
-    def test_retired_flags_are_errors_not_ignored(self, argv, capsys):
+    def test_retired_flags_are_errors_not_ignored(self, argv, error, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     def test_sweep_and_envelope_share_the_supervision_flags(self):
         from repro.cli import build_parser

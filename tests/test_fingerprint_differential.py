@@ -1,39 +1,41 @@
 """Differential tests: cached interned identity tags vs repr rebuild.
 
-PR 8 makes event identity a computed-once value: payload reprs are
-canonicalized and interned at origination, the full ``m|``/``e|``/``t|``
-tag is cached on the history entry, and the per-node delivery logs fold
-into rolling digests.  The cached path must be *observably
-indistinguishable* from the pre-interning repr-rebuild path: same
-fingerprints (production and replay), same invariant verdicts, same
-rollback counts, across the default sweep grid and both snapshot
-strategies.  The fast subset pins the rollback-heavy fault families in
-tier-1; the full default grid runs under the ``slow`` marker (nightly).
+Event identity is a computed-once value: payload reprs are canonicalized
+and interned at origination, the full ``m|``/``e|``/``t|`` tag is cached
+on the history entry, and the per-node delivery logs fold into rolling
+digests.  The cached path must be *observably indistinguishable* from
+re-rendering every tag from ``repr(payload)`` (:func:`_oracles.rebuilt_tag`,
+test code only): same fingerprints (production and replay), same
+invariant verdicts, same rollback counts, across the default sweep grid
+under both the COW store and the deepcopy oracle.  The fast subset pins
+the rollback-heavy fault families in tier-1; the full default grid runs
+under the ``slow`` marker (nightly).
 
 Also covered here: adversarial payload reprs (pipes, newlines, nested
 tuples, non-ASCII) must round-trip through the tag grammar
 (``repro.diff.tags``) identically on the cached and rebuild paths.
 """
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.history import HistoryEntry, set_tag_cache
+from _oracles import deepcopy_stores, rebuilt_tag, rebuilt_tags
+
+from repro.core.history import HistoryEntry
 from repro.diff.tags import parse_tag
 from repro.simnet.messages import Annotation, Message
 from repro.sweep import SweepCell, run_cell, scenario_names
 
 
-def _run_pair(scenario: str, seed: int, mode: str, snapshots: str = "cow"):
-    """The same cell with the tag cache on (interned fast path) and off
-    (per-delivery repr rebuild, the pre-interning reference)."""
-    old = set_tag_cache(True)
-    try:
-        cached = run_cell(SweepCell(scenario, seed, mode, snapshots=snapshots))
-        set_tag_cache(False)
-        rebuild = run_cell(SweepCell(scenario, seed, mode, snapshots=snapshots))
-    finally:
-        set_tag_cache(old)
+def _run_pair(scenario: str, seed: int, mode: str, stores=nullcontext):
+    """The same cell with cached interned tags (the product path) and
+    with every tag re-rendered from the live payload (the oracle)."""
+    with stores():
+        cached = run_cell(SweepCell(scenario, seed, mode))
+        with rebuilt_tags():
+            rebuild = run_cell(SweepCell(scenario, seed, mode))
     return cached, rebuild
 
 
@@ -76,14 +78,14 @@ class TestFastDifferential:
 
     def test_deepcopy_strategy_identical(self):
         cached, rebuild = _run_pair(
-            "flap-storm", seed=1, mode="defined", snapshots="deepcopy"
+            "flap-storm", seed=1, mode="defined", stores=deepcopy_stores
         )
         _assert_identical(cached, rebuild)
 
 
 @pytest.mark.slow
 class TestFullGridDifferential:
-    """The whole default sweep grid, both snapshot strategies."""
+    """The whole default sweep grid, under both stores."""
 
     def test_default_grid_identical(self):
         from repro.sweep import get_scenario
@@ -93,9 +95,9 @@ class TestFullGridDifferential:
             for mode in get_scenario(scenario).modes:
                 if mode == "vanilla":
                     continue  # timing-dependent by design; nothing to pin
-                for snapshots in ("cow", "deepcopy"):
+                for stores in (nullcontext, deepcopy_stores):
                     cached, rebuild = _run_pair(
-                        scenario, seed=1, mode=mode, snapshots=snapshots
+                        scenario, seed=1, mode=mode, stores=stores
                     )
                     try:
                         _assert_identical(cached, rebuild)
@@ -151,17 +153,12 @@ class TestAdversarialPayloadTags:
     @settings(max_examples=200, deadline=None)
     def test_round_trip_and_cache_agreement(self, payload):
         entry = _msg_entry(payload)
-        rebuilt = entry.render_tag(intern=False)
-        interned = entry.render_tag(intern=True)
+        rebuilt = rebuilt_tag(entry)
         # byte-identical render regardless of interning
-        assert rebuilt == interned
+        assert rebuilt == entry.render_tag()
         # the cached path serves exactly the rendered tag
-        old = set_tag_cache(True)
-        try:
-            assert entry.tag() == rebuilt
-            assert entry.tag() is entry.tag()  # served from cache
-        finally:
-            set_tag_cache(old)
+        assert entry.tag() == rebuilt
+        assert entry.tag() is entry.tag()  # served from cache
         # and the grammar recovers the payload repr exactly, pipes,
         # newlines, non-ASCII and all
         parsed = parse_tag(rebuilt)

@@ -56,13 +56,14 @@ class TestInsertion:
         with pytest.raises(ValueError):
             history.insertion_index(key(0, 1))
 
-    def test_find_exact(self):
+    def test_locate(self):
         history = DeliveredHistory()
         history.append(entry(key(0, 1)))
         history.append(entry(key(0, 3)))
-        assert history.find_exact(key(0, 3)) == 1
-        assert history.find_exact(key(0, 2)) is None
-        # one bisection answers both questions the shim's admission asks
+        # one bisection answers both questions the shim's admission asks:
+        # where the key slots in, and whether it is already delivered
+        # (the anti-message race: a re-send that outruns the unsend for
+        # its original copy carries the same key and must replace it)
         assert history.locate(key(0, 3)) == (1, True)
         assert history.locate(key(0, 2)) == (1, False)
         assert history.locate(key(0, 4)) == (2, False)

@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from _fixtures import run_scenario_cell
+from _oracles import deepcopy_stores
 
 from repro.core.recorder import Recorder
 from repro.core.rollback import ReplayStack, output_id, send_identity
@@ -122,7 +123,8 @@ class TestAggressiveOracle:
         assert lazy.rollbacks > 0
 
     def test_deepcopy_snapshots(self, request, emissions):
-        self.compare(request, emissions, "flap-storm@20", snapshots="deepcopy")
+        with deepcopy_stores():
+            self.compare(request, emissions, "flap-storm@20")
 
 
 # ----------------------------------------------------------------------
@@ -136,15 +138,19 @@ class Forwarder(Daemon):
     def __init__(self, node_id, stack, forward_to=None):
         super().__init__(node_id, stack)
         self.forward_to = forward_to
-        self.seen = []
+        self._seen = self.store.namespace("seen")  # position -> payload
+
+    @property
+    def seen(self):
+        return self._seen.values()
 
     def on_start(self):
-        self.seen = []
+        self._seen.clear()
 
     def on_message(self, msg):
-        self.seen = self.seen + [msg.payload]
+        self._seen[len(self._seen)] = msg.payload
         if self.forward_to and msg.payload != "quiet":
-            payload = (msg.payload, len(self.seen)) if msg.payload == "count" else msg.payload
+            payload = (msg.payload, len(self._seen)) if msg.payload == "count" else msg.payload
             self.send(self.forward_to, "fwd", payload, parent=msg)
 
     def on_timer(self, key):  # pragma: no cover - no timers armed
@@ -154,7 +160,7 @@ class Forwarder(Daemon):
         return {"seen": self.seen}
 
     def load_state(self, state):
-        self.seen = state["seen"]
+        self._seen.replace(dict(enumerate(state["seen"])))
 
 
 class Line:

@@ -1,8 +1,11 @@
 """Behavioural tests for the DEFINED-LS lockstep coordinator and stack."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from _fixtures import flap_schedule, run_scenario_cell, square_graph
+from _oracles import deepcopy_stores
 
 from repro.core.lockstep import LockstepCoordinator
 from repro.core.ordering import make_ordering
@@ -155,19 +158,20 @@ class TestErrorHandling:
 # ----------------------------------------------------------------------
 # suffix re-execution against the full re-execution it replaced
 # ----------------------------------------------------------------------
-def scenario_coordinator(name, recording, snapshots="cow", loss=0.0):
+def scenario_coordinator(name, recording, deepcopy=False, loss=0.0):
     """A debugging network for a sweep scenario's seed-1 workload, built
-    the way ``run_ls_replay`` builds it, left un-run for stepping."""
+    the way ``run_ls_replay`` builds it, left un-run for stepping;
+    ``deepcopy`` checkpoints it through the full-copy test oracle."""
     scenario = get_scenario(name)
     graph = scenario.topology(1)
     net = to_network(graph, seed=1_000, jitter_us=200, loss=loss)
     coordinator = LockstepCoordinator(
         net, recording, ordering=make_ordering(scenario.ordering)
     )
-    coordinator.attach(
-        scenario.daemon(graph) if scenario.daemon else ospf_daemon_factory(graph),
-        snapshots=snapshots,
-    )
+    with deepcopy_stores() if deepcopy else nullcontext():
+        coordinator.attach(
+            scenario.daemon(graph) if scenario.daemon else ospf_daemon_factory(graph)
+        )
     coordinator.start()
     return coordinator
 
@@ -214,7 +218,7 @@ class TestSuffixReexecutionOracle:
             ("partition", {}),
             ("crash-restart", {}),  # reboots through start()
             ("flap-storm", {"loss": 0.05}),  # retransmissions in flight
-            ("flap-storm", {"snapshots": "deepcopy"}),
+            ("flap-storm", {"deepcopy": True}),
         ],
     )
     def test_every_cycle_equals_full_reexecution(self, name, kwargs):
@@ -246,21 +250,24 @@ class TestSuffixReexecutionOracle:
 
 class CountingDaemon(Daemon):
     """Forwards every message to ``forward_to``; ``calls`` is deliberately
-    not part of its checkpointed state, so it counts invocations across
-    rewinds."""
+    kept outside its store, so it counts invocations across rewinds."""
 
     def __init__(self, node_id, stack, forward_to=None):
         super().__init__(node_id, stack)
         self.forward_to = forward_to
-        self.seen = []
+        self._seen = self.store.namespace("seen")  # position -> payload
         self.calls = []
 
+    @property
+    def seen(self):
+        return self._seen.values()
+
     def on_start(self):
-        self.seen = []
+        self._seen.clear()
 
     def on_message(self, msg):
         self.calls.append(msg.payload)
-        self.seen.append(msg.payload)
+        self._seen[len(self._seen)] = msg.payload
         if self.forward_to:
             self.send(self.forward_to, "fwd", msg.payload, parent=msg)
 
@@ -271,7 +278,7 @@ class CountingDaemon(Daemon):
         return {"seen": self.seen}
 
     def load_state(self, state):
-        self.seen = state["seen"]
+        self._seen.replace(dict(enumerate(state["seen"])))
 
 
 class TestSuffixReexecutionUnit:

@@ -302,7 +302,7 @@ class TestCheckpointing:
 
     def test_state_size_positive(self):
         daemon, _ = make_daemon()
-        assert daemon.state_size_bytes() > 0
+        assert daemon.store.live_bytes() > 0
 
 
 class TestForwardDelay:

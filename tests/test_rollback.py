@@ -3,13 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.history import HistoryEntry
-from repro.core.rollback import (
-    affected_indices,
-    collect_unsends,
-    find_rollback_index,
-    plan_replay,
-)
+from repro.core.history import DeliveredHistory, HistoryEntry
+from repro.core.rollback import collect_unsends, plan_replay
 from repro.simnet.messages import Annotation, Message
 
 
@@ -33,7 +28,18 @@ def timer_entry(major, group=0):
     )
 
 
-class TestFindRollbackIndex:
+def delivered(keys):
+    """A delivered window holding ``keys``, in delivery order."""
+    history = DeliveredHistory()
+    for key in keys:
+        history.append(HistoryEntry(kind="timer", key=key, timer_key="t"))
+    return history
+
+
+class TestRollbackIndex:
+    """Where an arrival forces a rollback to: the window's insertion
+    index (``len`` means in order, nothing to roll back)."""
+
     @given(
         st.lists(st.integers(0, 10_000), min_size=0, max_size=80, unique=True),
         st.integers(0, 10_000),
@@ -41,13 +47,13 @@ class TestFindRollbackIndex:
     def test_property_matches_bisect_semantics(self, majors, probe):
         keys = [(0, m, "n", 0, 0, 0) for m in sorted(majors)]
         new_key = (0, probe, "n", 1, 0, 0)
-        idx = find_rollback_index(keys, new_key)
+        idx = delivered(keys).insertion_index(new_key)
         assert all(k < new_key for k in keys[:idx])
         assert all(k > new_key for k in keys[idx:])
 
     def test_in_order_arrival_returns_length(self):
         keys = [(0, m, "n", 0, 0, 0) for m in (1, 2, 3)]
-        assert find_rollback_index(keys, (0, 9, "n", 0, 0, 0)) == 3
+        assert delivered(keys).insertion_index((0, 9, "n", 0, 0, 0)) == 3
 
     def test_paper_figure_2_example(self):
         """mb md mc delivered; ma arrives and sorts right after mb:
@@ -58,7 +64,7 @@ class TestFindRollbackIndex:
             (0, 4, "w", 3, 0, 0),
             (0, 2, "w", 1, 0, 0),
         )
-        assert find_rollback_index([mb, md, mc], ma) == 1
+        assert delivered([mb, md, mc]).insertion_index(ma) == 1
 
 
 def output(uid, dst):
@@ -131,7 +137,12 @@ class TestPlanReplay:
         assert {e.msg.uid for e in plan} == set(majors) - removed
 
 
-class TestAffectedIndices:
+class TestIndexOfUid:
+    """An unsend finds its target in the window by uid."""
+
     def test_finds_entries_by_uid(self):
-        entries = [msg_entry(1, uid=10), timer_entry(2), msg_entry(3, uid=30)]
-        assert affected_indices(entries, {30, 99}) == (2,)
+        history = DeliveredHistory()
+        for entry in (msg_entry(1, uid=10), timer_entry(2), msg_entry(3, uid=30)):
+            history.append(entry)
+        assert history.index_of_uid(30) == 2
+        assert history.index_of_uid(99) is None

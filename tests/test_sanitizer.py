@@ -6,11 +6,9 @@ import copy
 
 import pytest
 
-from repro.core.statestore import (
-    SnapshotStrategy,
-    StateStore,
-    StoreContractViolation,
-)
+from _oracles import DeepcopyStore
+
+from repro.core.statestore import StateStore, StoreContractViolation
 from repro.harness import run_production
 
 
@@ -168,9 +166,11 @@ class TestSanitizeSwitch:
 
 
 class TestSnapshotRoundtrip:
-    @pytest.mark.parametrize("strategy", ["cow", "deepcopy"])
-    def test_snapshot_restore_under_sanitize(self, strategy):
-        store = StateStore(strategy=strategy, sanitize=True)
+    @pytest.mark.parametrize(
+        "store_cls", [StateStore, DeepcopyStore], ids=["cow", "deepcopy"]
+    )
+    def test_snapshot_restore_under_sanitize(self, store_cls):
+        store = store_cls(sanitize=True)
         ns = store.namespace("rib")
         ns["a"] = (1, 2)
         v1 = store.snapshot()

@@ -5,6 +5,7 @@ import pytest
 from repro.core.groups import BeaconService
 from repro.core.recorder import Recorder
 from repro.core.shim import DefinedShim
+from repro.core.statestore import StateStore
 from repro.routing.base import Daemon
 from repro.simnet.engine import SECOND
 from repro.simnet.events import ExternalEvent
@@ -14,32 +15,39 @@ from repro.simnet.network import build_network
 
 class EchoDaemon(Daemon):
     """Forwards every 'ping' to the configured next hop as 'pong'; keeps a
-    deterministic journal of everything it sees."""
+    deterministic journal of everything it sees, in its store."""
 
     def __init__(self, node_id, stack, forward_to=None):
         super().__init__(node_id, stack)
         self.forward_to = forward_to
-        self.journal = []
+        self._journal = self.store.namespace("journal")  # position -> event
+
+    @property
+    def journal(self):
+        return self._journal.values()
+
+    def _log(self, event):
+        self._journal[len(self._journal)] = event
 
     def on_start(self):
-        self.journal = []
+        self._journal.clear()
 
     def on_message(self, msg):
-        self.journal.append(("msg", msg.protocol, msg.payload))
+        self._log(("msg", msg.protocol, msg.payload))
         if msg.protocol == "ping" and self.forward_to:
             self.send(self.forward_to, "pong", msg.payload, parent=msg)
 
     def on_timer(self, key):
-        self.journal.append(("timer", key, self.stack.time_units()))
+        self._log(("timer", key, self.stack.time_units()))
 
     def on_external(self, event):
-        self.journal.append(("ext", event.kind, event.target))
+        self._log(("ext", event.kind, event.target))
 
     def state(self):
         return {"journal": self.journal}
 
     def load_state(self, state):
-        self.journal = state["journal"]
+        self._journal.replace(dict(enumerate(state["journal"])))
 
 
 def defined_net(topology=(("a", "b", 2_000), ("b", "c", 3_000)), seed=0,
@@ -127,9 +135,13 @@ class TestDeliveryAndHistory:
         net.start()
         net.nodes["a"].stack.send("b", "ping", 1)
         net.run()
-        entry = net.nodes["b"].stack.history[0]
+        b = net.nodes["b"]
+        entry = b.stack.history[0]
         assert entry.checkpoint is not None
-        assert entry.checkpoint.app_state == {"journal": []}
+        assert b.daemon.journal == [("msg", "ping", 1)]
+        # the checkpoint is the store version from just before the delivery
+        b.daemon.store.restore(entry.checkpoint.version)
+        assert b.daemon.journal == []
 
     def test_delivery_log_matches_daemon_journal_length(self):
         net = defined_net()
@@ -322,6 +334,22 @@ class TestReboot:
         # the delivery log is measurement infrastructure, not node state:
         # it survives reboots (same as in the lockstep replay)
         assert len(stack.delivery_log) == log_before
+
+    def test_one_store_checkpoints_the_node_with_or_without_a_daemon(self):
+        net = defined_net()
+        net.start()
+        stack = net.nodes["b"].stack
+        assert stack._store is net.nodes["b"].daemon.store
+        bare = build_network([("a", "b", 2_000)], jitter_us=0)
+        bare.attach(lambda node: DefinedShim(node))  # no daemon
+        bare.start()
+        stack = bare.nodes["b"].stack
+        assert isinstance(stack._store, StateStore)
+        stack.set_timer(1, "t")
+        checkpoint = stack._take_checkpoint()
+        stack.cancel_timer("t")
+        stack._store.restore(checkpoint.version)
+        assert stack.timers.is_armed("t")
 
     def test_memory_samples_on_beacons(self):
         net = defined_net()

@@ -1,24 +1,31 @@
-"""Differential tests: COW snapshots vs the deepcopy fallback.
+"""Differential tests: the COW store vs the full-deepcopy oracle.
 
 The copy-on-write store must be *observably indistinguishable* from the
-trusted-simple deepcopy path: same fingerprints (production and replay),
-same rollback counts, same headroom statistics, across the whole default
-sweep grid.  The fast subset pins the rollback-heavy fault families in
-tier-1; the full default grid runs under the ``slow`` marker (nightly).
+trusted-simple deepcopy store (:class:`_oracles.DeepcopyStore`, test code
+only): same fingerprints (production and replay), same rollback counts,
+same headroom statistics, across the whole default sweep grid.  The fast
+subset pins the rollback-heavy fault families in tier-1; the full default
+grid runs under the ``slow`` marker (nightly).
 
 Also covered here: the shim-level restore semantics the store must
 preserve -- mid-group crash retraction, and restore-twice-from-the-same-
 checkpoint pristinity as exercised by the lockstep group re-execution.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
+from _oracles import DeepcopyStore, deepcopy_stores
+
+from repro.core.statestore import StateStore
 from repro.sweep import SweepCell, run_cell, scenario_names
 
 
 def _run_pair(scenario: str, seed: int, mode: str):
-    cow = run_cell(SweepCell(scenario, seed, mode, snapshots="cow"))
-    deep = run_cell(SweepCell(scenario, seed, mode, snapshots="deepcopy"))
+    cow = run_cell(SweepCell(scenario, seed, mode))
+    with deepcopy_stores():
+        deep = run_cell(SweepCell(scenario, seed, mode))
     return cow, deep
 
 
@@ -77,18 +84,21 @@ class TestRestoreTwicePristinity:
         graph = scenario.topology(3)
         schedule = scenario.schedule(graph, 3)
         replays = {}
-        for snapshots in ("cow", "deepcopy"):
-            production = run_production(
-                graph, schedule, mode="defined", seed=3,
-                jitter_us=scenario.jitter_us, measure_convergence=False,
-                snapshots=snapshots,
-            )
-            assert production.recording is not None
-            replay = run_ls_replay(
-                graph, production.recording, snapshots=snapshots
-            )
+        for label, stores in (("cow", nullcontext), ("deepcopy", deepcopy_stores)):
+            with stores():
+                production = run_production(
+                    graph, schedule, mode="defined", seed=3,
+                    jitter_us=scenario.jitter_us, measure_convergence=False,
+                )
+                assert production.recording is not None
+                replay = run_ls_replay(graph, production.recording)
+            for result in (production, replay):  # the oracle really ran
+                kinds = {
+                    type(node.stack._store) for node in result.network.nodes.values()
+                }
+                assert kinds == {DeepcopyStore if label == "deepcopy" else StateStore}
             assert replay.fingerprint == production.fingerprint
-            replays[snapshots] = replay.fingerprint
+            replays[label] = replay.fingerprint
         assert replays["cow"] == replays["deepcopy"]
 
 

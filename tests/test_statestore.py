@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _fixtures import run_scenario_cell
+from _oracles import DeepcopyStore
 
-from repro.core.statestore import (
-    Namespace,
-    SnapshotStrategy,
-    StateStore,
-    estimate_bytes,
+from repro.core.statestore import Namespace, StateStore, estimate_bytes
+
+#: The COW store and the full-copy oracle it must be indistinguishable from.
+both_stores = pytest.mark.parametrize(
+    "store_cls", [StateStore, DeepcopyStore], ids=["cow", "deepcopy"]
 )
 
 
-def make_store(strategy="cow"):
-    store = StateStore(strategy)
+def make_store(store_cls=StateStore):
+    store = store_cls()
     a = store.namespace("a")
     b = store.namespace("b")
     return store, a, b
@@ -93,9 +94,9 @@ class TestNamespace:
 
 
 class TestSnapshotRestore:
-    @pytest.mark.parametrize("strategy", ["cow", "deepcopy"])
-    def test_roundtrip(self, strategy):
-        store, a, b = make_store(strategy)
+    @both_stores
+    def test_roundtrip(self, store_cls):
+        store, a, b = make_store(store_cls)
         a["x"] = 1
         b["y"] = (1, 2)
         token = store.snapshot()
@@ -106,9 +107,9 @@ class TestSnapshotRestore:
         assert a["x"] == 1
         assert b.as_dict() == {"y": (1, 2)}
 
-    @pytest.mark.parametrize("strategy", ["cow", "deepcopy"])
-    def test_restore_twice_from_same_token_is_pristine(self, strategy):
-        store, a, _b = make_store(strategy)
+    @both_stores
+    def test_restore_twice_from_same_token_is_pristine(self, store_cls):
+        store, a, _b = make_store(store_cls)
         a["x"] = "base"
         token = store.snapshot()
         a["x"] = "first divergence"
@@ -119,9 +120,9 @@ class TestSnapshotRestore:
         store.restore(token)
         assert a.as_dict() == {"x": "base"}
 
-    @pytest.mark.parametrize("strategy", ["cow", "deepcopy"])
-    def test_restore_discards_younger_snapshots(self, strategy):
-        store, a, _b = make_store(strategy)
+    @both_stores
+    def test_restore_discards_younger_snapshots(self, store_cls):
+        store, a, _b = make_store(store_cls)
         a["x"] = 0
         t0 = store.snapshot()
         a["x"] = 1
@@ -184,20 +185,6 @@ class TestSnapshotRestore:
         store.restore(tokens[2])
         assert a["k"] == 2
 
-    def test_strategy_switch_requires_reset(self):
-        store, a, _b = make_store()
-        a["x"] = 1
-        store.snapshot()
-        with pytest.raises(RuntimeError):
-            store.strategy = "deepcopy"
-        store.reset()
-        store.strategy = "deepcopy"
-        assert store.strategy is SnapshotStrategy.DEEPCOPY
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            StateStore("zz")
-
 
 class TestMemoryAccounting:
     def test_live_bytes_track_contents(self):
@@ -223,7 +210,7 @@ class TestMemoryAccounting:
         assert store.private_bytes() < store.live_bytes() / 2
 
     def test_deepcopy_private_bytes_charge_full_copies(self):
-        store, a, _b = make_store("deepcopy")
+        store, a, _b = make_store(DeepcopyStore)
         for i in range(50):
             a[f"k{i}"] = i
         store.snapshot()
@@ -245,8 +232,8 @@ class TestMemoryAccounting:
 
 
 # ----------------------------------------------------------------------
-# model-based property test: the store must agree with the obvious
-# deepcopy model under arbitrary op sequences
+# model-based property test: the store (and the full-copy oracle) must
+# agree with the obvious deepcopy model under arbitrary op sequences
 # ----------------------------------------------------------------------
 
 _ops = st.lists(
@@ -264,18 +251,19 @@ _ops = st.lists(
 
 
 @settings(max_examples=120, deadline=None)
-@given(ops=_ops, strategy=st.sampled_from(["cow", "deepcopy"]))
-def test_property_store_matches_deepcopy_model(ops, strategy):
+@given(ops=_ops, store_cls=st.sampled_from([StateStore, DeepcopyStore]))
+def test_property_store_matches_deepcopy_model(ops, store_cls):
     import copy
 
-    store = StateStore(strategy)
+    cow = store_cls is StateStore
+    store = store_cls()
     namespaces = {name: store.namespace(name) for name in "abcd"}
     model = {name: {} for name in "abcd"}
     tokens = []        # (token, model_state) stack mirroring the store's
     # The private bytes each retained snapshot holds, by what it holds
     # them for.  COW: one undo entry per first write per key per snapshot
     # interval -- the key, plus the value it displaced unless the key was
-    # absent.  DEEPCOPY: one full copy of the state at snapshot time.
+    # absent.  The oracle: one full copy of the state at snapshot time.
     journal = []
 
     def live_model_bytes():
@@ -285,7 +273,7 @@ def test_property_store_matches_deepcopy_model(ops, strategy):
         )
 
     def journal_write(ns, key):
-        if strategy == "cow" and journal and (ns, key) not in journal[-1]:
+        if cow and journal and (ns, key) not in journal[-1]:
             journal[-1][ns, key] = estimate_bytes(key) + (
                 estimate_bytes(model[ns][key]) if key in model[ns] else 0
             )
@@ -305,7 +293,7 @@ def test_property_store_matches_deepcopy_model(ops, strategy):
             model[ns].pop(key, None)
         elif op[0] == "snap":
             tokens.append((store.snapshot(), copy.deepcopy(model)))
-            journal.append({} if strategy == "cow" else {"copy": live_model_bytes()})
+            journal.append({} if cow else {"copy": live_model_bytes()})
         elif not tokens:
             continue
         elif op[0] == "restore":
@@ -314,7 +302,7 @@ def test_property_store_matches_deepcopy_model(ops, strategy):
             store.restore(token)
             del tokens[index + 1:]  # stack discipline
             del journal[index + 1:]
-            if strategy == "cow":
+            if cow:
                 journal[index] = {}  # undone, and open again
             model = copy.deepcopy(saved)
         else:

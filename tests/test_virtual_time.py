@@ -2,6 +2,7 @@
 
 from hypothesis import given, strategies as st
 
+from repro.core.statestore import StateStore
 from repro.core.virtual_time import TimerTable
 
 
@@ -56,15 +57,22 @@ class TestBasics:
         assert table.expiry_of("zz") is None
 
 
+def stored_table():
+    """A table bound into a store, as every booted stack's is: the store
+    version is the table's checkpoint."""
+    store = StateStore()
+    return store, TimerTable(store=store)
+
+
 class TestSnapshotRestore:
     def test_roundtrip(self):
-        table = TimerTable()
+        store, table = stored_table()
         table.set("a", 0, 1)
         table.set("b", 0, 2)
-        snap = table.snapshot()
+        token = store.snapshot()
         table.cancel("a")
         table.set("c", 0, 3)
-        table.restore(snap)
+        store.restore(token)
         assert table.is_armed("a")
         assert not table.is_armed("c")
 
@@ -78,12 +86,12 @@ class TestSnapshotRestore:
     def test_restored_sequence_counter_reproduces_order(self):
         """After restore, newly armed timers must get the same creation
         sequence numbers a replay of the original run would produce."""
-        table = TimerTable()
+        store, table = stored_table()
         table.set("a", 0, 1)
-        snap = table.snapshot()
+        token = store.snapshot()
         table.set("x", 0, 1)
         first = table.next_due(5)
-        table.restore(snap)
+        store.restore(token)
         table.set("x", 0, 1)
         assert table.next_due(5) == first
 
@@ -95,14 +103,16 @@ class TestSnapshotRestore:
         )
     )
     def test_property_restore_undoes_arbitrary_mutations(self, ops):
-        table = TimerTable()
+        store, table = stored_table()
         table.set("base", 0, 3)
-        snap = table.snapshot()
-        reference = dict(snap[0])
+        token = store.snapshot()
+        reference = table.snapshot()
         for key, delay in ops:
             if delay == 0:
                 table.cancel(key)
             else:
                 table.set(key, 1, delay)
-        table.restore(snap)
-        assert dict(table.snapshot()[0]) == reference
+        store.restore(token)
+        assert table.snapshot() == reference
+        # the due-order view was rebuilt against the restored namespace
+        assert table.next_due(10) == (3, 0, "base")
