@@ -32,7 +32,6 @@ from repro.core.checkpoint import (
 from repro.core.debugger import Breakpoint, Debugger
 from repro.core.fingerprint import execution_fingerprint, first_divergence
 from repro.core.groups import BeaconService
-from repro.core.gvt import GvtSample, GvtTracker
 from repro.core.lockstep import LockstepCoordinator, LockstepStack
 from repro.core.ordering import (
     OptimizedOrdering,
@@ -56,8 +55,6 @@ __all__ = [
     "DefinedShim",
     "ForkOnReceive",
     "HistoryWindowWarning",
-    "GvtSample",
-    "GvtTracker",
     "LockstepCoordinator",
     "LockstepStack",
     "MemoryIntercept",

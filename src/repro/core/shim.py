@@ -222,19 +222,60 @@ class DefinedShim(ReplayStack):
         #: event -- a misconfigured run must not pay O(late_deliveries)
         #: warning traffic on its delivery hot path.
         self._reported_deficit_us: Optional[int] = None
-        #: uid -> delivery-log index of message entries pruned from the
-        #: history window.  An unsend normally retracts its targets via
-        #: the live history; one that arrives *after* its target was
-        #: pruned (a rollback cascade outran the window) would otherwise
-        #: leave the tag in the execution log forever -- a permanent
-        #: fingerprint orphan that no counter records.  The map lets the
-        #: retraction still happen, and the event is counted as a window
-        #: deficit (the state rollback itself is unrecoverable: the
-        #: checkpoint was released with the entry).
+        #: uid -> (delivery-log index, delivery time, expiry) of message
+        #: entries pruned from the history window.  An unsend normally
+        #: retracts its targets via the live history; one that arrives
+        #: *after* its target was pruned (a rollback cascade outran the
+        #: window) would otherwise leave the tag in the execution log
+        #: forever -- a permanent fingerprint orphan that no counter
+        #: records.  The map lets the retraction still happen, and the
+        #: event is counted as a window deficit (the state rollback itself
+        #: is unrecoverable: the checkpoint was released with the entry).
+        #:
+        #: **Fossil collection.**  Entries are dropped once no unsend can
+        #: reach them, by this forward invariant.  Let ``W`` be the window
+        #: (one per deployment: every shim of a network is built with the
+        #: same one) and ``D`` the largest one-link average delay.
+        #:
+        #: (I) Every anti-message naming an output ``m`` leaves its
+        #: sender no later than ``m.sent_at_us + W``.  Base: nothing has
+        #: been unsent.  Step: :meth:`_unsend_outputs` is the one emitter
+        #: (rollbacks and :meth:`on_crash` alike), and it drops every
+        #: output older than ``W`` from the plan, counting it late.
+        #:
+        #: (II) It arrives no later than ``m.sent_at_us + W + D``, the
+        #: entry's *expiry*: unsends go over
+        #: :meth:`Network.transmit_deterministic` with the sender's
+        #: average delay to ``m.dst`` -- no loss, no queueing, at most
+        #: ``D``.
+        #:
+        #: (III) So at a prune at time ``now``, an entry whose expiry is
+        #: ``< now`` can never be hit again: any unsend still to come
+        #: arrives after ``now``, past the expiry, contradicting (II).
+        #: :meth:`_prune_window` drops those entries and never inserts
+        #: one that has already expired.  An entry whose expiry equals
+        #: ``now`` stays until the next prune, because an unsend may
+        #: still arrive later at this same instant.  The map therefore
+        #: holds what was sent within ``W + D`` plus one beacon interval,
+        #: not the whole run.
+        #:
+        #: The bound is keyed on ``sent_at_us``, not on the age of the
+        #: delivery that emitted ``m``.  Under lazy cancellation a
+        #: re-execution that adopts ``m`` keeps its uid and send time but
+        #: re-delivers the emitting entry with a fresh ``delivered_at_us``,
+        #: and ``keep_min`` keeps a quiet node's last entry rollback-able
+        #: at any age.  A chain of rollbacks could therefore retract ``m``
+        #: arbitrarily late, and only the output's own age bounds both
+        #: cases.
         self._pruned_uid_log: dict = {}
-        #: Unsends whose target had already been pruned from the window
-        #: (counted into ``late_deliveries``/deficits too: they are the
-        #: same misconfiguration signal, seen from the retraction side).
+        #: ``W + D`` above: how long after an output's send an unsend
+        #: naming it can still arrive (bound on first prune).
+        self._unsend_reach_us: Optional[int] = None
+        #: Retractions the window no longer covers, counted into
+        #: ``late_deliveries`` and the deficits too: unsends whose target
+        #: had already been pruned here, and outputs this node did not
+        #: unsend because they were older than the window.  Both are the
+        #: same misconfiguration signal, seen from the retraction side.
         self.pruned_retractions = 0
 
     # ------------------------------------------------------------------
@@ -653,9 +694,9 @@ class DefinedShim(ReplayStack):
         retracted causal chain forever.
         """
         hits = [self._pruned_uid_log.pop(u) for u in uids]
-        removed = sorted(idx for idx, _at in hits)
+        removed = sorted(idx for idx, _at, _expiry in hits)
         now = self.sim.now
-        for idx, delivered_at in hits:
+        for _idx, delivered_at, _expiry in hits:
             self.late_deliveries += 1
             self.pruned_retractions += 1
             self._record_window_deficit(
@@ -672,11 +713,32 @@ class DefinedShim(ReplayStack):
             if entry.log_index >= 0:
                 entry.log_index = _shifted(entry.log_index)
         self._pruned_uid_log = {
-            u: (_shifted(idx), at) for u, (idx, at) in self._pruned_uid_log.items()
+            u: (_shifted(idx), at, expiry)
+            for u, (idx, at, expiry) in self._pruned_uid_log.items()
         }
 
     def _unsend_outputs(self, retracted) -> None:
-        plan = collect_unsends(retracted)
+        """Anti-message the retracted outputs a receiver may still hold.
+
+        An output sent more than a window ago is **not** unsent: its
+        receiver may have pruned the delivery already, and bounding every
+        anti-message by its output's age is what lets the pruned map be
+        fossil-collected (see ``_pruned_uid_log``).  The retraction is
+        counted like a late arrival, with a deficit of how far the output
+        outran the window, so "verified" stays an honest claim.
+        """
+        now = self.sim.now
+        window = self.window_us()
+        live = []
+        for msg in retracted:
+            age = now - msg.sent_at_us
+            if age > window:
+                self.late_deliveries += 1
+                self.pruned_retractions += 1
+                self._record_window_deficit(age - window)
+            else:
+                live.append(msg)
+        plan = collect_unsends(live)
         network = self.node.network
         for dst in sorted(plan):
             self.node.stats.unsends_sent += 1
@@ -751,18 +813,30 @@ class DefinedShim(ReplayStack):
         )
 
     def _prune_window(self) -> None:
-        cutoff = self.sim.now - self.window_us()
+        now = self.sim.now
+        if self._pruned_uid_log:
+            # fossil collection: drop what no unsend can reach any more
+            self._pruned_uid_log = {
+                u: hit for u, hit in self._pruned_uid_log.items() if hit[2] >= now
+            }
+        cutoff = now - self.window_us()
         history = self.history
         if cutoff <= 0 or not history or history[0].delivered_at_us >= cutoff:
             return  # the oldest entry has not aged out: nothing to prune
         dropped: list = []
         pruned = history.prune_before_time(cutoff, collect=dropped)
+        reach = self._unsend_reach_us
+        if reach is None:
+            reach = self._unsend_reach_us = (
+                self.window_us() + self.node.network.max_link_delay_us()
+            )
         for entry in dropped:
-            if entry.kind == "msg" and entry.msg is not None and entry.log_index >= 0:
-                self._pruned_uid_log[entry.msg.uid] = (
-                    entry.log_index,
-                    entry.delivered_at_us,
-                )
+            if entry.kind == "msg" and entry.log_index >= 0:
+                expiry = entry.msg.sent_at_us + reach
+                if expiry >= now:
+                    self._pruned_uid_log[entry.msg.uid] = (
+                        entry.log_index, entry.delivered_at_us, expiry
+                    )
         if pruned and history:
             # entries older than the window can never be rolled back to
             # again (Lemma 2): release their private copies in the store

@@ -309,6 +309,14 @@ class Network:
                     best = d
         return best
 
+    def max_link_delay_us(self) -> int:
+        """Largest average delay of one link direction: the longest any
+        :meth:`transmit_deterministic` hop between neighbours takes."""
+        return max(
+            (max(link.model_ab.avg_us, link.model_ba.avg_us) for link in self.links.values()),
+            default=0,
+        )
+
     # ------------------------------------------------------------------
     # declarative perturbations (chaos DSL fault families)
     # ------------------------------------------------------------------

@@ -123,10 +123,17 @@ def scenario_resolution_digest(names: List[str], seed: int = 1) -> Dict[str, Tup
     return out
 
 
-def run_scenario_cell(name: str, mode: str, network_seed: int = 1, seed: int = 1):
+def run_scenario_cell(
+    name: str,
+    mode: str,
+    network_seed: int = 1,
+    seed: int = 1,
+    jitter_us: Optional[int] = None,
+):
     """One production run of scenario ``name`` as a sweep cell runs it:
     workload ``seed``, ``measure_convergence=False`` -- nothing in the
-    run reads a routing table."""
+    run reads a routing table.  ``jitter_us`` overrides the scenario's
+    delivery jitter, as a sweep cell's does."""
     from repro.harness import run_production
     from repro.sweep import get_scenario
 
@@ -137,7 +144,7 @@ def run_scenario_cell(name: str, mode: str, network_seed: int = 1, seed: int = 1
         scenario.schedule(graph, seed),
         mode=mode,
         seed=network_seed,
-        jitter_us=scenario.jitter_us,
+        jitter_us=scenario.jitter_us if jitter_us is None else jitter_us,
         ordering=scenario.ordering,
         daemon_factory=scenario.daemon(graph) if scenario.daemon else None,
         measure_convergence=False,

@@ -1,0 +1,262 @@
+"""Fossil collection for the pruned-delivery map (``DefinedShim._pruned_uid_log``).
+
+The map keeps what an unsend that outran the history window needs to
+still excise its target's tag.  Its entries are dropped by a forward
+invariant (proved in the attribute's docstring): no anti-message leaves
+later than its output's send plus the window, so none arrives after the
+send plus window plus the longest link -- the entry's *expiry*.
+
+The boundary tests pin the rule and the collection on a hand-built line
+``a - b - c`` without beacons, where every instant is chosen by hand.  The
+audit observes whole runs through wrappers around the three places the
+bound is decided (``_unsend_outputs``, ``_retract_pruned``, ``_rollback``),
+leaving the program unchanged, and asserts the invariant's premises held
+there: no output the rule had to suppress, no pruned-map hit past its
+expiry, no rollback anchored past the window.
+"""
+
+from __future__ import annotations
+
+import warnings
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import List, Tuple
+
+import pytest
+
+from _fixtures import run_scenario_cell
+
+from repro.core.shim import DefinedShim, HistoryWindowWarning
+from repro.simnet.messages import Message, Unsend
+from repro.simnet.network import build_network
+from repro.sweep import SweepRunner
+
+WINDOW = 1_000_000
+#: ``a - b`` 2 ms and ``b - c`` 3 ms, no jitter: the longest link is 3 ms.
+LINE = [("a", "b", 2_000), ("b", "c", 3_000)]
+
+
+def line():
+    """Daemon-less shims on :data:`LINE`, started; no beacons, so nothing
+    prunes unless a test calls ``_prune_window``."""
+    net = build_network(LINE, jitter_us=0)
+    net.attach(lambda node: DefinedShim(node, window_us=WINDOW))
+    net.start()
+    return net, net.nodes["a"].stack, net.nodes["b"].stack
+
+
+def pings(net, sender, at_us: List[int]) -> List[Message]:
+    """``sender`` pings ``b`` at each time; returns the delivered messages."""
+    receiver = net.nodes["b"].stack
+    for t in at_us:
+        net.run(until_us=t)
+        sender.send("b", "ping", t)
+    net.run(until_us=at_us[-1] + 10_000)
+    return [entry.msg for entry in receiver.history]
+
+
+class TestTheRule:
+    """``_unsend_outputs`` unsends an output no older than the window."""
+
+    def test_an_output_aged_exactly_the_window_is_unsent(self):
+        net, a, b = line()
+        (msg,) = pings(net, a, [0])
+        net.run(until_us=msg.sent_at_us + WINDOW)
+        a._unsend_outputs([msg])
+        net.run()
+        assert a.node.stats.unsends_sent == b.node.stats.unsends_received == 1
+        assert len(b.history) == 0  # rolled back out of the window
+        assert a.late_deliveries == a.pruned_retractions == 0
+
+    def test_one_microsecond_older_sends_nothing_and_counts_one_late_delivery(self):
+        net, a, b = line()
+        (msg,) = pings(net, a, [0])
+        net.run(until_us=msg.sent_at_us + WINDOW + 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            a._unsend_outputs([msg])
+        assert [w.category for w in caught] == [HistoryWindowWarning]
+        net.run()
+        assert a.node.stats.unsends_sent == b.node.stats.unsends_received == 0
+        assert [e.msg for e in b.history] == [msg]
+        assert a.late_deliveries == a.pruned_retractions == 1
+        assert a.deficit_samples_us == [1]
+        assert a.headroom_stats().late_count == 1
+
+
+class TestCollection:
+    """Pings sent at 0 and 1 ms reach ``b`` at 2 and 3 ms.  A prune at
+    ``W + 3 ms`` drops the first from the window (the second is the
+    ``keep_min`` anchor); its expiry is ``0 + W + 3 ms``."""
+
+    @pytest.mark.parametrize("first_prune_us", [WINDOW + 2_500, WINDOW + 3_000])
+    def test_an_entry_expiring_now_survives_this_prune_and_not_the_next(
+        self, first_prune_us
+    ):
+        """Whether the prune at the expiry inserts the entry or collects
+        around one inserted earlier, the entry is still there after it."""
+        net, a, b = line()
+        first, _second = pings(net, a, [0, 1_000])
+        expiry = first.sent_at_us + WINDOW + 3_000
+        for now in sorted({first_prune_us, expiry}):
+            net.run(until_us=now)
+            b._prune_window()
+            assert b._pruned_uid_log == {first.uid: (0, 2_000, expiry)}
+        net.run(until_us=expiry + 1)
+        b._prune_window()
+        assert b._pruned_uid_log == {}
+
+    def test_an_entry_already_expired_when_pruned_is_never_inserted(self):
+        net, a, b = line()
+        pings(net, a, [0, 1_000])
+        net.run(until_us=WINDOW + 3_001)
+        b._prune_window()
+        assert b.history.total_pruned == 1
+        assert b._pruned_uid_log == {}
+
+    def test_an_unsend_inside_the_bound_excises_the_tag_and_shifts_indices(self):
+        net, a, b = line()
+        p1, p2, p3, p4 = pings(net, a, [0, 100, 10_000, 20_000])
+        tags = list(b.delivery_log)
+        net.run(until_us=WINDOW + 2_500)
+        b._prune_window()
+        assert [e.msg for e in b.history] == [p3, p4]
+        assert set(b._pruned_uid_log) == {p1.uid, p2.uid}
+        unsend = Message(src="a", dst="b", protocol="_unsend",
+                         payload=Unsend(uids=(p1.uid,)))
+        with pytest.warns(HistoryWindowWarning):
+            b.on_wire(unsend)
+        assert list(b.delivery_log) == tags[1:]
+        assert b._pruned_uid_log == {p2.uid: (0, 2_100, 100 + WINDOW + 3_000)}
+        assert [e.log_index for e in b.history] == [1, 2]
+        assert b.late_deliveries == b.pruned_retractions == 1
+        assert b.deficit_samples_us == [(WINDOW + 2_500 - 2_000) - WINDOW]
+
+    def test_rebooting_clears_the_map(self):
+        net, a, b = line()
+        first, _second = pings(net, a, [0, 1_000])
+        net.run(until_us=WINDOW + 3_000)
+        b._prune_window()
+        assert first.uid in b._pruned_uid_log
+        b.start()
+        assert b._pruned_uid_log == {}
+
+
+# ----------------------------------------------------------------------
+# the audit
+# ----------------------------------------------------------------------
+@dataclass
+class Audit:
+    #: (age, window) of every output handed to ``_unsend_outputs``
+    retracted: List[Tuple[int, int]] = field(default_factory=list)
+    #: outputs the rule counted late instead of unsending
+    suppressed: int = 0
+    #: (arrival, expiry) of every pruned-map hit
+    hits: List[Tuple[int, int]] = field(default_factory=list)
+    #: (age, window) of every rollback's anchor entry
+    anchors: List[Tuple[int, int]] = field(default_factory=list)
+
+    def check(self) -> None:
+        assert self.suppressed == 0
+        assert all(age <= window for age, window in self.retracted)
+        assert all(now <= expiry for now, expiry in self.hits)
+        assert all(age <= window for age, window in self.anchors)
+
+
+@contextmanager
+def audited():
+    """Record, for every shim built inside, the ages the bound depends on."""
+    audit = Audit()
+    unsend = DefinedShim._unsend_outputs
+    retract = DefinedShim._retract_pruned
+    rollback = DefinedShim._rollback
+
+    def unsend_outputs(self, retracted):
+        retracted = list(retracted)
+        now, window = self.sim.now, self.window_us()
+        audit.retracted += [(now - msg.sent_at_us, window) for msg in retracted]
+        before = self.pruned_retractions
+        unsend(self, retracted)
+        audit.suppressed += self.pruned_retractions - before
+
+    def retract_pruned(self, uids):
+        audit.hits += [(self.sim.now, self._pruned_uid_log[u][2]) for u in uids]
+        retract(self, uids)
+
+    def rollback_to(self, index, new_entries, removed_uids):
+        anchor = self.history[index]
+        audit.anchors.append((self.sim.now - anchor.delivered_at_us, self.window_us()))
+        rollback(self, index, new_entries, removed_uids)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DefinedShim, "_unsend_outputs", unsend_outputs)
+        mp.setattr(DefinedShim, "_retract_pruned", retract_pruned)
+        mp.setattr(DefinedShim, "_rollback", rollback_to)
+        yield audit
+
+
+#: the default grid's ``defined`` scenarios (the same names for every seed)
+DEFAULT_GRID = sorted(
+    {c.scenario for c in SweepRunner(seeds=(1,)).grid() if c.mode == "defined"}
+)
+#: delivery jitter above the 250 ms beacon interval (the regime of the
+#: Theorem-1 regression in test_artifact_diff.py), under its network seeds
+SUPER_BEACON_US = 300_000
+SUPER_BEACON_NETWORK_SEEDS = (1, 2, 3, 1001)
+FORTY = ("flap-storm@40", "partition@40")
+FORTY_SHARD = FORTY + ("crash-restart@40", "ddos-overload@40", "latency-jitter@40")
+
+
+def audit_cell(name, seed=1, network_seed=None, jitter_us=None) -> Audit:
+    with audited() as audit:
+        prod = run_scenario_cell(
+            name, "defined", network_seed=seed if network_seed is None else network_seed,
+            seed=seed, jitter_us=jitter_us,
+        )
+    audit.check()
+    assert prod.late_deliveries == 0
+    return audit
+
+
+class TestAuditSeedOne:
+    @pytest.mark.parametrize("name", DEFAULT_GRID)
+    def test_default_grid(self, name):
+        audit_cell(name)
+
+    @pytest.mark.parametrize("network_seed", SUPER_BEACON_NETWORK_SEEDS)
+    def test_super_beacon_jitter(self, network_seed):
+        audit = audit_cell("flap-storm@20", network_seed=network_seed,
+                           jitter_us=SUPER_BEACON_US)
+        assert audit.retracted and audit.anchors  # rollbacks did retract
+
+    @pytest.mark.parametrize("name", FORTY)
+    def test_forty_nodes(self, name):
+        audit = audit_cell(name)
+        # the oldest unsent output is well inside the window (0.13 s of
+        # 1.10 s on flap-storm@40, 4 ms on partition@40)
+        assert audit.retracted
+        assert all(4 * age < window for age, window in audit.retracted)
+
+
+@pytest.mark.slow
+class TestAuditWide:
+    """Seeds 1-3 of everything above, less the seed-1 cells tier-1 runs."""
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("name", DEFAULT_GRID)
+    def test_default_grid(self, name, seed):
+        audit_cell(name, seed=seed)
+
+    @pytest.mark.parametrize(
+        "name, seed",
+        [(name, seed) for seed in (1, 2, 3) for name in FORTY_SHARD
+         if seed > 1 or name not in FORTY],
+    )
+    def test_forty_node_shard(self, name, seed):
+        audit_cell(name, seed=seed)
+
+    @pytest.mark.parametrize("network_seed", SUPER_BEACON_NETWORK_SEEDS)
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_super_beacon_jitter(self, seed, network_seed):
+        audit_cell("flap-storm@20", seed=seed, network_seed=network_seed,
+                   jitter_us=SUPER_BEACON_US)

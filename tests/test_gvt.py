@@ -1,23 +1,24 @@
-"""Tests for GVT tracking (Lemma 2 instrumentation)."""
+"""Tests for GVT tracking (Lemma 2 instrumentation), through the
+test-side oracle :class:`_oracles.GvtTracker`."""
 
 import pytest
 
 from _fixtures import flap_schedule, square_graph
+from _oracles import GvtTracker
 
-from repro.core.gvt import GvtTracker
 from repro.harness import build_ospf_network
 from repro.simnet.engine import SECOND
 
 
-def run_with_tracker(jitter_us=500, horizon_us=14 * SECOND):
-    square = square_graph()
+def run_with_tracker(jitter_us=500, horizon_us=14 * SECOND, graph=None,
+                     interval_us=500_000):
     net, recorder, beacons, _ = build_ospf_network(
-        square, mode="defined", seed=3, jitter_us=jitter_us
+        graph or square_graph(), mode="defined", seed=3, jitter_us=jitter_us
     )
     tracker = GvtTracker(net)
     beacons.start()
     net.start()
-    tracker.start(interval_us=500_000)
+    tracker.start(interval_us=interval_us)
     schedule = flap_schedule(("b", "c"))
     net.schedule_events(schedule)
     net.run(until_us=horizon_us)
@@ -54,6 +55,27 @@ class TestLemma2:
         live = [s.live_entries for s in tracker.samples]
         # pruning keeps per-network live history from growing unboundedly
         assert max(live[len(live) // 2:]) <= max(live) * 1.5 + 50
+
+    def test_pruned_maps_are_fossil_collected_below_the_floor(self):
+        """Below GVT is final, so each shim keeps a pruned delivery only
+        while an anti-message can still reach it: until its expiry (send
+        + window + longest link).  Collection runs at every beacon, so no
+        sample may find an entry more than one beacon interval past its
+        expiry.  The 300 ms chord is never on a shortest path, so the
+        window does not cover it and entries outlive their prune."""
+        square = square_graph()
+        square.edges = [
+            (a, b, 300_000 if (a, b) == ("a", "d") else delay)
+            for a, b, delay in square.edges
+        ]
+        net, tracker = run_with_tracker(graph=square, interval_us=100_000)
+        assert tracker.is_monotone() and tracker.advanced()
+        kept = [s for s in tracker.samples if s.pruned_entries]
+        assert kept  # the bound is exercised, not vacuous
+        for s in kept:
+            assert s.at_us - s.oldest_expiry_us <= net.time_unit_us
+        pruned = sum(node.stack.history.total_pruned for node in net.nodes.values())
+        assert max(s.pruned_entries for s in kept) < pruned / 4
 
 
 class TestTrackerMechanics:

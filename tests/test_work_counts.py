@@ -11,7 +11,8 @@ delivery, with its simulated-time results pinned exactly.  So is the
 rollback regime: rollbacks and daemon invocations per committed delivery,
 between what retract-everything cost and what lazy cancellation costs.
 So is the quiet path: engine events per beacon tick and link lookups per
-packet.
+packet.  So is what a node keeps for stragglers: the pruned-delivery
+maps' peak size.
 """
 
 import pytest
@@ -127,6 +128,31 @@ def test_the_quiet_path_pays_once_per_beacon_instant_and_per_route(monkeypatch):
     assert {caller for caller, _a, _b in lookups} == {"route", "apply_event"}
     pairs = [(a, b) for caller, a, b in lookups if caller == "route"]
     assert len(pairs) == len(set(pairs)) <= 2 * len(net.links)
+
+
+def test_the_pruned_delivery_maps_keep_only_what_an_unsend_can_reach(monkeypatch):
+    """Fossil collection, as a count: the peak of the pruned-delivery
+    maps summed over nodes, sampled after every prune.  3 122 when every
+    pruned delivery was kept for the whole run (57 576 on
+    ``rb-ebone-trace``, 4 599 at one node); an entry now goes once its
+    expiry has passed, or is never inserted."""
+    from repro.core.shim import DefinedShim
+
+    peak = {"summed": 0}
+    prune = DefinedShim._prune_window
+
+    def sampled(self):
+        prune(self)
+        summed = sum(
+            len(node.stack._pruned_uid_log)
+            for node in self.node.network.nodes.values()
+            if isinstance(node.stack, DefinedShim)
+        )
+        peak["summed"] = max(peak["summed"], summed)
+
+    monkeypatch.setattr(DefinedShim, "_prune_window", sampled)
+    run_scenario_cell("flap-storm@20", "defined", network_seed=1001)
+    assert peak["summed"] == 42
 
 
 def test_ls_replay_and_the_run_it_verifies_stay_near_the_committed_work():
