@@ -31,9 +31,11 @@ def percentile(samples: Sequence[float], q: float) -> float:
     lo = int(pos)
     hi = min(lo + 1, len(ordered) - 1)
     frac = pos - lo
-    value = ordered[lo] * (1 - frac) + ordered[hi] * frac
-    # interpolation rounding must not escape the sample range
-    return min(max(value, ordered[0]), ordered[-1])
+    a, b = ordered[lo], ordered[hi]
+    # clamped to its own segment, the interpolant is exact when a == b
+    # (a weighted sum of two equal subnormals is not) and monotone in q
+    # across segment boundaries
+    return float(min(max(a + (b - a) * frac, a), b))
 
 
 def median(samples: Sequence[float]) -> float:

@@ -62,7 +62,7 @@ for determinism").  Messages the production network could not deliver
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.history import DeliveredHistory, HistoryEntry
 from repro.core.ordering import OptimizedOrdering, OrderingFunction, OrderKey
@@ -78,6 +78,11 @@ from repro.simnet.transport import ReliableTransport
 #: recorded (they have no observing daemon; the coordinator applies them
 #: to the debugging network's logical topology at group start).
 NET_EVENTS_NODE = "__net__"
+
+#: The two phase-begin kinds a node handles (:meth:`LockstepStack.
+#: _on_coordinator`); group-begins are applied by the coordinator itself.
+TRANSMIT = "transmit"
+PROCESS = "process"
 
 
 class LockstepStack(ReplayStack):
@@ -205,26 +210,18 @@ class LockstepStack(ReplayStack):
     # ------------------------------------------------------------------
     # coordinator protocol
     # ------------------------------------------------------------------
-    def _on_coordinator(self, payload: Dict[str, Any]) -> None:
-        kind = payload["type"]
-        if kind == "group":
-            self._begin_group(payload["group"], payload["events"])
-            self._marker(0)
-        elif kind == "transmit":
+    def _on_coordinator(self, kind: str) -> None:
+        if kind == TRANSMIT:
             self._do_transmission()
-        elif kind == "process":
+        else:
             self._marker(self._do_processing())
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown coordinator message {kind!r}")
 
     def _marker(self, count: int) -> None:
         """Account one marker packet and tell the coordinator when it lands."""
         assert self.coordinator is not None
         self.node.stats.control_packets_sent += 1
         self.coordinator.on_marker(
-            self.node.node_id,
-            count,
-            self.sim.now + self.coordinator.delay_to(self.node.node_id),
+            count, self.sim.now + self.coordinator.delay_to(self.node.node_id)
         )
 
     # ------------------------------------------------------------------
@@ -273,8 +270,43 @@ class LockstepStack(ReplayStack):
         self._group_log_index = len(self.delivery_log)
 
     # ------------------------------------------------------------------
-    # transmission phase
+    # phase work
     # ------------------------------------------------------------------
+    def phase_idle(self, kind: str) -> bool:
+        """True when a ``kind`` phase-begin would find nothing to do here.
+
+        An idle node's handler would only answer a count-0 marker, so the
+        coordinator accounts it when it broadcasts instead of delivering
+        the phase-begin as an engine event.  That is sound only if the
+        answer, evaluated at broadcast, still holds when the phase-begin
+        would have arrived ``delay_to(node)`` later -- and nothing in
+        between can make an idle node busy:
+
+        * the send and unsend buffers fill only in the node's own
+          processing (:meth:`_do_processing`), which runs in its own
+          phase-begin handler, never in anybody else's;
+        * ``transport.idle()`` turns false only through the node's own
+          sends (in :meth:`_do_transmission`) and true again through
+          their ACKs; frames it receives meanwhile make it send ACKs,
+          which are untracked;
+        * inputs (``_changed_from``) arrive only in transmit phases: a
+          process phase begins after every node's transmit marker, each
+          sent only once its transport was idle, so every frame was
+          received and every reorder buffer drained, and a late
+          duplicate is dropped by the transport before it reaches
+          :meth:`_on_logical`.
+
+        A transmit phase has work when a buffer is non-empty or frames
+        await acknowledgement; a process phase when the inputs changed or
+        a buffer is non-empty (:meth:`_do_processing` counts queued
+        traffic into the marker).
+        """
+        if self._send_buffer or self._unsend_buffer:
+            return False
+        if kind == TRANSMIT:
+            return self.transport.idle()
+        return self._changed_from is None
+
     def _do_transmission(self) -> None:
         count = 0
         for dst in sorted(self._unsend_buffer):
@@ -306,9 +338,6 @@ class LockstepStack(ReplayStack):
         else:
             self.sim.schedule(self.poll_us, self._await_idle, count)
 
-    # ------------------------------------------------------------------
-    # processing phase
-    # ------------------------------------------------------------------
     def _do_processing(self) -> int:
         if not self.active:
             return 0
@@ -424,12 +453,16 @@ class LockstepCoordinator:
     Drives a debugging network through group replay.  All coordination
     travels with realistic latency (shortest-path delay from the
     coordinator node) and is counted as control traffic, which is what
-    the step response time of Figures 6c/8c measures.  Phase-begin
-    messages are engine events, one per node (their delivery order fixes
-    the order nodes process in, hence uid allocation); the markers coming
-    back are accounted -- counted as control packets, their arrival times
-    computed -- and a phase costs one completion event at the latest
-    marker's arrival instead of one event per marker.
+    the step response time of Figures 6c/8c measures.  A phase-begin is
+    an engine event only for a node with work in the phase
+    (:meth:`LockstepStack.phase_idle`); those events' order -- arrival
+    time, then node id -- fixes the order busy nodes process in, hence
+    uid allocation.  Everything else is accounted, not simulated: an
+    idle node's phase-begin and its count-0 marker are counted as control
+    packets and the marker's arrival computed at broadcast, group-begins
+    are applied to every node at broadcast, and every marker is folded
+    into a running sum, so a phase costs its busy nodes' events plus one
+    completion event at the latest marker's arrival.
     """
 
     def __init__(
@@ -457,7 +490,8 @@ class LockstepCoordinator:
         self.finished = False
         self.steps_executed = 0
         self._expected = 0
-        self._counts: Dict[str, int] = {}
+        self._reported = 0
+        self._marker_sum = 0
         self._last_marker_us = 0
         self._phase_done = False
         #: Callables ``coordinator -> bool`` evaluated after every cycle;
@@ -491,31 +525,51 @@ class LockstepCoordinator:
     # ------------------------------------------------------------------
     # barrier machinery
     # ------------------------------------------------------------------
-    def _broadcast(self, payloads: Dict[str, Dict[str, Any]]) -> None:
-        self._expected = len(payloads)
-        self._counts = {}
+    def _open_phase(self, expected: int) -> None:
+        self._expected = expected
+        self._reported = 0
+        self._marker_sum = 0
         self._last_marker_us = 0
-        self._phase_done = not payloads
-        for node_id, payload in sorted(payloads.items()):
-            self.network.sim.schedule(
-                self.delay_to(node_id), self._deliver_ctrl, node_id, payload
-            )
+        self._phase_done = not expected
 
-    def _deliver_ctrl(self, node_id: str, payload: Dict[str, Any]) -> None:
+    def _broadcast(self, kind: str, nodes: List[str]) -> None:
+        """Begin a ``kind`` phase on ``nodes`` (sorted): an engine event
+        for each node with work, a count-0 marker now for the rest."""
+        self._open_phase(len(nodes))
+        sim = self.network.sim
+        for node_id in nodes:
+            if self.stacks[node_id].phase_idle(kind):
+                self._account_round_trip(node_id)
+            else:
+                sim.schedule(self.delay_to(node_id), self._deliver_ctrl, node_id, kind)
+
+    def _account_round_trip(self, node_id: str) -> None:
+        """Account a phase-begin handled at broadcast (an idle node's, or
+        a group-begin) and its count-0 marker: both control packets, and
+        the marker landing when the round trip to ``node_id`` would have
+        ended."""
+        stats = self.network.nodes[node_id].stats
+        stats.control_packets_received += 1
+        stats.control_packets_sent += 1
+        self.on_marker(0, self.network.sim.now + 2 * self.delay_to(node_id))
+
+    def _deliver_ctrl(self, node_id: str, kind: str) -> None:
         self.network.nodes[node_id].stats.control_packets_received += 1
-        self.stacks[node_id]._on_coordinator(payload)
+        self.stacks[node_id]._on_coordinator(kind)
 
-    def on_marker(self, node_id: str, count: int, arrives_us: int) -> None:
-        """A node's marker, reaching the coordinator at ``arrives_us``.
+    def on_marker(self, count: int, arrives_us: int) -> None:
+        """A marker carrying ``count``, reaching the coordinator at
+        ``arrives_us``.
 
         Markers carry a count and nothing else, so they are accounted
         here rather than simulated one event each: when the last expected
-        node has reported, a single ``barrier:done`` event at the latest
+        node has reported, a single completion event at the latest
         arrival ends the phase -- the instant the last marker would have
         been delivered."""
-        self._counts[node_id] = count
+        self._reported += 1
+        self._marker_sum += count
         self._last_marker_us = max(self._last_marker_us, arrives_us)
-        if len(self._counts) == self._expected:
+        if self._reported == self._expected:
             sim = self.network.sim
             sim.schedule(self._last_marker_us - sim.now, self._end_phase)
 
@@ -548,11 +602,15 @@ class LockstepCoordinator:
         for ev in events:
             if ev.node != NET_EVENTS_NODE:
                 per_node.setdefault(ev.node, []).append(ev)
-        payloads = {
-            nid: {"type": "group", "group": group, "events": per_node.get(nid, [])}
-            for nid in self._active_nodes()
-        }
-        self._broadcast(payloads)
+        # A group-begin reads no clock and sends nothing, and no frame is
+        # in flight after a barrier (every transport is idle, so every
+        # frame was received and released), so it is applied to every
+        # node here; only its round trip's packets and time are accounted.
+        active = self._active_nodes()
+        self._open_phase(len(active))
+        for nid in active:
+            self.stacks[nid]._begin_group(group, per_node.get(nid, []))
+            self._account_round_trip(nid)
         self._run_until_phase_done()
         self.in_group = True
 
@@ -585,12 +643,12 @@ class LockstepCoordinator:
             self._start_group()
         start_us = self.network.sim.now
         active = self._active_nodes()
-        self._broadcast({nid: {"type": "transmit", "cycle": self.cycle} for nid in active})
+        self._broadcast(TRANSMIT, active)
         self._run_until_phase_done()
-        sent = sum(self._counts.values())
-        self._broadcast({nid: {"type": "process", "cycle": self.cycle} for nid in active})
+        sent = self._marker_sum
+        self._broadcast(PROCESS, active)
         self._run_until_phase_done()
-        processed = sum(self._counts.values())
+        processed = self._marker_sum
         self.cycle += 1
         self.steps_executed += 1
         self.network.run_stats.step_times_us.append(self.network.sim.now - start_us)

@@ -1,7 +1,7 @@
 """Unit tests for metrics and report rendering."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.analysis.metrics import Cdf, dominates, mean, median, percentile
 from repro.analysis.report import ascii_cdf, render_series, render_table
@@ -39,6 +39,8 @@ class TestScalars:
         assert min(xs) <= p <= max(xs)
 
     @given(samples)
+    @example([0.0, 1.0, 1.0, 5.701364072292907e-309, 5.701364072292907e-309,
+              5.701364072292907e-309])
     def test_property_percentiles_monotone(self, xs):
         ps = [percentile(xs, q) for q in (0, 25, 50, 75, 100)]
         assert ps == sorted(ps)

@@ -55,6 +55,43 @@ class TestPhaseMachinery:
             sent, processed = coordinator.advance_cycle()
         assert (sent, processed) == (0, 0)
 
+    def test_idle_cycle_costs_two_completion_events(self, production):
+        """A group-closing (0, 0) cycle finds every node idle: no
+        phase-begin is an engine event, each phase is one completion
+        event, yet every active node still pays its four control packets
+        and the step still costs the barrier's round trips."""
+        square, prod = production
+        coordinator = make_coordinator(square, prod.recording)
+        net = coordinator.network
+        coordinator.advance_cycle()
+        while True:
+            events = net.sim.events_executed
+            packets = net.run_stats.total_control_packets()
+            if coordinator.advance_cycle() == (0, 0):
+                break
+        assert net.sim.events_executed - events == 2  # was 10: one per node per phase
+        active = len(coordinator._active_nodes())
+        assert active == 4
+        assert net.run_stats.total_control_packets() - packets == 4 * active
+        assert net.run_stats.step_times_us[-1] == 21_200
+
+    def test_phase_idle_needs_empty_buffers_unchanged_inputs_idle_transport(
+        self, production
+    ):
+        square, prod = production
+        coordinator = make_coordinator(square, prod.recording)
+        coordinator.run_group()
+        stack = coordinator.stacks["a"]
+        assert stack.phase_idle("transmit") and stack.phase_idle("process")
+        stack._changed_from = ()
+        assert stack.phase_idle("transmit") and not stack.phase_idle("process")
+        stack._changed_from = None
+        stack._unsend_buffer = {"b": [1]}
+        assert not stack.phase_idle("transmit") and not stack.phase_idle("process")
+        stack._unsend_buffer = {}
+        stack.transport.send("b", "probe", None)  # awaits its ACK
+        assert not stack.phase_idle("transmit") and stack.phase_idle("process")
+
     def test_step_times_recorded(self, production):
         square, prod = production
         coordinator = make_coordinator(square, prod.recording)

@@ -156,16 +156,21 @@ def test_the_pruned_delivery_maps_keep_only_what_an_unsend_can_reach(monkeypatch
 
 
 def test_ls_replay_and_the_run_it_verifies_stay_near_the_committed_work():
-    """DEFINED-LS re-executes a suffix, not a node's whole input set, and
-    spends one engine event per phase on markers, not one per node;
+    """DEFINED-LS re-executes a suffix, not a node's whole input set,
+    spends one engine event per phase on markers, not one per node, and
+    delivers a phase-begin as an engine event only to a node with work
+    in the phase (idle phase-begins and group-begins are accounted);
     DEFINED-RB keeps the outputs a rollback reproduces, so its neighbours
     re-execute less.  Both are held to an absolute multiple of the
     committed deliveries (the replay used to be compared with the
     production run, which now does *less* daemon work than it: 4 277
-    against 4 574 invocations).  The four exact figures were recorded
-    before any of this (full re-execution, one ``marker:`` event per
-    node per phase): neither folding the markers nor lazy cancellation
-    moved simulated time or a control packet of the replay."""
+    against 4 574 invocations).  The replay's engine events are pinned
+    exactly: 29 988 while every active node got every phase-begin as an
+    event, 18 099 since only busy ones do.  The four exact figures after
+    it were recorded before any of this (full re-execution, one
+    ``marker:`` event per node per phase): neither folding the markers,
+    nor lazy cancellation, nor accounting idle phase-begins moved
+    simulated time or a control packet of the replay."""
     from repro.harness import run_ls_replay
     from repro.sweep import get_scenario
 
@@ -182,7 +187,7 @@ def test_ls_replay_and_the_run_it_verifies_stay_near_the_committed_work():
     assert committed == 3_634
     assert replay.executed_deliveries <= 1.5 * committed
     assert prod.executed_deliveries <= 1.25 * committed
-    assert replay.network.sim.events_executed <= 9 * committed  # was 12.46
+    assert replay.network.sim.events_executed == 18_099
 
     assert replay.cycles == 359
     assert sum(replay.step_times_us) == 53_565_800
