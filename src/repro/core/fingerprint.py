@@ -29,34 +29,36 @@ _NODE_SEP = b"\x00"
 _ENTRY_SEP = b"\x01"
 _NODE_END = b"\x02"
 
+#: Tags joined and encoded per ``update`` when a log folds its tail:
+#: large enough to amortise the call, small enough that the transient
+#: bytes stay far below the log itself.
+_FOLD_CHUNK = 4096
+
 
 class DeliveryLog:
     """One node's ordered delivery log with a rolling identity digest.
 
     Quacks like the ``List[str]`` it replaces (append / len / index /
-    slice / ``del log[i:]``), but each entry's UTF-8 encoding is cached
-    at append time and folded into a per-node rolling SHA-256, so the
-    end-of-run fingerprint never re-encodes (let alone re-renders) an
-    entry.  Folding is lazy up to a watermark: a rollback that truncates
-    *unfolded* tail entries costs nothing, and one that cuts below the
-    watermark rebases the digest by refolding the cached bytes -- hash
-    work only, no repr rebuild.
+    slice / ``del log[i:]``) and holds nothing but that list of tags: no
+    per-entry bytes copy.  The entries are folded into a per-node rolling
+    SHA-256 lazily, up to a watermark, encoding the unfolded tail in
+    chunks of :data:`_FOLD_CHUNK` tags (one join and one encode per chunk,
+    the same bytes a per-entry fold would feed).  A rollback that
+    truncates *unfolded* tail entries costs nothing; one that cuts below
+    the watermark rebases the digest, which the next fold rebuilds from
+    the tags -- hash and encode work only, no repr rebuild.
     """
 
-    __slots__ = ("_tags", "_encoded", "_digest", "_folded")
+    __slots__ = ("_tags", "_digest", "_folded")
 
     def __init__(self, entries: Sequence[str] = ()) -> None:
-        self._tags: List[str] = []
-        self._encoded: List[bytes] = []
+        self._tags: List[str] = list(entries)
         self._digest = hashlib.sha256()
         self._folded = 0
-        for tag in entries:
-            self.append(tag)
 
     # -- list protocol (the mutations the shims actually perform) -------
     def append(self, tag: str) -> None:
         self._tags.append(tag)
-        self._encoded.append(tag.encode())
 
     def __len__(self) -> int:
         return len(self._tags)
@@ -72,16 +74,16 @@ class DeliveryLog:
 
     def __delitem__(self, index: Union[int, slice]) -> None:
         if isinstance(index, slice):
-            start = min(
-                range(*index.indices(len(self._tags))),
-                default=len(self._tags),
-            )
+            # O(1): first and last of the deleted range, not a walk of it
+            deleted = range(*index.indices(len(self._tags)))
+            if not deleted:
+                return
+            start = min(deleted[0], deleted[-1])
         else:
             start = index if index >= 0 else len(self._tags) + index
         del self._tags[index]
-        del self._encoded[index]
         if start < self._folded:
-            # the digest covers bytes that are gone: rebase lazily
+            # the digest covers entries that are gone: rebase lazily
             self._digest = hashlib.sha256()
             self._folded = 0
 
@@ -100,13 +102,15 @@ class DeliveryLog:
 
     # -- digest ---------------------------------------------------------
     def node_digest(self) -> bytes:
-        """Digest of the entry sequence, folding only what append/rebase
-        has not folded yet."""
+        """Digest of the entry sequence, folding only what the last fold
+        (or rebase) left unfolded."""
         update = self._digest.update
-        for data in self._encoded[self._folded:]:
-            update(data)
+        tags = self._tags
+        for lo in range(self._folded, len(tags), _FOLD_CHUNK):
+            # "e1\x01e2\x01...en" + "\x01": each entry then _ENTRY_SEP
+            update("\x01".join(tags[lo:lo + _FOLD_CHUNK]).encode())
             update(_ENTRY_SEP)
-        self._folded = len(self._encoded)
+        self._folded = len(tags)
         return self._digest.digest()
 
 

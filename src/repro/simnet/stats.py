@@ -9,6 +9,7 @@ counters here are the raw material for those distributions.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -48,8 +49,11 @@ class NodeStats:
     rollback_samples_us: List[int] = field(default_factory=list)
 
     # --- memory accounting (bytes) --------------------------------------
-    virtual_memory_samples: List[int] = field(default_factory=list)
-    physical_memory_samples: List[int] = field(default_factory=list)
+    #: One (virtual, physical) sample per beacon tick (Figure 7c).  The
+    #: values are ~100 MB, past the small-int cache, so they are packed
+    #: as signed 64-bit machine ints: 8 bytes a sample, no boxed ``int``.
+    virtual_memory_samples: array = field(default_factory=lambda: array("q"))
+    physical_memory_samples: array = field(default_factory=lambda: array("q"))
 
     def total_packets(self, include_control: bool = True) -> int:
         """Packets this node handled (sent + received)."""

@@ -26,8 +26,8 @@ class TestNodeStats:
         stats.record_processing(120)
         stats.record_memory(10, 5)
         assert stats.processing_samples_us == [120]
-        assert stats.virtual_memory_samples == [10]
-        assert stats.physical_memory_samples == [5]
+        assert list(stats.virtual_memory_samples) == [10]
+        assert list(stats.physical_memory_samples) == [5]
 
 
 class TestRunStats:
