@@ -142,6 +142,42 @@ class TestAliasedEscape:
         store.snapshot()
 
 
+class TestAliasing:
+    """A stored value mutated through a reference the caller got back
+    from the store itself.  Every sequence ends in a violation naming the
+    namespace and key, wherever along the sequence it is caught."""
+
+    def test_read_mutate_write_back(self, store):
+        ns = store.namespace("rib")
+        ns["k"] = [1]
+        v0 = store.snapshot()
+        with pytest.raises(StoreContractViolation, match=r"'rib'.*'k'"):
+            value = ns["k"]
+            value.append(9)
+            ns["k"] = value  # the same object: an "equal rewrite"
+            store.snapshot()
+            store.restore(v0)
+
+    def test_mutated_pop_result_held_by_undo_journal(self, store):
+        ns = store.namespace("rib")
+        ns["k"] = [1]
+        v0 = store.snapshot()
+        with pytest.raises(StoreContractViolation, match=r"'rib'.*'k'"):
+            popped = ns.pop("k")  # v0's undo journal still holds it
+            popped.append(9)
+            store.restore(v0)
+
+    def test_mutated_displaced_value_held_by_undo_journal(self, store):
+        ns = store.namespace("rib")
+        ns["k"] = [1]
+        v0 = store.snapshot()
+        with pytest.raises(StoreContractViolation, match=r"'rib'.*'k'"):
+            old = ns["k"]
+            ns["k"] = [2]  # journals the displaced object into v0
+            old.append(9)
+            store.restore(v0)
+
+
 class TestSanitizeSwitch:
     def test_env_var_enables(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
