@@ -34,7 +34,7 @@ from repro.core.checkpoint import Checkpoint
 from repro.core.history import DeliveredHistory, HistoryEntry
 from repro.core.ordering import OrderingFunction
 from repro.core.recorder import SendIdentity
-from repro.core.statestore import StateStore
+from repro.core.statestore import StateStore, StoreContractViolation
 from repro.core.virtual_time import TimerTable
 from repro.simnet.messages import Annotation, Message
 from repro.simnet.node import Node, Stack
@@ -285,7 +285,21 @@ class ReplayStack(Stack):
     def _take_checkpoint(self) -> Checkpoint:
         # one store version covers daemon state + timers; the two
         # counters ride alongside (plain ints, no copying needed)
-        return Checkpoint(self._store.snapshot(), (self._origin_seq, self._sub_seq))
+        try:
+            version = self._store.snapshot()
+        except StoreContractViolation as exc:
+            raise self._attributed(exc) from exc
+        return Checkpoint(version, (self._origin_seq, self._sub_seq))
+
+    def _attributed(self, exc: StoreContractViolation) -> StoreContractViolation:
+        """``exc`` (sanitize mode) plus the delivery whose handler ran
+        last here: with a checkpoint before every delivery, a live value
+        mutated in place was mutated by that handler."""
+        log = self.delivery_log
+        last = f"delivery {log[-1]!r}" if log else "before the first delivery"
+        return StoreContractViolation(
+            f"{exc} (node {self.node.node_id!r}, last handler run: {last})"
+        )
 
     def _rewind(self, index: int) -> List[HistoryEntry]:
         """Undo ``history[index:]``: state and delivery log go back to
@@ -296,7 +310,10 @@ class ReplayStack(Stack):
         base = rolled[0]
         checkpoint = base.checkpoint
         assert checkpoint is not None
-        self._store.restore(checkpoint.version)
+        try:
+            self._store.restore(checkpoint.version)
+        except StoreContractViolation as exc:
+            raise self._attributed(exc) from exc
         self._origin_seq, self._sub_seq = checkpoint.counters
         if base.log_index >= 0:
             del self.delivery_log[base.log_index:]

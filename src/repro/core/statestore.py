@@ -55,13 +55,18 @@ snapshot-sharing scheme rests on, and a single in-place mutation of a
 stored value corrupts every snapshot that shares it -- silently, in a
 way the differential grid only catches probabilistically.  Sanitize mode
 (``StateStore(sanitize=True)`` or ``REPRO_SANITIZE=1``) turns violations
-into immediate :class:`StoreContractViolation` errors: reads hand out
-freeze-proxy *views* of any mutable stored value (mutating through the
-view raises at the mutation site), and :meth:`StateStore.snapshot`
-verifies a structural digest of every mutable value against its
-stored-time digest, catching *aliased escapes* -- a caller that kept the
-raw reference it stored and mutated it behind the barrier.  The static
-half of the same contract lives in :mod:`repro.lint`.
+into :class:`StoreContractViolation` errors with one check: every
+mutable stored value carries a structural digest taken when it was
+stored, and a value is re-digested wherever the store is about to rely
+on it -- every live value at :meth:`StateStore.snapshot` and
+:meth:`StateStore.restore`, the value a write or delete displaces (before
+it is journalled, and before an equal rewrite is skipped), and every
+journalled value before a restore puts it back.  Reads hand out the
+stored object itself in both modes; DEFINED-RB checkpoints before every
+delivery, so a live value mutated by a handler is caught before the next
+delivery, and :class:`~repro.core.rollback.ReplayStack` names the
+delivery whose handler ran last.  The static half of the same contract
+lives in :mod:`repro.lint`.
 """
 
 from __future__ import annotations
@@ -78,10 +83,11 @@ _MISSING = object()
 class StoreContractViolation(RuntimeError):
     """A stored value was mutated in place behind the write barrier.
 
-    Raised only in sanitize mode: either at the mutation site (the value
-    was reached through a freeze-proxy view) or at the next
-    ``snapshot()`` (the value was mutated through an aliased raw
-    reference the caller kept from before/after storing it).
+    Raised only in sanitize mode, when the store next relies on the
+    mutated value: at ``snapshot()`` or ``restore()`` (a live value), at
+    the write or delete that displaces it, or at the ``restore()`` that
+    would put a journalled copy back.  The message names the namespace
+    and key.
     """
 
 
@@ -91,8 +97,8 @@ def _env_sanitize() -> bool:
     )
 
 
-#: Value types the sanitizer treats as mutable (proxy-wrapped on read,
-#: digest-tracked for aliased-escape detection at snapshot time).
+#: Value types the sanitizer treats as mutable (digest-tracked from the
+#: moment they are stored).
 _MUTABLE_TYPES = (list, dict, set, bytearray)
 
 
@@ -111,267 +117,6 @@ def _freeze_digest(value: Any) -> Any:
     if isinstance(value, bytearray):
         return ("b", bytes(value))
     return repr(value)
-
-
-class _FrozenViewBase:
-    """Read-only, non-copying view of a mutable stored value.
-
-    Reads delegate to (and re-wrap) the underlying object, so sanitized
-    code sees identical data; any mutator raises
-    :class:`StoreContractViolation` naming the namespace/key it came
-    from.  The underlying object is shared, not copied -- the sanitizer
-    detects contract violations, it does not paper over them.
-    """
-
-    __slots__ = ("_obj", "_where")
-
-    def __init__(self, obj: Any, where: str):
-        object.__setattr__(self, "_obj", obj)
-        object.__setattr__(self, "_where", where)
-
-    def _violate(self, op: str) -> None:
-        raise StoreContractViolation(
-            f"in-place {op} of a value stored in {self._where}: stored "
-            "values are immutable behind the write barrier (snapshots "
-            "share them structurally); store a replacement instead"
-        )
-
-    def __len__(self) -> int:
-        return len(self._obj)
-
-    def __iter__(self) -> Iterator[Any]:
-        where = self._where
-        return (_wrap_sanitized(v, where) for v in iter(self._obj))
-
-    def __contains__(self, item: Any) -> bool:
-        return _unwrap_sanitized(item) in self._obj
-
-    def __eq__(self, other: Any) -> bool:
-        return self._obj == _unwrap_sanitized(other)
-
-    def __ne__(self, other: Any) -> bool:
-        return self._obj != _unwrap_sanitized(other)
-
-    def __lt__(self, other: Any):
-        return self._obj < _unwrap_sanitized(other)
-
-    def __le__(self, other: Any):
-        return self._obj <= _unwrap_sanitized(other)
-
-    def __gt__(self, other: Any):
-        return self._obj > _unwrap_sanitized(other)
-
-    def __ge__(self, other: Any):
-        return self._obj >= _unwrap_sanitized(other)
-
-    def __repr__(self) -> str:
-        return repr(self._obj)
-
-    def __bool__(self) -> bool:
-        return bool(self._obj)
-
-    def __deepcopy__(self, memo: Dict) -> Any:
-        # deepcopy escapes the store entirely -- hand back a plain copy
-        return copy.deepcopy(self._obj, memo)
-
-
-class _FrozenListView(_FrozenViewBase):
-    __slots__ = ()
-    __hash__ = None  # unhashable, like list
-
-    def __getitem__(self, index: Any) -> Any:
-        item = self._obj[index]
-        if isinstance(index, slice):
-            return [_wrap_sanitized(v, self._where) for v in item]
-        return _wrap_sanitized(item, self._where)
-
-    def index(self, *args: Any) -> int:
-        return self._obj.index(*args)
-
-    def count(self, value: Any) -> int:
-        return self._obj.count(value)
-
-    def __add__(self, other: Any) -> list:
-        return list(self._obj) + list(_unwrap_sanitized(other))
-
-    def append(self, *a: Any) -> None:
-        self._violate("append()")
-
-    def extend(self, *a: Any) -> None:
-        self._violate("extend()")
-
-    def insert(self, *a: Any) -> None:
-        self._violate("insert()")
-
-    def remove(self, *a: Any) -> None:
-        self._violate("remove()")
-
-    def pop(self, *a: Any) -> None:
-        self._violate("pop()")
-
-    def clear(self) -> None:
-        self._violate("clear()")
-
-    def sort(self, *a: Any, **k: Any) -> None:
-        self._violate("sort()")
-
-    def reverse(self) -> None:
-        self._violate("reverse()")
-
-    def __setitem__(self, *a: Any) -> None:
-        self._violate("item assignment")
-
-    def __delitem__(self, *a: Any) -> None:
-        self._violate("item deletion")
-
-    def __iadd__(self, other: Any) -> None:
-        self._violate("+=")
-
-    def __imul__(self, other: Any) -> None:
-        self._violate("*=")
-
-
-class _FrozenDictView(_FrozenViewBase):
-    __slots__ = ()
-    __hash__ = None
-
-    def __getitem__(self, key: Any) -> Any:
-        return _wrap_sanitized(self._obj[key], self._where)
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        if key in self._obj:
-            return _wrap_sanitized(self._obj[key], self._where)
-        return default
-
-    def keys(self):
-        return self._obj.keys()
-
-    def values(self):
-        where = self._where
-        # repro-lint: disable=DET105(faithful view: must preserve the wrapped dict's own order)
-        return [_wrap_sanitized(v, where) for v in self._obj.values()]
-
-    def items(self):
-        where = self._where
-        # repro-lint: disable=DET105(faithful view: must preserve the wrapped dict's own order)
-        return [(k, _wrap_sanitized(v, where)) for k, v in self._obj.items()]
-
-    def __setitem__(self, *a: Any) -> None:
-        self._violate("item assignment")
-
-    def __delitem__(self, *a: Any) -> None:
-        self._violate("item deletion")
-
-    def pop(self, *a: Any) -> None:
-        self._violate("pop()")
-
-    def popitem(self) -> None:
-        self._violate("popitem()")
-
-    def clear(self) -> None:
-        self._violate("clear()")
-
-    def update(self, *a: Any, **k: Any) -> None:
-        self._violate("update()")
-
-    def setdefault(self, *a: Any) -> None:
-        self._violate("setdefault()")
-
-    def __ior__(self, other: Any) -> None:
-        self._violate("|=")
-
-
-class _FrozenSetView(_FrozenViewBase):
-    __slots__ = ()
-    __hash__ = None
-
-    def isdisjoint(self, other: Any) -> bool:
-        return self._obj.isdisjoint(_unwrap_sanitized(other))
-
-    def issubset(self, other: Any) -> bool:
-        return self._obj.issubset(_unwrap_sanitized(other))
-
-    def issuperset(self, other: Any) -> bool:
-        return self._obj.issuperset(_unwrap_sanitized(other))
-
-    def union(self, *others: Any) -> set:
-        return self._obj.union(*(_unwrap_sanitized(o) for o in others))
-
-    def intersection(self, *others: Any) -> set:
-        return self._obj.intersection(*(_unwrap_sanitized(o) for o in others))
-
-    def difference(self, *others: Any) -> set:
-        return self._obj.difference(*(_unwrap_sanitized(o) for o in others))
-
-    def add(self, *a: Any) -> None:
-        self._violate("add()")
-
-    def remove(self, *a: Any) -> None:
-        self._violate("remove()")
-
-    def discard(self, *a: Any) -> None:
-        self._violate("discard()")
-
-    def pop(self) -> None:
-        self._violate("pop()")
-
-    def clear(self) -> None:
-        self._violate("clear()")
-
-    def update(self, *a: Any) -> None:
-        self._violate("update()")
-
-    def __ior__(self, other: Any) -> None:
-        self._violate("|=")
-
-    def __iand__(self, other: Any) -> None:
-        self._violate("&=")
-
-    def __isub__(self, other: Any) -> None:
-        self._violate("-=")
-
-    def __ixor__(self, other: Any) -> None:
-        self._violate("^=")
-
-
-class _FrozenByteArrayView(_FrozenViewBase):
-    __slots__ = ()
-    __hash__ = None
-
-    def __getitem__(self, index: Any) -> Any:
-        return self._obj[index]
-
-    def append(self, *a: Any) -> None:
-        self._violate("append()")
-
-    def extend(self, *a: Any) -> None:
-        self._violate("extend()")
-
-    def __setitem__(self, *a: Any) -> None:
-        self._violate("item assignment")
-
-    def __delitem__(self, *a: Any) -> None:
-        self._violate("item deletion")
-
-    def __iadd__(self, other: Any) -> None:
-        self._violate("+=")
-
-
-_VIEW_BY_TYPE = {
-    list: _FrozenListView,
-    dict: _FrozenDictView,
-    set: _FrozenSetView,
-    bytearray: _FrozenByteArrayView,
-}
-
-
-def _wrap_sanitized(value: Any, where: str) -> Any:
-    view = _VIEW_BY_TYPE.get(type(value))
-    return view(value, where) if view is not None else value
-
-
-def _unwrap_sanitized(value: Any) -> Any:
-    return value._obj if isinstance(value, _FrozenViewBase) else value
 
 
 def estimate_bytes(value: Any, depth: int = 0) -> int:
@@ -428,7 +173,7 @@ class StoreVersion:
 class _SnapshotRecord:
     """Book-keeping for one retained snapshot."""
 
-    __slots__ = ("version", "undos", "bytes", "known")
+    __slots__ = ("version", "undos", "bytes", "known", "digests")
 
     def __init__(self, version: int, known: Tuple[str, ...]):
         self.version = version
@@ -440,6 +185,10 @@ class _SnapshotRecord:
         #: Namespaces that existed when the snapshot was taken; ones
         #: created later are wiped on restore (they did not exist then).
         self.known = known
+        #: Sanitize mode: ``{(ns_name, key): digest}`` of each journalled
+        #: mutable value, verified before a restore puts it back; ``None``
+        #: until the first one is journalled.
+        self.digests: Optional[Dict[Tuple[str, Any], Any]] = None
 
 
 class Namespace:
@@ -473,8 +222,8 @@ class Namespace:
         #: journaling traffic this namespace generates.
         self._dirty_total = 0
         self._sanitize = store.sanitize if store is not None else _env_sanitize()
-        #: Sanitize mode: structural digests of mutable stored values,
-        #: verified at snapshot time to catch aliased escapes.
+        #: Sanitize mode: structural digests of the mutable stored
+        #: values, taken when each was stored.
         self._digests: Dict[Any, Any] = {}
         #: Called (with no args) after the store rewinds this namespace;
         #: components keeping derived indexes (the timer table's due
@@ -505,6 +254,11 @@ class Namespace:
                 cost += estimate_bytes(old)
             store._top.bytes += cost
             store._private_bytes += cost
+            if self._sanitize and key in self._digests:
+                top = store._top
+                if top.digests is None:
+                    top.digests = {}
+                top.digests[self.name, key] = self._digests[key]
 
     def _track_sanitized(self, key: Any, value: Any) -> None:
         if isinstance(value, _MUTABLE_TYPES):
@@ -513,21 +267,24 @@ class Namespace:
             self._digests.pop(key, None)
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        if self._sanitize:
-            value = _unwrap_sanitized(value)
-            self._track_sanitized(key, value)
         data = self._data
         old = data.get(key, _MISSING)
         if old is _MISSING:
             insort(self._sorted, key)
-        elif old is value or old == value:
-            # values are immutable by contract, so an equal rewrite is a
-            # no-op: journaling it would bloat every snapshot's undo log
-            # with clean keys (wholesale replace()/load_state() callers
-            # would otherwise re-journal whole tables, defeating O(dirty))
-            return
+        else:
+            if self._sanitize:
+                self._verify_key(key)
+            if old is value or old == value:
+                # values are immutable by contract, so an equal rewrite is
+                # a no-op: journaling it would bloat every snapshot's undo
+                # log with clean keys (wholesale replace()/load_state()
+                # callers would otherwise re-journal whole tables,
+                # defeating O(dirty))
+                return
         self._journal(key, old)
         data[key] = value
+        if self._sanitize:
+            self._track_sanitized(key, value)
 
     set = __setitem__
 
@@ -535,6 +292,8 @@ class Namespace:
         data = self._data
         if key not in data:
             raise KeyError(key)
+        if self._sanitize:
+            self._verify_key(key)
         self._journal(key, data[key])
         del data[key]
         del self._sorted[bisect_left(self._sorted, key)]
@@ -545,9 +304,6 @@ class Namespace:
         if key in self._data:
             value = self._data[key]
             del self[key]
-            if self._sanitize:
-                # the popped value may still be shared with undo journals
-                return _wrap_sanitized(value, self._where(key))
             return value
         if default:
             return default[0]
@@ -575,16 +331,9 @@ class Namespace:
         return f"namespace {self.name!r} key {key!r}"
 
     def __getitem__(self, key: Any) -> Any:
-        value = self._data[key]
-        if self._sanitize:
-            return _wrap_sanitized(value, self._where(key))
-        return value
+        return self._data[key]
 
     def get(self, key: Any, default: Any = None) -> Any:
-        if self._sanitize:
-            if key in self._data:
-                return _wrap_sanitized(self._data[key], self._where(key))
-            return default
         return self._data.get(key, default)
 
     def __contains__(self, key: Any) -> bool:
@@ -604,27 +353,15 @@ class Namespace:
 
     def items(self) -> List[Tuple[Any, Any]]:
         data = self._data
-        if self._sanitize:
-            return [
-                (k, _wrap_sanitized(data[k], self._where(k)))
-                for k in self._sorted
-            ]
         return [(k, data[k]) for k in self._sorted]
 
     def values(self) -> List[Any]:
         data = self._data
-        if self._sanitize:
-            return [_wrap_sanitized(data[k], self._where(k)) for k in self._sorted]
         return [data[k] for k in self._sorted]
 
     def as_dict(self) -> Dict[Any, Any]:
         """Materialize (sorted key order -- deterministic repr)."""
         data = self._data
-        if self._sanitize:
-            return {
-                k: _wrap_sanitized(data[k], self._where(k))
-                for k in self._sorted
-            }
         return {k: data[k] for k in self._sorted}
 
     def byte_size(self) -> int:
@@ -639,21 +376,29 @@ class Namespace:
         snapshot interval)."""
         return self._dirty_total
 
+    # ------------------------------------------------------------------
+    # sanitize mode: the store-contract check
+    # ------------------------------------------------------------------
+    def _verify(self, key: Any, value: Any, digest: Any) -> None:
+        """Raise unless ``value`` (stored under ``key``, now or in an undo
+        journal) still has ``digest``, the digest it was stored with."""
+        if _freeze_digest(value) != digest:
+            raise StoreContractViolation(
+                f"value stored in {self._where(key)} was mutated in "
+                "place through an aliased reference since it was "
+                "stored; stored values are immutable behind the "
+                "write barrier -- store a replacement instead"
+            )
+
+    def _verify_key(self, key: Any) -> None:
+        digest = self._digests.get(key)
+        if digest is not None:
+            self._verify(key, self._data[key], digest)
+
     def _verify_digests(self) -> None:
-        """Sanitize mode: re-digest every mutable stored value and
-        compare against its stored-time digest -- catches a caller that
-        kept the raw reference it stored and mutated it in place."""
         data = self._data
         for key, digest in self._digests.items():
-            if key not in data:
-                continue
-            if _freeze_digest(data[key]) != digest:
-                raise StoreContractViolation(
-                    f"value stored in {self._where(key)} was mutated in "
-                    "place through an aliased reference since it was "
-                    "stored; stored values are immutable behind the "
-                    "write barrier -- store a replacement instead"
-                )
+            self._verify(key, data[key], digest)
 
     def add_listener(self, fn: Callable[[], None]) -> None:
         self._listeners.append(fn)
@@ -737,8 +482,7 @@ class StateStore:
         O(1): seal the open undo journals and open fresh (lazy) ones.
         """
         if self._sanitize:
-            for ns in self._namespaces.values():
-                ns._verify_digests()
+            self._verify_live()
         self._version += 1
         record = _SnapshotRecord(self._version, self._known)
         self._snapshots.append(record)
@@ -755,6 +499,8 @@ class StateStore:
         be restored from again.
         """
         self._check_retained(token)
+        if self._sanitize:
+            self._verify_live()
         snapshots = self._snapshots
         while snapshots[-1].version > token.version:
             record = snapshots.pop()
@@ -765,6 +511,7 @@ class StateStore:
         self._private_bytes -= record.bytes
         record.undos = {}
         record.bytes = 0
+        record.digests = None
         self._wipe_unknown(record)
         # re-open journaling against the restored top
         self._top = record
@@ -783,7 +530,14 @@ class StateStore:
                 f"store version {token.version} is unknown or was released"
             )
 
+    def _verify_live(self) -> None:
+        for ns in self._namespaces.values():
+            ns._verify_digests()
+
     def _apply_undo(self, record: _SnapshotRecord) -> None:
+        if record.digests:
+            for (name, key), digest in record.digests.items():
+                self._namespaces[name]._verify(key, record.undos[name][key], digest)
         for name, undo in record.undos.items():
             ns = self._namespaces[name]
             for key, old in undo.items():

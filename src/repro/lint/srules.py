@@ -9,7 +9,8 @@ discipline.  These rules catch the syntactic violations:
   ``bytearray``) into a namespace: the caller still holds the reference
   and any later in-place mutation corrupts every snapshot sharing it.
 * STO202 -- mutating a name bound from ``ns.get(...)`` / ``ns[...]`` /
-  ``ns.pop(...)``: same aliasing hazard from the read side.
+  ``ns.pop(...)``, or by ``for row in ns.values()`` / ``for key, row in
+  ns.items()``: same aliasing hazard from the read side.
 * STO203 -- restoring a snapshot token that an earlier restore already
   invalidated: ``restore(v)`` discards every token younger than ``v``
   (stack discipline), so straight-line code that restores an old token
@@ -147,7 +148,22 @@ def _check_sto201(ctx: FileContext) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 def _ns_read_binding(ctx: FileContext, stmt: ast.stmt) -> Optional[str]:
     """If ``stmt`` binds a simple name from ``ns.get(...)`` /
-    ``ns.pop(...)`` / ``ns[...]``, return the name."""
+    ``ns.pop(...)`` / ``ns[...]``, or is a loop binding one to each
+    stored value (``for row in ns.values()`` / ``for key, row in
+    ns.items()``), return the name."""
+    receivers = ctx.ns_receivers
+    if (
+        isinstance(stmt, (ast.For, ast.AsyncFor))
+        and isinstance(stmt.iter, ast.Call)
+        and isinstance(stmt.iter.func, ast.Attribute)
+        and dotted_name(stmt.iter.func.value) in receivers
+    ):
+        method, target = stmt.iter.func.attr, stmt.target
+        if method == "items" and isinstance(target, ast.Tuple) and len(target.elts) == 2:
+            target = target.elts[1]
+        elif method != "values":
+            return None
+        return target.id if isinstance(target, ast.Name) else None
     if not (
         isinstance(stmt, ast.Assign)
         and len(stmt.targets) == 1
@@ -155,7 +171,6 @@ def _ns_read_binding(ctx: FileContext, stmt: ast.stmt) -> Optional[str]:
     ):
         return None
     value = stmt.value
-    receivers = ctx.ns_receivers
     if (
         isinstance(value, ast.Call)
         and isinstance(value.func, ast.Attribute)
@@ -178,6 +193,9 @@ def _check_sto202(ctx: FileContext, scope: ast.AST) -> Iterator[Finding]:
     #: name -> line of its latest binding *from a namespace read*; a
     #: later re-binding from anything else evicts it.
     tainted: Dict[str, int] = {}
+    #: a loop body is walked with its loop and again statement by
+    #: statement: report each mutation once
+    flagged: set = set()
     for stmt in statements:
         bound = _ns_read_binding(ctx, stmt)
         if bound is not None:
@@ -188,7 +206,10 @@ def _check_sto202(ctx: FileContext, scope: ast.AST) -> Iterator[Finding]:
                     tainted.pop(target.id, None)
         if not tainted:
             continue
-        yield from _mutations_of(ctx, stmt, tainted)
+        for finding in _mutations_of(ctx, stmt, tainted):
+            if (finding.line, finding.col) not in flagged:
+                flagged.add((finding.line, finding.col))
+                yield finding
 
 
 def _mutations_of(

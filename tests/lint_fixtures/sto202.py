@@ -21,6 +21,22 @@ def bad_augassign():
     counters += [1]  # lint-expect: STO202
 
 
+def bad_loop_values():
+    for row in peers.values():
+        row.append("route")  # lint-expect: STO202
+
+
+def bad_loop_items():
+    for key, row in peers.items():
+        row["metric"] = 1  # lint-expect: STO202
+
+
+def bad_append_in_loop():
+    entry = peers.get("r1")
+    for i in range(3):
+        entry.append(i)  # lint-expect: STO202
+
+
 def good_replace():
     # negative control: build a replacement and store it back
     entry = peers.get("r1", ())

@@ -45,6 +45,13 @@ class TestFixtureCorpus:
         expected = expected_findings()
         assert found == expected
 
+    def test_each_finding_is_reported_once(self):
+        """A loop body is visited with its loop and on its own; a
+        mutation inside it must still be one finding."""
+        result = run_lint(["tests/lint_fixtures"], root=str(REPO_ROOT))
+        keys = [(f.path, f.rule, f.line, f.col) for f in result.active]
+        assert len(keys) == len(set(keys))
+
     def test_every_rule_id_has_a_firing_fixture(self):
         covered = {rule for _, rule, _ in expected_findings()}
         assert covered == set(RULES)

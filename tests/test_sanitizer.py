@@ -1,15 +1,22 @@
-"""Tests for the StateStore sanitizer: freeze-proxy views, aliased
-escape detection at snapshot time, the REPRO_SANITIZE switch, and
-transparency (sanitize mode must not change observable behaviour)."""
+"""Tests for the StateStore sanitizer: in-place mutation of a stored
+value caught at ``snapshot()``, at the write barrier and at
+``restore()``; attribution to a delivery under the DEFINED shim; the
+REPRO_SANITIZE switch; and transparency (sanitize mode must not change
+observable behaviour)."""
 
 import copy
 
 import pytest
 
+from _fixtures import line_graph
 from _oracles import DeepcopyStore
 
+from repro.core.shim import DefinedShim
 from repro.core.statestore import StateStore, StoreContractViolation
 from repro.harness import run_production
+from repro.routing.base import Daemon
+from repro.simnet.messages import Annotation, Message
+from repro.simnet.network import build_network
 
 
 @pytest.fixture
@@ -17,93 +24,78 @@ def store():
     return StateStore(sanitize=True)
 
 
-class TestFreezeViews:
-    def test_list_mutators_raise(self, store):
-        ns = store.namespace("rib")
-        ns["k"] = [1, 2, 3]
-        view = ns["k"]
-        for mutate in (
-            lambda: view.append(4),
-            lambda: view.extend([4]),
-            lambda: view.insert(0, 0),
-            lambda: view.remove(1),
-            lambda: view.pop(),
-            lambda: view.sort(),
-            lambda: view.reverse(),
-            lambda: view.clear(),
-            lambda: view.__setitem__(0, 9),
-            lambda: view.__delitem__(0),
-        ):
-            with pytest.raises(StoreContractViolation):
-                mutate()
+def _mutators():
+    """(stored value, in-place mutation of the value read back) pairs:
+    every mutator of the four mutable types the sanitizer digests."""
+    cases = {
+        "list": ([1, 2, 3], [
+            lambda v: v.append(4),
+            lambda v: v.extend([4]),
+            lambda v: v.insert(0, 0),
+            lambda v: v.remove(1),
+            lambda v: v.pop(),
+            lambda v: v.sort(reverse=True),
+            lambda v: v.reverse(),
+            lambda v: v.clear(),
+            lambda v: v.__setitem__(0, 9),
+            lambda v: v.__delitem__(0),
+        ]),
+        "dict": ({"a": 1}, [
+            lambda v: v.__setitem__("b", 2),
+            lambda v: v.pop("a"),
+            lambda v: v.update({"b": 2}),
+            lambda v: v.clear(),
+            lambda v: v.setdefault("b", 2),
+        ]),
+        "set": ({1, 2}, [
+            lambda v: v.add(3),
+            lambda v: v.discard(1),
+            lambda v: v.remove(1),
+            lambda v: v.clear(),
+        ]),
+        "bytearray": (bytearray(b"ab"), [
+            lambda v: v.append(0),
+            lambda v: v.__setitem__(0, 0),
+        ]),
+        "nested": ({"inner": [1, 2]}, [
+            lambda v: v["inner"].append(3),
+        ]),
+    }
+    return [
+        pytest.param(value, mutate, id=f"{kind}-{i}")
+        for kind, (value, mutators) in cases.items()
+        for i, mutate in enumerate(mutators)
+    ]
 
-    def test_dict_mutators_raise(self, store):
-        ns = store.namespace("rib")
-        ns["k"] = {"a": 1}
-        view = ns["k"]
-        for mutate in (
-            lambda: view.__setitem__("b", 2),
-            lambda: view.pop("a"),
-            lambda: view.update({"b": 2}),
-            lambda: view.clear(),
-            lambda: view.setdefault("b", 2),
-        ):
-            with pytest.raises(StoreContractViolation):
-                mutate()
 
-    def test_set_mutators_raise(self, store):
+class TestReadsAreRaw:
+    @pytest.mark.parametrize("value, mutate", _mutators())
+    def test_mutating_a_read_value_raises_at_snapshot(self, store, value, mutate):
         ns = store.namespace("rib")
-        ns["k"] = {1, 2}
-        view = ns["k"]
-        for mutate in (
-            lambda: view.add(3),
-            lambda: view.discard(1),
-            lambda: view.remove(1),
-            lambda: view.clear(),
-        ):
-            with pytest.raises(StoreContractViolation):
-                mutate()
-
-    def test_violation_names_namespace_and_key(self, store):
-        ns = store.namespace("peers")
-        ns["r1"] = [1]
-        with pytest.raises(StoreContractViolation, match=r"'peers'.*'r1'"):
-            ns["r1"].append(2)
+        ns["k"] = copy.deepcopy(value)  # params are shared across cases
+        mutate(ns["k"])
+        with pytest.raises(StoreContractViolation, match=r"'rib'.*'k'"):
+            store.snapshot()
 
     def test_reads_are_transparent(self, store):
         ns = store.namespace("rib")
-        ns["l"] = [1, 2]
-        ns["d"] = {"a": 1}
+        stored = [1, 2]
+        ns["l"] = stored
         ns["t"] = (1, 2)
-        assert ns["l"] == [1, 2]
-        assert list(ns["l"]) == [1, 2]
-        assert len(ns["d"]) == 1
-        assert "a" in ns["d"]
-        assert ns["d"]["a"] == 1
-        assert ns["t"] == (1, 2)  # immutables pass through unwrapped
-        assert isinstance(ns["t"], tuple)
+        assert ns["l"] is stored
+        assert ns.get("l") is stored
+        assert ns.values()[0] is stored
+        assert ns.items()[0] == ("l", stored)
+        assert ns.as_dict()["l"] is stored
+        assert ns["t"] == (1, 2)
         assert ns.get("missing", 5) == 5
 
-    def test_nested_values_are_wrapped(self, store):
-        ns = store.namespace("rib")
-        ns["k"] = {"inner": [1, 2]}
-        inner = ns["k"]["inner"]
-        with pytest.raises(StoreContractViolation):
-            inner.append(3)
-
-    def test_storing_a_view_back_unwraps_it(self, store):
+    def test_storing_a_read_value_under_another_key(self, store):
         ns = store.namespace("rib")
         ns["a"] = [1]
         ns["b"] = ns["a"]
-        assert ns["b"] == [1]
-        store.snapshot()  # digests recorded against raw values, not views
-
-    def test_deepcopy_of_view_is_plain(self, store):
-        ns = store.namespace("rib")
-        ns["k"] = [1, [2]]
-        plain = copy.deepcopy(ns["k"])
-        assert plain == [1, [2]]
-        plain.append(3)  # a real list again
+        assert ns["b"] is ns["a"]
+        store.snapshot()  # one object, two keys, both digests match
 
 
 class TestAliasedEscape:
@@ -178,6 +170,109 @@ class TestAliasing:
             store.restore(v0)
 
 
+class TestStoreCalls:
+    """Where each store call checks: the barrier checks the value it
+    displaces, ``restore()`` every live value."""
+
+    @pytest.mark.parametrize("displace", [
+        pytest.param(lambda ns, v: ns.__setitem__("k", v), id="write-back"),
+        pytest.param(lambda ns, v: ns.__setitem__("k", [2]), id="replace-key"),
+        pytest.param(lambda ns, v: ns.__delitem__("k"), id="delete"),
+        pytest.param(lambda ns, v: ns.pop("k"), id="pop"),
+        pytest.param(lambda ns, v: ns.clear(), id="clear"),
+        pytest.param(lambda ns, v: ns.replace({}), id="replace-all"),
+    ])
+    def test_displacing_a_mutated_value_raises_at_the_barrier(self, store, displace):
+        ns = store.namespace("rib")
+        ns["k"] = [1]
+        value = ns["k"]
+        value.append(9)
+        with pytest.raises(StoreContractViolation, match=r"'rib'.*'k'"):
+            displace(ns, value)
+
+    def test_restore_checks_live_values(self, store):
+        ns = store.namespace("rib")
+        ns["k"] = [1]
+        v0 = store.snapshot()
+        ns["k"].append(9)
+        with pytest.raises(StoreContractViolation, match=r"'rib'.*'k'"):
+            store.restore(v0)
+
+
+class Hoarder(Daemon):
+    """Keeps every payload it sees in one stored list, appending to the
+    list it reads back: the contract violation the sanitizer must pin to
+    the delivery whose handler did it."""
+
+    def __init__(self, node_id, stack):
+        super().__init__(node_id, stack)
+        self._seen = self.store.namespace("seen")
+
+    def on_start(self):
+        self._seen["payloads"] = []
+
+    def on_message(self, msg):
+        self._seen["payloads"].append(msg.payload)  # behind the barrier
+
+    def on_timer(self, key):  # pragma: no cover - no timers armed
+        pass
+
+    def state(self):
+        return {"payloads": list(self._seen["payloads"])}
+
+    def load_state(self, state):  # pragma: no cover - not restored from
+        self._seen["payloads"] = list(state["payloads"])
+
+
+class TestAttribution:
+    """DEFINED-RB on a 3-node line: the middle node's handler mutates a
+    stored list, and the next store call of its shim names the
+    namespace, the key and the delivery that ran that handler."""
+
+    @pytest.fixture
+    def middle(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        net = build_network(line_graph(3).edges, jitter_us=0)
+        net.attach(DefinedShim, Hoarder)
+        net.start()
+        return net, net.nodes["n1"]
+
+    @staticmethod
+    def arrive(net, node, payload, delay_us):
+        """``payload`` from ``n0`` lands now; its ordering key grows with
+        ``delay_us``, whatever the arrival order."""
+        node.stack.on_wire(Message(
+            src="n0", dst=node.node_id, protocol="ping", payload=payload,
+            uid=net.next_uid(),
+            annotation=Annotation(
+                origin="n0", seq=delay_us, delay_us=delay_us, group=0,
+                chain=0, sub=0, sender="n0",
+            ),
+        ))
+        return node.stack.delivery_log[-1]
+
+    def test_next_checkpoint_names_the_delivery(self, middle):
+        net, node = middle
+        tag = self.arrive(net, node, "first", 3_000)
+        assert "first" in tag
+        with pytest.raises(StoreContractViolation) as caught:
+            self.arrive(net, node, "second", 5_000)
+        message = str(caught.value)
+        assert "'seen'" in message and "'payloads'" in message
+        assert f"delivery {tag!r}" in message and "'n1'" in message
+        assert any(frame.name == "_take_checkpoint" for frame in caught.traceback)
+
+    def test_rollback_over_the_delivery_names_it(self, middle):
+        net, node = middle
+        tag = self.arrive(net, node, "late", 5_000)
+        with pytest.raises(StoreContractViolation) as caught:
+            self.arrive(net, node, "early", 3_000)  # sorts first: rewind
+        message = str(caught.value)
+        assert "'seen'" in message and "'payloads'" in message
+        assert f"delivery {tag!r}" in message
+        assert any(frame.name == "_rewind" for frame in caught.traceback)
+
+
 class TestSanitizeSwitch:
     def test_env_var_enables(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
@@ -185,8 +280,9 @@ class TestSanitizeSwitch:
         assert store.sanitize
         ns = store.namespace("x")
         ns["k"] = [1]
+        ns["k"].append(2)
         with pytest.raises(StoreContractViolation):
-            ns["k"].append(2)
+            store.snapshot()
 
     def test_env_var_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
@@ -194,7 +290,8 @@ class TestSanitizeSwitch:
         assert not store.sanitize
         ns = store.namespace("x")
         ns["k"] = [1]
-        ns["k"].append(2)  # raw value, no proxy
+        ns["k"].append(2)
+        store.snapshot()  # nothing digested, nothing checked
 
     def test_explicit_flag_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
