@@ -7,14 +7,17 @@ import pytest
 from _fixtures import flap_schedule, run_scenario_cell, square_graph
 from _oracles import deepcopy_stores
 
-from repro.core.lockstep import LockstepCoordinator
+from repro.core.lockstep import LockstepCoordinator, LockstepStack
 from repro.core.ordering import make_ordering
 from repro.core.recorder import Recording
 from repro.core.rollback import output_id
 from repro.harness import ospf_daemon_factory, run_production
 from repro.routing.base import Daemon
-from repro.simnet.messages import Annotation, Message
-from repro.simnet.network import build_network
+from repro.simnet.link import DelayModel
+from repro.simnet.messages import Annotation, Message, Unsend
+from repro.simnet.network import Network, build_network
+from repro.simnet.node import Stack
+from repro.simnet.transport import ReliableTransport
 from repro.sweep import get_scenario
 from repro.topology import to_network
 
@@ -383,3 +386,187 @@ class TestSuffixReexecutionUnit:
         assert b.daemon.seen == ["m1"]
         assert b.group_deliveries() == [e.tag() for e in b.pending_inputs()]
         assert b._unsend_buffer == {"c": [forwarded_uid]}
+
+
+class _MarkerSink:
+    """Stands in for the coordinator: records each marker and when it
+    would reach the coordinator (no round trip: the delay is zero)."""
+
+    current_group = 0
+
+    def __init__(self):
+        self.markers = []
+
+    def delay_to(self, node_id):
+        return 0
+
+    def on_marker(self, count, arrives_us):
+        self.markers.append((count, arrives_us))
+
+
+class _AckingStack(Stack):
+    """A peer that only terminates the reliable transport (ACKs frames)."""
+
+    def __init__(self, node):
+        super().__init__(node)
+        self.received = []
+        self.transport = ReliableTransport(node.node_id, node.network, self.received.append)
+
+    def send(self, dst, protocol, payload, parent=None, size_bytes=64):  # pragma: no cover
+        raise AssertionError("unused")
+
+    def set_timer(self, delay_units, key):  # pragma: no cover
+        pass
+
+    def cancel_timer(self, key):  # pragma: no cover
+        pass
+
+    def time_units(self):  # pragma: no cover
+        return 0
+
+    def start(self):  # pragma: no cover
+        pass
+
+    def on_wire(self, msg):
+        self.transport.on_wire(msg)
+
+    def on_external(self, event):  # pragma: no cover
+        pass
+
+
+POLL_US = 2_000
+T0 = 10_000
+
+
+def _transmit_and_await(
+    frame_us, ack_us, frames=1, rto_us=50_000, lose_first=False, ack_us_from=None
+):
+    """Node ``a`` sends ``frames`` frames to ``b`` in one transmit phase
+    at ``T0`` over a jitter-free link (``frame_us`` a->b, ``ack_us``
+    b->a) and waits for their ACKs on the ``POLL_US`` grid.  With
+    ``lose_first`` the link is down for the first transmission, so every
+    frame goes out again when its RTO fires.  ``ack_us_from`` =
+    ``(at_us, delay)`` changes the ACK delay at ``at_us``.  Returns the
+    marker, the retransmission count and both nodes' counters."""
+    net = Network(seed=0)
+    for node_id in ("a", "b"):
+        net.add_node(node_id)
+    link = net.add_link(
+        "a", "b", DelayModel(base_us=frame_us, jitter_us=0), DelayModel(base_us=ack_us, jitter_us=0)
+    )
+    stack = LockstepStack(
+        net.nodes["a"], make_ordering("OO"), Recording(), rto_us=rto_us, poll_us=POLL_US
+    )
+    stack.coordinator = sink = _MarkerSink()
+    net.nodes["a"].stack = stack
+    net.nodes["b"].stack = _AckingStack(net.nodes["b"])
+    for i in range(frames):
+        stack._send_buffer.append(
+            Message(src="a", dst="b", protocol="_unsend", payload=Unsend(uids=(10_000 + i,)))
+        )
+    if lose_first:
+        link.up = False
+        net.sim.schedule_at(T0 + 1, setattr, link, "up", True)
+    if ack_us_from is not None:
+        at_us, delay = ack_us_from
+        route = net.route("b", "a")._replace(model=DelayModel(base_us=delay, jitter_us=0))
+        net.sim.schedule_at(at_us, net._routes.__setitem__, ("b", "a"), route)
+    net.sim.schedule_at(T0, stack._on_coordinator, "transmit")
+    net.run()
+    counters = {
+        nid: (
+            s.control_packets_sent,
+            s.control_packets_received,
+            s.data_packets_sent,
+            s.data_packets_received,
+            s.bytes_sent,
+        )
+        for nid, s in sorted(net.run_stats.per_node.items())
+    }
+    return sink.markers, stack.transport.retransmissions, counters, net.nodes["b"].stack.received
+
+
+class TestAwaitIdleTieRule:
+    """When ``_await_idle`` sees the last ACK: the first instant
+    ``T0 + j * POLL_US`` whose poll comes after the ACK in the engine's
+    ``(time, seq)`` order.  Every expected marker instant below was
+    recorded from the poll-event implementation."""
+
+    @pytest.mark.parametrize(
+        "frame_us, ack_us, marker_us",
+        [
+            # the ACK lands on poll 2 (T0 + 4 ms); the order at that
+            # instant follows from when each was scheduled
+            (1_000, 3_000, T0 + 4_000),  # ACK delay > poll: ACK first
+            (2_000, 2_000, T0 + 4_000),  # ACK delay == poll: frame beat poll 1
+            (3_000, 1_000, T0 + 6_000),  # ACK delay < poll: poll 2 first
+            (0, 2_000, T0 + 4_000),  # zero-delay frame, ACK on poll 1: poll first
+            (0, 0, T0 + 2_000),  # zero-delay frame and ACK
+            (1_100, 1_300, T0 + 4_000),  # no tie: next grid point
+        ],
+    )
+    def test_an_ack_on_a_poll_instant(self, frame_us, ack_us, marker_us):
+        markers, retransmissions, counters, received = _transmit_and_await(frame_us, ack_us)
+        assert markers == [(1, marker_us)]
+        assert retransmissions == 0
+        assert len(received) == 1
+        # a: the marker and the frame out, the ACK in; b: the ACK out,
+        # the frame in (frames are data packets, ACKs control packets)
+        assert counters == {"a": (1, 1, 1, 0, 72), "b": (1, 0, 0, 1, 8)}
+
+    def test_several_frames_wait_for_the_last_ack(self):
+        markers, _retransmissions, counters, received = _transmit_and_await(
+            1_500, 1_000, frames=3
+        )
+        # FIFO clamp: frames land at +1500, +1501, +1502, ACKs 1 ms later
+        assert markers == [(3, T0 + 4_000)]
+        assert len(received) == 3
+        assert counters == {"a": (1, 3, 3, 0, 216), "b": (3, 0, 0, 3, 24)}
+
+    @pytest.mark.parametrize(
+        "frame_us, ack_us, marker_us",
+        [
+            # the RTO fires on poll 25 (T0 + 50 ms) and before it: it was
+            # scheduled in the transmit phase, before the first poll
+            (1_000, 1_000, T0 + 54_000),  # ACK on poll 26, after it
+            (2_000, 2_000, T0 + 54_000),  # frame on poll 26 before it, ACK on 27 first
+            (0, 2_000, T0 + 54_000),  # frame after poll 25, ACK on 26 after it
+            (0, 0, T0 + 52_000),  # frame and ACK after poll 25
+        ],
+    )
+    def test_a_retransmission_on_the_poll_grid(self, frame_us, ack_us, marker_us):
+        markers, retransmissions, counters, received = _transmit_and_await(
+            frame_us, ack_us, rto_us=25 * POLL_US, lose_first=True
+        )
+        assert markers == [(1, marker_us)]
+        assert retransmissions == 1
+        assert len(received) == 1
+        assert counters == {"a": (1, 1, 2, 0, 144), "b": (1, 0, 0, 1, 8)}
+
+    @pytest.mark.parametrize("rto_us", [3_000, 4_000])
+    def test_a_late_ack_lands_after_its_rto_fired(self, rto_us):
+        """The RTO (3 ms, or 4 ms: a tie, which the RTO wins) fires before
+        the ACK (4 ms) lands: the frame goes out again, the first ACK
+        clears it, and the duplicate's ACK changes nothing but the
+        counters."""
+        markers, retransmissions, counters, received = _transmit_and_await(
+            2_000, 2_000, rto_us=rto_us
+        )
+        assert markers == [(1, T0 + 4_000)]
+        assert retransmissions == 1
+        assert len(received) == 1
+        assert counters == {"a": (1, 2, 2, 0, 144), "b": (2, 0, 0, 2, 16)}
+
+    def test_the_first_ack_to_land_clears_the_frame(self):
+        """The first ACK is late (it lands on poll 2, after the 3 ms RTO);
+        the retransmission's ACK, sent once the ACK delay has dropped to
+        0.5 ms, would land before its own RTO but queues behind the first
+        on the link.  The first clears the frame, on poll 2's instant and
+        before that poll; the second lands on nothing."""
+        markers, retransmissions, counters, received = _transmit_and_await(
+            500, 3_500, rto_us=3_000, ack_us_from=(T0 + 1_000, 500)
+        )
+        assert markers == [(1, T0 + 4_000)]
+        assert retransmissions == 1
+        assert len(received) == 1
+        assert counters == {"a": (1, 2, 2, 0, 144), "b": (2, 0, 0, 2, 16)}
