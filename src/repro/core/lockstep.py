@@ -58,6 +58,18 @@ Losses cannot perturb this: all traffic rides the reliable transport of
 for determinism").  Messages the production network could not deliver
 (down link / dead router) are suppressed from replay via the recording's
 *drop set*.
+
+**What the barrier simulates.**  A node's transmit marker leaves at the
+first instant of a ``poll_us`` grid at which every frame it sent is
+acknowledged.  Neither the polls nor the ACKs are engine events: the
+transport accounts each ACK when its frame arrives and reports the key
+at which the node's last frame was cleared, and
+:meth:`LockstepStack._await_idle` computes the grid instant from it,
+ordering a tie with a poll exactly as the engine would have.  The
+simulated step times and every packet counter are those of the
+poll-and-ACK simulation (``tests/golden/ls-replay-seed1.digest`` pins
+them); what remains as events are busy nodes' phase-begins, frames,
+retransmission timers that can fire, and one completion per phase.
 """
 
 from __future__ import annotations
@@ -72,7 +84,7 @@ from repro.simnet.events import ExternalEvent, LINK_DOWN, LINK_UP, NODE_DOWN, NO
 from repro.simnet.messages import Message, Unsend
 from repro.simnet.network import Network
 from repro.simnet.node import Node
-from repro.simnet.transport import ReliableTransport
+from repro.simnet.transport import EventKey, ReliableTransport
 
 #: Synthetic "node id" under which network-level topology events are
 #: recorded (they have no observing daemon; the coordinator applies them
@@ -214,14 +226,15 @@ class LockstepStack(ReplayStack):
         if kind == TRANSMIT:
             self._do_transmission()
         else:
-            self._marker(self._do_processing())
+            self._marker(self._do_processing(), self.sim.now)
 
-    def _marker(self, count: int) -> None:
-        """Account one marker packet and tell the coordinator when it lands."""
+    def _marker(self, count: int, sent_us: int) -> None:
+        """Account one marker packet sent at ``sent_us`` and tell the
+        coordinator when it lands."""
         assert self.coordinator is not None
         self.node.stats.control_packets_sent += 1
         self.coordinator.on_marker(
-            count, self.sim.now + self.coordinator.delay_to(self.node.node_id)
+            count, sent_us + self.coordinator.delay_to(self.node.node_id)
         )
 
     # ------------------------------------------------------------------
@@ -286,9 +299,10 @@ class LockstepStack(ReplayStack):
           processing (:meth:`_do_processing`), which runs in its own
           phase-begin handler, never in anybody else's;
         * ``transport.idle()`` turns false only through the node's own
-          sends (in :meth:`_do_transmission`) and true again through
-          their ACKs; frames it receives meanwhile make it send ACKs,
-          which are untracked;
+          sends (in :meth:`_do_transmission`) and true again once the
+          last of their ACKs is accounted -- no later than the poll that
+          sends the node's marker; frames it receives meanwhile make it
+          send ACKs, which are untracked;
         * inputs (``_changed_from``) arrive only in transmit phases: a
           process phase begins after every node's transmit marker, each
           sent only once its transport was idle, so every frame was
@@ -332,11 +346,63 @@ class LockstepStack(ReplayStack):
     def _await_idle(self, count: int) -> None:
         """Send the marker once every frame has been acknowledged
         (Section 2.3: "a node sends a marker packet when it has no
-        further messages to send")."""
+        further messages to send").
+
+        The node checks on a grid: now (``t0``), then every ``poll_us``,
+        at ``t0 + j * poll_us``.  No poll is an engine event.  The
+        transport reports the key ``(time, seq, origin)`` at which its
+        last frame was cleared (:meth:`ReliableTransport.set_on_idle`),
+        and the marker is accounted as sent at the first grid instant
+        whose poll would have run after that key -- the poll that would
+        have seen the transport idle.
+
+        Keys at different instants order by time.  At one instant they
+        order by sequence number, i.e. by when each was reserved: the
+        poll at ``t0 + j * poll_us`` would have been scheduled by the
+        poll before it, the first one by this very event, after its
+        sends.  So a key on grid instant ``j`` precedes poll ``j`` iff
+        its sequence number was reserved before poll ``j - 1`` ran: for
+        ``j == 1`` iff it is below the number reserved here as the first
+        poll's, and otherwise iff its *origin* -- the key of the event
+        that reserved it (an ACK's is its frame's arrival, a frame's or
+        a timeout's is its send) -- precedes poll ``j - 1``, the same
+        question one step earlier.  Origins precede what they reserve,
+        so the chain ends at an instant off the grid or at ``j == 1``.
+        An ACK landing exactly on a grid instant is thus ordered against
+        that poll as the engine orders events: it counts at that poll
+        when its frame arrived before the previous one (an ACK delay
+        above ``poll_us``, or equal to it when the frame itself beat that
+        poll), and one poll later otherwise.
+
+        The marker is accounted when the transport reports, ahead of
+        that instant.  If it is the phase's last, the coordinator's
+        completion event takes its sequence number then rather than at
+        the poll; that number orders it only against events landing
+        exactly when the phase ends.
+        """
         if self.transport.idle():
-            self._marker(count)
-        else:
-            self.sim.schedule(self.poll_us, self._await_idle, count)
+            self._marker(count, self.sim.now)
+            return
+        t0, first_poll = self.sim.now, self.sim.reserve_seq()
+
+        def on_idle(key: EventKey) -> None:
+            self._marker(count, self._poll_after(key, t0, first_poll))
+
+        self.transport.set_on_idle(on_idle)
+
+    def _poll_after(self, key: EventKey, t0: int, first_poll: int) -> int:
+        """The first grid instant ``t0 + j * poll_us`` (``j >= 1``) whose
+        poll runs after the event at ``key`` (see :meth:`_await_idle`)."""
+        poll_us = self.poll_us
+        j = max(1, -((t0 - key[0]) // poll_us))
+        at, i = key, j
+        while at[0] == t0 + i * poll_us and i > 1:
+            origin = at[2]
+            assert origin is not None  # only a first send has none, at t0
+            at, i = origin, i - 1
+        poll_at = t0 + i * poll_us
+        precedes = at[0] < poll_at or (at[0] == poll_at and at[1] < first_poll)
+        return t0 + (j if precedes else j + 1) * poll_us
 
     def _do_processing(self) -> int:
         if not self.active:

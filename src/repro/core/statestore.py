@@ -38,16 +38,20 @@ the whole state back.  Sorted iteration makes the two bit-identical by
 construction -- which the differential tests assert, fingerprint for
 fingerprint, against a full-deepcopy store kept under ``tests/``.
 
-**Memory accounting.**  The store keeps a running byte estimate of the
+**Memory accounting.**  The store reports a byte estimate of the
 retained private copies (:meth:`StateStore.private_bytes`: the undo-log
-entries), which the Figure-7c shared-vs-private accounting samples at
-every beacon instead of a modelled fraction.  Sizing is off the write
-barrier: an undo entry is sized once, when the journal actually records
-it (key plus the value it displaced), so a write that journals nothing
--- every write of an uninstrumented run -- sizes nothing.  The size of
-the live state (:meth:`StateStore.live_bytes`,
-:meth:`Namespace.byte_size`) has no per-delivery reader and is computed
-on demand.
+entries, each its key plus the value it displaced), which the Figure-7c
+shared-vs-private accounting samples at every beacon instead of a
+modelled fraction.  Sizing is off the write barrier and off the journal:
+entries are sized when the total is read.  A sizing watermark over the
+retained snapshot stack -- a record, and how far into each of its undo
+journals -- marks what is sized.  Only the newest record can grow, and
+journals only append, so a read sizes just the entries past the
+watermark and moves it to the end: each entry is sized once.  A run
+that never reads the total -- an uninstrumented run, or a DEFINED-LS
+replay, which journals every write -- sizes nothing.  The size of the live state
+(:meth:`StateStore.live_bytes`, :meth:`Namespace.byte_size`) has no
+per-delivery reader and is computed on demand.
 
 **Sanitizer.**  The write-barrier contract (values are immutable; every
 mutation is a replacement through the namespace API) is what the whole
@@ -74,6 +78,7 @@ from __future__ import annotations
 import copy
 import os
 from bisect import bisect_left, insort
+from itertools import islice
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Sentinel in undo journals: the key was absent at snapshot time.
@@ -154,6 +159,23 @@ def estimate_bytes(value: Any, depth: int = 0) -> int:
     return 64
 
 
+def _size_past(record: "_SnapshotRecord", sized: Dict[str, int]) -> int:
+    """Byte estimate of ``record``'s undo entries past the first
+    ``sized[name]`` of each journal, which it then marks sized.  Journals
+    only ever append, in insertion order.  Calls :func:`estimate_bytes`
+    through the module, where profilers hook it."""
+    total = 0
+    for name, undo in record.undos.items():
+        done = sized.get(name, 0)
+        if len(undo) > done:
+            for key, old in islice(undo.items(), done, None):
+                total += estimate_bytes(key)
+                if old is not _MISSING:
+                    total += estimate_bytes(old)
+            sized[name] = len(undo)
+    return total
+
+
 class StoreVersion:
     """Opaque checkpoint token returned by :meth:`StateStore.snapshot`.
 
@@ -180,7 +202,8 @@ class _SnapshotRecord:
         #: Per-namespace undo journals, filled lazily by the barrier:
         #: ``{ns_name: {key: value_at_snapshot_time_or_MISSING}}``.
         self.undos: Dict[str, Dict[Any, Any]] = {}
-        #: Byte estimate of the private data this record retains.
+        #: Byte estimate of the private data this record retains, once
+        #: :meth:`StateStore.private_bytes` has sized it (0 until then).
         self.bytes = 0
         #: Namespaces that existed when the snapshot was taken; ones
         #: created later are wiped on restore (they did not exist then).
@@ -246,14 +269,6 @@ class Namespace:
         if key not in undo:
             undo[key] = old
             self._dirty_total += 1
-            # the entry's private bytes: the key, plus the displaced value
-            # (sized here, at journal time, not on every write -- sound
-            # because values are immutable by contract)
-            cost = estimate_bytes(key)
-            if old is not _MISSING:
-                cost += estimate_bytes(old)
-            store._top.bytes += cost
-            store._private_bytes += cost
             if self._sanitize and key in self._digests:
                 top = store._top
                 if top.digests is None:
@@ -447,6 +462,13 @@ class StateStore:
         self._known: Tuple[str, ...] = ()
         self._version = 0
         self._snapshots: List[_SnapshotRecord] = []
+        #: Sizing watermark: the retained records below index ``_sized``
+        #: are sized, and record ``_sized`` is, up to ``_sized_entries``
+        #: entries of each undo journal; ``_private_bytes`` sums what is
+        #: sized.  Only the newest record can grow, so the watermark never
+        #: has to move back over an entry.
+        self._sized = 0
+        self._sized_entries: Dict[str, int] = {}
         self._private_bytes = 0
         #: Monotone generation; bumped whenever the "newest snapshot"
         #: identity changes so barriers can re-bind their undo dicts.
@@ -512,6 +534,9 @@ class StateStore:
         record.undos = {}
         record.bytes = 0
         record.digests = None
+        # the restored record is the newest again, and empty
+        if self._sized >= len(snapshots) - 1:
+            self._sized, self._sized_entries = len(snapshots) - 1, {}
         self._wipe_unknown(record)
         # re-open journaling against the restored top
         self._top = record
@@ -567,11 +592,16 @@ class StateStore:
             # one slice deletion (single memmove) instead of per-record
             # pop(0) shifts: this runs on every beacon's window prune
             del snapshots[:released]
+            if released > self._sized:
+                self._sized, self._sized_entries = 0, {}
+            else:
+                self._sized -= released
         return released
 
     def reset(self) -> None:
         """Forget every snapshot (reboot); live state is untouched."""
         self._snapshots = []
+        self._sized, self._sized_entries = 0, {}
         self._private_bytes = 0
         self._journaling = False
         self._top = None
@@ -597,7 +627,23 @@ class StateStore:
 
     def private_bytes(self) -> int:
         """Byte estimate of the retained private copies: the undo-journal
-        entries."""
+        entries, each its key plus the value it displaced.
+
+        Entries are sized here, not when journalled, each once: the
+        watermark advances over what this call sizes.  Values are
+        immutable by contract, so an entry sized late has the size it
+        had when it was journalled.
+        """
+        snapshots = self._snapshots
+        if len(snapshots) > self._sized:
+            sized = self._sized_entries
+            for record in snapshots[self._sized:]:
+                if record is not snapshots[self._sized]:
+                    sized = {}
+                cost = _size_past(record, sized)
+                record.bytes += cost
+                self._private_bytes += cost
+            self._sized, self._sized_entries = len(snapshots) - 1, sized
         return self._private_bytes
 
     # ------------------------------------------------------------------

@@ -84,7 +84,9 @@ class Simulator:
     The engine guarantees:
 
     * events fire in nondecreasing time order;
-    * events with equal timestamps fire in the order they were scheduled;
+    * events with equal timestamps fire in the order they were scheduled
+      (an event scheduled at a reserved key, in the order its sequence
+      number was reserved: :meth:`reserve_seq`);
     * ``sim.now`` never moves backwards.
     """
 
@@ -104,11 +106,20 @@ class Simulator:
         self._compactions = 0
         self._events_executed = 0
         self._running = False
+        #: Sequence number of the event being dispatched (or last
+        #: dispatched): its place among the events of its instant.
+        self._current_seq = -1
 
     @property
     def now(self) -> int:
         """Current simulated time in microseconds."""
         return self._now
+
+    @property
+    def current_seq(self) -> int:
+        """Sequence number of the event being executed (-1 before the
+        first).  With :attr:`now` it is that event's ``(time, seq)`` key."""
+        return self._current_seq
 
     @property
     def events_executed(self) -> int:
@@ -169,6 +180,44 @@ class Simulator:
         heapq.heappush(self._queue, (time_us, seq, handle))
         return handle
 
+    def reserve_seq(self) -> int:
+        """Take the sequence number an event scheduled now would get,
+        without scheduling one.
+
+        Code that accounts for an event instead of executing it keeps
+        the event's ``(time, seq)`` key this way: what it stands for is
+        ordered against every other event exactly as the event would
+        have been, and :meth:`schedule_reserved` can still put it on the
+        queue later, in the same place.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def schedule_reserved(
+        self,
+        time_us: int,
+        seq: int,
+        callback: Callable[..., None],
+        *args: Any,
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` at the key ``(time_us, seq)``,
+        ``seq`` taken earlier from :meth:`reserve_seq`.
+
+        The key must still lie ahead of the executing event's: an event
+        cannot be put back into the part of the order already run.
+        """
+        if seq >= self._seq:
+            raise SimulationError(f"sequence number {seq} was never reserved")
+        if (time_us, seq) <= (self._now, self._current_seq):
+            raise SimulationError(
+                f"cannot schedule at ({time_us}, {seq}): the engine is at "
+                f"({self._now}, {self._current_seq})"
+            )
+        handle = EventHandle(time_us, seq, callback, args, sim=self)
+        heapq.heappush(self._queue, (time_us, seq, handle))
+        return handle
+
     def schedule_at(
         self,
         time_us: int,
@@ -189,13 +238,14 @@ class Simulator:
         Returns ``True`` if an event ran, ``False`` if the queue was empty.
         """
         while self._queue:
-            time_us, _seq, handle = heapq.heappop(self._queue)
+            time_us, seq, handle = heapq.heappop(self._queue)
             if handle.cancelled:
                 self._cancelled_in_queue -= 1
                 continue
             if time_us < self._now:
                 raise SimulationError("event queue corrupted: time went backwards")
             self._now = time_us
+            self._current_seq = seq
             callback, args = handle.callback, handle.args
             handle.callback, handle.args = None, ()
             handle._sim = None  # fired: a later cancel() must not count

@@ -430,6 +430,25 @@ class Network:
             stats.data_packets_sent += 1
         stats.bytes_sent += msg.size_bytes
 
+    def _launch(self, msg: Message, extra_delay_us: int) -> Optional[int]:
+        """Stamp ``msg`` and draw its fate on its route: the instant it
+        lands, or ``None`` when it is dropped or a fault window took it
+        over (gray drop, or a reordered copy scheduled here)."""
+        self._stamp(msg)
+        link, src_node, dst_node, model, rng, fifo_key = self.route(msg.src, msg.dst)
+        if not link.up or not src_node.up or not dst_node.up:
+            return None
+        if model.sample_loss(rng):
+            return None
+        delay = model.sample_us(rng) + extra_delay_us
+        if self._link_faults and self._fault_transmit(
+            link, msg, model, delay, extra_delay_us
+        ):
+            return None
+        arrival = max(self.sim.now + delay, self._fifo_front.get(fifo_key, 0) + 1)
+        self._fifo_front[fifo_key] = arrival
+        return arrival
+
     def transmit(self, msg: Message, extra_delay_us: int = 0) -> int:
         """Put ``msg`` on the wire.  Returns the assigned uid.
 
@@ -440,22 +459,44 @@ class Network:
         The packet is dropped (silently, as in a real network) when the
         link is down, an endpoint is down, or the loss model fires.
         """
-        self._stamp(msg)
-        link, src_node, dst_node, model, rng, fifo_key = self.route(msg.src, msg.dst)
-        if not link.up or not src_node.up or not dst_node.up:
-            return msg.uid
-        if model.sample_loss(rng):
-            return msg.uid
-        delay = model.sample_us(rng) + extra_delay_us
-        if self._link_faults and self._fault_transmit(
-            link, msg, model, delay, extra_delay_us
-        ):
-            return msg.uid
-        now = self.sim.now
-        arrival = max(now + delay, self._fifo_front.get(fifo_key, 0) + 1)
-        self._fifo_front[fifo_key] = arrival
-        self.sim.schedule(arrival - now, self._deliver, msg)
+        arrival = self._launch(msg, extra_delay_us)
+        if arrival is not None:
+            self.sim.schedule(arrival - self.sim.now, self._deliver, msg)
         return msg.uid
+
+    def transmit_timed(self, msg: Message) -> Optional[int]:
+        """:meth:`transmit`, returning the instant ``msg`` will arrive, or
+        ``None`` when it was dropped or a fault window rerouted it."""
+        arrival = self._launch(msg, 0)
+        if arrival is not None:
+            self.sim.schedule(arrival - self.sim.now, self._deliver, msg)
+        return arrival
+
+    def account(self, msg: Message) -> Optional[Tuple[int, int]]:
+        """Send ``msg`` without an arrival event.
+
+        Everything :meth:`transmit` does happens -- uid, send counters,
+        the loss and delay draws on the route's stream, the FIFO front --
+        except scheduling the delivery: the engine sequence number that
+        event would have had is reserved instead, and ``(arrival, seq)``
+        returned, ``None`` when the packet is dropped.  The caller stands
+        for the arrival (the receiver's counters included), or hands it
+        back to the engine with :meth:`deliver_at`.  On a network with
+        link fault windows, which may reorder or duplicate a packet,
+        ``msg`` travels as an ordinary packet and ``None`` is returned.
+        """
+        if self._link_faults:
+            self.transmit(msg)
+            return None
+        arrival = self._launch(msg, 0)
+        if arrival is None:
+            return None
+        return arrival, self.sim.reserve_seq()
+
+    def deliver_at(self, msg: Message, time_us: int, seq: int) -> None:
+        """Deliver an :meth:`account`-ed packet at its arrival key after
+        all, as the event :meth:`transmit` would have scheduled."""
+        self.sim.schedule_reserved(time_us, seq, self._deliver, msg)
 
     def transmit_deterministic(self, msg: Message, delay_us: int) -> int:
         """Transmit with an exact delay and no loss (anti-messages).

@@ -103,3 +103,36 @@ def test_figure7c_memory_samples_are_pinned():
         "a99de706d42b6b1772e03bdbba23f682608f1b712c267ad9de80ac0c1ee0a0f4"
     )
 
+
+def test_a_total_nobody_reads_sizes_nothing(monkeypatch):
+    """A lockstep replay journals every write it makes and never asks how
+    much the journals hold: it pays for no sizing at all."""
+    import repro.core.statestore as statestore
+    from repro.harness import run_ls_replay
+    from repro.sweep import get_scenario
+
+    calls = []
+    sized = statestore.estimate_bytes
+
+    def counting(value, depth=0):
+        calls.append(depth)
+        return sized(value, depth)
+
+    prod = run_scenario_cell("flap-storm", "defined")
+    monkeypatch.setattr(statestore, "estimate_bytes", counting)
+    graph = get_scenario("flap-storm").topology(1)
+    replay = run_ls_replay(graph, prod.recording)
+    assert replay.fingerprint == prod.fingerprint
+    assert calls == []
+
+    store = StateStore()
+    ns = store.namespace("t")
+    for version in range(50):
+        store.snapshot()
+        ns[version % 7] = ("lsa", version)
+        ns.pop((version + 3) % 7, None)
+    store.restore(store.snapshot())
+    assert calls == []
+    total = store.private_bytes()  # sizing starts here
+    assert calls
+    assert total == eager_private_bytes(store)
