@@ -37,6 +37,7 @@ from _fixtures import run_scenario_cell
 from repro.core.lockstep import LockstepCoordinator
 from repro.core.ordering import make_ordering
 from repro.harness import ospf_daemon_factory, run_ls_replay
+from repro.simnet.faults import LinkFaultWindow, NetworkTuning
 from repro.sweep import get_scenario, scenario_names
 from repro.topology import to_network
 
@@ -63,9 +64,11 @@ def _record(name: str, seed: int, network_seed: int):
     return scenario, graph, daemon_factory, prod
 
 
-def _lossy_replay(graph, recording, ordering, daemon_factory, loss):
-    """``run_ls_replay`` over a debugging network whose links drop packets."""
+def _lossy_replay(graph, recording, ordering, daemon_factory, loss, tuning=None):
+    """``run_ls_replay`` over a debugging network whose links drop packets
+    (and, with ``tuning``, run link fault windows)."""
     net = to_network(graph, seed=1_000, jitter_us=200, loss=loss)
+    net.install_tuning(tuning)
     coordinator = LockstepCoordinator(net, recording, ordering=make_ordering(ordering))
     coordinator.attach(daemon_factory or ospf_daemon_factory(graph))
     coordinator.start()
@@ -140,6 +143,37 @@ def replay_digest() -> str:
 def test_replays_match_the_stored_digest():
     with open(GOLDEN, encoding="ascii") as fh:
         assert replay_digest() == fh.read().strip()
+
+
+#: Fault windows on every link of the debugging network: duplicated and
+#: reordered packets (ACKs included), and gray loss.
+FAULTS = (
+    ("duplicate", dict(probability=0.3)),
+    ("reorder", dict(probability=0.3, magnitude_us=3_000)),
+    ("gray", dict(loss=0.2)),
+)
+#: Recorded from the implementation that delivered every ACK and poll as
+#: an engine event.
+FAULTS_DIGEST = "55a1ca907a55740595005bab285b3003c02d0fc8dd4dc7b122e2856453d4503f"
+
+
+def test_replays_over_link_fault_windows_match_their_pin():
+    """Fault windows can reorder or duplicate an ACK, so the transport
+    sends ACKs as ordinary packets there; the replay's results must not
+    tell the difference."""
+    scenario, graph, daemon_factory, prod = _record("flap-storm", 1, 1)
+    links = tuple(sorted(link.link_id for link in to_network(graph).links.values()))
+    digest = hashlib.sha256()
+    for kind, params in FAULTS:
+        for loss in (0.0, 0.1):
+            tuning = NetworkTuning(link_faults=(LinkFaultWindow(kind=kind, links=links, **params),))
+            coordinator, net, cycles = _lossy_replay(
+                graph, prod.recording, scenario.ordering, daemon_factory, loss, tuning
+            )
+            assert net.execution_fingerprint() == prod.fingerprint, (kind, loss)
+            line = _summary(f"{kind}/{loss}", coordinator, net, cycles)
+            digest.update(f"{line}|{sorted(net.fault_stats.items())}\n".encode())
+    assert digest.hexdigest() == FAULTS_DIGEST
 
 
 def test_the_lossy_replays_retransmit():
