@@ -168,7 +168,8 @@ def _size_past(record: "_SnapshotRecord", sized: Dict[str, int]) -> int:
     for name, undo in record.undos.items():
         done = sized.get(name, 0)
         if len(undo) > done:
-            for key, old in islice(undo.items(), done, None):
+            entries = islice(undo.items(), done, None) if done else undo.items()
+            for key, old in entries:
                 total += estimate_bytes(key)
                 if old is not _MISSING:
                     total += estimate_bytes(old)
@@ -635,15 +636,18 @@ class StateStore:
         had when it was journalled.
         """
         snapshots = self._snapshots
-        if len(snapshots) > self._sized:
-            sized = self._sized_entries
-            for record in snapshots[self._sized:]:
-                if record is not snapshots[self._sized]:
-                    sized = {}
+        first, last = self._sized, len(snapshots) - 1
+        sized = self._sized_entries
+        for index in range(first, last + 1):
+            if index > first:
+                sized = {}  # above the watermark: nothing sized yet
+            record = snapshots[index]
+            if record.undos:
                 cost = _size_past(record, sized)
                 record.bytes += cost
                 self._private_bytes += cost
-            self._sized, self._sized_entries = len(snapshots) - 1, sized
+        if first <= last:
+            self._sized, self._sized_entries = last, sized
         return self._private_bytes
 
     # ------------------------------------------------------------------
