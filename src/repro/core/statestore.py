@@ -159,21 +159,22 @@ def estimate_bytes(value: Any, depth: int = 0) -> int:
     return 64
 
 
-def _size_past(record: "_SnapshotRecord", sized: Dict[str, int]) -> int:
+def _size_past(record: "_SnapshotRecord", sized: Optional[Dict[str, int]]) -> int:
     """Byte estimate of ``record``'s undo entries past the first
-    ``sized[name]`` of each journal, which it then marks sized.  Journals
-    only ever append, in insertion order.  Calls :func:`estimate_bytes`
-    through the module, where profilers hook it."""
+    ``sized[name]`` of each journal, which it then marks sized (``None``:
+    all of them, unmarked).  Journals only ever append, in insertion
+    order.  Calls :func:`estimate_bytes` through the module, where
+    profilers hook it."""
     total = 0
     for name, undo in record.undos.items():
-        done = sized.get(name, 0)
+        done = sized.get(name, 0) if sized is not None else 0
         if len(undo) > done:
-            entries = islice(undo.items(), done, None) if done else undo.items()
-            for key, old in entries:
+            for key, old in islice(undo.items(), done, None) if done else undo.items():
                 total += estimate_bytes(key)
                 if old is not _MISSING:
                     total += estimate_bytes(old)
-            sized[name] = len(undo)
+            if sized is not None:
+                sized[name] = len(undo)
     return total
 
 
@@ -637,17 +638,19 @@ class StateStore:
         """
         snapshots = self._snapshots
         first, last = self._sized, len(snapshots) - 1
-        sized = self._sized_entries
+        if first > last:
+            return self._private_bytes
         for index in range(first, last + 1):
-            if index > first:
-                sized = {}  # above the watermark: nothing sized yet
             record = snapshots[index]
+            if index == first:
+                sized: Optional[Dict[str, int]] = self._sized_entries
+            else:  # above the watermark: nothing sized yet
+                sized = {} if index == last else None
             if record.undos:
                 cost = _size_past(record, sized)
                 record.bytes += cost
                 self._private_bytes += cost
-        if first <= last:
-            self._sized, self._sized_entries = last, sized
+        self._sized, self._sized_entries = last, sized
         return self._private_bytes
 
     # ------------------------------------------------------------------
