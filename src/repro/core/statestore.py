@@ -49,9 +49,9 @@ journals -- marks what is sized.  Only the newest record can grow, and
 journals only append, so a read sizes just the entries past the
 watermark and moves it to the end: each entry is sized once.  A run
 that never reads the total -- an uninstrumented run, or a DEFINED-LS
-replay, which journals every write -- sizes nothing.  The size of the live state
-(:meth:`StateStore.live_bytes`, :meth:`Namespace.byte_size`) has no
-per-delivery reader and is computed on demand.
+replay, which journals every write -- sizes nothing.  The size of the
+live state (:meth:`StateStore.live_bytes`, :meth:`Namespace.byte_size`)
+has no per-delivery reader and is computed on demand.
 
 **Sanitizer.**  The write-barrier contract (values are immutable; every
 mutation is a replacement through the namespace API) is what the whole
