@@ -184,7 +184,7 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import SweepRunner, get_scenario, scenario_names
+    from repro.sweep import SweepRunner, _grid_specs, get_scenario, scenario_names
 
     if args.list:
         rows = [
@@ -198,8 +198,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # run (an explicit --scenarios all still sweeps the whole catalogue
     # alongside them).  --sizes re-scales every selected scenario onto
     # N-node topologies (the "@N" dynamic variant); --boundary-jitter-us
-    # N wraps every selected scenario in the boundary-jitter fuzzer (the
-    # "~jNus" dynamic variant).  The default grid (and "all") excludes
+    # N puts N us of boundary jitter over each whole spec (the "~jNus"
+    # dynamic variant).  The default grid (and "all") excludes
     # the registered @N size variants -- 80-node cells run for minutes,
     # so sizes are an explicit opt-in via "name@N" or --sizes.
     names: List[str] = []
@@ -218,35 +218,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.compose:
         names.extend(spec.strip() for spec in args.compose.split(","))
     # chaos DSL documents join the grid by path; they take the same @N /
-    # ~jNus suffixes as registered names and pass through
-    # canonical_scenario_name unchanged
+    # ~jNus suffixes as registered names
     names.extend(file_specs)
-    # a compose spec may duplicate a registered composition (or another
-    # spec, or an underscore alias of either): one canonical name, one
-    # set of grid cells
-    from repro.sweep import canonical_scenario_name
-
-    names = list(dict.fromkeys(canonical_scenario_name(n) for n in names))
-    if args.sizes:
-        from repro.sweep import sized_spec
-
-        sizes = _parse_int_list(args.sizes, "--sizes")
-        try:
-            names = [sized_spec(name, n) for name in names for n in sizes]
-        except ValueError as exc:
-            raise SystemExit(exc.args[0] if exc.args else str(exc))
-    if args.boundary_jitter_us is not None:
-        if args.boundary_jitter_us < 0:
-            raise SystemExit("--boundary-jitter-us cannot be negative")
-        from repro.sweep import _parse_fuzz_name
-
-        # re-jitter already-jittered names at the requested magnitude and
-        # dedupe: with --scenarios all, 'flap-storm' and the registered
-        # 'flap-storm~j1us' must not become the same grid cell twice
-        names = list(dict.fromkeys(
-            f"{_parse_fuzz_name(name)[0]}~j{args.boundary_jitter_us}us"
-            for name in names
-        ))
+    if args.boundary_jitter_us is not None and args.boundary_jitter_us < 0:
+        raise SystemExit("--boundary-jitter-us cannot be negative")
+    # one canonical name per grid row: a compose spec may duplicate a
+    # registered composition (or an underscore alias of one), and with
+    # --scenarios all, 'flap-storm' and the registered 'flap-storm~j1us'
+    # re-jitter to the same spec
+    try:
+        names = _grid_specs(
+            names,
+            sizes=_parse_int_list(args.sizes, "--sizes") if args.sizes else None,
+            boundary_jitter_us=args.boundary_jitter_us,
+        )
+    except ValueError as exc:
+        raise SystemExit(exc.args[0] if exc.args else str(exc))
     seeds = _parse_int_list(args.seeds, "--seeds")
     try:
         runner = SweepRunner(
@@ -555,9 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "e.g. --sizes 20,40,80")
     sweep.add_argument("--boundary-jitter-us", type=int, default=None,
                        metavar="N",
-                       help="wrap every selected scenario in the boundary-"
-                            "jitter fuzzer: events snapped to beacon-group "
-                            "boundaries +/- N us of seed-derived jitter")
+                       help="put N us of boundary jitter over each whole "
+                            "selected spec, replacing any it had there: "
+                            "events snapped to beacon-group boundaries "
+                            "+/- N us of seed-derived jitter")
     sweep.add_argument("--seeds", default="1,2,3")
     sweep.add_argument("--modes", default=None,
                        help="override per-scenario modes, e.g. vanilla,defined")
@@ -635,8 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
     env.add_argument("--seeds", default="1")
     env.add_argument("--boundary-jitter-us", type=int, default=None,
                      metavar="N",
-                     help="additionally snap external events onto beacon-"
-                          "group boundaries +/- N us (the fuzzer wrapper)")
+                     help="put N us of boundary jitter over each whole "
+                          "selected spec, replacing any it had there: "
+                          "events snapped to beacon-group boundaries "
+                          "+/- N us of seed-derived jitter")
     env.add_argument("--suggest", action="store_true",
                      help="recommend the minimal safe window from the "
                           "measured deficits and verify it with a "

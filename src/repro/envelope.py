@@ -34,8 +34,8 @@ jitter level" still took trial and error.  This module closes that loop:
 The jitter axis is per-packet delivery jitter in microseconds -- the
 quantity the window formula's slack term exists to absorb (the 300 ms
 regime of ``tests/test_window_headroom.py``).  The boundary-jitter
-fuzzer composes: ``boundary_jitter_us`` wraps every scenario in
-:func:`repro.sweep.jittered`, snapping external events onto beacon-group
+fuzzer composes: ``boundary_jitter_us`` puts that jitter over each
+whole scenario spec, snapping external events onto beacon-group
 boundaries (where pruning happens) before the grid runs.
 
 CLI: ``repro envelope --scenarios flap-storm@20 --jitters 0,50,300
@@ -54,9 +54,8 @@ from repro.sweep import (
     CellResult,
     SweepCell,
     SweepRunner,
-    canonical_scenario_name,
+    _grid_specs,
     get_scenario,
-    sized_spec,
 )
 from repro.topology import to_network
 
@@ -353,9 +352,9 @@ class EnvelopeRunner:
     network-default window across the selected scenarios
     (:data:`AUTO_WINDOW_FRACTIONS`), so the grid brackets the formula
     the shims would have applied.  ``sizes`` re-scales every scenario
-    through the ``name@N`` grammar; ``boundary_jitter_us`` additionally
-    snaps every external event onto a beacon-group boundary via the
-    existing fuzzer wrapper (:func:`repro.sweep.jittered`).
+    through the ``name@N`` grammar; ``boundary_jitter_us`` puts that
+    much boundary jitter over each whole spec, replacing any it had there
+    (the ``sweep --boundary-jitter-us`` operation).
     """
 
     def __init__(
@@ -386,22 +385,12 @@ class EnvelopeRunner:
             # headroom stats come from DefinedShim instances; other modes
             # have no history window to map
             raise ValueError("the window envelope is a defined-mode property")
-        names = [canonical_scenario_name(n) for n in scenarios]
-        if sizes:
-            names = [sized_spec(name, n) for name in names for n in sizes]
-        if boundary_jitter_us is not None:
-            if boundary_jitter_us < 0:
-                raise ValueError("boundary jitter cannot be negative")
-            # parenthesize specs that already carry jitter so the suffix
-            # reads as whole-composition jitter, not a stacked/ambiguous one
-            names = [
-                f"({name})~j{boundary_jitter_us}us" if "~j" in name
-                else f"{name}~j{boundary_jitter_us}us"
-                for name in names
-            ]
+        if boundary_jitter_us is not None and boundary_jitter_us < 0:
+            raise ValueError("boundary jitter cannot be negative")
+        names = _grid_specs(scenarios, sizes, boundary_jitter_us)
         for name in names:
             get_scenario(name)  # fail fast on unknown names
-        self.scenarios: Tuple[str, ...] = tuple(dict.fromkeys(names))
+        self.scenarios: Tuple[str, ...] = tuple(names)
         self.jitters_us = tuple(sorted(set(int(j) for j in jitters_us)))
         self.seeds = tuple(seeds)
         self.mode = mode

@@ -35,13 +35,10 @@ whole *grid*:
   jitter) and shrinks any divergence to the smallest failing triple.
 
 Composed, sized and jittered scenarios are addressable *by name* without
-prior registration: ``a+b`` composes, ``a@40`` re-scales ``a`` onto a
-40-node topology (:meth:`Scenario.sized`), ``a~j2us`` fuzzes with 2 us
-of boundary jitter, and they nest -- ``flap_storm@40+partition@40~j2us``
-is a 40-node flap storm overlaid with a 40-node partition, fuzzed.  Name
-resolution is a pure function of the builtin catalogue, so the names
-travel to worker processes regardless of the multiprocessing start
-method.
+prior registration (``a+b``, ``a@40``, ``a~j2us``; the grammar is
+:class:`_Spec`'s).  Name resolution is a pure function of the builtin
+catalogue, so the names travel to worker processes regardless of the
+multiprocessing start method.
 
 Two scale-out mechanisms round the grid machinery out:
 
@@ -152,7 +149,8 @@ class Scenario:
     #: scenario of the same family (topology re-based to ``n`` nodes,
     #: schedule event counts scaled proportionally).  Installed by the
     #: scenario-family constructors; ``None`` means :meth:`sized` refuses
-    #: (the paper case studies are bound to their fixed topologies).
+    #: (the paper case studies are bound to their fixed topologies), and
+    #: a sized variant's sizer refuses to size it again.
     sizer: Optional[Callable[[int], "Scenario"]] = None
 
     def sized(self, n: int) -> "Scenario":
@@ -164,11 +162,6 @@ class Scenario:
         seed-split RNG stream keyed on the sized name, so every size is
         an independent, deterministic function of the cell seed.
         """
-        if "@" in self.name:
-            raise ValueError(
-                f"scenario {self.name!r} is already size-parameterized; "
-                "derive sizes from the base scenario"
-            )
         if self.sizer is None:
             raise ValueError(
                 f"scenario {self.name!r} is not size-parameterized: it is "
@@ -176,18 +169,21 @@ class Scenario:
             )
         if n < 2:
             raise ValueError("sized() needs at least two nodes")
-        if "+" in self.name or "~j" in self.name:
-            # composed/jittered scenario: the sizer re-derives the sized
-            # variant itself -- compositions re-compose per-component
-            # sized variants, jitter wrappers size the base and re-wrap
-            # -- so the result already carries the canonical
-            # "a@N+b@N" / "a@N~jJus" name and the matching seed-split
-            # streams ("(a+b)@N" is the same scenario as "a@N+b@N",
-            # fingerprints included)
-            return self.sizer(n)
         derived = self.sizer(n)
+        if derived.name != self.name:
+            # compositions and jitter wrappers re-derive from their sized
+            # components, so the result already carries its canonical
+            # name ("a@N+b@N", "a@N~jJus") and the matching seed-split
+            # streams ("(a+b)@N" is the same scenario as "a@N+b@N")
+            return derived
         sized_name = f"{self.name}@{n}"
         base_schedule = derived.schedule
+
+        def refuse(n: int) -> "Scenario":
+            raise ValueError(
+                f"scenario {sized_name!r} is already size-parameterized; "
+                "derive sizes from the base scenario"
+            )
 
         def schedule(graph: TopologyGraph, seed: int) -> EventSchedule:
             return base_schedule(graph, seed_split(seed, sized_name))
@@ -198,7 +194,7 @@ class Scenario:
             description=f"{derived.description} [sized to {n} nodes]",
             schedule=schedule,
             base_nodes=n,
-            sizer=None,
+            sizer=refuse,
         )
 
 
@@ -242,64 +238,14 @@ def _ensure_builtins() -> None:
         _BUILTIN_NAMES = frozenset(_REGISTRY)
 
 
-#: ``name~j<N>us`` -- the boundary-jitter fuzzing suffix.
+#: ``name~j<N>us`` -- the boundary-jitter suffix.
 _JITTER_SUFFIX = re.compile(r"^(?P<base>.+)~j(?P<us>\d+)us$")
 
-#: ``name@<N>`` -- the size-parameterization suffix (per component).
+#: ``name@<N>`` -- the size suffix.
 _SIZE_SUFFIX = re.compile(r"^(?P<base>.+)@(?P<n>\d+)$")
 
-#: ``(a+b)@<N>`` -- whole-composition sizing; expands to the
-#: per-component form (``a@N~j..+b@N``, size binding inside any
-#: per-component jitter), which it is identical to.
-_PAREN_SIZE = re.compile(r"^\((?P<base>[^()]+)\)@(?P<n>\d+)$")
-
-#: ``(a+b)`` / ``(a+b)@<N>`` -- an explicitly grouped composition.  A
-#: jitter suffix after the closing paren is unambiguously
-#: whole-composition jitter, even when components carry their own.
+#: ``(a+b)`` / ``(a+b)@<N>`` -- an explicitly grouped composition.
 _PAREN_SPEC = re.compile(r"^\((?P<base>[^()]+)\)(?:@(?P<n>\d+))?$")
-
-
-def _split_trailing_jitter(spec: str) -> "Tuple[str, Optional[int]]":
-    """Strip one trailing ``~j<N>us`` suffix; reject stacked suffixes.
-
-    ``a~j1us~j2us`` (and ``(a+b)~j1us~j2us``) are genuinely ambiguous --
-    jitter does not compose with itself on one target -- so they fail
-    here with a parse error instead of resolving to something surprising.
-    """
-    match = _JITTER_SUFFIX.match(spec)
-    if not match:
-        return spec, None
-    base = match.group("base")
-    if _JITTER_SUFFIX.match(base):
-        raise ValueError(
-            f"{spec!r} stacks more than one ~j<N>us jitter suffix on the "
-            "same target; jitter binds per component (a~j1us+b~j5us) or "
-            "once over the whole composition ((a+b)~j1us), never twice"
-        )
-    return base, int(match.group("us"))
-
-
-def _expand_paren_size(spec: str) -> str:
-    """Rewrite ``(a+b)@N`` as ``a@N+b@N``; other specs pass through.
-
-    The size binds *inside* any per-component jitter suffix:
-    ``(a~j1us+b)@40`` is ``a@40~j1us+b@40``.
-    """
-    match = _PAREN_SIZE.match(spec)
-    if not match:
-        return spec
-    n = match.group("n")
-    parts = []
-    for part in match.group("base").split("+"):
-        base, jitter = _split_trailing_jitter(part)
-        if _SIZE_SUFFIX.match(base):
-            raise ValueError(
-                f"component {part!r} already carries a size; "
-                f"cannot re-size the composition with @{n}"
-            )
-        sized = f"{base}@{n}"
-        parts.append(f"{sized}~j{jitter}us" if jitter is not None else sized)
-    return "+".join(parts)
 
 #: Cache for dynamically resolved (composed / sized / jittered)
 #: scenarios, kept out of the registry so lookups don't grow
@@ -330,212 +276,271 @@ def _load_scenario_file(path: str) -> Scenario:
     return load_scenario_file(path)
 
 
-def _resolve_component(part: str) -> Optional[Scenario]:
-    """Resolve one composition component: ``name[@N][~jJus]``.
+@dataclass(frozen=True)
+class _Component:
+    """One component of a :class:`_Spec`: ``name[@N][~jJus]``."""
 
-    Raises :class:`ValueError` for malformed size/jitter combinations
-    (stacked jitter, size outside the jitter suffix, base not
-    size-parameterized) -- clearer failures than "unknown scenario".
-    Returns ``None`` for unknown base names.
-    """
-    if part in _REGISTRY:
-        return _REGISTRY[part]
-    base, jitter = _split_trailing_jitter(part)
-    size = None
-    if base not in _REGISTRY and not _is_scenario_file(base):
-        size_match = _SIZE_SUFFIX.match(base)
-        if size_match:
-            inner = size_match.group("base")
-            if _JITTER_SUFFIX.match(inner):
+    name: str
+    size: Optional[int] = None
+    jitter: Optional[int] = None
+
+    @classmethod
+    def parse(cls, text: str) -> "_Component":
+        base, jitter = _Spec.split_jitter(text)
+        size = None
+        match = _SIZE_SUFFIX.match(base)
+        if match:
+            if _JITTER_SUFFIX.match(match.group("base")):
                 raise ValueError(
-                    f"component {part!r}: the size binds inside the jitter "
+                    f"component {text!r}: the size binds inside the jitter "
                     "suffix -- write 'name@N~jJus', not 'name~jJus@N'"
                 )
-            base, size = inner, int(size_match.group("n"))
-    if _is_scenario_file(base):
-        scenario = _load_scenario_file(base)
-    else:
-        base = base if base in _REGISTRY else base.replace("_", "-")
-        if base not in _REGISTRY:
+            base, size = match.group("base"), int(match.group("n"))
+        if base not in _REGISTRY and base.replace("_", "-") in _REGISTRY:
+            base = base.replace("_", "-")
+        return cls(base, size, jitter)
+
+    def __str__(self) -> str:
+        text = self.name if self.size is None else f"{self.name}@{self.size}"
+        return _Spec.jitter_name(text, self.jitter)
+
+    def resolve(self) -> Optional[Scenario]:
+        if _is_scenario_file(self.name):
+            scenario = _load_scenario_file(self.name)
+        elif self.name in _REGISTRY:
+            scenario = _REGISTRY[self.name]
+        else:
             return None
-        scenario = _REGISTRY[base]
-    if size is not None:
-        scenario = scenario.sized(size)
-    if jitter is not None:
-        scenario = jittered(scenario, jitter_us=jitter)
-    return scenario
+        if self.size is not None:
+            scenario = scenario.sized(self.size)
+        if self.jitter is not None:
+            scenario = jittered(scenario, jitter_us=self.jitter)
+        return scenario
 
 
-def _resolve_dynamic(name: str) -> Optional[Scenario]:
-    """Resolve a composed/sized/jittered scenario name against the registry.
+@dataclass(frozen=True)
+class _Spec:
+    """A parsed scenario spec: its components and whole-spec jitter.
 
-    Grammar: ``spec := comps ['~j' J 'us'] | '(' comps ')' ['@' N]
-    ['~j' J 'us']; comps := comp ('+' comp)*; comp := name ['@' N]
-    ['~j' J 'us']`` -- a size suffix applies per component (binding
-    *inside* that component's jitter suffix), ``(a+b)@N`` sizes the
-    whole composition (identical to ``a@N+b@N``), and jitter binds per
-    component: ``a~j1us+b~j5us`` jitters each component's schedule
-    before the merge.  A single *trailing* suffix on an unparenthesized
-    composition (``a+b~j1us``) keeps its historical whole-composition
-    meaning -- unless another component carries its own jitter, in which
-    case it binds to the final component like the others.
-    Whole-composition jitter over per-component jitter must be spelled
-    with parens (``(a~j1us+b)~j5us``); stacked suffixes
-    (``(a+b)~j1us~j2us``) are rejected with a parse error.  Unknown
-    component names make the whole resolution fail (returns ``None``).
-    Resolution only reads the registry, so any process that can import
-    the builtin catalogue can resolve the same name to the same
-    scenario, regardless of the multiprocessing start method.
+    The one statement of the grammar::
+
+        spec  := body [jit]
+        body  := comps | '(' comps ')' ['@' N]
+        comps := comp ('+' comp)*
+        comp  := name ['@' N] [jit]
+        jit   := '~j' J 'us'
+
+    * ``+`` composes (:func:`compose`), ``@N`` sizes
+      (:meth:`Scenario.sized`), ``~jJus`` applies boundary jitter
+      (:func:`jittered`);
+    * ``(a+b)@N`` sizes every component inside its own jitter: it is
+      ``a@N+b@N``;
+    * a trailing jitter suffix covers the whole spec (``a+b~j1us``), except
+      that on an unparenthesised body in which another component carries
+      its own jitter it binds to the last component (``a~j1us+b~j5us``);
+      after parens it always covers the whole spec
+      (``(a~j1us+b)~j5us``);
+    * ``name`` is any text without ``+`` (nor parens, inside parens):
+      a registered scenario (an underscore alias parses to the
+      registered spelling) or a chaos/v1 file path; unknown names parse
+      and fail to resolve.
+
+    Parse errors: stacked jitter on one target (``a~j1us~j2us``,
+    ``(a~j1us)~j2us``), a size after a jitter suffix (``a~j1us@20``) and
+    re-sizing a sized component (``(a@20+b)@40``).
+
+    ``str(spec)`` is the canonical name, and :meth:`resolve` gives the
+    scenario that name: parens appear only where they change the
+    meaning (``(a+b~j1us)`` jitters ``b`` alone, ``a+b~j1us`` the whole
+    composition).  A one-component spec keeps its jitter in
+    :attr:`jitter`.
     """
-    cached = _DYNAMIC_CACHE.get(name)
-    if cached is not None:
-        return cached
-    spec, trailing = _split_trailing_jitter(name)
-    paren = _PAREN_SPEC.match(spec)
-    if paren:
-        inner, n = paren.group("base"), paren.group("n")
-        spec = _expand_paren_size(f"({inner})@{n}") if n else inner
-    else:
-        spec = _expand_paren_size(spec)
-    parts = spec.split("+")
-    if (
-        trailing is not None and paren is None and len(parts) > 1
-        and any(_JITTER_SUFFIX.match(p) for p in parts)
-    ):
-        # mixed form "a~j1us+b~j5us": once any component carries its own
-        # jitter, the trailing suffix binds to the final component too
-        parts[-1] = f"{parts[-1]}~j{trailing}us"
-        trailing = None
-    components = []
-    for part in parts:
-        component = _resolve_component(part)
-        if component is None:
-            return None
-        components.append(component)
-    # resolve under the *canonical* name (registered component spellings)
-    # -- the name seeds the composition's RNG streams, so an underscore
-    # alias must produce the same schedules as the hyphenated spelling
-    if len(components) > 1:
-        scenario = compose(*components)
-    else:
-        scenario = components[0]
-    if trailing is not None:
-        jitter_name = None
-        if any(_JITTER_SUFFIX.match(p) for p in parts):
-            # keep the parens in the fuzz name: "a~j1us+b~j5us" would
-            # re-parse as per-component jitter, a different scenario
-            jitter_name = f"({scenario.name})~j{trailing}us"
-        scenario = jittered(scenario, jitter_us=trailing, name=jitter_name)
-    if not any(_is_scenario_file(p.split("@")[0].split("~j")[0]) for p in parts):
-        # file components recompile when the file changes (the loader
-        # caches on mtime); memoizing them here would pin the first parse
-        _DYNAMIC_CACHE[name] = scenario
-    return scenario
 
+    comps: Tuple[_Component, ...]
+    jitter: Optional[int] = None
 
-def _canonical_component(part: str) -> str:
-    """Canonical spelling of one component: registered base spelling
-    (underscores normalize to hyphens) with its ``@N`` / ``~jJus``
-    suffixes re-attached.  Unresolvable bases pass through unchanged."""
-    if part in _REGISTRY:
-        return part
-    base, jitter = _split_trailing_jitter(part)
-    suffix = f"~j{jitter}us" if jitter is not None else ""
-    size = ""
-    if base not in _REGISTRY:
-        size_match = _SIZE_SUFFIX.match(base)
-        if size_match and not _JITTER_SUFFIX.match(size_match.group("base")):
-            base, size = size_match.group("base"), f"@{size_match.group('n')}"
-    if base not in _REGISTRY and base.replace("_", "-") in _REGISTRY:
-        base = base.replace("_", "-")
-    return base + size + suffix
+    @classmethod
+    def parse(cls, text: str) -> "_Spec":
+        _ensure_builtins()
+        body, jitter = cls.split_jitter(text)
+        paren = _PAREN_SPEC.match(body)
+        if paren:
+            body = paren.group("base")
+        spec = cls(tuple(_Component.parse(part) for part in body.split("+")))
+        if paren and paren.group("n"):
+            spec = spec.sized(int(paren.group("n")))
+        comps = list(spec.comps)
+        if jitter is not None and not paren and any(
+            comp.jitter is not None for comp in comps
+        ):
+            # the mixed form "a~j1us+b~j5us"
+            comps[-1], jitter = replace(comps[-1], jitter=jitter), None
+        if len(comps) == 1 and comps[0].jitter is not None:
+            # "(a~j1us)" is "a~j1us": one target, so one jitter
+            if jitter is not None:
+                raise cls._stacked(text)
+            comps[0], jitter = replace(comps[0], jitter=None), comps[0].jitter
+        return cls(tuple(comps), jitter)
+
+    @classmethod
+    def split_jitter(cls, text: str) -> Tuple[str, Optional[int]]:
+        """Strip one trailing jitter suffix; reject a stacked one."""
+        match = _JITTER_SUFFIX.match(text)
+        if match is None:
+            return text, None
+        if _JITTER_SUFFIX.match(match.group("base")):
+            raise cls._stacked(text)
+        return match.group("base"), int(match.group("us"))
+
+    @staticmethod
+    def _stacked(text: str) -> ValueError:
+        return ValueError(
+            f"{text!r} stacks more than one ~j<N>us jitter suffix on the "
+            "same target; jitter binds per component (a~j1us+b~j5us) or "
+            "once over the whole composition ((a+b)~j1us), never twice"
+        )
+
+    @staticmethod
+    def join(names: Sequence[str]) -> str:
+        """Compose component names.  When only the last one carries
+        jitter, parens keep that jitter on it: ``a+b~j1us`` would read
+        as whole-composition jitter."""
+        body = "+".join(names)
+        jittered = [bool(_JITTER_SUFFIX.match(name)) for name in names]
+        if len(names) > 1 and jittered[-1] and not any(jittered[:-1]):
+            return f"({body})"
+        return body
+
+    @staticmethod
+    def jitter_name(body: str, jitter_us: Optional[int]) -> str:
+        """``body`` under ``jitter_us`` of boundary jitter; a body that
+        carries jitter of its own is parenthesised, so the suffix reads
+        as whole-spec jitter."""
+        if jitter_us is None:
+            return body
+        if "~j" in body and not (body.startswith("(") and body.endswith(")")):
+            body = f"({body})"
+        return f"{body}~j{jitter_us}us"
+
+    def __str__(self) -> str:
+        body = self.join([str(comp) for comp in self.comps])
+        return self.jitter_name(body, self.jitter)
+
+    @property
+    def carries_size(self) -> bool:
+        return any(comp.size is not None for comp in self.comps)
+
+    @property
+    def carries_jitter(self) -> bool:
+        return self.jitter is not None or any(
+            comp.jitter is not None for comp in self.comps
+        )
+
+    def sized(self, n: int) -> "_Spec":
+        """Every component at ``n`` nodes (inside its own jitter)."""
+        for comp in self.comps:
+            if comp.size is not None:
+                raise ValueError(
+                    f"component {str(comp)!r} already carries a size; "
+                    "cannot re-size"
+                )
+        return replace(self, comps=tuple(replace(c, size=n) for c in self.comps))
+
+    def rejittered(self, jitter_us: Optional[int]) -> "_Spec":
+        """The spec under ``jitter_us`` of whole-spec boundary jitter,
+        replacing any it had (``None`` removes it)."""
+        return replace(self, jitter=jitter_us)
+
+    @classmethod
+    def fuzz_axes(cls, text: str) -> Tuple[str, int]:
+        """``text`` on a fuzz grid's two axes: the canonical spec without
+        its whole-spec jitter, and that jitter (0 when it has none)."""
+        spec = cls.parse(text)
+        return str(spec.rejittered(None)), spec.jitter or 0
+
+    def portable(self) -> bool:
+        """Whether a spawned worker (fresh interpreter, builtin catalogue
+        only) resolves this spec: every component is a builtin or a file
+        (workers share the filesystem)."""
+        return all(
+            comp.name in _BUILTIN_NAMES or _is_scenario_file(comp.name)
+            for comp in self.comps
+        )
+
+    def resolve(self) -> Optional[Scenario]:
+        """The scenario this spec names; ``None`` for an unknown name."""
+        parts = []
+        for comp in self.comps:
+            scenario = comp.resolve()
+            if scenario is None:
+                return None
+            parts.append(scenario)
+        scenario = compose(*parts) if len(parts) > 1 else parts[0]
+        if self.jitter is not None:
+            scenario = jittered(scenario, jitter_us=self.jitter)
+        return scenario
 
 
 def canonical_scenario_name(name: str) -> str:
-    """The canonical spelling of a scenario spec: each component takes
-    its registered spelling (underscores normalize to hyphens), ``@N``
-    size and ``~jNus`` jitter suffixes are kept (per-component jitter
-    stays on its component; parens survive only where they disambiguate
-    whole-composition jitter from per-component jitter).  Unresolvable
-    parts pass through unchanged so unknown names still fail later with
-    the full lookup error; malformed suffix stacks fail here."""
-    _ensure_builtins()
-    spec, trailing = _split_trailing_jitter(name)
-    paren = _PAREN_SPEC.match(spec)
-    if paren:
-        inner, n = paren.group("base"), paren.group("n")
-        spec = _expand_paren_size(f"({inner})@{n}") if n else inner
-    else:
-        spec = _expand_paren_size(spec)
-    parts = [_canonical_component(part) for part in spec.split("+")]
-    if (
-        trailing is not None and paren is None and len(parts) > 1
-        and any(_JITTER_SUFFIX.match(p) for p in parts)
-    ):
-        parts[-1] = f"{parts[-1]}~j{trailing}us"
-        trailing = None
-    canonical = "+".join(parts)
-    if trailing is None:
-        return canonical
-    if any(_JITTER_SUFFIX.match(p) for p in parts):
-        return f"({canonical})~j{trailing}us"
-    return f"{canonical}~j{trailing}us"
+    """The canonical spelling of a scenario spec (see :class:`_Spec`):
+    registered component spellings, suffixes kept, parens only where
+    they change the meaning.  Unknown names pass through, so they fail
+    later with the full lookup error; parse errors raise here."""
+    return str(_Spec.parse(name))
 
 
 def sized_spec(name: str, n: int) -> str:
-    """Append ``@n`` to every component of a scenario spec.
-
+    """The canonical spec with every component at ``n`` nodes:
     ``sized_spec("flap_storm+partition~j2us", 40)`` is
-    ``"flap-storm@40+partition@40~j2us"`` -- the whole composition
-    re-scaled onto 40-node topologies.  The size binds *inside* any
-    per-component jitter suffix (``a~j1us`` sizes to ``a@40~j1us``), so
-    every valid jittered spec stays valid under sizing.  Components that
-    already carry a size are rejected (re-sizing would be ambiguous)."""
-    canonical = canonical_scenario_name(name)
-    spec, trailing = _split_trailing_jitter(canonical)
-    paren = _PAREN_SPEC.match(spec)
-    if paren:
-        if paren.group("n"):
-            raise ValueError(
-                f"composition {spec!r} already carries a size; cannot re-size"
-            )
-        spec = paren.group("base")
-    parts = []
-    for part in spec.split("+"):
-        base, jitter = _split_trailing_jitter(part)
-        if _SIZE_SUFFIX.match(base):
-            raise ValueError(
-                f"component {part!r} already carries a size; cannot re-size"
-            )
-        sized = f"{base}@{n}"
-        parts.append(f"{sized}~j{jitter}us" if jitter is not None else sized)
-    sized = "+".join(parts)
-    if trailing is None:
-        return sized
-    if paren:
-        return f"({sized})~j{trailing}us"
-    return f"{sized}~j{trailing}us"
+    ``"flap-storm@40+partition@40~j2us"``.  A component that already
+    carries a size is rejected (re-sizing would be ambiguous)."""
+    return str(_Spec.parse(name).sized(n))
+
+
+def _grid_specs(
+    names: Sequence[str],
+    sizes: Optional[Sequence[int]] = None,
+    boundary_jitter_us: Optional[int] = None,
+) -> List[str]:
+    """Canonical grid names: each spec at each of ``sizes`` (if any),
+    under ``boundary_jitter_us`` of whole-spec jitter (if given, replacing
+    any the spec had), deduplicated in order."""
+    specs = [_Spec.parse(name) for name in names]
+    if sizes:
+        specs = [spec.sized(n) for spec in specs for n in sizes]
+    if boundary_jitter_us is not None:
+        specs = [spec.rejittered(boundary_jitter_us) for spec in specs]
+    return list(dict.fromkeys(str(spec) for spec in specs))
 
 
 def get_scenario(name: str) -> Scenario:
-    """Look up a registered scenario, or resolve a composed/sized/
-    jittered spec (``a+b``, ``a@40``, ``(a+b)@40``, ``a~j1us``,
-    ``a@40+b@40~j2us``) from registered components.  A component ending
-    in ``.yaml`` / ``.yml`` / ``.json`` is loaded as a chaos DSL scenario
-    file (:mod:`repro.chaos`) and participates in the same grammar:
-    ``examples/skew.yaml~j1us`` fuzzes a file scenario."""
+    """Look up a registered scenario or a chaos DSL file
+    (``.yaml`` / ``.yml`` / ``.json``, :mod:`repro.chaos`), or resolve
+    a spec over them (:class:`_Spec`: ``a+b``, ``a@40``, ``a~j1us``,
+    ``examples/skew.yaml@20~j1us``).  Resolution only reads the
+    registry, so any process that imports the builtin catalogue
+    resolves a name to the same scenario, whatever the multiprocessing
+    start method."""
     _ensure_builtins()
     if name in _REGISTRY:
         return _REGISTRY[name]
     if _is_scenario_file(name):
         return _load_scenario_file(name)
-    dynamic = _resolve_dynamic(name)
-    if dynamic is not None:
-        return dynamic
-    raise KeyError(
-        f"unknown scenario {name!r}; registered: {scenario_names()} "
-        "(or compose with 'a+b', size with 'a@<N>', fuzz with 'a~j<N>us')"
-    )
+    scenario = _DYNAMIC_CACHE.get(name)
+    if scenario is not None:
+        return scenario
+    spec = _Spec.parse(name)
+    scenario = spec.resolve()
+    if scenario is None:
+        raise KeyError(
+            f"unknown scenario {name!r}; registered: {scenario_names()} "
+            "(or compose with 'a+b', size with 'a@<N>', fuzz with 'a~j<N>us')"
+        )
+    if not any(_is_scenario_file(comp.name) for comp in spec.comps):
+        # file components recompile when the file changes (the loader
+        # caches on mtime); memoizing them here would pin the first parse
+        _DYNAMIC_CACHE[name] = scenario
+    return scenario
 
 
 def scenario_names(include_sized: bool = True) -> List[str]:
@@ -545,7 +550,7 @@ def scenario_names(include_sized: bool = True) -> List[str]:
     _ensure_builtins()
     names = sorted(_REGISTRY)
     if not include_sized:
-        names = [n for n in names if "@" not in n]
+        names = [n for n in names if not _Spec.parse(n).carries_size]
     return names
 
 
@@ -614,7 +619,7 @@ def compose(
     offsets = tuple(offsets_us) if offsets_us is not None else (0,) * len(comps)
     if len(offsets) != len(comps):
         raise ValueError("offsets_us must match the component count")
-    composed_name = name or "+".join(c.name for c in comps)
+    composed_name = name or _Spec.join([c.name for c in comps])
 
     def topology(seed: int) -> TopologyGraph:
         graphs = [c.topology(seed) for c in comps]
@@ -691,15 +696,7 @@ def jittered(
     hold regardless.
     """
     scenario = get_scenario(base) if isinstance(base, str) else base
-    if name is not None:
-        fuzz_name = name
-    elif "~j" in scenario.name:
-        # parenthesize so the name re-parses as whole-composition jitter:
-        # "a~j1us+b~j5us" would re-resolve as per-component jitter, a
-        # different scenario
-        fuzz_name = f"({scenario.name})~j{jitter_us}us"
-    else:
-        fuzz_name = f"{scenario.name}~j{jitter_us}us"
+    fuzz_name = name or _Spec.jitter_name(scenario.name, jitter_us)
     base_schedule = scenario.schedule
 
     def schedule(graph: TopologyGraph, seed: int) -> EventSchedule:
@@ -1401,38 +1398,13 @@ def run_cell(cell: SweepCell) -> CellResult:
 
 def _spawn_portable(name: str) -> bool:
     """Whether a spawned worker (fresh interpreter, builtin catalogue
-    only) can resolve this scenario name: either it is a builtin, or it
-    is a composed/sized/jittered spec over builtin components."""
+    only) can resolve this scenario name."""
     if name in _BUILTIN_NAMES:
         return True
     try:
-        spec, _ = _split_trailing_jitter(name)
+        return _Spec.parse(name).portable()
     except ValueError:
         return False  # malformed: resolution will fail loudly anyway
-    paren = _PAREN_SPEC.match(spec)
-    if paren:
-        spec = paren.group("base")
-
-    def portable_part(part: str) -> bool:
-        if part in _BUILTIN_NAMES:
-            return True
-        try:
-            part, _ = _split_trailing_jitter(part)
-        except ValueError:
-            return False
-        size_match = _SIZE_SUFFIX.match(part)
-        if size_match:
-            part = size_match.group("base")
-        if _is_scenario_file(part):
-            # workers share the filesystem; a missing/invalid file fails
-            # loudly in the worker the same way it would in the parent
-            return True
-        return (
-            part in _BUILTIN_NAMES
-            or part.replace("_", "-") in _BUILTIN_NAMES
-        )
-
-    return all(portable_part(part) for part in spec.split("+"))
 
 
 # ----------------------------------------------------------------------
@@ -2060,14 +2032,6 @@ class SweepRunner:
 # boundary-jitter fuzzing: jittered grids + divergence minimization
 # ----------------------------------------------------------------------
 
-def _parse_fuzz_name(name: str) -> Tuple[str, int]:
-    """Split ``base~jNus`` into ``(base, N)``; plain names get jitter 0."""
-    match = _JITTER_SUFFIX.match(name)
-    if match is None:
-        return name, 0
-    return match.group("base"), int(match.group("us"))
-
-
 @dataclass
 class FuzzReport:
     """Outcome of a boundary-jitter fuzzing campaign.
@@ -2089,7 +2053,7 @@ class FuzzReport:
     def failures(self) -> List[CellResult]:
         bad = [c for c in self.cells if not c.ok]
         return sorted(
-            bad, key=lambda c: (_parse_fuzz_name(c.scenario)[1], c.seed, c.scenario)
+            bad, key=lambda c: (_Spec.fuzz_axes(c.scenario)[1], c.seed, c.scenario)
         )
 
     def ok(self) -> bool:
@@ -2101,7 +2065,7 @@ class FuzzReport:
             for jitter in self.jitters_us:
                 group = [
                     c for c in self.cells
-                    if _parse_fuzz_name(c.scenario) == (base, jitter)
+                    if _Spec.fuzz_axes(c.scenario) == (base, jitter)
                 ]
                 if not group:
                     continue
@@ -2143,7 +2107,8 @@ class FuzzReport:
                     f"minimized: scenario={base!r} seed={seed} "
                     f"jitter_us={jitter} (after {self.shrink_runs} shrink "
                     f"runs); reproduce with run_cell(SweepCell("
-                    f"'{base}~j{jitter}us', {seed}, '{self.mode}'))"
+                    f"'{_Spec.parse(base).rejittered(jitter)}', {seed}, "
+                    f"'{self.mode}'))"
                 )
             parts.append(
                 f"first failure: {first.scenario} seed={first.seed}: "
@@ -2154,7 +2119,7 @@ class FuzzReport:
     def to_dict(self) -> Dict:
         """JSON-serializable divergence report (the CI artifact)."""
         def cell_dict(c: CellResult) -> Dict:
-            base, jitter = _parse_fuzz_name(c.scenario)
+            base, jitter = _Spec.fuzz_axes(c.scenario)
             return {
                 "scenario": base,
                 "jitter_us": jitter,
@@ -2218,14 +2183,15 @@ class FuzzRunner:
             # owns the jitter axis) and no @N size variants (an 80-node
             # jitter grid is an explicit opt-in, not a default)
             scenarios = [
-                n for n in scenario_names() if "~" not in n and "@" not in n
+                name for name in scenario_names(include_sized=False)
+                if not _Spec.parse(name).carries_jitter
             ]
         else:
-            # the runner owns the jitter axis: strip any ~jNus suffix the
-            # caller passed (e.g. a registered '*~j1us' builtin) so grids
-            # never double-jitter or build unresolvable names
+            # the runner owns the whole-spec jitter axis: strip it from
+            # the caller's specs (e.g. a registered '*~j1us' builtin) so
+            # grids never double-jitter
             scenarios = list(dict.fromkeys(
-                _parse_fuzz_name(name)[0] for name in scenarios
+                _Spec.fuzz_axes(name)[0] for name in scenarios
             ))
         for name in scenarios:
             scenario = get_scenario(name)  # fail fast on unknown names
@@ -2243,7 +2209,7 @@ class FuzzRunner:
 
     def grid_names(self) -> List[str]:
         return [
-            f"{base}~j{jitter}us"
+            str(_Spec.parse(base).rejittered(jitter))
             for base in self.base_scenarios
             for jitter in self.jitters_us
         ]
@@ -2276,7 +2242,8 @@ class FuzzRunner:
         self, cell: CellResult, cells: Sequence[CellResult]
     ) -> Tuple[Tuple[str, int, int], int]:
         """Smallest failing (scenario, seed, jitter) reachable from ``cell``."""
-        base, jitter = _parse_fuzz_name(cell.scenario)
+        base, jitter = _Spec.fuzz_axes(cell.scenario)
+        spec = _Spec.parse(base)
         seed = cell.seed
         runs = 0
 
@@ -2284,7 +2251,7 @@ class FuzzRunner:
             nonlocal runs
             runs += 1
             result = run_cell(
-                SweepCell(f"{base}~j{jitter_us}us", cell_seed, self.mode)
+                SweepCell(str(spec.rejittered(jitter_us)), cell_seed, self.mode)
             )
             return not result.ok
 
@@ -2293,14 +2260,11 @@ class FuzzRunner:
         # jitter -- and they all passed, or ``cell`` would not be the
         # smallest failure -- so start the bracket from the largest of
         # them instead of re-running full simulations below it.
-        known_passing = [
-            _parse_fuzz_name(c.scenario)[1]
-            for c in cells
-            if c.ok
-            and c.seed == seed
-            and _parse_fuzz_name(c.scenario)[0] == base
-            and _parse_fuzz_name(c.scenario)[1] < jitter
-        ]
+        known_passing = []
+        for c in cells:
+            cell_base, cell_jitter = _Spec.fuzz_axes(c.scenario)
+            if c.ok and c.seed == seed and cell_base == base and cell_jitter < jitter:
+                known_passing.append(cell_jitter)
         lo, hi = max(known_passing, default=-1), jitter
         while hi - lo > 1:
             mid = (lo + hi) // 2

@@ -355,7 +355,7 @@ class TestFuzzRunner:
         """A fake run_cell failing exactly when ``failing(base, seed, j)``."""
 
         def fake(cell):
-            base, jitter = sweep_mod._parse_fuzz_name(cell.scenario)
+            base, jitter = sweep_mod._Spec.fuzz_axes(cell.scenario)
             bad = failing(base, cell.seed, jitter)
             return CellResult(
                 scenario=cell.scenario,

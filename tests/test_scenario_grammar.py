@@ -23,7 +23,7 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sweep import (
     _spawn_portable,
@@ -266,25 +266,25 @@ GOLDEN = {
         '0d1fcc7802143fdb',
     ),
     '(flap-storm~j1us)~j2us': (
-        '(flap-storm~j1us)~j2us',
-        '(flap-storm~j1us)~j2us',
-        '(flap-storm@20~j1us)~j2us',
-        True,
-        'df4aaf1aa78eab75',
+        "ValueError: '(flap-storm~j1us)~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
+        "ValueError: '(flap-storm~j1us)~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
+        "ValueError: '(flap-storm~j1us)~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
+        False,
+        None,
     ),
     '(flap-storm+partition~j1us)': (
-        'flap-storm+partition~j1us',
-        'flap-storm+partition~j1us',
-        'flap-storm@20+partition@20~j1us',
+        '(flap-storm+partition~j1us)',
+        '(flap-storm+partition~j1us)',
+        '(flap-storm@20+partition@20~j1us)',
         True,
-        '20c9bce1bf71ecc9',
+        '3c08c3d9cd817a51',
     ),
     '(flap-storm+partition~j1us)~j2us': (
         '(flap-storm+partition~j1us)~j2us',
         '(flap-storm+partition~j1us)~j2us',
         '(flap-storm@20+partition@20~j1us)~j2us',
         True,
-        'db78949e5bd8d44d',
+        'c6a2729a40953b9a',
     ),
     'examples/clock_skew_storm.yaml': (
         'skew-storm',
@@ -358,9 +358,9 @@ GOLDEN = {
     ),
     'flap-storm~j1us@20': (
         "ValueError: component 'flap-storm~j1us@20': the size binds inside the jitter suffix -- write 'name@N~jJus', not 'name~jJus@N'",
-        'flap-storm~j1us@20',
-        "ValueError: component 'flap-storm~j1us@20' already carries a size",
-        True,
+        "ValueError: component 'flap-storm~j1us@20': the size binds inside the jitter suffix -- write 'name@N~jJus', not 'name~jJus@N'",
+        "ValueError: component 'flap-storm~j1us@20': the size binds inside the jitter suffix -- write 'name@N~jJus', not 'name~jJus@N'",
+        False,
         None,
     ),
     'flap-storm@20@40': (
@@ -374,7 +374,7 @@ GOLDEN = {
         "ValueError: component 'flap-storm@20' already carries a size",
         "ValueError: component 'flap-storm@20' already carries a size",
         "ValueError: component 'flap-storm@20' already carries a size",
-        True,
+        False,
         None,
     ),
     'flap-storm+heat-death': (
@@ -413,6 +413,87 @@ def test_golden_row(spec):
     assert _row(spec) == GOLDEN[spec]
 
 
+def test_parenthesised_component_cannot_stack_jitter():
+    """``(a~j1us)~j2us`` is ``a~j1us~j2us`` in parens: one target, two
+    jitters, the same parse error."""
+    for spec in ("(flap-storm~j1us)~j2us", "(flap-storm@20~j1us)~j2us"):
+        with pytest.raises(ValueError, match="stacks more than one"):
+            get_scenario(spec)
+
+
+# ----------------------------------------------------------------------
+# boundary jitter: J over the whole spec, replacing whole-spec jitter
+# ----------------------------------------------------------------------
+
+#: spec -> the spec under 2 us of boundary jitter
+REJITTERED = {
+    "flap-storm": "flap-storm~j2us",
+    "flap-storm~j1us": "flap-storm~j2us",
+    "flap-storm+partition~j1us": "flap-storm+partition~j2us",
+    "flap-storm~j1us+partition": "(flap-storm~j1us+partition)~j2us",
+    "flap-storm~j1us+partition~j5us": "(flap-storm~j1us+partition~j5us)~j2us",
+    "(flap-storm~j1us+partition)~j5us": "(flap-storm~j1us+partition)~j2us",
+}
+
+
+def test_sweep_boundary_jitter_covers_the_whole_spec(monkeypatch):
+    import repro.cli as cli_mod
+    import repro.sweep as sweep_mod
+
+    captured = {}
+
+    class FakeRunner:
+        def __init__(self, scenarios=None, **kwargs):
+            captured["names"] = scenarios
+            raise SystemExit(0)
+
+    monkeypatch.setattr(sweep_mod, "SweepRunner", FakeRunner)
+    args = cli_mod.build_parser().parse_args([
+        "sweep", "--scenarios", ",".join(REJITTERED),
+        "--boundary-jitter-us", "2", "--seeds", "1",
+    ])
+    with pytest.raises(SystemExit):
+        cli_mod.cmd_sweep(args)
+    assert captured["names"] == list(dict.fromkeys(REJITTERED.values()))
+    for name in captured["names"]:
+        assert get_scenario(name).name == name
+
+
+def test_envelope_boundary_jitter_covers_the_whole_spec():
+    from repro.envelope import EnvelopeRunner
+
+    runner = EnvelopeRunner(
+        scenarios=list(REJITTERED), jitters_us=(0,),
+        windows_us=(1_000_000,), boundary_jitter_us=2,
+    )
+    assert runner.scenarios == tuple(dict.fromkeys(REJITTERED.values()))
+
+
+def test_fuzz_jitter_axis_covers_the_whole_spec(monkeypatch):
+    import repro.sweep as sweep_mod
+    from repro.sweep import CellResult, FuzzRunner
+
+    def fake_run_cell(cell):
+        # fails from 2 us of whole-spec jitter up
+        failing = sweep_mod._Spec.parse(cell.scenario).jitter >= 2
+        return CellResult(
+            scenario=cell.scenario, seed=cell.seed, mode=cell.mode,
+            fingerprint="fp", invariant_ok=not failing,
+        )
+
+    monkeypatch.setattr(sweep_mod, "run_cell", fake_run_cell)
+    base = "flap-storm~j1us+partition"
+    runner = FuzzRunner(scenarios=[base], seeds=(1,), jitters_us=(0, 3))
+    assert runner.grid_names() == [
+        "(flap-storm~j1us+partition)~j0us",
+        "(flap-storm~j1us+partition)~j3us",
+    ]
+    report = runner.run()
+    assert [row[:2] for row in report.summary_rows()] == [[base, 0], [base, 3]]
+    assert report.minimized == (base, 1, 2)
+    assert "SweepCell('(flap-storm~j1us+partition)~j2us', 1," in report.render()
+
+
 # ----------------------------------------------------------------------
 # properties over registered bases
 # ----------------------------------------------------------------------
@@ -437,7 +518,6 @@ def _specs(draw):
         spec = base + (f"@{size}" if size else "")
         comps.append(spec + (f"~j{jitter}us" if jitter is not None else ""))
     jittered = ["~j" in comp for comp in comps]
-    last_only = jittered == [False] * (len(comps) - 1) + [True]
     spec = "+".join(comps)
     paren = draw(st.booleans())
     if paren:
@@ -450,10 +530,6 @@ def _specs(draw):
         stacks = jittered[-1]
     if not stacks and draw(st.booleans()):
         spec += f"~j{draw(st.integers(0, 5))}us"
-    elif paren and len(comps) > 1:
-        # "(a+b~j1us)" canonicalises to the whole-composition
-        # "a+b~j1us", a different scenario
-        assume(not last_only)
     return spec
 
 
