@@ -22,6 +22,7 @@ import time
 import pytest
 
 import repro.sweep as sweep_mod
+from repro.core.history import WindowHeadroomStats
 from repro.supervise import (
     DETERMINISTIC,
     TRANSIENT,
@@ -47,6 +48,10 @@ needs_fork = pytest.mark.skipif(
 )
 
 _MARKED_SEED = 13
+
+GOLDEN_JOURNAL_SEGMENT = os.path.join(
+    os.path.dirname(__file__), "golden", "journal-v1-segment.jsonl"
+)
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +79,40 @@ def _ok_run_cell(cell):
         fingerprint=f"fp|{cell.scenario}|{cell.seed}|{cell.mode}",
         deliveries=1, wall_seconds=0.0,
     )
+
+
+def _every_field_cell_result():
+    """A cell with every identity override set and a completed result
+    that sets every ``CellResult`` field (the journal fixture's source)."""
+    cell = SweepCell(
+        "flap-storm@20", seed=7, mode="defined", repeat=1, jitter_seed=4242,
+        window_us=400_000, jitter_us=300,
+    )
+    result = CellResult.for_cell(
+        cell,
+        fingerprint="a" * 64,
+        replay_fingerprint="b" * 64,
+        invariant_ok=False,
+        expected_ok=True,
+        late_deliveries=5,
+        rollbacks=17,
+        deliveries=1234,
+        recording_bytes=5678,
+        headroom=WindowHeadroomStats(
+            window_us=400_000, late_count=5, max_deficit_us=9_000,
+            p50_deficit_us=1_000, p90_deficit_us=6_000, p99_deficit_us=8_500,
+            unmeasured_count=1,
+        ),
+        node_headroom={
+            "r2": WindowHeadroomStats.from_samples(400_000, [1_000, 9_000]),
+            "r10": WindowHeadroomStats.from_samples(400_000, [2_000], 1),
+        },
+        wall_seconds=1.25,
+        error=("replay diverged from production at group 12; " * 7)[:300],
+        attempts=3,
+    )
+    assert len(result.error) == 300
+    return cell, result
 
 
 def _sleep_forever_run_cell(cell):
@@ -284,6 +323,23 @@ class TestJournal:
         assert sorted(os.listdir(directory)) == [
             "segment-00000000.jsonl", "segment-00000001.jsonl",
         ]
+
+    def test_record_writes_the_golden_v1_segment(self, tmp_path):
+        """The journal format is pinned byte for byte: a segment written
+        by an older release must stay resumable, and this one is it."""
+        cell, result = _every_field_cell_result()
+        path = CellJournal(str(tmp_path / "journal")).record(cell, result)
+        with open(path, "rb") as fh, open(GOLDEN_JOURNAL_SEGMENT, "rb") as gh:
+            assert fh.read() == gh.read()
+
+    def test_golden_v1_segment_resumes_to_the_original_result(self, tmp_path):
+        cell, result = _every_field_cell_result()
+        directory = tmp_path / "journal"
+        directory.mkdir()
+        with open(GOLDEN_JOURNAL_SEGMENT, "rb") as gh:
+            (directory / "segment-00000000.jsonl").write_bytes(gh.read())
+        [resumed] = SweepRunner(resume_dir=str(directory)).run_cells([cell])
+        assert resumed == dataclasses.replace(result, outcome="resumed")
 
     def test_missing_directory_is_a_loud_error(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="resume journal"):

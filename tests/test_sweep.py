@@ -1,14 +1,17 @@
 """Tests for the scenario-sweep subsystem (:mod:`repro.sweep`)."""
 
+import dataclasses
 import os
 
 import pytest
 
 from _fixtures import square_graph
+from _golden import assert_rows
 
 from repro.simnet.engine import SECOND
 from repro.simnet.events import LINK_DOWN, LINK_UP, NODE_DOWN, NODE_UP
 from repro.sweep import (
+    CellResult,
     Scenario,
     SweepCell,
     SweepRunner,
@@ -25,8 +28,31 @@ from repro.sweep import (
 )
 
 GOLDEN_DEFAULT_GRID = os.path.join(
-    os.path.dirname(__file__), "golden", "default-grid-seed1.digest"
+    os.path.dirname(__file__), "golden", "default-grid-seed1.jsonl"
 )
+#: The fields that identify a cell's row in a golden grid file.
+CELL_ROW_KEY = (
+    "scenario", "seed", "mode", "repeat", "jitter_seed", "window_us", "jitter_us",
+)
+
+
+def _semantic_rows(report):
+    """The report's cells as rows: every ``CellResult`` field except the
+    provenance ones (wall seconds, attempts, outcome)."""
+    rows = []
+    for c in report.cells:
+        row = {
+            f.name: getattr(c, f.name)
+            for f in dataclasses.fields(CellResult)
+            if f.name not in ("wall_seconds", "attempts", "outcome")
+        }
+        row["headroom"] = c.headroom.to_dict() if c.headroom else None
+        row["node_headroom"] = (
+            {n: hr.to_dict() for n, hr in c.node_headroom.items()}
+            if c.node_headroom else None
+        )
+        rows.append(row)
+    return rows
 
 
 class TestRegistry:
@@ -206,18 +232,16 @@ class TestSweepRunner:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_builtin_scenario_upholds_theorem1(self, workers):
         """The default grid, in process and on the pool, against the
-        stored golden digest: how a grid is executed must not show in
-        what it computed.  The digest was recorded from the runner that
-        still had the per-future and unsupervised-ring executors (all
-        three agreed); adding or changing a builtin scenario moves it --
-        regenerate with ``SweepRunner(seeds=(1,)).run().semantic_digest()``.
+        stored golden rows: how a grid is executed must not show in what
+        it computed.  Adding or changing a builtin scenario moves rows;
+        regenerate with ``rm tests/golden/default-grid-seed1.jsonl &&
+        python -m pytest tests/test_sweep.py -k upholds_theorem1``.
         """
         report = SweepRunner(seeds=(1,), workers=workers).run()
         assert report.ok(), report.render()
         defined = [c for c in report.cells if c.mode == "defined"]
         assert defined and all(c.invariant_ok for c in defined)
-        with open(GOLDEN_DEFAULT_GRID, encoding="ascii") as fh:
-            assert report.semantic_digest() == fh.read().strip()
+        assert_rows(GOLDEN_DEFAULT_GRID, _semantic_rows(report), CELL_ROW_KEY)
 
     def test_render_mentions_verdict(self):
         report = SweepRunner(scenarios=["xorp-bgp-med"], seeds=(1,)).run()
