@@ -7,7 +7,7 @@ fall) directly from the bench output captured in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf
 
@@ -140,10 +140,3 @@ def _fmt(cell) -> str:
         return f"{cell:.4g}"
     return str(cell)
 
-
-def comparison_verdict(rows: List[Tuple[str, float, float]]) -> str:
-    """Render paper-vs-measured shape checks for EXPERIMENTS.md."""
-    lines = []
-    for label, paper_value, measured in rows:
-        lines.append(f"  {label}: paper~{paper_value:g} measured={measured:.4g}")
-    return "\n".join(lines)

@@ -387,12 +387,6 @@ class Namespace:
             estimate_bytes(k) + estimate_bytes(v) for k, v in self._data.items()
         )
 
-    def dirty_keys_total(self) -> int:
-        """Cumulative COW journal traffic: keys journalled into undo
-        logs over this namespace's lifetime (first write per key per
-        snapshot interval)."""
-        return self._dirty_total
-
     # ------------------------------------------------------------------
     # sanitize mode: the store-contract check
     # ------------------------------------------------------------------

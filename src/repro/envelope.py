@@ -300,26 +300,6 @@ class EnvelopeReport:
 
     def to_dict(self) -> Dict:
         """JSON-serializable envelope report (the CI artifact)."""
-        def cell_dict(c: CellResult) -> Dict:
-            return {
-                "scenario": c.scenario,
-                "seed": c.seed,
-                "mode": c.mode,
-                "jitter_us": c.jitter_us,
-                "window_us": c.window_us,
-                "error": c.error,
-                "invariant_ok": c.invariant_ok,
-                "late_deliveries": c.late_deliveries,
-                "rollbacks": c.rollbacks,
-                "headroom": (
-                    c.headroom.to_dict() if c.headroom is not None else None
-                ),
-                "node_headroom": (
-                    {n: hr.to_dict() for n, hr in sorted(c.node_headroom.items())}
-                    if c.node_headroom else None
-                ),
-            }
-
         return {
             "ok": self.ok(),
             "scenarios": list(self.scenarios),
@@ -329,7 +309,7 @@ class EnvelopeReport:
             "mode": self.mode,
             "grid_cells": len(self.cells),
             "wall_seconds": self.wall_seconds,
-            "cells": [cell_dict(c) for c in self.cells],
+            "cells": [c.to_row() for c in self.cells],
             "safe_windows": [
                 {"scenario": scenario, "jitter_us": jitter, "window_us": w}
                 for (scenario, jitter), w in self.safe_windows().items()
@@ -337,9 +317,7 @@ class EnvelopeReport:
             "suggestion": (
                 self.suggestion.to_dict() if self.suggestion is not None else None
             ),
-            "verification_cells": [
-                cell_dict(c) for c in self.verification_cells
-            ],
+            "verification_cells": [c.to_row() for c in self.verification_cells],
         }
 
 

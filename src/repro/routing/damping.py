@@ -24,7 +24,7 @@ classic ``snapshot()``/``restore()`` tuple API.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.statestore import Namespace, StateStore
 
@@ -41,19 +41,6 @@ DEFAULT_MAX_PENALTY = 12_000
 #: Per-prefix row layout inside the namespace (all immutable):
 #: (penalty_milli, last_update_vt, suppressed, flaps).
 DampingRow = Tuple[int, int, bool, int]
-
-
-@dataclass(frozen=True)
-class DampingState:
-    """Read-side view of one prefix's damping bookkeeping."""
-
-    penalty_milli: int = 0          # penalty scaled by 1000 for precision
-    last_update_vt: int = 0
-    suppressed: bool = False
-    flaps: int = 0
-
-    def as_row(self) -> DampingRow:
-        return (self.penalty_milli, self.last_update_vt, self.suppressed, self.flaps)
 
 
 @dataclass
@@ -151,13 +138,6 @@ class FlapDampener:
             penalty -= penalty // (2 * self.half_life_units)
             units += 1
         return units
-
-    def flap_counts(self) -> Dict[str, int]:
-        return {p: row[3] for p, row in self._routes.items()}
-
-    def state_of(self, prefix: str) -> Optional[DampingState]:
-        row = self._routes.get(prefix)
-        return DampingState(*row) if row is not None else None
 
     def snapshot(self) -> Tuple:
         """Checkpointable state (the dampener lives inside daemons).

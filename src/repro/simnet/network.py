@@ -558,9 +558,6 @@ class Network:
         transit); it will be dropped at delivery time."""
         self._annihilated.add(uid)
 
-    def forget_annihilated(self, uid: int) -> None:
-        self._annihilated.discard(uid)
-
     # ------------------------------------------------------------------
     # external events
     # ------------------------------------------------------------------

@@ -292,6 +292,3 @@ class ReliableTransport:
         cleared, with the key at which the transport went idle: the
         latest key at which any of the frames was cleared."""
         self._on_idle = callback
-
-    def outstanding_count(self) -> int:
-        return len(self._outstanding)

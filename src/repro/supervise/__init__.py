@@ -44,8 +44,6 @@ from repro.supervise.journal import (
     cell_fingerprint,
     load_completed,
     load_records,
-    payload_to_result,
-    result_to_payload,
 )
 
 __all__ = [
@@ -62,6 +60,4 @@ __all__ = [
     "cell_fingerprint",
     "load_completed",
     "load_records",
-    "payload_to_result",
-    "result_to_payload",
 ]

@@ -36,7 +36,6 @@ import re
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.artifact.bundle import canonical_json
-from repro.core.history import WindowHeadroomStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sweep import CellResult, SweepCell
@@ -62,22 +61,6 @@ SKIPPABLE_OUTCOMES = frozenset({"completed", "resumed"})
 
 _SEGMENT_RE = re.compile(r"^segment-(\d{8})\.jsonl$")
 
-#: Semantic result fields carried by a journal record, beyond identity.
-_PAYLOAD_FIELDS = (
-    "fingerprint",
-    "replay_fingerprint",
-    "invariant_ok",
-    "expected_ok",
-    "late_deliveries",
-    "rollbacks",
-    "deliveries",
-    "recording_bytes",
-    "wall_seconds",
-    "error",
-    "attempts",
-)
-
-
 def cell_identity(cell: "SweepCell") -> Dict:
     """The fingerprinted identity of one cell, as a plain dict."""
     return {field: getattr(cell, field) for field in IDENTITY_FIELDS}
@@ -88,52 +71,6 @@ def cell_fingerprint(cell: "SweepCell") -> str:
     return hashlib.sha256(
         canonical_json(cell_identity(cell)).encode("ascii")
     ).hexdigest()
-
-
-def result_to_payload(result: "CellResult") -> Dict:
-    """Serialize a result's semantic fields (identity travels separately)."""
-    payload = {field: getattr(result, field) for field in _PAYLOAD_FIELDS}
-    payload["headroom"] = (
-        result.headroom.to_dict() if result.headroom is not None else None
-    )
-    payload["node_headroom"] = (
-        {node: hr.to_dict() for node, hr in sorted(result.node_headroom.items())}
-        if result.node_headroom
-        else None
-    )
-    return payload
-
-
-def payload_to_result(cell: "SweepCell", payload: Dict) -> "CellResult":
-    """Rebuild a :class:`~repro.sweep.CellResult` from a journal payload.
-
-    Identity comes from the *current* grid's cell (it fingerprint-matched
-    the record, so the fields agree); the payload supplies everything
-    else.  The rebuilt result carries ``outcome="resumed"`` so coverage
-    accounting can distinguish replayed cells from executed ones.
-    """
-    from repro.sweep import CellResult
-
-    fields = {key: payload.get(key) for key in _PAYLOAD_FIELDS}
-    fields["late_deliveries"] = int(fields["late_deliveries"] or 0)
-    fields["rollbacks"] = int(fields["rollbacks"] or 0)
-    fields["deliveries"] = int(fields["deliveries"] or 0)
-    fields["wall_seconds"] = float(fields["wall_seconds"] or 0.0)
-    fields["fingerprint"] = fields["fingerprint"] or ""
-    fields["attempts"] = int(fields.get("attempts") or 1)
-    headroom = payload.get("headroom")
-    node_headroom = payload.get("node_headroom")
-    return CellResult.for_cell(
-        cell,
-        headroom=WindowHeadroomStats(**headroom) if headroom else None,
-        node_headroom=(
-            {node: WindowHeadroomStats(**hr) for node, hr in node_headroom.items()}
-            if node_headroom
-            else None
-        ),
-        outcome="resumed",
-        **fields,
-    )
 
 
 class CellJournal:
@@ -159,13 +96,22 @@ class CellJournal:
         return highest + 1
 
     def record(self, cell: "SweepCell", result: "CellResult") -> str:
-        """Durably journal one cell outcome; returns the segment path."""
+        """Durably journal one cell outcome; returns the segment path.
+
+        The record's ``result`` is the result row
+        (:meth:`~repro.sweep.CellResult.to_row`) without the identity
+        fields and ``outcome``, which the record carries as ``cell`` and
+        ``outcome``."""
         doc = {
             "v": 1,
             "fingerprint": cell_fingerprint(cell),
             "cell": cell_identity(cell),
             "outcome": result.outcome,
-            "result": result_to_payload(result),
+            "result": {
+                key: value
+                for key, value in result.to_row().items()
+                if key not in IDENTITY_FIELDS and key != "outcome"
+            },
         }
         final = os.path.join(
             self.directory, f"segment-{self._seq:08d}.jsonl"

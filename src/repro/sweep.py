@@ -67,8 +67,8 @@ import random
 import re
 import time
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_matrix, render_table
 from repro.core.history import WindowHeadroomStats
@@ -1199,6 +1199,12 @@ class SweepCell:
         return self.seed if self.jitter_seed is None else self.jitter_seed
 
 
+#: Result fields that record how a cell was executed, not what it
+#: computed.  :meth:`SweepReport.semantic_rows` leaves them out, so a
+#: resumed or retried grid digests like an uninterrupted one.
+PROVENANCE_FIELDS = ("wall_seconds", "attempts", "outcome")
+
+
 @dataclass(frozen=True)
 class CellResult:
     """The picklable outcome of one grid cell."""
@@ -1264,6 +1270,35 @@ class CellResult:
             jitter_us=cell.jitter_us,
             **fields,
         )
+
+    def to_row(self) -> Dict:
+        """Every field as plain JSON values: the one serialisation of a
+        result.  The journal record, the semantic digest and the report
+        JSONs are projections of this row.  Headroom becomes dicts, and
+        an empty ``node_headroom`` becomes ``None``."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.headroom is not None:
+            row["headroom"] = self.headroom.to_dict()
+        row["node_headroom"] = (
+            {node: hr.to_dict() for node, hr in sorted(self.node_headroom.items())}
+            if self.node_headroom
+            else None
+        )
+        return row
+
+    @classmethod
+    def from_row(cls, row: Mapping) -> "CellResult":
+        """The inverse of :meth:`to_row`.  ``row`` must hold every field;
+        keys that name no field are ignored."""
+        values = {f.name: row[f.name] for f in fields(cls)}
+        if values["headroom"] is not None:
+            values["headroom"] = WindowHeadroomStats(**values["headroom"])
+        if values["node_headroom"] is not None:
+            values["node_headroom"] = {
+                node: WindowHeadroomStats(**hr)
+                for node, hr in values["node_headroom"].items()
+            }
+        return cls(**values)
 
     @property
     def key(self) -> Tuple[str, int, str]:
@@ -1487,48 +1522,27 @@ class SweepReport:
         counts["cells"] = len(self.cells)
         return counts
 
-    def semantic_digest(self) -> str:
-        """Order-insensitive content hash of the grid's semantic outcomes.
+    def semantic_rows(self) -> List[Dict]:
+        """The cells' rows without the provenance fields: exactly what
+        the grid *computed* -- cell identities, fingerprints, verdicts,
+        counters, headroom -- and nothing of how it was computed."""
+        return [
+            {k: v for k, v in c.to_row().items() if k not in PROVENANCE_FIELDS}
+            for c in self.cells
+        ]
 
-        Covers exactly what the grid *computed* -- cell identities,
-        fingerprints, verdicts, counters, headroom -- and excludes how
-        it was computed: wall seconds, attempt counts, worker topology,
-        and outcome provenance (``resumed`` vs ``completed``).  An
+    def semantic_digest(self) -> str:
+        """Order-insensitive content hash of :meth:`semantic_rows`.
+
+        It excludes wall seconds, attempt counts, worker topology and
+        outcome provenance (``resumed`` vs ``completed``).  An
         interrupted grid resumed from its journal must therefore digest
         identically to the same grid run uninterrupted; the CI
         interrupted-grid job pins this.
         """
         from repro.artifact.bundle import canonical_json
 
-        rows = []
-        for c in self.cells:
-            rows.append({
-                "scenario": c.scenario,
-                "seed": c.seed,
-                "mode": c.mode,
-                "repeat": c.repeat,
-                "jitter_seed": c.jitter_seed,
-                "window_us": c.window_us,
-                "jitter_us": c.jitter_us,
-                "fingerprint": c.fingerprint,
-                "replay_fingerprint": c.replay_fingerprint,
-                "invariant_ok": c.invariant_ok,
-                "expected_ok": c.expected_ok,
-                "late_deliveries": c.late_deliveries,
-                "rollbacks": c.rollbacks,
-                "deliveries": c.deliveries,
-                "recording_bytes": c.recording_bytes,
-                "headroom": (
-                    c.headroom.to_dict() if c.headroom is not None else None
-                ),
-                "node_headroom": (
-                    {n: hr.to_dict() for n, hr in sorted(c.node_headroom.items())}
-                    if c.node_headroom
-                    else None
-                ),
-                "error": c.error,
-            })
-        rows.sort(key=canonical_json)
+        rows = sorted(self.semantic_rows(), key=canonical_json)
         doc = {"seeds": list(self.seeds), "repeats": self.repeats, "cells": rows}
         return hashlib.sha256(canonical_json(doc).encode("ascii")).hexdigest()
 
@@ -1660,29 +1674,6 @@ class SweepReport:
         errors, Theorem-1 violations, expectation failures, ordering
         misses, and seed-invariance splits (with the per-jitter-seed
         fingerprints that refused to collapse)."""
-        def cell_dict(c: CellResult) -> Dict:
-            return {
-                "scenario": c.scenario,
-                "seed": c.seed,
-                "mode": c.mode,
-                "repeat": c.repeat,
-                "error": c.error,
-                "outcome": c.outcome,
-                "attempts": c.attempts,
-                "invariant_ok": c.invariant_ok,
-                "expected_ok": c.expected_ok,
-                "late_deliveries": c.late_deliveries,
-                "fingerprint": c.fingerprint,
-                "replay_fingerprint": c.replay_fingerprint,
-                "headroom": (
-                    c.headroom.to_dict() if c.headroom is not None else None
-                ),
-                "node_headroom": (
-                    {n: hr.to_dict() for n, hr in sorted(c.node_headroom.items())}
-                    if c.node_headroom else None
-                ),
-            }
-
         splits = []
         for scenario, seed, mode in self.invariance_splits():
             group = [
@@ -1707,16 +1698,16 @@ class SweepReport:
             "wall_seconds": self.wall_seconds,
             "coverage": self.coverage(),
             "semantic_digest": self.semantic_digest(),
-            "timed_out": [cell_dict(c) for c in self.timed_out()],
-            "quarantined": [cell_dict(c) for c in self.quarantined()],
-            "errors": [cell_dict(c) for c in self.errors()],
+            "timed_out": [c.to_row() for c in self.timed_out()],
+            "quarantined": [c.to_row() for c in self.quarantined()],
+            "errors": [c.to_row() for c in self.errors()],
             "theorem1_violations": [
-                cell_dict(c) for c in self.invariant_violations()
+                c.to_row() for c in self.invariant_violations()
             ],
             "expectation_failures": [
-                cell_dict(c) for c in self.expectation_failures()
+                c.to_row() for c in self.expectation_failures()
             ],
-            "ordering_misses": [cell_dict(c) for c in self.ordering_misses()],
+            "ordering_misses": [c.to_row() for c in self.ordering_misses()],
             "invariance_splits": splits,
         }
 
@@ -1931,8 +1922,8 @@ class SweepRunner:
         from repro.supervise.journal import (
             CellJournal,
             cell_fingerprint,
+            cell_identity,
             load_completed,
-            payload_to_result,
         )
 
         resumed: Dict[int, CellResult] = {}
@@ -1941,7 +1932,11 @@ class SweepRunner:
             for index, cell in enumerate(cells):
                 record = completed.get(cell_fingerprint(cell))
                 if record is not None:
-                    resumed[index] = payload_to_result(cell, record["result"])
+                    resumed[index] = CellResult.from_row({
+                        **record["result"],
+                        **cell_identity(cell),
+                        "outcome": "resumed",
+                    })
         journal = CellJournal(journal_dir)
         for index, result in resumed.items():
             if progress is not None:
@@ -2118,20 +2113,6 @@ class FuzzReport:
 
     def to_dict(self) -> Dict:
         """JSON-serializable divergence report (the CI artifact)."""
-        def cell_dict(c: CellResult) -> Dict:
-            base, jitter = _Spec.fuzz_axes(c.scenario)
-            return {
-                "scenario": base,
-                "jitter_us": jitter,
-                "seed": c.seed,
-                "mode": c.mode,
-                "error": c.error,
-                "invariant_ok": c.invariant_ok,
-                "expected_ok": c.expected_ok,
-                "fingerprint": c.fingerprint,
-                "replay_fingerprint": c.replay_fingerprint,
-            }
-
         return {
             "ok": self.ok(),
             "mode": self.mode,
@@ -2140,7 +2121,7 @@ class FuzzReport:
             "jitters_us": list(self.jitters_us),
             "grid_cells": len(self.cells),
             "wall_seconds": self.wall_seconds,
-            "failures": [cell_dict(c) for c in self.failures()],
+            "failures": [c.to_row() for c in self.failures()],
             "minimized": (
                 None if self.minimized is None else {
                     "scenario": self.minimized[0],

@@ -35,8 +35,6 @@ from repro.supervise import (
     classify_error,
     load_completed,
     load_records,
-    payload_to_result,
-    result_to_payload,
 )
 from repro.supervise.journal import cell_identity, journal_summary
 from repro.sweep import CellResult, SweepCell, SweepRunner
@@ -292,14 +290,13 @@ class TestJournal:
             _cell(seed=3, artifact_dir="/elsewhere")
         )
 
-    def test_payload_round_trip_marks_resumed(self):
+    def test_recorded_result_resumes_marked_resumed(self, tmp_path):
         cell = _cell(seed=9)
         original = _ok_run_cell(cell)
-        rebuilt = payload_to_result(cell, result_to_payload(original))
-        assert rebuilt.outcome == "resumed"
-        assert rebuilt.fingerprint == original.fingerprint
-        assert rebuilt.deliveries == original.deliveries
-        assert rebuilt.error is None
+        directory = str(tmp_path / "journal")
+        CellJournal(directory).record(cell, original)
+        [rebuilt] = SweepRunner(resume_dir=directory).run_cells([cell])
+        assert rebuilt == dataclasses.replace(original, outcome="resumed")
 
     def test_record_load_and_later_records_win(self, tmp_path):
         directory = str(tmp_path / "journal")

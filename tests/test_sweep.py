@@ -1,6 +1,5 @@
 """Tests for the scenario-sweep subsystem (:mod:`repro.sweep`)."""
 
-import dataclasses
 import os
 
 import pytest
@@ -11,7 +10,6 @@ from _golden import assert_rows
 from repro.simnet.engine import SECOND
 from repro.simnet.events import LINK_DOWN, LINK_UP, NODE_DOWN, NODE_UP
 from repro.sweep import (
-    CellResult,
     Scenario,
     SweepCell,
     SweepRunner,
@@ -34,25 +32,6 @@ GOLDEN_DEFAULT_GRID = os.path.join(
 CELL_ROW_KEY = (
     "scenario", "seed", "mode", "repeat", "jitter_seed", "window_us", "jitter_us",
 )
-
-
-def _semantic_rows(report):
-    """The report's cells as rows: every ``CellResult`` field except the
-    provenance ones (wall seconds, attempts, outcome)."""
-    rows = []
-    for c in report.cells:
-        row = {
-            f.name: getattr(c, f.name)
-            for f in dataclasses.fields(CellResult)
-            if f.name not in ("wall_seconds", "attempts", "outcome")
-        }
-        row["headroom"] = c.headroom.to_dict() if c.headroom else None
-        row["node_headroom"] = (
-            {n: hr.to_dict() for n, hr in c.node_headroom.items()}
-            if c.node_headroom else None
-        )
-        rows.append(row)
-    return rows
 
 
 class TestRegistry:
@@ -241,7 +220,7 @@ class TestSweepRunner:
         assert report.ok(), report.render()
         defined = [c for c in report.cells if c.mode == "defined"]
         assert defined and all(c.invariant_ok for c in defined)
-        assert_rows(GOLDEN_DEFAULT_GRID, _semantic_rows(report), CELL_ROW_KEY)
+        assert_rows(GOLDEN_DEFAULT_GRID, report.semantic_rows(), CELL_ROW_KEY)
 
     def test_render_mentions_verdict(self):
         report = SweepRunner(scenarios=["xorp-bgp-med"], seeds=(1,)).run()
