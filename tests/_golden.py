@@ -44,10 +44,6 @@ def _index(rows: Iterable[Mapping], key: Sequence[str], where: str) -> Dict:
     return indexed
 
 
-def _sorted_lines(rows: Dict[Tuple, Mapping]) -> List[str]:
-    return [canonical_json(rows[k]) for k in sorted(rows, key=canonical_json)]
-
-
 def load_rows(path: str) -> List[Dict]:
     """The rows stored in a golden file, in file order."""
     with open(path, encoding="ascii") as fh:
@@ -63,7 +59,8 @@ def assert_rows(path: str, rows: Iterable[Mapping], key: Sequence[str]) -> None:
     current = _index(rows, key, "current")
     if not os.path.exists(path):
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("".join(line + "\n" for line in _sorted_lines(current)))
+            for k in sorted(current, key=canonical_json):
+                fh.write(canonical_json(current[k]) + "\n")
         raise AssertionError(
             f"golden file {path} did not exist; wrote {len(current)} rows. "
             "Review and commit it, then re-run."
