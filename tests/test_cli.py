@@ -247,3 +247,82 @@ class TestCommands:
     def test_fuzz_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
             main(["fuzz", "--scenarios", "heat-death", "--seeds", "1"])
+
+
+#: Every option of the three grid commands: option strings, destination,
+#: default, type and whether it is required.  Regrouping the flags must
+#: leave this unchanged.
+GRID_COMMAND_OPTIONS = {
+    "sweep": [
+        (("--artifact-out",), "artifact_out", None, None, False),
+        (("--boundary-jitter-us",), "boundary_jitter_us", None, "int", False),
+        (("--cell-timeout",), "cell_timeout", None, "float", False),
+        (("--compose",), "compose", None, None, False),
+        (("--journal",), "journal", None, None, False),
+        (("--list",), "list", False, None, False),
+        (("--modes",), "modes", None, None, False),
+        (("--repeats",), "repeats", 1, "int", False),
+        (("--report-out",), "report_out", None, None, False),
+        (("--resume",), "resume", None, None, False),
+        (("--retries",), "retries", None, "int", False),
+        (("--scenario-file",), "scenario_file", None, None, False),
+        (("--scenarios",), "scenarios", None, None, False),
+        (("--seeds",), "seeds", "1,2,3", None, False),
+        (("--sizes",), "sizes", None, None, False),
+        (("--verbose",), "verbose", False, None, False),
+        (("--workers",), "workers", 1, "int", False),
+        (("-h", "--help"), "help", "==SUPPRESS==", None, False),
+    ],
+    "fuzz": [
+        (("--jitters-us",), "jitters_us", "0,1,2,5", None, False),
+        (("--mode",), "mode", "defined", None, False),
+        (("--no-minimize",), "no_minimize", False, None, False),
+        (("--report-out",), "report_out", None, None, False),
+        (("--scenarios",), "scenarios", "all", None, False),
+        (("--seeds",), "seeds", "1,2,3,4", None, False),
+        (("--verbose",), "verbose", False, None, False),
+        (("--workers",), "workers", 1, "int", False),
+        (("-h", "--help"), "help", "==SUPPRESS==", None, False),
+    ],
+    "envelope": [
+        (("--artifact-out",), "artifact_out", None, None, False),
+        (("--boundary-jitter-us",), "boundary_jitter_us", None, "int", False),
+        (("--cell-timeout",), "cell_timeout", None, "float", False),
+        (("--jitters",), "jitters", "0,50,300", None, False),
+        (("--margin",), "margin", 0.25, "float", False),
+        (("--report-out",), "report_out", None, None, False),
+        (("--retries",), "retries", None, "int", False),
+        (("--scenarios",), "scenarios", None, None, True),
+        (("--seeds",), "seeds", "1", None, False),
+        (("--sizes",), "sizes", None, None, False),
+        (("--suggest",), "suggest", False, None, False),
+        (("--target-quantile",), "target_quantile", 0.99, "float", False),
+        (("--verbose",), "verbose", False, None, False),
+        (("--windows",), "windows", "auto", None, False),
+        (("--workers",), "workers", 1, "int", False),
+        (("-h", "--help"), "help", "==SUPPRESS==", None, False),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_COMMAND_OPTIONS))
+def test_grid_command_options_are_unchanged(command):
+    import argparse
+
+    from repro.cli import build_parser
+
+    sub = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = sorted(
+        (
+            tuple(action.option_strings),
+            action.dest,
+            action.default,
+            getattr(action.type, "__name__", None),
+            action.required,
+        )
+        for action in sub.choices[command]._actions
+    )
+    assert options == GRID_COMMAND_OPTIONS[command]

@@ -5,7 +5,11 @@ nondeterministic under the vanilla stack, deterministic under DEFINED-RB,
 and exactly reproducible in a DEFINED-LS debugging network.
 """
 
+import os
+
 import pytest
+
+from _golden import assert_rows
 
 from repro.harness import run_ls_replay
 from repro.scenarios import (
@@ -19,6 +23,10 @@ from repro.scenarios import (
 )
 
 SEEDS = range(10)
+
+CASE_STUDIES_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden", "case-studies.jsonl"
+)
 
 
 class TestXorpBgpCaseStudy:
@@ -127,3 +135,48 @@ class TestQuaggaRipCaseStudy:
     def test_unknown_config_rejected(self):
         with pytest.raises(ValueError):
             quagga_rip_scenario(config="mystery")
+
+
+def _case_study_row(study, variant, config, mode, seed, outcome, via):
+    result = outcome.result
+    return {
+        "study": study,
+        "variant": variant,
+        "config": config,
+        "mode": mode,
+        "seed": seed,
+        "fingerprint": result.fingerprint,
+        "outcome": via,
+        "rollbacks": result.rollbacks,
+        "deliveries": sum(len(log) for log in result.logs.values()),
+    }
+
+
+def test_case_studies_match_their_golden_rows():
+    """Every configuration of both case studies, not only the registered
+    ones, pinned run by run: fingerprint, observed outcome, rollbacks and
+    committed deliveries."""
+    rows = []
+    for decision in ("buggy", "correct"):
+        for mode in ("vanilla", "defined"):
+            for seed in range(3):
+                outcome = xorp_bgp_scenario(mode=mode, decision=decision, seed=seed)
+                rows.append(_case_study_row(
+                    "xorp-bgp", decision, None, mode, seed, outcome,
+                    outcome.best_at_r3,
+                ))
+    for matching in ("buggy", "correct"):
+        for config in ("race", "blackhole"):
+            for mode in ("vanilla", "defined"):
+                for seed in range(2):
+                    outcome = quagga_rip_scenario(
+                        mode=mode, matching=matching, config=config, seed=seed
+                    )
+                    rows.append(_case_study_row(
+                        "quagga-rip", matching, config, mode, seed, outcome,
+                        outcome.route_via,
+                    ))
+    assert len(rows) == 28
+    assert_rows(
+        CASE_STUDIES_GOLDEN, rows, key=("study", "variant", "config", "mode", "seed")
+    )

@@ -5,10 +5,12 @@ reads the total after every operation; the property here also covers
 totals that are read rarely or never, and store resets."""
 
 import hashlib
+import os
 
 from hypothesis import given, settings, strategies as st
 
 from _fixtures import run_scenario_cell
+from _golden import assert_rows
 
 from repro.core.statestore import _MISSING, StateStore, estimate_bytes
 
@@ -88,20 +90,30 @@ def test_a_release_past_the_watermark_still_sizes_what_is_retained():
     assert store.retained_snapshots() == 3
 
 
+FIGURE7C_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden", "figure7c-samples-seed1.jsonl"
+)
+
+
 def test_figure7c_memory_samples_are_pinned():
     """DEFINED-RB's per-beacon physical-memory samples (Figure 7c) on the
     ``rb-flap40`` benchmark cell (``flap-storm@40``, timing seed 1000):
-    each one reads ``private_bytes()`` of its node's store."""
+    each one reads ``private_bytes()`` of its node's store.  One golden
+    row per node holds the sample count and the first 16 hex digits of
+    the sha256 of the comma-joined samples."""
     prod = run_scenario_cell("flap-storm@40", "defined", network_seed=1_000)
-    digest = hashlib.sha256()
-    samples = 0
-    for node_id, stats in sorted(prod.network.run_stats.per_node.items()):
-        digest.update(f"{node_id}:{','.join(map(str, stats.physical_memory_samples))}\n".encode())
-        samples += len(stats.physical_memory_samples)
-    assert samples > 1_000
-    assert digest.hexdigest() == (
-        "a99de706d42b6b1772e03bdbba23f682608f1b712c267ad9de80ac0c1ee0a0f4"
-    )
+    rows = [
+        {
+            "node": node_id,
+            "samples": len(stats.physical_memory_samples),
+            "samples_sha": hashlib.sha256(
+                ",".join(map(str, stats.physical_memory_samples)).encode()
+            ).hexdigest()[:16],
+        }
+        for node_id, stats in sorted(prod.network.run_stats.per_node.items())
+    ]
+    assert sum(row["samples"] for row in rows) > 1_000
+    assert_rows(FIGURE7C_GOLDEN, rows, key=("node",))
 
 
 def test_a_total_nobody_reads_sizes_nothing(monkeypatch):
