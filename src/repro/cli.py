@@ -183,25 +183,40 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
         raise SystemExit(f"{flag} must be comma-separated integers, got {text!r}")
 
 
+def _finish_grid(report, args: argparse.Namespace, noun: str) -> int:
+    """Render a grid report, write its JSON to ``--report-out`` if given,
+    and turn its verdict into the exit status."""
+    print(report.render())
+    if args.report_out:
+        import json
+
+        with open(args.report_out, "w") as fh:
+            json.dump(report.to_dict(), fh, indent=2)
+        print(f"\n{noun} report written to {args.report_out}")
+    return 0 if report.ok() else 1
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import SweepRunner, _grid_specs, get_scenario, scenario_names
+    from repro.sweep import SweepRunner, _grid_specs, default_grid, get_scenario, scenario_names
 
     if args.list:
         rows = [
             [name, ",".join(get_scenario(name).modes), get_scenario(name).description]
-            for name in scenario_names()
+            for name in default_grid()
         ]
-        print(render_table("registered scenarios", ["name", "modes", "description"], rows))
+        print(render_table("default grid", ["name", "modes", "description"], rows))
+        sizeable = [n for n in scenario_names() if get_scenario(n).sizer is not None]
+        print(f"\nsize any fault family as name@N (e.g. flap-storm@40): "
+              f"{', '.join(sizeable)}")
         return 0
-    # --scenarios picks registered names; --compose adds on-the-fly
-    # compositions ("a+b"); with --compose alone, only the compositions
-    # run (an explicit --scenarios all still sweeps the whole catalogue
-    # alongside them).  --sizes re-scales every selected scenario onto
-    # N-node topologies (the "@N" dynamic variant); --boundary-jitter-us
-    # N puts N us of boundary jitter over each whole spec (the "~jNus"
-    # dynamic variant).  The default grid (and "all") excludes
-    # the registered @N size variants -- 80-node cells run for minutes,
-    # so sizes are an explicit opt-in via "name@N" or --sizes.
+    # --scenarios picks specs; --compose adds on-the-fly compositions
+    # ("a+b"); with --compose alone, only the compositions run (an
+    # explicit --scenarios all still sweeps the default grid alongside
+    # them).  --sizes re-scales every selected scenario onto N-node
+    # topologies (the "@N" dynamic variant); --boundary-jitter-us N puts
+    # N us of boundary jitter over each whole spec (the "~jNus" dynamic
+    # variant).  The default grid holds no size: 80-node cells run for
+    # minutes, so sizes are an explicit opt-in via "name@N" or --sizes.
     names: List[str] = []
     file_specs = [
         spec.strip()
@@ -209,10 +224,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for spec in arg.split(",")
         if spec.strip()
     ]
-    if args.scenarios == "all":
-        names = scenario_names(include_sized=False)
-    elif args.scenarios is None and not args.compose and not file_specs:
-        names = scenario_names(include_sized=False)
+    if args.scenarios == "all" or (
+        args.scenarios is None and not args.compose and not file_specs
+    ):
+        names = default_grid()
     elif args.scenarios:
         names = args.scenarios.split(",")
     if args.compose:
@@ -223,9 +238,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.boundary_jitter_us is not None and args.boundary_jitter_us < 0:
         raise SystemExit("--boundary-jitter-us cannot be negative")
     # one canonical name per grid row: a compose spec may duplicate a
-    # registered composition (or an underscore alias of one), and with
-    # --scenarios all, 'flap-storm' and the registered 'flap-storm~j1us'
-    # re-jitter to the same spec
+    # default-grid composition (or an underscore alias of one), and with
+    # --scenarios all, 'flap-storm' and 'flap-storm~j1us' re-jitter to
+    # the same spec
     try:
         names = _grid_specs(
             names,
@@ -263,19 +278,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f" repeat={cell.repeat}: {status}")
 
     report = runner.run(progress=progress if args.verbose else None)
-    print(report.render())
-    if args.report_out:
-        import json
-
-        with open(args.report_out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-        print(f"\ndivergence report written to {args.report_out}")
-    return 0 if report.ok() else 1
+    return _finish_grid(report, args, "divergence")
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    import json
-
     from repro.sweep import FuzzRunner
 
     scenarios = (
@@ -304,17 +310,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"  {cell.scenario} seed={cell.seed}: {status}")
 
     report = runner.run(progress=progress if args.verbose else None)
-    print(report.render())
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-        print(f"\ndivergence report written to {args.report_out}")
-    return 0 if report.ok() else 1
+    return _finish_grid(report, args, "divergence")
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
-    import json
-
     from repro.envelope import EnvelopeRunner
 
     try:
@@ -329,9 +328,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
             windows_us=windows,
             seeds=_parse_int_list(args.seeds, "--seeds"),
             workers=args.workers,
-            sizes=(
-                _parse_int_list(args.sizes, "--sizes") if args.sizes else None
-            ),
+            sizes=_parse_int_list(args.sizes, "--sizes") if args.sizes else None,
             boundary_jitter_us=args.boundary_jitter_us,
             target_quantile=args.target_quantile,
             margin=args.margin,
@@ -360,12 +357,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
         suggest=args.suggest,
         progress=progress if args.verbose else None,
     )
-    print(report.render())
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-        print(f"\nenvelope report written to {args.report_out}")
-    return 0 if report.ok() else 1
+    return _finish_grid(report, args, "envelope")
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
@@ -467,6 +459,36 @@ def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
                              "is quarantined (default 2)")
 
 
+def _add_grid_arguments(
+    parser: argparse.ArgumentParser, seeds: str, report: str
+) -> None:
+    """The flags every grid command (``sweep``, ``fuzz``, ``envelope``)
+    shares; ``seeds`` is the command's default seed list and ``report``
+    names what ``--report-out`` writes."""
+    parser.add_argument("--seeds", default=seeds)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes (each cell gets its own simulator)")
+    parser.add_argument("--report-out", default=None, metavar="PATH",
+                        help=f"write the JSON {report} report here")
+    parser.add_argument("--verbose", action="store_true",
+                        help="print each cell as it completes")
+
+
+def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
+    """The spec rewrites ``sweep`` and ``envelope`` apply to every
+    selected scenario."""
+    parser.add_argument("--sizes", default=None, metavar="N[,M]",
+                        help="re-scale every selected scenario onto N-node "
+                             "topologies (the 'name@N' dynamic variant); "
+                             "e.g. --sizes 20,40,80")
+    parser.add_argument("--boundary-jitter-us", type=int, default=None,
+                        metavar="N",
+                        help="put N us of boundary jitter over each whole "
+                             "selected spec, replacing any it had there: "
+                             "events snapped to beacon-group boundaries "
+                             "+/- N us of seed-derived jitter")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="DEFINED reproduction command line"
@@ -524,9 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scenarios", default=None,
                        help="comma-separated scenario names (size with "
                             "'name@N', compose with 'a+b', fuzz with "
-                            "'a~jNus'), or 'all' (default: every "
-                            "registered scenario except @N size variants, "
-                            "unless --compose is given alone)")
+                            "'a~jNus'), or 'all' (default: the default grid "
+                            "-- every builtin, the builtin compositions and "
+                            "each under ~j1us -- unless --compose is given "
+                            "alone)")
     sweep.add_argument("--compose", default=None, metavar="A+B[,C+D]",
                        help="compose registered scenarios on the fly and "
                             "sweep the compositions (e.g. flap_storm+partition)")
@@ -536,21 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "schema chaos/v1) to the grid; repeatable, "
                             "takes the same @N/~jNus suffixes as names "
                             "(validate first with 'repro chaos validate')")
-    sweep.add_argument("--sizes", default=None, metavar="N[,M]",
-                       help="re-scale every selected scenario onto N-node "
-                            "topologies (the 'name@N' dynamic variant); "
-                            "e.g. --sizes 20,40,80")
-    sweep.add_argument("--boundary-jitter-us", type=int, default=None,
-                       metavar="N",
-                       help="put N us of boundary jitter over each whole "
-                            "selected spec, replacing any it had there: "
-                            "events snapped to beacon-group boundaries "
-                            "+/- N us of seed-derived jitter")
-    sweep.add_argument("--seeds", default="1,2,3")
+    _add_spec_arguments(sweep)
+    _add_grid_arguments(sweep, seeds="1,2,3", report="divergence")
     sweep.add_argument("--modes", default=None,
                        help="override per-scenario modes, e.g. vanilla,defined")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="worker processes (each cell gets its own simulator)")
     sweep.add_argument("--repeats", type=int, default=1,
                        help="seed-invariance probe: run each cell under N "
                             "jitter seeds; deterministic modes must "
@@ -564,16 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "DIR and continue journaling there; the merged "
                             "report is semantically identical to an "
                             "uninterrupted run")
-    sweep.add_argument("--report-out", default=None, metavar="PATH",
-                       help="write the JSON divergence report here")
     sweep.add_argument("--artifact-out", default=None, metavar="DIR",
                        help="archive every Theorem-1 divergence as a pair "
                             "of replayable run bundles in this directory "
                             "(production side embeds the recording)")
     sweep.add_argument("--list", action="store_true",
-                       help="list registered scenarios and exit")
-    sweep.add_argument("--verbose", action="store_true",
-                       help="print each cell as it completes")
+                       help="list the default grid and exit")
     sweep.set_defaults(func=cmd_sweep)
 
     fuzz = sub.add_parser(
@@ -585,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated scenario names (compositions "
                            "like a+b allowed), or 'all' for every "
                            "non-jittered builtin")
-    fuzz.add_argument("--seeds", default="1,2,3,4")
+    _add_grid_arguments(fuzz, seeds="1,2,3,4", report="divergence")
     fuzz.add_argument("--jitters-us", default="0,1,2,5",
                       help="boundary-jitter magnitudes to grid over "
                            "(0 = snap exactly onto the boundary)")
@@ -593,13 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["vanilla", "defined", "ddos"],
                       help="defined carries the full Theorem-1 "
                            "production-vs-replay check per cell")
-    fuzz.add_argument("--workers", type=int, default=1)
     fuzz.add_argument("--no-minimize", action="store_true",
                       help="skip shrinking failures to the smallest "
                            "(scenario, seed, jitter) triple")
-    fuzz.add_argument("--report-out", default=None, metavar="PATH",
-                      help="write the JSON divergence report here")
-    fuzz.add_argument("--verbose", action="store_true")
     fuzz.set_defaults(func=cmd_fuzz)
 
     env = sub.add_parser(
@@ -617,16 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated window_us values, or 'auto' "
                           "for a ladder derived from the network-default "
                           "window formula (default: auto)")
-    env.add_argument("--sizes", default=None, metavar="N[,M]",
-                     help="re-scale every selected scenario onto N-node "
-                          "topologies (the 'name@N' dynamic variant)")
-    env.add_argument("--seeds", default="1")
-    env.add_argument("--boundary-jitter-us", type=int, default=None,
-                     metavar="N",
-                     help="put N us of boundary jitter over each whole "
-                          "selected spec, replacing any it had there: "
-                          "events snapped to beacon-group boundaries "
-                          "+/- N us of seed-derived jitter")
+    _add_spec_arguments(env)
+    _add_grid_arguments(env, seeds="1", report="envelope")
     env.add_argument("--suggest", action="store_true",
                      help="recommend the minimal safe window from the "
                           "measured deficits and verify it with a "
@@ -637,15 +633,10 @@ def build_parser() -> argparse.ArgumentParser:
     env.add_argument("--margin", type=float, default=0.25,
                      help="safety margin on top of the measured reach "
                           "(default 0.25)")
-    env.add_argument("--workers", type=int, default=1)
     _add_supervision_arguments(env)
-    env.add_argument("--report-out", default=None, metavar="PATH",
-                     help="write the JSON envelope report here")
     env.add_argument("--artifact-out", default=None, metavar="DIR",
                      help="archive verification-pass Theorem-1 "
                           "divergences as replayable run bundles here")
-    env.add_argument("--verbose", action="store_true",
-                     help="print each cell as it completes")
     env.set_defaults(func=cmd_envelope)
 
     scale = sub.add_parser("scale", help="size scalability sweep (Fig 8)")

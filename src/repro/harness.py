@@ -23,15 +23,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.ddos import DdosStack
 from repro.baselines.logging_replay import ComprehensiveLog, LoggingStack
-from repro.core.checkpoint import (
-    CheckpointStrategy,
-    baseline_processing_model,
-    strategy_by_name,
-)
+from repro.core.checkpoint import baseline_processing_model, strategy_by_name
 from repro.core.groups import BeaconService
 from repro.core.history import WindowHeadroomStats
 from repro.core.lockstep import LockstepCoordinator
-from repro.core.ordering import OrderingFunction, make_ordering
+from repro.core.ordering import make_ordering
 from repro.core.recorder import Recorder, Recording
 from repro.core.shim import DefinedShim
 from repro.routing.ospf import OspfDaemon
@@ -57,6 +53,8 @@ class ProductionResult:
 
     mode: str
     network: Network
+    #: The topology the run was built on (a replay reuses it).
+    graph: TopologyGraph
     recording: Optional[Recording]
     fingerprint: str
     logs: Dict[str, Tuple[str, ...]]
@@ -153,9 +151,6 @@ def build_ospf_network(
     elif mode == "defined":
         net.assert_lossless("DEFINED-RB")
         recorder = Recorder()
-        order_fn: OrderingFunction = make_ordering(ordering)
-        strat: CheckpointStrategy = strategy_by_name(strategy)
-
         def defined_stack(node: Node) -> DefinedShim:
             return DefinedShim(
                 node,
@@ -165,7 +160,6 @@ def build_ospf_network(
                 window_us=window_us,
             )
 
-        del order_fn, strat  # factories build per-node instances
         net.attach(defined_stack, factory)
         beacons = BeaconService(net, recorder=recorder)
         recorder.group_provider = lambda: beacons.group
@@ -345,6 +339,7 @@ def run_production(
     return ProductionResult(
         mode=mode,
         network=net,
+        graph=graph,
         recording=recorder.recording() if recorder is not None else None,
         fingerprint=net.execution_fingerprint(),
         logs=logs,

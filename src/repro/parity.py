@@ -46,30 +46,18 @@ def bundle_hashes(
 ) -> List[str]:
     """Run the grid; one ``scenario seed role sha256`` line per bundle."""
     from repro.artifact import RunBundle
-    from repro.harness import run_ls_replay, run_production
-    from repro.sweep import get_scenario
+    from repro.harness import run_ls_replay
+    from repro.sweep import get_scenario, run_scenario
 
     lines: List[str] = []
     for name, seed, jitter_us in grid:
         scenario = get_scenario(name)
-        graph = scenario.topology(seed)
-        schedule = scenario.schedule(graph, seed)
         context = {"scenario": name, "seed": seed, "jitter_us": jitter_us}
-        production = run_production(
-            graph,
-            schedule,
-            mode="defined",
-            seed=seed,
-            jitter_us=jitter_us if jitter_us is not None else scenario.jitter_us,
-            ordering=scenario.ordering,
-            measure_convergence=False,
-            settle_us=scenario.settle_us,
-            tail_us=scenario.tail_us,
-        )
+        production = run_scenario(scenario, "defined", seed, jitter_us=jitter_us)
         prod_bundle = RunBundle.from_production(production, context=context)
         lines.append(f"{name} seed={seed} production {prod_bundle.sha256}")
         replay = run_ls_replay(
-            graph, production.recording, ordering=scenario.ordering
+            production.graph, production.recording, ordering=scenario.ordering
         )
         replay_bundle = RunBundle.from_replay(replay, context=context)
         lines.append(f"{name} seed={seed} replay {replay_bundle.sha256}")

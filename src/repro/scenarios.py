@@ -12,11 +12,14 @@ figures, runnable under any stack:
   periodic announcement lands before or after R1's route expiry decides
   between a correct fail-over and a permanent black hole.
 
-Each scenario returns both the observable *outcome* (which path won /
-whether the black hole formed) and the full
-:class:`~repro.harness.ProductionResult`, so tests and benches can assert
-nondeterminism under the vanilla stack, determinism under DEFINED-RB, and
-exact reproduction under DEFINED-LS.
+Each case study is one :class:`~repro.sweep.Scenario` (:func:`xorp_bgp`,
+:func:`quagga_rip`), run as a sweep cell runs it; the ``*_scenario``
+functions return both the observable *outcome* (which path won / whether
+the black hole formed) and the full :class:`~repro.harness.ProductionResult`,
+so tests and benches can assert nondeterminism under the vanilla stack,
+determinism under DEFINED-RB, and exact reproduction under DEFINED-LS.
+Importing this module registers the seven builtins the spec grammar
+cannot derive: both case studies and the five fault-injection families.
 """
 
 from __future__ import annotations
@@ -24,11 +27,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.harness import ProductionResult, run_production
+from repro.harness import ProductionResult
 from repro.routing.bgp import BgpPath, BuggyXorpBgp, CorrectBgp
 from repro.routing.rip import BuggyQuaggaRip, CorrectRip
 from repro.simnet.engine import SECOND
 from repro.simnet.events import ANNOUNCE, NODE_DOWN, EventSchedule, ExternalEvent
+from repro.sweep import (
+    Scenario,
+    crash_restart_scenario,
+    ddos_overload_scenario,
+    flap_storm_scenario,
+    latency_jitter_scenario,
+    partition_scenario,
+    register,
+    run_scenario,
+)
 from repro.topology import TopologyGraph
 
 # ----------------------------------------------------------------------
@@ -105,27 +118,32 @@ class BgpOutcome:
         return self.best_at_r3 != BGP_CORRECT_BEST
 
 
-def xorp_bgp_scenario(
-    mode: str = "vanilla",
-    decision: str = "buggy",
-    seed: int = 0,
-    jitter_us: int = 1_500,
-    ordering: str = "OO",
-) -> BgpOutcome:
-    """Run the Figure 4 scenario; returns R3's chosen best path."""
-    graph = bgp_topology()
-    result = run_production(
-        graph,
-        bgp_schedule(),
-        mode=mode,
-        seed=seed,
-        jitter_us=jitter_us,
-        ordering=ordering,
-        daemon_factory=bgp_daemon_factory(decision),
-        measure_convergence=False,
+def _bgp_expect(result: ProductionResult) -> bool:
+    best = result.network.nodes["R3"].daemon.best_path_id(BGP_PREFIX)
+    return best in BGP_PATHS
+
+
+def xorp_bgp(decision: str = "buggy") -> Scenario:
+    """The Figure 4 scenario with R3 running the ``decision`` process;
+    the race is fixed, so the cell seed varies only the timing."""
+    return Scenario(
+        name="xorp-bgp-med" if decision == "buggy" else f"xorp-bgp-med-{decision}",
+        description=f"Figure 4: XORP 0.4 BGP MED ordering race ({decision} decision)",
+        topology=lambda seed: bgp_topology(),
+        schedule=lambda graph, seed: bgp_schedule(),
+        daemon=lambda graph: bgp_daemon_factory(decision),
+        expect=_bgp_expect,
+        jitter_us=1_500,
         settle_us=SECOND // 2,
         tail_us=3 * SECOND,
     )
+
+
+def xorp_bgp_scenario(
+    mode: str = "vanilla", decision: str = "buggy", seed: int = 0
+) -> BgpOutcome:
+    """Run the Figure 4 scenario; returns R3's chosen best path."""
+    result = run_scenario(xorp_bgp(decision), mode, seed)
     daemon = result.network.nodes["R3"].daemon
     return BgpOutcome(best_at_r3=daemon.best_path_id(BGP_PREFIX), result=result)
 
@@ -229,16 +247,28 @@ class RipOutcome:
         return self.route_via is None
 
 
-def quagga_rip_scenario(
-    mode: str = "vanilla",
+#: config -> (backup announcement interval, default observation instant,
+#: description)
+_RIP_CONFIGS = {
+    "race": (RIP_RACE_BACKUP_INTERVAL, RIP_OBSERVE_US, "expiry-race"),
+    "blackhole": (RIP_BLACKHOLE_BACKUP_INTERVAL, 20 * SECOND, "permanent-blackhole"),
+}
+
+
+def _rip_blackhole_expect(result: ProductionResult) -> bool:
+    # blackhole config + buggy matcher: the dead main keeps being
+    # refreshed, in every mode -- the paper's deterministic failure.
+    return result.network.nodes["R1"].daemon.route_via(RIP_DEST) == RIP_MAIN
+
+
+def quagga_rip(
     matching: str = "buggy",
-    config: str = "race",
-    seed: int = 0,
-    jitter_us: int = 1_500,
-    ordering: str = "OO",
+    config: str = "blackhole",
     observe_at_us: Optional[int] = None,
-) -> RipOutcome:
-    """Run the Figure 5 scenario and observe R1's route to the destination.
+) -> Scenario:
+    """The Figure 5 scenario: R1 runs the ``matching`` route matcher, the
+    backup announces at the ``config`` interval, and the run ends at
+    ``observe_at_us`` (the config's observation instant by default).
 
     ``config="race"``: bimodal under the buggy matcher -- black hole
     (route still via the dead R2) or correctly flushed, decided by the
@@ -247,136 +277,62 @@ def quagga_rip_scenario(
     deterministic, *permanent* black hole (and the correct matcher always
     fails over).
     """
-    if config == "race":
-        backup_interval = RIP_RACE_BACKUP_INTERVAL
-        default_observe = RIP_OBSERVE_US
-    elif config == "blackhole":
-        backup_interval = RIP_BLACKHOLE_BACKUP_INTERVAL
-        default_observe = 20 * SECOND
-    else:
+    if config not in _RIP_CONFIGS:
         raise ValueError(f"unknown RIP config {config!r}")
+    backup_interval, default_observe, label = _RIP_CONFIGS[config]
     observe = observe_at_us if observe_at_us is not None else default_observe
     if observe <= RIP_DEATH_US:
         raise ValueError("observation must come after the main router dies")
-    graph = rip_topology()
-    result = run_production(
-        graph,
-        rip_schedule(),
-        mode=mode,
-        seed=seed,
-        jitter_us=jitter_us,
-        ordering=ordering,
-        daemon_factory=rip_daemon_factory(matching, backup_interval),
-        measure_convergence=False,
+    buggy = matching == "buggy"
+    return Scenario(
+        name=f"quagga-rip-{config}" + ("" if buggy else f"-{matching}"),
+        description=f"Figure 5: Quagga RIP timer-refresh bug, {label} config"
+        + ("" if buggy else f" ({matching} matching)"),
+        topology=lambda seed: rip_topology(),
+        schedule=lambda graph, seed: rip_schedule(),
+        daemon=lambda graph: rip_daemon_factory(matching, backup_interval),
+        expect=_rip_blackhole_expect if buggy and config == "blackhole" else None,
+        jitter_us=1_500,
         settle_us=SECOND // 2,
-        tail_us=max(0, observe - RIP_DEATH_US),
+        tail_us=observe - RIP_DEATH_US,
     )
+
+
+def quagga_rip_scenario(
+    mode: str = "vanilla",
+    matching: str = "buggy",
+    config: str = "race",
+    seed: int = 0,
+    observe_at_us: Optional[int] = None,
+) -> RipOutcome:
+    """Run the Figure 5 scenario (see :func:`quagga_rip`) and observe R1's
+    route to the destination."""
+    result = run_scenario(quagga_rip(matching, config, observe_at_us), mode, seed)
     daemon = result.network.nodes["R1"].daemon
     return RipOutcome(route_via=daemon.route_via(RIP_DEST), result=result)
 
 
 # ----------------------------------------------------------------------
-# sweep registrations: the builtin scenario set
+# the builtin catalogue
 # ----------------------------------------------------------------------
 #
-# Importing this module populates the sweep registry with the paper's two
-# case studies plus the parameterized fault-injection family, so the CLI
-# (``repro sweep``) and worker processes all see the same catalogue.
-
-from repro import sweep as _sweep  # noqa: E402  (registration, see below)
-
-
-def _bgp_sweep_schedule(graph: TopologyGraph, seed: int) -> EventSchedule:
-    del graph, seed  # the Figure 4 race is fixed; the cell seed varies jitter
-    return bgp_schedule()
-
-
-def _bgp_expect(result) -> bool:
-    best = result.network.nodes["R3"].daemon.best_path_id(BGP_PREFIX)
-    return best in BGP_PATHS
-
-
-def _rip_sweep_schedule(graph: TopologyGraph, seed: int) -> EventSchedule:
-    del graph, seed
-    return rip_schedule()
-
-
-def _rip_blackhole_expect(result) -> bool:
-    # blackhole config + buggy matcher: the dead main keeps being
-    # refreshed, in every mode -- the paper's deterministic failure.
-    return result.network.nodes["R1"].daemon.route_via(RIP_DEST) == RIP_MAIN
-
-
-_xorp_bgp = _sweep.register(_sweep.Scenario(
-    name="xorp-bgp-med",
-    description="Figure 4: XORP 0.4 BGP MED ordering race (buggy decision)",
-    topology=lambda seed: bgp_topology(),
-    schedule=_bgp_sweep_schedule,
-    daemon=lambda graph: bgp_daemon_factory("buggy"),
-    expect=_bgp_expect,
-    jitter_us=1_500,
-    settle_us=SECOND // 2,
-    tail_us=3 * SECOND,
-))
-
-_quagga_rip = _sweep.register(_sweep.Scenario(
-    name="quagga-rip-blackhole",
-    description="Figure 5: Quagga RIP timer-refresh bug, permanent-blackhole config",
-    topology=lambda seed: rip_topology(),
-    schedule=_rip_sweep_schedule,
-    daemon=lambda graph: rip_daemon_factory(
-        "buggy", RIP_BLACKHOLE_BACKUP_INTERVAL
-    ),
-    expect=_rip_blackhole_expect,
-    jitter_us=1_500,
-    settle_us=SECOND // 2,
-    tail_us=20 * SECOND - RIP_DEATH_US,
-))
-
-_flap_storm = _sweep.register(_sweep.flap_storm_scenario())
-_crash_restart = _sweep.register(_sweep.crash_restart_scenario())
-_partition = _sweep.register(_sweep.partition_scenario())
-_latency_jitter = _sweep.register(_sweep.latency_jitter_scenario())
-_ddos_overload = _sweep.register(_sweep.ddos_overload_scenario())
-
-# Composed builtins: every pair of fault scenarios is itself a scenario.
-# These are the two canonical stress compositions from the ROADMAP --
-# a partition cut in the middle of a flap storm, and a router crash
-# during an event-rate overload (where mode intersection drops the
-# ``ddos`` stop-and-wait mode: its restarts reboot at virtual time 0).
-# Components are passed as objects, not names: get_scenario() would
-# re-enter this module's import and freeze the builtin set early.
-_composed = [
-    _sweep.register(_sweep.compose(_flap_storm, _partition)),
-    _sweep.register(_sweep.compose(_crash_restart, _ddos_overload)),
-]
-
-# Boundary-jitter variants of every builtin (case studies, fault family
-# and compositions alike): the same scenario with each external event
-# snapped onto a beacon-group boundary +/- 1us of seed-derived jitter,
-# the handoff point for group tagging and anti-message retraction.
-for _scenario in [
-    _xorp_bgp, _quagga_rip, _flap_storm, _crash_restart, _partition,
-    _latency_jitter, _ddos_overload, *_composed,
-]:
-    _sweep.register(_sweep.jittered(_scenario, jitter_us=1))
-
-# Waxman size variants of the fault-injection family (the paper's
-# scalability sizes, Section 5.3): each builtin re-based onto 20/40/80
-# node Waxman graphs with schedule event counts scaled proportionally.
-# The diamond-bound scenarios (latency-jitter, ddos-overload) switch to
-# Waxman topologies when sized.  Registered for discoverability
-# (``repro sweep --list``); any other size resolves dynamically as
-# ``name@N``.  Size variants are *excluded* from the default sweep grid
-# -- an 80-node defined cell runs for minutes, so they opt in by name.
-SCALE_SIZES = (20, 40, 80)
+# The seven scenarios the spec grammar cannot derive.  Compositions
+# ("a+b"), boundary-jitter variants ("a~j1us") and sizes ("a@N") are
+# specs over them, resolved by name without registration.
 
 for _scenario in [
-    _flap_storm, _crash_restart, _partition, _latency_jitter, _ddos_overload,
+    xorp_bgp(),
+    quagga_rip(),
+    flap_storm_scenario(),
+    crash_restart_scenario(),
+    partition_scenario(),
+    latency_jitter_scenario(),
+    ddos_overload_scenario(),
 ]:
-    for _n in SCALE_SIZES:
-        _sized = _sweep.register(_scenario.sized(_n))
-        # boundary-jitter variant of each sized builtin, keeping the
-        # catalogue closed under the grammar: "a@N~j1us" is registered
-        # exactly where "a@N" and "a~j1us" are
-        _sweep.register(_sweep.jittered(_sized, jitter_us=1))
+    register(_scenario)
+
+#: The two canonical stress compositions in the default grid: a
+#: partition cut in the middle of a flap storm, and a router crash during
+#: an event-rate overload (where mode intersection drops the ``ddos``
+#: stop-and-wait mode: its restarts reboot at virtual time 0).
+COMPOSITIONS = ("flap-storm+partition", "crash-restart+ddos-overload")

@@ -10,8 +10,12 @@ whole *grid*:
   factory, an optional daemon factory and an expected-outcome predicate
   -- with every random choice derived from the cell's seed, so a grid
   cell is a pure function of ``(scenario, seed, mode)``;
-* a registry (:func:`register` / :func:`get_scenario`) names scenarios so
-  grid cells stay picklable and the CLI can address them;
+* a registry (:func:`register` / :func:`get_scenario`) names the
+  scenarios the spec grammar cannot derive, so grid cells stay picklable
+  and the CLI can address them; :func:`default_grid` is the grid a sweep
+  runs when none is named;
+* :func:`run_scenario` is the one path from a scenario to a production
+  run, for grid cells and the paper's case studies alike;
 * a family of parameterized fault-injection generators synthesizes
   link-flap storms, node crash/restarts, network partitions,
   link-latency jitter and DDoS-overload variants (the last built on the
@@ -35,10 +39,11 @@ whole *grid*:
   jitter) and shrinks any divergence to the smallest failing triple.
 
 Composed, sized and jittered scenarios are addressable *by name* without
-prior registration (``a+b``, ``a@40``, ``a~j2us``; the grammar is
-:class:`_Spec`'s).  Name resolution is a pure function of the builtin
-catalogue, so the names travel to worker processes regardless of the
-multiprocessing start method.
+registration (``a+b``, ``a@40``, ``a~j2us``; the grammar is
+:class:`_Spec`'s), and only the seven builtins that no spec derives are
+registered (:mod:`repro.scenarios`).  Name resolution is a pure function
+of that catalogue, so the names travel to worker processes regardless
+of the multiprocessing start method.
 
 Two scale-out mechanisms round the grid machinery out:
 
@@ -295,6 +300,10 @@ class _Component:
                     f"component {text!r}: the size binds inside the jitter "
                     "suffix -- write 'name@N~jJus', not 'name~jJus@N'"
                 )
+            if _SIZE_SUFFIX.match(match.group("base")):
+                raise ValueError(
+                    f"component {text!r} already carries a size; cannot re-size"
+                )
             base, size = match.group("base"), int(match.group("n"))
         if base not in _REGISTRY and base.replace("_", "-") in _REGISTRY:
             base = base.replace("_", "-")
@@ -347,7 +356,7 @@ class _Spec:
 
     Parse errors: stacked jitter on one target (``a~j1us~j2us``,
     ``(a~j1us)~j2us``), a size after a jitter suffix (``a~j1us@20``) and
-    re-sizing a sized component (``(a@20+b)@40``).
+    re-sizing a sized component (``a@20@40``, ``(a@20+b)@40``).
 
     ``str(spec)`` is the canonical name, and :meth:`resolve` gives the
     scenario that name: parens appear only where they change the
@@ -427,10 +436,6 @@ class _Spec:
         return self.jitter_name(body, self.jitter)
 
     @property
-    def carries_size(self) -> bool:
-        return any(comp.size is not None for comp in self.comps)
-
-    @property
     def carries_jitter(self) -> bool:
         return self.jitter is not None or any(
             comp.jitter is not None for comp in self.comps
@@ -457,15 +462,6 @@ class _Spec:
         its whole-spec jitter, and that jitter (0 when it has none)."""
         spec = cls.parse(text)
         return str(spec.rejittered(None)), spec.jitter or 0
-
-    def portable(self) -> bool:
-        """Whether a spawned worker (fresh interpreter, builtin catalogue
-        only) resolves this spec: every component is a builtin or a file
-        (workers share the filesystem)."""
-        return all(
-            comp.name in _BUILTIN_NAMES or _is_scenario_file(comp.name)
-            for comp in self.comps
-        )
 
     def resolve(self) -> Optional[Scenario]:
         """The scenario this spec names; ``None`` for an unknown name."""
@@ -543,15 +539,26 @@ def get_scenario(name: str) -> Scenario:
     return scenario
 
 
-def scenario_names(include_sized: bool = True) -> List[str]:
-    """Registered scenario names.  ``include_sized=False`` drops the
-    ``name@N`` size variants -- the default grid for sweeps, which would
-    otherwise quietly pull 80-node cells into every smoke run."""
+def scenario_names() -> List[str]:
+    """Registered scenario names: the builtins (and any scenario
+    registered at runtime), without the specs derived from them."""
     _ensure_builtins()
-    names = sorted(_REGISTRY)
-    if not include_sized:
-        names = [n for n in names if not _Spec.parse(n).carries_size]
-    return names
+    return sorted(_REGISTRY)
+
+
+def default_grid() -> List[str]:
+    """The default sweep grid: every registered scenario, the builtin
+    compositions (:data:`repro.scenarios.COMPOSITIONS`), and each builtin
+    and composition under 1 us of boundary jitter.  Sizes (``name@N``)
+    opt in by name: an 80-node cell runs for minutes."""
+    _ensure_builtins()
+    from repro.scenarios import COMPOSITIONS
+
+    jittered_specs = [
+        str(_Spec.parse(name).rejittered(1))
+        for name in [*_BUILTIN_NAMES, *COMPOSITIONS]
+    ]
+    return sorted({*_REGISTRY, *COMPOSITIONS, *jittered_specs})
 
 
 # ----------------------------------------------------------------------
@@ -940,11 +947,6 @@ def ddos_overload_schedule(
 # builtin scenario families
 # ----------------------------------------------------------------------
 
-def _waxman_topology(tag: str, n: int) -> TopologyFactory:
-    """Seed-varied Waxman graphs: each cell seed gets its own topology."""
-    return waxman_family(tag, n)
-
-
 def _scale_count(base_count: int, base_nodes: int, n: int) -> int:
     """Scale a schedule event count proportionally with the node count."""
     return max(1, round(base_count * n / base_nodes))
@@ -974,7 +976,7 @@ def flap_storm_scenario(
     return Scenario(
         name=name,
         description=f"{n_flaps} randomized link flaps on a {nodes}-node Waxman graph",
-        topology=_waxman_topology(name, nodes),
+        topology=waxman_family(name, nodes),
         schedule=lambda graph, seed: flap_storm_schedule(graph, seed, n_flaps=n_flaps),
         expect=_expect_all_links_healed,
         tail_us=3 * SECOND,
@@ -993,7 +995,7 @@ def crash_restart_scenario(
     return Scenario(
         name=name,
         description=f"{n_crashes} router crash/restart cycle(s) on a {nodes}-node Waxman graph",
-        topology=_waxman_topology(name, nodes),
+        topology=waxman_family(name, nodes),
         schedule=lambda graph, seed: crash_restart_schedule(
             graph, seed, n_crashes=n_crashes
         ),
@@ -1013,7 +1015,7 @@ def partition_scenario(
     return Scenario(
         name=name,
         description=f"random bipartition + heal on a {nodes}-node Waxman graph",
-        topology=_waxman_topology(name, nodes),
+        topology=waxman_family(name, nodes),
         schedule=partition_schedule,
         expect=_expect_all_links_healed,
         tail_us=3 * SECOND,
@@ -1049,7 +1051,7 @@ def latency_jitter_scenario(
             + (f" on a {nodes}-node Waxman graph" if nodes else "")
         ),
         topology=(
-            _diamond_topology if nodes is None else _waxman_topology(name, nodes)
+            _diamond_topology if nodes is None else waxman_family(name, nodes)
         ),
         schedule=lambda graph, seed: flap_storm_schedule(
             graph, seed, n_flaps=n_flaps,
@@ -1082,7 +1084,7 @@ def ddos_overload_scenario(
             + (f" (on a {nodes}-node Waxman graph)" if nodes else "")
         ),
         topology=(
-            _diamond_topology if nodes is None else _waxman_topology(name, nodes)
+            _diamond_topology if nodes is None else waxman_family(name, nodes)
         ),
         schedule=lambda graph, seed: ddos_overload_schedule(
             graph, seed, events_per_second=events_per_second, n_events=n_events
@@ -1350,46 +1352,61 @@ def _archive_divergence(cell: SweepCell, production, replay) -> None:
         )
 
 
+def run_scenario(
+    scenario: Scenario,
+    mode: str,
+    seed: int,
+    network_seed: Optional[int] = None,
+    jitter_us: Optional[int] = None,
+    window_us: Optional[int] = None,
+) -> ProductionResult:
+    """One production run of ``scenario``, and the only place a scenario
+    becomes a :func:`~repro.harness.run_production` call: the workload
+    (topology, schedule, tuning) from ``seed``, the network timing from
+    ``network_seed`` (default ``seed``), and ``jitter_us`` / ``window_us``
+    overriding the delivery jitter and the shim's history window."""
+    graph = scenario.topology(seed)
+    return run_production(
+        graph,
+        scenario.schedule(graph, seed),
+        mode=mode,
+        seed=seed if network_seed is None else network_seed,
+        jitter_us=scenario.jitter_us if jitter_us is None else jitter_us,
+        ordering=scenario.ordering,
+        daemon_factory=scenario.daemon(graph) if scenario.daemon else None,
+        measure_convergence=False,
+        settle_us=scenario.settle_us,
+        tail_us=scenario.tail_us,
+        window_us=window_us,
+        # like the schedule, the tuning is workload: the same seed under
+        # a different timing seed must perturb the same nodes and links
+        tuning=scenario.tuning(graph, seed) if scenario.tuning is not None else None,
+    )
+
+
 def run_cell(cell: SweepCell) -> CellResult:
     """Execute one grid cell in the current process.
 
-    Builds a fresh topology, schedule and :class:`Simulator` from the
-    cell's seed, runs the production network, and -- for ``defined``
-    cells -- replays the partial recording through DEFINED-LS and checks
-    the Theorem-1 invariant.  The workload (topology + schedule) always
-    derives from ``cell.seed``; the network's timing draws from
-    ``cell.network_seed``, so the seed-invariance probe can vary timing
-    under a pinned workload.  Never raises: failures come back as
-    ``error`` so one bad cell cannot sink a whole sweep.
+    Runs the cell's scenario (:func:`run_scenario`) on a fresh
+    :class:`Simulator` and -- for ``defined`` cells -- replays the
+    partial recording through DEFINED-LS on the same topology and checks
+    the Theorem-1 invariant.  The workload always derives from
+    ``cell.seed``; the network's timing draws from ``cell.network_seed``,
+    so the seed-invariance probe can vary timing under a pinned workload.
+    Never raises: failures come back as ``error`` so one bad cell cannot
+    sink a whole sweep.
     """
     _ensure_builtins()
     start = time.perf_counter()
     try:
         scenario = get_scenario(cell.scenario)
-        graph = scenario.topology(cell.seed)
-        schedule = scenario.schedule(graph, cell.seed)
-        daemon_factory = scenario.daemon(graph) if scenario.daemon else None
-        # like the schedule, the tuning is workload: same cell.seed under
-        # a different jitter seed must perturb the same nodes/links
-        tuning = (
-            scenario.tuning(graph, cell.seed) if scenario.tuning is not None else None
-        )
-        result = run_production(
-            graph,
-            schedule,
-            mode=cell.mode,
-            seed=cell.network_seed,
-            jitter_us=(
-                cell.jitter_us if cell.jitter_us is not None
-                else scenario.jitter_us
-            ),
-            ordering=scenario.ordering,
-            daemon_factory=daemon_factory,
-            measure_convergence=False,
-            settle_us=scenario.settle_us,
-            tail_us=scenario.tail_us,
+        result = run_scenario(
+            scenario,
+            cell.mode,
+            cell.seed,
+            network_seed=cell.network_seed,
+            jitter_us=cell.jitter_us,
             window_us=cell.window_us,
-            tuning=tuning,
         )
         replay_fp: Optional[str] = None
         invariant: Optional[bool] = None
@@ -1399,10 +1416,12 @@ def run_cell(cell: SweepCell) -> CellResult:
             recording_bytes = result.recording.size_bytes()
             if cell.check_invariant:
                 replay = run_ls_replay(
-                    graph,
+                    result.graph,
                     result.recording,
                     ordering=scenario.ordering,
-                    daemon_factory=daemon_factory,
+                    daemon_factory=(
+                        scenario.daemon(result.graph) if scenario.daemon else None
+                    ),
                 )
                 replay_fp = replay.fingerprint
                 invariant = replay_fp == result.fingerprint
@@ -1433,13 +1452,13 @@ def run_cell(cell: SweepCell) -> CellResult:
 
 def _spawn_portable(name: str) -> bool:
     """Whether a spawned worker (fresh interpreter, builtin catalogue
-    only) can resolve this scenario name."""
-    if name in _BUILTIN_NAMES:
-        return True
+    only) can resolve this scenario name: every component is a builtin
+    or a file (workers share the filesystem)."""
     try:
-        return _Spec.parse(name).portable()
+        comps = _Spec.parse(name).comps
     except ValueError:
         return False  # malformed: resolution will fail loudly anyway
+    return all(comp.name in _BUILTIN_NAMES or _is_scenario_file(comp.name) for comp in comps)
 
 
 # ----------------------------------------------------------------------
@@ -1785,13 +1804,8 @@ class SweepRunner:
         #: grid keeps one linear history.
         self.journal_dir = journal_dir
         self.resume_dir = resume_dir
-        # the default grid: every registered scenario except the @N size
-        # variants, which opt in by name (an 80-node cell takes minutes;
-        # pulling it into every smoke sweep would be a footgun)
         self.scenario_names = (
-            list(scenarios)
-            if scenarios is not None
-            else scenario_names(include_sized=False)
+            list(scenarios) if scenarios is not None else default_grid()
         )
         for name in self.scenario_names:
             get_scenario(name)  # fail fast on unknown names
@@ -2160,16 +2174,15 @@ class FuzzRunner:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if scenarios is None:
-            # base catalogue only: no pre-jittered variants (the runner
-            # owns the jitter axis) and no @N size variants (an 80-node
-            # jitter grid is an explicit opt-in, not a default)
+            # the default grid without its jittered specs: the runner
+            # owns the jitter axis
             scenarios = [
-                name for name in scenario_names(include_sized=False)
+                name for name in default_grid()
                 if not _Spec.parse(name).carries_jitter
             ]
         else:
             # the runner owns the whole-spec jitter axis: strip it from
-            # the caller's specs (e.g. a registered '*~j1us' builtin) so
+            # the caller's specs (e.g. the default grid's '*~j1us') so
             # grids never double-jitter
             scenarios = list(dict.fromkeys(
                 _Spec.fuzz_axes(name)[0] for name in scenarios

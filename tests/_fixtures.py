@@ -130,27 +130,14 @@ def run_scenario_cell(
     seed: int = 1,
     jitter_us: Optional[int] = None,
 ):
-    """One production run of scenario ``name`` as a sweep cell runs it:
-    workload ``seed``, ``measure_convergence=False`` -- nothing in the
-    run reads a routing table.  ``jitter_us`` overrides the scenario's
-    delivery jitter, as a sweep cell's does."""
-    from repro.harness import run_production
-    from repro.sweep import get_scenario
+    """One production run of scenario ``name`` as a sweep cell runs it
+    (:func:`repro.sweep.run_scenario`): workload ``seed``, timing
+    ``network_seed``.  ``jitter_us`` overrides the scenario's delivery
+    jitter, as a sweep cell's does."""
+    from repro.sweep import get_scenario, run_scenario
 
-    scenario = get_scenario(name)
-    graph = scenario.topology(seed)
-    return run_production(
-        graph,
-        scenario.schedule(graph, seed),
-        mode=mode,
-        seed=network_seed,
-        jitter_us=scenario.jitter_us if jitter_us is None else jitter_us,
-        ordering=scenario.ordering,
-        daemon_factory=scenario.daemon(graph) if scenario.daemon else None,
-        measure_convergence=False,
-        settle_us=scenario.settle_us,
-        tail_us=scenario.tail_us,
-        tuning=scenario.tuning(graph, seed) if scenario.tuning else None,
+    return run_scenario(
+        get_scenario(name), mode, seed, network_seed=network_seed, jitter_us=jitter_us
     )
 
 

@@ -232,9 +232,7 @@ class TestDocs:
         from repro.sweep import scenario_names
 
         guide = (REPO_ROOT / "docs" / "scenario-authoring.md").read_text()
-        for name in scenario_names(include_sized=False):
-            if "+" in name or "~" in name:
-                continue  # composed/jittered registry variants
+        for name in scenario_names():
             assert name in guide, f"authoring guide missing builtin {name}"
 
     def test_readme_links_the_docs_tree(self):

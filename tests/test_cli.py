@@ -74,7 +74,7 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "flap-storm" in out and "xorp-bgp-med" in out
-        # the composed and jittered builtins are first-class citizens
+        # the default grid's compositions and jittered specs are listed
         assert "flap-storm+partition" in out
         assert "crash-restart+ddos-overload" in out
         assert "flap-storm~j1us" in out
@@ -90,10 +90,15 @@ class TestCommands:
         assert "theorem1" in out
 
     def test_sweep_list_includes_size_variants(self, capsys):
+        """``--list`` prints the default grid, which holds no size
+        variant, plus one line saying how to size a fault family."""
         rc = main(["sweep", "--list"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "flap-storm@40" in out and "partition@80" in out
+        assert "as name@N" in out and "flap-storm@40" in out
+        rows = [line for line in out.splitlines() if "  vanilla," in line]
+        assert len(rows) == 18
+        assert not [row for row in rows if "@" in row.split()[0]]
 
     def test_sweep_repeats_with_report_out(self, tmp_path, capsys):
         import json
@@ -155,7 +160,7 @@ class TestCommands:
 
     def test_explicit_scenarios_all_keeps_catalogue_alongside_compose(self):
         from repro.cli import build_parser
-        from repro.sweep import scenario_names
+        from repro.sweep import default_grid
 
         # regression: an explicit --scenarios all must not be silently
         # narrowed to just the compositions
@@ -185,9 +190,9 @@ class TestCommands:
                 cli_mod.cmd_sweep(args)
         finally:
             sweep_mod.SweepRunner = original
-        # "all" covers the whole unsized catalogue; @N size variants are
-        # an explicit opt-in (an 80-node cell runs for minutes)
-        assert set(scenario_names(include_sized=False)) <= set(captured["names"])
+        # "all" covers the whole default grid; @N size variants are an
+        # explicit opt-in (an 80-node cell runs for minutes)
+        assert set(default_grid()) <= set(captured["names"])
         assert not [n for n in captured["names"] if "@" in n]
         assert "latency-jitter+ddos-overload" in captured["names"]
         # 'flap-storm+partition' is both registered and a compose spec

@@ -19,6 +19,7 @@ from repro.sweep import (
     Scenario,
     SweepCell,
     compose,
+    default_grid,
     get_scenario,
     jittered,
     latency_jitter_scenario,
@@ -38,13 +39,17 @@ class TestSeedSplit:
 
 class TestCompose:
     def test_composed_builtins_are_registered(self):
-        names = scenario_names()
-        assert "flap-storm+partition" in names
-        assert "crash-restart+ddos-overload" in names
-        # jittered variants of every builtin, compositions included
-        assert "flap-storm~j1us" in names
-        assert "flap-storm+partition~j1us" in names
-        assert "xorp-bgp-med~j1us" in names
+        """The builtin compositions and the jittered variant of every
+        builtin (compositions included) are in the default grid, as specs
+        the grammar resolves: none of them is registered."""
+        grid, registered = default_grid(), scenario_names()
+        for spec in (
+            "flap-storm+partition", "crash-restart+ddos-overload",
+            "flap-storm~j1us", "flap-storm+partition~j1us", "xorp-bgp-med~j1us",
+        ):
+            assert spec in grid
+            assert spec not in registered
+            assert get_scenario(spec).name == spec
 
     def test_mode_intersection_drops_ddos_for_crash_components(self):
         composed = get_scenario("crash-restart+ddos-overload")

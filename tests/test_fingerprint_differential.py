@@ -26,7 +26,7 @@ from _oracles import deepcopy_stores, rebuilt_tag, rebuilt_tags
 from repro.core.history import HistoryEntry
 from repro.diff.tags import parse_tag
 from repro.simnet.messages import Annotation, Message
-from repro.sweep import SweepCell, run_cell, scenario_names
+from repro.sweep import SweepCell, default_grid, run_cell
 
 
 def _run_pair(scenario: str, seed: int, mode: str, stores=nullcontext):
@@ -91,7 +91,7 @@ class TestFullGridDifferential:
         from repro.sweep import get_scenario
 
         failures = []
-        for scenario in scenario_names(include_sized=False):
+        for scenario in default_grid():
             for mode in get_scenario(scenario).modes:
                 if mode == "vanilla":
                     continue  # timing-dependent by design; nothing to pin

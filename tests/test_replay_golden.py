@@ -41,7 +41,7 @@ from repro.core.lockstep import LockstepCoordinator
 from repro.core.ordering import make_ordering
 from repro.harness import ospf_daemon_factory, run_ls_replay
 from repro.simnet.faults import LinkFaultWindow, NetworkTuning
-from repro.sweep import get_scenario, scenario_names
+from repro.sweep import default_grid, get_scenario
 from repro.topology import to_network
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "ls-replay-seed1.jsonl")
@@ -70,10 +70,9 @@ FAULT_LOSSES = (0.0, 0.1)
 def _record(name: str, seed: int, network_seed: int):
     """Production run of scenario ``name``, as a sweep cell runs it."""
     scenario = get_scenario(name)
-    graph = scenario.topology(seed)
-    daemon_factory = scenario.daemon(graph) if scenario.daemon else None
     prod = run_scenario_cell(name, "defined", network_seed=network_seed, seed=seed)
-    return scenario, graph, daemon_factory, prod
+    daemon_factory = scenario.daemon(prod.graph) if scenario.daemon else None
+    return scenario, prod.graph, daemon_factory, prod
 
 
 def _lossy_replay(graph, recording, ordering, daemon_factory, loss, tuning=None):
@@ -127,7 +126,7 @@ def replay_rows() -> Tuple[Dict, ...]:
 
 def _replays() -> Iterator[Dict]:
     grid = [
-        (name, 1) for name in scenario_names(include_sized=False)
+        (name, 1) for name in default_grid()
         if "defined" in get_scenario(name).modes
     ]
     for name, seed in grid + list(TIE_CELLS):

@@ -364,10 +364,10 @@ GOLDEN = {
         None,
     ),
     'flap-storm@20@40': (
-        "ValueError: scenario 'flap-storm@20' is already size-parameterized",
-        'flap-storm@20@40',
         "ValueError: component 'flap-storm@20@40' already carries a size",
-        True,
+        "ValueError: component 'flap-storm@20@40' already carries a size",
+        "ValueError: component 'flap-storm@20@40' already carries a size",
+        False,
         None,
     ),
     '(flap-storm@20+partition)@40': (

@@ -28,6 +28,7 @@ from repro.simnet.events import LINK_DOWN, NODE_DOWN
 from repro.sweep import (
     SweepCell,
     canonical_scenario_name,
+    default_grid,
     get_scenario,
     run_cell,
     scenario_names,
@@ -133,13 +134,16 @@ class TestSizedDerivation:
 
 class TestSizedNameGrammar:
     def test_builtin_size_variants_registered(self):
-        names = scenario_names()
+        """Every fault family resolves at the paper's sizes by name, with
+        no registration: the sizes are in neither the registry nor the
+        default grid."""
+        listed = set(scenario_names()) | set(default_grid())
         for base in ("flap-storm", "crash-restart", "partition",
                      "latency-jitter", "ddos-overload"):
             for n in SIZES:
-                assert f"{base}@{n}" in names
-        # ... but excluded from the default (unsized) grid
-        assert not [n for n in scenario_names(include_sized=False) if "@" in n]
+                assert get_scenario(f"{base}@{n}").name == f"{base}@{n}"
+                assert f"{base}@{n}" not in listed
+        assert not [n for n in listed if "@" in n]
 
     def test_name_round_trips(self):
         for name in SIZEABLE:

@@ -19,7 +19,7 @@ import pytest
 from _oracles import DeepcopyStore, deepcopy_stores
 
 from repro.core.statestore import StateStore
-from repro.sweep import SweepCell, run_cell, scenario_names
+from repro.sweep import SweepCell, default_grid, run_cell
 
 
 def _run_pair(scenario: str, seed: int, mode: str):
@@ -108,7 +108,7 @@ class TestFullGridDifferential:
 
     def test_default_grid_identical(self):
         failures = []
-        for scenario in scenario_names(include_sized=False):
+        for scenario in default_grid():
             from repro.sweep import get_scenario
 
             for mode in get_scenario(scenario).modes:
