@@ -4,7 +4,7 @@ plus direct checks of the paper's two theorems."""
 from _bench import emit
 
 from repro.analysis.report import render_table
-from repro.core.fingerprint import first_divergence
+from repro.diff import diff_logs
 from repro.harness import run_ls_replay, run_production
 from repro.scenarios import (
     BGP_CORRECT_BEST,
@@ -126,7 +126,7 @@ def test_theorem1_reproducibility(benchmark):
         return prod, replay
 
     prod, replay = benchmark.pedantic(run, rounds=1, iterations=1)
-    divergence = first_divergence(prod.logs, replay.logs)
+    divergence = diff_logs(prod.logs, replay.logs)
     emit(render_table(
         "Theorem 1 (Reproducibility) on Ebone",
         ["check", "result"],

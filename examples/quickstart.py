@@ -12,7 +12,7 @@ three facts DEFINED is about:
 Run:  python examples/quickstart.py
 """
 
-from repro.core.fingerprint import first_divergence
+from repro.diff import diff_logs
 from repro.harness import run_ls_replay, run_production
 from repro.simnet.engine import SECOND
 from repro.simnet.events import EventSchedule, ExternalEvent
@@ -57,10 +57,10 @@ def main() -> None:
     ]
     same = vanilla[0].fingerprint == vanilla[1].fingerprint
     print(f"  two seeds, same execution? {same}  (expected: False)")
-    node, index, a, b = first_divergence(vanilla[0].logs, vanilla[1].logs)
-    print(f"  first divergence at node {node!r}, event #{index}:")
-    print(f"    seed 1 saw: {a}")
-    print(f"    seed 2 saw: {b}")
+    d = diff_logs(vanilla[0].logs, vanilla[1].logs)
+    print(f"  first divergence at node {d.node!r}, event #{d.step}:")
+    print(f"    seed 1 saw: {d.a_tag}")
+    print(f"    seed 2 saw: {d.b_tag}")
 
     print("\n=== 2. DEFINED-RB: deterministic, for the price of rollbacks ===")
     defined = [

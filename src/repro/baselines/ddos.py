@@ -17,49 +17,50 @@ arrived, so in-order release is safe and the execution is deterministic
 across seeds -- at the price of per-hop latency, which the ablation bench
 (`benchmarks/test_ablations.py`) quantifies against DEFINED-RB.
 
-Timers and annotations work as in the shim (virtual time from beacons,
-origination/inheritance rules), so daemons run unmodified.
+Timers, annotations and the daemon dispatch are
+:class:`~repro.core.rollback.ReplayStack`'s, as in the shim and the
+lockstep node, so daemons run unmodified.  DDOS is the subclass that never
+rewinds: it keeps no history and takes no checkpoints, and only the
+release rule below is its own.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
+from repro.core.groups import CHAIN_ALLOWANCE_US
 from repro.core.history import HistoryEntry
 from repro.core.ordering import OptimizedOrdering, OrderingFunction
+from repro.core.rollback import ReplayStack
 from repro.simnet.events import ExternalEvent
-from repro.simnet.messages import Annotation, Message
-from repro.simnet.node import Node, Stack
+from repro.simnet.messages import Message
+from repro.simnet.node import Node
 
 
-class DdosStack(Stack):
+class DdosStack(ReplayStack):
     """Stop-and-wait deterministic delivery (no speculation)."""
 
-    def __init__(
-        self,
-        node: Node,
-        ordering: Optional[OrderingFunction] = None,
-        hold_us: Optional[int] = None,
-        chain_bound: int = 64,
-        hop_cost_us: int = 140,
-    ) -> None:
-        super().__init__(node)
-        self.ordering = ordering if ordering is not None else OptimizedOrdering()
-        self._hold_us = hold_us
-        self.chain_bound = chain_bound
-        self.hop_cost_us = hop_cost_us
-        self.vt = 0
-        self._origin_seq = 0
-        self._sub_seq = 0
+    #: DDOS semantics: every communication step advances virtual time.  A
+    #: group-g entry is only *released* once group g has closed, so its
+    #: children must belong to the next group -- inheriting the group (as
+    #: the speculative shim does) would create messages for an
+    #: already-closed group.  This is also precisely why blocking
+    #: determinism is slow for control planes: a k-hop causal chain costs
+    #: k beacon intervals.
+    chain_bound = 0
+    #: No chain-delay spilling: every child already moves a group.
+    spill_bound_us = 0
+    hop_cost_us = 140
+
+    def __init__(self, node: Node, ordering: Optional[OrderingFunction] = None) -> None:
+        super().__init__(node, ordering if ordering is not None else OptimizedOrdering())
         self._ext_seq = 0
-        self._timer_seq = 0
-        self._timers = {}
-        # heap of (key, ready_us, tie, entry)
-        self._pending: List[Tuple[tuple, int, int, HistoryEntry]] = []
+        self._hold_us: Optional[int] = None
+        # heap of (key, tie, entry)
+        self._pending: List[Tuple[tuple, int, HistoryEntry]] = []
         self._tie = 0
         self._last_key: Optional[tuple] = None
-        self._current_entry: Optional[HistoryEntry] = None
         self.late_deliveries = 0
         self._started = False
         self._prestart: List[Message] = []
@@ -77,74 +78,19 @@ class DdosStack(Stack):
 
     def hold_us(self) -> int:
         """Slack after a group's closing beacon before its messages are
-        deemed complete: worst-case propagation plus a chain allowance
-        (a causal chain tagged group *g* can keep extending shortly after
-        beacon *g+1*, until the chain bound reassigns children)."""
+        deemed complete: worst-case propagation plus
+        :data:`~repro.core.groups.CHAIN_ALLOWANCE_US` (cached: the
+        propagation bound walks the whole delay matrix)."""
         if self._hold_us is None:
-            self._hold_us = self.node.network.max_propagation_us() + 100_000
+            self._hold_us = self.node.network.max_propagation_us() + CHAIN_ALLOWANCE_US
         return self._hold_us
 
-    # ------------------------------------------------------------------
-    # app-facing API (annotation rules identical to the shim)
-    # ------------------------------------------------------------------
     def send(self, dst, protocol, payload, parent=None, size_bytes=64) -> None:
         network = self.node.network
-        link_avg = (
-            network.avg_link_delay_us(self.node.node_id, dst) + self.hop_cost_us
-        )
-        if parent is not None and parent.annotation is not None:
-            pa = parent.annotation
-            self._sub_seq += 1
-            # DDOS semantics: every communication step advances virtual
-            # time.  A group-g entry is only *released* once group g has
-            # closed, so its children must belong to the next group --
-            # inheriting the group (as the speculative shim does) would
-            # create messages for an already-closed group.  This is also
-            # precisely why blocking determinism is slow for control
-            # planes: a k-hop causal chain costs k beacon intervals.
-            annotation = pa.extended(
-                link_delay_us=link_avg,
-                sub=self._sub_seq,
-                over_chain_bound=True,
-                sender=self.node.node_id,
-            )
-        else:
-            self._origin_seq += 1
-            group = (
-                self._current_entry.group
-                if self._current_entry is not None
-                else self.vt
-            )
-            annotation = Annotation(
-                origin=self.node.node_id,
-                seq=self._origin_seq,
-                delay_us=link_avg,
-                group=group,
-                sender=self.node.node_id,
-            )
+        link_estimate_us = network.avg_link_delay_us(self.node.node_id, dst)
         network.transmit(
-            Message(
-                src=self.node.node_id,
-                dst=dst,
-                protocol=protocol,
-                payload=payload,
-                annotation=annotation,
-                size_bytes=size_bytes,
-            )
+            self._outgoing(dst, protocol, payload, parent, size_bytes, link_estimate_us)
         )
-
-    def set_timer(self, delay_units: int, key: str) -> None:
-        base = (
-            self._current_entry.group if self._current_entry is not None else self.vt
-        )
-        self._timers[key] = (base + max(1, delay_units), self._timer_seq)
-        self._timer_seq += 1
-
-    def cancel_timer(self, key: str) -> None:
-        self._timers.pop(key, None)
-
-    def time_units(self) -> int:
-        return self.vt
 
     # ------------------------------------------------------------------
     # node-facing API
@@ -153,7 +99,10 @@ class DdosStack(Stack):
         reboot = self._booted_once
         self._booted_once = True
         self.vt = 0
-        self._timers = {}
+        # the firings die with the incarnation; the origin, sub and timer
+        # sequence counters keep running across the reboot
+        for key, _armed in self.timers.snapshot()[0]:
+            self.timers.cancel(key)
         self._pending = []
         self._last_key = None
         self._beacon_at = {0: 0}
@@ -216,20 +165,14 @@ class DdosStack(Stack):
     # blocking release machinery
     # ------------------------------------------------------------------
     def _enqueue_due_timers(self) -> None:
-        due = sorted(
-            (expiry, seq, key)
-            for key, (expiry, seq) in self._timers.items()
-            if expiry <= self.vt
-        )
-        for expiry, seq, key in due:
-            del self._timers[key]
-            entry = HistoryEntry(
-                kind="timer",
-                key=self.ordering.timer_key(expiry, self.node.node_id, seq),
-                group=expiry,
-                seq=seq,
-                timer_key=key,
-            )
+        # a firing leaves the table when it is queued, so a re-arm before
+        # its release is a new firing; all are taken before any is pushed
+        # (a push can release entries, whose handlers may arm timers)
+        due = []
+        for entry in self._replay_order(()):
+            self.timers.pop(entry.timer_key, entry.seq)
+            due.append(entry)
+        for entry in due:
             self._push(entry)
 
     def _push(self, entry: HistoryEntry) -> None:
@@ -281,19 +224,4 @@ class DdosStack(Stack):
                 self.late_deliveries += 1
             else:
                 self._last_key = key
-            self._deliver(entry)
-
-    def _deliver(self, entry: HistoryEntry) -> None:
-        self.log_delivery(entry.tag())
-        self.node.stats.deliveries += 1
-        self._current_entry = entry
-        try:
-            if self.daemon is not None:
-                if entry.kind == "msg":
-                    self.daemon.on_message(entry.msg)
-                elif entry.kind == "ext":
-                    self.daemon.on_external(entry.event)
-                else:
-                    self.daemon.on_timer(entry.timer_key)
-        finally:
-            self._current_entry = None
+            self._invoke(entry, entry.tag())

@@ -30,7 +30,7 @@ from repro.core.checkpoint import (
     strategy_by_name,
 )
 from repro.core.debugger import Breakpoint, Debugger
-from repro.core.fingerprint import execution_fingerprint, first_divergence
+from repro.core.fingerprint import execution_fingerprint
 from repro.core.groups import BeaconService
 from repro.core.lockstep import LockstepCoordinator, LockstepStack
 from repro.core.ordering import (
@@ -71,6 +71,5 @@ __all__ = [
     "baseline_processing_model",
     "default_window_us",
     "execution_fingerprint",
-    "first_divergence",
     "strategy_by_name",
 ]

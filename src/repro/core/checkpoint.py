@@ -100,12 +100,7 @@ class CheckpointStrategy:
         draw = rng.gauss(self.replay_mu, self.replay_sigma)
         return int(max(self.replay_floor, draw))
 
-    def memory_bytes(
-        self,
-        live_checkpoints: int,
-        private_bytes: int,
-        process_bytes: int = DEFAULT_PROCESS_BYTES,
-    ) -> Tuple[int, int]:
+    def memory_bytes(self, live_checkpoints: int, private_bytes: int) -> Tuple[int, int]:
         """(virtual, physical) memory footprint with ``live_checkpoints``
         outstanding.
 
@@ -115,8 +110,8 @@ class CheckpointStrategy:
         *measured* private copies (Section 5.2 reports <2% inflation over
         an entire run).
         """
-        virtual = process_bytes * (1 + live_checkpoints)
-        return virtual, process_bytes + private_bytes
+        virtual = DEFAULT_PROCESS_BYTES * (1 + live_checkpoints)
+        return virtual, DEFAULT_PROCESS_BYTES + private_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CheckpointStrategy {self.name}>"

@@ -21,7 +21,7 @@ fingerprint equalities:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 #: Separators keeping the fold injective: node id / entry / node
 #: boundaries cannot be confused by concatenation.
@@ -139,31 +139,3 @@ def execution_fingerprint(logs: Dict[str, Sequence[str]]) -> str:
         digest.update(_node_digest(logs[node_id]))
         digest.update(_NODE_END)
     return digest.hexdigest()
-
-
-def first_divergence(
-    a: Dict[str, Tuple[str, ...]],
-    b: Dict[str, Tuple[str, ...]],
-) -> Optional[Tuple[str, int, Optional[str], Optional[str]]]:
-    """Locate the first point where two executions differ.
-
-    Returns ``(node, index, a_entry, b_entry)`` for the first node (in
-    sorted order) whose logs differ, with ``None`` entries marking one log
-    being a strict prefix of the other.  Returns ``None`` when the
-    executions are identical.  This is a debugging aid for the test suite:
-    a failing determinism property points straight at the diverging event.
-    """
-    for node_id in sorted(set(a) | set(b)):
-        la: Sequence[str] = a.get(node_id, ())
-        lb: Sequence[str] = b.get(node_id, ())
-        for i in range(max(len(la), len(lb))):
-            ea = la[i] if i < len(la) else None
-            eb = lb[i] if i < len(lb) else None
-            if ea != eb:
-                return (node_id, i, ea, eb)
-    return None
-
-
-def logs_equal(a: Dict[str, Tuple[str, ...]], b: Dict[str, Tuple[str, ...]]) -> bool:
-    """Convenience: True iff the two executions are identical."""
-    return first_divergence(a, b) is None

@@ -40,6 +40,14 @@ from typing import Optional
 from repro.simnet.messages import Message
 from repro.simnet.network import Network
 
+#: How long after beacon *g+1* a causal chain tagged group *g* can keep
+#: extending (until the chain bound reassigns its children).  One
+#: worst-case propagation time plus this allowance after that beacon is
+#: the hold that closes group *g*: no group-*g* message can still be in
+#: flight.  The shim's crash protocol and the DDOS baseline's release
+#: rule both close groups by it.
+CHAIN_ALLOWANCE_US = 100_000
+
 
 class BeaconService:
     """Periodic group-number broadcast for a DEFINED-RB network."""

@@ -105,13 +105,11 @@ class LockstepStack(ReplayStack):
         node: Node,
         ordering: OrderingFunction,
         recording: Recording,
-        chain_bound: int = 64,
         rto_us: int = 50_000,
         poll_us: int = 2_000,
     ) -> None:
         super().__init__(node, ordering)
         self.drops = recording.drops
-        self.chain_bound = chain_bound
         self.poll_us = poll_us
         #: Must equal the production shims' values: annotations (hence
         #: ordering keys and drop identities) are recomputed here and have

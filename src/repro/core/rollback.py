@@ -1,4 +1,5 @@
-"""Rollback and ordered replay: what DEFINED-RB and DEFINED-LS share.
+"""Rollback and ordered replay: what DEFINED-RB and DEFINED-LS share,
+and what the DDOS baseline reuses without ever rewinding.
 
 The pure logic is separated out so the invariants can be property-tested
 in isolation: output identity (:func:`output_id`: is this re-emission
@@ -12,7 +13,10 @@ outgoing message, checkpoint, rewind to a history index, hand an entry to
 the daemon -- under both the shim (:mod:`repro.core.shim`, which adds
 speculation, the anti-message transport and cost accounting) and the
 lockstep node (:mod:`repro.core.lockstep`, which adds the barrier
-protocol).
+protocol).  The DDOS baseline (:mod:`repro.baselines.ddos`) is the
+subclass that never rewinds: it takes the annotation rule, the timer
+table and the daemon dispatch, and holds each entry back until its key
+order is safe instead of delivering speculatively.
 
 **Lazy cancellation** (Jefferson, *Virtual Time*, 1985) is the third step
 of every rewind under both stacks: *keep, re-execute, then unsend the
@@ -164,12 +168,16 @@ class ReplayStack(Stack):
     which the caller re-delivers whatever :meth:`_replay_order` yields
     and retracts what :meth:`_end_replay` hands back.
 
-    Subclasses set ``chain_bound``, ``hop_cost_us`` and ``spill_bound_us``
-    (the shim from its deployment, the lockstep node from the recording:
-    annotations must agree bit for bit).
+    Subclasses set ``hop_cost_us`` and ``spill_bound_us`` (the shim from
+    its deployment, the lockstep node from the recording: annotations
+    must agree bit for bit).
     """
 
-    chain_bound: int
+    #: Bound on causal chain length within one group (Section 2.2: "We
+    #: further bound the length of each causal chain within a
+    #: timestep").  Production and replay must agree on it, and the
+    #: recording does not carry it: it is a protocol constant.
+    chain_bound = 64
     hop_cost_us: int
     spill_bound_us: int
     #: The node's checkpoint store, bound by :meth:`_boot`.
@@ -353,7 +361,7 @@ class ReplayStack(Stack):
         if entry.kind == "timer":
             # Popped *after* the checkpoint so a rewind past this firing
             # re-arms it and the replay order re-fires it deterministically.
-            self.timers.pop(entry.timer_key)
+            self.timers.pop(entry.timer_key, entry.seq)
         self._current_entry = entry
         try:
             if self.daemon is not None:

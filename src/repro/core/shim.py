@@ -53,6 +53,7 @@ from repro.core.checkpoint import (
     MemoryIntercept,
     baseline_processing_model,
 )
+from repro.core.groups import CHAIN_ALLOWANCE_US
 from repro.core.history import HistoryEntry, WindowHeadroomStats
 from repro.core.ordering import OptimizedOrdering, OrderingFunction
 from repro.core.recorder import Recorder
@@ -65,10 +66,6 @@ from repro.core.rollback import (
 from repro.simnet.events import ExternalEvent
 from repro.simnet.messages import Message, Unsend
 from repro.simnet.node import Node
-
-#: Default bound on causal chain length within one group (Section 2.2:
-#: "We further bound the length of each causal chain within a timestep").
-DEFAULT_CHAIN_BOUND = 64
 
 
 def default_window_us(network) -> int:
@@ -134,27 +131,20 @@ class DefinedShim(ReplayStack):
         ordering: Optional[OrderingFunction] = None,
         strategy: Optional[CheckpointStrategy] = None,
         recorder: Optional[Recorder] = None,
-        chain_bound: int = DEFAULT_CHAIN_BOUND,
         window_us: Optional[int] = None,
-        process_bytes: int = 100 * 1024 * 1024,
-        hop_cost_us: Optional[int] = None,
     ) -> None:
         super().__init__(node, ordering if ordering is not None else OptimizedOrdering())
         #: What checkpoints *cost* (the paper's fork variants); they are
         #: always *taken* as versions of the node's store.
         self.strategy = strategy if strategy is not None else MemoryIntercept()
         self.recorder = recorder
-        self.chain_bound = chain_bound
-        self.process_bytes = process_bytes
         self._window_us_override = window_us
         #: Deterministic per-hop estimate folded into d_i on top of the
         #: measured average link delay.  The paper measures link delays
         #: store-and-forward, which includes the receiver's processing
         #: time; omitting it would make long causal chains systematically
         #: later than their estimates and turn every flood into rollbacks.
-        if hop_cost_us is None:
-            hop_cost_us = int(80 + self.strategy.delivery_mu)
-        self.hop_cost_us = hop_cost_us
+        self.hop_cost_us = int(80 + self.strategy.delivery_mu)
         #: Chain-delay spill bound: one beacon interval.  An annotation
         #: whose accumulated d_i crosses it is deterministically assigned
         #: to the next group phase (see :meth:`Annotation.extended`), so
@@ -322,11 +312,11 @@ class DefinedShim(ReplayStack):
         Group ``g`` is complete (closed) once the beacon opening ``g+1``
         was observed at least one conservative hold ago -- the same bound
         the stop-and-wait DDOS baseline uses: worst-case propagation plus
-        a chain allowance -- so no group-``g`` message can still be in
-        flight toward us.  Anything from the returned group onward may
-        have unseen traffic pending.
+        :data:`~repro.core.groups.CHAIN_ALLOWANCE_US` -- so no group-``g``
+        message can still be in flight toward us.  Anything from the
+        returned group onward may have unseen traffic pending.
         """
-        hold_us = self.node.network.max_propagation_us() + 100_000
+        hold_us = self.node.network.max_propagation_us() + CHAIN_ALLOWANCE_US
         cutoff = self.vt  # the current group is never closed
         while cutoff > 0:
             opened = self._beacon_seen_at.get(cutoff)
@@ -849,7 +839,7 @@ class DefinedShim(ReplayStack):
         # with every checkpoint; the store's undo journals are the
         # private bytes the checkpoints actually instantiated
         virtual, physical = self.strategy.memory_bytes(
-            len(self.history), self._store.private_bytes(), self.process_bytes
+            len(self.history), self._store.private_bytes()
         )
         self.node.stats.record_memory(virtual, physical)
 

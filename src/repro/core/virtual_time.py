@@ -93,7 +93,8 @@ class TimerTable:
         insort(due, (expiry, seq, key))
         return expiry
 
-    def _drop(self, key: str) -> bool:
+    def cancel(self, key: str) -> bool:
+        """Disarm ``key``.  Returns True if it was armed."""
         due = self._due_view()  # settle the view against pre-write state
         old = self._timers.pop(key, None)
         if old is None:
@@ -101,12 +102,12 @@ class TimerTable:
         del due[bisect_left(due, (old[0], old[1], key))]
         return True
 
-    def cancel(self, key: str) -> bool:
-        """Disarm ``key``.  Returns True if it was armed."""
-        return self._drop(key)
-
-    def pop(self, key: str) -> None:
-        self._drop(key)
+    def pop(self, key: str, seq: int) -> None:
+        """Retire the firing of ``key`` armed with creation sequence
+        ``seq``.  A re-arm since that firing (a fresh ``seq``) stays."""
+        entry = self._timers.get(key)
+        if entry is not None and entry[1] == seq:
+            self.cancel(key)
 
     def is_armed(self, key: str) -> bool:
         return key in self._timers

@@ -6,7 +6,7 @@ A :class:`Node` is a host in the simulated network.  It owns two layers:
   implementation from :mod:`repro.routing`), and
 * a **stack** -- the layer between the daemon and the wire.
 
-The stack is where DEFINED lives.  Three stacks are provided across the
+The stack is where DEFINED lives.  Five stacks are provided across the
 code base, all implementing the same :class:`Stack` interface:
 
 * :class:`VanillaStack` (here) -- no instrumentation; messages are
@@ -15,6 +15,11 @@ code base, all implementing the same :class:`Stack` interface:
   baseline in every figure.
 * :class:`repro.core.shim.DefinedShim` -- DEFINED-RB.
 * :class:`repro.core.lockstep.LockstepStack` -- DEFINED-LS.
+* :class:`repro.baselines.ddos.DdosStack` -- the DDOS-style stop-and-wait
+  baseline: deterministic by blocking instead of speculating.
+* :class:`repro.baselines.logging_replay.LoggingStack` -- the vanilla
+  stack plus a comprehensive log of every internal event (the log-volume
+  baseline).
 
 Daemons never talk to the network or the simulator directly; they only use
 the :class:`Stack` API.  This is the paper's "user-space shim layer"

@@ -4,7 +4,7 @@ from _fixtures import flap_schedule, square_graph
 
 from repro.analysis.metrics import mean
 from repro.baselines.logging_replay import log_volume_comparison
-from repro.core.fingerprint import first_divergence
+from repro.diff import diff_logs
 from repro.harness import run_production
 
 
@@ -12,7 +12,7 @@ class TestDdosDeterminism:
     def test_seed_invariant_execution(self, square, square_flap):
         a = run_production(square, square_flap, mode="ddos", seed=1)
         b = run_production(square, square_flap, mode="ddos", seed=2)
-        assert first_divergence(a.logs, b.logs) is None
+        assert diff_logs(a.logs, b.logs) is None
         assert a.late_deliveries == 0
 
     def test_no_rollbacks_ever(self, square, square_flap):

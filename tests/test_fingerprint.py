@@ -2,13 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.fingerprint import (
-    DeliveryLog,
-    _node_digest,
-    execution_fingerprint,
-    first_divergence,
-    logs_equal,
-)
+from repro.core.fingerprint import DeliveryLog, _node_digest, execution_fingerprint
+from repro.diff import diff_logs
 
 logs_strategy = st.dictionaries(
     st.sampled_from(["a", "b", "c"]),
@@ -53,28 +48,29 @@ class TestFingerprint:
 class TestDivergence:
     def test_identical_logs_no_divergence(self):
         logs = {"a": ("x",)}
-        assert first_divergence(logs, dict(logs)) is None
-        assert logs_equal(logs, dict(logs))
+        assert diff_logs(logs, dict(logs)) is None
 
     def test_reports_first_differing_entry(self):
         a = {"n": ("x", "y", "z")}
         b = {"n": ("x", "q", "z")}
-        assert first_divergence(a, b) == ("n", 1, "y", "q")
+        d = diff_logs(a, b)
+        assert (d.node, d.step, d.a_tag, d.b_tag) == ("n", 1, "y", "q")
 
     def test_prefix_divergence_uses_none(self):
         a = {"n": ("x",)}
         b = {"n": ("x", "y")}
-        assert first_divergence(a, b) == ("n", 1, None, "y")
+        d = diff_logs(a, b)
+        assert (d.node, d.step, d.a_tag, d.b_tag) == ("n", 1, None, "y")
 
     def test_missing_node_treated_as_empty(self):
         a = {"n": ("x",)}
-        assert first_divergence(a, {}) == ("n", 0, "x", None)
+        d = diff_logs(a, {})
+        assert (d.node, d.step, d.a_tag, d.b_tag) == ("n", 0, "x", None)
 
     def test_scans_nodes_in_sorted_order(self):
         a = {"b": ("x",), "a": ("y",)}
         b = {"b": ("q",), "a": ("z",)}
-        node, _i, _ea, _eb = first_divergence(a, b)
-        assert node == "a"
+        assert diff_logs(a, b).node == "a"
 
 
 # tags with multi-byte UTF-8 and with the entry separator inside them

@@ -9,7 +9,7 @@ simulations and a lockstep replay.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.fingerprint import first_divergence
+from repro.diff import diff_logs
 from repro.harness import run_ls_replay, run_production
 from repro.simnet.engine import SECOND
 from repro.simnet.events import EventSchedule, ExternalEvent
@@ -80,7 +80,7 @@ class TestMiniTheorems:
             for seed in (11, 22)
         ]
         assert runs[0].late_deliveries == 0
-        divergence = first_divergence(runs[0].logs, runs[1].logs)
+        divergence = diff_logs(runs[0].logs, runs[1].logs)
         assert divergence is None, divergence
 
     @common_settings
@@ -93,5 +93,5 @@ class TestMiniTheorems:
             measure_convergence=False, tail_us=3 * SECOND,
         )
         replay = run_ls_replay(graph, prod.recording, seed=4040)
-        divergence = first_divergence(prod.logs, replay.logs)
+        divergence = diff_logs(prod.logs, replay.logs)
         assert divergence is None, divergence

@@ -13,15 +13,15 @@ import pytest
 
 from _fixtures import flap_schedule, line_graph, square_graph
 
-from repro.core.fingerprint import first_divergence
 from repro.core.recorder import Recording
+from repro.diff import diff_logs
 from repro.harness import run_ls_replay, run_production
 from repro.simnet.engine import SECOND
 from repro.simnet.events import EventSchedule, ExternalEvent
 
 
 def assert_same_execution(a, b):
-    divergence = first_divergence(a.logs, b.logs)
+    divergence = diff_logs(a.logs, b.logs)
     assert divergence is None, f"executions diverge: {divergence}"
 
 

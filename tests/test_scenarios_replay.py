@@ -9,7 +9,7 @@ is the smallest topology whose boot flood exercises deep cascade chains.
 
 import pytest
 
-from repro.core.fingerprint import first_divergence
+from repro.diff import diff_logs
 from repro.harness import run_ls_replay, run_production
 from repro.simnet.engine import SECOND
 from repro.simnet.events import EventSchedule, ExternalEvent
@@ -33,7 +33,7 @@ class TestTheorem1AtScale:
         )
         assert prod.rollbacks > 100  # the storm actually happened
         replay = run_ls_replay(ebone, prod.recording)
-        assert first_divergence(prod.logs, replay.logs) is None
+        assert diff_logs(prod.logs, replay.logs) is None
 
     def test_event_storm_replay_exact(self, ebone):
         trace = compressed_trace(
@@ -41,7 +41,7 @@ class TestTheorem1AtScale:
         )
         prod = run_production(ebone, trace, mode="defined", seed=2)
         replay = run_ls_replay(ebone, prod.recording)
-        assert first_divergence(prod.logs, replay.logs) is None
+        assert diff_logs(prod.logs, replay.logs) is None
 
     def test_mid_group_event_offsets_recorded(self, ebone):
         """Events landing mid-group must carry their group offset, and the

@@ -265,7 +265,7 @@ class TestCrashRestartDeterminism:
         group's flood is still in flight, must still satisfy Theorem 1:
         the crash protocol retracts back to the last *closed* group and
         retags the recorded death group to match."""
-        from repro.core.fingerprint import first_divergence
+        from repro.diff import diff_logs
         from repro.harness import run_ls_replay, run_production
         from repro.simnet.events import EventSchedule, ExternalEvent
 
@@ -287,7 +287,7 @@ class TestCrashRestartDeterminism:
         )
         assert prod.late_deliveries == 0
         replay = run_ls_replay(square, prod.recording)
-        assert first_divergence(prod.logs, replay.logs) is None
+        assert diff_logs(prod.logs, replay.logs) is None
         assert replay.fingerprint == prod.fingerprint
 
 

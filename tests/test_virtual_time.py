@@ -31,9 +31,22 @@ class TestBasics:
         table.set("late", 0, 2)
         table.set("early", 0, 1)
         table.set("also_early", 0, 1)
-        assert table.next_due(5)[2] == "early"
-        table.pop("early")
+        _expiry, seq, key = table.next_due(5)
+        assert key == "early"
+        table.pop(key, seq)
         assert table.next_due(5)[2] == "also_early"
+
+    def test_pop_retires_only_the_firing_it_names(self):
+        table = TimerTable()
+        table.set("t", 0, 1)
+        _expiry, old_seq, _key = table.next_due(1)
+        table.set("t", 0, 5)  # re-armed after the first firing was taken
+        table.pop("t", old_seq)
+        assert table.expiry_of("t") == 5
+        _expiry, seq, _key = table.next_due(5)
+        table.pop("t", seq)
+        assert not table.is_armed("t")
+        assert table.next_due(5) is None
 
     def test_rearm_replaces_expiry_and_refreshes_order(self):
         table = TimerTable()
