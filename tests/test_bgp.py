@@ -152,6 +152,20 @@ class TestDaemonPlumbing:
         assert daemon.best_path_id("10.0.0.0/8") == "p1"
         assert ("10.0.0.0/8", "p3") not in daemon.adj_rib_in
 
+    def test_state_renders_rows_as_dicts(self):
+        stack = FakeStack("R3", [])
+        daemon = BuggyXorpBgp("R3", stack, peers=[])
+        daemon.on_start()
+        daemon.on_message(update(P1))
+        daemon.on_message(update(P3))
+        assert daemon.state() == {
+            "adj_rib_in": {
+                ("10.0.0.0/8", "p1"): P1.to_wire(),
+                ("10.0.0.0/8", "p3"): P3.to_wire(),
+            },
+            "best": {"10.0.0.0/8": P1.to_wire()},
+        }
+
 
 class TestWireFormat:
     def test_path_roundtrip(self):

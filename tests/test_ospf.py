@@ -1,5 +1,7 @@
 """Unit tests for the OSPF daemon (link-state protocol)."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from _fixtures import (
@@ -9,7 +11,9 @@ from _fixtures import (
     spf_oracle,
     square_graph,
 )
+from _oracles import DeepcopyStore, deepcopy_stores
 
+from repro.core.statestore import StateStore
 from repro.harness import SLICE_US, ospf_daemon_factory, run_production
 from repro.routing.ospf import PROTO_ACK, PROTO_HELLO, PROTO_LSA, OspfDaemon
 from repro.simnet.events import EventSchedule, ExternalEvent
@@ -200,10 +204,11 @@ class TestDerivedRoutingTable:
         assert daemon.routing_distances() == {"a": 0, "b": 1, "c": 2}
         return daemon
 
-    @pytest.mark.parametrize("strategy", ["cow", "deepcopy"])
-    def test_store_rewind_drops_the_table(self, strategy):
-        daemon = self.three_router_daemon()
-        daemon.store.strategy = strategy
+    @pytest.mark.parametrize("store_cls", [StateStore, DeepcopyStore])
+    def test_store_rewind_drops_the_table(self, store_cls):
+        with deepcopy_stores() if store_cls is DeepcopyStore else nullcontext():
+            daemon = self.three_router_daemon()
+        assert type(daemon.store) is store_cls
         before = daemon.state()
         token = daemon.store.snapshot()
         daemon.on_message(lsa("c", 2, []))  # c withdraws its adjacency
@@ -303,6 +308,14 @@ class TestCheckpointing:
     def test_state_size_positive(self):
         daemon, _ = make_daemon()
         assert daemon.store.live_bytes() > 0
+
+    def test_state_key_order(self):
+        """The inspection view the debugger prints, in its order."""
+        daemon, _ = make_daemon()
+        assert list(daemon.state()) == [
+            "live_interfaces", "lsdb", "my_seq", "pending_acks",
+            "delayed_floods", "distances", "first_hops", "hello_count",
+        ]
 
 
 class TestForwardDelay:
