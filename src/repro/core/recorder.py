@@ -261,9 +261,6 @@ class Recorder:
         else:
             self._drops.add(identity)
 
-    def record_drop(self, identity: SendIdentity) -> None:
-        self.record_send(identity, deliverable=False)
-
     def record_topology(self, event: ExternalEvent, group: Optional[int] = None) -> None:
         """Log a network-level topology fact (link/node up/down).
 

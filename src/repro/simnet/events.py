@@ -59,23 +59,6 @@ class ExternalEvent:
         return (self.target,)
 
 
-@dataclass(frozen=True)
-class ObservedEvent:
-    """An :class:`ExternalEvent` as seen by one node.
-
-    This is the unit the DEFINED-RB shim tags with a group number and an
-    origin sequence number, and the unit the recorder logs.  ``node`` is
-    the observing node.
-    """
-
-    node: str
-    event: ExternalEvent
-
-    def describe(self) -> str:
-        ev = self.event
-        return f"{ev.kind}@{self.node} target={ev.target!r} t={ev.time_us}us"
-
-
 @dataclass
 class EventSchedule:
     """A time-ordered collection of external events (a workload trace)."""

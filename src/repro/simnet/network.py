@@ -85,10 +85,6 @@ class Network:
         self._fifo_front: Dict[Tuple[str, str], int] = {}
         #: ``(src, dst) -> Route``, filled by :meth:`route` on first use.
         self._routes: Dict[Tuple[str, str], Route] = {}
-        #: Messages annihilated in flight by an anti-message; checked at
-        #: delivery time.  Maintained by the DEFINED-RB shims via
-        #: :meth:`annihilate`.
-        self._annihilated: set = set()
         #: Optional observer invoked for every applied external event.
         #: Production harnesses hook the DEFINED recorder here so topology
         #: facts (which have no single observing daemon) enter the partial
@@ -535,28 +531,17 @@ class Network:
         if msg.uid in self._dup_suppress:
             # Second copy of a duplicated packet: the transport already
             # accepted the first arrival, so this one is dropped before
-            # any other bookkeeping (including annihilation, which was
-            # settled by the surviving copy).
+            # it reaches the node (a shim settled any annihilation on
+            # the surviving copy).
             self._dup_suppress.discard(msg.uid)
             self.fault_stats["dup_suppressed"] += 1
             return
         if msg.uid in self._dup_pending:
             self._dup_pending.discard(msg.uid)
             self._dup_suppress.add(msg.uid)
-        if msg.uid in self._annihilated:
-            self._annihilated.discard(msg.uid)
-            node = self.nodes.get(msg.dst)
-            if node is not None:
-                node.stats.annihilated += 1
-            return
         node = self.nodes.get(msg.dst)
         if node is not None:
             node.deliver(msg)
-
-    def annihilate(self, uid: int) -> None:
-        """Mark an in-flight message as unsent (anti-message caught it in
-        transit); it will be dropped at delivery time."""
-        self._annihilated.add(uid)
 
     # ------------------------------------------------------------------
     # external events

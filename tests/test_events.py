@@ -5,11 +5,9 @@ import pytest
 from repro.simnet.events import (
     ANNOUNCE,
     LINK_DOWN,
-    LINK_UP,
     NODE_DOWN,
     EventSchedule,
     ExternalEvent,
-    ObservedEvent,
 )
 
 
@@ -33,11 +31,6 @@ class TestExternalEvent:
     def test_announce_observed_at_receiver(self):
         ev = ExternalEvent(time_us=0, kind=ANNOUNCE, target="r1", data={"x": 1})
         assert ev.endpoints() == ("r1",)
-
-    def test_observed_event_describe(self):
-        ev = ExternalEvent(time_us=5, kind=LINK_UP, target=("a", "b"))
-        text = ObservedEvent(node="a", event=ev).describe()
-        assert "link_up@a" in text
 
 
 class TestEventSchedule:

@@ -155,15 +155,6 @@ class TestTransmission:
         delivered = len(net.nodes["b"].stack.delivery_log)
         assert 10 < delivered < 50
 
-    def test_annihilated_message_dropped_at_delivery(self):
-        net = tiny_net()
-        self._attach(net)
-        uid = net.transmit(Message(src="a", dst="b", protocol="p", payload=1))
-        net.annihilate(uid)
-        net.run()
-        assert not net.nodes["b"].stack.delivery_log
-        assert net.run_stats.node("b").annihilated == 1
-
     def test_transmit_deterministic_ignores_links(self):
         net = tiny_net()
         self._attach(net)

@@ -24,7 +24,7 @@ def sample_recorder():
         seq=1,
         time_us=200,
     )
-    recorder.record_drop(("r1", "r1", 4, 0, 2, "r2", "ospf_lsa"))
+    recorder.record_send(("r1", "r1", 4, 0, 2, "r2", "ospf_lsa"), False)
     recorder.note_group(7)
     return recorder
 
