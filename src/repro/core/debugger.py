@@ -182,7 +182,7 @@ class Debugger:
         return {
             "node": node,
             "group": self.coordinator.current_group,
-            "daemon_state": daemon.snapshot() if daemon is not None else None,
+            "daemon_state": daemon.state() if daemon is not None else None,
             "timers": dict(stack.timers.snapshot()[0]),
             "pending_inputs": [e.tag() for e in stack.pending_inputs()],
             "deliveries_this_group": stack.group_deliveries(),

@@ -27,15 +27,15 @@ timer- and external-event-triggered sends pass ``parent=None`` and become
 ints, strings, frozen dataclasses), and iteration is in sorted key
 order.  In exchange, the DEFINED shims checkpoint the daemon by store
 *version* -- O(dirty keys) instead of a full deepcopy per delivered
-message (the MI scheme's cost, for real).  ``snapshot``/``restore``
-round-trip :meth:`Daemon.state` as plain dicts, for inspection (the
-debugger) and tests; no shim checkpoints through them.
+message (the MI scheme's cost, for real).  The store is the only
+checkpoint path: a daemon writes no save or load code of its own, and
+:meth:`Daemon.state` is a read-only inspection view over the store
+(the debugger's ``inspect``).
 """
 
 from __future__ import annotations
 
 import abc
-import copy
 from typing import Any, Dict, Optional
 
 from repro.core.statestore import StateStore
@@ -74,23 +74,10 @@ class Daemon(abc.ABC):
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def state(self) -> Dict[str, Any]:
-        """The complete mutable protocol state, as a materialized
-        plain-dict view of the store's namespaces."""
-
-    @abc.abstractmethod
-    def load_state(self, state: Dict[str, Any]) -> None:
-        """Install a state dict previously produced by :meth:`state`."""
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A deep, independent copy of the protocol state."""
-        return copy.deepcopy(self.state())
-
-    def restore(self, snap: Dict[str, Any]) -> None:
-        """Restore from a snapshot (the snapshot itself stays pristine so
-        it can be restored from again)."""
-        self.load_state(copy.deepcopy(snap))
+        """An independent plain-dict copy of the protocol state.
+        Default: the whole store, which is exactly what a rewind restores."""
+        return self.store.materialize()
 
     # ------------------------------------------------------------------
     # helpers

@@ -39,10 +39,8 @@ from repro.simnet.node import Stack
 PROTO_UPDATE = "bgp_update"
 
 
-def _canonical(doc: "Dict[str, Any] | Tuple") -> Tuple:
+def _canonical(doc: Dict[str, Any]) -> Tuple:
     """Immutable canonical form of a wire doc for checkpoint-store rows."""
-    if isinstance(doc, tuple):
-        return doc
     return tuple(sorted(doc.items()))
 
 
@@ -146,19 +144,14 @@ class BgpDaemon(Daemon):
         self.best = self.store.namespace("best")
 
     # ------------------------------------------------------------------
-    # state plumbing
+    # inspection
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, Any]:
+        """The stored rows rendered as wire dicts."""
         return {
             "adj_rib_in": {k: dict(v) for k, v in self.adj_rib_in.items()},
             "best": {k: dict(v) for k, v in self.best.items()},
         }
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.adj_rib_in.replace(
-            {k: _canonical(v) for k, v in state["adj_rib_in"].items()}
-        )
-        self.best.replace({k: _canonical(v) for k, v in state["best"].items()})
 
     # ------------------------------------------------------------------
     # lifecycle and inputs

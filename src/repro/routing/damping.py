@@ -13,20 +13,16 @@ The arithmetic is deliberately integer-only and evaluated lazily (penalty
 decay is computed from elapsed units at observation time, never from a
 background clock), so it is bit-deterministic under replay.
 
-Per-prefix rows live as immutable tuples behind a
-:class:`~repro.core.statestore.Namespace` write barrier: a daemon that
-embeds a dampener passes its :class:`~repro.core.statestore.StateStore`
-and the damping state is checkpointed copy-on-write along with the rest
-of its protocol state.  Standalone dampeners (tests, monitors) keep the
-classic ``snapshot()``/``restore()`` tuple API.
+Per-prefix rows are immutable tuples in a plain dict.  No daemon embeds
+a dampener, so nothing here is checkpointed: it is a reference model,
+driven by the sweep's damping expectation and by
+:class:`DampedRouteMonitor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-from repro.core.statestore import Namespace, StateStore
+from typing import Dict, List, Optional, Tuple
 
 #: RFC 2439-flavoured defaults, expressed in virtual-time units (one unit
 #: = one beacon interval = 250 ms by default, so 60 units = 15 s half
@@ -38,7 +34,7 @@ DEFAULT_HALF_LIFE_UNITS = 16
 #: Penalties are capped so a long flap burst cannot suppress forever.
 DEFAULT_MAX_PENALTY = 12_000
 
-#: Per-prefix row layout inside the namespace (all immutable):
+#: Per-prefix row layout (all immutable):
 #: (penalty_milli, last_update_vt, suppressed, flaps).
 DampingRow = Tuple[int, int, bool, int]
 
@@ -58,22 +54,15 @@ class FlapDampener:
     reuse_threshold: int = DEFAULT_REUSE_THRESHOLD
     half_life_units: int = DEFAULT_HALF_LIFE_UNITS
     max_penalty: int = DEFAULT_MAX_PENALTY
-    #: Bind the damping rows into a daemon's checkpoint store; ``None``
-    #: runs on a standalone namespace.
-    store: Optional[StateStore] = None
-    namespace: str = "damping"
-    _routes: Namespace = field(init=False, repr=False, compare=False, default=None)
+    _routes: Dict[str, DampingRow] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if self.reuse_threshold >= self.suppress_threshold:
             raise ValueError("reuse threshold must be below suppress threshold")
         if self.half_life_units <= 0:
             raise ValueError("half life must be positive")
-        self._routes = (
-            self.store.namespace(self.namespace)
-            if self.store is not None
-            else Namespace(self.namespace)
-        )
 
     # ------------------------------------------------------------------
     # decay arithmetic (integer, lazy)
@@ -138,20 +127,6 @@ class FlapDampener:
             penalty -= penalty // (2 * self.half_life_units)
             units += 1
         return units
-
-    def snapshot(self) -> Tuple:
-        """Checkpointable state (the dampener lives inside daemons).
-
-        Store-bound dampeners are versioned wholesale by their store;
-        this tuple form serves standalone use and inspection.  The
-        namespace's sorted view means nothing is re-sorted here.
-        """
-        return tuple((p, *row) for p, row in self._routes.items())
-
-    def restore(self, snap: Tuple) -> None:
-        self._routes.replace(
-            {p: (pen, vt, sup, fl) for p, pen, vt, sup, fl in snap}
-        )
 
 
 class DampedRouteMonitor:

@@ -21,8 +21,8 @@ Implements the parts of OSPF the paper's evaluation exercises:
   *derived view* of the LSDB: computed on first read
   (:meth:`OspfDaemon.routing_distances`, :meth:`OspfDaemon.state`),
   dropped whenever the LSDB can have changed (LSA install, which every
-  boot begins with; ``load_state``; any store rewind) and never
-  checkpointed -- a rollback restores the LSDB and the table follows.  Flooding decides on
+  boot begins with; any store rewind) and never checkpointed -- a
+  rollback restores the LSDB and the table follows.  Flooding decides on
   LSA sequence numbers and interface state alone and never reads the
   table, so deliveries that nobody probes run no Dijkstra at all (real
   OSPF holds SPF behind a delay timer for the same reason).
@@ -113,9 +113,11 @@ class OspfDaemon(Daemon):
         self._meta["hello_count"] = value
 
     # ------------------------------------------------------------------
-    # state plumbing
+    # inspection
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, Any]:
+        """The protocol state plus the derived routing table
+        (``distances`` / ``first_hops``)."""
         distances, first_hops = self._spf_tables()
         return {
             "live_interfaces": self.live_interfaces.as_dict(),
@@ -127,24 +129,6 @@ class OspfDaemon(Daemon):
             "first_hops": dict(first_hops),
             "hello_count": self.hello_count,
         }
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.live_interfaces.replace(state["live_interfaces"])
-        self.lsdb.replace(state["lsdb"])
-        self._drop_spf()  # the routing table follows from the loaded LSDB
-        self.my_seq = state["my_seq"]
-        self.pending_acks.replace(state["pending_acks"])
-        self.delayed_floods.replace(state["delayed_floods"])
-        self.hello_count = state["hello_count"]
-
-    # All values are immutable (tuples/ints/strings), so the materialized
-    # state dict is already an independent snapshot -- no deepcopy needed
-    # on the inspection path either.
-    def snapshot(self) -> Dict[str, Any]:
-        return self.state()
-
-    def restore(self, snap: Dict[str, Any]) -> None:
-        self.load_state(snap)
 
     # ------------------------------------------------------------------
     # lifecycle

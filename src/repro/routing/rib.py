@@ -97,11 +97,8 @@ class Rib:
         return list(self._routes.keys())
 
     def as_dict(self) -> Dict[str, Tuple]:
-        """Deterministic dump used in snapshots and assertions."""
+        """Deterministic dump used in inspection and assertions."""
         return self._routes.as_dict()
-
-    def load_dict(self, data: Dict[str, Tuple]) -> None:
-        self._routes.replace({dest: tuple(fields) for dest, fields in data.items()})
 
     def clear(self) -> None:
         self._routes.clear()

@@ -77,24 +77,6 @@ class RipDaemon(Daemon):
         self.rib = Rib(store=self.store)
 
     # ------------------------------------------------------------------
-    # state plumbing
-    # ------------------------------------------------------------------
-    def state(self) -> Dict[str, Any]:
-        return {"rib": self.rib.as_dict()}
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.rib.load_dict(state["rib"])
-
-    # as_dict()/load_dict() already produce fresh containers of immutable
-    # tuples, so the generic deepcopy wrapper is unnecessary work on the
-    # inspection path too.
-    def snapshot(self) -> Dict[str, Any]:
-        return self.state()
-
-    def restore(self, snap: Dict[str, Any]) -> None:
-        self.load_state({"rib": dict(snap["rib"])})
-
-    # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def on_start(self) -> None:

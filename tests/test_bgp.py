@@ -141,17 +141,6 @@ class TestDaemonPlumbing:
                 Message(src="x", dst="R1", protocol="mystery", payload=())
             )
 
-    def test_snapshot_restore_roundtrip(self):
-        stack = FakeStack("R3", [])
-        daemon = BuggyXorpBgp("R3", stack, peers=[])
-        daemon.on_start()
-        daemon.on_message(update(P1))
-        snap = daemon.snapshot()
-        daemon.on_message(update(P3))
-        daemon.restore(snap)
-        assert daemon.best_path_id("10.0.0.0/8") == "p1"
-        assert ("10.0.0.0/8", "p3") not in daemon.adj_rib_in
-
     def test_state_renders_rows_as_dicts(self):
         stack = FakeStack("R3", [])
         daemon = BuggyXorpBgp("R3", stack, peers=[])

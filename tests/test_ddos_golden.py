@@ -115,12 +115,6 @@ class Rearmer(Daemon):
     def on_timer(self, key):
         pass
 
-    def state(self):
-        return {}
-
-    def load_state(self, state):
-        pass
-
 
 def test_a_rearm_before_release_survives_the_queued_firing():
     """The ping (group 0) and ``t``'s first firing (group 1) are held

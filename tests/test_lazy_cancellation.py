@@ -156,12 +156,6 @@ class Forwarder(Daemon):
     def on_timer(self, key):  # pragma: no cover - no timers armed
         pass
 
-    def state(self):
-        return {"seen": self.seen}
-
-    def load_state(self, state):
-        self._seen.replace(dict(enumerate(state["seen"])))
-
 
 class Line:
     """a - b - c with every transmission recorded, unsends included."""

@@ -314,12 +314,6 @@ class CountingDaemon(Daemon):
     def on_timer(self, key):  # pragma: no cover - no timers armed
         pass
 
-    def state(self):
-        return {"seen": self.seen}
-
-    def load_state(self, state):
-        self._seen.replace(dict(enumerate(state["seen"])))
-
 
 class TestSuffixReexecutionUnit:
     """A hand-built line a - b - c; ``b`` is driven directly, wave by wave."""

@@ -236,17 +236,6 @@ class TestDerivedRoutingTable:
         assert daemon.routing_distances() == {"a": 0}
         assert_table_follows_lsdb(daemon)
 
-    def test_load_state_yields_the_table_of_the_loaded_lsdb(self):
-        daemon, _ = make_daemon(neighbors=("b",))
-        daemon.on_message(lsa("b", 1, ["a", "c"]))
-        older = daemon.snapshot()
-        daemon.on_message(lsa("c", 1, ["b"]))
-        assert daemon.routing_distances() == {"a": 0, "b": 1, "c": 2}
-        daemon.load_state(older)
-        assert daemon.routing_distances() == {"a": 0, "b": 1}
-        assert daemon.state() == older
-        assert_table_follows_lsdb(daemon)
-
     def test_returned_tables_are_copies(self):
         daemon = self.three_router_daemon()
         daemon.routing_distances().clear()
@@ -288,22 +277,12 @@ class TestDerivedRoutingTable:
             )
 
 
-class TestCheckpointing:
-    def test_snapshot_restore_roundtrip(self):
+class TestInspection:
+    def test_state_is_isolated_from_mutation(self):
         daemon, _ = make_daemon()
-        daemon.on_message(lsa("b", 1, ["a", "c"], src="b"))
-        snap = daemon.snapshot()
-        daemon.on_message(lsa("b", 2, ["a"], src="b"))
-        daemon.on_timer("hello")
-        daemon.restore(snap)
-        assert daemon.lsdb["b"] == (1, ("a", "c"))
-        assert daemon.state() == snap
-
-    def test_snapshot_is_isolated_from_mutation(self):
-        daemon, _ = make_daemon()
-        snap = daemon.snapshot()
+        view = daemon.state()
         daemon.lsdb["zz"] = (1, ())
-        assert "zz" not in snap["lsdb"]
+        assert "zz" not in view["lsdb"]
 
     def test_state_size_positive(self):
         daemon, _ = make_daemon()

@@ -42,15 +42,6 @@ class TestRib:
         assert [e.dest for e in rib] == ["a", "m", "z"]
         assert rib.destinations() == ["a", "m", "z"]
 
-    def test_as_dict_load_dict_roundtrip(self):
-        rib = Rib()
-        rib.install(entry(dest="a", expires=9))
-        rib.install(entry(dest="b", next_hop=None, source="connected"))
-        dump = rib.as_dict()
-        other = Rib()
-        other.load_dict(dump)
-        assert other.as_dict() == dump
-
     def test_as_dict_is_deterministic(self):
         rib1, rib2 = Rib(), Rib()
         for dest in ("b", "a"):

@@ -4,6 +4,7 @@ import pytest
 
 from _fixtures import FakeStack
 
+from repro.core.shim import DefinedShim
 from repro.routing.rip import (
     BuggyQuaggaRip,
     CorrectRip,
@@ -11,6 +12,7 @@ from repro.routing.rip import (
     PROTO_UPDATE,
 )
 from repro.simnet.messages import Message
+from repro.simnet.network import build_network
 
 
 def make(cls=CorrectRip, own=None, **kw):
@@ -157,13 +159,9 @@ class TestBuggyMatching:
         assert daemon.rib.lookup("d").expires_vt == expiry
 
 
-class TestCheckpointing:
-    def test_snapshot_restore_roundtrip(self):
-        daemon, _ = make(own={"d": 0})
-        daemon.on_message(update("R2", [("x", 0)]))
-        snap = daemon.snapshot()
-        daemon.on_message(update("R3", [("y", 0)]))
-        daemon.restore(snap)
-        assert "y" not in daemon.rib
-        assert "x" in daemon.rib
-        assert daemon.state() == snap
+class TestInspection:
+    def test_on_a_stack_the_view_includes_the_timer_table(self):
+        net = build_network([("R1", "R2", 2_000)], jitter_us=0)
+        net.attach(DefinedShim, lambda node_id, stack: CorrectRip(node_id, stack, []))
+        net.start()
+        assert sorted(net.nodes["R1"].daemon.state()) == ["_timers", "_timers.meta", "rib"]

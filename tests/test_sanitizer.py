@@ -217,12 +217,6 @@ class Hoarder(Daemon):
     def on_timer(self, key):  # pragma: no cover - no timers armed
         pass
 
-    def state(self):
-        return {"payloads": list(self._seen["payloads"])}
-
-    def load_state(self, state):  # pragma: no cover - not restored from
-        self._seen["payloads"] = list(state["payloads"])
-
 
 class TestAttribution:
     """DEFINED-RB on a 3-node line: the middle node's handler mutates a

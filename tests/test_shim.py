@@ -43,12 +43,6 @@ class EchoDaemon(Daemon):
     def on_external(self, event):
         self._log(("ext", event.kind, event.target))
 
-    def state(self):
-        return {"journal": self.journal}
-
-    def load_state(self, state):
-        self._journal.replace(dict(enumerate(state["journal"])))
-
 
 def defined_net(topology=(("a", "b", 2_000), ("b", "c", 3_000)), seed=0,
                 jitter=0, recorder=None, **shim_kw):
