@@ -141,6 +141,21 @@ class TestDaemonPlumbing:
                 Message(src="x", dst="R1", protocol="mystery", payload=())
             )
 
+    def test_snapshot_restore_roundtrip(self):
+        """The store is the checkpoint path: a rewind restores the RIB-in
+        and the best path it implies."""
+        stack = FakeStack("R3", [])
+        daemon = BuggyXorpBgp("R3", stack, peers=[])
+        daemon.on_start()
+        daemon.on_message(update(P1))
+        before = daemon.state()
+        token = daemon.store.snapshot()
+        daemon.on_message(update(P3))
+        daemon.store.restore(token)
+        assert daemon.best_path_id("10.0.0.0/8") == "p1"
+        assert ("10.0.0.0/8", "p3") not in daemon.adj_rib_in
+        assert daemon.state() == before
+
     def test_state_renders_rows_as_dicts(self):
         stack = FakeStack("R3", [])
         daemon = BuggyXorpBgp("R3", stack, peers=[])

@@ -277,6 +277,20 @@ class TestDerivedRoutingTable:
             )
 
 
+class TestCheckpointing:
+    def test_snapshot_restore_roundtrip(self):
+        """A store rewind restores the LSDB across a message and a timer."""
+        daemon, _ = make_daemon()
+        daemon.on_message(lsa("b", 1, ["a", "c"], src="b"))
+        before = daemon.state()
+        token = daemon.store.snapshot()
+        daemon.on_message(lsa("b", 2, ["a"], src="b"))
+        daemon.on_timer("hello")
+        daemon.store.restore(token)
+        assert daemon.lsdb["b"] == (1, ("a", "c"))
+        assert daemon.state() == before
+
+
 class TestInspection:
     def test_state_is_isolated_from_mutation(self):
         daemon, _ = make_daemon()

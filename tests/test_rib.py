@@ -1,5 +1,6 @@
 """Unit tests for the routing information base."""
 
+from repro.core.statestore import StateStore
 from repro.routing.rib import Rib, RouteEntry
 
 
@@ -41,6 +42,20 @@ class TestRib:
             rib.install(entry(dest=dest))
         assert [e.dest for e in rib] == ["a", "m", "z"]
         assert rib.destinations() == ["a", "m", "z"]
+
+    def test_store_restore_roundtrip(self):
+        """A table bound into a store rewinds with it."""
+        store = StateStore()
+        rib = Rib(store=store)
+        rib.install(entry(dest="a", expires=9))
+        rib.install(entry(dest="b", next_hop=None, source="connected"))
+        dump = rib.as_dict()
+        token = store.snapshot()
+        rib.withdraw("a")
+        rib.update("b", metric=5)
+        rib.install(entry(dest="c"))
+        store.restore(token)
+        assert rib.as_dict() == dump
 
     def test_as_dict_is_deterministic(self):
         rib1, rib2 = Rib(), Rib()

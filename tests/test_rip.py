@@ -159,6 +159,20 @@ class TestBuggyMatching:
         assert daemon.rib.lookup("d").expires_vt == expiry
 
 
+class TestCheckpointing:
+    def test_snapshot_restore_roundtrip(self):
+        """A store rewind restores the RIB: the later route is gone."""
+        daemon, _ = make(own={"d": 0})
+        daemon.on_message(update("R2", [("x", 0)]))
+        before = daemon.state()
+        token = daemon.store.snapshot()
+        daemon.on_message(update("R3", [("y", 0)]))
+        daemon.store.restore(token)
+        assert "y" not in daemon.rib
+        assert "x" in daemon.rib
+        assert daemon.state() == before
+
+
 class TestInspection:
     def test_on_a_stack_the_view_includes_the_timer_table(self):
         net = build_network([("R1", "R2", 2_000)], jitter_us=0)
