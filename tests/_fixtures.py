@@ -123,6 +123,17 @@ def scenario_resolution_digest(names: List[str], seed: int = 1) -> Dict[str, Tup
     return out
 
 
+def resolved_names(names: List[str]) -> List[str]:
+    """The name of the scenario each spec in ``names`` resolves to.
+
+    Module-level so a spawned worker (fresh interpreter) can import and
+    run it: resolution must not depend on state only the parent has.
+    """
+    from repro.sweep import get_scenario
+
+    return [get_scenario(name).name for name in names]
+
+
 def run_scenario_cell(
     name: str,
     mode: str,

@@ -58,8 +58,11 @@ class TestBeaconing:
         assert service.group == 1
 
     def test_interval_override(self):
-        net = beacon_net()
-        service = BeaconService(net, interval_us=100_000)
+        net = build_network(
+            [("a", "b", 1_000), ("b", "c", 2_000)], jitter_us=0, time_unit_us=100_000
+        )
+        net.attach(lambda node: VanillaStack(node, timer_jitter_us=0))
+        service = BeaconService(net)
         service.start()
         net.run(until_us=1_000_000)
         assert service.group == 10

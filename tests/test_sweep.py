@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from _fixtures import square_graph
+from _fixtures import resolved_names, square_graph
 from _golden import assert_rows
 
 from repro.simnet.engine import SECOND
@@ -13,6 +13,7 @@ from repro.sweep import (
     Scenario,
     SweepCell,
     SweepRunner,
+    default_grid,
     crash_restart_schedule,
     ddos_overload_schedule,
     flap_storm_schedule,
@@ -153,19 +154,19 @@ class TestRunCell:
         assert result.invariant_ok is None
         assert result.deliveries > 0
 
-    def test_errors_are_captured_not_raised(self):
-        register(Scenario(
-            name="broken-test",
-            description="always explodes",
-            topology=lambda seed: (_ for _ in ()).throw(RuntimeError("boom")),
-            schedule=lambda graph, seed: None,
-        ))
-        try:
-            result = run_cell(SweepCell("broken-test", seed=1, mode="vanilla"))
-            assert result.error is not None and "boom" in result.error
-            assert result.ok is False
-        finally:
-            unregister("broken-test")
+    def test_errors_are_captured_not_raised(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text(
+            "schema: chaos/v1\n"
+            "name: broken-test\n"
+            "topology: {family: diamond}\n"
+            "events:\n"
+            "  - kind: flap_storm\n"
+            "    links: [[a, c]]\n"
+        )
+        result = run_cell(SweepCell(str(path), seed=1, mode="vanilla"))
+        assert result.ok is False
+        assert result.error is not None and "not in diamond" in result.error
 
 
 class TestSweepRunner:
@@ -310,3 +311,21 @@ class TestRuntimeRegisteredScenarioInWorkers:
             assert not report.errors()
         finally:
             unregister("custom-parallel-test")
+
+
+class TestSpawnedWorkerResolution:
+    def test_spawned_worker_resolves_every_default_spec(self):
+        """A worker started with ``spawn`` (a fresh interpreter that
+        inherits nothing from this process) resolves every default-grid
+        spec, and a sized, jittered chaos/v1 file, to its canonical name."""
+        import multiprocessing
+
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("platform has no spawn start method")
+        skew = os.path.join(
+            os.path.dirname(__file__), "..", "examples", "clock_skew_storm.yaml"
+        )
+        names = [*default_grid(), f"{skew}@20~j1us"]
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            remote = pool.apply(resolved_names, (names,))
+        assert remote == [*default_grid(), "skew-storm@20~j1us"]
