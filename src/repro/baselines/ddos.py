@@ -62,8 +62,6 @@ class DdosStack(ReplayStack):
         self._tie = 0
         self._last_key: Optional[tuple] = None
         self.late_deliveries = 0
-        self._started = False
-        self._prestart: List[Message] = []
         self._booted_once = False
         #: Set by the harness to ``lambda: beacons.group`` so a rebooting
         #: stack can rejoin at the network's *current* group instead of
@@ -121,15 +119,8 @@ class DdosStack(ReplayStack):
             self._beacon_at = {self.vt: self.sim.now}
         if self.daemon is not None:
             self.daemon.on_start()
-        self._started = True
-        buffered, self._prestart = self._prestart, []
-        for msg in buffered:
-            self.on_wire(msg)
 
     def on_wire(self, msg: Message) -> None:
-        if not self._started:
-            self._prestart.append(msg)
-            return
         if msg.protocol == "_beacon":
             if msg.payload > self.vt:
                 self.vt = msg.payload

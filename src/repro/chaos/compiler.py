@@ -4,10 +4,11 @@ The compiler is a pure function of the document: every open choice (which
 links flap, which nodes skew, each skew's magnitude) is drawn from an RNG
 stream keyed on the document *name*, the block's position, and the cell
 seed -- so one file + one seed is one deterministic execution, and two
-blocks of the same kind in one document stay independent.  Compiled
-scenarios are first-class sweep citizens: they size (``file.yaml@N`` for
-the synthetic families), fuzz (``file.yaml~j1us``), and compose
-(``file.yaml+flap-storm``) exactly like registered builtins.
+blocks of the same kind in one document stay independent.  A file is how
+a custom scenario is written: the path resolves wherever a scenario name
+does, and the compiled scenario sizes (``file.yaml@N`` for the synthetic
+families), fuzzes (``file.yaml~j1us``) and composes
+(``file.yaml+flap-storm``) exactly like the builtins.
 """
 
 from __future__ import annotations

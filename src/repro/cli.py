@@ -233,7 +233,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.compose:
         names.extend(spec.strip() for spec in args.compose.split(","))
     # chaos DSL documents join the grid by path; they take the same @N /
-    # ~jNus suffixes as registered names
+    # ~jNus suffixes as builtin names
     names.extend(file_specs)
     if args.boundary_jitter_us is not None and args.boundary_jitter_us < 0:
         raise SystemExit("--boundary-jitter-us cannot be negative")
@@ -551,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "each under ~j1us -- unless --compose is given "
                             "alone)")
     sweep.add_argument("--compose", default=None, metavar="A+B[,C+D]",
-                       help="compose registered scenarios on the fly and "
+                       help="compose scenarios on the fly and "
                             "sweep the compositions (e.g. flap_storm+partition)")
     sweep.add_argument("--scenario-file", action="append", default=None,
                        metavar="FILE[,FILE]",

@@ -50,16 +50,15 @@ CHAIN_ALLOWANCE_US = 100_000
 
 
 class BeaconService:
-    """Periodic group-number broadcast for a DEFINED-RB network."""
+    """Periodic group-number broadcast for a DEFINED-RB network.
 
-    def __init__(
-        self,
-        network: Network,
-        interval_us: Optional[int] = None,
-        recorder=None,
-    ) -> None:
+    One beacon per virtual-time unit (Section 3): the period is the
+    network's ``time_unit_us``.
+    """
+
+    def __init__(self, network: Network, recorder=None) -> None:
         self.network = network
-        self.interval_us = interval_us if interval_us is not None else network.time_unit_us
+        self.interval_us = network.time_unit_us
         if self.interval_us <= 0:
             raise ValueError("beacon interval must be positive")
         self.recorder = recorder

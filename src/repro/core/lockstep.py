@@ -534,7 +534,6 @@ class LockstepCoordinator:
         network: Network,
         recording: Recording,
         ordering: Optional[OrderingFunction] = None,
-        coordinator_node: Optional[str] = None,
     ) -> None:
         self.network = network
         self.recording = recording
@@ -542,8 +541,8 @@ class LockstepCoordinator:
         ids = network.node_ids()
         if not ids:
             raise ValueError("cannot coordinate an empty network")
-        self.coordinator_node = coordinator_node if coordinator_node else ids[0]
-        self._delays = network.delay_matrix().get(self.coordinator_node, {})
+        # the coordinator runs on the first node id
+        self._delays = network.delay_matrix().get(ids[0], {})
         self.stacks: Dict[str, LockstepStack] = {}
         self._by_group = recording.by_group()
         self.horizon = recording.horizon_group

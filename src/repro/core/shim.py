@@ -168,12 +168,6 @@ class DefinedShim(ReplayStack):
         self._future_buffer: list = []
         self._send_delay_us = 0
         self._group_open_us = 0
-        self._started = False
-        #: Arrivals before the daemon booted (staggered cold start): a
-        #: real router's NIC would drop these, but a drop at the receiver
-        #: is invisible to the sender's recording, so we hold them for the
-        #: (sub-beacon-interval) boot window instead.
-        self._prestart_buffer: list = []
         #: Distinguishes the cold boot from a reboot (node_up after a
         #: node_down): a rebooting node must rejoin at the *current*
         #: group, not at virtual time 0.
@@ -301,10 +295,6 @@ class DefinedShim(ReplayStack):
             self._group_open_us = self.sim.now
         if self.daemon is not None:
             self.daemon.on_start()
-        self._started = True
-        buffered, self._prestart_buffer = self._prestart_buffer, []
-        for msg in buffered:
-            self.on_wire(msg)
 
     def _closed_before(self) -> int:
         """First group *not* provably complete at this node right now.
@@ -345,8 +335,6 @@ class DefinedShim(ReplayStack):
         the crash lands next to a group boundary with flood traffic in
         flight.
         """
-        if not self._started:
-            return
         cutoff = self._closed_before()
         if self.recorder is not None:
             self.recorder.retag_topology_event(
@@ -420,9 +408,6 @@ class DefinedShim(ReplayStack):
     # node-facing API
     # ------------------------------------------------------------------
     def on_wire(self, msg: Message) -> None:
-        if not self._started:
-            self._prestart_buffer.append(msg)
-            return
         if msg.protocol == "_beacon":
             self._on_beacon(msg.payload)
         elif msg.protocol == "_unsend":
@@ -600,9 +585,7 @@ class DefinedShim(ReplayStack):
         rng = self._costs()
         checkpoint_cost = self.strategy.delivery_cost_us(rng)
         processing_cost = baseline_processing_model(rng)
-        stats = self.node.stats
-        stats.checkpoint_cost_us += checkpoint_cost
-        stats.record_processing(checkpoint_cost + processing_cost)
+        self.node.stats.record_processing(checkpoint_cost + processing_cost)
         # Outputs leave after the *nominal* processing latency, which is
         # exactly the per-hop term folded into d_i.  Charging the sampled
         # cost instead would add hop-accumulated variance that the delay

@@ -378,9 +378,8 @@ class EnvelopeRunner:
         #: bundles (None: no archiving).  Mapping cells never check the
         #: invariant, so only the verification pass can write bundles.
         self.artifact_dir = artifact_dir
-        # hand the real scenario list to the runner: run_cells() never
-        # reads its grid, but _worker_context's spawn-portability guard
-        # must see the names this envelope will actually ship to workers
+        # the runner supplies the pool and the supervision policy;
+        # run_cells() never reads its grid
         self._sweep = SweepRunner(
             scenarios=list(self.scenarios), seeds=self.seeds,
             workers=workers,

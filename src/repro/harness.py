@@ -84,13 +84,9 @@ class ProductionResult:
         return self.network.run_stats.all_rollback_samples()
 
 
-def ospf_daemon_factory(
-    graph: TopologyGraph,
-    hello_interval_units: int = 4,
-    retransmit_units: int = 4,
-    forward_delay_units: int = 0,
-) -> Callable:
-    """Daemon factory closing over the topology's static adjacency."""
+def ospf_daemon_factory(graph: TopologyGraph, forward_delay_units: int = 0) -> Callable:
+    """Daemon factory closing over the topology's static adjacency
+    (hello and retransmit intervals at :class:`OspfDaemon`'s defaults)."""
     adjacency = {n: sorted(peers) for n, peers in graph.adjacency().items()}
 
     def factory(node_id: str, stack) -> OspfDaemon:
@@ -98,8 +94,6 @@ def ospf_daemon_factory(
             node_id,
             stack,
             neighbors=adjacency[node_id],
-            hello_interval_units=hello_interval_units,
-            retransmit_units=retransmit_units,
             forward_delay_units=forward_delay_units,
         )
 
@@ -135,19 +129,18 @@ def build_ospf_network(
     comp_log: Optional[ComprehensiveLog] = None
 
     if mode == "vanilla":
-        net.attach_vanilla(factory, timer_jitter_us=20_000)
-        for node in net.nodes.values():
-            assert isinstance(node.stack, VanillaStack)
-            node.stack.proc_model = baseline_processing_model
+        net.attach(
+            lambda node: VanillaStack(node, proc_model=baseline_processing_model),
+            factory,
+        )
     elif mode == "logging":
         comp_log = ComprehensiveLog()
-
-        def logging_stack(node: Node) -> LoggingStack:
-            stack = LoggingStack(node, comp_log, timer_jitter_us=20_000)
-            stack.proc_model = baseline_processing_model
-            return stack
-
-        net.attach(logging_stack, factory)
+        net.attach(
+            lambda node: LoggingStack(
+                node, comp_log, proc_model=baseline_processing_model
+            ),
+            factory,
+        )
     elif mode == "defined":
         net.assert_lossless("DEFINED-RB")
         recorder = Recorder()

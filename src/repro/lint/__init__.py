@@ -2,17 +2,17 @@
 
 ``run_lint(paths)`` walks the given files/directories, runs the D-rules
 (:mod:`repro.lint.drules`) and S-rules (:mod:`repro.lint.srules`) over
-each, applies inline ``# repro-lint: disable=...`` pragmas and the
-committed baseline, and returns a :class:`LintResult`.  The runtime
-half of the same contract is the StateStore sanitizer
-(``REPRO_SANITIZE=1``; see :mod:`repro.core.statestore`).
+each, applies inline ``# repro-lint: disable=...`` pragmas (the only
+suppression), and returns a :class:`LintResult`.  The runtime half of
+the same contract is the StateStore sanitizer (``REPRO_SANITIZE=1``;
+see :mod:`repro.core.statestore`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.lint import suppress as _suppress
 from repro.lint.engine import (
@@ -44,68 +44,36 @@ RULES: Dict[str, str] = {
               "`schema: chaos/...` header) must validate and compile",
 }
 
-DEFAULT_BASELINE = "lint-baseline.json"
-
 
 @dataclasses.dataclass
 class LintResult:
     active: List[Finding]
     pragma_suppressed: List[Finding]
-    baselined: List[Finding]
-    stale_baseline: List[Dict[str, object]]
     checked_files: int
 
-    @property
-    def clean(self) -> bool:
-        return not self.active
 
-    @property
-    def strict_clean(self) -> bool:
-        return not self.active and not self.stale_baseline
-
-
-def run_lint(
-    paths: List[str],
-    root: Optional[str] = None,
-    baseline_path: Optional[str] = None,
-) -> LintResult:
+def run_lint(paths: List[str], root: Optional[str] = None) -> LintResult:
     root = os.path.abspath(root or os.getcwd())
-    all_active: List[Finding] = []
-    all_pragma: List[Finding] = []
-    checked = 0
+    checked: List[Tuple[str, List[Finding]]] = []
     for path, relpath in iter_python_files(paths, root):
-        checked += 1
-        findings = check_file(path, relpath)
-        if not findings:
-            continue
-        with open(path, "r", encoding="utf-8") as fh:
-            disabled = _suppress.pragma_lines(fh.read().splitlines())
-        active, suppressed = _suppress.apply_pragmas(findings, disabled)
-        all_active.extend(active)
-        all_pragma.extend(suppressed)
+        checked.append((path, check_file(path, relpath)))
     for path, relpath in iter_scenario_files(paths, root):
         findings = check_scenario_file(path, relpath)
-        if findings is None:
-            continue  # YAML/JSON without a chaos header is not ours
-        checked += 1
+        if findings is not None:  # YAML/JSON without a chaos header is not ours
+            checked.append((path, findings))
+    active: List[Finding] = []
+    pragma: List[Finding] = []
+    for path, findings in checked:
         if not findings:
             continue
         with open(path, "r", encoding="utf-8") as fh:
             disabled = _suppress.pragma_lines(fh.read().splitlines())
-        active, suppressed = _suppress.apply_pragmas(findings, disabled)
-        all_active.extend(active)
-        all_pragma.extend(suppressed)
-    entries: List[Dict[str, object]] = []
-    if baseline_path:
-        entries = _suppress.load_baseline(baseline_path)
-    active, baselined, stale = _suppress.apply_baseline(all_active, entries)
+        kept, suppressed = _suppress.apply_pragmas(findings, disabled)
+        active.extend(kept)
+        pragma.extend(suppressed)
     active.sort()
     return LintResult(
-        active=active,
-        pragma_suppressed=all_pragma,
-        baselined=baselined,
-        stale_baseline=stale,
-        checked_files=checked,
+        active=active, pragma_suppressed=pragma, checked_files=len(checked)
     )
 
 
@@ -113,6 +81,5 @@ __all__ = [
     "Finding",
     "LintResult",
     "RULES",
-    "DEFAULT_BASELINE",
     "run_lint",
 ]

@@ -1,9 +1,7 @@
 """CLI glue for ``repro lint``.
 
-Exit status: 0 clean; 1 active findings (or, under ``--strict``, stale
-baseline entries); 2 usage errors.  ``--write-baseline`` records the
-current active findings as the new baseline and exits 0 -- the
-adoption path for turning the gate on before every hazard is fixed.
+Exit status: 0 clean; 1 active findings; 2 usage errors.  A finding is
+silenced only by an inline pragma (:mod:`repro.lint.suppress`).
 """
 
 from __future__ import annotations
@@ -11,10 +9,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List
 
-from repro.lint import DEFAULT_BASELINE, run_lint
-from repro.lint import suppress as _suppress
+from repro.lint import run_lint
 from repro.lint.report import format_json, format_text
 
 
@@ -22,18 +19,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths", nargs="*", default=None,
         help="files/directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="record current findings as the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="also fail on stale baseline entries",
     )
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -44,38 +29,17 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 def main(args: argparse.Namespace) -> int:
     paths: List[str] = args.paths or ["src/repro"]
     root = os.getcwd()
-    baseline: Optional[str] = args.baseline
-    if baseline is None and os.path.exists(os.path.join(root, DEFAULT_BASELINE)):
-        baseline = os.path.join(root, DEFAULT_BASELINE)
     for raw in paths:
         target = raw if os.path.isabs(raw) else os.path.join(root, raw)
         if not os.path.exists(target):
             print(f"repro lint: no such path: {raw}", file=sys.stderr)
             return 2
 
-    result = run_lint(paths, root=root, baseline_path=baseline)
-
-    if args.write_baseline:
-        target = baseline or os.path.join(root, DEFAULT_BASELINE)
-        _suppress.write_baseline(target, result.active)
-        print(
-            f"wrote {len(result.active)} entr"
-            f"{'y' if len(result.active) == 1 else 'ies'} to {target}"
-        )
-        return 0
-
+    result = run_lint(paths, root=root)
     formatter = format_json if args.as_json else format_text
     print(
         formatter(
-            result.active,
-            len(result.pragma_suppressed),
-            len(result.baselined),
-            result.stale_baseline,
-            result.checked_files,
+            result.active, len(result.pragma_suppressed), result.checked_files
         )
     )
-    if result.active:
-        return 1
-    if args.strict and result.stale_baseline:
-        return 1
-    return 0
+    return 1 if result.active else 0

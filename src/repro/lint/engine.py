@@ -42,11 +42,6 @@ class Finding:
     message: str
     hint: str = ""
 
-    def key(self) -> Tuple[str, str, int]:
-        """Identity used by baseline matching (column-insensitive so a
-        reformat does not churn the baseline)."""
-        return (self.path, self.rule, self.line)
-
 
 class FileContext:
     """Everything a rule needs to know about one source file."""
@@ -223,7 +218,7 @@ def check_scenario_file(path: str, relpath: str) -> Optional[List[Finding]]:
 
     Returns ``None`` when the file is not a chaos scenario at all (no
     ``schema: chaos/...`` header) so ambient YAML/JSON -- CI configs,
-    baselines -- is not dragged under the schema.  A scenario that fails
+    reports -- is not dragged under the schema.  A scenario that fails
     to parse or validate yields one finding per issue, anchored at the
     offending line/column."""
     from repro import chaos

@@ -3,45 +3,26 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import List
 
 from repro.lint.engine import Finding
 
 
-def format_text(
-    active: List[Finding],
-    suppressed: int,
-    baselined: int,
-    stale: List[Dict[str, object]],
-    checked_files: int,
-) -> str:
+def format_text(active: List[Finding], suppressed: int, checked_files: int) -> str:
     out: List[str] = []
     for f in active:
         line = f"{f.path}:{f.line}:{f.col}: {f.rule} {f.message}"
         if f.hint:
             line += f"  [fix: {f.hint}]"
         out.append(line)
-    for entry in stale:
-        out.append(
-            f"stale baseline entry: {entry.get('path')}:{entry.get('line')} "
-            f"{entry.get('rule')} no longer matches any finding -- remove it"
-        )
-    summary = (
+    out.append(
         f"{len(active)} finding(s) in {checked_files} file(s)"
-        f" ({suppressed} pragma-suppressed, {baselined} baselined"
-        f", {len(stale)} stale baseline entr{'y' if len(stale) == 1 else 'ies'})"
+        f" ({suppressed} pragma-suppressed)"
     )
-    out.append(summary)
     return "\n".join(out)
 
 
-def format_json(
-    active: List[Finding],
-    suppressed: int,
-    baselined: int,
-    stale: List[Dict[str, object]],
-    checked_files: int,
-) -> str:
+def format_json(active: List[Finding], suppressed: int, checked_files: int) -> str:
     return json.dumps(
         {
             "findings": [
@@ -56,8 +37,6 @@ def format_json(
                 for f in active
             ],
             "suppressed": suppressed,
-            "baselined": baselined,
-            "stale_baseline": stale,
             "checked_files": checked_files,
         },
         indent=2,

@@ -1,4 +1,4 @@
-"""Suppression handling: inline pragmas and the committed baseline.
+"""Suppression handling: inline pragmas, the only way to silence a finding.
 
 Pragma syntax (trailing on the flagged line, or a standalone comment
 line applying to the next code line)::
@@ -10,17 +10,10 @@ line applying to the next code line)::
 Each rule id may carry a parenthesised reason; reasons are encouraged
 (they survive as in-tree documentation of *why* the hazard is benign)
 but not required.
-
-The baseline (``lint-baseline.json``) is a committed list of
-``{"path", "rule", "line"}`` entries for pre-existing findings, so the
-gate can land without a flag-day fix-up.  Baseline entries that no
-longer match any finding are *stale* and reported (an error under
-``--strict``): a shrinking baseline should shrink the file too.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -66,50 +59,3 @@ def apply_pragmas(
         else:
             active.append(finding)
     return active, suppressed
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-def load_baseline(path: str) -> List[Dict[str, object]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return []
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: baseline must be a JSON list of entries")
-    return data
-
-
-def write_baseline(path: str, findings: List[Finding]) -> None:
-    entries = [
-        {"path": f.path, "rule": f.rule, "line": f.line}
-        for f in sorted(findings)
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def apply_baseline(
-    findings: List[Finding], entries: List[Dict[str, object]]
-) -> Tuple[List[Finding], List[Finding], List[Dict[str, object]]]:
-    """Split findings into (active, baselined); also return the stale
-    baseline entries that matched nothing."""
-    keys = {(e.get("path"), e.get("rule"), e.get("line")) for e in entries}
-    active: List[Finding] = []
-    baselined: List[Finding] = []
-    matched: Set[Tuple[object, object, object]] = set()
-    for finding in findings:
-        key = finding.key()
-        if key in keys:
-            baselined.append(finding)
-            matched.add(key)
-        else:
-            active.append(finding)
-    stale = [
-        e for e in entries
-        if (e.get("path"), e.get("rule"), e.get("line")) not in matched
-    ]
-    return active, baselined, stale

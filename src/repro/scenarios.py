@@ -18,8 +18,8 @@ functions return both the observable *outcome* (which path won / whether
 the black hole formed) and the full :class:`~repro.harness.ProductionResult`,
 so tests and benches can assert nondeterminism under the vanilla stack,
 determinism under DEFINED-RB, and exact reproduction under DEFINED-LS.
-Importing this module registers the seven builtins the spec grammar
-cannot derive: both case studies and the five fault-injection families.
+:data:`BUILTINS` holds the seven builtins the spec grammar cannot
+derive: both case studies and the five fault-injection families.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.sweep import (
     flap_storm_scenario,
     latency_jitter_scenario,
     partition_scenario,
-    register,
     run_scenario,
 )
 from repro.topology import TopologyGraph
@@ -318,9 +317,9 @@ def quagga_rip_scenario(
 #
 # The seven scenarios the spec grammar cannot derive.  Compositions
 # ("a+b"), boundary-jitter variants ("a~j1us") and sizes ("a@N") are
-# specs over them, resolved by name without registration.
+# specs over them, resolved by name (repro.sweep.get_scenario).
 
-for _scenario in [
+BUILTINS = (
     xorp_bgp(),
     quagga_rip(),
     flap_storm_scenario(),
@@ -328,8 +327,7 @@ for _scenario in [
     partition_scenario(),
     latency_jitter_scenario(),
     ddos_overload_scenario(),
-]:
-    register(_scenario)
+)
 
 #: The two canonical stress compositions in the default grid: a
 #: partition cut in the middle of a flap storm, and a router crash during

@@ -116,20 +116,6 @@ class EventSchedule:
             out.extend(other.events)
         return out
 
-    def shifted(self, offset_us: int) -> "EventSchedule":
-        """A new schedule with every event moved by ``offset_us``."""
-        out = EventSchedule()
-        for event in self.events:
-            out.add(
-                ExternalEvent(
-                    time_us=event.time_us + offset_us,
-                    kind=event.kind,
-                    target=event.target,
-                    data=event.data,
-                )
-            )
-        return out
-
     def kinds(self) -> Tuple[str, ...]:
         """Distinct event kinds present, sorted (for reports and tests)."""
         return tuple(sorted({e.kind for e in self.events}))

@@ -28,7 +28,7 @@ from repro.simnet.events import (
 from repro.simnet.faults import LinkFaultWindow, NetworkTuning
 from repro.simnet.link import DelayModel, Link
 from repro.simnet.messages import Message
-from repro.simnet.node import Node, Stack, VanillaStack
+from repro.simnet.node import Node, Stack
 from repro.simnet.stats import RunStats
 
 #: Default virtual-time unit: the paper broadcasts one beacon every 250 ms
@@ -159,33 +159,17 @@ class Network:
             if daemon_factory is not None:
                 node.daemon = daemon_factory(node.node_id, node.stack)
 
-    def attach_vanilla(
-        self,
-        daemon_factory: Optional[DaemonFactory] = None,
-        timer_jitter_us: int = 20_000,
-    ) -> None:
-        """Attach the uninstrumented baseline stack everywhere."""
-        self.attach(
-            lambda node: VanillaStack(node, timer_jitter_us=timer_jitter_us),
-            daemon_factory,
-        )
+    def start(self) -> None:
+        """Boot every node's stack and daemon, in node-id order, before
+        any event runs.
 
-    def start(self, stagger_us: int = 0) -> None:
-        """Boot every node's stack/daemon (deterministic node-id order).
-
-        ``stagger_us`` optionally spaces the boots out (node index times
-        the value).  Caveat for DEFINED-RB networks: the delay-sensitive
-        ordering assumes origins transmit at roughly the same time
-        (Section 2.2), so staggering boots makes later nodes' boot
-        traffic systematically late relative to its d_i estimates and
-        multiplies rollbacks.  Keep any spread below one beacon interval
-        so all boot traffic stays in group 0.
+        Every origin starts transmitting at the same instant, as the
+        delay-sensitive ordering assumes (Section 2.2), and no stack can
+        receive a packet or an event before it has booted.  A reboot
+        happens inside its ``node_up`` event (:meth:`apply_event`).
         """
-        for index, node_id in enumerate(sorted(self.nodes)):
-            if stagger_us <= 0:
-                self.nodes[node_id].start()
-            else:
-                self.sim.schedule(index * stagger_us, self.nodes[node_id].start)
+        for node_id in sorted(self.nodes):
+            self.nodes[node_id].start()
 
     # ------------------------------------------------------------------
     # topology queries

@@ -206,8 +206,6 @@ class VanillaStack(Stack):
         self._rng: Optional[random.Random] = None
         self._cost_rng: Optional[random.Random] = None
         self._send_delay_us = 0
-        self._started = False
-        self._prestart: list = []
 
     def _timer_rng(self) -> random.Random:
         if self._rng is None:
@@ -260,13 +258,6 @@ class VanillaStack(Stack):
     def start(self) -> None:
         if self.daemon is not None:
             self.daemon.on_start()
-        self._started = True
-        buffered, self._prestart = self._prestart, []
-        for kind, item in buffered:
-            if kind == "wire":
-                self.on_wire(item)
-            else:
-                self.on_external(item)
 
     def _proc_cost_us(self) -> int:
         if self.proc_model is None:
@@ -280,10 +271,6 @@ class VanillaStack(Stack):
     def on_wire(self, msg: Message) -> None:
         if msg.is_control:
             return  # vanilla nodes ignore DEFINED control traffic
-        if not self._started:
-            # staggered cold boot: hold arrivals for the boot window
-            self._prestart.append(("wire", msg))
-            return
         self.log_delivery(f"msg:{msg.protocol}:{msg.src}:{_payload_tag(msg.payload)}")
         self.node.stats.deliveries += 1
         cost = self._proc_cost_us()
@@ -297,9 +284,6 @@ class VanillaStack(Stack):
                 self._send_delay_us = 0
 
     def on_external(self, event: ExternalEvent) -> None:
-        if not self._started:
-            self._prestart.append(("ext", event))
-            return
         self.log_delivery(f"ext:{event.kind}:{event.target!r}")
         if self.daemon is not None:
             self.daemon.on_external(event)

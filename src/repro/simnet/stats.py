@@ -42,7 +42,6 @@ class NodeStats:
     annihilated: int = 0
 
     # --- modelled costs (simulated microseconds) -----------------------
-    checkpoint_cost_us: int = 0
     restore_cost_us: int = 0
     replay_cost_us: int = 0
     processing_samples_us: List[int] = field(default_factory=list)
@@ -55,12 +54,14 @@ class NodeStats:
     virtual_memory_samples: array = field(default_factory=lambda: array("q"))
     physical_memory_samples: array = field(default_factory=lambda: array("q"))
 
-    def total_packets(self, include_control: bool = True) -> int:
-        """Packets this node handled (sent + received)."""
-        total = self.data_packets_sent + self.data_packets_received
-        if include_control:
-            total += self.control_packets_sent + self.control_packets_received
-        return total
+    def total_packets(self) -> int:
+        """Packets this node handled (sent + received), control included."""
+        return (
+            self.data_packets_sent
+            + self.data_packets_received
+            + self.control_packets_sent
+            + self.control_packets_received
+        )
 
     def record_processing(self, cost_us: int) -> None:
         self.processing_samples_us.append(cost_us)
@@ -93,12 +94,9 @@ class RunStats:
             self.per_node[node_id] = NodeStats(node=node_id)
         return self.per_node[node_id]
 
-    def packets_per_node(self, include_control: bool = True) -> List[int]:
+    def packets_per_node(self) -> List[int]:
         """The Fig 6a metric: one number per node (sorted node order)."""
-        return [
-            self.per_node[nid].total_packets(include_control)
-            for nid in sorted(self.per_node)
-        ]
+        return [self.per_node[nid].total_packets() for nid in sorted(self.per_node)]
 
     def total_rollbacks(self) -> int:
         return sum(s.rollbacks for s in self.per_node.values())

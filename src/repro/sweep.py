@@ -10,10 +10,10 @@ whole *grid*:
   factory, an optional daemon factory and an expected-outcome predicate
   -- with every random choice derived from the cell's seed, so a grid
   cell is a pure function of ``(scenario, seed, mode)``;
-* a registry (:func:`register` / :func:`get_scenario`) names the
-  scenarios the spec grammar cannot derive, so grid cells stay picklable
-  and the CLI can address them; :func:`default_grid` is the grid a sweep
-  runs when none is named;
+* the builtin catalogue (:data:`repro.scenarios.BUILTINS`, read through
+  :func:`get_scenario`) names the scenarios the spec grammar cannot
+  derive, so grid cells stay picklable and the CLI can address them;
+  :func:`default_grid` is the grid a sweep runs when none is named;
 * :func:`run_scenario` is the one path from a scenario to a production
   run, for grid cells and the paper's case studies alike;
 * a family of parameterized fault-injection generators synthesizes
@@ -26,7 +26,7 @@ whole *grid*:
   per-run determinism is untouched -- and aggregates a
   divergence/determinism report, verifying the Theorem-1 invariant
   (``replay.fingerprint == defined.fingerprint``) for every DEFINED cell;
-* :func:`compose` overlays any registered scenarios into a new one
+* :func:`compose` overlays any scenarios into a new one
   (merged schedules on seed-split RNG streams, widest topology, AND-ed
   expectations, mode intersection), so every pair of scenarios is itself
   a scenario -- ``partition`` during a ``flap-storm``, a crash in the
@@ -38,12 +38,13 @@ whole *grid*:
 * :class:`FuzzRunner` sweeps jittered grids across (scenario, seed,
   jitter) and shrinks any divergence to the smallest failing triple.
 
-Composed, sized and jittered scenarios are addressable *by name* without
-registration (``a+b``, ``a@40``, ``a~j2us``; the grammar is
-:class:`_Spec`'s), and only the seven builtins that no spec derives are
-registered (:mod:`repro.scenarios`).  Name resolution is a pure function
-of that catalogue, so the names travel to worker processes regardless
-of the multiprocessing start method.
+Composed, sized and jittered scenarios are addressable *by name*
+(``a+b``, ``a@40``, ``a~j2us``; the grammar is :class:`_Spec`'s) over
+the seven builtins that no spec derives (:mod:`repro.scenarios`) and
+chaos/v1 files (:mod:`repro.chaos`), which is how a custom scenario is
+written.  The catalogue is a constant, so name resolution is a pure
+function of the name and the files it reads, and the names travel to
+worker processes regardless of the multiprocessing start method.
 
 Two scale-out mechanisms round the grid machinery out:
 
@@ -204,43 +205,20 @@ class Scenario:
 
 
 # ----------------------------------------------------------------------
-# registry
+# the builtin catalogue
 # ----------------------------------------------------------------------
 
-_REGISTRY: Dict[str, Scenario] = {}
-_BUILTINS_LOADED = False
-_BUILTIN_NAMES: frozenset = frozenset()
+_BUILTINS: Dict[str, Scenario] = {}
 
 
-def register(scenario: Scenario, replace: bool = False) -> Scenario:
-    """Add a scenario to the global registry (idempotent per name)."""
-    if scenario.name in _REGISTRY and not replace:
-        existing = _REGISTRY[scenario.name]
-        if existing is not scenario:
-            raise ValueError(f"scenario {scenario.name!r} already registered")
-        return existing
-    if scenario.name in _REGISTRY:
-        # cached compositions may close over the scenario being replaced
-        _DYNAMIC_CACHE.clear()
-    _REGISTRY[scenario.name] = scenario
-    return scenario
+def _builtins() -> Dict[str, Scenario]:
+    """:data:`repro.scenarios.BUILTINS` by name, loaded on first use
+    (:mod:`repro.scenarios` imports this module)."""
+    if not _BUILTINS:
+        from repro.scenarios import BUILTINS
 
-
-def unregister(name: str) -> None:
-    _REGISTRY.pop(name, None)
-    # composed/jittered resolutions may close over the removed scenario
-    _DYNAMIC_CACHE.clear()
-
-
-def _ensure_builtins() -> None:
-    """Importing :mod:`repro.scenarios` registers the builtin scenario
-    set (case studies + fault-injection family) exactly once."""
-    global _BUILTINS_LOADED, _BUILTIN_NAMES
-    if not _BUILTINS_LOADED:
-        import repro.scenarios  # noqa: F401  (import-time registration)
-
-        _BUILTINS_LOADED = True
-        _BUILTIN_NAMES = frozenset(_REGISTRY)
+        _BUILTINS.update((scenario.name, scenario) for scenario in BUILTINS)
+    return _BUILTINS
 
 
 #: ``name~j<N>us`` -- the boundary-jitter suffix.
@@ -253,8 +231,7 @@ _SIZE_SUFFIX = re.compile(r"^(?P<base>.+)@(?P<n>\d+)$")
 _PAREN_SPEC = re.compile(r"^\((?P<base>[^()]+)\)(?:@(?P<n>\d+))?$")
 
 #: Cache for dynamically resolved (composed / sized / jittered)
-#: scenarios, kept out of the registry so lookups don't grow
-#: ``scenario_names()``.
+#: scenarios.
 _DYNAMIC_CACHE: Dict[str, Scenario] = {}
 
 #: Scenario-file components (chaos DSL documents) are recognized by
@@ -305,7 +282,8 @@ class _Component:
                     f"component {text!r} already carries a size; cannot re-size"
                 )
             base, size = match.group("base"), int(match.group("n"))
-        if base not in _REGISTRY and base.replace("_", "-") in _REGISTRY:
+        builtins = _builtins()
+        if base not in builtins and base.replace("_", "-") in builtins:
             base = base.replace("_", "-")
         return cls(base, size, jitter)
 
@@ -316,14 +294,14 @@ class _Component:
     def resolve(self) -> Optional[Scenario]:
         if _is_scenario_file(self.name):
             scenario = _load_scenario_file(self.name)
-        elif self.name in _REGISTRY:
-            scenario = _REGISTRY[self.name]
+        elif self.name in _builtins():
+            scenario = _builtins()[self.name]
         else:
             return None
         if self.size is not None:
             scenario = scenario.sized(self.size)
         if self.jitter is not None:
-            scenario = jittered(scenario, jitter_us=self.jitter)
+            scenario = jittered(scenario, self.jitter)
         return scenario
 
 
@@ -350,9 +328,9 @@ class _Spec:
       after parens it always covers the whole spec
       (``(a~j1us+b)~j5us``);
     * ``name`` is any text without ``+`` (nor parens, inside parens):
-      a registered scenario (an underscore alias parses to the
-      registered spelling) or a chaos/v1 file path; unknown names parse
-      and fail to resolve.
+      a builtin scenario (an underscore alias parses to the builtin
+      spelling) or a chaos/v1 file path; unknown names parse and fail
+      to resolve.
 
     Parse errors: stacked jitter on one target (``a~j1us~j2us``,
     ``(a~j1us)~j2us``), a size after a jitter suffix (``a~j1us@20``) and
@@ -370,7 +348,6 @@ class _Spec:
 
     @classmethod
     def parse(cls, text: str) -> "_Spec":
-        _ensure_builtins()
         body, jitter = cls.split_jitter(text)
         paren = _PAREN_SPEC.match(body)
         if paren:
@@ -473,13 +450,13 @@ class _Spec:
             parts.append(scenario)
         scenario = compose(*parts) if len(parts) > 1 else parts[0]
         if self.jitter is not None:
-            scenario = jittered(scenario, jitter_us=self.jitter)
+            scenario = jittered(scenario, self.jitter)
         return scenario
 
 
 def canonical_scenario_name(name: str) -> str:
     """The canonical spelling of a scenario spec (see :class:`_Spec`):
-    registered component spellings, suffixes kept, parens only where
+    builtin component spellings, suffixes kept, parens only where
     they change the meaning.  Unknown names pass through, so they fail
     later with the full lookup error; parse errors raise here."""
     return str(_Spec.parse(name))
@@ -510,16 +487,15 @@ def _grid_specs(
 
 
 def get_scenario(name: str) -> Scenario:
-    """Look up a registered scenario or a chaos DSL file
+    """Look up a builtin scenario or a chaos DSL file
     (``.yaml`` / ``.yml`` / ``.json``, :mod:`repro.chaos`), or resolve
     a spec over them (:class:`_Spec`: ``a+b``, ``a@40``, ``a~j1us``,
-    ``examples/skew.yaml@20~j1us``).  Resolution only reads the
-    registry, so any process that imports the builtin catalogue
-    resolves a name to the same scenario, whatever the multiprocessing
-    start method."""
-    _ensure_builtins()
-    if name in _REGISTRY:
-        return _REGISTRY[name]
+    ``examples/skew.yaml@20~j1us``).  The catalogue is a constant, so
+    every process resolves a name to the same scenario, whatever the
+    multiprocessing start method."""
+    builtins = _builtins()
+    if name in builtins:
+        return builtins[name]
     if _is_scenario_file(name):
         return _load_scenario_file(name)
     scenario = _DYNAMIC_CACHE.get(name)
@@ -529,7 +505,7 @@ def get_scenario(name: str) -> Scenario:
     scenario = spec.resolve()
     if scenario is None:
         raise KeyError(
-            f"unknown scenario {name!r}; registered: {scenario_names()} "
+            f"unknown scenario {name!r}; builtins: {scenario_names()} "
             "(or compose with 'a+b', size with 'a@<N>', fuzz with 'a~j<N>us')"
         )
     if not any(_is_scenario_file(comp.name) for comp in spec.comps):
@@ -540,25 +516,20 @@ def get_scenario(name: str) -> Scenario:
 
 
 def scenario_names() -> List[str]:
-    """Registered scenario names: the builtins (and any scenario
-    registered at runtime), without the specs derived from them."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    """The builtin scenario names, without the specs derived from them."""
+    return sorted(_builtins())
 
 
 def default_grid() -> List[str]:
-    """The default sweep grid: every registered scenario, the builtin
+    """The default sweep grid: every builtin scenario, the builtin
     compositions (:data:`repro.scenarios.COMPOSITIONS`), and each builtin
     and composition under 1 us of boundary jitter.  Sizes (``name@N``)
     opt in by name: an 80-node cell runs for minutes."""
-    _ensure_builtins()
     from repro.scenarios import COMPOSITIONS
 
-    jittered_specs = [
-        str(_Spec.parse(name).rejittered(1))
-        for name in [*_BUILTIN_NAMES, *COMPOSITIONS]
-    ]
-    return sorted({*_REGISTRY, *COMPOSITIONS, *jittered_specs})
+    names = [*_builtins(), *COMPOSITIONS]
+    jittered_specs = [str(_Spec.parse(name).rejittered(1)) for name in names]
+    return sorted({*names, *jittered_specs})
 
 
 # ----------------------------------------------------------------------
@@ -577,17 +548,12 @@ def seed_split(seed: int, tag: str) -> int:
     return zlib.crc32(f"{tag}|{seed}".encode()) & 0x7FFFFFFF
 
 
-def compose(
-    *components: "Scenario | str",
-    name: Optional[str] = None,
-    offsets_us: Optional[Sequence[int]] = None,
-) -> Scenario:
+def compose(*comps: Scenario) -> Scenario:
     """Overlay two or more scenarios into one composed scenario.
 
     * **schedule**: each component's schedule is built with a seed-split
       RNG stream (:func:`seed_split` over the composed name and component
-      index), optionally shifted by its entry in ``offsets_us``, then
-      merged via :meth:`EventSchedule.merged`;
+      index), then merged via :meth:`EventSchedule.merged`;
     * **topology**: widest-topology resolution -- per seed, every
       component's topology is built and the one with the most nodes (then
       edges) hosts the composition, so every component's fault generator
@@ -601,11 +567,8 @@ def compose(
     Scenarios with custom daemons (the paper case studies) are not
     composable: their daemons close over their own fixed topologies.
     """
-    if len(components) < 2:
+    if len(comps) < 2:
         raise ValueError("compose() needs at least two scenarios")
-    comps: List[Scenario] = [
-        get_scenario(c) if isinstance(c, str) else c for c in components
-    ]
     for comp in comps:
         if comp.daemon is not None:
             raise ValueError(
@@ -623,22 +586,17 @@ def compose(
             "composed scenarios share no modes: "
             + "; ".join(f"{c.name}={c.modes}" for c in comps)
         )
-    offsets = tuple(offsets_us) if offsets_us is not None else (0,) * len(comps)
-    if len(offsets) != len(comps):
-        raise ValueError("offsets_us must match the component count")
-    composed_name = name or _Spec.join([c.name for c in comps])
+    composed_name = _Spec.join([c.name for c in comps])
 
     def topology(seed: int) -> TopologyGraph:
         graphs = [c.topology(seed) for c in comps]
         return max(graphs, key=lambda g: (g.node_count(), g.edge_count()))
 
     def schedule(graph: TopologyGraph, seed: int) -> EventSchedule:
-        parts = []
-        for i, (comp, offset) in enumerate(zip(comps, offsets)):
-            part = comp.schedule(
-                graph, seed_split(seed, f"{composed_name}#{i}:{comp.name}")
-            )
-            parts.append(part.shifted(offset) if offset else part)
+        parts = [
+            comp.schedule(graph, seed_split(seed, f"{composed_name}#{i}:{comp.name}"))
+            for i, comp in enumerate(comps)
+        ]
         return parts[0].merged(*parts[1:])
 
     predicates = [c.expect for c in comps if c.expect is not None]
@@ -669,7 +627,7 @@ def compose(
     sizer: Optional[Callable[[int], Scenario]] = None
     if all(c.sizer is not None for c in comps):
         def sizer(n: int) -> Scenario:
-            return compose(*(c.sized(n) for c in comps), offsets_us=offsets)
+            return compose(*(c.sized(n) for c in comps))
 
     return Scenario(
         name=composed_name,
@@ -687,28 +645,23 @@ def compose(
     )
 
 
-def jittered(
-    base: "Scenario | str",
-    jitter_us: int = 1,
-    boundary_us: int = DEFAULT_TIME_UNIT_US,
-    name: Optional[str] = None,
-) -> Scenario:
-    """The boundary-jitter fuzzer: ``base`` with every external event
-    snapped onto a beacon-group boundary +/- ``jitter_us`` of seed-derived
-    jitter (see :meth:`EventSchedule.boundary_jittered`).
+def jittered(scenario: Scenario, jitter_us: int) -> Scenario:
+    """The boundary-jitter fuzzer: ``scenario`` with every external event
+    snapped onto a beacon-group boundary (one virtual-time unit,
+    :data:`~repro.simnet.network.DEFAULT_TIME_UNIT_US`) +/- ``jitter_us``
+    of seed-derived jitter (see :meth:`EventSchedule.boundary_jittered`).
 
     Group boundaries are where external-event tagging, the per-group
     ordering function and anti-message retraction hand off, so this is
     the adversarial placement for the DEFINED machinery; Theorem 1 must
     hold regardless.
     """
-    scenario = get_scenario(base) if isinstance(base, str) else base
-    fuzz_name = name or _Spec.jitter_name(scenario.name, jitter_us)
+    fuzz_name = _Spec.jitter_name(scenario.name, jitter_us)
     base_schedule = scenario.schedule
 
     def schedule(graph: TopologyGraph, seed: int) -> EventSchedule:
         return base_schedule(graph, seed).boundary_jittered(
-            boundary_us,
+            DEFAULT_TIME_UNIT_US,
             seed_split(seed, fuzz_name),
             jitter_us=jitter_us,
             tag=f"fuzz|{fuzz_name}",
@@ -721,9 +674,7 @@ def jittered(
     sizer: Optional[Callable[[int], Scenario]] = None
     if scenario.sizer is not None:
         def sizer(n: int) -> Scenario:
-            return jittered(
-                scenario.sized(n), jitter_us=jitter_us, boundary_us=boundary_us
-            )
+            return jittered(scenario.sized(n), jitter_us)
 
     return replace(
         scenario,
@@ -1396,7 +1347,6 @@ def run_cell(cell: SweepCell) -> CellResult:
     Never raises: failures come back as ``error`` so one bad cell cannot
     sink a whole sweep.
     """
-    _ensure_builtins()
     start = time.perf_counter()
     try:
         scenario = get_scenario(cell.scenario)
@@ -1448,17 +1398,6 @@ def run_cell(cell: SweepCell) -> CellResult:
             wall_seconds=time.perf_counter() - start,
             error=f"{type(exc).__name__}: {exc}",
         )
-
-
-def _spawn_portable(name: str) -> bool:
-    """Whether a spawned worker (fresh interpreter, builtin catalogue
-    only) can resolve this scenario name: every component is a builtin
-    or a file (workers share the filesystem)."""
-    try:
-        comps = _Spec.parse(name).comps
-    except ValueError:
-        return False  # malformed: resolution will fail loudly anyway
-    return all(comp.name in _BUILTIN_NAMES or _is_scenario_file(comp.name) for comp in comps)
 
 
 # ----------------------------------------------------------------------
@@ -1752,7 +1691,10 @@ class SweepRunner:
     :mod:`multiprocessing.shared_memory` ring that the parent consumes
     incrementally (:mod:`repro.sweep_stream`): progress callbacks fire
     in *completion* order as cells finish, and the parent never holds
-    more than the ring's worth of in-flight transport state.
+    more than the ring's worth of in-flight transport state.  A worker
+    resolves each cell's scenario by name, as this process does, so the
+    pool takes ``fork`` where the platform has it (cheap start) and the
+    default start method elsewhere.
 
     Every grid runs under :attr:`policy`.  ``cell_timeout_s`` arms the
     watchdog (hung workers are reaped, the cell surfaces ``timed_out``;
@@ -1816,34 +1758,6 @@ class SweepRunner:
         #: Directory Theorem-1 divergences are archived into as run
         #: bundles (None: no archiving); see :attr:`SweepCell.artifact_dir`.
         self.artifact_dir = artifact_dir
-
-    def _worker_context(self):
-        """Multiprocessing context for the pool.
-
-        Workers rebuild the registry by importing :mod:`repro.scenarios`,
-        which only covers the builtin catalogue -- scenarios registered at
-        runtime by the caller exist solely in this process.  A forked
-        worker inherits them; a spawned/forkserver worker does not (the
-        default on macOS/Windows, and on Linux from Python 3.14).  Prefer
-        fork where available; otherwise runtime-registered scenarios
-        cannot cross the process boundary, so fail loudly instead of
-        erroring on every cell.
-        """
-        import multiprocessing
-
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:
-            custom = sorted(
-                name for name in self.scenario_names if not _spawn_portable(name)
-            )
-            if custom:
-                raise ValueError(
-                    f"scenarios {custom} are registered at runtime and cannot "
-                    "reach spawn-based worker processes; run with workers=1 or "
-                    "register them at import time in repro.scenarios"
-                )
-            return None
 
     def grid(self) -> List[SweepCell]:
         cells = []
@@ -2003,7 +1917,12 @@ class SweepRunner:
 
         from repro.sweep_stream import adaptive_ring_capacity
 
-        ctx = self._worker_context() or multiprocessing.get_context()
+        # fork keeps pool start cheap; any start method resolves every
+        # name as this process does (the catalogue is a constant)
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            ctx = multiprocessing.get_context()
         capacity = (
             adaptive_ring_capacity(len(cells))
             if STREAM_RING_CAPACITY is None

@@ -26,7 +26,6 @@ from repro.chaos import (
 )
 from repro.sweep import (
     SweepCell,
-    _spawn_portable,
     canonical_scenario_name,
     get_scenario,
     run_cell,
@@ -118,11 +117,6 @@ class TestGrammar:
         graph = scenario.topology(1)
         tuning = scenario.tuning(graph, 1)
         assert tuning.clock_skew_us  # the file component's skew survives
-
-    def test_file_specs_are_spawn_portable(self):
-        assert _spawn_portable("examples/clock_skew_storm.yaml")
-        assert _spawn_portable("examples/clock_skew_storm.yaml@20~j1us")
-        assert _spawn_portable("examples/dup_reorder_soak.yaml+partition")
 
     def test_diamond_file_scenarios_refuse_to_size(self):
         with pytest.raises(ValueError):

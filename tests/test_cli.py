@@ -212,6 +212,9 @@ class TestCommands:
         (["sweep", "--snapshots", "cow"], "unrecognized arguments"),
         (["bench"], "invalid choice"),
         (["bench", "--baseline", "BENCH_5.json"], "invalid choice"),
+        (["lint", "--strict", "src/repro"], "unrecognized arguments"),
+        (["lint", "--baseline", "x.json", "src/repro"], "unrecognized arguments"),
+        (["lint", "--write-baseline", "src/repro"], "unrecognized arguments"),
     ])
     def test_retired_flags_are_errors_not_ignored(self, argv, error, capsys):
         with pytest.raises(SystemExit) as exc:

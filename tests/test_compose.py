@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 import repro.sweep as sweep_mod
-from repro.simnet.engine import SECOND
 from repro.simnet.events import (
     LINK_DOWN,
     NODE_DOWN,
@@ -58,7 +57,7 @@ class TestCompose:
     def test_widest_topology_hosts_the_composition(self):
         # latency-jitter runs on the fixed 4-node diamond; flap-storm on
         # an 8-node Waxman graph -- the wider one must win
-        composed = compose("latency-jitter", "flap-storm")
+        composed = compose(get_scenario("latency-jitter"), get_scenario("flap-storm"))
         assert composed.topology(1).node_count() == 8
 
     def test_schedule_overlays_both_components(self):
@@ -84,32 +83,22 @@ class TestCompose:
         verdicts["b"] = False
         assert composed.expect(object()) is False
 
-    def test_offsets_shift_components(self):
-        base = latency_jitter_scenario(name="offset-base")
-        composed = compose(base, base, name="offset-test", offsets_us=(0, SECOND))
-        graph = composed.topology(1)
-        part_a = base.schedule(graph, seed_split(1, "offset-test#0:offset-base"))
-        part_b = base.schedule(graph, seed_split(1, "offset-test#1:offset-base"))
-        expected = part_a.merged(part_b.shifted(SECOND)).sorted()
-        assert composed.schedule(graph, 1).sorted() == expected
-
     def test_degenerate_compositions_rejected(self):
+        flap = get_scenario("flap-storm")
         with pytest.raises(ValueError, match="at least two"):
-            compose("flap-storm")
+            compose(flap)
         with pytest.raises(ValueError, match="custom daemon"):
-            compose("xorp-bgp-med", "flap-storm")
-        with pytest.raises(ValueError, match="offsets_us"):
-            compose("flap-storm", "partition", offsets_us=(0,))
+            compose(get_scenario("xorp-bgp-med"), flap)
         ro = replace(
             latency_jitter_scenario(name="ro-variant"), ordering="RO"
         )
         with pytest.raises(ValueError, match="ordering"):
-            compose("flap-storm", ro)
+            compose(flap, ro)
         ddos_only = replace(
             latency_jitter_scenario(name="ddos-only"), modes=("ddos",)
         )
         with pytest.raises(ValueError, match="no modes"):
-            compose("crash-restart", ddos_only)
+            compose(get_scenario("crash-restart"), ddos_only)
 
     def test_adversarial_knobs_win(self):
         composed = get_scenario("flap-storm+partition")
@@ -141,21 +130,6 @@ class TestDynamicResolution:
         canonical = get_scenario("flap-storm+partition~j1us")
         graph = canonical.topology(3)
         assert alias.schedule(graph, 3).sorted() == canonical.schedule(graph, 3).sorted()
-
-    def test_replace_registration_invalidates_cached_compositions(self):
-        from repro.sweep import register, unregister
-
-        original = latency_jitter_scenario(name="cache-test")
-        register(original)
-        try:
-            first = get_scenario("cache-test+partition")
-            updated = replace(original, description="updated")
-            register(updated, replace=True)
-            second = get_scenario("cache-test+partition")
-            assert second is not first
-            assert "updated" in second.description
-        finally:
-            unregister("cache-test")
 
     def test_jitter_suffix_applies_to_whole_composition(self):
         scenario = get_scenario("flap-storm+partition~j2us")

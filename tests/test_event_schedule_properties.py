@@ -1,9 +1,8 @@
 """Property tests pinning the :class:`EventSchedule` ordering invariants.
 
-Scenario composition leans entirely on three algebraic properties of
-schedules -- merge must not care about operand order, shifts must
-compose additively, and merging must never reorder any single source's
-events -- plus the boundary-jitter transform's guarantees.  These are
+Scenario composition leans entirely on two algebraic properties of
+schedules -- merge must not care about operand order, and merging must
+never reorder any single source's events -- plus the boundary-jitter transform's guarantees.  These are
 checked across a seed sweep of randomized schedules rather than on
 hand-picked examples: the composition subsystem feeds *generated*
 schedules through these operations, so the invariants must hold on
@@ -84,32 +83,6 @@ class TestMergeOrderInsensitivity:
         merged = a.merged(random_schedule(seed, "beta"))
         merged.add(ExternalEvent(time_us=1, kind=NODE_DOWN, target="alpha0"))
         assert a.events == before
-
-
-class TestShiftAdditivity:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_shift_composes_additively(self, seed):
-        schedule = random_schedule(seed)
-        x, y = 1_000 + seed, 7_500 + 3 * seed
-        assert (
-            schedule.shifted(x).shifted(y).sorted()
-            == schedule.shifted(x + y).sorted()
-        )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_zero_shift_is_identity(self, seed):
-        schedule = random_schedule(seed)
-        assert schedule.shifted(0).sorted() == schedule.sorted()
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_shift_distributes_over_merge(self, seed):
-        a = random_schedule(seed, "alpha")
-        b = random_schedule(seed, "beta")
-        offset = 40_000 + seed
-        assert (
-            a.merged(b).shifted(offset).sorted()
-            == a.shifted(offset).merged(b.shifted(offset)).sorted()
-        )
 
 
 class TestMergePreservesPerSourceFifo:

@@ -1,5 +1,5 @@
-"""Tests for ``repro lint``: the fixture corpus, pragma and baseline
-suppression, CLI exit codes, and the tree-is-clean acceptance gate."""
+"""Tests for ``repro lint``: the fixture corpus, pragma suppression,
+CLI exit codes, and the tree-is-clean acceptance gate."""
 
 import json
 import os
@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import DEFAULT_BASELINE, RULES, run_lint
-from repro.lint.suppress import write_baseline
+from repro.lint import RULES, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
@@ -106,47 +105,6 @@ class TestPragmas:
         assert result.active == []
 
 
-class TestBaseline:
-    def test_baseline_suppresses_then_goes_stale(self, tmp_path):
-        snippet = tmp_path / "legacy.py"
-        snippet.write_text("import random\nx = random.random()\n")
-        baseline = tmp_path / DEFAULT_BASELINE
-
-        first = run_lint([str(snippet)], root=str(tmp_path))
-        assert [f.rule for f in first.active] == ["DET101"]
-        write_baseline(str(baseline), first.active)
-
-        second = run_lint(
-            [str(snippet)], root=str(tmp_path), baseline_path=str(baseline)
-        )
-        assert second.active == []
-        assert [f.rule for f in second.baselined] == ["DET101"]
-        assert second.strict_clean
-
-        # fix the hazard: the entry must surface as stale, not vanish
-        snippet.write_text("x = 1\n")
-        third = run_lint(
-            [str(snippet)], root=str(tmp_path), baseline_path=str(baseline)
-        )
-        assert third.active == []
-        assert len(third.stale_baseline) == 1
-        assert not third.strict_clean
-
-    def test_baseline_file_is_sorted_json(self, tmp_path):
-        snippet = tmp_path / "legacy.py"
-        snippet.write_text(
-            "import random\ny = random.random()\nx = random.random()\n"
-        )
-        baseline = tmp_path / "b.json"
-        result = run_lint([str(snippet)], root=str(tmp_path))
-        write_baseline(str(baseline), result.active)
-        entries = json.loads(baseline.read_text())
-        assert entries == sorted(
-            entries, key=lambda e: (e["path"], e["line"], e["rule"])
-        )
-        assert all(set(e) == {"path", "rule", "line"} for e in entries)
-
-
 class TestCli:
     def _run(self, argv, cwd, capsys):
         from repro.cli import main
@@ -160,7 +118,7 @@ class TestCli:
         return code, capsys.readouterr().out
 
     def test_exit_zero_on_clean_tree(self, capsys):
-        code, out = self._run(["--strict", "src/repro"], REPO_ROOT, capsys)
+        code, out = self._run(["src/repro"], REPO_ROOT, capsys)
         assert code == 0, out
         assert "0 finding(s)" in out
 
@@ -176,35 +134,11 @@ class TestCli:
         code, _ = self._run(["no/such/dir"], tmp_path, capsys)
         assert code == 2
 
-    def test_write_baseline_then_strict_passes(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("import random\nrandom.random()\n")
-        code, _ = self._run(["--write-baseline", "bad.py"], tmp_path, capsys)
-        assert code == 0
-        assert (tmp_path / DEFAULT_BASELINE).exists()
-        code, _ = self._run(["--strict", "bad.py"], tmp_path, capsys)
-        assert code == 0
-
-    def test_strict_fails_on_stale_baseline(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("import random\nrandom.random()\n")
-        self._run(["--write-baseline", "bad.py"], tmp_path, capsys)
-        (tmp_path / "bad.py").write_text("x = 1\n")
-        code, _ = self._run(["bad.py"], tmp_path, capsys)
-        assert code == 0  # non-strict tolerates staleness
-        code, _ = self._run(["--strict", "bad.py"], tmp_path, capsys)
-        assert code == 1
-
-
 class TestAcceptance:
-    def test_src_tree_lints_clean_with_empty_baseline(self):
-        """The PR's acceptance gate: no findings, no baseline crutch."""
-        baseline = REPO_ROOT / DEFAULT_BASELINE
-        entries = json.loads(baseline.read_text())
-        assert entries == []
-        result = run_lint(
-            ["src/repro"], root=str(REPO_ROOT), baseline_path=str(baseline)
-        )
+    def test_src_tree_lints_clean(self):
+        """The gate: no findings in the tree."""
+        result = run_lint(["src/repro"], root=str(REPO_ROOT))
         assert result.active == []
-        assert result.strict_clean
 
     def test_readme_documents_every_rule(self):
         readme = (REPO_ROOT / "README.md").read_text()

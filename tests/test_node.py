@@ -105,17 +105,3 @@ class TestNodeLiveness:
         net.transmit(Message(src="a", dst="b", protocol="_unsend", payload=()))
         net.run()
         assert not net.nodes["b"].stack.delivery_log
-
-
-class TestStaggeredBoot:
-    def test_prestart_arrivals_buffered_until_boot(self):
-        net = build_network([("a", "b", 1_000)], jitter_us=0)
-        net.attach(lambda node: VanillaStack(node, timer_jitter_us=0))
-        # boot a immediately, b only after 10 ms
-        net.start(stagger_us=10_000)
-        net.run(until_us=500)  # a booted, b not yet
-        net.transmit(Message(src="a", dst="b", protocol="p", payload="early"))
-        net.run(until_us=5_000)
-        assert not net.nodes["b"].stack.delivery_log  # still held
-        net.run(until_us=20_000)
-        assert any("early" in t for t in net.nodes["b"].stack.delivery_log)

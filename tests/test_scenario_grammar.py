@@ -3,9 +3,9 @@
 Every production of the spec grammar (``a+b``, ``a@N``, ``a~jNus``,
 parens, chaos/v1 file components) and every parse error has a row: the
 resolved scenario name (or the error class and message up to its first
-``;``), :func:`canonical_scenario_name`, ``sized_spec(spec, 20)``,
-:func:`_spawn_portable` and a digest of the topology edges and external
-events the spec builds at seeds 1 and 2 -- no simulation.  The canonical
+``;``), :func:`canonical_scenario_name`, ``sized_spec(spec, 20)`` and a
+digest of the topology edges and external events the spec builds at
+seeds 1 and 2 -- no simulation.  The canonical
 name keys every schedule stream (``seed_split``), so a moved digest is a
 moved workload.
 
@@ -26,7 +26,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sweep import (
-    _spawn_portable,
     canonical_scenario_name,
     get_scenario,
     sized_spec,
@@ -68,341 +67,293 @@ def _row(spec: str):
         _outcome(lambda: get_scenario(spec).name),
         _outcome(canonical_scenario_name, spec),
         _outcome(sized_spec, spec, 20),
-        _spawn_portable(spec),
         digest,
     )
 
 
 # spec -> (resolved .name | error, canonical_scenario_name,
-#          sized_spec(spec, 20), _spawn_portable, schedule digest)
+#          sized_spec(spec, 20), schedule digest)
 GOLDEN = {
     'flap-storm': (
         'flap-storm',
         'flap-storm',
         'flap-storm@20',
-        True,
         '132999bfb5457888',
     ),
     'flap_storm': (
         'flap-storm',
         'flap-storm',
         'flap-storm@20',
-        True,
         '132999bfb5457888',
     ),
     'partition': (
         'partition',
         'partition',
         'partition@20',
-        True,
         '71baf894c06909ae',
     ),
     'xorp-bgp-med': (
         'xorp-bgp-med',
         'xorp-bgp-med',
         'xorp-bgp-med@20',
-        True,
         '1d545c669b67f01c',
     ),
     'heat-death': (
         "KeyError: unknown scenario 'heat-death'",
         'heat-death',
         'heat-death@20',
-        False,
         None,
     ),
     'flap-storm@20': (
         'flap-storm@20',
         'flap-storm@20',
         "ValueError: component 'flap-storm@20' already carries a size",
-        True,
         '32846563b83b5d44',
     ),
     'flap_storm@40': (
         'flap-storm@40',
         'flap-storm@40',
         "ValueError: component 'flap-storm@40' already carries a size",
-        True,
         '3df2b7ccd6ecff9f',
     ),
     'crash-restart@12': (
         'crash-restart@12',
         'crash-restart@12',
         "ValueError: component 'crash-restart@12' already carries a size",
-        True,
         '342cb0c66e60fbbf',
     ),
     'flap-storm~j1us': (
         'flap-storm~j1us',
         'flap-storm~j1us',
         'flap-storm@20~j1us',
-        True,
         '48c50d64208a9e8d',
     ),
     'latency-jitter~j2us': (
         'latency-jitter~j2us',
         'latency-jitter~j2us',
         'latency-jitter@20~j2us',
-        True,
         '03177c19880d09e1',
     ),
     'flap-storm@20~j1us': (
         'flap-storm@20~j1us',
         'flap-storm@20~j1us',
         "ValueError: component 'flap-storm@20' already carries a size",
-        True,
         '0d1fcc7802143fdb',
     ),
     'partition@12~j3us': (
         'partition@12~j3us',
         'partition@12~j3us',
         "ValueError: component 'partition@12' already carries a size",
-        True,
         '4a5ed2bdab727628',
     ),
     'flap-storm+partition': (
         'flap-storm+partition',
         'flap-storm+partition',
         'flap-storm@20+partition@20',
-        True,
         '241af10d93dd0326',
     ),
     'crash_restart+partition': (
         'crash-restart+partition',
         'crash-restart+partition',
         'crash-restart@20+partition@20',
-        True,
         'f0f89bb640b87733',
     ),
     'flap-storm+partition~j2us': (
         'flap-storm+partition~j2us',
         'flap-storm+partition~j2us',
         'flap-storm@20+partition@20~j2us',
-        True,
         '85c25e93657dffd0',
     ),
     'crash-restart+ddos-overload~j1us': (
         'crash-restart+ddos-overload~j1us',
         'crash-restart+ddos-overload~j1us',
         'crash-restart@20+ddos-overload@20~j1us',
-        True,
         '6c251160d603f3f0',
     ),
     'flap-storm@20+partition@20~j2us': (
         'flap-storm@20+partition@20~j2us',
         'flap-storm@20+partition@20~j2us',
         "ValueError: component 'flap-storm@20' already carries a size",
-        True,
         '93a86545d0da442b',
     ),
     'flap-storm~j1us+partition': (
         'flap-storm~j1us+partition',
         'flap-storm~j1us+partition',
         'flap-storm@20~j1us+partition@20',
-        True,
         'bfbb6c456cba88e3',
     ),
     'flap-storm~j1us+partition~j5us': (
         'flap-storm~j1us+partition~j5us',
         'flap-storm~j1us+partition~j5us',
         'flap-storm@20~j1us+partition@20~j5us',
-        True,
         '1badccac8add9299',
     ),
     'latency-jitter~j1us+partition~j3us': (
         'latency-jitter~j1us+partition~j3us',
         'latency-jitter~j1us+partition~j3us',
         'latency-jitter@20~j1us+partition@20~j3us',
-        True,
         '5b5a6c65b3a84506',
     ),
     '(flap-storm~j1us+partition)~j5us': (
         '(flap-storm~j1us+partition)~j5us',
         '(flap-storm~j1us+partition)~j5us',
         '(flap-storm@20~j1us+partition@20)~j5us',
-        True,
         'c63a263a733dbe2c',
     ),
     '(flap-storm+partition)~j2us': (
         'flap-storm+partition~j2us',
         'flap-storm+partition~j2us',
         'flap-storm@20+partition@20~j2us',
-        True,
         '85c25e93657dffd0',
     ),
     '(flap-storm+partition)@20': (
         'flap-storm@20+partition@20',
         'flap-storm@20+partition@20',
         "ValueError: component 'flap-storm@20' already carries a size",
-        True,
         '0cb2e6b0e48ca12b',
     ),
     '(flap-storm~j1us+partition)@20': (
         'flap-storm@20~j1us+partition@20',
         'flap-storm@20~j1us+partition@20',
         "ValueError: component 'flap-storm@20~j1us' already carries a size",
-        True,
         '846ddb1d78874f9a',
     ),
     '(flap-storm~j1us+partition)@20~j5us': (
         '(flap-storm@20~j1us+partition@20)~j5us',
         '(flap-storm@20~j1us+partition@20)~j5us',
         "ValueError: component 'flap-storm@20~j1us' already carries a size",
-        True,
         '3692b51c347dc7a3',
     ),
     '(flap-storm)': (
         'flap-storm',
         'flap-storm',
         'flap-storm@20',
-        True,
         '132999bfb5457888',
     ),
     '(flap-storm~j1us)@20': (
         'flap-storm@20~j1us',
         'flap-storm@20~j1us',
         "ValueError: component 'flap-storm@20' already carries a size",
-        True,
         '0d1fcc7802143fdb',
     ),
     '(flap-storm~j1us)~j2us': (
         "ValueError: '(flap-storm~j1us)~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
         "ValueError: '(flap-storm~j1us)~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
         "ValueError: '(flap-storm~j1us)~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
-        False,
         None,
     ),
     '(flap-storm+partition~j1us)': (
         '(flap-storm+partition~j1us)',
         '(flap-storm+partition~j1us)',
         '(flap-storm@20+partition@20~j1us)',
-        True,
         '3c08c3d9cd817a51',
     ),
     '(flap-storm+partition~j1us)~j2us': (
         '(flap-storm+partition~j1us)~j2us',
         '(flap-storm+partition~j1us)~j2us',
         '(flap-storm@20+partition@20~j1us)~j2us',
-        True,
         'c6a2729a40953b9a',
     ),
     'examples/clock_skew_storm.yaml': (
         'skew-storm',
         'examples/clock_skew_storm.yaml',
         'examples/clock_skew_storm.yaml@20',
-        True,
         '13ec7b00271f0c92',
     ),
     'examples/clock_skew_storm.yaml@20': (
         'skew-storm@20',
         'examples/clock_skew_storm.yaml@20',
         "ValueError: component 'examples/clock_skew_storm.yaml@20' already carries a size",
-        True,
         '46ecfd3bf3486b58',
     ),
     'examples/clock_skew_storm.yaml~j1us': (
         'skew-storm~j1us',
         'examples/clock_skew_storm.yaml~j1us',
         'examples/clock_skew_storm.yaml@20~j1us',
-        True,
         '1e35a20df09fb9e5',
     ),
     'examples/clock_skew_storm.yaml@20~j1us': (
         'skew-storm@20~j1us',
         'examples/clock_skew_storm.yaml@20~j1us',
         "ValueError: component 'examples/clock_skew_storm.yaml@20' already carries a size",
-        True,
         'de9ea2732bb99abf',
     ),
     'examples/dup_reorder_soak.yaml+partition': (
         'dup-reorder-soak+partition',
         'examples/dup_reorder_soak.yaml+partition',
         'examples/dup_reorder_soak.yaml@20+partition@20',
-        True,
         '6aabf9ef967206ab',
     ),
     'partition+examples/gray_failure.yaml~j2us': (
         'partition+gray-failure~j2us',
         'partition+examples/gray_failure.yaml~j2us',
         'partition@20+examples/gray_failure.yaml@20~j2us',
-        True,
         'f69ec1450145bf61',
     ),
     'flap-storm~j1us~j2us': (
         "ValueError: 'flap-storm~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
         "ValueError: 'flap-storm~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
         "ValueError: 'flap-storm~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
-        False,
         None,
     ),
     'flap-storm+partition~j1us~j2us': (
         "ValueError: 'flap-storm+partition~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
         "ValueError: 'flap-storm+partition~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
         "ValueError: 'flap-storm+partition~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
-        False,
         None,
     ),
     '(flap-storm+partition)~j1us~j2us': (
         "ValueError: '(flap-storm+partition)~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
         "ValueError: '(flap-storm+partition)~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
         "ValueError: '(flap-storm+partition)~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
-        False,
         None,
     ),
     'flap-storm~j1us~j2us+partition': (
         "ValueError: 'flap-storm~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
         "ValueError: 'flap-storm~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
         "ValueError: 'flap-storm~j1us~j2us' stacks more than one ~j<N>us jitter suffix on the same target",
-        False,
         None,
     ),
     'flap-storm~j1us@20': (
         "ValueError: component 'flap-storm~j1us@20': the size binds inside the jitter suffix -- write 'name@N~jJus', not 'name~jJus@N'",
         "ValueError: component 'flap-storm~j1us@20': the size binds inside the jitter suffix -- write 'name@N~jJus', not 'name~jJus@N'",
         "ValueError: component 'flap-storm~j1us@20': the size binds inside the jitter suffix -- write 'name@N~jJus', not 'name~jJus@N'",
-        False,
         None,
     ),
     'flap-storm@20@40': (
         "ValueError: component 'flap-storm@20@40' already carries a size",
         "ValueError: component 'flap-storm@20@40' already carries a size",
         "ValueError: component 'flap-storm@20@40' already carries a size",
-        False,
         None,
     ),
     '(flap-storm@20+partition)@40': (
         "ValueError: component 'flap-storm@20' already carries a size",
         "ValueError: component 'flap-storm@20' already carries a size",
         "ValueError: component 'flap-storm@20' already carries a size",
-        False,
         None,
     ),
     'flap-storm+heat-death': (
         "KeyError: unknown scenario 'flap-storm+heat-death'",
         'flap-storm+heat-death',
         'flap-storm@20+heat-death@20',
-        False,
         None,
     ),
     'xorp-bgp-med@20': (
         "ValueError: scenario 'xorp-bgp-med' is not size-parameterized: it is bound to a fixed topology (no sizer hook)",
         'xorp-bgp-med@20',
         "ValueError: component 'xorp-bgp-med@20' already carries a size",
-        True,
         None,
     ),
     'quagga_rip_blackhole@20': (
         "ValueError: scenario 'quagga-rip-blackhole' is not size-parameterized: it is bound to a fixed topology (no sizer hook)",
         'quagga-rip-blackhole@20',
         "ValueError: component 'quagga-rip-blackhole@20' already carries a size",
-        True,
         None,
     ),
     'xorp-bgp-med+flap-storm': (
         "ValueError: scenario 'xorp-bgp-med' declares a custom daemon bound to its own topology and cannot be composed",
         'xorp-bgp-med+flap-storm',
         'xorp-bgp-med@20+flap-storm@20',
-        True,
         None,
     ),
 }
@@ -495,7 +446,7 @@ def test_fuzz_jitter_axis_covers_the_whole_spec(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# properties over registered bases
+# properties over builtin bases
 # ----------------------------------------------------------------------
 
 _BASES = ("flap-storm", "crash-restart", "partition", "latency-jitter",
@@ -504,7 +455,7 @@ _BASES = ("flap-storm", "crash-restart", "partition", "latency-jitter",
 
 @st.composite
 def _specs(draw):
-    """Valid specs over registered bases: 1-3 components, each
+    """Valid specs over builtin bases: 1-3 components, each
     optionally aliased, sized and jittered, written plain or in parens
     (sized when no component is), with an optional trailing suffix
     wherever it would not stack on a component's own jitter."""

@@ -11,7 +11,6 @@ class TestNodeStats:
         stats.control_packets_sent = 2
         stats.control_packets_received = 1
         assert stats.total_packets() == 10
-        assert stats.total_packets(include_control=False) == 7
 
     def test_record_rollback_accumulates(self):
         stats = NodeStats(node="a")
@@ -42,7 +41,6 @@ class TestRunStats:
         run.node("a").data_packets_sent = 2
         run.node("b").control_packets_received = 3
         assert sorted(run.packets_per_node()) == [2, 3]
-        assert sorted(run.packets_per_node(include_control=False)) == [0, 2]
 
     def test_aggregations(self):
         run = RunStats()

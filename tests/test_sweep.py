@@ -10,7 +10,6 @@ from _golden import assert_rows
 from repro.simnet.engine import SECOND
 from repro.simnet.events import LINK_DOWN, LINK_UP, NODE_DOWN, NODE_UP
 from repro.sweep import (
-    Scenario,
     SweepCell,
     SweepRunner,
     default_grid,
@@ -18,12 +17,9 @@ from repro.sweep import (
     ddos_overload_schedule,
     flap_storm_schedule,
     get_scenario,
-    latency_jitter_scenario,
     partition_schedule,
-    register,
     run_cell,
     scenario_names,
-    unregister,
 )
 
 GOLDEN_DEFAULT_GRID = os.path.join(
@@ -53,17 +49,6 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             get_scenario("heat-death")
-
-    def test_duplicate_registration_rejected(self):
-        clone = latency_jitter_scenario(name="dup-test")
-        register(clone)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register(latency_jitter_scenario(name="dup-test"))
-            # re-registering the *same* object is an idempotent no-op
-            assert register(clone) is clone
-        finally:
-            unregister("dup-test")
 
     def test_runner_rejects_unknown_scenario(self):
         with pytest.raises(KeyError):
@@ -290,27 +275,6 @@ class TestCrashRestartDeterminism:
         replay = run_ls_replay(square, prod.recording)
         assert diff_logs(prod.logs, replay.logs) is None
         assert replay.fingerprint == prod.fingerprint
-
-
-class TestRuntimeRegisteredScenarioInWorkers:
-    def test_custom_scenario_crosses_fork_boundary(self):
-        """Caller-registered scenarios must work with workers > 1 on
-        fork-capable platforms (elsewhere the runner refuses loudly)."""
-        import multiprocessing
-
-        try:
-            multiprocessing.get_context("fork")
-        except ValueError:
-            pytest.skip("platform has no fork start method")
-        register(latency_jitter_scenario(name="custom-parallel-test"))
-        try:
-            report = SweepRunner(
-                scenarios=["custom-parallel-test"], seeds=(1,), workers=2
-            ).run()
-            assert report.ok(), report.render()
-            assert not report.errors()
-        finally:
-            unregister("custom-parallel-test")
 
 
 class TestSpawnedWorkerResolution:
