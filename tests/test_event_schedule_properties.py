@@ -2,11 +2,12 @@
 
 Scenario composition leans entirely on two algebraic properties of
 schedules -- merge must not care about operand order, and merging must
-never reorder any single source's events -- plus the boundary-jitter transform's guarantees.  These are
-checked across a seed sweep of randomized schedules rather than on
-hand-picked examples: the composition subsystem feeds *generated*
-schedules through these operations, so the invariants must hold on
-arbitrary inputs, not just tidy ones.
+never reorder any single source's events -- plus the boundary-jitter
+transform's guarantees.  These are checked across a seed sweep of
+randomized schedules rather than on hand-picked examples: the
+composition subsystem feeds *generated* schedules through these
+operations, so the invariants must hold on arbitrary inputs, not just
+tidy ones.
 """
 
 import random

@@ -1,5 +1,7 @@
 """Unit tests for beacons, group numbering and leader failover."""
 
+import pytest
+
 from repro.core.groups import BeaconService
 from repro.core.recorder import Recorder
 from repro.simnet.network import build_network
@@ -66,6 +68,20 @@ class TestBeaconing:
         service.start()
         net.run(until_us=1_000_000)
         assert service.group == 10
+
+    @pytest.mark.parametrize("time_unit_us", [50_000, 100_000, 250_000, 1_000_000])
+    def test_beacon_period_is_the_time_unit(self, time_unit_us):
+        """One beacon per virtual-time unit (Section 3), whatever the unit."""
+        net = build_network(
+            [("a", "b", 1_000), ("b", "c", 2_000)], jitter_us=0,
+            time_unit_us=time_unit_us,
+        )
+        net.attach(lambda node: VanillaStack(node, timer_jitter_us=0))
+        service = BeaconService(net)
+        assert service.interval_us == time_unit_us
+        service.start()
+        net.run(until_us=6 * time_unit_us)
+        assert service.group == 6
 
     def test_recorder_horizon_tracks_groups(self):
         net = beacon_net()

@@ -4,6 +4,7 @@ import pytest
 
 from _fixtures import flap_schedule, square_graph
 
+from repro.core.checkpoint import baseline_processing_model
 from repro.harness import (
     build_ospf_network,
     burst_schedule,
@@ -24,6 +25,12 @@ class TestBuildModes:
             assert recorder is not None and beacons is not None
         if mode == "logging":
             assert comp_log is not None
+
+    @pytest.mark.parametrize("mode", ["vanilla", "logging"])
+    def test_baseline_stacks_are_built_with_the_processing_model(self, square, mode):
+        net, _, _, _ = build_ospf_network(square, mode=mode)
+        for node in net.nodes.values():
+            assert node.stack.proc_model is baseline_processing_model
 
     def test_unknown_mode_rejected(self, square):
         with pytest.raises(ValueError):

@@ -130,6 +130,12 @@ class TestCli:
         assert report["findings"][0]["rule"] == "DET101"
         assert report["checked_files"] == 1
 
+    def test_json_report_keys(self, tmp_path, capsys):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        code, out = self._run(["--json", "ok.py"], tmp_path, capsys)
+        assert code == 0
+        assert set(json.loads(out)) == {"findings", "suppressed", "checked_files"}
+
     def test_exit_two_on_missing_path(self, tmp_path, capsys):
         code, _ = self._run(["no/such/dir"], tmp_path, capsys)
         assert code == 2

@@ -38,6 +38,28 @@ def make_coordinator(square, recording, seed=77, loss=0.0):
     return coordinator
 
 
+class TestCoordinatorPlacement:
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("m", "a", 1_000), ("a", "z", 3_000)],
+            [("c", "b", 2_000), ("b", "a", 500), ("a", "d", 4_000)],
+            [("x", "y", 700), ("y", "w", 1_100), ("w", "x", 900)],
+        ],
+        ids=["line", "chain", "triangle"],
+    )
+    def test_coordinator_runs_on_the_first_node_id(self, production, edges):
+        """Barrier control traffic leaves from the first node id: each
+        node's coordinator delay is its shortest-path delay from there."""
+        _, prod = production
+        net = build_network(edges, jitter_us=0)
+        coordinator = LockstepCoordinator(net, prod.recording)
+        first = net.node_ids()[0]
+        assert coordinator.delay_to(first) == 0
+        for node_id in net.node_ids():
+            assert coordinator.delay_to(node_id) == net.delay_matrix()[first][node_id]
+
+
 class TestPhaseMachinery:
     def test_cycle_counting_and_group_progression(self, production):
         square, prod = production

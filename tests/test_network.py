@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.simnet.events import ExternalEvent
+from repro.harness import run_ls_replay
+from repro.scenarios import BUILTINS, COMPOSITIONS
+from repro.simnet.events import NODE_UP, ExternalEvent
 from repro.simnet.link import DelayModel
 from repro.simnet.messages import Message
 from repro.simnet.network import Network, build_network
-from repro.simnet.node import VanillaStack
+from repro.simnet.node import Node, VanillaStack
+from repro.sweep import get_scenario, run_scenario
 
 
 def tiny_net(seed=0, jitter=0, loss=0.0) -> Network:
@@ -225,3 +228,69 @@ class TestExternalEvents:
         assert net.link_between("a", "b").up
         net.run(until_us=501)
         assert not net.link_between("a", "b").up
+
+
+class TestAtomicBoot:
+    """``Network.start()`` boots every node, in node-id order, before any
+    packet or event reaches a stack, and a later boot happens only
+    inside that node's ``node_up`` event.  No stack therefore needs to
+    hold arrivals that beat its own boot."""
+
+    STACKS = ("vanilla", "logging", "defined", "ddos", "ls-replay")
+    SCENARIOS = (*BUILTINS, *map(get_scenario, COMPOSITIONS))
+
+    @staticmethod
+    def trace_boots(monkeypatch):
+        """Patch :class:`Node` and :class:`Network` to append ``("boot",
+        node, now)``, ``("arrival", node, now)`` and ``("node_up", node,
+        now)`` entries, in execution order, to the returned list."""
+        trace = []
+        start, deliver = Node.start, Node.deliver
+        observe, apply_event = Node.observe_external, Network.apply_event
+
+        def traced_start(node):
+            trace.append(("boot", node.node_id, node.network.sim.now))
+            start(node)
+
+        def traced_deliver(node, msg):
+            trace.append(("arrival", node.node_id, node.network.sim.now))
+            deliver(node, msg)
+
+        def traced_observe(node, event):
+            trace.append(("arrival", node.node_id, node.network.sim.now))
+            observe(node, event)
+
+        def traced_apply_event(net, event):
+            if event.kind == NODE_UP:
+                trace.append(("node_up", event.target, net.sim.now))
+            apply_event(net, event)
+
+        monkeypatch.setattr(Node, "start", traced_start)
+        monkeypatch.setattr(Node, "deliver", traced_deliver)
+        monkeypatch.setattr(Node, "observe_external", traced_observe)
+        monkeypatch.setattr(Network, "apply_event", traced_apply_event)
+        return trace
+
+    @pytest.mark.parametrize("stack", STACKS)
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    def test_every_node_boots_before_any_arrival(self, monkeypatch, scenario, stack):
+        if stack == "ls-replay":
+            production = run_scenario(scenario, "defined", seed=1)
+            trace = self.trace_boots(monkeypatch)
+            graph = production.graph
+            network = run_ls_replay(
+                graph,
+                production.recording,
+                ordering=scenario.ordering,
+                daemon_factory=scenario.daemon(graph) if scenario.daemon else None,
+            ).network
+        else:
+            trace = self.trace_boots(monkeypatch)
+            network = run_scenario(scenario, stack, seed=1).network
+        nodes = sorted(network.nodes)
+        assert trace[: len(nodes)] == [("boot", n, 0) for n in nodes]
+        rest = trace[len(nodes):]
+        assert any(entry[:2] == ("arrival", nodes[0]) for entry in rest)
+        for i, (tag, node_id, now) in enumerate(rest):
+            if tag == "boot":
+                assert i > 0 and rest[i - 1] == ("node_up", node_id, now)

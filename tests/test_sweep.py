@@ -7,11 +7,13 @@ import pytest
 from _fixtures import resolved_names, square_graph
 from _golden import assert_rows
 
+from repro.scenarios import BUILTINS
 from repro.simnet.engine import SECOND
 from repro.simnet.events import LINK_DOWN, LINK_UP, NODE_DOWN, NODE_UP
 from repro.sweep import (
     SweepCell,
     SweepRunner,
+    canonical_scenario_name,
     default_grid,
     crash_restart_schedule,
     ddos_overload_schedule,
@@ -40,6 +42,14 @@ class TestRegistry:
             "ddos-overload", "xorp-bgp-med", "quagga-rip-blackhole",
         ):
             assert expected in names
+
+    def test_names_are_the_constant_catalogue(self):
+        assert scenario_names() == sorted(s.name for s in BUILTINS)
+
+    @pytest.mark.parametrize("builtin", BUILTINS, ids=lambda s: s.name)
+    def test_builtin_name_resolves_to_its_catalogue_entry(self, builtin):
+        assert get_scenario(builtin.name) is builtin
+        assert canonical_scenario_name(builtin.name) == builtin.name
 
     def test_lookup_returns_descriptor(self):
         scenario = get_scenario("flap-storm")
