@@ -257,6 +257,68 @@ class TestCommands:
             main(["fuzz", "--scenarios", "heat-death", "--seeds", "1"])
 
 
+class _GridCaptured(Exception):
+    """Carries the cells a ``repro sweep`` invocation would run."""
+
+
+def _sweep_grid(monkeypatch, *argv):
+    """The ``(scenario, seed, mode)`` cells ``repro sweep argv`` builds,
+    captured at ``SweepRunner.run`` instead of running them."""
+    from repro.sweep import SweepRunner
+
+    def run(self, progress=None):
+        raise _GridCaptured([(c.scenario, c.seed, c.mode) for c in self.grid()])
+
+    monkeypatch.setattr(SweepRunner, "run", run)
+    with pytest.raises(_GridCaptured) as captured:
+        main(["sweep", *argv, "--seeds", "1", "--modes", "vanilla"])
+    return captured.value.args[0]
+
+
+CLOCK_SKEW_FILE = "examples/clock_skew_storm.yaml"
+#: The composition and the chaos file, one vanilla cell each.
+COMPOSE_AND_FILE_GRID = [
+    ("flap-storm+partition", 1, "vanilla"),
+    (CLOCK_SKEW_FILE, 1, "vanilla"),
+]
+#: The default grid, one vanilla cell per spec, then the chaos file.
+DEFAULT_GRID_AND_FILE = [
+    (spec, 1, "vanilla")
+    for spec in (
+        "crash-restart", "crash-restart+ddos-overload",
+        "crash-restart+ddos-overload~j1us", "crash-restart~j1us",
+        "ddos-overload", "ddos-overload~j1us",
+        "flap-storm", "flap-storm+partition", "flap-storm+partition~j1us",
+        "flap-storm~j1us", "latency-jitter", "latency-jitter~j1us",
+        "partition", "partition~j1us",
+        "quagga-rip-blackhole", "quagga-rip-blackhole~j1us",
+        "xorp-bgp-med", "xorp-bgp-med~j1us",
+        CLOCK_SKEW_FILE,
+    )
+]
+
+
+class TestSweepGridSelection:
+    """``--scenarios`` alone names every grid: compositions, chaos files
+    and the default grid."""
+
+    def test_scenarios_cover_compositions_and_files(self, monkeypatch):
+        grid = _sweep_grid(
+            monkeypatch, "--scenarios", f"flap-storm+partition,{CLOCK_SKEW_FILE}"
+        )
+        assert grid == COMPOSE_AND_FILE_GRID
+        assert _sweep_grid(
+            monkeypatch, "--compose", "flap-storm+partition",
+            "--scenario-file", CLOCK_SKEW_FILE,
+        ) == grid
+
+    def test_default_grid_plus_a_file(self, monkeypatch):
+        grid = _sweep_grid(
+            monkeypatch, "--scenarios", "all", "--scenario-file", CLOCK_SKEW_FILE
+        )
+        assert grid == DEFAULT_GRID_AND_FILE
+
+
 #: Every option of the three grid commands: option strings, destination,
 #: default, type and whether it is required.  Regrouping the flags must
 #: leave this unchanged.
