@@ -24,9 +24,7 @@ Run:  python examples/quagga_rip_timer_bug.py
 from collections import Counter
 
 from repro.core.debugger import Debugger
-from repro.core.lockstep import LockstepCoordinator
-from repro.core.ordering import make_ordering
-from repro.harness import run_ls_replay
+from repro.harness import build_ls_coordinator, run_ls_replay
 from repro.scenarios import (
     RIP_DEST,
     RIP_MAIN,
@@ -34,7 +32,6 @@ from repro.scenarios import (
     rip_daemon_factory,
     rip_topology,
 )
-from repro.topology import to_network
 
 
 def describe(route_via) -> str:
@@ -78,13 +75,11 @@ def step_2_deterministic_production():
 
 def step_3_interactive_debugging(production) -> None:
     print("\n=== 3. stepping through the black hole in the debugger ===")
-    graph = rip_topology()
-    net = to_network(graph, seed=123, jitter_us=300)
-    coordinator = LockstepCoordinator(
-        net, production.result.recording, ordering=make_ordering("OO")
+    coordinator = build_ls_coordinator(
+        rip_topology(), production.result.recording, seed=123, jitter_us=300,
+        daemon_factory=rip_daemon_factory("buggy", 8),
     )
-    coordinator.attach(rip_daemon_factory("buggy", 8))
-    coordinator.start()
+    net = coordinator.network
     debugger = Debugger(coordinator)
 
     # break when the main router's death is replayed (a dead router logs

@@ -21,9 +21,7 @@ Run:  python examples/xorp_bgp_med_bug.py
 from collections import Counter
 
 from repro.core.debugger import Debugger
-from repro.core.lockstep import LockstepCoordinator
-from repro.core.ordering import make_ordering
-from repro.harness import run_ls_replay
+from repro.harness import build_ls_coordinator, run_ls_replay
 from repro.scenarios import (
     BGP_CORRECT_BEST,
     BGP_PREFIX,
@@ -31,7 +29,6 @@ from repro.scenarios import (
     bgp_topology,
     xorp_bgp_scenario,
 )
-from repro.topology import to_network
 
 
 def step_1_observe_nondeterminism() -> None:
@@ -61,13 +58,11 @@ def step_2_deterministic_production():
 
 def step_3_interactive_debugging(production) -> None:
     print("\n=== 3. interactive debugging in a DEFINED-LS network ===")
-    graph = bgp_topology()
-    net = to_network(graph, seed=999, jitter_us=300)
-    coordinator = LockstepCoordinator(
-        net, production.result.recording, ordering=make_ordering("OO")
+    coordinator = build_ls_coordinator(
+        bgp_topology(), production.result.recording, seed=999, jitter_us=300,
+        daemon_factory=bgp_daemon_factory("buggy"),
     )
-    coordinator.attach(bgp_daemon_factory("buggy"))
-    coordinator.start()
+    net = coordinator.network
     debugger = Debugger(coordinator)
 
     # break the moment R3 has seen all three candidate paths

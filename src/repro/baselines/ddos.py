@@ -33,6 +33,8 @@ from repro.core.groups import CHAIN_ALLOWANCE_US
 from repro.core.history import HistoryEntry
 from repro.core.ordering import OptimizedOrdering, OrderingFunction
 from repro.core.rollback import ReplayStack
+from repro.core.statestore import StateStore
+from repro.core.virtual_time import TimerTable
 from repro.simnet.events import ExternalEvent
 from repro.simnet.messages import Message
 from repro.simnet.node import Node
@@ -55,6 +57,9 @@ class DdosStack(ReplayStack):
 
     def __init__(self, node: Node, ordering: Optional[OrderingFunction] = None) -> None:
         super().__init__(node, ordering if ordering is not None else OptimizedOrdering())
+        # built once: the table and its sequence counter outlive reboots,
+        # and nothing ever checkpoints it
+        self.timers = TimerTable(StateStore())
         self._ext_seq = 0
         self._hold_us: Optional[int] = None
         # heap of (key, tie, entry)

@@ -7,7 +7,7 @@ continuous fault families (per-node clock skew, packet duplication and
 reordering, gray failures), and compiles into an ordinary sweep
 :class:`~repro.sweep.Scenario` -- so every scenario file is a
 sweep/fuzz/envelope/bench citizen addressable by path anywhere a
-scenario name is accepted (``repro sweep --scenario-file f.yaml``,
+scenario name is accepted (``repro sweep --scenarios f.yaml``,
 ``f.yaml~j1us``, ``f.yaml@40``, ``f.yaml+flap-storm``).
 
 Layout: :mod:`~repro.chaos.schema` (the contract + validator),

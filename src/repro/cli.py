@@ -10,8 +10,9 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli sweep --scenarios flap_storm@40 --repeats 3 \
         --workers 4 --report-out /tmp/grid.json
     python -m repro.cli sweep --scenarios flap-storm,partition --sizes 20,40
-    python -m repro.cli sweep --compose flap_storm+partition \
+    python -m repro.cli sweep --scenarios flap_storm+partition \
         --boundary-jitter-us 1 --seeds 8
+    python -m repro.cli sweep --scenarios all,examples/clock_skew_storm.yaml
     python -m repro.cli fuzz --scenarios flap-storm,partition \
         --seeds 1,2 --jitters-us 0,1 --report-out /tmp/fuzz.json
     python -m repro.cli envelope --scenarios flap-storm@20 \
@@ -209,36 +210,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"\nsize any fault family as name@N (e.g. flap-storm@40): "
               f"{', '.join(sizeable)}")
         return 0
-    # --scenarios picks specs; --compose adds on-the-fly compositions
-    # ("a+b"); with --compose alone, only the compositions run (an
-    # explicit --scenarios all still sweeps the default grid alongside
-    # them).  --sizes re-scales every selected scenario onto N-node
-    # topologies (the "@N" dynamic variant); --boundary-jitter-us N puts
-    # N us of boundary jitter over each whole spec (the "~jNus" dynamic
-    # variant).  The default grid holds no size: 80-node cells run for
-    # minutes, so sizes are an explicit opt-in via "name@N" or --sizes.
+    # --scenarios picks specs: names, compositions ("a+b") and chaos DSL
+    # files by path, each taking the @N / ~jNus suffixes; an "all" item
+    # (and the default) is the default grid.  --sizes re-scales every
+    # selected scenario onto N-node topologies (the "@N" dynamic
+    # variant); --boundary-jitter-us N puts N us of boundary jitter over
+    # each whole spec (the "~jNus" dynamic variant).  The default grid
+    # holds no size: 80-node cells run for minutes, so sizes are an
+    # explicit opt-in via "name@N" or --sizes.
     names: List[str] = []
-    file_specs = [
-        spec.strip()
-        for arg in (args.scenario_file or [])
-        for spec in arg.split(",")
-        if spec.strip()
-    ]
-    if args.scenarios == "all" or (
-        args.scenarios is None and not args.compose and not file_specs
-    ):
-        names = default_grid()
-    elif args.scenarios:
-        names = args.scenarios.split(",")
-    if args.compose:
-        names.extend(spec.strip() for spec in args.compose.split(","))
-    # chaos DSL documents join the grid by path; they take the same @N /
-    # ~jNus suffixes as builtin names
-    names.extend(file_specs)
+    for spec in (args.scenarios or "all").split(","):
+        names.extend(default_grid() if spec == "all" else [spec])
     if args.boundary_jitter_us is not None and args.boundary_jitter_us < 0:
         raise SystemExit("--boundary-jitter-us cannot be negative")
-    # one canonical name per grid row: a compose spec may duplicate a
-    # default-grid composition (or an underscore alias of one), and with
+    # one canonical name per grid row: a composition may duplicate a
+    # default-grid one (or an underscore alias of one), and with
     # --scenarios all, 'flap-storm' and 'flap-storm~j1us' re-jitter to
     # the same spec
     try:
@@ -381,18 +367,12 @@ def cmd_scale(args: argparse.Namespace) -> int:
 
 def cmd_debug(args: argparse.Namespace) -> int:
     from repro.core.debugger import Debugger
-    from repro.core.lockstep import LockstepCoordinator
-    from repro.core.ordering import make_ordering
-    from repro.harness import ospf_daemon_factory
+    from repro.harness import build_ls_coordinator
     from repro.repl import DebugConsole
-    from repro.topology import to_network
 
     graph = load_topology(args.topology, args.size, args.topology_seed)
     recording = Recording.load(args.recording)
-    net = to_network(graph, seed=args.seed)
-    coordinator = LockstepCoordinator(net, recording, ordering=make_ordering("OO"))
-    coordinator.attach(ospf_daemon_factory(graph))
-    coordinator.start()
+    coordinator = build_ls_coordinator(graph, recording, seed=args.seed)
     DebugConsole(Debugger(coordinator)).loop()
     return 0
 
@@ -544,21 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario x seed x mode determinism sweep (parallelizable)",
     )
     sweep.add_argument("--scenarios", default=None,
-                       help="comma-separated scenario names (size with "
-                            "'name@N', compose with 'a+b', fuzz with "
-                            "'a~jNus'), or 'all' (default: the default grid "
-                            "-- every builtin, the builtin compositions and "
-                            "each under ~j1us -- unless --compose is given "
-                            "alone)")
-    sweep.add_argument("--compose", default=None, metavar="A+B[,C+D]",
-                       help="compose scenarios on the fly and "
-                            "sweep the compositions (e.g. flap_storm+partition)")
-    sweep.add_argument("--scenario-file", action="append", default=None,
-                       metavar="FILE[,FILE]",
-                       help="add chaos DSL scenario files (YAML/JSON, "
-                            "schema chaos/v1) to the grid; repeatable, "
-                            "takes the same @N/~jNus suffixes as names "
-                            "(validate first with 'repro chaos validate')")
+                       help="comma-separated scenario specs: names (size "
+                            "with 'name@N', compose with 'a+b', fuzz with "
+                            "'a~jNus') and chaos DSL files by path (YAML/JSON, "
+                            "schema chaos/v1; validate first with 'repro "
+                            "chaos validate'); an 'all' item is the default "
+                            "grid -- every builtin, the builtin compositions "
+                            "and each under ~j1us (default: all)")
     _add_spec_arguments(sweep)
     _add_grid_arguments(sweep, seeds="1,2,3", report="divergence")
     sweep.add_argument("--modes", default=None,

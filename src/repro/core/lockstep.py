@@ -565,13 +565,11 @@ class LockstepCoordinator:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def attach(self, daemon_factory, **stack_kwargs) -> None:
+    def attach(self, daemon_factory) -> None:
         """Instantiate lockstep stacks + daemons on every node."""
 
         def factory(node: Node) -> LockstepStack:
-            stack = LockstepStack(
-                node, ordering=self.ordering, recording=self.recording, **stack_kwargs
-            )
+            stack = LockstepStack(node, ordering=self.ordering, recording=self.recording)
             stack.coordinator = self
             self.stacks[node.node_id] = stack
             return stack

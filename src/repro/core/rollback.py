@@ -180,15 +180,16 @@ class ReplayStack(Stack):
     chain_bound = 64
     hop_cost_us: int
     spill_bound_us: int
-    #: The node's checkpoint store, bound by :meth:`_boot`.
+    #: The node's checkpoint store and timer table, bound by :meth:`_boot`
+    #: (a stack that never calls it, DDOS, builds its own table).
     _store: StateStore
+    timers: TimerTable
 
     def __init__(self, node: Node, ordering: OrderingFunction) -> None:
         super().__init__(node)
         self.ordering = ordering
         self.vt = 0
         self.history = DeliveredHistory()
-        self.timers = TimerTable()
         self._origin_seq = 0
         self._sub_seq = 0
         self._current_entry: Optional[HistoryEntry] = None
@@ -284,7 +285,7 @@ class ReplayStack(Stack):
         store = self.daemon.store if self.daemon is not None else StateStore()
         store.reset()
         self._store = store
-        self.timers = TimerTable(store=store)
+        self.timers = TimerTable(store)
         self._origin_seq = 0
         self._sub_seq = 0
         self._current_entry = None

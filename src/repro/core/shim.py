@@ -742,14 +742,11 @@ class DefinedShim(ReplayStack):
         # 4. replay inputs in the correct order, interleaving due timers
         rng = self._costs()
         total_cost = self.strategy.restore_cost_us(rng)
-        self.node.stats.restore_cost_us += total_cost
         try:
             for chosen in self._replay_order(
                 plan_replay(rolled, new_entries, removed_uids)
             ):
-                step_cost = self.strategy.replay_cost_us(rng)
-                total_cost += step_cost
-                self.node.stats.replay_cost_us += step_cost
+                total_cost += self.strategy.replay_cost_us(rng)
                 self._deliver(chosen, self._take_checkpoint(), extra_delay_us=total_cost)
         finally:
             retracted = self._end_replay()

@@ -219,6 +219,9 @@ class _SnapshotRecord:
 class Namespace:
     """One named sub-store: a key->value mapping behind a write barrier.
 
+    Every namespace belongs to a store and is created by
+    :meth:`StateStore.namespace`; the store's snapshots cover it.
+
     Values must be treated as **immutable** by callers (tuples, ints,
     strings, frozen dataclasses): snapshots share them structurally.
     Mutating a stored value in place bypasses the barrier and corrupts
@@ -235,7 +238,7 @@ class Namespace:
         "_sanitize", "_digests",
     )
 
-    def __init__(self, name: str, store: Optional["StateStore"] = None):
+    def __init__(self, name: str, store: "StateStore"):
         self.name = name
         self._store = store
         self._data: Dict[Any, Any] = {}
@@ -246,7 +249,7 @@ class Namespace:
         #: write per key per snapshot interval), i.e. how much COW
         #: journaling traffic this namespace generates.
         self._dirty_total = 0
-        self._sanitize = store.sanitize if store is not None else _env_sanitize()
+        self._sanitize = store.sanitize
         #: Sanitize mode: structural digests of the mutable stored
         #: values, taken when each was stored.
         self._digests: Dict[Any, Any] = {}
@@ -260,7 +263,7 @@ class Namespace:
     # ------------------------------------------------------------------
     def _journal(self, key: Any, old: Any) -> None:
         store = self._store
-        if store is None or not store._journaling:
+        if not store._journaling:
             return
         if self._undo_gen != store._gen:
             self._undo = {}

@@ -29,28 +29,24 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Optional, Tuple
 
-from repro.core.statestore import Namespace, StateStore
+from repro.core.statestore import StateStore
 
 
 class TimerTable:
     """Named virtual-time timers, checkpointed by their store.
 
-    ``store`` binds the table's state into a :class:`StateStore` (the
-    shim's unified checkpoint store); construction wipes any previous
-    contents of the backing namespaces (a fresh table on each boot).
-    Without one (a stack before its first boot, unit tests) the
-    namespaces are private to the table and nothing checkpoints them.
+    ``store`` is the node's checkpoint store (the shim's unified one, or
+    a private store for a stack that never rewinds); the table's state
+    lives in its ``_timers`` and ``_timers.meta`` namespaces.
+    Construction wipes any previous contents of both (a fresh table on
+    each boot).
     """
 
-    def __init__(self, store: Optional[StateStore] = None, name: str = "_timers"):
-        if store is not None:
-            self._timers = store.namespace(name)
-            self._meta = store.namespace(name + ".meta")
-            self._timers._wipe()
-            self._meta._wipe()
-        else:
-            self._timers = Namespace(name)
-            self._meta = Namespace(name + ".meta")
+    def __init__(self, store: StateStore):
+        self._timers = store.namespace("_timers")
+        self._meta = store.namespace("_timers.meta")
+        self._timers._wipe()
+        self._meta._wipe()
         self._meta["seq"] = 0
         #: Due-order view: sorted list of (expiry_vt, seq, key), kept in
         #: lockstep with the namespace by the mutators below and rebuilt

@@ -148,7 +148,6 @@ class EnvelopeReport:
     jitters_us: Tuple[int, ...]
     windows_us: Tuple[int, ...]
     seeds: Tuple[int, ...]
-    mode: str
     cells: List[CellResult] = field(default_factory=list)
     suggestion: Optional[WindowSuggestion] = None
     verification_cells: List[CellResult] = field(default_factory=list)
@@ -306,7 +305,7 @@ class EnvelopeReport:
             "jitters_us": list(self.jitters_us),
             "windows_us": list(self.windows_us),
             "seeds": list(self.seeds),
-            "mode": self.mode,
+            "mode": "defined",
             "grid_cells": len(self.cells),
             "wall_seconds": self.wall_seconds,
             "cells": [c.to_row() for c in self.cells],
@@ -324,7 +323,8 @@ class EnvelopeReport:
 class EnvelopeRunner:
     """Grid (scenario x delivery-jitter x window x seed), measure the
     slack-deficit distribution per cell, and optionally recommend (and
-    verify) a safe ``window_us``.
+    verify) a safe ``window_us``.  Every cell runs in ``defined`` mode:
+    the headroom stats come from the shims' history windows.
 
     ``windows_us="auto"`` derives the ladder from the largest
     network-default window across the selected scenarios
@@ -341,7 +341,6 @@ class EnvelopeRunner:
         jitters_us: Sequence[int] = (0, 50_000, 300_000),
         windows_us: "Sequence[int] | str" = "auto",
         seeds: Sequence[int] = (1,),
-        mode: str = "defined",
         workers: int = 1,
         sizes: Optional[Sequence[int]] = None,
         boundary_jitter_us: Optional[int] = None,
@@ -359,10 +358,6 @@ class EnvelopeRunner:
             raise ValueError(f"target_quantile out of range: {target_quantile}")
         if margin < 0:
             raise ValueError("margin cannot be negative")
-        if mode != "defined":
-            # headroom stats come from DefinedShim instances; other modes
-            # have no history window to map
-            raise ValueError("the window envelope is a defined-mode property")
         if boundary_jitter_us is not None and boundary_jitter_us < 0:
             raise ValueError("boundary jitter cannot be negative")
         names = _grid_specs(scenarios, sizes, boundary_jitter_us)
@@ -371,7 +366,6 @@ class EnvelopeRunner:
         self.scenarios: Tuple[str, ...] = tuple(names)
         self.jitters_us = tuple(sorted(set(int(j) for j in jitters_us)))
         self.seeds = tuple(seeds)
-        self.mode = mode
         self.target_quantile = target_quantile
         self.margin = margin
         #: Verification cells archive Theorem-1 divergences here as run
@@ -417,7 +411,7 @@ class EnvelopeRunner:
             SweepCell(
                 scenario=name,
                 seed=seed,
-                mode=self.mode,
+                mode="defined",
                 window_us=window,
                 jitter_us=jitter,
                 check_invariant=check_invariant,
@@ -529,7 +523,6 @@ class EnvelopeRunner:
             jitters_us=self.jitters_us,
             windows_us=self.windows_us,
             seeds=self.seeds,
-            mode=self.mode,
         )
         report.cells = self.map(progress=progress)
         if suggest and not report.errors():

@@ -3,9 +3,9 @@
 The benchmark suite (and the examples) are thin wrappers around this
 module.  Three layers:
 
-* :func:`build_ospf_network` / :func:`attach_*` -- wire a topology, a
-  daemon and one of the four stacks (vanilla / DEFINED-RB / DDOS /
-  comprehensive-logging);
+* :func:`build_ospf_network` -- wire a topology, a daemon and one of
+  the four stacks (vanilla / DEFINED-RB / DDOS / comprehensive-logging);
+  :func:`build_ls_coordinator` wires the DEFINED-LS debugging network;
 * :func:`run_production` -- drive an external-event workload through a
   production network, measuring per-event convergence times and
   per-node/per-event packet overheads (Figures 6a/6b, 8a/8b/8d), and
@@ -163,8 +163,8 @@ def build_ospf_network(
         recorder.hop_cost_us = any_stack.hop_cost_us
         recorder.spill_bound_us = any_stack.spill_bound_us
         for link in net.links.values():
-            recorder.delay_estimates[f"{link.a}>{link.b}"] = link.avg_delay_us(link.a)
-            recorder.delay_estimates[f"{link.b}>{link.a}"] = link.avg_delay_us(link.b)
+            recorder.delay_estimates[f"{link.a}>{link.b}"] = link.model.avg_us
+            recorder.delay_estimates[f"{link.b}>{link.a}"] = link.model.avg_us
     elif mode == "ddos":
         net.assert_lossless("stop-and-wait determinism")
         order = make_ordering(ordering)
@@ -366,6 +366,26 @@ class ReplayResult:
     wall_seconds: float = 0.0
 
 
+def build_ls_coordinator(
+    graph: TopologyGraph,
+    recording: Recording,
+    ordering: str = "OO",
+    seed: int = 1_000,
+    jitter_us: int = 200,
+    daemon_factory: Optional[Callable] = None,
+) -> LockstepCoordinator:
+    """The started DEFINED-LS debugging network for ``recording``:
+    ``graph``'s links with ``jitter_us`` of jitter, a lockstep stack and
+    a daemon (OSPF by default) on every node.  Every replay, scripted
+    (:func:`run_ls_replay`) or interactive (``repro debug``), runs on
+    this network."""
+    net = to_network(graph, seed=seed, jitter_us=jitter_us)
+    coordinator = LockstepCoordinator(net, recording, ordering=make_ordering(ordering))
+    coordinator.attach(daemon_factory or ospf_daemon_factory(graph))
+    coordinator.start()
+    return coordinator
+
+
 def run_ls_replay(
     graph: TopologyGraph,
     recording: Recording,
@@ -373,15 +393,14 @@ def run_ls_replay(
     seed: int = 1_000,
     jitter_us: int = 200,
     daemon_factory: Optional[Callable] = None,
-    max_cycles: int = 10_000_000,
 ) -> ReplayResult:
     """Replay a partial recording in a lockstep debugging network."""
     wall_start = time.perf_counter()
-    net = to_network(graph, seed=seed, jitter_us=jitter_us)
-    coordinator = LockstepCoordinator(net, recording, ordering=make_ordering(ordering))
-    coordinator.attach(daemon_factory or ospf_daemon_factory(graph))
-    coordinator.start()
-    cycles = coordinator.run_all(max_cycles=max_cycles)
+    coordinator = build_ls_coordinator(
+        graph, recording, ordering, seed, jitter_us, daemon_factory
+    )
+    net = coordinator.network
+    cycles = coordinator.run_all()
     logs = net.delivery_logs()
     return ReplayResult(
         coordinator=coordinator,

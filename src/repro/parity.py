@@ -46,8 +46,7 @@ def bundle_hashes(
 ) -> List[str]:
     """Run the grid; one ``scenario seed role sha256`` line per bundle."""
     from repro.artifact import RunBundle
-    from repro.harness import run_ls_replay
-    from repro.sweep import get_scenario, run_scenario
+    from repro.sweep import get_scenario, replay_scenario, run_scenario
 
     lines: List[str] = []
     for name, seed, jitter_us in grid:
@@ -56,9 +55,7 @@ def bundle_hashes(
         production = run_scenario(scenario, "defined", seed, jitter_us=jitter_us)
         prod_bundle = RunBundle.from_production(production, context=context)
         lines.append(f"{name} seed={seed} production {prod_bundle.sha256}")
-        replay = run_ls_replay(
-            production.graph, production.recording, ordering=scenario.ordering
-        )
+        replay = replay_scenario(scenario, production)
         replay_bundle = RunBundle.from_replay(replay, context=context)
         lines.append(f"{name} seed={seed} replay {replay_bundle.sha256}")
     return lines

@@ -5,14 +5,13 @@ metric and (for distance-vector protocols) an expiry in virtual time --
 but with strictly deterministic iteration and representation, because
 RIB contents flow into message payloads and delivery-log tags.
 
-The table stores rows as immutable tuples behind a
-:class:`~repro.core.statestore.Namespace` write barrier, so a daemon
-that registers its RIB in a :class:`~repro.core.statestore.StateStore`
-gets copy-on-write checkpoints for free.  :class:`RouteEntry` remains
-the read-side API object: ``lookup`` materializes one per call, and
-updates go through :meth:`install` / :meth:`update` / :meth:`withdraw`
-(never by mutating a looked-up entry in place -- the barrier would not
-see it).
+The table stores rows as immutable tuples in a namespace of the
+daemon's :class:`~repro.core.statestore.StateStore`, behind its write
+barrier, so the daemon's copy-on-write checkpoints cover it.
+:class:`RouteEntry` remains the read-side API object: ``lookup``
+materializes one per call, and updates go through :meth:`install` /
+:meth:`update` / :meth:`withdraw` (never by mutating a looked-up entry
+in place -- the barrier would not see it).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.statestore import Namespace, StateStore
+from repro.core.statestore import StateStore
 
 
 @dataclass(frozen=True)
@@ -48,13 +47,12 @@ class RouteEntry:
 class Rib:
     """A destination-keyed routing table.
 
-    ``store`` binds the table into a daemon's
-    :class:`~repro.core.statestore.StateStore`; without one the table
-    runs on a standalone namespace (same semantics, no versioning).
+    The rows live in the ``rib`` namespace of ``store``, the daemon's
+    :class:`~repro.core.statestore.StateStore`, whose snapshots cover it.
     """
 
-    def __init__(self, store: Optional[StateStore] = None, name: str = "rib") -> None:
-        self._routes = store.namespace(name) if store is not None else Namespace(name)
+    def __init__(self, store: StateStore) -> None:
+        self._routes = store.namespace("rib")
 
     def install(self, entry: RouteEntry) -> None:
         self._routes[entry.dest] = entry.as_tuple()

@@ -53,28 +53,22 @@ class DelayModel:
 
 
 class Link:
-    """An undirected link between two nodes with per-direction delay models.
+    """An undirected link between two nodes; one delay model serves both
+    directions.
 
     The link owns its up/down state; the :class:`~repro.simnet.network.Network`
     flips it in response to external events and refuses to carry packets
     while it is down.
     """
 
-    __slots__ = ("a", "b", "model_ab", "model_ba", "up", "link_id")
+    __slots__ = ("a", "b", "model", "up", "link_id")
 
-    def __init__(
-        self,
-        a: str,
-        b: str,
-        model: DelayModel = DelayModel(),
-        model_reverse: DelayModel = None,
-    ) -> None:
+    def __init__(self, a: str, b: str, model: DelayModel = DelayModel()) -> None:
         if a == b:
             raise ValueError("self-links are not supported")
         self.a = a
         self.b = b
-        self.model_ab = model
-        self.model_ba = model_reverse if model_reverse is not None else model
+        self.model = model
         self.up = True
         self.link_id = f"{min(a, b)}~{max(a, b)}"
 
@@ -89,18 +83,6 @@ class Link:
             return self.a
         raise ValueError(f"{node} is not an endpoint of {self.link_id}")
 
-    def model_for(self, src: str) -> DelayModel:
-        """Delay model for packets leaving ``src`` over this link."""
-        if src == self.a:
-            return self.model_ab
-        if src == self.b:
-            return self.model_ba
-        raise ValueError(f"{src} is not an endpoint of {self.link_id}")
-
-    def avg_delay_us(self, src: str) -> int:
-        """Deterministic average delay from ``src`` to the other endpoint."""
-        return self.model_for(src).avg_us
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "DOWN"
-        return f"<Link {self.link_id} {state} avg={self.model_ab.avg_us}us>"
+        return f"<Link {self.link_id} {state} avg={self.model.avg_us}us>"

@@ -128,20 +128,14 @@ class Network:
         self._adjacency.setdefault(node_id, [])
         return node
 
-    def add_link(
-        self,
-        a: str,
-        b: str,
-        model: DelayModel = DelayModel(),
-        model_reverse: Optional[DelayModel] = None,
-    ) -> Link:
+    def add_link(self, a: str, b: str, model: DelayModel = DelayModel()) -> Link:
         for end in (a, b):
             if end not in self.nodes:
                 raise ValueError(f"unknown node {end!r}")
         key = self._link_key(a, b)
         if key in self.links:
             raise ValueError(f"duplicate link {a}-{b}")
-        link = Link(a, b, model, model_reverse)
+        link = Link(a, b, model)
         self.links[key] = link
         self._adjacency[a].append(link)
         self._adjacency[b].append(link)
@@ -198,7 +192,7 @@ class Network:
                 link,
                 self.nodes[src],
                 self.nodes[dst],
-                link.model_for(src),
+                link.model,
                 self.rng_stream(f"jitter|{link.link_id}|{src}"),
                 (link.link_id, src),
             )
@@ -249,7 +243,7 @@ class Network:
                 continue
             for link in self._adjacency.get(u, []):
                 v = link.other(u)
-                nd = d + link.avg_delay_us(u)
+                nd = d + link.model.avg_us
                 if nd < dist.get(v, float("inf")):
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
@@ -267,7 +261,7 @@ class Network:
         by another name and are rejected for the same reason.
         """
         for link in self.links.values():
-            if link.model_ab.loss > 0 or link.model_ba.loss > 0:
+            if link.model.loss > 0:
                 raise ValueError(
                     f"{context} requires lossless links, but {link.link_id} "
                     f"has a loss model; use loss=0 or an uninstrumented mode"
@@ -290,12 +284,9 @@ class Network:
         return best
 
     def max_link_delay_us(self) -> int:
-        """Largest average delay of one link direction: the longest any
+        """Largest average link delay: the longest any
         :meth:`transmit_deterministic` hop between neighbours takes."""
-        return max(
-            (max(link.model_ab.avg_us, link.model_ba.avg_us) for link in self.links.values()),
-            default=0,
-        )
+        return max((link.model.avg_us for link in self.links.values()), default=0)
 
     # ------------------------------------------------------------------
     # declarative perturbations (chaos DSL fault families)
@@ -595,25 +586,3 @@ class Network:
             return self.sim.drain()
         return self.sim.run(until_us=until_us, max_events=max_events)
 
-
-def build_network(
-    topology: Iterable[Tuple[str, str, int]],
-    seed: int = 0,
-    jitter_us: int = 500,
-    loss: float = 0.0,
-    time_unit_us: int = DEFAULT_TIME_UNIT_US,
-) -> Network:
-    """Build a :class:`Network` from ``(a, b, base_delay_us)`` triples.
-
-    A small convenience used by examples and tests; the topology package
-    produces richer graphs via :func:`repro.topology.to_network`.
-    """
-    net = Network(seed=seed, time_unit_us=time_unit_us)
-    seen = set()
-    for a, b, base_us in topology:
-        for end in (a, b):
-            if end not in seen:
-                net.add_node(end)
-                seen.add(end)
-        net.add_link(a, b, DelayModel(base_us=base_us, jitter_us=jitter_us, loss=loss))
-    return net

@@ -42,8 +42,6 @@ class NodeStats:
     annihilated: int = 0
 
     # --- modelled costs (simulated microseconds) -----------------------
-    restore_cost_us: int = 0
-    replay_cost_us: int = 0
     processing_samples_us: List[int] = field(default_factory=list)
     rollback_samples_us: List[int] = field(default_factory=list)
 
@@ -85,9 +83,7 @@ class RunStats:
     """Network-wide statistics for one experiment run."""
 
     per_node: Dict[str, NodeStats] = field(default_factory=dict)
-    convergence_times_us: List[int] = field(default_factory=list)
     step_times_us: List[int] = field(default_factory=list)
-    wall_seconds: float = 0.0
 
     def node(self, node_id: str) -> NodeStats:
         if node_id not in self.per_node:

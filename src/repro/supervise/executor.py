@@ -59,8 +59,8 @@ from repro.supervise.journal import archive_quarantine, cell_fingerprint
 DEFAULT_RETRIES = 2
 #: Backoff ladder: base * 2^(failure-1), capped, then jittered into
 #: [0.5x, 1.5x) by a fingerprint-seeded stream.
-DEFAULT_BACKOFF_BASE_S = 0.05
-DEFAULT_BACKOFF_CAP_S = 2.0
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
 #: The parent's poll/confirmation cadence.
 _POLL_S = 0.05
 
@@ -76,33 +76,25 @@ class SupervisionPolicy:
 
     cell_timeout_s: Optional[float] = None
     retries: int = DEFAULT_RETRIES
-    backoff_base_s: float = DEFAULT_BACKOFF_BASE_S
-    backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S
 
     def __post_init__(self) -> None:
         if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
             raise ValueError("cell timeout must be positive")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.backoff_base_s <= 0 or self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError("backoff ladder must satisfy 0 < base <= cap")
 
 
-def backoff_delay(
-    policy: SupervisionPolicy, fingerprint: str, failures: int
-) -> float:
+def backoff_delay(fingerprint: str, failures: int) -> float:
     """Delay before retry number ``failures`` of one cell.
 
-    Exponential in the consecutive-failure count, capped by the policy,
+    Exponential in the consecutive-failure count, capped at
+    :data:`BACKOFF_CAP_S`,
     then jittered into ``[0.5x, 1.5x)`` so simultaneous failers do not
     retry in lockstep.  The jitter stream is seeded from the cell's
     content fingerprint and the failure ordinal -- deterministic for a
     given (cell, attempt), per the repo's no-ambient-entropy contract.
     """
-    exponential = min(
-        policy.backoff_cap_s,
-        policy.backoff_base_s * (2 ** max(failures - 1, 0)),
-    )
+    exponential = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** max(failures - 1, 0)))
     rng = random.Random(f"supervise-backoff|{fingerprint}|{failures}")
     return exponential * (0.5 + rng.random())
 
@@ -225,9 +217,7 @@ def inline_supervised_iter(
                         outcome="quarantined",
                     )
                     break
-                time.sleep(
-                    backoff_delay(policy, cell_fingerprint(cell), len(errors))
-                )
+                time.sleep(backoff_delay(cell_fingerprint(cell), len(errors)))
                 continue
             result = replace(result, attempts=attempts, outcome="completed")
             break
@@ -312,7 +302,7 @@ def supervised_iter(
             )
         else:
             state.retry_at = time.monotonic() + backoff_delay(
-                policy, cell_fingerprint(cells[index]), state.failures
+                cell_fingerprint(cells[index]), state.failures
             )
             waiting.add(index)
 

@@ -80,6 +80,7 @@ from repro.analysis.report import render_matrix, render_table
 from repro.core.history import WindowHeadroomStats
 from repro.harness import (
     ProductionResult,
+    ReplayResult,
     burst_schedule,
     flappable_links,
     run_ls_replay,
@@ -1335,6 +1336,17 @@ def run_scenario(
     )
 
 
+def replay_scenario(scenario: Scenario, production: ProductionResult) -> ReplayResult:
+    """The Theorem-1 DEFINED-LS replay of a ``defined`` run of
+    ``scenario``, with the scenario's ordering and daemon."""
+    return run_ls_replay(
+        production.graph,
+        production.recording,
+        ordering=scenario.ordering,
+        daemon_factory=scenario.daemon(production.graph) if scenario.daemon else None,
+    )
+
+
 def run_cell(cell: SweepCell) -> CellResult:
     """Execute one grid cell in the current process.
 
@@ -1365,14 +1377,7 @@ def run_cell(cell: SweepCell) -> CellResult:
             assert result.recording is not None
             recording_bytes = result.recording.size_bytes()
             if cell.check_invariant:
-                replay = run_ls_replay(
-                    result.graph,
-                    result.recording,
-                    ordering=scenario.ordering,
-                    daemon_factory=(
-                        scenario.daemon(result.graph) if scenario.daemon else None
-                    ),
-                )
+                replay = replay_scenario(scenario, result)
                 replay_fp = replay.fingerprint
                 invariant = replay_fp == result.fingerprint
                 if invariant is False and cell.artifact_dir:

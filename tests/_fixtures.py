@@ -75,6 +75,15 @@ def square_graph() -> TopologyGraph:
     )
 
 
+def graph_of(edges: List[Tuple[str, str, int]], name: str = "test") -> TopologyGraph:
+    """The graph of ``(a, b, delay_us)`` triples, its nodes in order of
+    first appearance: ``to_network(graph_of(...))`` builds a test net."""
+    nodes: List[str] = []
+    for a, b, _delay_us in edges:
+        nodes.extend(end for end in (a, b) if end not in nodes)
+    return TopologyGraph(name=name, nodes=nodes, edges=list(edges))
+
+
 def line_graph(n: int = 3, delay_us: int = 2_000) -> TopologyGraph:
     nodes = [f"n{i}" for i in range(n)]
     edges = [(nodes[i], nodes[i + 1], delay_us) for i in range(n - 1)]

@@ -283,6 +283,23 @@ class TestParityGrid:
         # half of what the CI parity job asserts across interpreters
         assert bundle_hashes(grid) == first
 
+    def test_a_custom_daemon_cell_replays_its_own_daemon(self, monkeypatch):
+        """``xorp-bgp-med`` runs BGP: its replay bundle must hold the
+        execution a BGP replay reproduces (Theorem 1), not an OSPF one."""
+        from repro.parity import bundle_hashes
+
+        fingerprints = {}
+        for role in ("production", "replay"):
+            bundle = getattr(RunBundle, f"from_{role}")
+
+            def capture(result, context=None, _bundle=bundle, _role=role):
+                fingerprints[_role] = result.fingerprint
+                return _bundle(result, context=context)
+
+            monkeypatch.setattr(RunBundle, f"from_{role}", capture)
+        assert len(bundle_hashes((("xorp-bgp-med", 1, None),))) == 2
+        assert fingerprints["replay"] == fingerprints["production"]
+
 
 class TestDivergenceArchiving:
     @pytest.mark.filterwarnings("ignore::repro.core.shim.HistoryWindowWarning")

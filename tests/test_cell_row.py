@@ -140,7 +140,7 @@ class TestReportsListRows:
         ]
         report = EnvelopeReport(
             scenarios=("flap-storm@20",), jitters_us=(0, 300),
-            windows_us=(100_000, 400_000), seeds=(1,), mode="defined",
+            windows_us=(100_000, 400_000), seeds=(1,),
             cells=cells, verification_cells=cells[:1],
         )
         doc = report.to_dict()

@@ -4,7 +4,7 @@ integration (``@N`` / ``~jNus`` / ``a+b`` over file components), the
 example corpus' determinism under the COW store and the deepcopy
 oracle, the
 generated schema doc's freshness, and the CLI surface
-(``repro chaos validate|schema``, ``repro sweep --scenario-file``).
+(``repro chaos validate|schema``, ``repro sweep --scenarios f.yaml``).
 """
 
 import json
@@ -292,7 +292,7 @@ class TestCli:
         code, out = self._run(
             [
                 "sweep",
-                "--scenario-file", "examples/gray_failure.yaml",
+                "--scenarios", "examples/gray_failure.yaml",
                 "--seeds", "1",
                 "--modes", "vanilla",
             ],

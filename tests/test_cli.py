@@ -55,6 +55,45 @@ class TestCommands:
         assert int(executed) >= int(committed) > 0
         assert "engine events per committed delivery" in out
 
+    def test_debug_network_is_the_replay_network(self, tmp_path, monkeypatch, capsys):
+        """``repro debug`` and ``repro replay`` step one recording on the
+        same debugging network: the same nodes and link delay models."""
+        import repro.repl
+        from repro.core.recorder import Recording
+        from repro.harness import run_ls_replay
+
+        path = str(tmp_path / "run.recording.json")
+        topology = ["--topology", "waxman", "--size", "10"]
+        assert main([
+            "production", *topology, "--events", "2", "--mode", "defined",
+            "--recording-out", path,
+        ]) == 0
+        consoles = []
+
+        class Console:
+            def __init__(self, debugger):
+                consoles.append(debugger)
+
+            def loop(self):
+                pass
+
+        monkeypatch.setattr(repro.repl, "DebugConsole", Console)
+        assert main(["debug", *topology, "--recording", path]) == 0
+        debug_net = consoles[0].coordinator.network
+        replay_net = run_ls_replay(
+            load_topology("waxman", 10, 1), Recording.load(path)
+        ).network
+
+        def link_models(net):
+            return {
+                (a, b): net.route(a, b).model
+                for link in net.links.values()
+                for a, b in ((link.a, link.b), (link.b, link.a))
+            }
+
+        assert debug_net.node_ids() == replay_net.node_ids()
+        assert link_models(debug_net) == link_models(replay_net)
+
     def test_recording_out_requires_defined(self, tmp_path):
         with pytest.raises(SystemExit):
             main([
@@ -134,10 +173,9 @@ class TestCommands:
         assert "convergence time" in capsys.readouterr().out
 
     def test_sweep_compose_with_boundary_jitter(self, capsys):
-        # --compose alone (no --scenarios) sweeps only the compositions;
-        # --boundary-jitter-us wraps them in the fuzzer variant
+        # --boundary-jitter-us wraps a composition in the fuzzer variant
         rc = main([
-            "sweep", "--compose", "latency-jitter+ddos-overload",
+            "sweep", "--scenarios", "latency-jitter+ddos-overload",
             "--boundary-jitter-us", "1", "--seeds", "1",
         ])
         assert rc == 0
@@ -162,16 +200,13 @@ class TestCommands:
         from repro.cli import build_parser
         from repro.sweep import default_grid
 
-        # regression: an explicit --scenarios all must not be silently
-        # narrowed to just the compositions
+        # regression: an "all" item must not be silently narrowed to
+        # just the compositions named beside it
         args = build_parser().parse_args([
-            "sweep", "--scenarios", "all",
-            "--compose", "flap_storm+partition,latency-jitter+ddos-overload",
+            "sweep",
+            "--scenarios", "all,flap_storm+partition,latency-jitter+ddos-overload",
             "--seeds", "1",
         ])
-        # exercise only the name-selection logic via a dry --list-less
-        # parse; the grid itself is covered by the sweep tests
-        assert args.scenarios == "all" and args.compose
 
         import repro.cli as cli_mod
 
@@ -203,7 +238,7 @@ class TestCommands:
 
     def test_sweep_compose_rejects_unknown_component(self):
         with pytest.raises(SystemExit):
-            main(["sweep", "--compose", "latency-jitter+heat-death",
+            main(["sweep", "--scenarios", "latency-jitter+heat-death",
                   "--seeds", "1"])
 
     @pytest.mark.parametrize("argv, error", [
@@ -215,6 +250,9 @@ class TestCommands:
         (["lint", "--strict", "src/repro"], "unrecognized arguments"),
         (["lint", "--baseline", "x.json", "src/repro"], "unrecognized arguments"),
         (["lint", "--write-baseline", "src/repro"], "unrecognized arguments"),
+        (["sweep", "--compose", "flap-storm+partition"], "unrecognized arguments"),
+        (["sweep", "--scenario-file", "examples/clock_skew_storm.yaml"],
+         "unrecognized arguments"),
     ])
     def test_retired_flags_are_errors_not_ignored(self, argv, error, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -307,16 +345,14 @@ class TestSweepGridSelection:
             monkeypatch, "--scenarios", f"flap-storm+partition,{CLOCK_SKEW_FILE}"
         )
         assert grid == COMPOSE_AND_FILE_GRID
-        assert _sweep_grid(
-            monkeypatch, "--compose", "flap-storm+partition",
-            "--scenario-file", CLOCK_SKEW_FILE,
-        ) == grid
 
     def test_default_grid_plus_a_file(self, monkeypatch):
-        grid = _sweep_grid(
-            monkeypatch, "--scenarios", "all", "--scenario-file", CLOCK_SKEW_FILE
-        )
+        grid = _sweep_grid(monkeypatch, "--scenarios", f"all,{CLOCK_SKEW_FILE}")
         assert grid == DEFAULT_GRID_AND_FILE
+
+    def test_default_is_the_default_grid(self, monkeypatch):
+        assert _sweep_grid(monkeypatch) == _sweep_grid(monkeypatch, "--scenarios", "all")
+        assert _sweep_grid(monkeypatch) == DEFAULT_GRID_AND_FILE[:-1]
 
 
 #: Every option of the three grid commands: option strings, destination,
@@ -327,7 +363,6 @@ GRID_COMMAND_OPTIONS = {
         (("--artifact-out",), "artifact_out", None, None, False),
         (("--boundary-jitter-us",), "boundary_jitter_us", None, "int", False),
         (("--cell-timeout",), "cell_timeout", None, "float", False),
-        (("--compose",), "compose", None, None, False),
         (("--journal",), "journal", None, None, False),
         (("--list",), "list", False, None, False),
         (("--modes",), "modes", None, None, False),
@@ -335,7 +370,6 @@ GRID_COMMAND_OPTIONS = {
         (("--report-out",), "report_out", None, None, False),
         (("--resume",), "resume", None, None, False),
         (("--retries",), "retries", None, "int", False),
-        (("--scenario-file",), "scenario_file", None, None, False),
         (("--scenarios",), "scenarios", None, None, False),
         (("--seeds",), "seeds", "1,2,3", None, False),
         (("--sizes",), "sizes", None, None, False),

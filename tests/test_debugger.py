@@ -5,10 +5,7 @@ import pytest
 from _fixtures import flap_schedule, square_graph
 
 from repro.core.debugger import Breakpoint, Debugger
-from repro.core.lockstep import LockstepCoordinator
-from repro.core.ordering import make_ordering
-from repro.harness import ospf_daemon_factory, run_production
-from repro.topology import to_network
+from repro.harness import build_ls_coordinator, run_production
 
 
 @pytest.fixture(scope="module")
@@ -20,11 +17,7 @@ def production():
 
 def make_debugger(production):
     square, prod = production
-    net = to_network(square, seed=5, jitter_us=300)
-    coordinator = LockstepCoordinator(net, prod.recording, ordering=make_ordering("OO"))
-    coordinator.attach(ospf_daemon_factory(square))
-    coordinator.start()
-    return Debugger(coordinator)
+    return Debugger(build_ls_coordinator(square, prod.recording, seed=5, jitter_us=300))
 
 
 class TestStepping:

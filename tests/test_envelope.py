@@ -223,8 +223,6 @@ class TestEnvelopeMapping:
             _map_diamond(windows_us=(0,))
         with pytest.raises(ValueError, match="'auto'"):
             _map_diamond(windows_us="ladder")
-        with pytest.raises(ValueError, match="defined-mode"):
-            _map_diamond(mode="vanilla")
         with pytest.raises(ValueError, match="target_quantile"):
             _map_diamond(target_quantile=1.5)
         with pytest.raises(KeyError):

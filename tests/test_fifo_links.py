@@ -7,13 +7,15 @@ get shuffled in ways no real network produces -- which manifested as deep
 rollback cascades under DEFINED-RB.
 """
 
+from _fixtures import graph_of
+
 from repro.simnet.messages import Message
-from repro.simnet.network import build_network
 from repro.simnet.node import VanillaStack
+from repro.topology import to_network
 
 
 def burst_net(seed=0, jitter=5_000):
-    net = build_network([("a", "b", 1_000)], seed=seed, jitter_us=jitter)
+    net = to_network(graph_of([("a", "b", 1_000)]), seed=seed, jitter_us=jitter)
     net.attach(lambda node: VanillaStack(node, timer_jitter_us=0))
     net.start()
     return net

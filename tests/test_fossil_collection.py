@@ -24,12 +24,12 @@ from typing import List, Tuple
 
 import pytest
 
-from _fixtures import run_scenario_cell
+from _fixtures import graph_of, run_scenario_cell
 
 from repro.core.shim import DefinedShim, HistoryWindowWarning
 from repro.simnet.messages import Message, Unsend
-from repro.simnet.network import build_network
 from repro.sweep import SweepRunner
+from repro.topology import to_network
 
 WINDOW = 1_000_000
 #: ``a - b`` 2 ms and ``b - c`` 3 ms, no jitter: the longest link is 3 ms.
@@ -39,7 +39,7 @@ LINE = [("a", "b", 2_000), ("b", "c", 3_000)]
 def line():
     """Daemon-less shims on :data:`LINE`, started; no beacons, so nothing
     prunes unless a test calls ``_prune_window``."""
-    net = build_network(LINE, jitter_us=0)
+    net = to_network(graph_of(LINE), jitter_us=0)
     net.attach(lambda node: DefinedShim(node, window_us=WINDOW))
     net.start()
     return net, net.nodes["a"].stack, net.nodes["b"].stack

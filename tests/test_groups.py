@@ -2,15 +2,17 @@
 
 import pytest
 
+from _fixtures import graph_of
+
 from repro.core.groups import BeaconService
 from repro.core.recorder import Recorder
-from repro.simnet.network import build_network
 from repro.simnet.node import Node, VanillaStack
+from repro.topology import to_network
 
 
 def beacon_net():
-    net = build_network(
-        [("a", "b", 1_000), ("b", "c", 2_000)], jitter_us=0, time_unit_us=250_000
+    net = to_network(
+        graph_of([("a", "b", 1_000), ("b", "c", 2_000)]), jitter_us=0, time_unit_us=250_000
     )
     net.attach(lambda node: VanillaStack(node, timer_jitter_us=0))
     return net
@@ -60,8 +62,8 @@ class TestBeaconing:
         assert service.group == 1
 
     def test_interval_override(self):
-        net = build_network(
-            [("a", "b", 1_000), ("b", "c", 2_000)], jitter_us=0, time_unit_us=100_000
+        net = to_network(
+            graph_of([("a", "b", 1_000), ("b", "c", 2_000)]), jitter_us=0, time_unit_us=100_000
         )
         net.attach(lambda node: VanillaStack(node, timer_jitter_us=0))
         service = BeaconService(net)
@@ -72,8 +74,8 @@ class TestBeaconing:
     @pytest.mark.parametrize("time_unit_us", [50_000, 100_000, 250_000, 1_000_000])
     def test_beacon_period_is_the_time_unit(self, time_unit_us):
         """One beacon per virtual-time unit (Section 3), whatever the unit."""
-        net = build_network(
-            [("a", "b", 1_000), ("b", "c", 2_000)], jitter_us=0,
+        net = to_network(
+            graph_of([("a", "b", 1_000), ("b", "c", 2_000)]), jitter_us=0,
             time_unit_us=time_unit_us,
         )
         net.attach(lambda node: VanillaStack(node, timer_jitter_us=0))
@@ -101,8 +103,8 @@ class TestBeaconInstants:
     SKEWS = {"b": 5_000, "c": 5_000, "d": -2_000}  # e is partitioned
 
     def skewed_line(self, monkeypatch):
-        net = build_network(
-            [("a", "b", 1_000), ("b", "c", 2_000), ("c", "d", 1_500)],
+        net = to_network(
+            graph_of([("a", "b", 1_000), ("b", "c", 2_000), ("c", "d", 1_500)]),
             jitter_us=0,
             time_unit_us=self.INTERVAL,
         )

@@ -3,11 +3,12 @@ test-side oracle :class:`_oracles.GvtTracker`."""
 
 import pytest
 
-from _fixtures import flap_schedule, square_graph
+from _fixtures import flap_schedule, graph_of, square_graph
 from _oracles import GvtTracker
 
 from repro.harness import build_ospf_network
 from repro.simnet.engine import SECOND
+from repro.topology import to_network
 
 
 def run_with_tracker(jitter_us=500, horizon_us=14 * SECOND, graph=None,
@@ -80,24 +81,18 @@ class TestLemma2:
 
 class TestTrackerMechanics:
     def test_sample_without_shims(self):
-        from repro.simnet.network import build_network
-
-        net = build_network([("a", "b", 1_000)])
+        net = to_network(graph_of([("a", "b", 1_000)]))
         tracker = GvtTracker(net)
         sample = tracker.sample()
         assert sample.floor_node is None
         assert sample.gvt_us == net.sim.now
 
     def test_bad_interval_rejected(self):
-        from repro.simnet.network import build_network
-
-        tracker = GvtTracker(build_network([("a", "b", 1_000)]))
+        tracker = GvtTracker(to_network(graph_of([("a", "b", 1_000)])))
         with pytest.raises(ValueError):
             tracker.start(interval_us=0)
 
     def test_lag_requires_samples(self):
-        from repro.simnet.network import build_network
-
-        tracker = GvtTracker(build_network([("a", "b", 1_000)]))
+        tracker = GvtTracker(to_network(graph_of([("a", "b", 1_000)])))
         with pytest.raises(ValueError):
             tracker.lag_us()

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from _fixtures import run_scenario_cell
+from _fixtures import graph_of, run_scenario_cell
 from _oracles import deepcopy_stores
 
 from repro.core.recorder import Recorder
@@ -21,8 +21,8 @@ from repro.core.rollback import ReplayStack, output_id, send_identity
 from repro.core.shim import DefinedShim
 from repro.routing.base import Daemon
 from repro.simnet.messages import Annotation, Message, Unsend
-from repro.simnet.network import build_network
 from repro.sweep import SweepRunner
+from repro.topology import to_network
 
 
 @pytest.fixture
@@ -161,7 +161,7 @@ class Line:
     """a - b - c with every transmission recorded, unsends included."""
 
     def __init__(self):
-        self.net = build_network([("a", "b", 2_000), ("b", "c", 2_000)], jitter_us=0)
+        self.net = to_network(graph_of([("a", "b", 2_000), ("b", "c", 2_000)]), jitter_us=0)
         self.recorder = Recorder()
         self.net.attach(
             lambda node: DefinedShim(node, recorder=self.recorder),

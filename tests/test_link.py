@@ -5,7 +5,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from _fixtures import graph_of
+
 from repro.simnet.link import DelayModel, Link
+from repro.topology import to_network
 
 
 class TestDelayModel:
@@ -63,20 +66,16 @@ class TestLink:
     def test_link_id_is_order_independent(self):
         assert Link("b", "a").link_id == Link("a", "b").link_id
 
-    def test_asymmetric_models(self):
-        fwd = DelayModel(base_us=100, jitter_us=0)
-        rev = DelayModel(base_us=900, jitter_us=0)
-        link = Link("a", "b", fwd, rev)
-        assert link.avg_delay_us("a") == 100
-        assert link.avg_delay_us("b") == 900
+    def test_one_model_serves_both_directions(self):
+        model = DelayModel(base_us=300, jitter_us=0)
+        net = to_network(graph_of([("a", "b", 300)]), jitter_us=0)
+        assert Link("a", "b", model).model is model
+        assert net.route("a", "b").model is net.route("b", "a").model
 
-    def test_symmetric_default(self):
-        link = Link("a", "b", DelayModel(base_us=300, jitter_us=0))
-        assert link.avg_delay_us("a") == link.avg_delay_us("b") == 300
-
-    def test_model_for_unknown_endpoint(self):
+    def test_route_between_non_neighbours_is_refused(self):
+        net = to_network(graph_of([("a", "b", 300), ("b", "c", 300)]))
         with pytest.raises(ValueError):
-            Link("a", "b").model_for("z")
+            net.route("a", "c")
 
     def test_starts_up(self):
         assert Link("a", "b").up

@@ -4,7 +4,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from _fixtures import flap_schedule, run_scenario_cell, square_graph
+from _fixtures import flap_schedule, graph_of, run_scenario_cell, square_graph
 from _oracles import deepcopy_stores
 
 from repro.core.lockstep import LockstepCoordinator, LockstepStack
@@ -15,7 +15,7 @@ from repro.harness import ospf_daemon_factory, run_production
 from repro.routing.base import Daemon
 from repro.simnet.link import DelayModel
 from repro.simnet.messages import Annotation, Message, Unsend
-from repro.simnet.network import Network, build_network
+from repro.simnet.network import Network
 from repro.simnet.node import Stack
 from repro.simnet.transport import ReliableTransport
 from repro.sweep import get_scenario
@@ -52,7 +52,7 @@ class TestCoordinatorPlacement:
         """Barrier control traffic leaves from the first node id: each
         node's coordinator delay is its shortest-path delay from there."""
         _, prod = production
-        net = build_network(edges, jitter_us=0)
+        net = to_network(graph_of(edges), jitter_us=0)
         coordinator = LockstepCoordinator(net, prod.recording)
         first = net.node_ids()[0]
         assert coordinator.delay_to(first) == 0
@@ -342,7 +342,7 @@ class TestSuffixReexecutionUnit:
 
     @pytest.fixture
     def b(self):
-        net = build_network([("a", "b", 2_000), ("b", "c", 2_000)], jitter_us=0)
+        net = to_network(graph_of([("a", "b", 2_000), ("b", "c", 2_000)]), jitter_us=0)
         coordinator = LockstepCoordinator(net, Recording())
         coordinator.attach(
             lambda node_id, stack: CountingDaemon(
@@ -467,9 +467,10 @@ def _transmit_and_await(
     net = Network(seed=0)
     for node_id in ("a", "b"):
         net.add_node(node_id)
-    link = net.add_link(
-        "a", "b", DelayModel(base_us=frame_us, jitter_us=0), DelayModel(base_us=ack_us, jitter_us=0)
-    )
+    link = net.add_link("a", "b", DelayModel(base_us=frame_us, jitter_us=0))
+    # links are symmetric: the ACK direction's delay is set on its route
+    ack_route = net.route("b", "a")._replace(model=DelayModel(base_us=ack_us, jitter_us=0))
+    net._routes["b", "a"] = ack_route
     stack = LockstepStack(
         net.nodes["a"], make_ordering("OO"), Recording(), rto_us=rto_us, poll_us=POLL_US
     )

@@ -3,16 +3,13 @@ coordinator (node_down via the recording's network-level events)."""
 
 import pytest
 
-from repro.core.lockstep import LockstepCoordinator
-from repro.core.ordering import make_ordering
-from repro.harness import run_ls_replay, run_production
+from repro.harness import build_ls_coordinator, run_ls_replay, run_production
 from repro.scenarios import (
     RIP_MAIN,
     quagga_rip_scenario,
     rip_daemon_factory,
     rip_topology,
 )
-from repro.topology import to_network
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +26,10 @@ class TestNodeFailureReplay:
         assert any(e.kind == "node_down" for e in net_events)
 
     def test_dead_node_becomes_inactive_in_replay(self, rip_production):
-        net = to_network(rip_topology(), seed=9, jitter_us=300)
-        coordinator = LockstepCoordinator(
-            net, rip_production.result.recording, ordering=make_ordering("OO")
+        coordinator = build_ls_coordinator(
+            rip_topology(), rip_production.result.recording, seed=9, jitter_us=300,
+            daemon_factory=rip_daemon_factory("buggy", 8),
         )
-        coordinator.attach(rip_daemon_factory("buggy", 8))
-        coordinator.start()
         death_group = next(
             e.group
             for e in rip_production.result.recording.events

@@ -2,19 +2,21 @@
 
 import pytest
 
+from _fixtures import graph_of
+
 from repro.harness import run_ls_replay
 from repro.scenarios import BUILTINS, COMPOSITIONS
 from repro.simnet.events import NODE_UP, ExternalEvent
-from repro.simnet.link import DelayModel
 from repro.simnet.messages import Message
-from repro.simnet.network import Network, build_network
+from repro.simnet.network import Network
 from repro.simnet.node import Node, VanillaStack
 from repro.sweep import get_scenario, run_scenario
+from repro.topology import to_network
 
 
 def tiny_net(seed=0, jitter=0, loss=0.0) -> Network:
-    return build_network(
-        [("a", "b", 1_000), ("b", "c", 2_000)],
+    return to_network(
+        graph_of([("a", "b", 1_000), ("b", "c", 2_000)]),
         seed=seed,
         jitter_us=jitter,
         loss=loss,
@@ -76,7 +78,7 @@ class TestDelayMatrix:
         assert tiny_net().max_propagation_us() == 3_000
 
     def test_jitter_contributes_via_average(self):
-        net = build_network([("a", "b", 1_000)], jitter_us=400)
+        net = to_network(graph_of([("a", "b", 1_000)]), jitter_us=400)
         assert net.delay_matrix()["a"]["b"] == 1_200
 
 

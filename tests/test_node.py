@@ -1,13 +1,15 @@
 """Unit tests for nodes and the vanilla stack."""
 
+from _fixtures import graph_of
+
 from repro.core.checkpoint import baseline_processing_model
 from repro.simnet.messages import Message
-from repro.simnet.network import build_network
 from repro.simnet.node import VanillaStack
+from repro.topology import to_network
 
 
 def vanilla_net(jitter=0, timer_jitter=0, proc_model=None):
-    net = build_network([("a", "b", 1_000)], jitter_us=jitter)
+    net = to_network(graph_of([("a", "b", 1_000)]), jitter_us=jitter)
     net.attach(
         lambda node: VanillaStack(
             node, timer_jitter_us=timer_jitter, proc_model=proc_model
@@ -61,7 +63,7 @@ class TestVanillaTimers:
     def test_timer_jitter_changes_fire_time_across_seeds(self):
         times = []
         for seed in (1, 2, 3):
-            net = build_network([("a", "b", 1_000)], seed=seed)
+            net = to_network(graph_of([("a", "b", 1_000)]), seed=seed)
             net.attach(lambda node: VanillaStack(node, timer_jitter_us=50_000))
             net.start()
             net.nodes["a"].stack.set_timer(2, "t")

@@ -7,11 +7,8 @@ import pytest
 from _fixtures import flap_schedule, square_graph
 
 from repro.core.debugger import Debugger
-from repro.core.lockstep import LockstepCoordinator
-from repro.core.ordering import make_ordering
-from repro.harness import ospf_daemon_factory, run_production
+from repro.harness import build_ls_coordinator, run_production
 from repro.repl import DebugConsole
-from repro.topology import to_network
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +21,7 @@ def production():
 
 def make_console(production, script=None):
     square, prod = production
-    net = to_network(square, seed=12, jitter_us=300)
-    coordinator = LockstepCoordinator(net, prod.recording, ordering=make_ordering("OO"))
-    coordinator.attach(ospf_daemon_factory(square))
-    coordinator.start()
+    coordinator = build_ls_coordinator(square, prod.recording, seed=12, jitter_us=300)
     lines = iter(script or [])
     out = io.StringIO()
     console = DebugConsole(

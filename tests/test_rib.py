@@ -11,21 +11,21 @@ def entry(dest="d", next_hop="n", metric=1, source="rip", expires=None):
 
 class TestRib:
     def test_install_and_lookup(self):
-        rib = Rib()
+        rib = Rib(StateStore())
         rib.install(entry())
         assert rib.lookup("d").metric == 1
         assert "d" in rib
         assert rib.next_hop("d") == "n"
 
     def test_install_replaces(self):
-        rib = Rib()
+        rib = Rib(StateStore())
         rib.install(entry(metric=1))
         rib.install(entry(metric=9))
         assert rib.lookup("d").metric == 9
         assert len(rib) == 1
 
     def test_withdraw(self):
-        rib = Rib()
+        rib = Rib(StateStore())
         rib.install(entry())
         removed = rib.withdraw("d")
         assert removed.dest == "d"
@@ -33,11 +33,11 @@ class TestRib:
         assert "d" not in rib
 
     def test_lookup_missing(self):
-        assert Rib().lookup("zz") is None
-        assert Rib().next_hop("zz") is None
+        assert Rib(StateStore()).lookup("zz") is None
+        assert Rib(StateStore()).next_hop("zz") is None
 
     def test_iteration_is_sorted_by_destination(self):
-        rib = Rib()
+        rib = Rib(StateStore())
         for dest in ("z", "a", "m"):
             rib.install(entry(dest=dest))
         assert [e.dest for e in rib] == ["a", "m", "z"]
@@ -46,7 +46,7 @@ class TestRib:
     def test_store_restore_roundtrip(self):
         """A table bound into a store rewinds with it."""
         store = StateStore()
-        rib = Rib(store=store)
+        rib = Rib(store)
         rib.install(entry(dest="a", expires=9))
         rib.install(entry(dest="b", next_hop=None, source="connected"))
         dump = rib.as_dict()
@@ -58,7 +58,7 @@ class TestRib:
         assert rib.as_dict() == dump
 
     def test_as_dict_is_deterministic(self):
-        rib1, rib2 = Rib(), Rib()
+        rib1, rib2 = Rib(StateStore()), Rib(StateStore())
         for dest in ("b", "a"):
             rib1.install(entry(dest=dest))
         for dest in ("a", "b"):

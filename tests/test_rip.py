@@ -2,7 +2,7 @@
 
 import pytest
 
-from _fixtures import FakeStack
+from _fixtures import FakeStack, graph_of
 
 from repro.core.shim import DefinedShim
 from repro.routing.rip import (
@@ -12,7 +12,7 @@ from repro.routing.rip import (
     PROTO_UPDATE,
 )
 from repro.simnet.messages import Message
-from repro.simnet.network import build_network
+from repro.topology import to_network
 
 
 def make(cls=CorrectRip, own=None, **kw):
@@ -175,7 +175,7 @@ class TestCheckpointing:
 
 class TestInspection:
     def test_on_a_stack_the_view_includes_the_timer_table(self):
-        net = build_network([("R1", "R2", 2_000)], jitter_us=0)
+        net = to_network(graph_of([("R1", "R2", 2_000)]), jitter_us=0)
         net.attach(DefinedShim, lambda node_id, stack: CorrectRip(node_id, stack, []))
         net.start()
         assert sorted(net.nodes["R1"].daemon.state()) == ["_timers", "_timers.meta", "rib"]

@@ -16,7 +16,7 @@ from repro.core.statestore import StateStore, StoreContractViolation
 from repro.harness import run_production
 from repro.routing.base import Daemon
 from repro.simnet.messages import Annotation, Message
-from repro.simnet.network import build_network
+from repro.topology import to_network
 
 
 @pytest.fixture
@@ -226,7 +226,7 @@ class TestAttribution:
     @pytest.fixture
     def middle(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        net = build_network(line_graph(3).edges, jitter_us=0)
+        net = to_network(line_graph(3), jitter_us=0)
         net.attach(DefinedShim, Hoarder)
         net.start()
         return net, net.nodes["n1"]

@@ -2,6 +2,8 @@
 
 import pytest
 
+from _fixtures import graph_of
+
 from repro.core.groups import BeaconService
 from repro.core.recorder import Recorder
 from repro.core.shim import DefinedShim
@@ -10,7 +12,7 @@ from repro.routing.base import Daemon
 from repro.simnet.engine import SECOND
 from repro.simnet.events import ExternalEvent
 from repro.simnet.messages import Message
-from repro.simnet.network import build_network
+from repro.topology import to_network
 
 
 class EchoDaemon(Daemon):
@@ -46,7 +48,7 @@ class EchoDaemon(Daemon):
 
 def defined_net(topology=(("a", "b", 2_000), ("b", "c", 3_000)), seed=0,
                 jitter=0, recorder=None, **shim_kw):
-    net = build_network(list(topology), seed=seed, jitter_us=jitter)
+    net = to_network(graph_of(list(topology)), seed=seed, jitter_us=jitter)
     net.attach(
         lambda node: DefinedShim(node, recorder=recorder, **shim_kw),
         lambda node_id, stack: EchoDaemon(
@@ -84,7 +86,7 @@ class TestAnnotations:
         assert seen == [1, 2]
 
     def test_child_annotation_inherits_origin_and_accumulates_delay(self):
-        net = build_network([("a", "b", 2_000), ("b", "c", 3_000)], jitter_us=0)
+        net = to_network(graph_of([("a", "b", 2_000), ("b", "c", 3_000)]), jitter_us=0)
         net.attach(
             lambda node: DefinedShim(node),
             lambda node_id, stack: EchoDaemon(
@@ -197,8 +199,8 @@ class TestUnsendCascade:
         # pongs to d.  A misorder at b rolls it back, which must unsend
         # the already-forwarded pongs at d.
         for seed in range(10):
-            net = build_network(
-                [("a", "b", 2_000), ("b", "c", 2_500), ("b", "d", 3_000)],
+            net = to_network(
+                graph_of([("a", "b", 2_000), ("b", "c", 2_500), ("b", "d", 3_000)]),
                 seed=seed,
                 jitter_us=3_000,
             )
@@ -334,7 +336,7 @@ class TestReboot:
         net.start()
         stack = net.nodes["b"].stack
         assert stack._store is net.nodes["b"].daemon.store
-        bare = build_network([("a", "b", 2_000)], jitter_us=0)
+        bare = to_network(graph_of([("a", "b", 2_000)]), jitter_us=0)
         bare.attach(lambda node: DefinedShim(node))  # no daemon
         bare.start()
         stack = bare.nodes["b"].stack

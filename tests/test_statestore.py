@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from _fixtures import run_scenario_cell
 from _oracles import DeepcopyStore
 
-from repro.core.statestore import Namespace, StateStore, estimate_bytes
+from repro.core.statestore import StateStore, estimate_bytes
 
 #: The COW store and the full-copy oracle it must be indistinguishable from.
 both_stores = pytest.mark.parametrize(
@@ -26,7 +26,7 @@ def make_store(store_cls=StateStore):
 
 class TestNamespace:
     def test_mapping_basics(self):
-        ns = Namespace("n")
+        ns = StateStore().namespace("n")
         ns["k"] = 1
         assert ns["k"] == 1 and "k" in ns and len(ns) == 1
         ns["k"] = 2
@@ -40,7 +40,7 @@ class TestNamespace:
         assert ns.pop("k", "dflt") == "dflt"
 
     def test_iteration_is_sorted(self):
-        ns = Namespace("n")
+        ns = StateStore().namespace("n")
         for key in ("z", "a", "m"):
             ns[key] = key.upper()
         assert list(ns) == ["a", "m", "z"]
@@ -49,7 +49,7 @@ class TestNamespace:
         assert list(ns.as_dict()) == ["a", "m", "z"]
 
     def test_sorted_view_tracks_deletes_and_reinserts(self):
-        ns = Namespace("n")
+        ns = StateStore().namespace("n")
         for key in ("b", "a", "c"):
             ns[key] = 0
         del ns["b"]
@@ -57,7 +57,7 @@ class TestNamespace:
         assert list(ns) == ["a", "b", "c"]
 
     def test_replace(self):
-        ns = Namespace("n")
+        ns = StateStore().namespace("n")
         ns.update({"a": 1, "b": 2})
         ns.replace({"b": 3, "c": 4})
         assert ns.as_dict() == {"b": 3, "c": 4}
@@ -84,7 +84,7 @@ class TestNamespace:
         assert store.private_bytes() == 0
 
     def test_byte_accounting_returns_to_zero(self):
-        ns = Namespace("n")
+        ns = StateStore().namespace("n")
         assert ns.byte_size() == 0
         ns["key"] = ("tuple", 1)
         ns["other"] = "text"

@@ -36,6 +36,7 @@ from repro.supervise import (
     load_completed,
     load_records,
 )
+from repro.supervise.executor import BACKOFF_BASE_S, BACKOFF_CAP_S
 from repro.supervise.journal import cell_identity, journal_summary
 from repro.sweep import CellResult, SweepCell, SweepRunner
 from repro.sweep_stream import ResultPushError, ResultRing, decode_record, encode_result
@@ -193,28 +194,24 @@ class TestClassifier:
 
 class TestBackoff:
     def test_exponential_within_jitter_envelope_and_capped(self):
-        policy = SupervisionPolicy(retries=5, backoff_base_s=0.1, backoff_cap_s=1.0)
-        for failures in range(1, 8):
-            expected = min(1.0, 0.1 * 2 ** (failures - 1))
-            delay = backoff_delay(policy, "deadbeef", failures)
+        for failures in range(1, 10):
+            expected = min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (failures - 1))
+            delay = backoff_delay("deadbeef", failures)
             assert expected * 0.5 <= delay < expected * 1.5
         # far past the cap the delay stays bounded
-        assert backoff_delay(policy, "deadbeef", 50) < 1.5
+        assert backoff_delay("deadbeef", 50) < BACKOFF_CAP_S * 1.5
 
     def test_deterministic_per_cell_and_attempt(self):
-        policy = SupervisionPolicy()
-        assert backoff_delay(policy, "aa", 2) == backoff_delay(policy, "aa", 2)
+        assert backoff_delay("aa", 2) == backoff_delay("aa", 2)
         # different cells (and different ordinals) decorrelate
-        assert backoff_delay(policy, "aa", 2) != backoff_delay(policy, "bb", 2)
-        assert backoff_delay(policy, "aa", 2) != backoff_delay(policy, "aa", 3)
+        assert backoff_delay("aa", 2) != backoff_delay("bb", 2)
+        assert backoff_delay("aa", 2) != backoff_delay("aa", 3)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             SupervisionPolicy(cell_timeout_s=0)
         with pytest.raises(ValueError):
             SupervisionPolicy(retries=-1)
-        with pytest.raises(ValueError):
-            SupervisionPolicy(backoff_base_s=0.5, backoff_cap_s=0.1)
 
 
 # ----------------------------------------------------------------------

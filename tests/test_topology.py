@@ -29,7 +29,7 @@ class TestTopologyGraph:
         graph = TopologyGraph("g", ["a", "b"], [("a", "b", 5_000)])
         net = to_network(graph, jitter_us=0)
         assert net.node_ids() == ["a", "b"]
-        assert net.link_between("a", "b").avg_delay_us("a") == 5_000
+        assert net.link_between("a", "b").model.avg_us == 5_000
 
 
 class TestRocketfuel:

@@ -2,10 +2,12 @@
 
 import pytest
 
+from _fixtures import graph_of
+
 from repro.simnet.messages import Message
-from repro.simnet.network import build_network
 from repro.simnet.node import Stack
 from repro.simnet.transport import ReliableTransport
+from repro.topology import to_network
 
 
 class SinkStack(Stack):
@@ -41,7 +43,7 @@ class SinkStack(Stack):
 
 
 def make_net(loss=0.0, seed=0, jitter=500):
-    net = build_network([("a", "b", 1_000)], seed=seed, jitter_us=jitter, loss=loss)
+    net = to_network(graph_of([("a", "b", 1_000)]), seed=seed, jitter_us=jitter, loss=loss)
     net.attach(lambda node: SinkStack(node))
     return net
 

@@ -8,26 +8,26 @@ from repro.core.virtual_time import TimerTable
 
 class TestBasics:
     def test_set_returns_expiry_with_min_one_unit(self):
-        table = TimerTable()
+        table = TimerTable(StateStore())
         assert table.set("t", current_vt=5, delay_units=0) == 6
         assert table.set("u", current_vt=5, delay_units=3) == 8
 
     def test_cancel(self):
-        table = TimerTable()
+        table = TimerTable(StateStore())
         table.set("t", 0, 1)
         assert table.cancel("t")
         assert not table.cancel("t")
         assert not table.is_armed("t")
 
     def test_next_due_respects_vt(self):
-        table = TimerTable()
+        table = TimerTable(StateStore())
         table.set("t", 0, 2)  # expiry 2
         assert table.next_due(1) is None
         due = table.next_due(2)
         assert due is not None and due[2] == "t"
 
     def test_next_due_orders_by_expiry_then_creation(self):
-        table = TimerTable()
+        table = TimerTable(StateStore())
         table.set("late", 0, 2)
         table.set("early", 0, 1)
         table.set("also_early", 0, 1)
@@ -37,7 +37,7 @@ class TestBasics:
         assert table.next_due(5)[2] == "also_early"
 
     def test_pop_retires_only_the_firing_it_names(self):
-        table = TimerTable()
+        table = TimerTable(StateStore())
         table.set("t", 0, 1)
         _expiry, old_seq, _key = table.next_due(1)
         table.set("t", 0, 5)  # re-armed after the first firing was taken
@@ -49,14 +49,14 @@ class TestBasics:
         assert table.next_due(5) is None
 
     def test_rearm_replaces_expiry_and_refreshes_order(self):
-        table = TimerTable()
+        table = TimerTable(StateStore())
         table.set("a", 0, 1)
         table.set("b", 0, 1)
         table.set("a", 0, 1)  # re-arm: now created after b
         assert table.next_due(5)[2] == "b"
 
     def test_due_count_and_len(self):
-        table = TimerTable()
+        table = TimerTable(StateStore())
         table.set("a", 0, 1)
         table.set("b", 0, 5)
         assert len(table) == 2
@@ -64,7 +64,7 @@ class TestBasics:
         assert table.due_count(10) == 2
 
     def test_expiry_of(self):
-        table = TimerTable()
+        table = TimerTable(StateStore())
         table.set("a", 3, 4)
         assert table.expiry_of("a") == 7
         assert table.expiry_of("zz") is None
@@ -74,7 +74,7 @@ def stored_table():
     """A table bound into a store, as every booted stack's is: the store
     version is the table's checkpoint."""
     store = StateStore()
-    return store, TimerTable(store=store)
+    return store, TimerTable(store)
 
 
 class TestSnapshotRestore:
@@ -90,7 +90,7 @@ class TestSnapshotRestore:
         assert not table.is_armed("c")
 
     def test_snapshot_is_immutable_under_later_changes(self):
-        table = TimerTable()
+        table = TimerTable(StateStore())
         table.set("a", 0, 1)
         snap = table.snapshot()
         table.set("b", 0, 1)

@@ -84,10 +84,12 @@ class TestWarningThrottling:
 
     def _shim(self):
         """A started two-node DEFINED net (no daemon); node a's shim."""
-        from repro.core.shim import DefinedShim
-        from repro.simnet.network import build_network
+        from _fixtures import graph_of
 
-        net = build_network([("a", "b", 2_000)], seed=0, jitter_us=0)
+        from repro.core.shim import DefinedShim
+        from repro.topology import to_network
+
+        net = to_network(graph_of([("a", "b", 2_000)]), seed=0, jitter_us=0)
         net.attach(lambda node: DefinedShim(node))
         net.start()
         return net.nodes["a"].stack
