@@ -55,7 +55,7 @@ class TestCommands:
         assert int(executed) >= int(committed) > 0
         assert "engine events per committed delivery" in out
 
-    def test_debug_network_is_the_replay_network(self, tmp_path, monkeypatch, capsys):
+    def test_debug_network_is_the_replay_network(self, tmp_path, monkeypatch):
         """``repro debug`` and ``repro replay`` step one recording on the
         same debugging network: the same nodes and link delay models."""
         import repro.repl
@@ -351,7 +351,6 @@ class TestSweepGridSelection:
         assert grid == DEFAULT_GRID_AND_FILE
 
     def test_default_is_the_default_grid(self, monkeypatch):
-        assert _sweep_grid(monkeypatch) == _sweep_grid(monkeypatch, "--scenarios", "all")
         assert _sweep_grid(monkeypatch) == DEFAULT_GRID_AND_FILE[:-1]
 
 
