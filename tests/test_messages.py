@@ -1,5 +1,7 @@
 """Unit tests for messages and causal annotations."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +46,25 @@ class TestAnnotation:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             ann().origin = "x"  # type: ignore[misc]
+
+    def test_repr_names_every_field(self):
+        assert repr(ann(sender="v")) == (
+            "Annotation(origin='w', seq=1, delay_us=100, group=0, chain=0, "
+            "sub=0, sender='v')"
+        )
+
+    def test_equality_and_hash_go_by_field_values(self):
+        assert ann(seq=4) == ann(seq=4)
+        assert hash(ann(seq=4)) == hash(ann(seq=4))
+        assert ann(seq=4) != ann(seq=5)
+        assert ann(sender="a") != ann(sender="b")
+        assert len({ann(), ann(), ann(sub=1)}) == 2
+
+    def test_survives_pickle(self):
+        """Sweep workers send back results built from annotations."""
+        a = ann(chain=3, sub=2, sender="v")
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and type(b) is Annotation and b.sort_key() == a.sort_key()
 
     @given(
         st.integers(min_value=0, max_value=10),

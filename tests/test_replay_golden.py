@@ -25,6 +25,12 @@ than to a second live implementation.  They cover:
 
 A change that moves any of these on purpose regenerates the file (see
 ``tests/_golden.py``), and the failing run names every moved field.
+
+``tests/golden/ls-steps-seed1.jsonl`` pins what ``repro debug`` prints
+per step of one replay (``flap-storm@20`` recorded with timing seed
+1001): one row per group with its cycle count, each cycle's
+``(sent, processed)`` from :meth:`LockstepCoordinator.advance_cycle` and
+each step's simulated microseconds.
 """
 
 from __future__ import annotations
@@ -39,12 +45,13 @@ from _golden import assert_rows
 
 from repro.core.lockstep import LockstepCoordinator
 from repro.core.ordering import make_ordering
-from repro.harness import ospf_daemon_factory, run_ls_replay
+from repro.harness import build_ls_coordinator, ospf_daemon_factory, run_ls_replay
 from repro.simnet.faults import LinkFaultWindow, NetworkTuning
 from repro.sweep import default_grid, get_scenario
 from repro.topology import to_network
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "ls-replay-seed1.jsonl")
+STEPS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "ls-steps-seed1.jsonl")
 
 #: ``(scenario, seed)``: an ACK lands on a poll instant in the replay
 #: (found by scanning seeds 1-24 of flap-storm, partition, crash-restart
@@ -195,3 +202,24 @@ def test_the_fault_windows_fire():
     for row in rows:
         kind = row["label"].split("/")[1]
         assert row["fault_stats"][effect[kind]] > 0, row["label"]
+
+
+def test_each_group_steps_as_its_golden_row():
+    """Step the ``flap-storm@20`` replay one ``advance_cycle()`` at a
+    time, as ``repro debug`` does, and pin every step by group."""
+    scenario, graph, _daemon_factory, prod = _record("flap-storm@20", 1, 1_001)
+    coordinator = build_ls_coordinator(graph, prod.recording, ordering=scenario.ordering)
+    step_times = coordinator.network.run_stats.step_times_us
+    rows: Dict[int, Dict] = {}
+    while not coordinator.finished:
+        sent, processed = coordinator.advance_cycle()
+        row = rows.setdefault(
+            coordinator.current_group,
+            {"group": coordinator.current_group, "cycles": 0, "counts": [], "step_us": []},
+        )
+        row["cycles"] += 1
+        row["counts"].append([sent, processed])
+        row["step_us"].append(step_times[-1])
+    assert coordinator.network.execution_fingerprint() == prod.fingerprint
+    assert sum(row["cycles"] for row in rows.values()) == 359
+    assert_rows(STEPS_GOLDEN, rows.values(), key=("group",))
