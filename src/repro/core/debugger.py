@@ -162,9 +162,9 @@ class Debugger:
         self.coordinator.run_group()
         return self._report(0, 0)
 
-    def run(self, max_cycles: int = 10_000_000) -> StepReport:
+    def run(self) -> StepReport:
         """Run until a breakpoint fires or the recording is exhausted."""
-        self.coordinator.run_all(max_cycles=max_cycles)
+        self.coordinator.run_all()
         return self._report(0, 0)
 
     @property

@@ -67,9 +67,15 @@ at which the node's last frame was cleared, and
 :meth:`LockstepStack._await_idle` computes the grid instant from it,
 ordering a tie with a poll exactly as the engine would have.  The
 simulated step times and every packet counter are those of the
-poll-and-ACK simulation (``tests/golden/ls-replay-seed1.digest`` pins
-them); what remains as events are busy nodes' phase-begins, frames,
-retransmission timers that can fire, and one completion per phase.
+poll-and-ACK simulation (``tests/golden/ls-replay-seed1.jsonl`` and
+``ls-steps-seed1.jsonl`` pin them); what remains as events are busy nodes' phase-begins, frames,
+retransmission timers that can fire, and one completion per phase.  A
+group opens only the nodes it has an input or a due timer for
+(:meth:`LockstepStack._begin_group`), so a node with neither has no
+process phase-begin event until an input reaches it.  Idle nodes'
+phase-begins and count-0 markers are accounted at broadcast in one
+pass: their control packets one by one, their round trips folded into
+the phase once (:meth:`LockstepCoordinator._broadcast`).
 """
 
 from __future__ import annotations
@@ -100,17 +106,16 @@ PROCESS = "process"
 class LockstepStack(ReplayStack):
     """DEFINED-LS stack for one debugging-network node."""
 
+    #: The reliable transport's retransmission timeout.
+    rto_us = 50_000
+    #: The transmit barrier's poll grid (see :meth:`_await_idle`).
+    poll_us = 2_000
+
     def __init__(
-        self,
-        node: Node,
-        ordering: OrderingFunction,
-        recording: Recording,
-        rto_us: int = 50_000,
-        poll_us: int = 2_000,
+        self, node: Node, ordering: OrderingFunction, recording: Recording
     ) -> None:
         super().__init__(node, ordering)
         self.drops = recording.drops
-        self.poll_us = poll_us
         #: Must equal the production shims' values: annotations (hence
         #: ordering keys and drop identities) are recomputed here and have
         #: to match bit for bit.  Delay estimates come from the recording
@@ -131,7 +136,7 @@ class LockstepStack(ReplayStack):
         #: irrelevant -- annotations must match production bit for bit).
         self.spill_bound_us = recording.spill_bound_us
         self.transport = ReliableTransport(
-            node.node_id, node.network, self._on_logical, rto_us=rto_us
+            node.node_id, node.network, self._on_logical, rto_us=self.rto_us
         )
         self.coordinator: Optional["LockstepCoordinator"] = None
         self.active = True
@@ -147,8 +152,11 @@ class LockstepStack(ReplayStack):
         self._unsend_buffer: Dict[str, List[int]] = {}
         #: Smallest ordering key added, replaced or retracted since the
         #: last processing phase; ``None`` when the inputs are unchanged.
-        #: A group opens with ``()``, which sorts below every key: its
-        #: due timers fire even if it never receives an input.
+        #: A group opens with ``()``, which sorts below every key, on a
+        #: node it has work for -- an input or a due timer, which then
+        #: fires even if no input ever arrives -- and with ``None`` on
+        #: the rest, whose first process phase is accounted at broadcast
+        #: (:meth:`phase_idle`) until an input arrives.
         self._changed_from: Optional[tuple] = ()
 
     # ------------------------------------------------------------------
@@ -264,7 +272,13 @@ class LockstepStack(ReplayStack):
             )
             self._inputs[entry.key] = entry
         self.rebase_checkpoint()
-        self._changed_from = ()
+        # Timers fall due only through this node's own processing, and an
+        # input arriving later sets ``_changed_from`` itself, so a node
+        # with neither now has nothing to do until then.
+        if self._inputs or self.timers.next_due(group) is not None:
+            self._changed_from = ()
+        else:
+            self._changed_from = None
 
     def rebase_checkpoint(self) -> None:
         """Make the *current* state the baseline no re-execution goes below.
@@ -306,7 +320,11 @@ class LockstepStack(ReplayStack):
           sent only once its transport was idle, so every frame was
           received and every reorder buffer drained, and a late
           duplicate is dropped by the transport before it reaches
-          :meth:`_on_logical`.
+          :meth:`_on_logical`;
+        * a group opens (:meth:`_begin_group`) only a node with an input
+          or a due timer: timers fall due only through the node's own
+          processing, so one with neither would process nothing until an
+          input arrives, which sets ``_changed_from`` itself.
 
         A transmit phase has work when a buffer is non-empty or frames
         await acknowledgement; a process phase when the inputs changed or
@@ -523,10 +541,10 @@ class LockstepCoordinator:
     time, then node id -- fixes the order busy nodes process in, hence
     uid allocation.  Everything else is accounted, not simulated: an
     idle node's phase-begin and its count-0 marker are counted as control
-    packets and the marker's arrival computed at broadcast, group-begins
-    are applied to every node at broadcast, and every marker is folded
-    into a running sum, so a phase costs its busy nodes' events plus one
-    completion event at the latest marker's arrival.
+    packets and the latest idle marker's arrival folded in at broadcast,
+    group-begins are applied to every node at broadcast, and every marker
+    is folded into a running sum, so a phase costs its busy nodes' events
+    plus one completion event at the latest marker's arrival.
     """
 
     def __init__(
@@ -595,28 +613,34 @@ class LockstepCoordinator:
 
     def _broadcast(self, kind: str, nodes: List[str]) -> None:
         """Begin a ``kind`` phase on ``nodes`` (sorted): an engine event
-        for each node with work, a count-0 marker now for the rest."""
+        for each node with work, a count-0 marker now for the rest.
+
+        An idle node's phase-begin and marker are two control packets,
+        and its marker lands when the round trip to it would have ended;
+        the idle markers are folded into the phase in one go, after the
+        loop (no marker can land before the loop ends)."""
         self._open_phase(len(nodes))
         sim = self.network.sim
+        stacks, delays = self.stacks, self._delays
+        idle = round_trip = 0
         for node_id in nodes:
-            if self.stacks[node_id].phase_idle(kind):
-                self._account_round_trip(node_id)
+            stack = stacks[node_id]
+            delay = delays.get(node_id, 0)
+            if stack.phase_idle(kind):
+                stats = stack.node.stats
+                stats.control_packets_received += 1
+                stats.control_packets_sent += 1
+                idle += 1
+                if delay > round_trip:
+                    round_trip = delay
             else:
-                sim.schedule(self.delay_to(node_id), self._deliver_ctrl, node_id, kind)
+                sim.schedule(delay, self._deliver_ctrl, stack, kind)
+        if idle:
+            self._fold_markers(idle, 0, sim.now + 2 * round_trip)
 
-    def _account_round_trip(self, node_id: str) -> None:
-        """Account a phase-begin handled at broadcast (an idle node's, or
-        a group-begin) and its count-0 marker: both control packets, and
-        the marker landing when the round trip to ``node_id`` would have
-        ended."""
-        stats = self.network.nodes[node_id].stats
-        stats.control_packets_received += 1
-        stats.control_packets_sent += 1
-        self.on_marker(0, self.network.sim.now + 2 * self.delay_to(node_id))
-
-    def _deliver_ctrl(self, node_id: str, kind: str) -> None:
-        self.network.nodes[node_id].stats.control_packets_received += 1
-        self.stacks[node_id]._on_coordinator(kind)
+    def _deliver_ctrl(self, stack: LockstepStack, kind: str) -> None:
+        stack.node.stats.control_packets_received += 1
+        stack._on_coordinator(kind)
 
     def on_marker(self, count: int, arrives_us: int) -> None:
         """A marker carrying ``count``, reaching the coordinator at
@@ -627,9 +651,15 @@ class LockstepCoordinator:
         node has reported, a single completion event at the latest
         arrival ends the phase -- the instant the last marker would have
         been delivered."""
-        self._reported += 1
+        self._fold_markers(1, count, arrives_us)
+
+    def _fold_markers(self, markers: int, count: int, latest_us: int) -> None:
+        """Fold ``markers`` markers carrying ``count`` in all, the latest
+        landing at ``latest_us``, into the phase."""
+        self._reported += markers
         self._marker_sum += count
-        self._last_marker_us = max(self._last_marker_us, arrives_us)
+        if latest_us > self._last_marker_us:
+            self._last_marker_us = latest_us
         if self._reported == self._expected:
             sim = self.network.sim
             sim.schedule(self._last_marker_us - sim.now, self._end_phase)
@@ -666,12 +696,20 @@ class LockstepCoordinator:
         # A group-begin reads no clock and sends nothing, and no frame is
         # in flight after a barrier (every transport is idle, so every
         # frame was received and released), so it is applied to every
-        # node here; only its round trip's packets and time are accounted.
+        # node here; only its round trip's packets and time are accounted,
+        # as for an idle node in :meth:`_broadcast`.
         active = self._active_nodes()
         self._open_phase(len(active))
+        round_trip = 0
         for nid in active:
-            self.stacks[nid]._begin_group(group, per_node.get(nid, []))
-            self._account_round_trip(nid)
+            stack = self.stacks[nid]
+            stack._begin_group(group, per_node.get(nid, []))
+            stats = stack.node.stats
+            stats.control_packets_received += 1
+            stats.control_packets_sent += 1
+            round_trip = max(round_trip, self._delays.get(nid, 0))
+        if active:
+            self._fold_markers(len(active), 0, self.network.sim.now + 2 * round_trip)
         self._run_until_phase_done()
         self.in_group = True
 
@@ -724,11 +762,11 @@ class LockstepCoordinator:
                 break
         return sent, processed
 
-    def run_group(self, max_cycles: int = 100_000) -> int:
+    def run_group(self) -> int:
         """Replay until the current group quiesces.  Returns cycles run."""
         ran = 0
         target = self.next_group if not self.in_group else self.current_group
-        while not self.finished and ran < max_cycles:
+        while not self.finished:
             self.advance_cycle()
             ran += 1
             if self.paused_on is not None:
@@ -737,10 +775,10 @@ class LockstepCoordinator:
                 break
         return ran
 
-    def run_all(self, max_cycles: int = 10_000_000) -> int:
+    def run_all(self) -> int:
         """Replay the entire recording (or until a breakpoint pauses us)."""
         ran = 0
-        while not self.finished and ran < max_cycles:
+        while not self.finished:
             self.advance_cycle()
             ran += 1
             if self.paused_on is not None:

@@ -248,15 +248,10 @@ class ReplayStack(Stack):
         else:
             self._origin_seq += 1
             entry = self._current_entry
+            delay_us = (entry.origin_offset_us if entry is not None else 0) + hop_estimate
+            # origin, seq, delay_us, group, chain, sub, sender
             annotation = Annotation(
-                origin=node_id,
-                seq=self._origin_seq,
-                delay_us=(entry.origin_offset_us if entry is not None else 0)
-                + hop_estimate,
-                group=self._event_group(),
-                chain=0,
-                sub=0,
-                sender=node_id,
+                node_id, self._origin_seq, delay_us, self._event_group(), 0, 0, node_id
             )
         msg = Message(
             src=node_id,

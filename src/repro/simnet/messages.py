@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 #: Sentinel ``d_i`` used for timer pseudo-entries: timers of group *g* are
 #: ordered after every real message of group *g* but before any message of
@@ -34,9 +34,13 @@ from typing import Any, Optional, Tuple
 TIMER_DELAY_SENTINEL = 2**62
 
 
-@dataclass(frozen=True)
-class Annotation:
-    """DEFINED-RB causal annotation (Section 2.2).
+class Annotation(NamedTuple):
+    """DEFINED-RB causal annotation (Section 2.2), an immutable named tuple.
+
+    Immutable because ordering keys and output identities are built from
+    it; a tuple because one is built for every message a daemon sends, so
+    construction and field reads are on the hot path.  Equality and hash
+    go by field values, as for any tuple.
 
     ``sender`` is the node that put this particular message on the wire.
     It is part of every ordering key because the paper's triple plus our
@@ -104,15 +108,7 @@ class Annotation:
                 group += 1
                 chain = 0
                 delay -= spill_bound_us
-        return Annotation(
-            origin=self.origin,
-            seq=self.seq,
-            delay_us=delay,
-            group=group,
-            chain=chain,
-            sub=sub,
-            sender=sender,
-        )
+        return Annotation(self.origin, self.seq, delay, group, chain, sub, sender)
 
 
 def intern_payload_repr(payload: Any) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.simnet.engine import Simulator
 from repro.simnet.events import (
@@ -402,11 +402,19 @@ class Network:
         stats.bytes_sent += msg.size_bytes
 
     def _launch(self, msg: Message, extra_delay_us: int) -> Optional[int]:
-        """Stamp ``msg`` and draw its fate on its route: the instant it
-        lands, or ``None`` when it is dropped or a fault window took it
-        over (gray drop, or a reordered copy scheduled here)."""
+        """Stamp ``msg`` and draw its fate on its route (:meth:`_fate`)."""
         self._stamp(msg)
-        link, src_node, dst_node, model, rng, fifo_key = self.route(msg.src, msg.dst)
+        return self._fate(msg.src, msg.dst, extra_delay_us, msg)
+
+    def _fate(
+        self, src: str, dst: str, extra_delay_us: int, msg: Optional[Message]
+    ) -> Optional[int]:
+        """Draw the fate of a packet from ``src`` to ``dst`` on its route:
+        the instant it lands, or ``None`` when it is dropped or a fault
+        window took ``msg`` over (gray drop, or a reordered copy
+        scheduled here).  ``msg`` may be ``None`` only on a network with
+        no fault windows."""
+        link, src_node, dst_node, model, rng, fifo_key = self.route(src, dst)
         if not link.up or not src_node.up or not dst_node.up:
             return None
         if model.sample_loss(rng):
@@ -443,30 +451,39 @@ class Network:
             self.sim.schedule(arrival - self.sim.now, self._deliver, msg)
         return arrival
 
-    def account(self, msg: Message) -> Optional[Tuple[int, int]]:
-        """Send ``msg`` without an arrival event.
+    def account(
+        self, src: str, dst: str, protocol: str, payload: Any, size_bytes: int
+    ) -> Optional[Tuple[int, int, int]]:
+        """Send a control packet without an arrival event, and without
+        building its :class:`Message`.
 
-        Everything :meth:`transmit` does happens -- uid, send counters,
-        the loss and delay draws on the route's stream, the FIFO front --
-        except scheduling the delivery: the engine sequence number that
-        event would have had is reserved instead, and ``(arrival, seq)``
-        returned, ``None`` when the packet is dropped.  The caller stands
-        for the arrival (the receiver's counters included), or hands it
-        back to the engine with :meth:`deliver_at`.  On a network with
-        link fault windows, which may reorder or duplicate a packet,
-        ``msg`` travels as an ordinary packet and ``None`` is returned.
+        Everything :meth:`transmit` does happens -- the uid, the sender's
+        control-packet and byte counters, the loss and delay draws on the
+        route's stream, the FIFO front -- except scheduling the delivery:
+        the engine sequence number that event would have had is reserved
+        instead, and ``(arrival, seq, uid)`` returned, ``None`` when the
+        packet is dropped.  The caller stands for the arrival (the
+        receiver's counters included), or hands the packet back to the
+        engine with :meth:`deliver_at`.  On a network with link fault
+        windows, which may reorder or duplicate a packet, it travels as
+        an ordinary packet and ``None`` is returned.
         """
         if self._link_faults:
-            self.transmit(msg)
+            self.transmit(Message(src, dst, protocol, payload, size_bytes=size_bytes))
             return None
-        arrival = self._launch(msg, 0)
+        uid = self.next_uid()
+        stats = self.nodes[src].stats
+        stats.control_packets_sent += 1
+        stats.bytes_sent += size_bytes
+        arrival = self._fate(src, dst, 0, None)
         if arrival is None:
             return None
-        return arrival, self.sim.reserve_seq()
+        return arrival, self.sim.reserve_seq(), uid
 
     def deliver_at(self, msg: Message, time_us: int, seq: int) -> None:
         """Deliver an :meth:`account`-ed packet at its arrival key after
-        all, as the event :meth:`transmit` would have scheduled."""
+        all, as the event :meth:`transmit` would have scheduled: ``msg``
+        carries the uid :meth:`account` returned and its send instant."""
         self.sim.schedule_reserved(time_us, seq, self._deliver, msg)
 
     def transmit_deterministic(self, msg: Message, delay_us: int) -> int:

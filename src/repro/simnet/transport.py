@@ -23,7 +23,9 @@ arrival event would have had), and hands the sender its *landing key*
 ``(time, seq)``.  An ACK that lands before the frame's retransmission
 timeout clears the frame right away, as its arrival event would have
 done by then; only one that lands after the timeout is delivered as an
-engine event at its key.  The timeout's key is reserved when the frame
+engine event at its key.  So an ACK becomes a
+:class:`~repro.simnet.messages.Message` only when it travels, as that
+event or as an ordinary packet (below); otherwise it is just its fields.  The timeout's key is reserved when the frame
 is sent and goes on the engine's queue only if the frame or its ACK is
 lost, or the ACK lands at or after the deadline.  Per-direction FIFO
 delivery makes this exact: the first ACK accounted for a frame is the
@@ -217,15 +219,10 @@ class ReliableTransport:
         if msg.protocol != RELIABLE_PROTOCOL:
             return False
         frame: _Frame = msg.payload
-        arrived = (sim.now, sim.current_seq, frame.sent_at)
-        ack = Message(
-            src=self.node_id,
-            dst=msg.src,
-            protocol=ACK_PROTOCOL,
-            payload=(frame.seq, arrived),
-            size_bytes=8,
+        ack = (frame.seq, (sim.now, sim.current_seq, frame.sent_at))
+        frame.sender._acknowledged(
+            frame, ack, self.network.account(self.node_id, msg.src, ACK_PROTOCOL, ack, 8)
         )
-        frame.sender._acknowledged(frame, ack, self.network.account(ack))
         expected = self._recv_next.get(msg.src, 0)
         if frame.seq < expected:
             return True  # duplicate of something already released
@@ -239,29 +236,42 @@ class ReliableTransport:
         return True
 
     def _acknowledged(
-        self, frame: _Frame, ack: Message, landing: Optional[Tuple[int, int]]
+        self,
+        frame: _Frame,
+        ack: Tuple[int, EventKey],
+        landing: Optional[Tuple[int, int, int]],
     ) -> None:
-        """The peer sent ``ack`` for ``frame``; it lands at ``landing``
-        (``None``: lost, or travelling as an ordinary packet)."""
-        entry = self._outstanding.get((ack.src, frame.seq))
+        """The frame's receiver sent an ACK with payload ``ack`` (the
+        frame's sequence number and the key of its arrival) for ``frame``;
+        it lands at ``landing`` = ``(time, seq, uid)`` (``None``: lost, or
+        travelling as an ordinary packet)."""
+        peer = frame.msg.dst
+        entry = self._outstanding.get((peer, frame.seq))
         if landing is not None:
-            time_us, seq = landing
+            time_us, seq, uid = landing
             if entry is None or entry.ack_in_flight:
                 # cleared by an earlier ACK (FIFO: it lands first), so this
                 # one lands on nothing, which only the counters see
                 self._stats.control_packets_received += 1
             elif time_us < entry.rto[0]:
                 self._stats.control_packets_received += 1
-                self._on_ack(ack.src, frame.seq, (time_us, seq, ack.payload[1]))
+                self._on_ack(peer, frame.seq, (time_us, seq, ack[1]))
                 return
             else:  # lands at or after the timeout, which fires first
                 entry.ack_in_flight = True
-                self.network.deliver_at(ack, time_us, seq)
+                self.network.deliver_at(
+                    Message(
+                        peer, self.node_id, ACK_PROTOCOL, ack, uid=uid, size_bytes=8,
+                        sent_at_us=self.network.sim.now,
+                    ),
+                    time_us,
+                    seq,
+                )
         # unless cleared above, this transmission times out as it would
         # have: its timeout goes on the queue (and an ACK event landing
         # before the deadline cancels it, as it always did)
         if entry is not None and entry.frame is frame and entry.handle is None:
-            self._arm(ack.src, frame.seq, entry)
+            self._arm(peer, frame.seq, entry)
 
     def _on_ack(self, src: str, seq: int, key: EventKey) -> None:
         entry = self._outstanding.pop((src, seq), None)

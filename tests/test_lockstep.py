@@ -100,6 +100,70 @@ class TestPhaseMachinery:
         assert net.run_stats.total_control_packets() - packets == 4 * active
         assert net.run_stats.step_times_us[-1] == 21_200
 
+    def test_a_group_opens_no_node_it_has_no_work_for(self):
+        """A node with no input and no due timer when its group opens gets
+        no process phase-begin event: its count-0 marker is accounted at
+        broadcast, with the packets and the step time that its no-op
+        handler produced when every node was opened."""
+
+        def line():
+            net = to_network(graph_of([("a", "b", 2_000), ("b", "c", 3_000)]), jitter_us=0)
+            coordinator = LockstepCoordinator(net, Recording())
+            coordinator.attach(CountingDaemon)
+            coordinator.start()
+            return coordinator
+
+        def open_every_node(stack):
+            begin = stack._begin_group
+
+            def opened(group, events):
+                begin(group, events)
+                stack._changed_from = ()
+
+            stack._begin_group = opened
+
+        lazy, eager = line(), line()
+        for stack in eager.stacks.values():
+            open_every_node(stack)
+        for coordinator in (lazy, eager):
+            assert coordinator.advance_cycle() == (0, 0)
+        # group-begin, transmit and process: one completion event each,
+        # plus, when every node was opened, one phase-begin per node
+        assert lazy.network.sim.events_executed == 3
+        assert eager.network.sim.events_executed == 3 + 3
+        counters = [
+            {
+                nid: (s.control_packets_sent, s.control_packets_received)
+                for nid, s in sorted(c.network.run_stats.per_node.items())
+            }
+            for c in (lazy, eager)
+        ]
+        assert counters[0] == counters[1] == {nid: (3, 3) for nid in "abc"}
+        assert lazy.network.run_stats.step_times_us == [20_000]
+        assert eager.network.run_stats.step_times_us == [20_000]
+        assert lazy.network.sim.now == eager.network.sim.now
+
+    def test_a_due_timer_opens_its_node(self):
+        """A node whose only work in a group is a timer falling due there
+        fires it in the group's first process phase, without an input."""
+        net = to_network(graph_of([("a", "b", 2_000), ("b", "c", 3_000)]), jitter_us=0)
+        coordinator = LockstepCoordinator(net, Recording(horizon_group=2))
+        coordinator.attach(
+            lambda node_id, stack: TimerDaemon(node_id, stack, arm=node_id == "b")
+        )
+        coordinator.start()
+        b = net.nodes["b"].daemon
+        assert coordinator.advance_cycle() == (0, 0)  # group 0: nothing due
+        assert b.fired == []
+        events = net.sim.events_executed
+        assert coordinator.advance_cycle() == (0, 1)  # group 1 opens b alone
+        assert coordinator.current_group == 1
+        assert b.fired == [1]
+        # group-begin, transmit and process completions, b's phase-begin
+        assert net.sim.events_executed - events == 4
+        assert coordinator.advance_cycle() == (0, 0)
+        assert b.fired == [1]
+
     def test_phase_idle_needs_empty_buffers_unchanged_inputs_idle_transport(
         self, production
     ):
@@ -337,6 +401,26 @@ class CountingDaemon(Daemon):
         pass
 
 
+class TimerDaemon(Daemon):
+    """With ``arm``, arms one timer at boot, due one group later; records
+    the group each firing runs in."""
+
+    def __init__(self, node_id, stack, arm=False):
+        super().__init__(node_id, stack)
+        self.arm = arm
+        self.fired = []
+
+    def on_start(self):
+        if self.arm:
+            self.stack.set_timer(1, "tick")
+
+    def on_message(self, msg):  # pragma: no cover - nothing is sent
+        pass
+
+    def on_timer(self, key):
+        self.fired.append(self.stack.time_units())
+
+
 class TestSuffixReexecutionUnit:
     """A hand-built line a - b - c; ``b`` is driven directly, wave by wave."""
 
@@ -471,9 +555,9 @@ def _transmit_and_await(
     # links are symmetric: the ACK direction's delay is set on its route
     ack_route = net.route("b", "a")._replace(model=DelayModel(base_us=ack_us, jitter_us=0))
     net._routes["b", "a"] = ack_route
-    stack = LockstepStack(
-        net.nodes["a"], make_ordering("OO"), Recording(), rto_us=rto_us, poll_us=POLL_US
-    )
+    stack = LockstepStack(net.nodes["a"], make_ordering("OO"), Recording())
+    assert stack.poll_us == POLL_US
+    stack.transport.rto_us = rto_us
     stack.coordinator = sink = _MarkerSink()
     net.nodes["a"].stack = stack
     net.nodes["b"].stack = _AckingStack(net.nodes["b"])

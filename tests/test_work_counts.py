@@ -199,13 +199,14 @@ def test_ls_replay_and_the_run_it_verifies_stay_near_the_committed_work():
     production run, which now does *less* daemon work than it: 4 277
     against 4 574 invocations).  The replay's engine events are pinned
     exactly: 29 988 while every active node got every phase-begin as an
-    event, 18 099 while only busy ones did, 8 609 since ACKs, transmit
-    polls and retransmission timers are accounted by the transport.  The
-    four exact figures after it were recorded before any of this (full
-    re-execution, one ``marker:`` event per node per phase): neither
-    folding the markers, nor lazy cancellation, nor accounting idle
-    phase-begins, ACKs and polls moved simulated time or a control
-    packet of the replay."""
+    event, 18 099 while only busy ones did, 8 609 once ACKs, transmit
+    polls and retransmission timers were accounted by the transport,
+    7 349 since a group opens only the nodes it has an input or a due
+    timer for.  The four exact figures after it were recorded before any
+    of this (full re-execution, one ``marker:`` event per node per
+    phase): neither folding the markers, nor lazy cancellation, nor
+    accounting idle phase-begins, ACKs and polls, nor idle group
+    openings moved simulated time or a control packet of the replay."""
     from repro.harness import run_ls_replay
     from repro.sweep import get_scenario
 
@@ -222,7 +223,7 @@ def test_ls_replay_and_the_run_it_verifies_stay_near_the_committed_work():
     assert committed == 3_634
     assert replay.executed_deliveries <= 1.5 * committed
     assert prod.executed_deliveries <= 1.25 * committed
-    assert replay.network.sim.events_executed == 8_609
+    assert replay.network.sim.events_executed == 7_349
 
     assert replay.cycles == 359
     assert sum(replay.step_times_us) == 53_565_800
