@@ -75,7 +75,7 @@ group opens only the nodes it has an input or a due timer for
 process phase-begin event until an input reaches it.  Idle nodes'
 phase-begins and count-0 markers are accounted at broadcast in one
 pass: their control packets one by one, their round trips folded into
-the phase once (:meth:`LockstepCoordinator._account_idle`).
+the phase once (:meth:`LockstepCoordinator._broadcast`).
 """
 
 from __future__ import annotations
@@ -613,33 +613,30 @@ class LockstepCoordinator:
 
     def _broadcast(self, kind: str, nodes: List[str]) -> None:
         """Begin a ``kind`` phase on ``nodes`` (sorted): an engine event
-        for each node with work, a count-0 marker now for the rest."""
+        for each node with work, a count-0 marker now for the rest.
+
+        An idle node's phase-begin and marker are two control packets,
+        and its marker lands when the round trip to it would have ended;
+        the idle markers are folded into the phase in one go, after the
+        loop (no marker can land before the loop ends)."""
         self._open_phase(len(nodes))
         sim = self.network.sim
-        idle = []
+        stacks, delays = self.stacks, self._delays
+        idle = round_trip = 0
         for node_id in nodes:
-            stack = self.stacks[node_id]
+            stack = stacks[node_id]
+            delay = delays.get(node_id, 0)
             if stack.phase_idle(kind):
-                idle.append(stack)
+                stats = stack.node.stats
+                stats.control_packets_received += 1
+                stats.control_packets_sent += 1
+                idle += 1
+                if delay > round_trip:
+                    round_trip = delay
             else:
-                sim.schedule(self._delays.get(node_id, 0), self._deliver_ctrl, stack, kind)
-        self._account_idle(idle)
-
-    def _account_idle(self, stacks: List[LockstepStack]) -> None:
-        """Account phase-begins handled at broadcast (idle nodes', or a
-        group-begin) and their count-0 markers: two control packets per
-        node, and one fold into the phase for all the markers, the last
-        landing when the longest round trip would have ended.  No marker
-        can land before this runs, so folding them at once changes
-        nothing."""
-        round_trip = 0
-        for stack in stacks:
-            stats = stack.node.stats
-            stats.control_packets_received += 1
-            stats.control_packets_sent += 1
-            round_trip = max(round_trip, self._delays.get(stack.node.node_id, 0))
-        if stacks:
-            self._fold_markers(len(stacks), 0, self.network.sim.now + 2 * round_trip)
+                sim.schedule(delay, self._deliver_ctrl, stack, kind)
+        if idle:
+            self._fold_markers(idle, 0, sim.now + 2 * round_trip)
 
     def _deliver_ctrl(self, stack: LockstepStack, kind: str) -> None:
         stack.node.stats.control_packets_received += 1
@@ -699,12 +696,20 @@ class LockstepCoordinator:
         # A group-begin reads no clock and sends nothing, and no frame is
         # in flight after a barrier (every transport is idle, so every
         # frame was received and released), so it is applied to every
-        # node here; only its round trip's packets and time are accounted.
-        stacks = [self.stacks[nid] for nid in self._active_nodes()]
-        self._open_phase(len(stacks))
-        for stack in stacks:
-            stack._begin_group(group, per_node.get(stack.node.node_id, []))
-        self._account_idle(stacks)
+        # node here; only its round trip's packets and time are accounted,
+        # as for an idle node in :meth:`_broadcast`.
+        active = self._active_nodes()
+        self._open_phase(len(active))
+        round_trip = 0
+        for nid in active:
+            stack = self.stacks[nid]
+            stack._begin_group(group, per_node.get(nid, []))
+            stats = stack.node.stats
+            stats.control_packets_received += 1
+            stats.control_packets_sent += 1
+            round_trip = max(round_trip, self._delays.get(nid, 0))
+        if active:
+            self._fold_markers(len(active), 0, self.network.sim.now + 2 * round_trip)
         self._run_until_phase_done()
         self.in_group = True
 
