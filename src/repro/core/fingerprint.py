@@ -21,7 +21,7 @@ fingerprint equalities:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Union
 
 #: Separators keeping the fold injective: node id / entry / node
 #: boundaries cannot be confused by concatenation.
@@ -96,9 +96,6 @@ class DeliveryLog:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<DeliveryLog {len(self._tags)} entries>"
-
-    def as_tuple(self) -> Tuple[str, ...]:
-        return tuple(self._tags)
 
     # -- digest ---------------------------------------------------------
     def node_digest(self) -> bytes:

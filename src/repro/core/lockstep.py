@@ -60,15 +60,13 @@ for determinism").  Messages the production network could not deliver
 *drop set*.
 
 **What the barrier simulates.**  A node's transmit marker leaves at the
-first instant of a ``poll_us`` grid at which every frame it sent is
-acknowledged.  Neither the polls nor the ACKs are engine events: the
-transport accounts each ACK when its frame arrives and reports the key
-at which the node's last frame was cleared, and
-:meth:`LockstepStack._await_idle` computes the grid instant from it,
-ordering a tie with a poll exactly as the engine would have.  The
-simulated step times and every packet counter are those of the
-poll-and-ACK simulation (``tests/golden/ls-replay-seed1.jsonl`` and
-``ls-steps-seed1.jsonl`` pin them); what remains as events are busy nodes' phase-begins, frames,
+instant the last frame it sent is acknowledged.  ACKs are not engine
+events: the transport accounts each ACK when its frame arrives and
+reports the instant at which the node's last frame was cleared
+(:meth:`LockstepStack._await_idle`).  The simulated step times and every
+packet counter are those of a simulation with an event per ACK
+(``tests/golden/ls-replay-seed1.jsonl`` and ``ls-steps-seed1.jsonl`` pin
+them); what remains as events are busy nodes' phase-begins, frames,
 retransmission timers that can fire, and one completion per phase.  A
 group opens only the nodes it has an input or a due timer for
 (:meth:`LockstepStack._begin_group`), so a node with neither has no
@@ -84,18 +82,13 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.history import DeliveredHistory, HistoryEntry
 from repro.core.ordering import OptimizedOrdering, OrderingFunction, OrderKey
-from repro.core.recorder import RecordedEvent, Recording
+from repro.core.recorder import NET_EVENTS_NODE, RecordedEvent, Recording
 from repro.core.rollback import ReplayStack, collect_unsends, send_identity
 from repro.simnet.events import ExternalEvent, LINK_DOWN, LINK_UP, NODE_DOWN, NODE_UP
 from repro.simnet.messages import Message, Unsend
 from repro.simnet.network import Network
 from repro.simnet.node import Node
-from repro.simnet.transport import EventKey, ReliableTransport
-
-#: Synthetic "node id" under which network-level topology events are
-#: recorded (they have no observing daemon; the coordinator applies them
-#: to the debugging network's logical topology at group start).
-NET_EVENTS_NODE = "__net__"
+from repro.simnet.transport import ReliableTransport
 
 #: The two phase-begin kinds a node handles (:meth:`LockstepStack.
 #: _on_coordinator`); group-begins are applied by the coordinator itself.
@@ -108,8 +101,6 @@ class LockstepStack(ReplayStack):
 
     #: The reliable transport's retransmission timeout.
     rto_us = 50_000
-    #: The transmit barrier's poll grid (see :meth:`_await_idle`).
-    poll_us = 2_000
 
     def __init__(
         self, node: Node, ordering: OrderingFunction, recording: Recording
@@ -312,8 +303,8 @@ class LockstepStack(ReplayStack):
           phase-begin handler, never in anybody else's;
         * ``transport.idle()`` turns false only through the node's own
           sends (in :meth:`_do_transmission`) and true again once the
-          last of their ACKs is accounted -- no later than the poll that
-          sends the node's marker; frames it receives meanwhile make it
+          last of their ACKs is accounted -- no later than the instant
+          the node's marker leaves; frames it receives meanwhile make it
           send ACKs, which are untracked;
         * inputs (``_changed_from``) arrive only in transmit phases: a
           process phase begins after every node's transmit marker, each
@@ -362,63 +353,21 @@ class LockstepStack(ReplayStack):
     def _await_idle(self, count: int) -> None:
         """Send the marker once every frame has been acknowledged
         (Section 2.3: "a node sends a marker packet when it has no
-        further messages to send").
+        further messages to send"): now if the transport is idle, else
+        at the instant it reports its last frame cleared
+        (:meth:`ReliableTransport.set_on_idle`).
 
-        The node checks on a grid: now (``t0``), then every ``poll_us``,
-        at ``t0 + j * poll_us``.  No poll is an engine event.  The
-        transport reports the key ``(time, seq, origin)`` at which its
-        last frame was cleared (:meth:`ReliableTransport.set_on_idle`),
-        and the marker is accounted as sent at the first grid instant
-        whose poll would have run after that key -- the poll that would
-        have seen the transport idle.
-
-        Keys at different instants order by time.  At one instant they
-        order by sequence number, i.e. by when each was reserved: the
-        poll at ``t0 + j * poll_us`` would have been scheduled by the
-        poll before it, the first one by this very event, after its
-        sends.  So a key on grid instant ``j`` precedes poll ``j`` iff
-        its sequence number was reserved before poll ``j - 1`` ran: for
-        ``j == 1`` iff it is below the number reserved here as the first
-        poll's, and otherwise iff its *origin* -- the key of the event
-        that reserved it (an ACK's is its frame's arrival, a frame's or
-        a timeout's is its send) -- precedes poll ``j - 1``, the same
-        question one step earlier.  Origins precede what they reserve,
-        so the chain ends at an instant off the grid or at ``j == 1``.
-        An ACK landing exactly on a grid instant is thus ordered against
-        that poll as the engine orders events: it counts at that poll
-        when its frame arrived before the previous one (an ACK delay
-        above ``poll_us``, or equal to it when the frame itself beat that
-        poll), and one poll later otherwise.
-
-        The marker is accounted when the transport reports, ahead of
-        that instant.  If it is the phase's last, the coordinator's
-        completion event takes its sequence number then rather than at
-        the poll; that number orders it only against events landing
-        exactly when the phase ends.
+        The transport reports when it accounts the ACK, which is usually
+        when the frame arrives, ahead of the instant the ACK lands.  If
+        the marker is the phase's last, the coordinator's completion
+        event takes its sequence number then rather than at that instant;
+        the number orders it only against events landing exactly when the
+        phase ends.
         """
         if self.transport.idle():
             self._marker(count, self.sim.now)
-            return
-        t0, first_poll = self.sim.now, self.sim.reserve_seq()
-
-        def on_idle(key: EventKey) -> None:
-            self._marker(count, self._poll_after(key, t0, first_poll))
-
-        self.transport.set_on_idle(on_idle)
-
-    def _poll_after(self, key: EventKey, t0: int, first_poll: int) -> int:
-        """The first grid instant ``t0 + j * poll_us`` (``j >= 1``) whose
-        poll runs after the event at ``key`` (see :meth:`_await_idle`)."""
-        poll_us = self.poll_us
-        j = max(1, -((t0 - key[0]) // poll_us))
-        at, i = key, j
-        while at[0] == t0 + i * poll_us and i > 1:
-            origin = at[2]
-            assert origin is not None  # only a first send has none, at t0
-            at, i = origin, i - 1
-        poll_at = t0 + i * poll_us
-        precedes = at[0] < poll_at or (at[0] == poll_at and at[1] < first_poll)
-        return t0 + (j if precedes else j + 1) * poll_us
+        else:
+            self.transport.set_on_idle(lambda at_us: self._marker(count, at_us))
 
     def _do_processing(self) -> int:
         if not self.active:

@@ -33,6 +33,12 @@ from repro.simnet.events import ExternalEvent
 #: senders.
 SendIdentity = Tuple[str, str, int, int, int, str, str]
 
+#: Synthetic "node id" under which network-level topology events are
+#: recorded: they have no observing daemon, and the lockstep coordinator
+#: applies them to the debugging network's logical topology at group
+#: start.
+NET_EVENTS_NODE = "__net__"
+
 
 @dataclass(frozen=True)
 class RecordedEvent:
@@ -199,10 +205,6 @@ class Recorder:
     each node; shipping the logs to one place is an offline concern).
     """
 
-    #: Synthetic "observer" id for network-level topology facts; must stay
-    #: in sync with :data:`repro.core.lockstep.NET_EVENTS_NODE`.
-    NET_NODE = "__net__"
-
     def __init__(self) -> None:
         self._events: List[RecordedEvent] = []
         self._drops: set = set()
@@ -266,14 +268,14 @@ class Recorder:
 
         These have no observing daemon (a dead router records nothing) but
         the debugging network must still replay their effect; they are
-        stored under the synthetic observer :data:`NET_NODE` and applied
-        by the lockstep coordinator at the start of their group.
+        stored under the synthetic observer :data:`NET_EVENTS_NODE` and
+        applied by the lockstep coordinator at the start of their group.
         """
         if group is None:
             group = self.group_provider() if self.group_provider is not None else 0
         self._events.append(
             RecordedEvent(
-                node=self.NET_NODE,
+                node=NET_EVENTS_NODE,
                 time_us=event.time_us,
                 kind=event.kind,
                 target=event.target,
@@ -298,7 +300,7 @@ class Recorder:
         """
         for i in range(len(self._events) - 1, -1, -1):
             ev = self._events[i]
-            if ev.node == self.NET_NODE and ev.kind == kind and ev.target == target:
+            if ev.node == NET_EVENTS_NODE and ev.kind == kind and ev.target == target:
                 self._events[i] = replace(ev, group=group)
                 return
 

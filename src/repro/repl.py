@@ -56,7 +56,6 @@ class DebugConsole:
         self.debugger = debugger
         self._input = input_fn if input_fn is not None else input
         self._output = output
-        self._bp_counter = 0
 
     # ------------------------------------------------------------------
     # plumbing
@@ -76,7 +75,11 @@ class DebugConsole:
     # command handlers
     # ------------------------------------------------------------------
     def cmd_step(self, args: List[str]) -> None:
-        n = int(args[0]) if args else 1
+        try:
+            n = int(args[0]) if args else 1
+        except ValueError:
+            self.echo("usage: step [n]")
+            return
         for _ in range(max(1, n)):
             report = self.debugger.step()
             self._report(report)
@@ -106,7 +109,6 @@ class DebugConsole:
                                               name=f"state@{node}:{expr}")
         else:
             bp = self.debugger.break_on_delivery(" ".join(args))
-        self._bp_counter += 1
         self.echo(f"breakpoint #{len(self.debugger.breakpoints) - 1}: {bp.name}")
 
     def cmd_breaks(self, args: List[str]) -> None:
@@ -150,7 +152,11 @@ class DebugConsole:
         if not args:
             self.echo("usage: queue <node>")
             return
-        pending = self.debugger.pending_messages(args[0])
+        try:
+            pending = self.debugger.pending_messages(args[0])
+        except KeyError:
+            self.echo(f"unknown node {args[0]!r}")
+            return
         if not pending:
             self.echo("(queue empty)")
         for tag in pending:

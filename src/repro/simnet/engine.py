@@ -116,12 +116,6 @@ class Simulator:
         return self._now
 
     @property
-    def current_seq(self) -> int:
-        """Sequence number of the event being executed (-1 before the
-        first).  With :attr:`now` it is that event's ``(time, seq)`` key."""
-        return self._current_seq
-
-    @property
     def events_executed(self) -> int:
         """Total number of events dispatched so far."""
         return self._events_executed
@@ -169,8 +163,8 @@ class Simulator:
         ``delay_us`` must be non-negative; a zero delay runs the callback
         after all events already scheduled for the current instant.
         ``label`` exists only for :meth:`EventHandle.__repr__`; hot paths
-        (packets, frames, barriers, polls) pass none rather than format
-        a string nobody reads.
+        (packets, frames, barriers) pass none rather than format a string
+        nobody reads.
         """
         if delay_us < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_us})")

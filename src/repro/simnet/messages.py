@@ -125,10 +125,10 @@ def intern_payload_repr(payload: Any) -> str:
     return sys.intern(repr(payload))
 
 
-#: Protocol name used by DEFINED control traffic (beacons, unsends, barrier
-#: messages).  Control messages are counted separately in the statistics
-#: because Figure 6a/8a report control overhead.
-CONTROL_PROTOCOLS = frozenset({"_beacon", "_unsend", "_barrier", "_marker", "_ack"})
+#: Protocol names of DEFINED control traffic (beacons, unsends, ACKs).
+#: Control messages are counted separately in the statistics because
+#: Figure 6a/8a report control overhead.
+CONTROL_PROTOCOLS = frozenset({"_beacon", "_unsend", "_ack"})
 
 
 @dataclass

@@ -32,10 +32,9 @@ lands at or after the deadline.  Per-direction FIFO
 delivery makes this exact: the first ACK accounted for a frame is the
 first to land, so a later one clears nothing an earlier one did not --
 unless that earlier one is still in flight as an event, which then does
-the clearing.  Every key a cleared frame reports (:meth:`ReliableTransport.
-set_on_idle`) carries the key of the event that reserved its sequence
-number, back to the send, so the lockstep barrier can order the moment a
-node's transport went idle against the polls it no longer simulates.
+the clearing.  The transport reports the instant its last frame was
+cleared (:meth:`ReliableTransport.set_on_idle`), at which the lockstep
+barrier sends the node's marker.
 
 The accounting assumes that a node of the debugging network stays up
 while packets to it are in flight (node failures are replayed logically
@@ -58,25 +57,25 @@ from repro.simnet.network import Network
 RELIABLE_PROTOCOL = "_rel"
 ACK_PROTOCOL = "_ack"
 
-#: An engine key ``(time_us, seq, origin)``: ``origin`` is the key of the
-#: event during which ``seq`` was reserved (``None`` for a first send).
-#: Two events at one instant run in ``seq`` order, i.e. in the order their
-#: origins ran; the chain lets the lockstep barrier compare a key with an
-#: event that never existed (see :meth:`LockstepStack._await_idle`).
-EventKey = Tuple[int, int, Optional["EventKey"]]
+#: Give up on a frame after this many retransmissions: the debugging
+#: network is partitioned.
+MAX_RETRIES = 100
+
+#: An engine key ``(time_us, seq)``, reserved for an event that may never
+#: be scheduled (:meth:`~repro.simnet.engine.Simulator.reserve_seq`).
+EventKey = Tuple[int, int]
 
 
 class _Frame:
-    """A reliable frame: per-peer sequence number + the wrapped message,
-    the transport that sent it and the key of the event that did."""
+    """A reliable frame: per-peer sequence number + the wrapped message
+    and the transport that sent it."""
 
-    __slots__ = ("seq", "msg", "sender", "sent_at")
+    __slots__ = ("seq", "msg", "sender")
 
-    def __init__(self, seq: int, msg: Message, sender: "ReliableTransport", sent_at: EventKey):
+    def __init__(self, seq: int, msg: Message, sender: "ReliableTransport"):
         self.seq = seq
         self.msg = msg
         self.sender = sender
-        self.sent_at = sent_at
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"_Frame(seq={self.seq}, proto={self.msg.protocol})"
@@ -113,21 +112,19 @@ class ReliableTransport:
         network: Network,
         deliver: Callable[[Message], None],
         rto_us: int = 100_000,
-        max_retries: int = 100,
     ) -> None:
         self.node_id = node_id
         self.network = network
         self.deliver = deliver
         self.rto_us = rto_us
-        self.max_retries = max_retries
         self._stats = network.nodes[node_id].stats
         self._send_seq: Dict[str, int] = {}
         self._recv_next: Dict[str, int] = {}
         self._reorder: Dict[str, Dict[int, Message]] = {}
         self._outstanding: Dict[Tuple[str, int], _Outstanding] = {}
-        #: Key of the latest clearing since the transport was last idle.
-        self._cleared_at: Optional[EventKey] = None
-        self._on_idle: Optional[Callable[[EventKey], None]] = None
+        #: Instant of the latest clearing since the transport was last idle.
+        self._cleared_at = 0
+        self._on_idle: Optional[Callable[[int], None]] = None
         self.frames_sent = 0
         self.retransmissions = 0
 
@@ -141,8 +138,7 @@ class ReliableTransport:
         dst = msg.dst
         seq = self._send_seq.get(dst, 0)
         self._send_seq[dst] = seq + 1
-        sim = self.network.sim
-        self._transmit(dst, seq, msg, 0, (sim.now, sim.current_seq, None))
+        self._transmit(dst, seq, msg, 0)
         return msg.uid
 
     def send(self, dst: str, protocol: str, payload: Any, size_bytes: int = 64) -> int:
@@ -157,22 +153,23 @@ class ReliableTransport:
             )
         )
 
-    def _transmit(self, dst: str, seq: int, msg: Message, attempt: int, now: EventKey) -> None:
-        """Send (``attempt`` 0) or resend ``msg`` during the event ``now``."""
-        if attempt > self.max_retries:
+    def _transmit(self, dst: str, seq: int, msg: Message, attempt: int) -> None:
+        """Send (``attempt`` 0) or resend ``msg``."""
+        sim = self.network.sim
+        if attempt > MAX_RETRIES:
             raise RuntimeError(
                 f"reliable transport {self.node_id}->{dst} gave up after "
-                f"{self.max_retries} retries (seq={seq}); the debugging "
+                f"{MAX_RETRIES} retries (seq={seq}); the debugging "
                 "network is partitioned"
             )
         if not self.network.nodes[dst].up:
             # Blackhole toward a dead router; do not stall the replay.
             if self._outstanding.pop((dst, seq), None) is not None:
-                self._cleared(now)
+                self._cleared(sim.now)
             return
         if not self._outstanding:
-            self._cleared_at = None
-        frame = _Frame(seq, msg, self, now)
+            self._cleared_at = 0
+        frame = _Frame(seq, msg, self)
         wire = Message(
             src=self.node_id,
             dst=dst,
@@ -184,8 +181,7 @@ class ReliableTransport:
         self.frames_sent += 1
         if attempt > 0:
             self.retransmissions += 1
-        sim = self.network.sim
-        rto = (sim.now + self.rto_us, sim.reserve_seq(), now)
+        rto = (sim.now + self.rto_us, sim.reserve_seq())
         entry = self._outstanding.get((dst, seq))
         if entry is None:
             entry = self._outstanding[dst, seq] = _Outstanding(msg, frame, rto)
@@ -197,7 +193,7 @@ class ReliableTransport:
 
     def _arm(self, dst: str, seq: int, entry: _Outstanding) -> None:
         """Put ``entry``'s timeout on the engine's queue, at its key."""
-        deadline, rto_seq, _origin = entry.rto
+        deadline, rto_seq = entry.rto
         entry.handle = self.network.sim.schedule_reserved(
             deadline, rto_seq, self._on_timeout, dst, seq
         )
@@ -205,24 +201,21 @@ class ReliableTransport:
     def _on_timeout(self, dst: str, seq: int) -> None:
         entry = self._outstanding.get((dst, seq))
         if entry is not None:
-            self._transmit(dst, seq, entry.msg, entry.attempt + 1, entry.rto)
+            self._transmit(dst, seq, entry.msg, entry.attempt + 1)
 
     # ------------------------------------------------------------------
     # receiving
     # ------------------------------------------------------------------
     def on_wire(self, msg: Message) -> bool:
         """Feed a raw packet in.  Returns True if it was consumed here."""
-        sim = self.network.sim
         if msg.protocol == ACK_PROTOCOL:
-            seq, origin = msg.payload
-            self._on_ack(msg.src, seq, (sim.now, sim.current_seq, origin))
+            self._on_ack(msg.src, msg.payload, self.network.sim.now)
             return True
         if msg.protocol != RELIABLE_PROTOCOL:
             return False
         frame: _Frame = msg.payload
-        ack = (frame.seq, (sim.now, sim.current_seq, frame.sent_at))
         frame.sender._acknowledged(
-            frame, ack, self.network.account(self.node_id, msg.src, ACK_PROTOCOL, ack, 8)
+            frame, self.network.account(self.node_id, msg.src, ACK_PROTOCOL, frame.seq, 8)
         )
         expected = self._recv_next.get(msg.src, 0)
         if frame.seq < expected:
@@ -236,16 +229,11 @@ class ReliableTransport:
             self.deliver(logical)
         return True
 
-    def _acknowledged(
-        self,
-        frame: _Frame,
-        ack: Tuple[int, EventKey],
-        landing: Optional[Tuple[int, int, int]],
-    ) -> None:
-        """The frame's receiver sent an ACK with payload ``ack`` (the
-        frame's sequence number and the key of its arrival) for ``frame``;
-        it lands at ``landing`` = ``(time, seq, uid)`` (``None``: lost, or
-        travelling as an ordinary packet)."""
+    def _acknowledged(self, frame: _Frame, landing: Optional[Tuple[int, int, int]]) -> None:
+        """The frame's receiver sent an ACK for ``frame``, whose payload is
+        the frame's sequence number; it lands at ``landing`` = ``(time,
+        seq, uid)`` (``None``: lost, or travelling as an ordinary
+        packet)."""
         peer = frame.msg.dst
         entry = self._outstanding.get((peer, frame.seq))
         if landing is not None:
@@ -256,13 +244,13 @@ class ReliableTransport:
                 self._stats.control_packets_received += 1
             elif time_us < entry.rto[0]:
                 self._stats.control_packets_received += 1
-                self._on_ack(peer, frame.seq, (time_us, seq, ack[1]))
+                self._on_ack(peer, frame.seq, time_us)
                 return
             else:  # lands at or after the timeout, which fires first
                 entry.ack_in_flight = True
                 self.network.deliver_at(
                     Message(
-                        peer, self.node_id, ACK_PROTOCOL, ack, uid=uid, size_bytes=8,
+                        peer, self.node_id, ACK_PROTOCOL, frame.seq, uid=uid, size_bytes=8,
                         sent_at_us=self.network.sim.now,
                     ),
                     time_us,
@@ -274,18 +262,18 @@ class ReliableTransport:
         if entry is not None and entry.frame is frame and entry.handle is None:
             self._arm(peer, frame.seq, entry)
 
-    def _on_ack(self, src: str, seq: int, key: EventKey) -> None:
+    def _on_ack(self, src: str, seq: int, at_us: int) -> None:
         entry = self._outstanding.pop((src, seq), None)
         if entry is not None:
             if entry.handle is not None:
                 entry.handle.cancel()
-            self._cleared(key)
+            self._cleared(at_us)
 
-    def _cleared(self, key: EventKey) -> None:
-        """A frame was cleared at ``key``; report the latest such key once
-        none is left outstanding."""
-        if self._cleared_at is None or key[:2] > self._cleared_at[:2]:
-            self._cleared_at = key
+    def _cleared(self, at_us: int) -> None:
+        """A frame was cleared at ``at_us``; report the latest such instant
+        once none is left outstanding."""
+        if at_us > self._cleared_at:
+            self._cleared_at = at_us
         if not self._outstanding and self._on_idle is not None:
             callback, self._on_idle = self._on_idle, None
             callback(self._cleared_at)
@@ -298,8 +286,8 @@ class ReliableTransport:
         or still to land after its timeout."""
         return not self._outstanding
 
-    def set_on_idle(self, callback: Callable[[EventKey], None]) -> None:
+    def set_on_idle(self, callback: Callable[[int], None]) -> None:
         """Call ``callback`` once, when the last outstanding frame is
-        cleared, with the key at which the transport went idle: the
-        latest key at which any of the frames was cleared."""
+        cleared, with the instant at which the transport went idle: the
+        latest instant at which any of the frames was cleared."""
         self._on_idle = callback

@@ -534,7 +534,6 @@ class _AckingStack(Stack):
         pass
 
 
-POLL_US = 2_000
 T0 = 10_000
 
 
@@ -543,7 +542,7 @@ def _transmit_and_await(
 ):
     """Node ``a`` sends ``frames`` frames to ``b`` in one transmit phase
     at ``T0`` over a jitter-free link (``frame_us`` a->b, ``ack_us``
-    b->a) and waits for their ACKs on the ``POLL_US`` grid.  With
+    b->a) and waits for their ACKs.  With
     ``lose_first`` the link is down for the first transmission, so every
     frame goes out again when its RTO fires.  ``ack_us_from`` =
     ``(at_us, delay)`` changes the ACK delay at ``at_us``.  Returns the
@@ -556,7 +555,6 @@ def _transmit_and_await(
     ack_route = net.route("b", "a")._replace(model=DelayModel(base_us=ack_us, jitter_us=0))
     net._routes["b", "a"] = ack_route
     stack = LockstepStack(net.nodes["a"], make_ordering("OO"), Recording())
-    assert stack.poll_us == POLL_US
     stack.transport.rto_us = rto_us
     stack.coordinator = sink = _MarkerSink()
     net.nodes["a"].stack = stack
@@ -587,26 +585,22 @@ def _transmit_and_await(
     return sink.markers, stack.transport.retransmissions, counters, net.nodes["b"].stack.received
 
 
-class TestAwaitIdleTieRule:
-    """When ``_await_idle`` sees the last ACK: the first instant
-    ``T0 + j * POLL_US`` whose poll comes after the ACK in the engine's
-    ``(time, seq)`` order.  Every expected marker instant below was
-    recorded from the poll-event implementation."""
+class TestMarkerAtTheLastAck:
+    """``_await_idle`` sends the marker at the instant the last ACK
+    lands: ``T0`` plus the frame's and the ACK's delays."""
 
     @pytest.mark.parametrize(
         "frame_us, ack_us, marker_us",
         [
-            # the ACK lands on poll 2 (T0 + 4 ms); the order at that
-            # instant follows from when each was scheduled
-            (1_000, 3_000, T0 + 4_000),  # ACK delay > poll: ACK first
-            (2_000, 2_000, T0 + 4_000),  # ACK delay == poll: frame beat poll 1
-            (3_000, 1_000, T0 + 6_000),  # ACK delay < poll: poll 2 first
-            (0, 2_000, T0 + 4_000),  # zero-delay frame, ACK on poll 1: poll first
-            (0, 0, T0 + 2_000),  # zero-delay frame and ACK
-            (1_100, 1_300, T0 + 4_000),  # no tie: next grid point
+            (1_000, 3_000, T0 + 4_000),
+            (2_000, 2_000, T0 + 4_000),
+            (3_000, 1_000, T0 + 4_000),
+            (0, 2_000, T0 + 2_000),  # zero-delay frame
+            (0, 0, T0),  # zero-delay frame and ACK
+            (1_100, 1_300, T0 + 2_400),
         ],
     )
-    def test_an_ack_on_a_poll_instant(self, frame_us, ack_us, marker_us):
+    def test_the_marker_leaves_when_the_ack_lands(self, frame_us, ack_us, marker_us):
         markers, retransmissions, counters, received = _transmit_and_await(frame_us, ack_us)
         assert markers == [(1, marker_us)]
         assert retransmissions == 0
@@ -620,24 +614,23 @@ class TestAwaitIdleTieRule:
             1_500, 1_000, frames=3
         )
         # FIFO clamp: frames land at +1500, +1501, +1502, ACKs 1 ms later
-        assert markers == [(3, T0 + 4_000)]
+        assert markers == [(3, T0 + 2_502)]
         assert len(received) == 3
         assert counters == {"a": (1, 3, 3, 0, 216), "b": (3, 0, 0, 3, 24)}
 
     @pytest.mark.parametrize(
         "frame_us, ack_us, marker_us",
         [
-            # the RTO fires on poll 25 (T0 + 50 ms) and before it: it was
-            # scheduled in the transmit phase, before the first poll
-            (1_000, 1_000, T0 + 54_000),  # ACK on poll 26, after it
-            (2_000, 2_000, T0 + 54_000),  # frame on poll 26 before it, ACK on 27 first
-            (0, 2_000, T0 + 54_000),  # frame after poll 25, ACK on 26 after it
-            (0, 0, T0 + 52_000),  # frame and ACK after poll 25
+            # the RTO fires at T0 + 50 ms and sends the frame again
+            (1_000, 1_000, T0 + 52_000),
+            (2_000, 2_000, T0 + 54_000),
+            (0, 2_000, T0 + 52_000),
+            (0, 0, T0 + 50_000),
         ],
     )
-    def test_a_retransmission_on_the_poll_grid(self, frame_us, ack_us, marker_us):
+    def test_a_retransmission(self, frame_us, ack_us, marker_us):
         markers, retransmissions, counters, received = _transmit_and_await(
-            frame_us, ack_us, rto_us=25 * POLL_US, lose_first=True
+            frame_us, ack_us, lose_first=True
         )
         assert markers == [(1, marker_us)]
         assert retransmissions == 1
@@ -659,11 +652,11 @@ class TestAwaitIdleTieRule:
         assert counters == {"a": (1, 2, 2, 0, 144), "b": (2, 0, 0, 2, 16)}
 
     def test_the_first_ack_to_land_clears_the_frame(self):
-        """The first ACK is late (it lands on poll 2, after the 3 ms RTO);
-        the retransmission's ACK, sent once the ACK delay has dropped to
-        0.5 ms, would land before its own RTO but queues behind the first
-        on the link.  The first clears the frame, on poll 2's instant and
-        before that poll; the second lands on nothing."""
+        """The first ACK is late (it lands at T0 + 4 ms, after the 3 ms
+        RTO); the retransmission's ACK, sent once the ACK delay has
+        dropped to 0.5 ms, would land before its own RTO but queues
+        behind the first on the link.  The first clears the frame; the
+        second lands on nothing."""
         markers, retransmissions, counters, received = _transmit_and_await(
             500, 3_500, rto_us=3_000, ack_us_from=(T0 + 1_000, 500)
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.recorder import RecordedEvent, Recorder, Recording
+from repro.core.recorder import NET_EVENTS_NODE, RecordedEvent, Recorder, Recording
 from repro.simnet.events import ExternalEvent
 
 
@@ -45,7 +45,7 @@ class TestRecorder:
             ExternalEvent(time_us=10, kind="node_down", target="r3")
         )
         rec = recorder.recording()
-        assert rec.events[0].node == Recorder.NET_NODE
+        assert rec.events[0].node == NET_EVENTS_NODE
         assert rec.events[0].group == 5
 
     def test_topology_seq_increments(self):

@@ -85,6 +85,17 @@ class TestCommands:
         text = run_script(production, ["inspect zz", "quit"])
         assert "unknown node" in text
 
+    def test_queue_unknown_node(self, production):
+        text = run_script(production, ["queue zz", "where", "quit"])
+        assert "unknown node 'zz'" in text
+        assert text.count("horizon group") == 2  # the session went on
+
+    def test_step_with_a_non_integer_count(self, production):
+        text = run_script(production, ["step x", "where", "quit"])
+        assert "usage: step [n]" in text
+        assert "processed=" not in text
+        assert text.count("horizon group") == 2
+
     def test_nodes_listing(self, production):
         text = run_script(production, ["nodes", "quit"])
         for node in ("a", "b", "c", "d"):

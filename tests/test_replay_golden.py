@@ -12,9 +12,9 @@ than to a second live implementation.  They cover:
   as a sweep cell replays it (``grid/<scenario>``);
 * the ``ls-flap40`` benchmark workload's replay (``flap-storm@40``
   recorded and replayed with timing seed 1000);
-* the default-grid cells of other seeds whose replay has a node's last
-  ACK landing exactly on an instant of its 2 ms poll grid, where the
-  engine's tie order decides which poll sees it (``tie/<scenario>/<seed>``);
+* default-grid cells of other seeds (``tie/<scenario>/<seed>``), picked
+  while a busy node's transmit marker waited for a 2 ms poll grid
+  because a node's last ACK landed exactly on a poll instant;
 * lossy debugging networks, where the reliable transport retransmits:
   ``flap-storm@20``, ``partition`` and ``crash-restart`` at seeds 1-3,
   replayed over links that drop 5 % and 20 % of packets
@@ -53,9 +53,9 @@ from repro.topology import to_network
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "ls-replay-seed1.jsonl")
 STEPS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "ls-steps-seed1.jsonl")
 
-#: ``(scenario, seed)``: an ACK lands on a poll instant in the replay
-#: (found by scanning seeds 1-24 of flap-storm, partition, crash-restart
-#: and latency-jitter).
+#: ``(scenario, seed)``: further default-grid cells, found by scanning
+#: seeds 1-24 of flap-storm, partition, crash-restart and latency-jitter
+#: for an ACK landing on an instant of the former poll grid.
 TIE_CELLS = (
     ("flap-storm", 6), ("flap-storm", 8), ("flap-storm", 14),
     ("partition", 6), ("partition", 8),

@@ -138,9 +138,9 @@ class TestTheorem1Reproducibility:
             stack.transport.retransmissions for stack in coordinator.stacks.values()
         )
         assert retransmissions == 137
-        assert sum(net.run_stats.step_times_us) == 6_123_500
+        assert sum(net.run_stats.step_times_us) == 6_083_774
         assert net.run_stats.total_control_packets() == 2_958
-        assert net.sim.now == 6_750_500
+        assert net.sim.now == 6_710_774
 
     def test_line_topology_replay(self):
         graph = line_graph(4)

@@ -206,7 +206,11 @@ def test_ls_replay_and_the_run_it_verifies_stay_near_the_committed_work():
     of this (full re-execution, one ``marker:`` event per node per
     phase): neither folding the markers, nor lazy cancellation, nor
     accounting idle phase-begins, ACKs and polls, nor idle group
-    openings moved simulated time or a control packet of the replay."""
+    openings moved simulated time or a control packet of the replay.
+    Sending a busy node's transmit marker when its last ACK lands, not
+    at the next instant of a 2 ms poll grid, then moved the step-time
+    sum (53 565 800 -> 53 375 732 us) and the end instant by the same
+    190 068 us, and nothing else."""
     from repro.harness import run_ls_replay
     from repro.sweep import get_scenario
 
@@ -226,6 +230,6 @@ def test_ls_replay_and_the_run_it_verifies_stay_near_the_committed_work():
     assert replay.network.sim.events_executed == 7_349
 
     assert replay.cycles == 359
-    assert sum(replay.step_times_us) == 53_565_800
+    assert sum(replay.step_times_us) == 53_375_732
     assert replay.network.run_stats.total_control_packets() == 39_386
-    assert replay.network.sim.now == 59_900_966
+    assert replay.network.sim.now == 59_710_898
