@@ -8,25 +8,25 @@ send plus window plus the longest link -- the entry's *expiry*.
 
 The boundary tests pin the rule and the collection on a hand-built line
 ``a - b - c`` without beacons, where every instant is chosen by hand.  The
-audit observes whole runs through wrappers around the three places the
-bound is decided (``_unsend_outputs``, ``_retract_pruned``, ``_rollback``),
-leaving the program unchanged, and asserts the invariant's premises held
-there: no output the rule had to suppress, no pruned-map hit past its
-expiry, no rollback anchored past the window.
+audit observes whole runs through :func:`repro.explain.audited`, which
+traces the three places the bound is decided (``_unsend_outputs``,
+``_retract_pruned``, ``_rollback``) without changing the program, and
+asserts the invariant's premises held there: no output the rule had to
+suppress, no pruned-map hit past its expiry, no rollback anchored past
+the window.
 """
 
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 import pytest
 
 from _fixtures import graph_of, run_scenario_cell
 
 from repro.core.shim import DefinedShim, HistoryWindowWarning
+from repro.explain import ROLLBACK, UNSEND, Record, audited
 from repro.simnet.messages import Message, Unsend
 from repro.sweep import SweepRunner
 from repro.topology import to_network
@@ -145,54 +145,12 @@ class TestCollection:
 # ----------------------------------------------------------------------
 # the audit
 # ----------------------------------------------------------------------
-@dataclass
-class Audit:
-    #: (age, window) of every output handed to ``_unsend_outputs``
-    retracted: List[Tuple[int, int]] = field(default_factory=list)
-    #: outputs the rule counted late instead of unsending
-    suppressed: int = 0
-    #: (arrival, expiry) of every pruned-map hit
-    hits: List[Tuple[int, int]] = field(default_factory=list)
-    #: (age, window) of every rollback's anchor entry
-    anchors: List[Tuple[int, int]] = field(default_factory=list)
-
-    def check(self) -> None:
-        assert self.suppressed == 0
-        assert all(age <= window for age, window in self.retracted)
-        assert all(now <= expiry for now, expiry in self.hits)
-        assert all(age <= window for age, window in self.anchors)
-
-
-@contextmanager
-def audited():
-    """Record, for every shim built inside, the ages the bound depends on."""
-    audit = Audit()
-    unsend = DefinedShim._unsend_outputs
-    retract = DefinedShim._retract_pruned
-    rollback = DefinedShim._rollback
-
-    def unsend_outputs(self, retracted):
-        retracted = list(retracted)
-        now, window = self.sim.now, self.window_us()
-        audit.retracted += [(now - msg.sent_at_us, window) for msg in retracted]
-        before = self.pruned_retractions
-        unsend(self, retracted)
-        audit.suppressed += self.pruned_retractions - before
-
-    def retract_pruned(self, uids):
-        audit.hits += [(self.sim.now, self._pruned_uid_log[u][2]) for u in uids]
-        retract(self, uids)
-
-    def rollback_to(self, index, new_entries, removed_uids):
-        anchor = self.history[index]
-        audit.anchors.append((self.sim.now - anchor.delivered_at_us, self.window_us()))
-        rollback(self, index, new_entries, removed_uids)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DefinedShim, "_unsend_outputs", unsend_outputs)
-        mp.setattr(DefinedShim, "_retract_pruned", retract_pruned)
-        mp.setattr(DefinedShim, "_rollback", rollback_to)
-        yield audit
+def check(records: List[Record]) -> None:
+    """Every undo step ran inside the fossil-collection bound: no output
+    the rule had to count late instead of unsending, no pruned-map hit
+    past its expiry, no rollback anchored past the window."""
+    late = [r for r in records if r.time_us > r.deadline_us]
+    assert not late, late[:3]
 
 
 #: the default grid's ``defined`` scenarios (the same names for every seed)
@@ -207,15 +165,15 @@ FORTY = ("flap-storm@40", "partition@40")
 FORTY_SHARD = FORTY + ("crash-restart@40", "ddos-overload@40", "latency-jitter@40")
 
 
-def audit_cell(name, seed=1, network_seed=None, jitter_us=None) -> Audit:
-    with audited() as audit:
+def audit_cell(name, seed=1, network_seed=None, jitter_us=None) -> List[Record]:
+    with audited() as records:
         prod = run_scenario_cell(
             name, "defined", network_seed=seed if network_seed is None else network_seed,
             seed=seed, jitter_us=jitter_us,
         )
-    audit.check()
+    check(records)
     assert prod.late_deliveries == 0
-    return audit
+    return records
 
 
 class TestAuditSeedOne:
@@ -225,17 +183,20 @@ class TestAuditSeedOne:
 
     @pytest.mark.parametrize("network_seed", SUPER_BEACON_NETWORK_SEEDS)
     def test_super_beacon_jitter(self, network_seed):
-        audit = audit_cell("flap-storm@20", network_seed=network_seed,
-                           jitter_us=SUPER_BEACON_US)
-        assert audit.retracted and audit.anchors  # rollbacks did retract
+        records = audit_cell("flap-storm@20", network_seed=network_seed,
+                             jitter_us=SUPER_BEACON_US)
+        kinds = {r.kind for r in records}
+        assert UNSEND in kinds and ROLLBACK in kinds  # rollbacks did retract
 
     @pytest.mark.parametrize("name", FORTY)
     def test_forty_nodes(self, name):
-        audit = audit_cell(name)
+        unsent = [r for r in audit_cell(name) if r.kind == UNSEND]
         # the oldest unsent output is well inside the window (0.13 s of
         # 1.10 s on flap-storm@40, 4 ms on partition@40)
-        assert audit.retracted
-        assert all(4 * age < window for age, window in audit.retracted)
+        assert unsent
+        assert all(
+            4 * (r.time_us - r.since_us) < r.deadline_us - r.since_us for r in unsent
+        )
 
 
 @pytest.mark.slow
