@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from _fixtures import graph_of
+
 from repro.simnet.engine import MS, SECOND, SimulationError, Simulator
+from repro.simnet.messages import Message
+from repro.simnet.node import VanillaStack
+from repro.topology import to_network
 
 
 def test_constants():
@@ -226,6 +231,116 @@ class TestCancelCompaction:
         sim.drain()
         assert sim.pending == 0
         assert sim.queue_size == 0
+
+
+def tapped_star(fired):
+    """Nodes ``a``, ``c`` and ``d``, each 10 us from ``b`` with no jitter,
+    whose stacks append each arriving packet's payload to ``fired``: a
+    packet is an event nobody can cancel, a :meth:`Simulator.schedule`
+    event one that can be.  Packets from one sender keep FIFO order, so
+    a burst from ``a`` lands 1 us apart."""
+
+    class Tap(VanillaStack):
+        def on_wire(self, msg):
+            fired.append(msg.payload)
+
+    net = to_network(
+        graph_of([("a", "b", 10), ("c", "b", 10), ("d", "b", 10)]), jitter_us=0
+    )
+    net.attach(Tap)
+    return net
+
+
+def packet(payload, src="a"):
+    return Message(src=src, dst="b", protocol="p", payload=payload)
+
+
+class TestBothKindsOfEvent:
+    """Packets (no handle) and scheduled events (a handle) are one queue."""
+
+    def test_same_instant_events_fire_in_push_order(self):
+        fired = []
+        net = tapped_star(fired)
+        sim = net.sim
+        sim.schedule(10, fired.append, "s1")
+        net.transmit(packet("p1"))
+        doomed = sim.schedule(10, fired.append, "cancelled")
+        net.transmit(packet("p2", src="c"))
+        sim.schedule(10, fired.append, "s2")
+        net.transmit(packet("p3", src="d"))
+        doomed.cancel()
+        net.run()
+        assert fired == ["s1", "p1", "p2", "s2", "p3"]
+        assert sim.now == 10
+
+    def test_cancelled_event_never_fires_across_a_compaction(self):
+        fired = []
+        net = tapped_star(fired)
+        sim = net.sim
+        doomed = [sim.schedule(1_000 + i, fired.append, f"d{i}") for i in range(200)]
+        for i in range(100):
+            net.transmit(packet(f"p{i}"))
+        sim.schedule(1_000, fired.append, "kept")
+        for handle in doomed[:50]:
+            handle.cancel()
+        net.run(until_us=50)
+        assert sim.compactions == 0
+        for handle in doomed[50:]:
+            handle.cancel()
+        assert sim.compactions > 0
+        net.run()
+        assert fired == [f"p{i}" for i in range(100)] + ["kept"]
+        assert sim.pending == 0 and sim.queue_size == 0
+
+    def test_cancelling_a_fired_event_is_a_noop(self):
+        fired = []
+        net = tapped_star(fired)
+        sim = net.sim
+        early = sim.schedule(5, fired.append, "early")
+        net.transmit(packet("p"))
+        late = sim.schedule(20, fired.append, "late")
+        sim.run(until_us=15)
+        assert fired == ["early", "p"]
+        early.cancel()
+        early.cancel()
+        assert sim.pending == 1 and sim.queue_size == 1
+        net.run()
+        assert fired == ["early", "p", "late"]
+        late.cancel()
+        assert sim.pending == 0 and sim.events_executed == 3
+
+    def test_reserved_keys_interleave_with_pushed_events(self):
+        fired = []
+        net = tapped_star(fired)
+        sim = net.sim
+        sim.schedule(10, fired.append, "before")
+        seq = sim.reserve_seq()
+        net.transmit(packet("after-1", src="c"))
+        sim.schedule(10, fired.append, "after-2")
+        sim.schedule_reserved(10, seq, fired.append, "reserved")
+        cancelled_seq = sim.reserve_seq()
+        sim.schedule_reserved(10, cancelled_seq, fired.append, "gone").cancel()
+        net.run()
+        assert fired == ["before", "reserved", "after-1", "after-2"]
+
+    def test_counters_count_both_kinds(self):
+        fired = []
+        net = tapped_star(fired)
+        sim = net.sim
+        handles = [sim.schedule(30 + i, fired.append, i) for i in range(3)]
+        for i in range(4):
+            net.transmit(packet(f"p{i}"))
+        assert sim.pending == 7 and sim.queue_size == 7
+        handles[0].cancel()
+        assert sim.pending == 6 and sim.queue_size == 7
+        assert sim.run(until_us=13) == 4
+        assert sim.events_executed == 4
+        assert sim.pending == 2
+        assert sim.step() is True
+        assert sim.events_executed == 5 and sim.pending == 1
+        net.run()
+        assert sim.events_executed == 6 and sim.pending == 0 and sim.queue_size == 0
+        assert fired == ["p0", "p1", "p2", "p3", 1, 2]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))
