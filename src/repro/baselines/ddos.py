@@ -177,7 +177,7 @@ class DdosStack(ReplayStack):
         self._drain()
 
     def _schedule_drain(self, delay_us: int) -> None:
-        self.sim.schedule(delay_us, self._drain, label=f"ddos-drain:{self.node.node_id}")
+        self.sim.push(self.sim.now + delay_us, self._drain)
 
     def _safe_at(self, entry: HistoryEntry) -> Optional[int]:
         """Earliest time the head entry may be released.

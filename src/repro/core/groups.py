@@ -78,9 +78,7 @@ class BeaconService:
         """Begin beaconing.  Group 0 is implicit from time zero; the first
         beacon (group 1) goes out after one interval."""
         self._stopped = False
-        self._handle = self.network.sim.schedule(
-            self.interval_us, self._tick, label="beacon-tick"
-        )
+        self._handle = self.network.sim.schedule(self.interval_us, self._tick)
 
     def stop(self) -> None:
         self._stopped = True
@@ -129,6 +127,4 @@ class BeaconService:
                 sends.append((beacon, max(0, delay)))
             self.network.fan_out_deterministic(sends)
             self.beacons_sent += len(sends)
-        self._handle = self.network.sim.schedule(
-            self.interval_us, self._tick, label="beacon-tick"
-        )
+        self._handle = self.network.sim.schedule(self.interval_us, self._tick)

@@ -570,6 +570,7 @@ class LockstepCoordinator:
         loop (no marker can land before the loop ends)."""
         self._open_phase(len(nodes))
         sim = self.network.sim
+        now = sim.now
         stacks, delays = self.stacks, self._delays
         idle = round_trip = 0
         for node_id in nodes:
@@ -583,9 +584,9 @@ class LockstepCoordinator:
                 if delay > round_trip:
                     round_trip = delay
             else:
-                sim.schedule(delay, self._deliver_ctrl, stack, kind)
+                sim.push(now + delay, self._deliver_ctrl, stack, kind)
         if idle:
-            self._fold_markers(idle, 0, sim.now + 2 * round_trip)
+            self._fold_markers(idle, 0, now + 2 * round_trip)
 
     def _deliver_ctrl(self, stack: LockstepStack, kind: str) -> None:
         stack.node.stats.control_packets_received += 1
@@ -610,8 +611,7 @@ class LockstepCoordinator:
         if latest_us > self._last_marker_us:
             self._last_marker_us = latest_us
         if self._reported == self._expected:
-            sim = self.network.sim
-            sim.schedule(self._last_marker_us - sim.now, self._end_phase)
+            self.network.sim.push(self._last_marker_us, self._end_phase)
 
     def _end_phase(self) -> None:
         self._phase_done = True

@@ -2,9 +2,17 @@
 
 The engine is the foundation of the reproduction: everything above it
 (links, daemons, the DEFINED shim) schedules work through a single priority
-queue keyed on ``(time_us, sequence)``.  The secondary ``sequence`` key makes
-tie-breaking deterministic: two events scheduled for the same microsecond
-always execute in scheduling order, on every run.
+queue of ``(time_us, seq, callback, args)`` entries.  The secondary
+``sequence`` key makes tie-breaking deterministic: two events scheduled for
+the same microsecond always execute in scheduling order, on every run.
+
+Most events are never cancelled -- packet arrivals, beacon fan-out
+instants, anti-messages, lockstep phases -- and are pushed with
+:meth:`Simulator.push`, which allocates nothing but the entry.  Callers
+that may cancel (node timers, the beacon service, transport timeouts)
+use :meth:`Simulator.schedule`, which pushes the same entry and returns
+an :class:`EventHandle` naming it.  Both take one sequence number, so
+the two kinds interleave exactly in the order they were pushed.
 
 Simulated time is an integer number of microseconds.  Using integers (rather
 than floats) removes any possibility of platform-dependent rounding
@@ -15,7 +23,8 @@ bit-for-bit reproducible executions.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+import sys
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 #: One millisecond expressed in engine time units (microseconds).
 MS = 1_000
@@ -28,48 +37,43 @@ class SimulationError(RuntimeError):
 
 
 class EventHandle:
-    """A cancellable reference to a scheduled event.
+    """A cancellable reference to a scheduled event: its ``(time_us, seq)``
+    key.
 
-    Handles are returned by :meth:`Simulator.schedule`.  Cancellation is
-    lazy: the entry stays in the heap but is skipped when popped.  The
-    owning simulator counts cancellations so it can compact the heap when
+    Handles are returned by :meth:`Simulator.schedule` and
+    :meth:`Simulator.schedule_reserved`.  Cancellation is lazy: the entry
+    stays in the heap, the simulator records its sequence number, and the
+    entry is skipped when popped.  The simulator compacts the heap when
     dead entries pile up (routing daemons reset timers constantly, which
     would otherwise bloat long runs).
+
+    The engine dispatches in strictly increasing key order, and every
+    event is pushed with a key past the one being dispatched, so an event
+    is still queued exactly when its key lies past the engine's current
+    ``(now, seq)``.  A handle whose event already ran therefore cancels
+    nothing.
     """
 
-    __slots__ = ("time_us", "seq", "callback", "args", "cancelled", "label", "_sim")
+    __slots__ = ("time_us", "seq", "cancelled", "_sim")
 
-    def __init__(
-        self,
-        time_us: int,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple,
-        label: str = "",
-        sim: Optional["Simulator"] = None,
-    ) -> None:
+    def __init__(self, sim: "Simulator", time_us: int, seq: int) -> None:
+        self._sim = sim
         self.time_us = time_us
         self.seq = seq
-        self.callback: Optional[Callable[..., None]] = callback
-        self.args = args
         self.cancelled = False
-        self.label = label
-        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
         if self.cancelled:
             return
         self.cancelled = True
-        self.callback = None
-        self.args = ()
-        sim, self._sim = self._sim, None
-        if sim is not None:
-            sim._note_cancelled()
+        sim = self._sim
+        if (self.time_us, self.seq) > (sim._now, sim._current_seq):
+            sim._cancel(self.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time_us}us seq={self.seq} {state} {self.label!r}>"
+        state = "cancelled" if self.cancelled else "live"
+        return f"<EventHandle t={self.time_us}us seq={self.seq} {state}>"
 
 
 class Simulator:
@@ -99,10 +103,11 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        #: ``(time_us, seq, handle)``: ``seq`` is unique, so the heap
-        #: orders on two ints in C and never compares handles.
-        self._queue: List[Tuple[int, int, EventHandle]] = []
-        self._cancelled_in_queue = 0
+        #: ``(time_us, seq, callback, args)``: ``seq`` is unique, so the
+        #: heap orders on two ints in C and never compares callbacks.
+        self._queue: List[Tuple[int, int, Callable[..., None], tuple]] = []
+        #: Sequence numbers of the cancelled entries still in the queue.
+        self._cancelled: Set[int] = set()
         self._compactions = 0
         self._events_executed = 0
         self._running = False
@@ -123,7 +128,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of *live* (non-cancelled) events still queued."""
-        return len(self._queue) - self._cancelled_in_queue
+        return len(self._queue) - len(self._cancelled)
 
     @property
     def queue_size(self) -> int:
@@ -135,44 +140,54 @@ class Simulator:
         """How many times the heap has been compacted (observability)."""
         return self._compactions
 
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`EventHandle.cancel` for handles still queued."""
-        self._cancelled_in_queue += 1
+    def _cancel(self, seq: int) -> None:
+        """Called by :meth:`EventHandle.cancel` for an entry still queued."""
+        cancelled = self._cancelled
+        cancelled.add(seq)
         if (
-            self._cancelled_in_queue >= self.COMPACT_MIN_CANCELLED
-            and self._cancelled_in_queue * 2 >= len(self._queue)
+            len(cancelled) >= self.COMPACT_MIN_CANCELLED
+            and len(cancelled) * 2 >= len(self._queue)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap without the lazily-cancelled entries."""
-        self._queue = [item for item in self._queue if not item[2].cancelled]
+        """Rebuild the heap without the lazily-cancelled entries, in place
+        (a running :meth:`run` holds the list)."""
+        cancelled = self._cancelled
+        self._queue[:] = [entry for entry in self._queue if entry[1] not in cancelled]
         heapq.heapify(self._queue)
-        self._cancelled_in_queue = 0
+        cancelled.clear()
         self._compactions += 1
 
+    def push(self, time_us: int, callback: Callable[..., None], *args: Any) -> None:
+        """Schedule ``callback(*args)`` at the absolute instant ``time_us``,
+        for an event nobody cancels: no handle is built.
+
+        Ordered exactly as :meth:`schedule` would order it: the event
+        takes the next sequence number, so at its instant it runs after
+        every event already queued there.
+        """
+        if time_us < self._now:
+            raise SimulationError(f"cannot schedule at {time_us} (now is {self._now})")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time_us, seq, callback, args))
+
     def schedule(
-        self,
-        delay_us: int,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
+        self, delay_us: int, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay_us`` from now.
+        """Schedule ``callback(*args)`` to run ``delay_us`` from now, and
+        return a handle that can cancel it.
 
         ``delay_us`` must be non-negative; a zero delay runs the callback
         after all events already scheduled for the current instant.
-        ``label`` exists only for :meth:`EventHandle.__repr__`; hot paths
-        (packets, frames, barriers) pass none rather than format a string
-        nobody reads.
         """
         if delay_us < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_us})")
         time_us, seq = self._now + delay_us, self._seq
-        handle = EventHandle(time_us, seq, callback, args, label, sim=self)
         self._seq = seq + 1
-        heapq.heappush(self._queue, (time_us, seq, handle))
-        return handle
+        heapq.heappush(self._queue, (time_us, seq, callback, args))
+        return EventHandle(self, time_us, seq)
 
     def reserve_seq(self) -> int:
         """Take the sequence number an event scheduled now would get,
@@ -208,43 +223,35 @@ class Simulator:
                 f"cannot schedule at ({time_us}, {seq}): the engine is at "
                 f"({self._now}, {self._current_seq})"
             )
-        handle = EventHandle(time_us, seq, callback, args, sim=self)
-        heapq.heappush(self._queue, (time_us, seq, handle))
-        return handle
+        heapq.heappush(self._queue, (time_us, seq, callback, args))
+        return EventHandle(self, time_us, seq)
 
     def schedule_at(
-        self,
-        time_us: int,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
+        self, time_us: int, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
         if time_us < self._now:
             raise SimulationError(
                 f"cannot schedule at {time_us} (now is {self._now})"
             )
-        return self.schedule(time_us - self._now, callback, *args, label=label)
+        return self.schedule(time_us - self._now, callback, *args)
 
     def step(self) -> bool:
         """Run the single next pending event.
 
         Returns ``True`` if an event ran, ``False`` if the queue was empty.
         """
-        while self._queue:
-            time_us, seq, handle = heapq.heappop(self._queue)
-            if handle.cancelled:
-                self._cancelled_in_queue -= 1
+        queue, cancelled = self._queue, self._cancelled
+        while queue:
+            time_us, seq, callback, args = heapq.heappop(queue)
+            if seq in cancelled:
+                cancelled.discard(seq)
                 continue
             if time_us < self._now:
                 raise SimulationError("event queue corrupted: time went backwards")
             self._now = time_us
             self._current_seq = seq
-            callback, args = handle.callback, handle.args
-            handle.callback, handle.args = None, ()
-            handle._sim = None  # fired: a later cancel() must not count
             self._events_executed += 1
-            assert callback is not None
             callback(*args)
             return True
         return False
@@ -259,27 +266,38 @@ class Simulator:
 
         Returns the number of events executed by this call.  When
         ``until_us`` is given, the clock is advanced to exactly ``until_us``
-        on return even if the queue drained earlier, so repeated bounded
-        runs tile time seamlessly.
+        on return if no event at or before it is left (the queue drained
+        or the next event lies later), so repeated bounded runs tile time
+        seamlessly.  Each event is dispatched here as :meth:`step` would.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
+        queue, cancelled = self._queue, self._cancelled
+        heappop = heapq.heappop
+        horizon = sys.maxsize if until_us is None else until_us
+        budget = sys.maxsize if max_events is None else max_events
         executed = 0
+        reached = True
         try:
-            while self._queue:
-                head_us, _seq, head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
-                    self._cancelled_in_queue -= 1
+            while queue:
+                entry = heappop(queue)
+                time_us, seq, callback, args = entry
+                if seq in cancelled:
+                    cancelled.discard(seq)
                     continue
-                if until_us is not None and head_us > until_us:
+                if time_us > horizon or executed >= budget:
+                    heapq.heappush(queue, entry)
+                    reached = time_us > horizon
                     break
-                if max_events is not None and executed >= max_events:
-                    break
-                if self.step():
-                    executed += 1
-            if until_us is not None and self._now < until_us:
+                if time_us < self._now:
+                    raise SimulationError("event queue corrupted: time went backwards")
+                self._now = time_us
+                self._current_seq = seq
+                self._events_executed += 1
+                executed += 1
+                callback(*args)
+            if until_us is not None and reached and self._now < until_us:
                 self._now = until_us
         finally:
             self._running = False

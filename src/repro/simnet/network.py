@@ -27,7 +27,7 @@ from repro.simnet.events import (
 )
 from repro.simnet.faults import LinkFaultWindow, NetworkTuning
 from repro.simnet.link import DelayModel, Link
-from repro.simnet.messages import Message
+from repro.simnet.messages import CONTROL_PROTOCOLS, Message
 from repro.simnet.node import Node, Stack
 from repro.simnet.stats import RunStats
 
@@ -356,7 +356,7 @@ class Network:
                         else 0
                     )
                     self.fault_stats["reordered"] += 1
-                    self.sim.schedule(delay + extra, self._deliver, msg)
+                    self.sim.push(self.sim.now + delay + extra, self._deliver, msg)
                     return True
             elif fault.kind == "duplicate":
                 if frng.random() < fault.probability:
@@ -368,7 +368,7 @@ class Network:
                     self.fault_stats["duplicated"] += 1
                     self._dup_pending.add(msg.uid)
                     copy_delay = model.sample_us(frng) + extra_delay_us
-                    self.sim.schedule(copy_delay, self._deliver, msg)
+                    self.sim.push(self.sim.now + copy_delay, self._deliver, msg)
         return False
 
     # ------------------------------------------------------------------
@@ -387,45 +387,61 @@ class Network:
         self._uid += 1
         return self._uid
 
-    def _stamp(self, msg: Message) -> None:
-        """Per-message send accounting: uid, send time, sender counters."""
-        if msg.uid < 0:
-            msg.uid = self.next_uid()
-        msg.sent_at_us = self.sim.now
-        stats = self.nodes[msg.src].stats
-        if msg.protocol == "_beacon":
+    def _send(
+        self,
+        src: str,
+        dst: str,
+        protocol: str,
+        size_bytes: int,
+        extra_delay_us: int,
+        msg: Optional[Message],
+    ) -> Optional[int]:
+        """One packet's pass through the network, from ``src`` to the
+        adjacent ``dst``: its uid and send instant, the sender's counters,
+        its fate on the route -- dropped or not, then its delay (both
+        drawn on the route's stream), the fault windows and the FIFO
+        clamp -- and, for ``msg``, its arrival event.
+
+        Returns the instant the packet lands, or ``None`` when it is
+        dropped or a fault window took it over (gray drop, or a reordered
+        copy scheduled there).  ``msg`` is ``None`` for an accounted
+        packet (:meth:`account`): it gets a fresh uid, left in ``_uid``,
+        and no event; a network with fault windows never sends one.
+        """
+        now = self.sim.now
+        if msg is None:
+            self._uid += 1
+        else:
+            if msg.uid < 0:
+                self._uid += 1
+                msg.uid = self._uid
+            msg.sent_at_us = now
+        route = self._routes.get((src, dst)) or self.route(src, dst)
+        link, src_node, dst_node, model, rng, fifo_key = route
+        stats = src_node.stats
+        if protocol == "_beacon":
             pass  # beacons are constant background, tracked at receivers
-        elif msg.is_control:
+        elif protocol in CONTROL_PROTOCOLS:
             stats.control_packets_sent += 1
         else:
             stats.data_packets_sent += 1
-        stats.bytes_sent += msg.size_bytes
-
-    def _launch(self, msg: Message, extra_delay_us: int) -> Optional[int]:
-        """Stamp ``msg`` and draw its fate on its route (:meth:`_fate`)."""
-        self._stamp(msg)
-        return self._fate(msg.src, msg.dst, extra_delay_us, msg)
-
-    def _fate(
-        self, src: str, dst: str, extra_delay_us: int, msg: Optional[Message]
-    ) -> Optional[int]:
-        """Draw the fate of a packet from ``src`` to ``dst`` on its route:
-        the instant it lands, or ``None`` when it is dropped or a fault
-        window took ``msg`` over (gray drop, or a reordered copy
-        scheduled here).  ``msg`` may be ``None`` only on a network with
-        no fault windows."""
-        link, src_node, dst_node, model, rng, fifo_key = self.route(src, dst)
+        stats.bytes_sent += size_bytes
         if not link.up or not src_node.up or not dst_node.up:
             return None
-        if model.sample_loss(rng):
+        loss, jitter = model.loss, model.jitter_us
+        if loss > 0.0 and rng.random() < loss:
             return None
-        delay = model.sample_us(rng) + extra_delay_us
+        delay = model.base_us + extra_delay_us
+        if jitter:
+            delay += rng.randrange(jitter + 1)
         if self._link_faults and self._fault_transmit(
             link, msg, model, delay, extra_delay_us
         ):
             return None
-        arrival = max(self.sim.now + delay, self._fifo_front.get(fifo_key, 0) + 1)
+        arrival = max(now + delay, self._fifo_front.get(fifo_key, 0) + 1)
         self._fifo_front[fifo_key] = arrival
+        if msg is not None:
+            self.sim.push(arrival, self._deliver, msg)
         return arrival
 
     def transmit(self, msg: Message, extra_delay_us: int = 0) -> int:
@@ -438,18 +454,13 @@ class Network:
         The packet is dropped (silently, as in a real network) when the
         link is down, an endpoint is down, or the loss model fires.
         """
-        arrival = self._launch(msg, extra_delay_us)
-        if arrival is not None:
-            self.sim.schedule(arrival - self.sim.now, self._deliver, msg)
+        self._send(msg.src, msg.dst, msg.protocol, msg.size_bytes, extra_delay_us, msg)
         return msg.uid
 
     def transmit_timed(self, msg: Message) -> Optional[int]:
         """:meth:`transmit`, returning the instant ``msg`` will arrive, or
         ``None`` when it was dropped or a fault window rerouted it."""
-        arrival = self._launch(msg, 0)
-        if arrival is not None:
-            self.sim.schedule(arrival - self.sim.now, self._deliver, msg)
-        return arrival
+        return self._send(msg.src, msg.dst, msg.protocol, msg.size_bytes, 0, msg)
 
     def account(
         self, src: str, dst: str, protocol: str, payload: Any, size_bytes: int
@@ -471,14 +482,10 @@ class Network:
         if self._link_faults:
             self.transmit(Message(src, dst, protocol, payload, size_bytes=size_bytes))
             return None
-        uid = self.next_uid()
-        stats = self.nodes[src].stats
-        stats.control_packets_sent += 1
-        stats.bytes_sent += size_bytes
-        arrival = self._fate(src, dst, 0, None)
+        arrival = self._send(src, dst, protocol, size_bytes, 0, None)
         if arrival is None:
             return None
-        return arrival, self.sim.reserve_seq(), uid
+        return arrival, self.sim.reserve_seq(), self._uid
 
     def deliver_at(self, msg: Message, time_us: int, seq: int) -> None:
         """Deliver an :meth:`account`-ed packet at its arrival key after
@@ -493,8 +500,7 @@ class Network:
         reproducible, with delays taken from the deterministic average
         link delays or :meth:`delay_matrix`.
         """
-        self._stamp(msg)
-        self.sim.schedule(delay_us, self._deliver, msg)
+        self.fan_out_deterministic(((msg, delay_us),))
         return msg.uid
 
     def fan_out_deterministic(self, sends: Iterable[Tuple[Message, int]]) -> None:
@@ -508,12 +514,23 @@ class Network:
         consecutive sequence numbers -- nothing else could run between
         them, and they ran in ``sends`` order.
         """
+        now = self.sim.now
         instants: Dict[int, List[Message]] = {}
         for msg, delay_us in sends:
-            self._stamp(msg)
+            if msg.uid < 0:
+                msg.uid = self.next_uid()
+            msg.sent_at_us = now
+            stats = self.nodes[msg.src].stats
+            if msg.protocol == "_beacon":
+                pass  # beacons are constant background, tracked at receivers
+            elif msg.protocol in CONTROL_PROTOCOLS:
+                stats.control_packets_sent += 1
+            else:
+                stats.data_packets_sent += 1
+            stats.bytes_sent += msg.size_bytes
             instants.setdefault(delay_us, []).append(msg)
         for delay_us in sorted(instants):
-            self.sim.schedule(delay_us, self._deliver_each, instants[delay_us])
+            self.sim.push(now + delay_us, self._deliver_each, instants[delay_us])
 
     def _deliver_each(self, msgs: List[Message]) -> None:
         for msg in msgs:
@@ -540,7 +557,7 @@ class Network:
     # ------------------------------------------------------------------
     def schedule_events(self, schedule: EventSchedule) -> None:
         for event in schedule:
-            self.sim.schedule_at(event.time_us, self.apply_event, event)
+            self.sim.push(event.time_us, self.apply_event, event)
 
     def apply_event(self, event: ExternalEvent) -> None:
         """Apply an external event *now* and notify observing nodes."""

@@ -174,9 +174,7 @@ class GvtTracker:
         if self._interval_us <= 0:
             return
         self.sample()
-        self._handle = self.network.sim.schedule(
-            self._interval_us, self._tick, label="gvt-sample"
-        )
+        self._handle = self.network.sim.schedule(self._interval_us, self._tick)
 
     def stop(self) -> None:
         self._interval_us = 0

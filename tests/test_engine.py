@@ -117,6 +117,19 @@ def test_max_events_bound():
     assert fired == [0, 1, 2]
 
 
+def test_event_bound_leaves_the_clock_at_the_last_event():
+    """A run stopped by ``max_events`` must not advance the clock to
+    ``until_us`` past events still due before it."""
+    sim = Simulator()
+    fired = []
+    for t in (10, 20, 30):
+        sim.schedule(t, fired.append, t)
+    assert sim.run(until_us=100, max_events=1) == 1
+    assert sim.now == 10
+    assert sim.run(until_us=100) == 2
+    assert fired == [10, 20, 30] and sim.now == 100
+
+
 def test_step_returns_false_on_empty_queue():
     sim = Simulator()
     assert sim.step() is False
