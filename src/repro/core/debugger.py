@@ -27,18 +27,29 @@ from repro.core.lockstep import LockstepCoordinator
 
 @dataclass
 class Breakpoint:
-    """A named pause condition evaluated after every lockstep cycle."""
+    """A named pause condition evaluated after every lockstep cycle.
+
+    A predicate that raises pauses the run too: the exception is kept in
+    ``error`` and the breakpoint is disabled, so the next ``run`` goes on.
+    """
 
     name: str
     predicate: Callable[[LockstepCoordinator], bool]
     one_shot: bool = False
     hits: int = 0
     enabled: bool = True
+    error: Optional[Exception] = None
 
     def check(self, coordinator: LockstepCoordinator) -> bool:
         if not self.enabled:
             return False
-        if self.predicate(coordinator):
+        try:
+            hit = self.predicate(coordinator)
+        except Exception as exc:  # a troubleshooter's watch expression
+            self.error = exc
+            self.enabled = False
+            return True
+        if hit:
             self.hits += 1
             if self.one_shot:
                 self.enabled = False
@@ -133,6 +144,11 @@ class Debugger:
             return daemon is not None and state_predicate(daemon)
 
         return self.add_breakpoint(name or f"state@{node}", predicate, one_shot)
+
+    @property
+    def last_hit(self) -> Optional[Breakpoint]:
+        """The breakpoint that paused the last cycle checked, if any."""
+        return self._last_hit
 
     def clear_breakpoints(self) -> None:
         self.breakpoints.clear()

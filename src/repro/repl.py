@@ -15,6 +15,8 @@ Commands::
     run                  run until a breakpoint or end of recording
     break <substr>       break when a delivery tag contains <substr>
     break <node> <expr>  break when eval(expr) on the node's daemon is true
+                         (an expression that raises pauses the run with
+                         the error and disables the breakpoint)
     breaks               list breakpoints
     delete <idx>         delete breakpoint by index
     inspect <node>       show daemon state, timers and queued inputs
@@ -68,7 +70,11 @@ class DebugConsole:
 
     def _report(self, report: StepReport) -> None:
         self.echo(report.summary())
-        if report.hit_breakpoint:
+        bp = self.debugger.last_hit
+        if bp is not None and bp.error is not None:
+            index = self.debugger.breakpoints.index(bp)
+            self.echo(f"breakpoint #{index} error: {bp.error}")
+        elif report.hit_breakpoint:
             self.echo(f"breakpoint hit: {report.hit_breakpoint}")
 
     # ------------------------------------------------------------------
@@ -101,9 +107,14 @@ class DebugConsole:
         coordinator = self.debugger.coordinator
         if len(args) >= 2 and args[0] in coordinator.stacks:
             node, expr = args[0], " ".join(args[1:])
+            try:
+                code = compile(expr, "<break>", "eval")
+            except SyntaxError as exc:
+                self.echo(f"error: {exc}")
+                return
 
-            def predicate(daemon, _expr=expr):
-                return bool(eval(_expr, {"daemon": daemon}))  # noqa: S307
+            def predicate(daemon, _code=code):
+                return bool(eval(_code, {"daemon": daemon}))  # noqa: S307
 
             bp = self.debugger.break_on_state(node, predicate,
                                               name=f"state@{node}:{expr}")

@@ -68,6 +68,20 @@ class TestCommands:
         )
         assert "breakpoint hit: state@b" in text
 
+    def test_raising_state_expression_pauses_with_the_error(self, production):
+        text = run_script(
+            production, ["break b daemon.nope > 1", "run", "breaks", "run", "quit"]
+        )
+        assert "breakpoint #0: state@b:daemon.nope > 1" in text
+        assert "breakpoint #0 error: " in text and "nope" in text
+        assert "[disabled]" in text  # so the second run goes on
+        assert "recording exhausted" in text
+
+    def test_state_expression_syntax_error_is_answered_at_once(self, production):
+        text = run_script(production, ["break b daemon.lsdb >", "breaks", "quit"])
+        assert "error: invalid syntax" in text
+        assert "no breakpoints" in text
+
     def test_breaks_and_delete(self, production):
         text = run_script(
             production,
