@@ -6,13 +6,11 @@ queue of ``(time_us, seq, callback, args)`` entries.  The secondary
 ``sequence`` key makes tie-breaking deterministic: two events scheduled for
 the same microsecond always execute in scheduling order, on every run.
 
-Most events are never cancelled -- packet arrivals, beacon fan-out
-instants, anti-messages, lockstep phases -- and are pushed with
-:meth:`Simulator.push`, which allocates nothing but the entry.  Callers
-that may cancel (node timers, the beacon service, transport timeouts)
-use :meth:`Simulator.schedule`, which pushes the same entry and returns
-an :class:`EventHandle` naming it.  Both take one sequence number, so
-the two kinds interleave exactly in the order they were pushed.
+Events nobody cancels (packets, beacon fan-out, lockstep phases) are
+pushed bare with :meth:`Simulator.push`; :meth:`Simulator.schedule`
+pushes the same entry and returns an :class:`EventHandle` for callers
+that may cancel.  Both take one sequence number, so they interleave in
+push order.
 
 Simulated time is an integer number of microseconds.  Using integers (rather
 than floats) removes any possibility of platform-dependent rounding
@@ -40,18 +38,12 @@ class EventHandle:
     """A cancellable reference to a scheduled event: its ``(time_us, seq)``
     key.
 
-    Handles are returned by :meth:`Simulator.schedule` and
-    :meth:`Simulator.schedule_reserved`.  Cancellation is lazy: the entry
-    stays in the heap, the simulator records its sequence number, and the
-    entry is skipped when popped.  The simulator compacts the heap when
-    dead entries pile up (routing daemons reset timers constantly, which
-    would otherwise bloat long runs).
-
-    The engine dispatches in strictly increasing key order, and every
-    event is pushed with a key past the one being dispatched, so an event
-    is still queued exactly when its key lies past the engine's current
-    ``(now, seq)``.  A handle whose event already ran therefore cancels
-    nothing.
+    Cancellation is lazy: the simulator records the sequence number and
+    skips the entry when it is popped, compacting the heap when dead
+    entries pile up (routing daemons reset timers constantly).  Events
+    run in strictly increasing key order, each pushed past the key being
+    run, so an event is still queued exactly when its key lies past the
+    engine's ``(now, current seq)``; cancelling one that ran is a no-op.
     """
 
     __slots__ = ("time_us", "seq", "cancelled", "_sim")
@@ -161,12 +153,8 @@ class Simulator:
 
     def push(self, time_us: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at the absolute instant ``time_us``,
-        for an event nobody cancels: no handle is built.
-
-        Ordered exactly as :meth:`schedule` would order it: the event
-        takes the next sequence number, so at its instant it runs after
-        every event already queued there.
-        """
+        ordered as :meth:`schedule` orders it, but with no handle: for
+        events nobody cancels."""
         if time_us < self._now:
             raise SimulationError(f"cannot schedule at {time_us} (now is {self._now})")
         seq = self._seq
@@ -225,16 +213,6 @@ class Simulator:
             )
         heapq.heappush(self._queue, (time_us, seq, callback, args))
         return EventHandle(self, time_us, seq)
-
-    def schedule_at(
-        self, time_us: int, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time_us < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time_us} (now is {self._now})"
-            )
-        return self.schedule(time_us - self._now, callback, *args)
 
     def step(self) -> bool:
         """Run the single next pending event.

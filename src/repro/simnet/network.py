@@ -388,25 +388,16 @@ class Network:
         return self._uid
 
     def _send(
-        self,
-        src: str,
-        dst: str,
-        protocol: str,
-        size_bytes: int,
-        extra_delay_us: int,
-        msg: Optional[Message],
+        self, src: str, dst: str, protocol: str, size_bytes: int,
+        extra_delay_us: int, msg: Optional[Message],
     ) -> Optional[int]:
-        """One packet's pass through the network, from ``src`` to the
-        adjacent ``dst``: its uid and send instant, the sender's counters,
-        its fate on the route -- dropped or not, then its delay (both
-        drawn on the route's stream), the fault windows and the FIFO
-        clamp -- and, for ``msg``, its arrival event.
-
-        Returns the instant the packet lands, or ``None`` when it is
-        dropped or a fault window took it over (gray drop, or a reordered
-        copy scheduled there).  ``msg`` is ``None`` for an accounted
-        packet (:meth:`account`): it gets a fresh uid, left in ``_uid``,
-        and no event; a network with fault windows never sends one.
+        """One packet's pass from ``src`` to the adjacent ``dst``: uid,
+        send instant, sender counters, loss and delay drawn on the route's
+        stream, fault windows, FIFO clamp and, for ``msg``, the arrival
+        event.  Returns the arrival instant, or ``None`` when the packet
+        is dropped or a fault window took it over.  ``msg`` is ``None``
+        for an :meth:`account`-ed packet: its fresh uid is left in
+        ``_uid``, and no network with fault windows sends one.
         """
         now = self.sim.now
         if msg is None:
@@ -419,9 +410,7 @@ class Network:
         route = self._routes.get((src, dst)) or self.route(src, dst)
         link, src_node, dst_node, model, rng, fifo_key = route
         stats = src_node.stats
-        if protocol == "_beacon":
-            pass  # beacons are constant background, tracked at receivers
-        elif protocol in CONTROL_PROTOCOLS:
+        if protocol in CONTROL_PROTOCOLS:
             stats.control_packets_sent += 1
         else:
             stats.data_packets_sent += 1

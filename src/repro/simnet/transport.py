@@ -24,16 +24,12 @@ have had is reserved instead of pushed), and hands the sender its
 *landing key* ``(time, seq)``.  An ACK that lands before the frame's
 retransmission timeout clears the frame right away, as its arrival
 event would have done by then; only one that lands after the timeout
-is delivered as an engine event at its key
-(:meth:`~repro.simnet.engine.Simulator.schedule_reserved`).  So an ACK
-becomes a :class:`~repro.simnet.messages.Message` only when it travels,
-as that event or as an ordinary packet (below); otherwise it is just
-its fields.  The timeout's key is reserved when the frame is sent and
-goes on the engine's queue only if the frame or its ACK is lost, or
-the ACK lands at or after the deadline; it is the transport's one
-event that may be cancelled, so its
-:class:`~repro.simnet.engine.EventHandle` is the only one the transport
-keeps.  Per-direction FIFO
+is delivered as an engine event at its key.  So an ACK becomes a
+:class:`~repro.simnet.messages.Message` only when it travels, as that
+event or as an ordinary packet (below); otherwise it is just its
+fields.  The timeout's key is reserved when the frame is sent and goes
+on the engine's queue only if the frame or its ACK is lost, or the ACK
+lands at or after the deadline.  Per-direction FIFO
 delivery makes this exact: the first ACK accounted for a frame is the
 first to land, so a later one clears nothing an earlier one did not --
 unless that earlier one is still in flight as an event, which then does

@@ -56,22 +56,22 @@ def test_negative_delay_rejected():
         sim.schedule(-1, lambda: None)
 
 
-def test_schedule_at_absolute_time():
+def test_push_at_absolute_time():
     sim = Simulator()
     fired = []
-    sim.schedule_at(100, fired.append, "x")
+    sim.push(100, fired.append, "x")
     sim.run(until_us=50)
     assert fired == []
     sim.run(until_us=150)
     assert fired == ["x"]
 
 
-def test_schedule_at_past_rejected():
+def test_push_into_the_past_rejected():
     sim = Simulator()
     sim.schedule(10, lambda: None)
     sim.drain()
     with pytest.raises(SimulationError):
-        sim.schedule_at(5, lambda: None)
+        sim.push(5, lambda: None)
 
 
 def test_cancel_prevents_firing():

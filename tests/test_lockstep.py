@@ -565,12 +565,12 @@ def _transmit_and_await(
         )
     if lose_first:
         link.up = False
-        net.sim.schedule_at(T0 + 1, setattr, link, "up", True)
+        net.sim.push(T0 + 1, setattr, link, "up", True)
     if ack_us_from is not None:
         at_us, delay = ack_us_from
         route = net.route("b", "a")._replace(model=DelayModel(base_us=delay, jitter_us=0))
-        net.sim.schedule_at(at_us, net._routes.__setitem__, ("b", "a"), route)
-    net.sim.schedule_at(T0, stack._on_coordinator, "transmit")
+        net.sim.push(at_us, net._routes.__setitem__, ("b", "a"), route)
+    net.sim.push(T0, stack._on_coordinator, "transmit")
     net.run()
     counters = {
         nid: (
