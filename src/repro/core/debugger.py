@@ -15,12 +15,17 @@ granularity"):
   external events, to quiescence);
 * :meth:`Debugger.run` -- replay until a breakpoint fires or the
   recording is exhausted.
+
+Breakpoints belong to the debugger alone.  Each of the three loops over
+:meth:`~repro.core.lockstep.LockstepCoordinator.advance_cycle` and checks
+the breakpoints after every cycle; the coordinator only replays, and
+knows nothing of pausing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.lockstep import LockstepCoordinator
 
@@ -74,7 +79,6 @@ class StepReport:
     processed: int
     sim_time_us: int
     hit_breakpoint: Optional[str] = None
-    new_deliveries: Dict[str, List[str]] = field(default_factory=dict)
 
     def summary(self) -> str:
         bp = f" BREAK[{self.hit_breakpoint}]" if self.hit_breakpoint else ""
@@ -90,20 +94,11 @@ class Debugger:
     def __init__(self, coordinator: LockstepCoordinator) -> None:
         self.coordinator = coordinator
         self.breakpoints: List[Breakpoint] = []
-        coordinator.break_predicates.append(self._check_breakpoints)
         self._last_hit: Optional[Breakpoint] = None
 
     # ------------------------------------------------------------------
     # breakpoints
     # ------------------------------------------------------------------
-    def _check_breakpoints(self, coordinator: LockstepCoordinator) -> bool:
-        self._last_hit = None
-        for bp in self.breakpoints:
-            if bp.check(coordinator):
-                self._last_hit = bp
-                return True
-        return False
-
     def add_breakpoint(
         self,
         name: str,
@@ -165,22 +160,43 @@ class Debugger:
             processed=processed,
             sim_time_us=coordinator.network.sim.now,
             hit_breakpoint=self._last_hit.name if self._last_hit else None,
-            new_deliveries=coordinator.group_deliveries(),
         )
+
+    def _cycle(self) -> Tuple[int, int]:
+        """Run one cycle of an unfinished replay, then check the
+        breakpoints in order; the first that fires is :attr:`last_hit`."""
+        cycle = self.coordinator.advance_cycle()
+        self._last_hit = next(
+            (bp for bp in self.breakpoints if bp.check(self.coordinator)), None
+        )
+        return cycle
 
     def step(self) -> StepReport:
         """Advance one lockstep cycle."""
-        sent, processed = self.coordinator.advance_cycle()
-        return self._report(sent, processed)
+        if self.finished:
+            return self._report(0, 0)
+        return self._report(*self._cycle())
 
     def step_group(self) -> StepReport:
         """Advance until the current group quiesces (or a breakpoint)."""
-        self.coordinator.run_group()
+        coordinator = self.coordinator
+        target = coordinator.next_group
+        if coordinator.in_group:
+            target = coordinator.current_group
+        while not self.finished:
+            self._cycle()
+            if self._last_hit is not None:
+                break
+            if not coordinator.in_group and coordinator.current_group >= target:
+                break
         return self._report(0, 0)
 
     def run(self) -> StepReport:
         """Run until a breakpoint fires or the recording is exhausted."""
-        self.coordinator.run_all()
+        while not self.finished:
+            self._cycle()
+            if self._last_hit is not None:
+                break
         return self._report(0, 0)
 
     @property

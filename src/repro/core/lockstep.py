@@ -74,11 +74,19 @@ process phase-begin event until an input reaches it.  Idle nodes'
 phase-begins and count-0 markers are accounted at broadcast in one
 pass: their control packets one by one, their round trips folded into
 the phase once (:meth:`LockstepCoordinator._broadcast`).
+
+**Driving the barrier.**  Each phase is one engine run
+(:meth:`~repro.simnet.engine.Simulator.run`), which the phase's
+completion event ends.  The coordinator knows nothing of pausing:
+:meth:`LockstepCoordinator.advance_cycle` runs one cycle and
+:meth:`LockstepCoordinator.run_all` the rest of the recording, while
+breakpoints, and stepping by cycle or by group, belong to the debugger
+(:mod:`repro.core.debugger`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.history import DeliveredHistory, HistoryEntry
 from repro.core.ordering import OptimizedOrdering, OrderingFunction, OrderKey
@@ -96,11 +104,13 @@ TRANSMIT = "transmit"
 PROCESS = "process"
 
 
+class _PhaseDone(Exception):
+    """Raised by a phase's completion event to end the engine run that
+    drives the phase (:meth:`LockstepCoordinator._run_phase`)."""
+
+
 class LockstepStack(ReplayStack):
     """DEFINED-LS stack for one debugging-network node."""
-
-    #: The reliable transport's retransmission timeout.
-    rto_us = 50_000
 
     def __init__(
         self, node: Node, ordering: OrderingFunction, recording: Recording
@@ -126,9 +136,7 @@ class LockstepStack(ReplayStack):
         #: the recording (the debugging network's own interval is
         #: irrelevant -- annotations must match production bit for bit).
         self.spill_bound_us = recording.spill_bound_us
-        self.transport = ReliableTransport(
-            node.node_id, node.network, self._on_logical, rto_us=self.rto_us
-        )
+        self.transport = ReliableTransport(node.node_id, node.network, self._on_logical)
         self.coordinator: Optional["LockstepCoordinator"] = None
         self.active = True
         self.logical_down_links: Set[frozenset] = set()
@@ -518,16 +526,10 @@ class LockstepCoordinator:
         self.in_group = False
         self.cycle = 0
         self.finished = False
-        self.steps_executed = 0
         self._expected = 0
         self._reported = 0
         self._marker_sum = 0
         self._last_marker_us = 0
-        self._phase_done = False
-        #: Callables ``coordinator -> bool`` evaluated after every cycle;
-        #: any True pauses execution (see :mod:`repro.core.debugger`).
-        self.break_predicates: List[Callable[["LockstepCoordinator"], bool]] = []
-        self.paused_on: Optional[Callable] = None
 
     # ------------------------------------------------------------------
     # wiring
@@ -558,7 +560,6 @@ class LockstepCoordinator:
         self._reported = 0
         self._marker_sum = 0
         self._last_marker_us = 0
-        self._phase_done = not expected
 
     def _broadcast(self, kind: str, nodes: List[str]) -> None:
         """Begin a ``kind`` phase on ``nodes`` (sorted): an engine event
@@ -614,16 +615,22 @@ class LockstepCoordinator:
             self.network.sim.push(self._last_marker_us, self._end_phase)
 
     def _end_phase(self) -> None:
-        self._phase_done = True
+        raise _PhaseDone
 
-    def _run_until_phase_done(self) -> None:
-        guard = 0
-        while not self._phase_done:
-            if not self.network.sim.step():
-                raise RuntimeError("lockstep deadlock: no events but phase incomplete")
-            guard += 1
-            if guard > 5_000_000:  # pragma: no cover - safety bound
-                raise RuntimeError("lockstep livelock suspected")
+    def _run_phase(self) -> None:
+        """Run the engine until the open phase's completion event, which
+        ends the run by raising :class:`_PhaseDone`.  A phase expecting
+        no marker has no such event and runs nothing."""
+        if not self._expected:
+            return
+        sim = self.network.sim
+        try:
+            sim.run(max_events=5_000_000)
+        except _PhaseDone:
+            return
+        if not sim.pending:
+            raise RuntimeError("lockstep deadlock: no events but phase incomplete")
+        raise RuntimeError("lockstep livelock suspected")  # pragma: no cover
 
     def _active_nodes(self) -> List[str]:
         return [nid for nid, stack in sorted(self.stacks.items()) if stack.active]
@@ -659,7 +666,7 @@ class LockstepCoordinator:
             round_trip = max(round_trip, self._delays.get(nid, 0))
         if active:
             self._fold_markers(len(active), 0, self.network.sim.now + 2 * round_trip)
-        self._run_until_phase_done()
+        self._run_phase()
         self.in_group = True
 
     def _apply_topology_events(self, events: List[RecordedEvent]) -> None:
@@ -692,46 +699,25 @@ class LockstepCoordinator:
         start_us = self.network.sim.now
         active = self._active_nodes()
         self._broadcast(TRANSMIT, active)
-        self._run_until_phase_done()
+        self._run_phase()
         sent = self._marker_sum
         self._broadcast(PROCESS, active)
-        self._run_until_phase_done()
+        self._run_phase()
         processed = self._marker_sum
         self.cycle += 1
-        self.steps_executed += 1
         self.network.run_stats.step_times_us.append(self.network.sim.now - start_us)
         if sent == 0 and processed == 0:
             self.in_group = False
             if self.next_group > self.horizon:
                 self.finished = True
-        self.paused_on = None
-        for predicate in self.break_predicates:
-            if predicate(self):
-                self.paused_on = predicate
-                break
         return sent, processed
 
-    def run_group(self) -> int:
-        """Replay until the current group quiesces.  Returns cycles run."""
-        ran = 0
-        target = self.next_group if not self.in_group else self.current_group
-        while not self.finished:
-            self.advance_cycle()
-            ran += 1
-            if self.paused_on is not None:
-                break
-            if not self.in_group and self.current_group >= target:
-                break
-        return ran
-
     def run_all(self) -> int:
-        """Replay the entire recording (or until a breakpoint pauses us)."""
+        """Replay the rest of the recording.  Returns cycles run."""
         ran = 0
         while not self.finished:
             self.advance_cycle()
             ran += 1
-            if self.paused_on is not None:
-                break
         return ran
 
     # ------------------------------------------------------------------

@@ -84,9 +84,11 @@ class DebugConsole:
         try:
             n = int(args[0]) if args else 1
         except ValueError:
+            n = 0
+        if n < 1:
             self.echo("usage: step [n]")
             return
-        for _ in range(max(1, n)):
+        for _ in range(n):
             report = self.debugger.step()
             self._report(report)
             if report.hit_breakpoint or self.debugger.finished:
@@ -132,10 +134,13 @@ class DebugConsole:
     def cmd_delete(self, args: List[str]) -> None:
         try:
             index = int(args[0])
-            del self.debugger.breakpoints[index]
-            self.echo(f"deleted breakpoint #{index}")
         except (IndexError, ValueError):
+            index = -1
+        if not 0 <= index < len(self.debugger.breakpoints):
             self.echo("usage: delete <breakpoint-index>")
+            return
+        del self.debugger.breakpoints[index]
+        self.echo(f"deleted breakpoint #{index}")
 
     def cmd_inspect(self, args: List[str]) -> None:
         if not args:

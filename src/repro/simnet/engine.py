@@ -214,26 +214,6 @@ class Simulator:
         heapq.heappush(self._queue, (time_us, seq, callback, args))
         return EventHandle(self, time_us, seq)
 
-    def step(self) -> bool:
-        """Run the single next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the queue was empty.
-        """
-        queue, cancelled = self._queue, self._cancelled
-        while queue:
-            time_us, seq, callback, args = heapq.heappop(queue)
-            if seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            if time_us < self._now:
-                raise SimulationError("event queue corrupted: time went backwards")
-            self._now = time_us
-            self._current_seq = seq
-            self._events_executed += 1
-            callback(*args)
-            return True
-        return False
-
     def run(
         self,
         until_us: Optional[int] = None,
@@ -246,7 +226,11 @@ class Simulator:
         ``until_us`` is given, the clock is advanced to exactly ``until_us``
         on return if no event at or before it is left (the queue drained
         or the next event lies later), so repeated bounded runs tile time
-        seamlessly.  Each event is dispatched here as :meth:`step` would.
+        seamlessly.
+
+        An exception a callback raises ends the run and propagates, with
+        ``now`` and ``events_executed`` standing at that event and the
+        rest of the queue intact; a later ``run`` goes on from there.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")

@@ -49,7 +49,7 @@ so the replay must not stall trying to reach it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.simnet.engine import EventHandle
 from repro.simnet.messages import Message
@@ -58,6 +58,8 @@ from repro.simnet.network import Network
 RELIABLE_PROTOCOL = "_rel"
 ACK_PROTOCOL = "_ack"
 
+#: Retransmission timeout of a frame, in microseconds.
+RTO_US = 50_000
 #: Give up on a frame after this many retransmissions: the debugging
 #: network is partitioned.
 MAX_RETRIES = 100
@@ -108,16 +110,12 @@ class ReliableTransport:
     """
 
     def __init__(
-        self,
-        node_id: str,
-        network: Network,
-        deliver: Callable[[Message], None],
-        rto_us: int = 100_000,
+        self, node_id: str, network: Network, deliver: Callable[[Message], None]
     ) -> None:
         self.node_id = node_id
         self.network = network
         self.deliver = deliver
-        self.rto_us = rto_us
+        self.rto_us = RTO_US
         self._stats = network.nodes[node_id].stats
         self._send_seq: Dict[str, int] = {}
         self._recv_next: Dict[str, int] = {}
@@ -141,18 +139,6 @@ class ReliableTransport:
         self._send_seq[dst] = seq + 1
         self._transmit(dst, seq, msg, 0)
         return msg.uid
-
-    def send(self, dst: str, protocol: str, payload: Any, size_bytes: int = 64) -> int:
-        """Convenience wrapper building the logical message in place."""
-        return self.send_message(
-            Message(
-                src=self.node_id,
-                dst=dst,
-                protocol=protocol,
-                payload=payload,
-                size_bytes=size_bytes,
-            )
-        )
 
     def _transmit(self, dst: str, seq: int, msg: Message, attempt: int) -> None:
         """Send (``attempt`` 0) or resend ``msg``."""

@@ -133,7 +133,7 @@ class TestInspection:
             after = scout.group_deliveries()
             for node, had in before.items():
                 if scout.cycle > 1 and had and after[node][: len(had)] != had:
-                    target = (scout.steps_executed - 1, node)
+                    target = (len(scout.network.run_stats.step_times_us) - 1, node)
                     break
             before = after
         assert target is not None, "the recording has no mid-history insertion"

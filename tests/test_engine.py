@@ -130,9 +130,35 @@ def test_event_bound_leaves_the_clock_at_the_last_event():
     assert fired == [10, 20, 30] and sim.now == 100
 
 
-def test_step_returns_false_on_empty_queue():
+class _Stop(Exception):
+    pass
+
+
+def _stop():
+    raise _Stop
+
+
+def test_a_raising_callback_ends_the_run_at_its_event():
+    """An exception from a callback propagates out of ``run`` with the
+    clock and the counter at that event (not at ``until_us``); the rest
+    of the queue stays queued, and a second ``run`` is allowed and fires
+    it in key order, events scheduled in between included."""
     sim = Simulator()
-    assert sim.step() is False
+    fired = []
+    sim.schedule(10, fired.append, "a")
+    sim.schedule(20, _stop)
+    sim.schedule(20, fired.append, "b")
+    sim.schedule(30, fired.append, "c")
+    sim.schedule(5, fired.append, "first")
+    with pytest.raises(_Stop):
+        sim.run(until_us=100)
+    assert fired == ["first", "a"]
+    assert sim.now == 20 and sim.events_executed == 3
+    assert sim.pending == 2
+    sim.schedule(0, fired.append, "same instant")
+    assert sim.run() == 3
+    assert fired == ["first", "a", "b", "same instant", "c"]
+    assert sim.now == 30 and sim.events_executed == 6
 
 
 def test_events_executed_counter():
@@ -349,7 +375,7 @@ class TestBothKindsOfEvent:
         assert sim.run(until_us=13) == 4
         assert sim.events_executed == 4
         assert sim.pending == 2
-        assert sim.step() is True
+        assert sim.run(max_events=1) == 1
         assert sim.events_executed == 5 and sim.pending == 1
         net.run()
         assert sim.events_executed == 6 and sim.pending == 0 and sim.queue_size == 0

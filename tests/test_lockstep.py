@@ -7,6 +7,7 @@ import pytest
 from _fixtures import flap_schedule, graph_of, run_scenario_cell, square_graph
 from _oracles import deepcopy_stores
 
+from repro.core.debugger import Debugger
 from repro.core.lockstep import LockstepCoordinator, LockstepStack
 from repro.core.ordering import make_ordering
 from repro.core.recorder import Recording
@@ -67,7 +68,7 @@ class TestPhaseMachinery:
         assert coordinator.current_group == -1
         coordinator.advance_cycle()
         assert coordinator.current_group == 0
-        coordinator.run_group()
+        Debugger(coordinator).step_group()
         assert not coordinator.in_group
         assert coordinator.current_group == 0
 
@@ -169,7 +170,7 @@ class TestPhaseMachinery:
     ):
         square, prod = production
         coordinator = make_coordinator(square, prod.recording)
-        coordinator.run_group()
+        Debugger(coordinator).step_group()
         stack = coordinator.stacks["a"]
         assert stack.phase_idle("transmit") and stack.phase_idle("process")
         stack._changed_from = ()
@@ -178,8 +179,22 @@ class TestPhaseMachinery:
         stack._unsend_buffer = {"b": [1]}
         assert not stack.phase_idle("transmit") and not stack.phase_idle("process")
         stack._unsend_buffer = {}
-        stack.transport.send("b", "probe", None)  # awaits its ACK
+        stack.transport.send_message(Message("a", "b", "probe", None))  # awaits its ACK
         assert not stack.phase_idle("transmit") and stack.phase_idle("process")
+
+    def test_a_missing_marker_is_reported_as_a_deadlock(self, production, monkeypatch):
+        """A busy node that never answers leaves the phase incomplete once
+        the engine's queue drains: the replay reports it, it does not
+        hang."""
+        square, prod = production
+        coordinator = make_coordinator(square, prod.recording)
+        stack = coordinator.stacks["b"]
+        assert not stack.phase_idle("transmit")  # boot traffic to send
+        monkeypatch.setattr(stack, "_marker", lambda count, sent_us: None)
+        with pytest.raises(RuntimeError, match="lockstep deadlock"):
+            coordinator.advance_cycle()
+        assert coordinator.network.sim.pending == 0
+        assert coordinator.network.run_stats.step_times_us == []
 
     def test_step_times_recorded(self, production):
         square, prod = production
@@ -248,7 +263,7 @@ class TestGroupLocalReexecution:
         daemon = coordinator.network.nodes["a"].daemon
         daemon.hello_count = 999
         stack.rebase_checkpoint()
-        coordinator.run_group()
+        Debugger(coordinator).step_group()
         # a re-execution within the group must not wipe the modification
         assert daemon.hello_count >= 999
 

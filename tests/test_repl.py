@@ -104,11 +104,23 @@ class TestCommands:
         assert "unknown node 'zz'" in text
         assert text.count("horizon group") == 2  # the session went on
 
-    def test_step_with_a_non_integer_count(self, production):
-        text = run_script(production, ["step x", "where", "quit"])
+    @pytest.mark.parametrize("count", ["x", "0", "-2"])
+    def test_step_with_a_count_that_is_not_positive(self, production, count):
+        text = run_script(production, [f"step {count}", "where", "quit"])
         assert "usage: step [n]" in text
         assert "processed=" not in text
         assert text.count("horizon group") == 2
+        assert text.count("group -1 cycle 0") == 2  # nothing advanced
+
+    @pytest.mark.parametrize("index", ["-1", "2"])
+    def test_delete_out_of_range_changes_nothing(self, production, index):
+        text = run_script(
+            production,
+            ["break x", "break y", f"delete {index}", "breaks", "quit"],
+        )
+        assert "usage: delete <breakpoint-index>" in text
+        assert "deleted" not in text
+        assert "#0 delivery~'x'" in text and "#1 delivery~'y'" in text
 
     def test_nodes_listing(self, production):
         text = run_script(production, ["nodes", "quit"])

@@ -16,12 +16,13 @@ class SinkStack(Stack):
     def __init__(self, node, rto_us=20_000):
         super().__init__(node)
         self.received = []
-        self.transport = ReliableTransport(
-            node.node_id, node.network, self.received.append, rto_us=rto_us
-        )
+        self.transport = ReliableTransport(node.node_id, node.network, self.received.append)
+        self.transport.rto_us = rto_us
 
     def send(self, dst, protocol, payload, parent=None, size_bytes=64):
-        self.transport.send(dst, protocol, payload, size_bytes)
+        self.transport.send_message(
+            Message(self.node.node_id, dst, protocol, payload, size_bytes=size_bytes)
+        )
 
     def set_timer(self, delay_units, key):  # pragma: no cover - unused
         pass
