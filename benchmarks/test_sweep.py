@@ -93,13 +93,14 @@ def test_sweep_parallel_speedup(serial_report, parallel_report):
 def test_fuzz_grid_throughput(benchmark):
     """Time one boundary-jitter fuzz pass (snap + jitter + Theorem-1
     verification per cell) on a smoke-sized grid."""
-    from repro.sweep import FuzzRunner
+    from repro.sweep import SweepRunner, fuzz_grid
 
     jitters = (0, 1, 2, 5) if FULL else (0, 1)
 
     def run_once():
-        return FuzzRunner(
-            scenarios=["latency-jitter"], seeds=(1,), jitters_us=jitters
+        return SweepRunner(
+            fuzz_grid(["latency-jitter"], jitters), seeds=(1,),
+            modes=("defined",),
         ).run()
 
     report = benchmark.pedantic(run_once, rounds=3, iterations=1)

@@ -22,7 +22,7 @@ Run:  python examples/fuzz_boundaries.py [workers [seeds]]
 
 import sys
 
-from repro.sweep import FuzzRunner
+from repro.sweep import SweepRunner, fuzz_grid, shrink_failure
 
 
 def main() -> None:
@@ -30,24 +30,25 @@ def main() -> None:
     seeds = (
         [int(s) for s in sys.argv[2].split(",")] if len(sys.argv) > 2 else [1, 2, 3]
     )
-    runner = FuzzRunner(
-        scenarios=[
-            "flap-storm",
-            "crash-restart",
-            "flap-storm+partition",
-            "crash-restart+ddos-overload",
-        ],
+    runner = SweepRunner(
+        fuzz_grid(
+            [
+                "flap-storm",
+                "crash-restart",
+                "flap-storm+partition",
+                "crash-restart+ddos-overload",
+            ],
+            jitters_us=(0, 1, 2),
+        ),
         seeds=seeds,
-        jitters_us=(0, 1, 2),
+        modes=("defined",),
         workers=workers,
     )
-    print(
-        f"... {len(runner.grid_names()) * len(runner.seeds)} jittered cells "
-        f"on {workers} worker(s)"
-    )
+    print(f"... {len(runner.grid())} jittered cells on {workers} worker(s)")
     report = runner.run()
     print(report.render())
     if not report.ok():
+        print(f"minimized: {shrink_failure(report)}")
         sys.exit(1)
 
 

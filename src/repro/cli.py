@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import Cdf, mean
 from repro.analysis.report import ascii_cdf, render_series, render_table
@@ -184,15 +184,18 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
         raise SystemExit(f"{flag} must be comma-separated integers, got {text!r}")
 
 
-def _finish_grid(report, args: argparse.Namespace, noun: str) -> int:
-    """Render a grid report, write its JSON to ``--report-out`` if given,
-    and turn its verdict into the exit status."""
-    print(report.render())
+def _finish_grid(
+    report, args: argparse.Namespace, noun: str, notes: Sequence[str] = (), **extra
+) -> int:
+    """Render a grid report and any ``notes`` lines, write its JSON plus
+    the ``extra`` keys to ``--report-out`` if given, and turn its verdict
+    into the exit status."""
+    print("\n".join([report.render(), *notes]))
     if args.report_out:
         import json
 
         with open(args.report_out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump({**report.to_dict(), **extra}, fh, indent=2)
         print(f"\n{noun} report written to {args.report_out}")
     return 0 if report.ok() else 1
 
@@ -268,27 +271,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.sweep import FuzzRunner
+    from repro.sweep import SweepRunner, _grid_specs, fuzz_grid, shrink_failure
 
     scenarios = (
         None if args.scenarios == "all" else
         [s.strip() for s in args.scenarios.split(",")]
     )
     try:
-        runner = FuzzRunner(
-            scenarios=scenarios,
-            seeds=_parse_int_list(args.seeds, "--seeds"),
-            jitters_us=_parse_int_list(args.jitters_us, "--jitters-us"),
-            mode=args.mode,
+        names = fuzz_grid(
+            scenarios,
+            _parse_int_list(args.jitters_us, "--jitters-us"),
+            args.mode,
+        )
+        runner = SweepRunner(
+            names,
+            _parse_int_list(args.seeds, "--seeds"),
+            modes=(args.mode,),
             workers=args.workers,
-            minimize=not args.no_minimize,
         )
     except (KeyError, ValueError) as exc:
         raise SystemExit(exc.args[0] if exc.args else str(exc))
     print(
-        f"fuzzing {len(runner.base_scenarios)} scenario(s) x "
-        f"{len(runner.seeds)} seed(s) x jitters {list(runner.jitters_us)}us "
-        f"in {args.mode} mode on {args.workers} worker(s)"
+        f"fuzzing {len(runner.grid())} cells ({len(names)} jittered "
+        f"scenario(s) x {len(runner.seeds)} seed(s)) in {args.mode} mode "
+        f"on {args.workers} worker(s)"
     )
 
     def progress(cell) -> None:
@@ -296,7 +302,19 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"  {cell.scenario} seed={cell.seed}: {status}")
 
     report = runner.run(progress=progress if args.verbose else None)
-    return _finish_grid(report, args, "divergence")
+    minimized = None if args.no_minimize else shrink_failure(report)
+    notes = []
+    if minimized is not None:
+        spec = _grid_specs(
+            [minimized["scenario"]], boundary_jitter_us=minimized["jitter_us"]
+        )[0]
+        notes.append(
+            "minimized: scenario={scenario!r} seed={seed} jitter_us={jitter_us} "
+            "(after {shrink_runs} shrink runs); reproduce with "
+            "run_cell(SweepCell('{spec}', {seed}, '{mode}'))"
+            .format(spec=spec, mode=args.mode, **minimized)
+        )
+    return _finish_grid(report, args, "divergence", notes, minimized=minimized)
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:

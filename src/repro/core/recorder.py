@@ -95,8 +95,8 @@ class Recording:
     #: next group phase (see :meth:`Annotation.extended`).  The replay
     #: must use the production value, not its own network's, or its
     #: recomputed annotations (hence ordering keys and drop identities)
-    #: would differ.  ``None`` disables spilling (recordings made before
-    #: the bound existed replay with the estimates they were made with).
+    #: would differ.  ``None`` disables spilling; a recording file must
+    #: state the value either way (:meth:`from_json`).
     spill_bound_us: Optional[int] = None
 
     def by_group(self) -> Dict[int, List[RecordedEvent]]:
@@ -141,6 +141,10 @@ class Recording:
 
     @classmethod
     def from_json(cls, text: str) -> "Recording":
+        """The recording :meth:`to_json` wrote.  The d_i inputs
+        (``hop_cost_us``, ``spill_bound_us``, ``delay_estimates``, each
+        event's ``offset_us``) have no defaults here: a replay on a
+        default could diverge without a word."""
         doc = json.loads(text)
         if doc.get("format") != "defined-recording-v1":
             raise ValueError("not a DEFINED recording file")
@@ -153,7 +157,7 @@ class Recording:
                 data=_decode(e["data"]),
                 group=e["group"],
                 seq=e["seq"],
-                offset_us=e.get("offset_us", 0),
+                offset_us=_required(e, "offset_us", "recording event"),
             )
             for e in doc["events"]
         ]
@@ -162,9 +166,9 @@ class Recording:
             events=events,
             drops=drops,
             horizon_group=doc["horizon_group"],
-            hop_cost_us=doc.get("hop_cost_us", 140),
-            delay_estimates=doc.get("delay_estimates", {}),
-            spill_bound_us=doc.get("spill_bound_us"),
+            hop_cost_us=_required(doc, "hop_cost_us"),
+            delay_estimates=_required(doc, "delay_estimates"),
+            spill_bound_us=_required(doc, "spill_bound_us"),
         )
 
     def save(self, path: str) -> None:
@@ -175,6 +179,13 @@ class Recording:
     def load(cls, path: str) -> "Recording":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
+
+
+def _required(doc: Dict[str, Any], key: str, what: str = "recording") -> Any:
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"{what} has no {key!r} field") from None
 
 
 def _encode(value: Any) -> Any:

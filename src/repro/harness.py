@@ -86,7 +86,8 @@ class ProductionResult:
 
 def ospf_daemon_factory(graph: TopologyGraph, forward_delay_units: int = 0) -> Callable:
     """Daemon factory closing over the topology's static adjacency
-    (hello and retransmit intervals at :class:`OspfDaemon`'s defaults)."""
+    (hello and retransmit intervals are :mod:`repro.routing.ospf`'s
+    constants)."""
     adjacency = {n: sorted(peers) for n, peers in graph.adjacency().items()}
 
     def factory(node_id: str, stack) -> OspfDaemon:

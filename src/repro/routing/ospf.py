@@ -55,6 +55,11 @@ PROTO_HELLO = "ospf_hello"
 PROTO_LSA = "ospf_lsa"
 PROTO_ACK = "ospf_ack"
 
+#: Virtual-time units between a router's hellos.
+HELLO_INTERVAL_UNITS = 4
+#: Virtual-time units before an unacknowledged LSA is sent again.
+RETRANSMIT_UNITS = 4
+
 #: LSA payloads are plain tuples so their repr (used in delivery-log tags)
 #: is deterministic: ("lsa", router, seq, (sorted live neighbor ids)).
 LsaPayload = Tuple[str, str, int, Tuple[str, ...]]
@@ -68,17 +73,11 @@ class OspfDaemon(Daemon):
         node_id: str,
         stack: Stack,
         neighbors: List[str],
-        hello_interval_units: int = 4,
-        retransmit_units: int = 4,
         forward_delay_units: int = 0,
-        refresh_interval_units: int = 0,
     ) -> None:
         super().__init__(node_id, stack)
         self.neighbors = sorted(neighbors)
-        self.hello_interval_units = hello_interval_units
-        self.retransmit_units = retransmit_units
         self.forward_delay_units = forward_delay_units
-        self.refresh_interval_units = refresh_interval_units
 
         # mutable protocol state: namespaced sub-stores, all checkpointed
         self.live_interfaces = self.store.namespace("live_interfaces")
@@ -146,11 +145,9 @@ class OspfDaemon(Daemon):
         # k-th group would collide with any event landing in that group.
         phase = (
             int.from_bytes(hashlib.sha256(self.node_id.encode()).digest()[:4], "big")
-            % self.hello_interval_units
+            % HELLO_INTERVAL_UNITS
         )
         self.stack.set_timer(1 + phase, "hello")
-        if self.refresh_interval_units:
-            self.stack.set_timer(self.refresh_interval_units, "refresh")
 
     # ------------------------------------------------------------------
     # LSA origination and flooding
@@ -169,7 +166,7 @@ class OspfDaemon(Daemon):
         _, router, seq, _links = payload
         self.pending_acks[(dst, router, seq)] = True
         self.send(dst, PROTO_LSA, payload, parent=parent, size_bytes=96)
-        self.stack.set_timer(self.retransmit_units, f"rexmit|{dst}|{router}|{seq}")
+        self.stack.set_timer(RETRANSMIT_UNITS, f"rexmit|{dst}|{router}|{seq}")
 
     def _install_lsa(self, router: str, seq: int, links: Tuple[str, ...]) -> bool:
         current = self.lsdb.get(router)
@@ -241,11 +238,7 @@ class OspfDaemon(Daemon):
             self.hello_count += 1
             for neighbor in self._my_links():
                 self.send(neighbor, PROTO_HELLO, ("hello", self.node_id), size_bytes=24)
-            self.stack.set_timer(self.hello_interval_units, "hello")
-            return
-        if key == "refresh":
-            self._originate_lsa(parent=None)
-            self.stack.set_timer(self.refresh_interval_units, "refresh")
+            self.stack.set_timer(HELLO_INTERVAL_UNITS, "hello")
             return
         if key.startswith("rexmit|"):
             _, dst, router, seq_s = key.split("|")

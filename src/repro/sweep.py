@@ -35,8 +35,9 @@ whole *grid*:
   every external event is snapped onto a beacon-group boundary +/- a few
   seed-derived microseconds, the exact regime where group tagging,
   per-group ordering and anti-message retraction hand off;
-* :class:`FuzzRunner` sweeps jittered grids across (scenario, seed,
-  jitter) and shrinks any divergence to the smallest failing triple.
+* :func:`fuzz_grid` names a jittered grid (scenario x jitter) for
+  :class:`SweepRunner`, and :func:`shrink_failure` shrinks a failing
+  report to the smallest failing (scenario, seed, jitter) triple.
 
 Composed, sized and jittered scenarios are addressable *by name*
 (``a+b``, ``a@40``, ``a~j2us``; the grammar is :class:`_Spec`'s) over
@@ -73,7 +74,7 @@ import random
 import re
 import time
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_matrix, render_table
@@ -1962,240 +1963,83 @@ class SweepRunner:
 
 
 # ----------------------------------------------------------------------
-# boundary-jitter fuzzing: jittered grids + divergence minimization
+# boundary-jitter fuzzing: a sweep over a jitter axis, then a shrink
 # ----------------------------------------------------------------------
 
-@dataclass
-class FuzzReport:
-    """Outcome of a boundary-jitter fuzzing campaign.
+def fuzz_grid(
+    scenarios: Optional[Sequence[str]] = None,
+    jitters_us: Sequence[int] = (0, 1, 2, 5),
+    mode: str = "defined",
+) -> List[str]:
+    """The boundary-jitter fuzz grid, for :class:`SweepRunner` in
+    ``mode``: each spec under each of ``jitters_us`` of whole-spec
+    jitter, base-major, deduplicated.
 
-    ``minimized`` is the smallest failing ``(scenario, seed, jitter_us)``
-    triple found by shrinking the first (smallest-jitter) divergence;
-    ``None`` when every cell upheld its invariants.
-    """
-
-    base_scenarios: Tuple[str, ...]
-    seeds: Tuple[int, ...]
-    jitters_us: Tuple[int, ...]
-    mode: str
-    cells: List[CellResult] = field(default_factory=list)
-    minimized: Optional[Tuple[str, int, int]] = None
-    shrink_runs: int = 0
-    wall_seconds: float = 0.0
-
-    def failures(self) -> List[CellResult]:
-        bad = [c for c in self.cells if not c.ok]
-        return sorted(
-            bad, key=lambda c: (_Spec.fuzz_axes(c.scenario)[1], c.seed, c.scenario)
-        )
-
-    def ok(self) -> bool:
-        return not self.failures()
-
-    def summary_rows(self) -> List[List]:
-        rows = []
-        for base in self.base_scenarios:
-            for jitter in self.jitters_us:
-                group = [
-                    c for c in self.cells
-                    if _Spec.fuzz_axes(c.scenario) == (base, jitter)
-                ]
-                if not group:
-                    continue
-                bad = sum(1 for c in group if not c.ok)
-                rows.append([
-                    base,
-                    jitter,
-                    len(group),
-                    sum(1 for c in group if c.invariant_ok),
-                    sum(c.rollbacks for c in group),
-                    bad,
-                    "FAIL" if bad else "ok",
-                ])
-        return rows
-
-    def render(self) -> str:
-        parts = [render_table(
-            f"boundary-jitter fuzz ({self.mode} mode, "
-            f"{len(self.seeds)} seed(s))",
-            ["scenario", "jitter (us)", "cells", "theorem1", "rollbacks",
-             "failures", "verdict"],
-            self.summary_rows(),
-        )]
-        parts.append("")
-        if self.ok():
-            parts.append(
-                f"verdict: OK -- {len(self.cells)} jittered cells, every "
-                "fingerprint reproduced bit-for-bit "
-                f"({self.wall_seconds:.2f}s wall)"
+    The grid owns the whole-spec jitter axis, so a spec's own
+    (``latency-jitter~j2us``) is replaced, never stacked; ``None`` is
+    the default grid, whose jittered specs thereby fold onto their
+    bases.  Every spec must run in ``mode``."""
+    if any(j < 0 for j in jitters_us):
+        raise ValueError("jitter magnitudes cannot be negative")
+    if scenarios is None:
+        scenarios = default_grid()
+    for name in scenarios:
+        modes = get_scenario(name).modes  # fail fast on unknown names
+        if mode not in modes:
+            raise ValueError(
+                f"scenario {name!r} does not run in mode {mode!r} "
+                f"(modes: {modes})"
             )
+    return list(dict.fromkeys(
+        _grid_specs([name], boundary_jitter_us=jitter)[0]
+        for name in scenarios
+        for jitter in sorted(set(jitters_us))
+    ))
+
+
+def shrink_failure(report: SweepReport) -> Optional[Dict[str, object]]:
+    """The smallest failing ``scenario`` (without its jitter), ``seed``
+    and ``jitter_us`` reachable from a fuzz grid's failing cell with the
+    smallest (jitter, seed, name), and the ``shrink_runs`` it took;
+    ``None`` when every cell is ok.
+
+    A binary search over the jitter (assuming the usual monotone
+    failure envelope), then a scan for the smallest failing seed, each
+    probe one :func:`run_cell` in the cell's mode."""
+    failures = [c for c in report.cells if not c.ok]
+    if not failures:
+        return None
+    first = min(
+        failures,
+        key=lambda c: (_Spec.fuzz_axes(c.scenario)[1], c.seed, c.scenario),
+    )
+    base, jitter = _Spec.fuzz_axes(first.scenario)
+    seed = first.seed
+    runs = 0
+
+    def fails(jitter_us: int, cell_seed: int) -> bool:
+        nonlocal runs
+        runs += 1
+        name = _grid_specs([base], boundary_jitter_us=jitter_us)[0]
+        return not run_cell(SweepCell(name, cell_seed, first.mode)).ok
+
+    # The grid already ran this (base, seed) at every smaller grid jitter,
+    # and they all passed (``first`` is the smallest failure), so the
+    # bracket starts above the largest of them.
+    passing = [_Spec.fuzz_axes(c.scenario) for c in report.cells
+               if c.ok and c.seed == seed]
+    lo = max((j for b, j in passing if b == base and j < jitter), default=-1)
+    while jitter - lo > 1:
+        mid = (lo + jitter) // 2
+        if fails(mid, seed):
+            jitter = mid
         else:
-            first = self.failures()[0]
-            parts.append(
-                f"verdict: FAILED -- {len(self.failures())} divergent cell(s)"
-            )
-            if self.minimized is not None:
-                base, seed, jitter = self.minimized
-                parts.append(
-                    f"minimized: scenario={base!r} seed={seed} "
-                    f"jitter_us={jitter} (after {self.shrink_runs} shrink "
-                    f"runs); reproduce with run_cell(SweepCell("
-                    f"'{_Spec.parse(base).rejittered(jitter)}', {seed}, "
-                    f"'{self.mode}'))"
-                )
-            parts.append(
-                f"first failure: {first.scenario} seed={first.seed}: "
-                + (first.error or "fingerprint divergence")
-            )
-        return "\n".join(parts)
-
-    def to_dict(self) -> Dict:
-        """JSON-serializable divergence report (the CI artifact)."""
-        return {
-            "ok": self.ok(),
-            "mode": self.mode,
-            "base_scenarios": list(self.base_scenarios),
-            "seeds": list(self.seeds),
-            "jitters_us": list(self.jitters_us),
-            "grid_cells": len(self.cells),
-            "wall_seconds": self.wall_seconds,
-            "failures": [c.to_row() for c in self.failures()],
-            "minimized": (
-                None if self.minimized is None else {
-                    "scenario": self.minimized[0],
-                    "seed": self.minimized[1],
-                    "jitter_us": self.minimized[2],
-                    "shrink_runs": self.shrink_runs,
-                }
-            ),
-        }
-
-
-class FuzzRunner:
-    """Sweep jittered variants of scenarios over (seed, jitter) grids.
-
-    Every ``(scenario, jitter)`` pair becomes the dynamic scenario
-    ``scenario~j<jitter>us`` and runs through the ordinary sweep
-    machinery in ``mode`` (``defined`` by default, so each cell carries
-    the full Theorem-1 production-vs-replay check).  When a cell fails,
-    the runner shrinks the first failure to the smallest failing
-    ``(scenario, seed, jitter)`` triple: binary search over the jitter
-    magnitude (assuming the usual monotone failure envelope), then a
-    linear scan for the smallest failing seed.
-    """
-
-    def __init__(
-        self,
-        scenarios: Optional[Sequence[str]] = None,
-        seeds: Sequence[int] = (1, 2, 3, 4),
-        jitters_us: Sequence[int] = (0, 1, 2, 5),
-        mode: str = "defined",
-        workers: int = 1,
-        minimize: bool = True,
-    ) -> None:
-        if any(j < 0 for j in jitters_us):
-            raise ValueError("jitter magnitudes cannot be negative")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if scenarios is None:
-            # the default grid without its jittered specs: the runner
-            # owns the jitter axis
-            scenarios = [
-                name for name in default_grid()
-                if not _Spec.parse(name).carries_jitter
-            ]
-        else:
-            # the runner owns the whole-spec jitter axis: strip it from
-            # the caller's specs (e.g. the default grid's '*~j1us') so
-            # grids never double-jitter
-            scenarios = list(dict.fromkeys(
-                _Spec.fuzz_axes(name)[0] for name in scenarios
-            ))
-        for name in scenarios:
-            scenario = get_scenario(name)  # fail fast on unknown names
-            if mode not in scenario.modes:
-                raise ValueError(
-                    f"scenario {name!r} does not run in mode {mode!r} "
-                    f"(modes: {scenario.modes})"
-                )
-        self.base_scenarios = tuple(scenarios)
-        self.seeds = tuple(seeds)
-        self.jitters_us = tuple(sorted(set(jitters_us)))
-        self.mode = mode
-        self.workers = workers
-        self.minimize = minimize
-
-    def grid_names(self) -> List[str]:
-        return [
-            str(_Spec.parse(base).rejittered(jitter))
-            for base in self.base_scenarios
-            for jitter in self.jitters_us
-        ]
-
-    def run(
-        self, progress: Optional[Callable[[CellResult], None]] = None
-    ) -> FuzzReport:
-        start = time.perf_counter()
-        sweep = SweepRunner(
-            scenarios=self.grid_names(),
-            seeds=self.seeds,
-            modes=(self.mode,),
-            workers=self.workers,
-        )
-        cells = sweep.run(progress=progress).cells
-        report = FuzzReport(
-            base_scenarios=self.base_scenarios,
-            seeds=self.seeds,
-            jitters_us=self.jitters_us,
-            mode=self.mode,
-            cells=cells,
-        )
-        failures = report.failures()
-        if failures and self.minimize:
-            report.minimized, report.shrink_runs = self._shrink(failures[0], cells)
-        report.wall_seconds = time.perf_counter() - start
-        return report
-
-    def _shrink(
-        self, cell: CellResult, cells: Sequence[CellResult]
-    ) -> Tuple[Tuple[str, int, int], int]:
-        """Smallest failing (scenario, seed, jitter) reachable from ``cell``."""
-        base, jitter = _Spec.fuzz_axes(cell.scenario)
-        spec = _Spec.parse(base)
-        seed = cell.seed
-        runs = 0
-
-        def fails(jitter_us: int, cell_seed: int) -> bool:
-            nonlocal runs
-            runs += 1
-            result = run_cell(
-                SweepCell(str(spec.rejittered(jitter_us)), cell_seed, self.mode)
-            )
-            return not result.ok
-
-        # binary search the smallest failing jitter in [0, jitter].  The
-        # grid already evaluated this (base, seed) at every smaller grid
-        # jitter -- and they all passed, or ``cell`` would not be the
-        # smallest failure -- so start the bracket from the largest of
-        # them instead of re-running full simulations below it.
-        known_passing = []
-        for c in cells:
-            cell_base, cell_jitter = _Spec.fuzz_axes(c.scenario)
-            if c.ok and c.seed == seed and cell_base == base and cell_jitter < jitter:
-                known_passing.append(cell_jitter)
-        lo, hi = max(known_passing, default=-1), jitter
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if fails(mid, seed):
-                hi = mid
-            else:
-                lo = mid
-        jitter = hi
-        # then the smallest failing seed at that jitter
-        for candidate in sorted(self.seeds):
-            if candidate >= seed:
-                break
-            if fails(jitter, candidate):
-                seed = candidate
-                break
-        return (base, seed, jitter), runs
+            lo = mid
+    for candidate in sorted(report.seeds):
+        if candidate >= seed:
+            break
+        if fails(jitter, candidate):
+            seed = candidate
+            break
+    return {"scenario": base, "seed": seed, "jitter_us": jitter,
+            "shrink_runs": runs}

@@ -1,7 +1,7 @@
 """``CellResult.to_row`` is the one serialisation of a cell result.
 
-The journal record, the semantic digest and the sweep, envelope and fuzz
-report JSONs are all projections of it; these tests pin the row itself
+The journal record, the semantic digest and the sweep (so also the
+fuzz) and envelope report JSONs are all projections of it; these tests pin the row itself
 and that every report lists its cells as rows.
 """
 
@@ -18,7 +18,6 @@ from repro.envelope import EnvelopeReport
 from repro.sweep import (
     PROVENANCE_FIELDS,
     CellResult,
-    FuzzReport,
     SweepReport,
 )
 
@@ -148,17 +147,13 @@ class TestReportsListRows:
         assert doc["verification_cells"] == [cells[0].to_row()]
 
     def test_fuzz_report(self):
+        # a fuzz report is the sweep report of its jittered grid
         cells = [
             CellResult("flap-storm~j2us", 1, "defined", invariant_ok=False),
             CellResult("flap-storm~j1us", 2, "defined", error="boom"),
             CellResult("flap-storm~j1us", 1, "defined", invariant_ok=True),
         ]
-        report = FuzzReport(
-            base_scenarios=("flap-storm",), seeds=(1, 2), jitters_us=(1, 2),
-            mode="defined", cells=cells,
-        )
+        report = SweepReport(cells=cells, seeds=(1, 2), workers=1, repeats=1)
         doc = report.to_dict()
-        assert doc["failures"] == [c.to_row() for c in report.failures()]
-        assert [f["scenario"] for f in doc["failures"]] == [
-            "flap-storm~j1us", "flap-storm~j2us",
-        ]
+        assert doc["theorem1_violations"] == [cells[0].to_row()]
+        assert doc["errors"] == [cells[1].to_row()]

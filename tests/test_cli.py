@@ -273,6 +273,8 @@ class TestCommands:
             assert (args.cell_timeout, args.retries) == (2.5, 0)
 
     def test_fuzz_small_grid_writes_report(self, tmp_path, capsys):
+        from repro.sweep import SweepRunner
+
         report_path = tmp_path / "fuzz.json"
         rc = main([
             "fuzz", "--scenarios", "latency-jitter", "--seeds", "1",
@@ -280,19 +282,103 @@ class TestCommands:
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "boundary-jitter fuzz" in out
+        assert "fuzzing 2 cells" in out
+        assert "latency-jitter~j1us" in out
         assert "verdict: OK" in out
 
         import json
 
         payload = json.loads(report_path.read_text())
         assert payload["ok"] is True
-        assert payload["base_scenarios"] == ["latency-jitter"]
         assert payload["minimized"] is None
+        assert payload["coverage"]["completed"] == payload["grid_cells"] == 2
+        # the fuzz report is the sweep report of its jittered grid
+        assert payload["semantic_digest"] == SweepRunner(
+            ["latency-jitter~j0us", "latency-jitter~j1us"],
+            seeds=(1,), modes=("defined",),
+        ).run().semantic_digest()
 
     def test_fuzz_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
             main(["fuzz", "--scenarios", "heat-death", "--seeds", "1"])
+
+    @staticmethod
+    def _fail_from_jitter(monkeypatch, least):
+        """Make every fuzz cell with ``least`` us of jitter or more fail
+        Theorem 1, without simulating."""
+        import repro.sweep as sweep_mod
+
+        def fake_run_cell(cell):
+            jitter = sweep_mod._Spec.fuzz_axes(cell.scenario)[1]
+            return sweep_mod.CellResult(
+                scenario=cell.scenario, seed=cell.seed, mode=cell.mode,
+                fingerprint="fp", invariant_ok=jitter < least,
+            )
+
+        monkeypatch.setattr(sweep_mod, "run_cell", fake_run_cell)
+
+    def test_fuzz_minimizes_and_reports_failures(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self._fail_from_jitter(monkeypatch, 3)
+        report_path = tmp_path / "fuzz.json"
+        rc = main([
+            "fuzz", "--scenarios", "flap-storm", "--seeds", "1,2",
+            "--jitters-us", "0,4", "--report-out", str(report_path),
+        ])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "verdict: FAILED -- Theorem-1 violations: 2" in out
+        assert (
+            "minimized: scenario='flap-storm' seed=1 jitter_us=3 (after 2 "
+            "shrink runs); reproduce with "
+            "run_cell(SweepCell('flap-storm~j3us', 1, 'defined'))"
+        ) in out
+
+        import json
+
+        payload = json.loads(report_path.read_text())
+        assert payload["ok"] is False
+        assert payload["minimized"] == {
+            "scenario": "flap-storm", "seed": 1, "jitter_us": 3,
+            "shrink_runs": 2,
+        }
+        assert [
+            (row["scenario"], row["seed"])
+            for row in payload["theorem1_violations"]
+        ] == [("flap-storm~j4us", 1), ("flap-storm~j4us", 2)]
+
+    def test_fuzz_fails_a_ddos_ordering_miss(self, monkeypatch, capsys):
+        # the fuzz verdict is the sweep's, which counts ddos late deliveries
+        import repro.sweep as sweep_mod
+
+        def late_run_cell(cell):
+            return sweep_mod.CellResult(
+                scenario=cell.scenario, seed=cell.seed, mode=cell.mode,
+                fingerprint="fp", late_deliveries=1,
+            )
+
+        monkeypatch.setattr(sweep_mod, "run_cell", late_run_cell)
+        assert main([
+            "fuzz", "--scenarios", "ddos-overload", "--seeds", "1",
+            "--jitters-us", "0", "--mode", "ddos",
+        ]) == 1
+        assert "ordering misses (ddos): 1" in capsys.readouterr().out
+
+    def test_fuzz_minimize_can_be_disabled(self, tmp_path, capsys, monkeypatch):
+        self._fail_from_jitter(monkeypatch, 1)
+        report_path = tmp_path / "fuzz.json"
+        rc = main([
+            "fuzz", "--scenarios", "flap-storm", "--seeds", "1",
+            "--jitters-us", "0,1", "--no-minimize",
+            "--report-out", str(report_path),
+        ])
+        assert rc == 1
+        assert "minimized" not in capsys.readouterr().out
+
+        import json
+
+        assert json.loads(report_path.read_text())["minimized"] is None
 
 
 class _GridCaptured(Exception):

@@ -14,17 +14,19 @@ from repro.simnet.events import (
 )
 from repro.sweep import (
     CellResult,
-    FuzzRunner,
     Scenario,
     SweepCell,
+    SweepRunner,
     compose,
     default_grid,
+    fuzz_grid,
     get_scenario,
     jittered,
     latency_jitter_scenario,
     run_cell,
     scenario_names,
     seed_split,
+    shrink_failure,
 )
 
 
@@ -293,42 +295,56 @@ class TestDdosRestart:
                 assert starts == list(range(starts[0], starts[0] + len(starts)))
 
 
-class TestFuzzRunner:
+def _fuzz(scenarios, seeds, jitters_us):
+    """``repro fuzz``'s grid: the jittered specs on a one-mode sweep."""
+    return SweepRunner(
+        fuzz_grid(scenarios, jitters_us), seeds, modes=("defined",)
+    ).run()
+
+
+def _triple(minimized):
+    return minimized["scenario"], minimized["seed"], minimized["jitter_us"]
+
+
+class TestFuzz:
     def test_validation(self):
         with pytest.raises(KeyError):
-            FuzzRunner(scenarios=["heat-death"])
+            fuzz_grid(["heat-death"])
         with pytest.raises(ValueError, match="does not run in mode"):
-            FuzzRunner(scenarios=["flap-storm"], mode="ddos")
+            fuzz_grid(["flap-storm"], mode="ddos")
         with pytest.raises(ValueError, match="negative"):
-            FuzzRunner(scenarios=["flap-storm"], jitters_us=(-1,))
+            fuzz_grid(["flap-storm"], jitters_us=(-1,))
         with pytest.raises(ValueError, match="workers"):
-            FuzzRunner(scenarios=["flap-storm"], workers=0)
+            SweepRunner(fuzz_grid(["flap-storm"]), modes=("defined",), workers=0)
 
     def test_default_catalogue_excludes_prejittered_builtins(self):
-        runner = FuzzRunner(seeds=(1,), jitters_us=(0,))
-        assert all("~" not in name for name in runner.base_scenarios)
-        assert "flap-storm" in runner.base_scenarios
+        # the default grid's '*~j1us' specs fold onto their bases
+        assert fuzz_grid(jitters_us=(0,)) == [
+            f"{name}~j0us" for name in default_grid() if "~" not in name
+        ]
+        assert "flap-storm~j0us" in fuzz_grid(jitters_us=(0,))
 
     def test_prejittered_names_are_stripped_not_double_jittered(self):
-        # the runner owns the jitter axis: passing a registered '*~j1us'
-        # variant must not produce 'a~j1us~j0us' grid names (unresolvable)
-        runner = FuzzRunner(
-            scenarios=["latency-jitter~j2us", "latency-jitter"],
-            seeds=(1,), jitters_us=(0,),
-        )
-        assert runner.base_scenarios == ("latency-jitter",)
-        assert runner.grid_names() == ["latency-jitter~j0us"]
+        # the grid owns the jitter axis: a registered '*~j1us' variant
+        # must not produce 'a~j1us~j0us' grid names (unresolvable)
+        assert fuzz_grid(
+            ["latency-jitter~j2us", "latency-jitter"], jitters_us=(0,)
+        ) == ["latency-jitter~j0us"]
+
+    def test_grid_is_base_major_over_sorted_unique_jitters(self):
+        assert fuzz_grid(["flap_storm", "partition"], jitters_us=(2, 0, 2)) == [
+            "flap-storm~j0us", "flap-storm~j2us",
+            "partition~j0us", "partition~j2us",
+        ]
 
     def test_small_real_grid_is_green(self):
-        report = FuzzRunner(
-            scenarios=["latency-jitter"], seeds=(1, 2), jitters_us=(0, 1)
-        ).run()
+        report = _fuzz(["latency-jitter"], (1, 2), (0, 1))
         assert report.ok(), report.render()
-        assert report.minimized is None
+        assert shrink_failure(report) is None
         assert len(report.cells) == 4
         assert "verdict: OK" in report.render()
         payload = report.to_dict()
-        assert payload["ok"] is True and payload["failures"] == []
+        assert payload["ok"] is True and payload["theorem1_violations"] == []
 
     def _patched_run_cell(self, failing):
         """A fake run_cell failing exactly when ``failing(base, seed, j)``."""
@@ -351,15 +367,12 @@ class TestFuzzRunner:
             sweep_mod, "run_cell",
             self._patched_run_cell(lambda base, seed, j: j >= 3),
         )
-        report = FuzzRunner(
-            scenarios=["flap-storm"], seeds=(1, 2), jitters_us=(0, 2, 4, 8)
-        ).run()
+        report = _fuzz(["flap-storm"], (1, 2), (0, 2, 4, 8))
         assert not report.ok()
+        minimized = shrink_failure(report)
         # grid failures at 4 and 8; binary search must land on true min 3
-        assert report.minimized == ("flap-storm", 1, 3)
-        assert report.shrink_runs > 0
-        assert "minimized" in report.render()
-        assert report.to_dict()["minimized"]["jitter_us"] == 3
+        assert _triple(minimized) == ("flap-storm", 1, 3)
+        assert minimized["shrink_runs"] > 0
 
     def test_minimizer_shrinks_seed_after_jitter(self, monkeypatch):
         monkeypatch.setattr(
@@ -368,19 +381,5 @@ class TestFuzzRunner:
                 lambda base, seed, j: j >= 3 and seed >= 2
             ),
         )
-        report = FuzzRunner(
-            scenarios=["flap-storm"], seeds=(1, 2, 3), jitters_us=(0, 4)
-        ).run()
-        assert report.minimized == ("flap-storm", 2, 3)
-
-    def test_minimize_can_be_disabled(self, monkeypatch):
-        monkeypatch.setattr(
-            sweep_mod, "run_cell",
-            self._patched_run_cell(lambda base, seed, j: j >= 1),
-        )
-        report = FuzzRunner(
-            scenarios=["flap-storm"], seeds=(1,), jitters_us=(0, 1),
-            minimize=False,
-        ).run()
-        assert not report.ok()
-        assert report.minimized is None and report.shrink_runs == 0
+        report = _fuzz(["flap-storm"], (1, 2, 3), (0, 4))
+        assert _triple(shrink_failure(report)) == ("flap-storm", 2, 3)

@@ -1,5 +1,7 @@
 """Unit tests for partial recordings."""
 
+import json
+
 import pytest
 
 from repro.core.recorder import NET_EVENTS_NODE, RecordedEvent, Recorder, Recording
@@ -105,6 +107,19 @@ class TestSerialization:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             Recording.from_json('{"format": "something-else"}')
+
+    @pytest.mark.parametrize(
+        "key", ["hop_cost_us", "spill_bound_us", "delay_estimates", "offset_us"]
+    )
+    def test_missing_replay_input_is_rejected(self, key):
+        # a default would rebuild the replay on different d_i estimates
+        doc = json.loads(sample_recorder().recording().to_json())
+        if key == "offset_us":
+            del doc["events"][0][key]
+        else:
+            del doc[key]
+        with pytest.raises(ValueError, match=key):
+            Recording.from_json(json.dumps(doc))
 
     def test_file_roundtrip(self, tmp_path):
         rec = sample_recorder().recording()

@@ -420,9 +420,10 @@ def test_envelope_boundary_jitter_covers_the_whole_spec():
     assert runner.scenarios == tuple(dict.fromkeys(REJITTERED.values()))
 
 
-def test_fuzz_jitter_axis_covers_the_whole_spec(monkeypatch):
+def test_fuzz_jitter_axis_covers_the_whole_spec(monkeypatch, capsys):
     import repro.sweep as sweep_mod
-    from repro.sweep import CellResult, FuzzRunner
+    from repro.cli import main
+    from repro.sweep import CellResult, fuzz_grid
 
     def fake_run_cell(cell):
         # fails from 2 us of whole-spec jitter up
@@ -434,15 +435,16 @@ def test_fuzz_jitter_axis_covers_the_whole_spec(monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "run_cell", fake_run_cell)
     base = "flap-storm~j1us+partition"
-    runner = FuzzRunner(scenarios=[base], seeds=(1,), jitters_us=(0, 3))
-    assert runner.grid_names() == [
+    assert fuzz_grid([base], jitters_us=(0, 3)) == [
         "(flap-storm~j1us+partition)~j0us",
         "(flap-storm~j1us+partition)~j3us",
     ]
-    report = runner.run()
-    assert [row[:2] for row in report.summary_rows()] == [[base, 0], [base, 3]]
-    assert report.minimized == (base, 1, 2)
-    assert "SweepCell('(flap-storm~j1us+partition)~j2us', 1," in report.render()
+    rc = main(["fuzz", "--scenarios", base, "--seeds", "1",
+               "--jitters-us", "0,3"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert f"minimized: scenario='{base}' seed=1 jitter_us=2" in out
+    assert "SweepCell('(flap-storm~j1us+partition)~j2us', 1," in out
 
 
 # ----------------------------------------------------------------------
