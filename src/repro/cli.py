@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.analysis.metrics import Cdf, mean
 from repro.analysis.report import ascii_cdf, render_series, render_table
@@ -184,18 +184,15 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
         raise SystemExit(f"{flag} must be comma-separated integers, got {text!r}")
 
 
-def _finish_grid(
-    report, args: argparse.Namespace, noun: str, notes: Sequence[str] = (), **extra
-) -> int:
-    """Render a grid report and any ``notes`` lines, write its JSON plus
-    the ``extra`` keys to ``--report-out`` if given, and turn its verdict
-    into the exit status."""
-    print("\n".join([report.render(), *notes]))
+def _finish_grid(report, args: argparse.Namespace, noun: str) -> int:
+    """Render a grid report, write its JSON to ``--report-out`` if given,
+    and turn its verdict into the exit status."""
+    print(report.render())
     if args.report_out:
         import json
 
         with open(args.report_out, "w") as fh:
-            json.dump({**report.to_dict(), **extra}, fh, indent=2)
+            json.dump(report.to_dict(), fh, indent=2)
         print(f"\n{noun} report written to {args.report_out}")
     return 0 if report.ok() else 1
 
@@ -303,18 +300,24 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     report = runner.run(progress=progress if args.verbose else None)
     minimized = None if args.no_minimize else shrink_failure(report)
-    notes = []
+    print(report.render())
     if minimized is not None:
         spec = _grid_specs(
             [minimized["scenario"]], boundary_jitter_us=minimized["jitter_us"]
         )[0]
-        notes.append(
+        print(
             "minimized: scenario={scenario!r} seed={seed} jitter_us={jitter_us} "
             "(after {shrink_runs} shrink runs); reproduce with "
             "run_cell(SweepCell('{spec}', {seed}, '{mode}'))"
             .format(spec=spec, mode=args.mode, **minimized)
         )
-    return _finish_grid(report, args, "divergence", notes, minimized=minimized)
+    if args.report_out:
+        import json
+
+        with open(args.report_out, "w") as fh:
+            json.dump({**report.to_dict(), "minimized": minimized}, fh, indent=2)
+        print(f"\ndivergence report written to {args.report_out}")
+    return 0 if report.ok() else 1
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:

@@ -99,9 +99,6 @@ class Network:
         #: faults draws exactly the same RNG sequence as before the chaos
         #: subsystem existed.
         self._link_faults: Tuple[LinkFaultWindow, ...] = ()
-        #: ``(link id, src) -> fault|<link id>|<src>`` stream, bound on a
-        #: direction's first packet under installed fault windows.
-        self._fault_rngs: Dict[Tuple[str, str], random.Random] = {}
         #: Duplicated uids whose first copy has not arrived yet, and uids
         #: whose surviving copy already arrived (next copy is suppressed).
         self._dup_pending: set = set()
@@ -328,7 +325,6 @@ class Network:
         model: DelayModel,
         delay: int,
         extra_delay_us: int,
-        fifo_key: Tuple[str, str],
     ) -> bool:
         """Apply active link-layer fault windows to an outgoing packet.
 
@@ -340,11 +336,7 @@ class Network:
         scenario with no faults consumes the exact jitter sequence it did
         before this hook existed.
         """
-        frng = self._fault_rngs.get(fifo_key)
-        if frng is None:
-            frng = self._fault_rngs[fifo_key] = self.rng_stream(
-                f"fault|{link.link_id}|{msg.src}"
-            )
+        frng = self.rng_stream(f"fault|{link.link_id}|{msg.src}")
         for fault in self._link_faults:
             if not fault.matches(link.link_id) or not fault.active_at(self.sim.now):
                 continue
@@ -432,7 +424,7 @@ class Network:
         if jitter:
             delay += rng.randrange(jitter + 1)
         if self._link_faults and self._fault_transmit(
-            link, msg, model, delay, extra_delay_us, fifo_key
+            link, msg, model, delay, extra_delay_us
         ):
             return None
         arrival = max(now + delay, self._fifo_front.get(fifo_key, 0) + 1)

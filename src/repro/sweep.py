@@ -1271,6 +1271,19 @@ class CellResult:
             and self.expected_ok is not False
         )
 
+    @property
+    def ordering_miss(self) -> bool:
+        """An instrumented cell delivered out of deterministic order.
+        ``defined`` repairs late arrivals by rollback, so only ``ddos``
+        (which cannot roll back) counts."""
+        return self.mode == "ddos" and self.late_deliveries > 0
+
+    @property
+    def failed(self) -> bool:
+        """This cell alone fails :meth:`SweepReport.ok` (seed-invariance
+        splits span cells, so they are the report's to find)."""
+        return not self.ok or self.ordering_miss
+
 
 def _archive_divergence(cell: SweepCell, production, replay) -> None:
     """Write both sides of a failed Theorem-1 check as run bundles.
@@ -1432,12 +1445,9 @@ class SweepReport:
         return [c for c in self.cells if c.expected_ok is False]
 
     def ordering_misses(self) -> List[CellResult]:
-        """Instrumented cells that delivered out of deterministic order.
-        ``defined`` repairs late arrivals by rollback, so only ``ddos``
-        (which cannot roll back) counts here."""
-        return [
-            c for c in self.cells if c.mode == "ddos" and c.late_deliveries > 0
-        ]
+        """Instrumented cells that delivered out of deterministic order
+        (:attr:`CellResult.ordering_miss`)."""
+        return [c for c in self.cells if c.ordering_miss]
 
     def invariance_splits(self) -> List[Tuple[str, int, str]]:
         """Seed-invariance breaches: (scenario, seed, mode) groups whose
@@ -2001,12 +2011,12 @@ def shrink_failure(report: SweepReport) -> Optional[Dict[str, object]]:
     """The smallest failing ``scenario`` (without its jitter), ``seed``
     and ``jitter_us`` reachable from a fuzz grid's failing cell with the
     smallest (jitter, seed, name), and the ``shrink_runs`` it took;
-    ``None`` when every cell is ok.
+    ``None`` when no cell :attr:`~CellResult.failed`.
 
     A binary search over the jitter (assuming the usual monotone
     failure envelope), then a scan for the smallest failing seed, each
     probe one :func:`run_cell` in the cell's mode."""
-    failures = [c for c in report.cells if not c.ok]
+    failures = [c for c in report.cells if c.failed]
     if not failures:
         return None
     first = min(
@@ -2021,13 +2031,13 @@ def shrink_failure(report: SweepReport) -> Optional[Dict[str, object]]:
         nonlocal runs
         runs += 1
         name = _grid_specs([base], boundary_jitter_us=jitter_us)[0]
-        return not run_cell(SweepCell(name, cell_seed, first.mode)).ok
+        return run_cell(SweepCell(name, cell_seed, first.mode)).failed
 
     # The grid already ran this (base, seed) at every smaller grid jitter,
     # and they all passed (``first`` is the smallest failure), so the
     # bracket starts above the largest of them.
     passing = [_Spec.fuzz_axes(c.scenario) for c in report.cells
-               if c.ok and c.seed == seed]
+               if not c.failed and c.seed == seed]
     lo = max((j for b, j in passing if b == base and j < jitter), default=-1)
     while jitter - lo > 1:
         mid = (lo + jitter) // 2

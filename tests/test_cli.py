@@ -348,22 +348,37 @@ class TestCommands:
             for row in payload["theorem1_violations"]
         ] == [("flap-storm~j4us", 1), ("flap-storm~j4us", 2)]
 
-    def test_fuzz_fails_a_ddos_ordering_miss(self, monkeypatch, capsys):
-        # the fuzz verdict is the sweep's, which counts ddos late deliveries
+    def test_fuzz_fails_a_ddos_ordering_miss(self, tmp_path, monkeypatch, capsys):
+        # the fuzz verdict is the sweep's, which counts ddos late
+        # deliveries, and the shrink counts them as failures too
+        import json
+
         import repro.sweep as sweep_mod
 
         def late_run_cell(cell):
             return sweep_mod.CellResult(
                 scenario=cell.scenario, seed=cell.seed, mode=cell.mode,
-                fingerprint="fp", late_deliveries=1,
+                fingerprint="fp", late_deliveries=int(cell.seed > 1),
             )
 
         monkeypatch.setattr(sweep_mod, "run_cell", late_run_cell)
+        report_path = tmp_path / "fuzz.json"
         assert main([
-            "fuzz", "--scenarios", "ddos-overload", "--seeds", "1",
+            "fuzz", "--scenarios", "ddos-overload", "--seeds", "1,2",
             "--jitters-us", "0", "--mode", "ddos",
+            "--report-out", str(report_path),
         ]) == 1
-        assert "ordering misses (ddos): 1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "ordering misses (ddos): 1" in out
+        assert (
+            "minimized: scenario='ddos-overload' seed=2 jitter_us=0 "
+            "(after 1 shrink runs); reproduce with "
+            "run_cell(SweepCell('ddos-overload~j0us', 2, 'ddos'))"
+        ) in out
+        assert json.loads(report_path.read_text())["minimized"] == {
+            "scenario": "ddos-overload", "seed": 2, "jitter_us": 0,
+            "shrink_runs": 1,
+        }
 
     def test_fuzz_minimize_can_be_disabled(self, tmp_path, capsys, monkeypatch):
         self._fail_from_jitter(monkeypatch, 1)
