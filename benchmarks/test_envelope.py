@@ -35,7 +35,7 @@ def test_envelope_mapping_throughput(benchmark):
     (two jitters x two windows), replay checks off."""
 
     def map_once():
-        return _small_runner().map()
+        return _small_runner().run(suggest=False).mapping.cells
 
     cells = benchmark.pedantic(map_once, rounds=3, iterations=1)
     assert len(cells) == 4

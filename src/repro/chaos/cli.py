@@ -10,7 +10,7 @@ reference (the exact content of ``docs/scenario-schema.md``).
 from __future__ import annotations
 
 import argparse
-from typing import List
+from typing import List, Tuple
 
 from repro.chaos.compiler import compile_document
 from repro.chaos.docgen import schema_json, schema_markdown
@@ -34,11 +34,12 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _validate_one(path: str) -> List[str]:
-    """Error lines for one file (empty = valid)."""
+def _validate_one(path: str) -> Tuple[List[str], str]:
+    """Error lines for one file (empty = valid) and, when it is valid,
+    its summary line."""
     issues = validate_file(path)
     if issues:
-        return [f"{path}:{i.line}:{i.col}: {i.message}" for i in issues]
+        return [f"{path}:{i.line}:{i.col}: {i.message}" for i in issues], ""
     doc, _marks = parse_file(path)
     try:
         scenario = compile_document(doc)
@@ -47,8 +48,13 @@ def _validate_one(path: str) -> List[str]:
         if scenario.tuning is not None:
             scenario.tuning(graph, 1)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        return [f"{path}:1:1: compiles to an unbuildable scenario: {exc}"]
-    return []
+        return [f"{path}:1:1: compiles to an unbuildable scenario: {exc}"], ""
+    return [], (
+        f"{path}: OK name={scenario.name} "
+        f"events={len(doc.get('events') or ())} "
+        f"faults={len(doc.get('faults') or ())} "
+        f"modes={','.join(scenario.modes)}"
+    )
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -57,22 +63,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 0
     failures = 0
     for path in args.paths:
-        errors = _validate_one(path)
-        if errors:
-            failures += 1
-            for line in errors:
-                print(line)
-        else:
-            scenario = None
-            doc, _marks = parse_file(path)
-            scenario = compile_document(doc)
-            summary = (
-                f"{path}: OK name={scenario.name} "
-                f"events={len(doc.get('events') or ())} "
-                f"faults={len(doc.get('faults') or ())} "
-                f"modes={','.join(scenario.modes)}"
-            )
-            print(summary)
+        errors, summary = _validate_one(path)
+        failures += bool(errors)
+        print("\n".join(errors) or summary)
     if failures:
         print(f"{failures} of {len(args.paths)} file(s) failed validation")
     return 1 if failures else 0

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, List, Tuple
 
 from repro.simnet.faults import MAX_CLOCK_SKEW_US
+from repro.sweep import MODES
 from repro.topology.rocketfuel import POP_COUNTS
 
 #: Every document must declare this exact schema id.
@@ -27,7 +28,6 @@ SCHEMA_ID = "chaos/v1"
 TOPOLOGY_FAMILIES = ("waxman", "ba", "diamond", "rocketfuel")
 EVENT_KINDS = ("flap_storm", "crash_restart", "partition", "zone_blackout", "srlg")
 FAULT_KINDS = ("clock_skew", "duplicate", "reorder", "gray")
-MODES = ("vanilla", "defined", "ddos", "logging")
 
 #: Instrumented modes that require lossless links (gray faults excluded).
 LOSSLESS_MODES = ("defined", "ddos")

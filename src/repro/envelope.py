@@ -9,13 +9,14 @@ bound -- but "what ``window_us`` do I need for this topology at this
 jitter level" still took trial and error.  This module closes that loop:
 
 * :class:`EnvelopeRunner` grids **delivery jitter** x **window_us** x
-  **topology size** (the ``name@N`` sized Waxman scenarios) and runs
-  every cell through the ordinary sweep machinery
-  (:meth:`~repro.sweep.SweepRunner.run_cells`, so ``workers > 1``
-  streams results through the shared-memory ring).  Mapping cells run
-  with the Theorem-1 replay *off* -- deliberately undersized windows
-  forfeit determinism by construction, and the point of the pass is to
-  measure by how much;
+  **topology size** (the ``name@N`` sized Waxman scenarios): each pass
+  is one :meth:`SweepRunner.run(cells=...) <repro.sweep.SweepRunner.run>`
+  over cells with per-cell window and jitter overrides, judged by its
+  :class:`~repro.sweep.SweepReport` (so ``workers > 1`` streams results
+  through the shared-memory ring).  Mapping cells run with the
+  Theorem-1 replay *off* -- deliberately undersized windows forfeit
+  determinism by construction, and the point of the pass is to measure
+  by how much;
 * each cell captures the **full slack-deficit distribution** -- count,
   max, quantiles -- as a :class:`~repro.core.history.WindowHeadroomStats`
   riding the fixed-width result record, instead of only the escalating
@@ -28,8 +29,9 @@ jitter level" still took trial and error.  This module closes that loop:
 * the recommendation is **self-checked**: :meth:`EnvelopeRunner.run`
   re-runs the whole (scenario x jitter x seed) grid at the suggested
   window -- replay checks back on -- and escalates until the re-run is
-  deficit-free (bounded rounds).  The :class:`EnvelopeReport` carries
-  the verification cells, so "safe" is an artifact, not a claim.
+  deficit-free (bounded rounds).  The :class:`EnvelopeReport` is the
+  mapping pass's sweep report plus the suggestion and the verification
+  pass's report, so "safe" is an artifact, not a claim.
 
 The jitter axis is per-packet delivery jitter in microseconds -- the
 quantity the window formula's slack term exists to absorb (the 300 ms
@@ -44,8 +46,7 @@ CLI: ``repro envelope --scenarios flap-storm@20 --jitters 0,50,300
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_headroom, render_matrix, render_table
@@ -53,6 +54,7 @@ from repro.core.shim import default_window_us
 from repro.sweep import (
     CellResult,
     SweepCell,
+    SweepReport,
     SweepRunner,
     _grid_specs,
     get_scenario,
@@ -142,40 +144,53 @@ class WindowSuggestion:
 
 @dataclass
 class EnvelopeReport:
-    """Everything one envelope-mapping campaign produced."""
+    """One envelope campaign: the mapping pass's sweep report, plus what
+    only the envelope knows -- the suggestion and its verification."""
 
-    scenarios: Tuple[str, ...]
-    jitters_us: Tuple[int, ...]
-    windows_us: Tuple[int, ...]
-    seeds: Tuple[int, ...]
-    cells: List[CellResult] = field(default_factory=list)
+    #: Every mapping cell; its verdict, coverage and JSON are the
+    #: report's core.
+    mapping: SweepReport
     suggestion: Optional[WindowSuggestion] = None
-    verification_cells: List[CellResult] = field(default_factory=list)
-    wall_seconds: float = 0.0
+    #: The last verification round (None when no suggestion was made);
+    #: its wall time covers every round.
+    verification: Optional[SweepReport] = None
+
+    # -- axes, as the mapping cells ran them ---------------------------
+    @property
+    def scenarios(self) -> Tuple[str, ...]:
+        return tuple(dict.fromkeys(c.scenario for c in self.mapping.cells))
+
+    @property
+    def jitters_us(self) -> Tuple[int, ...]:
+        return tuple(sorted({c.jitter_us for c in self.mapping.cells}))
+
+    @property
+    def windows_us(self) -> Tuple[int, ...]:
+        return tuple(sorted({c.window_us for c in self.mapping.cells}))
+
+    @property
+    def wall_seconds(self) -> float:
+        return self.mapping.wall_seconds + (
+            self.verification.wall_seconds if self.verification else 0.0
+        )
 
     # -- verdicts ------------------------------------------------------
-    def errors(self) -> List[CellResult]:
-        return [c for c in self.cells if c.error is not None]
-
-    def deficit_cells(self) -> List[CellResult]:
-        return [
-            c for c in self.cells
-            if c.headroom is not None and not c.headroom.clean
-        ]
+    def failures(self) -> List[str]:
+        """The mapping pass's failures (deficits are data, crashes are
+        not) and, when a suggestion was requested, that it did not
+        verify."""
+        failures = self.mapping.failures()
+        if self.suggestion is not None and not self.suggestion.verified:
+            failures.append("suggestion not verified")
+        return failures
 
     def ok(self) -> bool:
-        """Mapping cells must *run* (deficits are data, crashes are not)
-        and, when a suggestion was requested, it must have verified."""
-        if self.errors():
-            return False
-        if self.suggestion is not None and not self.suggestion.verified:
-            return False
-        return True
+        return not self.failures()
 
     # -- aggregation ---------------------------------------------------
     def _group(self, scenario: str, jitter_us: int, window_us: int):
         return [
-            c for c in self.cells
+            c for c in self.mapping.cells
             if c.scenario == scenario
             and c.jitter_us == jitter_us
             and c.window_us == window_us
@@ -189,7 +204,7 @@ class EnvelopeReport:
         for scenario in self.scenarios:
             for jitter in self.jitters_us:
                 safe = None
-                for window in sorted(self.windows_us):
+                for window in self.windows_us:
                     group = self._group(scenario, jitter, window)
                     if group and all(
                         c.error is None
@@ -231,11 +246,9 @@ class EnvelopeReport:
             ))
             parts.append("")
         hot = [
-            (
-                f"{c.scenario} j={c.jitter_us}us seed={c.seed}",
-                c.headroom,
-            )
-            for c in self.deficit_cells()
+            (f"{c.scenario} j={c.jitter_us}us seed={c.seed}", c.headroom)
+            for c in self.mapping.cells
+            if c.headroom is not None and not c.headroom.clean
         ]
         if hot:
             parts.append(render_headroom(
@@ -255,11 +268,13 @@ class EnvelopeReport:
             ],
         ))
         parts.append("")
+        verification = self.verification.cells if self.verification else []
         parts.append(
-            f"grid: {len(self.cells)} mapping cell(s), "
-            f"{len(self.verification_cells)} verification cell(s), "
+            f"grid: {len(self.mapping.cells)} mapping cell(s), "
+            f"{len(verification)} verification cell(s), "
             f"{self.wall_seconds:.2f}s wall"
         )
+        parts.extend(self.mapping.coverage_lines())
         if self.suggestion is not None:
             s = self.suggestion
             if s.verified:
@@ -290,25 +305,24 @@ class EnvelopeReport:
                     ["node", "suggested window (us)"],
                     [[node, window] for node, window in s.node_windows_us],
                 ))
-        if self.errors():
-            parts.append(
-                f"verdict: FAILED -- {len(self.errors())} mapping cell(s) "
-                "crashed before measuring"
-            )
+        failures = self.failures()
+        if failures:
+            parts.append("verdict: FAILED -- " + "; ".join(failures))
         return "\n".join(parts)
 
     def to_dict(self) -> Dict:
-        """JSON-serializable envelope report (the CI artifact)."""
+        """JSON-serializable envelope report (the CI artifact): the
+        mapping pass's sweep report plus the envelope's own keys."""
+        verification = self.verification.cells if self.verification else []
         return {
+            **self.mapping.to_dict(),
             "ok": self.ok(),
             "scenarios": list(self.scenarios),
             "jitters_us": list(self.jitters_us),
             "windows_us": list(self.windows_us),
-            "seeds": list(self.seeds),
             "mode": "defined",
-            "grid_cells": len(self.cells),
             "wall_seconds": self.wall_seconds,
-            "cells": [c.to_row() for c in self.cells],
+            "cells": [c.to_row() for c in self.mapping.cells],
             "safe_windows": [
                 {"scenario": scenario, "jitter_us": jitter, "window_us": w}
                 for (scenario, jitter), w in self.safe_windows().items()
@@ -316,7 +330,7 @@ class EnvelopeReport:
             "suggestion": (
                 self.suggestion.to_dict() if self.suggestion is not None else None
             ),
-            "verification_cells": [c.to_row() for c in self.verification_cells],
+            "verification_cells": [c.to_row() for c in verification],
         }
 
 
@@ -360,10 +374,9 @@ class EnvelopeRunner:
             raise ValueError("margin cannot be negative")
         if boundary_jitter_us is not None and boundary_jitter_us < 0:
             raise ValueError("boundary jitter cannot be negative")
-        names = _grid_specs(scenarios, sizes, boundary_jitter_us)
-        for name in names:
-            get_scenario(name)  # fail fast on unknown names
-        self.scenarios: Tuple[str, ...] = tuple(names)
+        self.scenarios: Tuple[str, ...] = tuple(
+            _grid_specs(scenarios, sizes, boundary_jitter_us)
+        )
         self.jitters_us = tuple(sorted(set(int(j) for j in jitters_us)))
         self.seeds = tuple(seeds)
         self.target_quantile = target_quantile
@@ -372,8 +385,8 @@ class EnvelopeRunner:
         #: bundles (None: no archiving).  Mapping cells never check the
         #: invariant, so only the verification pass can write bundles.
         self.artifact_dir = artifact_dir
-        # the runner supplies the pool and the supervision policy;
-        # run_cells() never reads its grid
+        # the runner checks the names and supplies the pool and the
+        # supervision policy; run(cells=...) never reads its grid
         self._sweep = SweepRunner(
             scenarios=list(self.scenarios), seeds=self.seeds,
             workers=workers,
@@ -401,12 +414,10 @@ class EnvelopeRunner:
                 raise ValueError("windows must be positive microsecond counts")
             self.windows_us = tuple(sorted(set(int(w) for w in windows_us)))
 
-    # -- grid construction ---------------------------------------------
-    def grid(self, window_us: Optional[int] = None, check_invariant: bool = False
-             ) -> List[SweepCell]:
-        """Mapping cells (all windows), or -- with ``window_us`` -- one
-        verification pass over (scenario x jitter x seed) at that window."""
-        windows = self.windows_us if window_us is None else (window_us,)
+    def _cells(
+        self, windows_us: Sequence[int], check_invariant: bool
+    ) -> List[SweepCell]:
+        """(scenario x jitter x window x seed) cells in ``defined`` mode."""
         return [
             SweepCell(
                 scenario=name,
@@ -419,29 +430,9 @@ class EnvelopeRunner:
             )
             for name in self.scenarios
             for jitter in self.jitters_us
-            for window in windows
+            for window in windows_us
             for seed in self.seeds
         ]
-
-    # -- execution ------------------------------------------------------
-    def map(
-        self, progress: Optional[Callable[[CellResult], None]] = None
-    ) -> List[CellResult]:
-        """Run the mapping grid (replay checks off; deficits are the
-        measurement, not a failure)."""
-        return self._sweep.run_cells(self.grid(), progress=progress)
-
-    def verify(
-        self,
-        window_us: int,
-        progress: Optional[Callable[[CellResult], None]] = None,
-    ) -> List[CellResult]:
-        """Re-run (scenario x jitter x seed) at one window with the full
-        Theorem-1 production-vs-replay check enabled."""
-        return self._sweep.run_cells(
-            self.grid(window_us=window_us, check_invariant=True),
-            progress=progress,
-        )
 
     # -- suggestion -----------------------------------------------------
     def suggest_window(self, cells: Sequence[CellResult]) -> int:
@@ -516,33 +507,35 @@ class EnvelopeRunner:
     ) -> EnvelopeReport:
         """Map the envelope and (optionally) produce a verified
         suggestion, escalating from the verification's own measurements
-        when the first recommendation comes up short."""
-        start = time.perf_counter()
-        report = EnvelopeReport(
-            scenarios=self.scenarios,
-            jitters_us=self.jitters_us,
-            windows_us=self.windows_us,
-            seeds=self.seeds,
-        )
-        report.cells = self.map(progress=progress)
-        if suggest and not report.errors():
-            window = self.suggest_window(report.cells)
+        when the first recommendation comes up short.
+
+        The mapping pass runs with the Theorem-1 replay checks off
+        (deficits are the measurement, not a failure); each verification
+        round re-runs (scenario x jitter x seed) at one window with them
+        on."""
+        report = EnvelopeReport(self._sweep.run(
+            progress, cells=self._cells(self.windows_us, check_invariant=False)
+        ))
+        if suggest and not report.mapping.errors():
+            window = self.suggest_window(report.mapping.cells)
             rounds: List[Tuple[int, int, int]] = []
             verified = False
             invariant_clean: Optional[bool] = None
+            wall_seconds = 0.0
             for _ in range(MAX_VERIFY_ROUNDS):
-                vcells = self.verify(window, progress=progress)
+                verification = self._sweep.run(
+                    progress, cells=self._cells((window,), check_invariant=True)
+                )
+                wall_seconds += verification.wall_seconds
+                vcells = verification.cells
                 deficits = sum(
                     c.headroom.late_count for c in vcells
                     if c.headroom is not None
                 )
-                errors = sum(1 for c in vcells if c.error is not None)
+                errors = len(verification.errors())
                 rounds.append((window, deficits, errors))
-                report.verification_cells = vcells
                 if deficits == 0 and errors == 0:
-                    invariant_clean = all(
-                        c.invariant_ok is not False for c in vcells
-                    )
+                    invariant_clean = not verification.invariant_violations()
                     # a replay divergence at zero deficits is a
                     # determinism bug, not a window-sizing problem --
                     # escalating the window cannot fix it, so stop here
@@ -562,6 +555,8 @@ class EnvelopeRunner:
                 if seen:
                     floor = max(floor, int(max(seen) * (1.0 + self.margin)))
                 window = _round_window(floor)
+            verification.wall_seconds = wall_seconds
+            report.verification = verification
             report.suggestion = WindowSuggestion(
                 window_us=rounds[-1][0],
                 target_quantile=self.target_quantile,
@@ -569,9 +564,8 @@ class EnvelopeRunner:
                 verified=verified,
                 invariant_clean=invariant_clean,
                 rounds=tuple(rounds),
-                node_windows_us=self.suggest_node_windows(report.cells),
+                node_windows_us=self.suggest_node_windows(report.mapping.cells),
             )
-        report.wall_seconds = time.perf_counter() - start
         return report
 
 

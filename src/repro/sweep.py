@@ -106,6 +106,10 @@ DaemonBuilder = Callable[[TopologyGraph], Optional[Callable]]
 ExpectPredicate = Callable[[ProductionResult], bool]
 TuningFactory = Callable[[TopologyGraph, int], NetworkTuning]
 
+#: Every mode the harness builds (:func:`repro.harness.run_production`).
+#: :class:`SweepRunner` rejects any other name.
+MODES: Tuple[str, ...] = ("vanilla", "defined", "ddos", "logging")
+
 #: Modes a scenario runs in by default.  ``defined`` cells additionally
 #: run a DEFINED-LS replay and check the Theorem-1 invariant.
 DEFAULT_MODES: Tuple[str, ...] = ("vanilla", "defined")
@@ -137,6 +141,8 @@ class Scenario:
     #: Scenario-level sanity predicate over the finished run (outcome
     #: shape, not determinism -- the runner checks determinism itself).
     expect: Optional[ExpectPredicate] = None
+    #: The modes a sweep runs this scenario in unless told otherwise;
+    #: any of :data:`MODES` may be asked for.
     modes: Tuple[str, ...] = DEFAULT_MODES
     jitter_us: int = 200
     ordering: str = "OO"
@@ -413,12 +419,6 @@ class _Spec:
     def __str__(self) -> str:
         body = self.join([str(comp) for comp in self.comps])
         return self.jitter_name(body, self.jitter)
-
-    @property
-    def carries_jitter(self) -> bool:
-        return self.jitter is not None or any(
-            comp.jitter is not None for comp in self.comps
-        )
 
     def sized(self, n: int) -> "_Spec":
         """Every component at ``n`` nodes (inside its own jitter)."""
@@ -1452,19 +1452,22 @@ class SweepReport:
     def invariance_splits(self) -> List[Tuple[str, int, str]]:
         """Seed-invariance breaches: (scenario, seed, mode) groups whose
         re-executions under different jitter seeds produced more than one
-        fingerprint in a *deterministic* mode.
+        fingerprint in a *deterministic* mode.  Cells at different
+        ``window_us`` / ``jitter_us`` overrides run different workloads,
+        so they are never compared.
 
         ``defined`` and ``ddos`` guarantee timing-independence -- the
         same workload must fingerprint identically under any jitter seed.
         ``vanilla``/``logging`` carry no such guarantee (their splits are
         the paper's motivation), so they are reported in the distinct-
         fingerprint matrix but are not failures."""
-        seen: Dict[Tuple[str, int, str], str] = {}
+        seen: Dict[Tuple, str] = {}
         bad: List[Tuple[str, int, str]] = []
         for c in self.cells:
             if c.error is not None or c.mode not in DETERMINISTIC_MODES:
                 continue
-            prior = seen.setdefault(c.key, c.fingerprint)
+            group = (c.key, c.window_us, c.jitter_us)
+            prior = seen.setdefault(group, c.fingerprint)
             if prior != c.fingerprint and c.key not in bad:
                 bad.append(c.key)
         return bad
@@ -1520,14 +1523,23 @@ class SweepReport:
         doc = {"seeds": list(self.seeds), "repeats": self.repeats, "cells": rows}
         return hashlib.sha256(canonical_json(doc).encode("ascii")).hexdigest()
 
+    def failures(self) -> List[str]:
+        """The verdict's failure counts, e.g. ``errors: 2``; empty when
+        the grid is ok."""
+        return [
+            f"{label}: {len(items)}"
+            for label, items in [
+                ("errors", self.errors()),
+                ("Theorem-1 violations", self.invariant_violations()),
+                ("expectation failures", self.expectation_failures()),
+                ("ordering misses (ddos)", self.ordering_misses()),
+                ("seed-invariance splits", self.invariance_splits()),
+            ]
+            if items
+        ]
+
     def ok(self) -> bool:
-        return not (
-            self.errors()
-            or self.invariant_violations()
-            or self.expectation_failures()
-            or self.ordering_misses()
-            or self.invariance_splits()
-        )
+        return not self.failures()
 
     # -- aggregation ---------------------------------------------------
     def fingerprint_index(self) -> Dict[Tuple[str, int, str, int], str]:
@@ -1606,40 +1618,32 @@ class SweepReport:
             self.modes(),
             matrix,
         ))
-        verdict = []
-        for label, items in [
-            ("errors", self.errors()),
-            ("Theorem-1 violations", self.invariant_violations()),
-            ("expectation failures", self.expectation_failures()),
-            ("ordering misses (ddos)", self.ordering_misses()),
-            ("seed-invariance splits", self.invariance_splits()),
-        ]:
-            if items:
-                verdict.append(f"{label}: {len(items)}")
         parts.append("")
         parts.append(
             f"grid: {len(self.cells)} cells, {self.workers} worker(s), "
             f"{self.wall_seconds:.2f}s wall"
         )
-        coverage = self.coverage()
-        if (
-            coverage["timed_out"]
-            or coverage["quarantined"]
-            or coverage["resumed"]
-        ):
-            parts.append(
-                "coverage: "
-                f"{coverage['completed']} completed, "
-                f"{coverage['resumed']} resumed from journal, "
-                f"{coverage['timed_out']} timed out, "
-                f"{coverage['quarantined']} quarantined"
-            )
+        parts.extend(self.coverage_lines())
+        failures = self.failures()
         parts.append(
-            "verdict: OK -- every DEFINED cell reproduced bit-for-bit"
-            if self.ok()
-            else "verdict: FAILED -- " + "; ".join(verdict)
+            "verdict: FAILED -- " + "; ".join(failures) if failures
+            else "verdict: OK -- every DEFINED cell reproduced bit-for-bit"
         )
         return "\n".join(parts)
+
+    def coverage_lines(self) -> List[str]:
+        """One line on the coverage gaps and journal reuse, or none when
+        every cell ran here to completion."""
+        coverage = self.coverage()
+        if not any(coverage[k] for k in ("timed_out", "quarantined", "resumed")):
+            return []
+        return [
+            "coverage: "
+            f"{coverage['completed']} completed, "
+            f"{coverage['resumed']} resumed from journal, "
+            f"{coverage['timed_out']} timed out, "
+            f"{coverage['quarantined']} quarantined"
+        ]
 
     def to_dict(self) -> Dict:
         """JSON-serializable divergence report (the CI artifact).
@@ -1769,6 +1773,9 @@ class SweepRunner:
             get_scenario(name)  # fail fast on unknown names
         self.seeds = tuple(seeds)
         self.modes = tuple(modes) if modes is not None else None
+        for mode in self.modes or ():
+            if mode not in MODES:
+                raise ValueError(f"unknown mode {mode!r} (modes: {MODES})")
         self.workers = workers
         self.repeats = repeats
         #: Directory Theorem-1 divergences are archived into as run
@@ -1798,39 +1805,29 @@ class SweepRunner:
                         )
         return cells
 
-    def run(self, progress: Optional[Callable[[CellResult], None]] = None) -> SweepReport:
-        """Run the whole grid and aggregate a :class:`SweepReport`.
+    def run(
+        self,
+        progress: Optional[Callable[[CellResult], None]] = None,
+        cells: Optional[Sequence[SweepCell]] = None,
+    ) -> SweepReport:
+        """Run the whole grid -- or ``cells``, an explicit list, such as
+        the window-envelope mapper's cells with per-cell overrides -- and
+        aggregate a :class:`SweepReport`.
 
-        ``progress`` fires once per finished cell -- in grid order
+        ``progress`` fires once per finished cell -- in cell order
         inline, in completion order on the pool.  The report's cell
-        list is always grid-ordered.
+        list is always in cell order.
         """
-        cells = self.grid()
+        cells = self.grid() if cells is None else list(cells)
         start = time.perf_counter()
+        by_index: Dict[int, CellResult] = dict(self._iter_results(cells, progress))
         return SweepReport(
-            cells=self.run_cells(cells, progress=progress),
+            cells=[by_index[i] for i in range(len(cells))],
             seeds=self.seeds,
             workers=self.workers,
             repeats=self.repeats,
             wall_seconds=time.perf_counter() - start,
         )
-
-    def run_cells(
-        self,
-        cells: Sequence[SweepCell],
-        progress: Optional[Callable[[CellResult], None]] = None,
-    ) -> List[CellResult]:
-        """Execute an explicit cell list (same executor as :meth:`run`),
-        returning results in the given cell order.
-
-        This is the execution surface for callers that build their own
-        grids with per-cell overrides -- the window-envelope mapper grids
-        (scenario, jitter, window, seed) rather than this runner's
-        (scenario, seed, mode, repeat)."""
-        by_index: Dict[int, CellResult] = {}
-        for index, result in self._iter_results(list(cells), progress):
-            by_index[index] = result
-        return [by_index[i] for i in range(len(cells))]
 
     def stream(
         self, progress: Optional[Callable[[CellResult], None]] = None
@@ -1979,27 +1976,21 @@ class SweepRunner:
 def fuzz_grid(
     scenarios: Optional[Sequence[str]] = None,
     jitters_us: Sequence[int] = (0, 1, 2, 5),
-    mode: str = "defined",
 ) -> List[str]:
-    """The boundary-jitter fuzz grid, for :class:`SweepRunner` in
-    ``mode``: each spec under each of ``jitters_us`` of whole-spec
-    jitter, base-major, deduplicated.
+    """The boundary-jitter fuzz grid, for :class:`SweepRunner`: each
+    spec under each of ``jitters_us`` of whole-spec jitter, base-major,
+    deduplicated.
 
     The grid owns the whole-spec jitter axis, so a spec's own
     (``latency-jitter~j2us``) is replaced, never stacked; ``None`` is
     the default grid, whose jittered specs thereby fold onto their
-    bases.  Every spec must run in ``mode``."""
+    bases."""
     if any(j < 0 for j in jitters_us):
         raise ValueError("jitter magnitudes cannot be negative")
     if scenarios is None:
         scenarios = default_grid()
     for name in scenarios:
-        modes = get_scenario(name).modes  # fail fast on unknown names
-        if mode not in modes:
-            raise ValueError(
-                f"scenario {name!r} does not run in mode {mode!r} "
-                f"(modes: {modes})"
-            )
+        get_scenario(name)  # fail fast on unknown names
     return list(dict.fromkeys(
         _grid_specs([name], boundary_jitter_us=jitter)[0]
         for name in scenarios

@@ -137,13 +137,17 @@ class TestReportsListRows:
                        headroom=hr)
             for w in (100_000, 400_000) for j in (0, 300)
         ]
+        cells.append(CellResult("flap-storm@20", 1, "defined", window_us=1,
+                                jitter_us=0, error="boom"))
         report = EnvelopeReport(
-            scenarios=("flap-storm@20",), jitters_us=(0, 300),
-            windows_us=(100_000, 400_000), seeds=(1,),
-            cells=cells, verification_cells=cells[:1],
+            SweepReport(cells=cells, seeds=(1,), workers=1, repeats=1),
+            verification=SweepReport(
+                cells=cells[:1], seeds=(1,), workers=1, repeats=1
+            ),
         )
         doc = report.to_dict()
         assert doc["cells"] == [c.to_row() for c in cells]
+        assert doc["errors"] == [cells[-1].to_row()]
         assert doc["verification_cells"] == [cells[0].to_row()]
 
     def test_fuzz_report(self):

@@ -310,12 +310,36 @@ class TestFuzz:
     def test_validation(self):
         with pytest.raises(KeyError):
             fuzz_grid(["heat-death"])
-        with pytest.raises(ValueError, match="does not run in mode"):
-            fuzz_grid(["flap-storm"], mode="ddos")
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            SweepRunner(["flap-storm"], modes=["bogus"])
         with pytest.raises(ValueError, match="negative"):
             fuzz_grid(["flap-storm"], jitters_us=(-1,))
         with pytest.raises(ValueError, match="workers"):
             SweepRunner(fuzz_grid(["flap-storm"]), modes=("defined",), workers=0)
+
+    def test_any_known_mode_fuzzes(self, tmp_path, capsys):
+        """A scenario's modes are its defaults, not a limit: ``repro
+        fuzz --mode ddos`` runs a scenario that lists only vanilla and
+        defined."""
+        import json
+
+        from repro.cli import main
+
+        out = tmp_path / "fuzz.json"
+        assert main([
+            "fuzz", "--scenarios", "flap-storm", "--mode", "ddos",
+            "--seeds", "1", "--jitters-us", "0,1", "--report-out", str(out),
+        ]) == 0
+        assert "fuzzing 2 cells" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert payload["grid_cells"] == payload["coverage"]["completed"] == 2
+        # the semantic digest is the 2-cell ddos sweep's
+        assert payload["semantic_digest"] == SweepRunner(
+            ["flap-storm~j0us", "flap-storm~j1us"], (1,), modes=("ddos",)
+        ).run().semantic_digest()
+        assert get_scenario("flap-storm").modes == ("vanilla", "defined")
+        with pytest.raises(SystemExit, match="unknown mode 'bogus'"):
+            main(["fuzz", "--scenarios", "flap-storm", "--mode", "bogus"])
 
     def test_default_catalogue_excludes_prejittered_builtins(self):
         # the default grid's '*~j1us' specs fold onto their bases

@@ -126,18 +126,27 @@ class TestCellOverrides:
 
 class TestEnvelopeMapping:
     def test_grid_covers_every_axis_combination(self):
-        runner = _map_diamond(seeds=(1, 2))
-        cells = runner.grid()
+        report = _map_diamond(seeds=(1, 2)).run(suggest=False)
+        cells = report.mapping.cells
         assert len(cells) == 1 * 2 * 2 * 2  # scenario x jitter x window x seed
         combos = {(c.scenario, c.jitter_us, c.window_us, c.seed) for c in cells}
         assert len(combos) == len(cells)
-        assert all(not c.check_invariant for c in cells)
+        # mapping cells run with the Theorem-1 replay off
+        assert all(c.mode == "defined" and c.invariant_ok is None for c in cells)
+        # the report's axes are the ones the mapping cells ran
+        assert report.scenarios == ("latency-jitter",)
+        assert report.jitters_us == (0, HEAVY_JITTER_US)
+        assert report.windows_us == (TIGHT_WINDOW_US, 1_500_000)
+        assert report.mapping.seeds == (1, 2)
+        # cells at different windows and jitters are different workloads
+        assert report.mapping.invariance_splits() == []
 
     def test_mapping_measures_the_envelope(self):
         report = _map_diamond().run(suggest=False)
-        assert not report.errors()
+        assert not report.mapping.errors()
+        assert report.ok() and report.verification is None
         by_axes = {
-            (c.jitter_us, c.window_us): c.headroom for c in report.cells
+            (c.jitter_us, c.window_us): c.headroom for c in report.mapping.cells
         }
         # tight window + heavy jitter: slack exhausted, distribution captured
         hot = by_axes[(HEAVY_JITTER_US, TIGHT_WINDOW_US)]
@@ -162,8 +171,8 @@ class TestEnvelopeMapping:
         # the recommendation came from the measured distribution: at
         # least the q-target reach, above the exhausted window
         assert s.window_us > TIGHT_WINDOW_US
-        assert report.verification_cells
-        for cell in report.verification_cells:
+        assert report.verification.cells
+        for cell in report.verification.cells:
             assert cell.error is None
             assert cell.headroom is not None and cell.headroom.clean
             # verification runs the full Theorem-1 check
@@ -181,8 +190,7 @@ class TestEnvelopeMapping:
     def test_boundary_jitter_wrapper_reuses_the_fuzzer(self):
         runner = _map_diamond(boundary_jitter_us=2)
         assert runner.scenarios == ("latency-jitter~j2us",)
-        cells = runner.map()
-        assert all(c.error is None for c in cells)
+        assert runner.run(suggest=False).mapping.errors() == []
 
     def test_sizes_rescale_through_the_name_grammar(self):
         runner = EnvelopeRunner(
@@ -203,9 +211,20 @@ class TestEnvelopeMapping:
     def test_report_json_shape(self):
         report = _map_diamond().run(suggest=True)
         payload = json.loads(json.dumps(report.to_dict()))
+        # the mapping pass's sweep report, plus the envelope's own keys
+        assert set(payload) == set(report.mapping.to_dict()) | {
+            "scenarios", "jitters_us", "windows_us", "mode", "cells",
+            "safe_windows", "suggestion", "verification_cells",
+        }
         assert payload["ok"] is True
+        assert payload["mode"] == "defined"
         assert payload["suggestion"]["verified"] is True
         assert payload["grid_cells"] == len(payload["cells"]) == 4
+        assert payload["coverage"]["completed"] == 4
+        assert payload["semantic_digest"] == report.mapping.semantic_digest()
+        assert payload["wall_seconds"] == pytest.approx(
+            report.mapping.wall_seconds + report.verification.wall_seconds
+        )
         hot = [
             c for c in payload["cells"]
             if c["jitter_us"] == HEAVY_JITTER_US
@@ -229,17 +248,10 @@ class TestEnvelopeMapping:
             EnvelopeRunner(scenarios=["no-such-scenario"])
 
     def test_parallel_mapping_matches_serial(self):
-        serial = _map_diamond().map()
-        streamed = _map_diamond(workers=2).map()
-
-        def payload(cells):
-            return [
-                (c.scenario, c.seed, c.window_us, c.jitter_us,
-                 c.fingerprint, c.headroom)
-                for c in cells
-            ]
-
-        assert payload(serial) == payload(streamed), (
+        serial = _map_diamond().run(suggest=False).mapping
+        streamed = _map_diamond(workers=2).run(suggest=False).mapping
+        assert streamed.workers == 2
+        assert serial.semantic_rows() == streamed.semantic_rows(), (
             "headroom stats must survive the shared-memory record intact"
         )
 
@@ -337,5 +349,5 @@ class TestSizedAcceptanceGrid:
         # the 300 ms column must have actually exhausted the small rungs
         assert any(
             c.jitter_us == 300_000 and c.headroom and not c.headroom.clean
-            for c in report.cells
+            for c in report.mapping.cells
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 import repro.sweep as sweep_mod
-from repro.sweep import SweepRunner
+from repro.sweep import CellResult, SweepReport, SweepRunner
 
 
 class TestProbeGrid:
@@ -114,6 +114,27 @@ class TestInjectedNondeterminism:
         assert split["scenario"] == "latency-jitter"
         assert len(split["fingerprints"]) == 3
         assert len(set(split["fingerprints"].values())) == 3
+
+    def test_splits_compare_only_cells_of_one_workload(self):
+        """Cells at different ``window_us`` / ``jitter_us`` overrides (an
+        envelope grid) run different workloads and never split; cells
+        differing only in their jitter seed still do."""
+
+        def splits(cells):
+            return SweepReport(
+                cells=cells, seeds=(1,), workers=1, repeats=1
+            ).invariance_splits()
+
+        assert splits([
+            CellResult("latency-jitter", 1, "defined", window_us=w,
+                       jitter_us=j, fingerprint=f"fp-{w}-{j}")
+            for w in (100_000, 1_500_000) for j in (0, 300_000)
+        ]) == []
+        assert splits([
+            CellResult("latency-jitter", 1, "defined", jitter_seed=s,
+                       fingerprint=f"fp-{s}")
+            for s in (None, 7)
+        ]) == [("latency-jitter", 1, "defined")]
 
     def test_clean_run_has_no_splits_in_report_dict(self):
         report = SweepRunner(

@@ -292,7 +292,7 @@ class TestJournal:
         original = _ok_run_cell(cell)
         directory = str(tmp_path / "journal")
         CellJournal(directory).record(cell, original)
-        [rebuilt] = SweepRunner(resume_dir=directory).run_cells([cell])
+        [rebuilt] = SweepRunner(resume_dir=directory).run(cells=[cell]).cells
         assert rebuilt == dataclasses.replace(original, outcome="resumed")
 
     def test_record_load_and_later_records_win(self, tmp_path):
@@ -332,7 +332,7 @@ class TestJournal:
         directory.mkdir()
         with open(GOLDEN_JOURNAL_SEGMENT, "rb") as gh:
             (directory / "segment-00000000.jsonl").write_bytes(gh.read())
-        [resumed] = SweepRunner(resume_dir=str(directory)).run_cells([cell])
+        [resumed] = SweepRunner(resume_dir=str(directory)).run(cells=[cell]).cells
         assert resumed == dataclasses.replace(result, outcome="resumed")
 
     def test_missing_directory_is_a_loud_error(self, tmp_path):
