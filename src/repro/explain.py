@@ -10,6 +10,9 @@ rollback, per output unsent and per pruned retraction::
         result = run_scenario(get_scenario("flap-storm@40"), "defined", 1)
     rollbacks = [r for r in records if r.kind == ROLLBACK]
 
+A rollback record names its :attr:`Record.cause`, read from the
+arguments the shim passed to ``_rollback``.
+
 Nothing under ``src/`` knows it is being traced: outside the block the
 shim's methods are the originals, so the trace costs nothing when it is
 not installed and cannot move a fingerprint when it is.  The wrappers
@@ -33,6 +36,20 @@ UNSEND = "unsend"
 #: window: the tag is excised from the execution log, the state is not
 #: rolled back.
 RETRACTION = "retraction"
+
+#: Rollback causes (:attr:`Record.cause`), read from the arguments of
+#: ``_rollback(index, new_entries, removed_uids)``: a message that sorted
+#: below delivered history (a straggler); an external event that did; a
+#: higher-uid copy of a delivered message (an anti-message race: new
+#: entries *and* removed uids); an unsend alone; a due timer (neither).
+CAUSES = ("msg", "ext", "redelivery", "unsend", "timer")
+
+
+def rollback_cause(new_entries, removed_uids) -> str:
+    """The :data:`CAUSES` name of a rollback called with these arguments."""
+    if new_entries:
+        return "redelivery" if removed_uids else new_entries[0].kind
+    return "unsend" if removed_uids else "timer"
 
 
 class Record(NamedTuple):
@@ -58,6 +75,8 @@ class Record(NamedTuple):
     #: allows the step at: ``since_us`` plus the window for a rollback or
     #: an unsend, the pruned entry's expiry for a retraction.
     deadline_us: int
+    #: :data:`ROLLBACK`: one of :data:`CAUSES`; ``None`` otherwise.
+    cause: Optional[str] = None
 
 
 @contextmanager
@@ -74,6 +93,7 @@ def audited() -> Iterator[List[Record]]:
         records.append(Record(
             ROLLBACK, self.node.node_id, self.vt, now, index,
             len(history) - index, since, since + self.window_us(),
+            rollback_cause(new_entries, removed_uids),
         ))
         rollback(self, index, new_entries, removed_uids)
 

@@ -7,10 +7,15 @@ that happens without it.
 
 from __future__ import annotations
 
+from collections import Counter
+from types import SimpleNamespace
+
 from _fixtures import run_scenario_cell
 
 from repro.core.shim import DefinedShim
-from repro.explain import RETRACTION, ROLLBACK, UNSEND, audited
+from repro.explain import (
+    CAUSES, RETRACTION, ROLLBACK, UNSEND, audited, rollback_cause,
+)
 
 
 def test_flap_storm_40_totals_equal_the_cell_counters():
@@ -37,6 +42,36 @@ def test_flap_storm_40_totals_equal_the_cell_counters():
 
     untraced = run_scenario_cell("flap-storm@40", "defined")
     assert untraced.fingerprint == result.fingerprint
+
+
+def test_flap_storm_40_rollbacks_by_cause_and_phase():
+    """Where ``flap-storm@40``'s rollbacks come from: the count per
+    (cause, boot = group 0 / steady state)."""
+    with audited() as records:
+        run_scenario_cell("flap-storm@40", "defined")
+    counts = Counter(
+        (r.cause, "boot" if r.group == 0 else "steady")
+        for r in records if r.kind == ROLLBACK
+    )
+    assert dict(counts) == {
+        ("msg", "boot"): 828,
+        ("msg", "steady"): 338,
+        ("ext", "steady"): 55,
+        ("unsend", "boot"): 66,
+        ("unsend", "steady"): 138,
+    }
+    assert all(r.cause is None for r in records if r.kind != ROLLBACK)
+
+
+def test_each_rollback_argument_shape_names_one_cause():
+    msg, ext = SimpleNamespace(kind="msg"), SimpleNamespace(kind="ext")
+    assert [
+        rollback_cause([msg], set()),
+        rollback_cause([ext], set()),
+        rollback_cause([msg], {7}),
+        rollback_cause([], {7}),
+        rollback_cause([], set()),
+    ] == list(CAUSES)
 
 
 def test_the_trace_is_gone_outside_the_block():
