@@ -4,8 +4,10 @@ The shim interposes between the control-plane daemon and the network,
 wrapping message sending, message receiving, and timer calls.  It makes
 the node's execution deterministic with an *optimistic* protocol:
 
-1. every arrival is delivered to the daemon immediately (speculation),
-   after taking a checkpoint;
+1. every arrival is delivered to the daemon speculatively, after taking
+   a checkpoint: at once, or -- a message of the node's current group --
+   once its estimate ``d_i`` says it should have arrived (the *playout
+   hold*, below);
 2. every arrival is also checked against the deterministic ordering
    function over the sliding history window;
 3. if the arrival should have been delivered *earlier* than something
@@ -33,6 +35,18 @@ Timers are virtualized: the daemon's timers live in a checkpointed
 virtual time, and timer firings flow through the same ordering/rollback
 machinery as messages (they occupy ``major=-1`` slots in each group, i.e.
 a group's timers are ordered before the group's messages).
+
+**Playout hold.**  A message of the current group arriving before
+``group opening + d_i +`` :data:`HOLD_SLACK_US` waits until then, and a
+group's due timers fire at ``opening +`` :data:`HOLD_SLACK_US`, not at
+the beacon.  An arrival earlier than its estimate would otherwise be
+delivered ahead of inputs that sort below it and are still in flight,
+each one a rollback.  The hold changes no ordering key and nothing the
+replay reads, so nothing new is recorded; it only moves when inputs run.
+A message past its instant, or of a past group, and every external event
+and unsend are admitted at once.  A crash treats a held input as an
+arrival the daemon has not yet run: a release finding its node down, or
+rebooted since, does nothing.
 
 The shim also implements the partial-recording hooks: external events are
 tagged (group, origin-sequence) and logged, and sends that the physical
@@ -66,6 +80,13 @@ from repro.core.rollback import (
 from repro.simnet.events import ExternalEvent
 from repro.simnet.messages import Message, Unsend
 from repro.simnet.node import Node
+
+
+#: The playout hold's slack (module docstring): how long after its
+#: estimated arrival a current-group message, and after its group's
+#: opening a due timer, is held.  At 20 ms, holds moved send instants
+#: across link events and so moved recorded drop sets and fingerprints.
+HOLD_SLACK_US = 5_000
 
 
 def default_window_us(network) -> int:
@@ -172,6 +193,10 @@ class DefinedShim(ReplayStack):
         #: node_down): a rebooting node must rejoin at the *current*
         #: group, not at virtual time 0.
         self._booted_once = False
+        #: Bumped by every (re)boot: a held input released into a later
+        #: boot than the one it arrived in is dropped, as the crash
+        #: dropped it.
+        self._boot_epoch = 0
         #: Arrival times of recent beacons (group -> sim time), kept for
         #: the crash protocol's group-closure test; pruned alongside the
         #: history window.
@@ -282,6 +307,7 @@ class DefinedShim(ReplayStack):
         """
         reboot = self._booted_once
         self._booted_once = True
+        self._boot_epoch += 1
         self.vt = 0
         self._boot()
         self._annihilate_pending.clear()
@@ -455,14 +481,17 @@ class DefinedShim(ReplayStack):
         if len(self._beacon_seen_at) > 16:
             for stale in [g for g in self._beacon_seen_at if g < group - 8]:
                 del self._beacon_seen_at[stale]
-        self._fire_due_timers()
+        if self.timers.next_due(group) is not None:
+            self.sim.push(
+                self.sim.now + HOLD_SLACK_US, self._release_timers, self._boot_epoch
+            )
         self._drain_future()
         self._prune_window()
         self._sample_memory()
 
     def _drain_future(self) -> None:
-        """Admit held messages whose group the beacon just opened, in their
-        original arrival order (speculation resumes among them)."""
+        """Admit (or hold) buffered messages whose group the beacon just
+        opened, in their original arrival order."""
         ready = [m for m in self._future_buffer if m.annotation.group <= self.vt]
         if not ready:
             return
@@ -470,11 +499,13 @@ class DefinedShim(ReplayStack):
             m for m in self._future_buffer if m.annotation.group > self.vt
         ]
         for msg in ready:
-            self._admit_data(msg)
+            self._admit_or_hold(msg)
 
-    def _fire_due_timers(self) -> None:
-        if self.timers.next_due(self.vt) is None:
+    def _release_timers(self, epoch: int) -> None:
+        if epoch != self._boot_epoch or not self.node.up:
             return
+        if self.timers.next_due(self.vt) is None:
+            return  # a rollback's replay fired them already
         for entry in self._replay_order(()):
             self._admit(entry)
 
@@ -494,7 +525,22 @@ class DefinedShim(ReplayStack):
         if msg.annotation.group > self.vt:
             self._future_buffer.append(msg)
             return
+        self._admit_or_hold(msg)
+
+    def _admit_or_hold(self, msg: Message) -> None:
+        """Admit ``msg`` now, or -- a current-group message ahead of its
+        estimate -- at ``opening + d_i +`` :data:`HOLD_SLACK_US`."""
+        annotation = msg.annotation
+        if annotation.group == self.vt:
+            release_us = self._group_open_us + annotation.delay_us + HOLD_SLACK_US
+            if release_us > self.sim.now:
+                self.sim.push(release_us, self._release, msg, self._boot_epoch)
+                return
         self._admit_data(msg)
+
+    def _release(self, msg: Message, epoch: int) -> None:
+        if epoch == self._boot_epoch and self.node.up:
+            self._admit_data(msg)
 
     def _admit_data(self, msg: Message) -> None:
         if msg.uid in self._annihilate_pending:

@@ -25,7 +25,7 @@ import pytest
 
 from _fixtures import graph_of, run_scenario_cell
 
-from repro.core.shim import DefinedShim, HistoryWindowWarning
+from repro.core.shim import HOLD_SLACK_US, DefinedShim, HistoryWindowWarning
 from repro.explain import ROLLBACK, UNSEND, Record, audited
 from repro.simnet.messages import Message, Unsend
 from repro.sweep import SweepRunner
@@ -85,9 +85,14 @@ class TestTheRule:
 
 
 class TestCollection:
-    """Pings sent at 0 and 1 ms reach ``b`` at 2 and 3 ms.  A prune at
-    ``W + 3 ms`` drops the first from the window (the second is the
-    ``keep_min`` anchor); its expiry is ``0 + W + 3 ms``."""
+    """Pings sent at ``T0`` and ``T0 + 1 ms`` reach ``b`` at ``T0 + 2 ms``
+    and ``T0 + 3 ms``.  A prune at ``T0 + W + 3 ms`` drops the first from
+    the window (the second is the ``keep_min`` anchor); its expiry is
+    ``T0 + W + 3 ms``.  ``T0`` lies past the boot group's playout hold
+    (estimate 2 ms + hop cost + :data:`HOLD_SLACK_US`), so each ping is
+    admitted as it arrives."""
+
+    T0 = 2 * HOLD_SLACK_US
 
     @pytest.mark.parametrize("first_prune_us", [WINDOW + 2_500, WINDOW + 3_000])
     def test_an_entry_expiring_now_survives_this_prune_and_not_the_next(
@@ -95,30 +100,33 @@ class TestCollection:
     ):
         """Whether the prune at the expiry inserts the entry or collects
         around one inserted earlier, the entry is still there after it."""
+        t0 = self.T0
         net, a, b = line()
-        first, _second = pings(net, a, [0, 1_000])
+        first, _second = pings(net, a, [t0, t0 + 1_000])
         expiry = first.sent_at_us + WINDOW + 3_000
-        for now in sorted({first_prune_us, expiry}):
+        for now in sorted({t0 + first_prune_us, expiry}):
             net.run(until_us=now)
             b._prune_window()
-            assert b._pruned_uid_log == {first.uid: (0, 2_000, expiry)}
+            assert b._pruned_uid_log == {first.uid: (0, t0 + 2_000, expiry)}
         net.run(until_us=expiry + 1)
         b._prune_window()
         assert b._pruned_uid_log == {}
 
     def test_an_entry_already_expired_when_pruned_is_never_inserted(self):
+        t0 = self.T0
         net, a, b = line()
-        pings(net, a, [0, 1_000])
-        net.run(until_us=WINDOW + 3_001)
+        pings(net, a, [t0, t0 + 1_000])
+        net.run(until_us=t0 + WINDOW + 3_001)
         b._prune_window()
         assert b.history.total_pruned == 1
         assert b._pruned_uid_log == {}
 
     def test_an_unsend_inside_the_bound_excises_the_tag_and_shifts_indices(self):
+        t0 = self.T0
         net, a, b = line()
-        p1, p2, p3, p4 = pings(net, a, [0, 100, 10_000, 20_000])
+        p1, p2, p3, p4 = pings(net, a, [t0, t0 + 100, t0 + 10_000, t0 + 20_000])
         tags = list(b.delivery_log)
-        net.run(until_us=WINDOW + 2_500)
+        net.run(until_us=t0 + WINDOW + 2_500)
         b._prune_window()
         assert [e.msg for e in b.history] == [p3, p4]
         assert set(b._pruned_uid_log) == {p1.uid, p2.uid}
@@ -127,15 +135,18 @@ class TestCollection:
         with pytest.warns(HistoryWindowWarning):
             b.on_wire(unsend)
         assert list(b.delivery_log) == tags[1:]
-        assert b._pruned_uid_log == {p2.uid: (0, 2_100, 100 + WINDOW + 3_000)}
+        assert b._pruned_uid_log == {
+            p2.uid: (0, t0 + 2_100, t0 + 100 + WINDOW + 3_000)
+        }
         assert [e.log_index for e in b.history] == [1, 2]
         assert b.late_deliveries == b.pruned_retractions == 1
         assert b.deficit_samples_us == [(WINDOW + 2_500 - 2_000) - WINDOW]
 
     def test_rebooting_clears_the_map(self):
+        t0 = self.T0
         net, a, b = line()
-        first, _second = pings(net, a, [0, 1_000])
-        net.run(until_us=WINDOW + 3_000)
+        first, _second = pings(net, a, [t0, t0 + 1_000])
+        net.run(until_us=t0 + WINDOW + 3_000)
         b._prune_window()
         assert first.uid in b._pruned_uid_log
         b.start()

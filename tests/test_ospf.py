@@ -242,7 +242,9 @@ class TestDerivedRoutingTable:
         daemon.state()["first_hops"].clear()
         assert_table_follows_lsdb(daemon)
 
-    @pytest.mark.parametrize("name", ["flap-storm@20", "crash-restart"])
+    # crash-restart@20, not the 10-node cell: the playout hold leaves
+    # the small cell without a rollback to probe across
+    @pytest.mark.parametrize("name", ["flap-storm@20", "crash-restart@20"])
     def test_probing_a_rollback_run_sees_dijkstra_and_moves_nothing(
         self, name, monkeypatch
     ):

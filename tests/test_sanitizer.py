@@ -11,7 +11,7 @@ import pytest
 from _fixtures import line_graph
 from _oracles import DeepcopyStore
 
-from repro.core.shim import DefinedShim
+from repro.core.shim import HOLD_SLACK_US, DefinedShim
 from repro.core.statestore import StateStore, StoreContractViolation
 from repro.harness import run_production
 from repro.routing.base import Daemon
@@ -229,6 +229,9 @@ class TestAttribution:
         net = to_network(line_graph(3), jitter_us=0)
         net.attach(DefinedShim, Hoarder)
         net.start()
+        # past every arrival's release instant (d_i <= 5 ms, plus the
+        # playout hold's slack): each is admitted as it lands
+        net.run(until_us=10_000 + HOLD_SLACK_US)
         return net, net.nodes["n1"]
 
     @staticmethod

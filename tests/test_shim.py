@@ -6,13 +6,18 @@ from _fixtures import graph_of
 
 from repro.core.groups import BeaconService
 from repro.core.recorder import Recorder
-from repro.core.shim import DefinedShim
+from repro.core.shim import HOLD_SLACK_US, DefinedShim
 from repro.core.statestore import StateStore
 from repro.routing.base import Daemon
 from repro.simnet.engine import SECOND
 from repro.simnet.events import ExternalEvent
 from repro.simnet.messages import Message
 from repro.topology import to_network
+
+
+#: Link jitter wide enough for an arrival to come after its release
+#: instant (estimate + slack) and so reach a daemon out of key order.
+STRAGGLER_JITTER_US = 4 * HOLD_SLACK_US
 
 
 class EchoDaemon(Daemon):
@@ -154,11 +159,14 @@ class TestRollback:
     def _storm(self, seed):
         """Two senders race across different links into b: links are FIFO,
         so misorders (vs the d-estimate order) come from cross-link jitter.
-        a's messages (smaller d) must all sort before c's."""
+        a's messages (smaller d) must all sort before c's.  The playout
+        hold admits an arrival no earlier than its estimate (base + half
+        the jitter) plus the slack, so only a jitter above twice the slack
+        lets a straggler arrive after a later-sorting message's release."""
         net = defined_net(
             topology=(("a", "b", 2_000), ("b", "c", 2_500)),
             seed=seed,
-            jitter=3_000,
+            jitter=STRAGGLER_JITTER_US,
         )
         net.start()
         for i in range(6):
@@ -202,7 +210,7 @@ class TestUnsendCascade:
             net = to_network(
                 graph_of([("a", "b", 2_000), ("b", "c", 2_500), ("b", "d", 3_000)]),
                 seed=seed,
-                jitter_us=3_000,
+                jitter_us=STRAGGLER_JITTER_US,
             )
             net.attach(
                 lambda node: DefinedShim(node),
