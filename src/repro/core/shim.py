@@ -502,10 +502,10 @@ class DefinedShim(ReplayStack):
             self._admit_or_hold(msg)
 
     def _release_timers(self, epoch: int) -> None:
+        """Fire the due timers held at a beacon (none, if a rollback's
+        replay fired them already or the node crashed since)."""
         if epoch != self._boot_epoch or not self.node.up:
             return
-        if self.timers.next_due(self.vt) is None:
-            return  # a rollback's replay fired them already
         for entry in self._replay_order(()):
             self._admit(entry)
 
