@@ -10,9 +10,6 @@ rollback, per output unsent and per pruned retraction::
         result = run_scenario(get_scenario("flap-storm@40"), "defined", 1)
     rollbacks = [r for r in records if r.kind == ROLLBACK]
 
-A rollback record names its :attr:`Record.cause`, read from the
-arguments the shim passed to ``_rollback``.
-
 Nothing under ``src/`` knows it is being traced: outside the block the
 shim's methods are the originals, so the trace costs nothing when it is
 not installed and cannot move a fingerprint when it is.  The wrappers

@@ -63,10 +63,6 @@ def arrive(net, node, payload, group, delay_us):
     return msg
 
 
-def seen(node):
-    return [payload for _at, payload in node.daemon.calls]
-
-
 def test_a_past_group_message_and_a_late_arrival_are_admitted_at_once():
     net, n1 = middle()
     net.run(until_us=OPEN_US)
@@ -116,6 +112,16 @@ def test_an_input_held_at_a_crash_is_never_delivered():
     assert n1.daemon.calls == []
 
 
+def test_a_due_timer_held_at_a_crash_never_fires():
+    net, n1 = middle()
+    n1.stack.set_timer(1, "t")
+    net.run(until_us=OPEN_US)
+    n1.stack._on_beacon(1)
+    net.apply_event(ExternalEvent(time_us=OPEN_US, kind="node_down", target="n1"))
+    net.run()
+    assert n1.daemon.calls == []
+
+
 def test_an_input_held_across_a_reboot_is_never_delivered():
     net, n1 = middle()
     arrive(net, n1, "held", group=0, delay_us=4_000)
@@ -124,5 +130,5 @@ def test_an_input_held_across_a_reboot_is_never_delivered():
     net.run(until_us=3_000)
     net.apply_event(ExternalEvent(time_us=3_000, kind="node_up", target="n1"))
     net.run()
-    assert n1.up and "held" not in seen(n1)
+    assert n1.up and n1.daemon.calls == []
     assert not any("held" in tag for tag in n1.stack.delivery_log)
